@@ -18,10 +18,8 @@
 use crate::experiments::Scale;
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{AblationConfig, Latest, LatestConfig, PhaseTag, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Batch sizes the curve samples. `1` uses the single-query API;
@@ -90,14 +88,14 @@ fn config(dataset: &DatasetSpec) -> LatestConfig {
 /// The hot-heavy mixed query stream: mostly repeats of a small hot set of
 /// region queries (the dashboard / monitoring pattern batching targets),
 /// salted with cold one-off queries of every shape.
-fn query_stream(rng: &mut StdRng, domain: &Rect, total: usize) -> Vec<RcDvq> {
+fn query_stream(rng: &mut StreamRng, domain: &Rect, total: usize) -> Vec<RcDvq> {
     let hot: Vec<RcDvq> = (0..HOT_SET)
         .map(|i| make_hot_query(rng, domain, i))
         .collect();
     (0..total)
         .map(|i| {
-            if rng.gen_range(0u32..20) < HOT_IN_20 {
-                hot[rng.gen_range(0..HOT_SET)].clone()
+            if rng.gen_range_u32(0..20) < HOT_IN_20 {
+                hot[rng.gen_range_usize(0..HOT_SET)].clone()
             } else {
                 // Cold: a fresh query that will not repeat.
                 make_query(rng, domain, HOT_SET + i)
@@ -108,27 +106,27 @@ fn query_stream(rng: &mut StdRng, domain: &Rect, total: usize) -> Vec<RcDvq> {
 
 /// A hot-set entry: a wide spatial or hybrid region watch, the kind of
 /// repeated query whose exact count is expensive on a large window.
-fn make_hot_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
-    let half = rng.gen_range(4.0..10.0);
+fn make_hot_query(rng: &mut StreamRng, domain: &Rect, salt: usize) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+    let half = rng.gen_range_f64(4.0..10.0);
     let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
     if salt.is_multiple_of(2) {
         RcDvq::spatial(rect)
     } else {
-        RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..100))])
+        RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..100))])
     }
 }
 
-fn make_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
-    let half = rng.gen_range(1.0..5.0);
+fn make_query(rng: &mut StreamRng, domain: &Rect, salt: usize) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+    let half = rng.gen_range_f64(1.0..5.0);
     let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
     match salt % 3 {
         0 => RcDvq::spatial(rect),
-        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]),
-        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..100))]),
+        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]),
+        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..100))]),
     }
 }
 
@@ -148,7 +146,7 @@ fn replay(
     }
     // Pre-train on a side stream of queries so the replay below runs
     // entirely in the incremental phase.
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = StreamRng::seed_from_u64(7);
     while latest.phase() == PhaseTag::PreTraining {
         latest.ingest(gen.next_object());
         let q = make_query(&mut rng, &dataset.domain, 1_000);
@@ -193,7 +191,7 @@ pub fn run(scale: Scale) -> BatchingBenchReport {
     let total = (((2_048.0 * scale.0) as usize).max(512) / max_batch).max(2) * max_batch;
     let window = ((BASE_WINDOW as f64 * scale.0) as usize).max(8_000);
     let dataset = DatasetSpec::twitter();
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = StreamRng::seed_from_u64(42);
     let queries = query_stream(&mut rng, &dataset.domain, total);
     let points: Vec<BatchPoint> = BATCH_SIZES
         .iter()

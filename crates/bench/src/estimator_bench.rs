@@ -1,11 +1,10 @@
 //! Standalone sampling-estimator benchmark with machine-readable output.
 //!
-//! Mirrors the `estimator_hot_path` criterion bench — windowed ingest
-//! throughput plus per-query-type estimate latency for every
-//! [`SampleStore`]-backed estimator — but runs inside the `experiments`
-//! binary and can serialize its report as JSON (`--bench-json` →
-//! `BENCH_estimators.json`), so CI and the docs can diff measured
-//! numbers.
+//! Windowed ingest throughput plus per-query-type estimate latency for
+//! every [`SampleStore`]-backed estimator. It runs inside the
+//! `experiments` binary and can serialize its report as JSON
+//! (`--bench-json` → `BENCH_estimators.json`), so CI and the docs can diff
+//! measured numbers.
 //!
 //! A `scan_baseline` arm replays the pre-refactor storage verbatim
 //! (`Vec<GeoTextObject>` + `HashMap` slot index, linear-scan estimates,
@@ -25,9 +24,7 @@ use estimators::spn::SpnEstimator;
 use estimators::windowed::WindowedSampler;
 use estimators::{EstimatorConfig, SelectivityEstimator};
 use geostream::synth::DatasetSpec;
-use geostream::{GeoTextObject, KeywordId, ObjectId, RcDvq, Rect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use geostream::{GeoTextObject, KeywordId, ObjectId, RcDvq, Rect, StreamRng};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -40,7 +37,7 @@ struct ScanBaseline {
     index: HashMap<ObjectId, usize>,
     seen: u64,
     population: u64,
-    rng: StdRng,
+    rng: StreamRng,
 }
 
 impl ScanBaseline {
@@ -51,7 +48,7 @@ impl ScanBaseline {
             index: HashMap::new(),
             seen: 0,
             population: 0,
-            rng: StdRng::seed_from_u64(config.seed ^ 0x5151),
+            rng: StreamRng::seed_from_u64(config.seed ^ 0x5151),
         }
     }
 
@@ -62,7 +59,7 @@ impl ScanBaseline {
             self.index.insert(obj.oid, self.sample.len());
             self.sample.push(obj.clone());
         } else {
-            let j = self.rng.gen_range(0..self.seen);
+            let j = self.rng.gen_range_u64(0..self.seen);
             if (j as usize) < self.capacity {
                 let slot = j as usize;
                 self.index.remove(&self.sample[slot].oid);

@@ -1,11 +1,10 @@
 //! Standalone exact-executor benchmark with machine-readable output.
 //!
-//! Mirrors the `exactdb_hot_path` criterion bench — a sliding-window
-//! ingest replay plus per-query-type count latency, per spatial backend —
-//! but runs inside the `experiments` binary and can serialize its report
-//! as JSON (`--bench-json` → `BENCH_exactdb.json`), so the measured
-//! ingest throughput, count latencies, and planner path mix land in a
-//! file CI and the docs can diff against.
+//! A sliding-window ingest replay plus per-query-type count latency, per
+//! spatial backend. It runs inside the `experiments` binary and can
+//! serialize its report as JSON (`--bench-json` → `BENCH_exactdb.json`),
+//! so the measured ingest throughput, count latencies, and planner path
+//! mix land in a file CI and the docs can diff against.
 
 use crate::experiments::Scale;
 use exactdb::{ExactExecutor, SpatialIndexKind};
@@ -54,8 +53,7 @@ pub struct ExactBenchReport {
     pub backends: Vec<BackendStats>,
 }
 
-/// The query shapes measured per backend (same set as the criterion
-/// bench): label + query.
+/// The query shapes measured per backend: label + query.
 fn query_set(dataset: &DatasetSpec) -> Vec<(&'static str, RcDvq)> {
     let center = dataset.spatial_model().hotspots()[0].center;
     let rect = Rect::centered_clamped(center, 2.0, 1.5, &dataset.domain);

@@ -23,11 +23,10 @@
 use crate::experiments::Scale;
 use estimators::EstimatorConfig;
 use geostream::synth::{DatasetSpec, ObjectGenerator};
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, QueryOptions, RouterPolicy, ShardConfig, ShardedLatest};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Objects per ingest batch while driving the stream.
@@ -67,10 +66,14 @@ pub struct RecoveryBenchReport {
     pub points: Vec<RecoveryPoint>,
 }
 
+/// A path no other call shares: two runs in one process (the unit tests
+/// run in parallel) must not save into and delete each other's directory.
 fn scratch(name: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "latest-recovery-bench-{}-{name}",
-        std::process::id()
+        "latest-recovery-bench-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
     ))
 }
 
@@ -99,15 +102,15 @@ fn config(dataset: &DatasetSpec, shards: usize) -> LatestConfig {
     b.build().expect("benchmark parameters are in range")
 }
 
-fn make_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
-    let half = rng.gen_range(1.0..5.0);
+fn make_query(rng: &mut StreamRng, domain: &Rect, salt: usize) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+    let half = rng.gen_range_f64(1.0..5.0);
     let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
     match salt % 3 {
         0 => RcDvq::spatial(rect),
-        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]),
-        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..100))]),
+        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]),
+        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..100))]),
     }
 }
 
@@ -118,7 +121,7 @@ fn make_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
 fn drive(dataset: &DatasetSpec, target_window: usize) -> Latest {
     let mut latest = Latest::new(config(dataset, 1));
     let mut gen = dataset.generator();
-    let mut rng = StdRng::seed_from_u64(0x4ec0);
+    let mut rng = StreamRng::seed_from_u64(0x4ec0);
     let mut salt = 0;
     loop {
         let batch: Vec<_> = (0..INGEST_BATCH).map(|_| gen.next_object()).collect();
@@ -145,7 +148,7 @@ fn lockstep(
     domain: &Rect,
     queries: usize,
 ) -> usize {
-    let mut rng = StdRng::seed_from_u64(0x7e57);
+    let mut rng = StreamRng::seed_from_u64(0x7e57);
     let mut mismatches = 0;
     for salt in 0..queries {
         if salt % 8 == 0 {
@@ -173,7 +176,7 @@ fn sharded_mismatches(dataset: &DatasetSpec, queries: usize) -> usize {
         let batch: Vec<_> = (0..INGEST_BATCH).map(|_| gen.next_object()).collect();
         original.ingest_batch(&batch).expect("shards are live");
     }
-    let mut rng = StdRng::seed_from_u64(0x5a4d);
+    let mut rng = StreamRng::seed_from_u64(0x5a4d);
     for salt in 0..32 {
         let q = make_query(&mut rng, &dataset.domain, salt);
         let _ = original.query_batch(&[q], QueryOptions::new());

@@ -23,12 +23,10 @@
 use crate::experiments::Scale;
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, GeoTextObject, KeywordId, Point, RcDvq, Rect, Timestamp};
+use geostream::{Duration, GeoTextObject, KeywordId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use latest_core::{
     AblationConfig, Latest, LatestConfig, QueryOptions, RouterPolicy, ShardConfig, ShardedLatest,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Shard counts the curve samples, alongside the unsharded baseline.
@@ -100,15 +98,15 @@ fn config(dataset: &DatasetSpec, shards: usize) -> LatestConfig {
         .expect("benchmark parameters are in range")
 }
 
-fn make_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
-    let half = rng.gen_range(1.0..5.0);
+fn make_query(rng: &mut StreamRng, domain: &Rect, salt: usize) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+    let half = rng.gen_range_f64(1.0..5.0);
     let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
     match salt % 3 {
         0 => RcDvq::spatial(rect),
-        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]),
-        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..100))]),
+        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]),
+        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..100))]),
     }
 }
 
@@ -132,7 +130,7 @@ fn build_workload(dataset: &DatasetSpec, objects: usize, queries: usize) -> Work
     while gen.clock().0 < 12_000 {
         prime.push((0..INGEST_BATCH).map(|_| gen.next_object()).collect());
     }
-    let mut rng = StdRng::seed_from_u64(0x5A4D);
+    let mut rng = StreamRng::seed_from_u64(0x5A4D);
     let prime_queries: Vec<RcDvq> = (0..2 * QUERY_BATCH)
         .map(|i| make_query(&mut rng, &dataset.domain, i))
         .collect();

@@ -34,10 +34,8 @@
 use crate::experiments::Scale;
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, GeoTextObject, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, GeoTextObject, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{AblationConfig, Latest, LatestConfig, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Objects per trickle ingest batch between queries — keeps the window
@@ -122,15 +120,15 @@ fn config(dataset: &DatasetSpec, async_prefill: bool) -> LatestConfig {
         .expect("benchmark parameters are in range")
 }
 
-fn make_query(rng: &mut StdRng, domain: &Rect, salt: usize) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
-    let half = rng.gen_range(1.0..5.0);
+fn make_query(rng: &mut StreamRng, domain: &Rect, salt: usize) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+    let half = rng.gen_range_f64(1.0..5.0);
     let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
     match salt % 3 {
         0 => RcDvq::spatial(rect),
-        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]),
-        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..100))]),
+        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]),
+        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..100))]),
     }
 }
 
@@ -150,7 +148,7 @@ fn build_workload(dataset: &DatasetSpec, queries: usize) -> Workload {
     while gen.clock().0 < 12_000 {
         prime.push((0..INGEST_BATCH).map(|_| gen.next_object()).collect());
     }
-    let mut rng = StdRng::seed_from_u64(0x57A1);
+    let mut rng = StreamRng::seed_from_u64(0x57A1);
     let prime_queries: Vec<RcDvq> = (0..24)
         .map(|i| make_query(&mut rng, &dataset.domain, i))
         .collect();

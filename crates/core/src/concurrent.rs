@@ -5,14 +5,14 @@
 //! needs:
 //!
 //! * [`SharedLatest`] — a cheaply cloneable, thread-safe handle around a
-//!   [`Latest`] instance (a `parking_lot` mutex; LATEST's per-event work is
+//!   [`Latest`] instance (one mutex; LATEST's per-event work is
 //!   microseconds, so a mutex outperforms anything fancier at realistic
 //!   rates);
-//! * [`StreamPipeline`] — a crossbeam-channel pipeline that runs ingestion
-//!   on a background thread while the caller issues queries from any
-//!   number of threads. The consumer drains the channel into batches, so
-//!   lock traffic and estimator maintenance are amortized over many
-//!   arrivals ([`Latest::ingest_batch`]).
+//! * [`StreamPipeline`] — a pipeline over a bounded [`queue`](crate::queue)
+//!   that runs ingestion on a background thread while the caller issues
+//!   queries from any number of threads. The consumer drains the queue
+//!   into batches, so lock traffic and estimator maintenance are amortized
+//!   over many arrivals ([`Latest::ingest_batch`]).
 //!
 //! Query paths are fallible: once a pipeline shuts down, its handles
 //! return [`LatestError::PipelineShutDown`] instead of silently answering
@@ -61,14 +61,14 @@
 use crate::error::LatestError;
 use crate::log::PhaseTag;
 use crate::obsv::MetricsSnapshot;
+use crate::queue::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::system::{Latest, LatestConfig, QueryOptions, QueryOutcome};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::unpoisoned;
 use estimators::EstimatorKind;
 use geostream::synth::ObjectGenerator;
-use geostream::{GeoTextObject, RcDvq, Timestamp};
-use parking_lot::Mutex;
+use geostream::{GeoTextObject, RcDvq};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 /// How many queued arrivals the pipeline consumer ingests per lock
@@ -136,27 +136,31 @@ impl SharedLatest {
         self.open.store(false, Ordering::Release);
     }
 
+    fn lock(&self) -> MutexGuard<'_, Latest> {
+        unpoisoned(self.inner.lock())
+    }
+
     /// Ingests one stream object.
     pub fn ingest(&self, obj: GeoTextObject) {
-        self.inner.lock().ingest(obj);
+        self.lock().ingest(obj);
     }
 
     /// Ingests a batch of stream objects under a single lock acquisition.
     pub fn ingest_batch(&self, batch: &[GeoTextObject]) {
-        self.inner.lock().ingest_batch(batch);
+        self.lock().ingest_batch(batch);
     }
 
     /// Acquires the instance lock per `options.blocking`: wait for the
     /// lock, or fail with [`LatestError::WouldBlock`] if it is contended.
-    fn lock_for(
-        &self,
-        options: &QueryOptions,
-    ) -> Result<parking_lot::MutexGuard<'_, Latest>, LatestError> {
+    fn lock_for(&self, options: &QueryOptions) -> Result<MutexGuard<'_, Latest>, LatestError> {
         self.ensure_open()?;
         if options.blocking {
-            Ok(self.inner.lock())
-        } else {
-            self.inner.try_lock().ok_or(LatestError::WouldBlock)
+            return Ok(self.lock());
+        }
+        match self.inner.try_lock() {
+            Ok(guard) => Ok(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Ok(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => Err(LatestError::WouldBlock),
         }
     }
 
@@ -178,57 +182,40 @@ impl SharedLatest {
         Ok(self.lock_for(&options)?.query_batch(queries, options))
     }
 
-    /// Answers an estimation query at an explicit stream time (the
-    /// pre-unified API; `query` with [`QueryOptions::at`] replaces it).
-    #[deprecated(since = "0.2.0", note = "use `query(query, QueryOptions::at(at))`")]
-    pub fn query_at(&self, query: &RcDvq, at: Timestamp) -> Result<QueryOutcome, LatestError> {
-        self.query(query, QueryOptions::at(at).use_cache(false))
-    }
-
-    /// Non-blocking query (the pre-unified API; `query` with
-    /// [`QueryOptions::blocking`]`(false)` replaces it).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `query(query, QueryOptions::new().blocking(false))`"
-    )]
-    pub fn try_query(&self, query: &RcDvq) -> Result<QueryOutcome, LatestError> {
-        self.query(query, QueryOptions::new().blocking(false).use_cache(false))
-    }
-
     /// Current lifetime phase.
     pub fn phase(&self) -> PhaseTag {
-        self.inner.lock().phase()
+        self.lock().phase()
     }
 
     /// The estimator currently employed.
     pub fn active_kind(&self) -> EstimatorKind {
-        self.inner.lock().active_kind()
+        self.lock().active_kind()
     }
 
     /// Live window size.
     pub fn window_len(&self) -> usize {
-        self.inner.lock().window_len()
+        self.lock().window_len()
     }
 
     /// Number of switches performed so far.
     pub fn switch_count(&self) -> usize {
-        self.inner.lock().log().switches.len()
+        self.lock().log().switches.len()
     }
 
     /// A point-in-time copy of the run-wide observability metrics
     /// ([`Latest::metrics_snapshot`]), taken under one brief lock hold.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().metrics_snapshot()
+        self.lock().metrics_snapshot()
     }
 
     /// Runs `f` against the underlying instance (e.g. to clone the log).
     pub fn with<R>(&self, f: impl FnOnce(&Latest) -> R) -> R {
-        f(&self.inner.lock())
+        f(&self.lock())
     }
 }
 
 /// A background ingestion pipeline: a producer thread pulls objects from a
-/// generator and sends them over a bounded crossbeam channel; a consumer
+/// generator and sends them over a bounded queue; a consumer
 /// thread drains the channel into batches and ingests each batch into the
 /// shared LATEST instance under one lock acquisition.
 pub struct StreamPipeline {
@@ -357,17 +344,6 @@ impl StreamPipeline {
         self.handle.query_batch(queries, options)
     }
 
-    /// Non-blocking query (the pre-unified API; `query` with
-    /// [`QueryOptions::blocking`]`(false)` replaces it).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `query(query, QueryOptions::new().blocking(false))`"
-    )]
-    pub fn try_query(&self, query: &RcDvq) -> Result<QueryOutcome, LatestError> {
-        self.handle
-            .query(query, QueryOptions::new().blocking(false).use_cache(false))
-    }
-
     /// Blocks until LATEST has reached (at least) `phase`.
     pub fn wait_for_phase(&self, phase: PhaseTag) {
         let rank = |p: PhaseTag| match p {
@@ -474,10 +450,8 @@ impl SnapshotScraper {
                 loop {
                     match stop_rx.recv_timeout(every) {
                         // Stop signal or scraper handle dropped: done.
-                        Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            return taken
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                        Ok(()) | Err(RecvTimeoutError::Disconnected) => return taken,
+                        Err(RecvTimeoutError::Timeout) => {}
                     }
                     let Some(snap) = source() else {
                         return taken;
@@ -539,7 +513,7 @@ mod tests {
     use super::*;
     use estimators::EstimatorConfig;
     use geostream::synth::DatasetSpec;
-    use geostream::{Duration, KeywordId, Rect};
+    use geostream::{Duration, KeywordId, Rect, Timestamp};
 
     fn config(dataset: &DatasetSpec) -> LatestConfig {
         LatestConfig::builder()
@@ -670,7 +644,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shims must keep failing closed too
     fn queries_fail_after_shutdown() {
         let dataset = DatasetSpec::twitter();
         let pipeline =
@@ -692,14 +665,17 @@ mod tests {
                 .unwrap_err(),
             LatestError::PipelineShutDown
         );
-        assert_eq!(
-            handle.try_query(&q).unwrap_err(),
-            LatestError::PipelineShutDown
-        );
-        assert_eq!(
-            handle.query_at(&q, Timestamp(1)).unwrap_err(),
-            LatestError::PipelineShutDown
-        );
+        // Every option set fails closed: shutdown outranks `WouldBlock`
+        // and an explicit query time.
+        for options in [
+            QueryOptions::new().blocking(false),
+            QueryOptions::at(Timestamp(1)),
+        ] {
+            assert_eq!(
+                handle.query(&q, options).unwrap_err(),
+                LatestError::PipelineShutDown
+            );
+        }
     }
 
     #[test]
@@ -738,10 +714,5 @@ mod tests {
         release_tx.send(()).expect("release");
         t.join().expect("holder thread");
         assert!(shared.query(&q, opts()).is_ok());
-        // The deprecated shim still maps onto the same non-blocking path.
-        #[allow(deprecated)]
-        {
-            assert!(shared.try_query(&q).is_ok());
-        }
     }
 }

@@ -36,6 +36,7 @@ pub mod monitor;
 pub mod obsv;
 pub mod persist;
 pub mod pool;
+pub mod queue;
 pub mod shard;
 pub mod system;
 
@@ -57,6 +58,17 @@ pub use shard::{
     RouterPolicy, ServingEngine, ShardConfig, ShardRouter, ShardedLatest, Ticket, MAX_SHARDS,
 };
 pub use system::{AblationConfig, Latest, LatestConfig, QueryOptions, QueryOutcome, ServedBy};
+
+/// The crate's lock-poisoning policy, applied to every `lock()` and condvar
+/// wait: a later caller gets the guard even if an earlier holder panicked.
+/// This is the non-poisoning behaviour the serving layer was written and
+/// measured against. The queue, done-map and event-ring critical sections
+/// are single pushes, pops and inserts that cannot leave torn state; a panic
+/// inside a `Latest` call under [`SharedLatest`]'s mutex can, exactly as it
+/// could before — turning that into a typed error is ROADMAP item 7(c).
+pub(crate) fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Estimation accuracy of an estimate vs. the logged actual selectivity:
 /// `max(0, 1 − |est − actual| / max(actual, 1))`, the relative-error-based

@@ -6,12 +6,11 @@
 
 use estimators::EstimatorKind;
 use geostream::{Persist, PersistError, PersistReader, PersistWriter, QueryType, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::persist::{persist_kind, persist_query_type, restore_kind, restore_query_type};
 
 /// Which lifetime phase a record belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseTag {
     WarmUp,
     PreTraining,
@@ -31,7 +30,7 @@ impl PhaseTag {
 
 /// Latency/accuracy of one (estimator, query) pair measured in shadow mode
 /// (all estimators maintained for plotting, as the paper's figures do).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowSample {
     pub estimator: EstimatorKind,
     pub estimate: f64,
@@ -40,7 +39,7 @@ pub struct ShadowSample {
 }
 
 /// One answered estimation query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// Sequence number of the query (0-based, across all phases).
     pub seq: u64,
@@ -62,7 +61,7 @@ pub struct QueryRecord {
 }
 
 /// One estimator switch performed by the adaptor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchEvent {
     /// Query sequence number at which the switch took effect.
     pub at_seq: u64,
@@ -75,7 +74,7 @@ pub struct SwitchEvent {
 }
 
 /// Append-only log of everything observable about a LATEST run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemLog {
     pub queries: Vec<QueryRecord>,
     pub switches: Vec<SwitchEvent>,

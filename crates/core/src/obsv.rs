@@ -34,11 +34,12 @@
 //! exempted.
 
 use crate::log::PhaseTag;
+use crate::unpoisoned;
 use estimators::EstimatorKind;
 use geostream::Timestamp;
 pub use geostream::{Counter, Gauge, Histogram, HistogramSnapshot};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Bucket bounds (microseconds) for wall-clock latency histograms: sub-µs
@@ -274,7 +275,7 @@ impl EventStream {
 
     /// Appends an event, evicting the oldest when full.
     pub fn record(&self, event: LifecycleEvent) {
-        let mut buf = self.inner.lock();
+        let mut buf = unpoisoned(self.inner.lock());
         if buf.len() == self.capacity {
             buf.pop_front();
             self.dropped.inc();
@@ -284,7 +285,7 @@ impl EventStream {
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<LifecycleEvent> {
-        self.inner.lock().iter().cloned().collect()
+        unpoisoned(self.inner.lock()).iter().cloned().collect()
     }
 
     /// Events lost to the capacity bound so far.
@@ -294,12 +295,12 @@ impl EventStream {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        unpoisoned(self.inner.lock()).len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        unpoisoned(self.inner.lock()).is_empty()
     }
 
     /// The ring's capacity bound.

@@ -41,13 +41,13 @@
 
 use crate::error::LatestError;
 use crate::obsv::MetricsSnapshot;
+use crate::queue::{bounded, Receiver, Sender, TrySendError};
 use crate::system::{Latest, LatestConfig, QueryOptions, QueryOutcome};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::unpoisoned;
 use geostream::{GeoTextObject, RcDvq, Rect, Timestamp};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Upper bound on the configured shard count: far above any realistic
@@ -424,7 +424,7 @@ impl ShardedLatest {
         if !blocking {
             for s in &self.senders {
                 // Room for the sub-batch and the trailing clock advance.
-                if s.len() + 2 > s.capacity().unwrap_or(usize::MAX) {
+                if s.len() + 2 > self.config.shard.queue_capacity {
                     return Err(LatestError::WouldBlock);
                 }
             }
@@ -528,7 +528,7 @@ impl ShardedLatest {
         if !options.blocking {
             for (shard, indices) in routed.iter().enumerate() {
                 let s = &self.senders[shard];
-                if !indices.is_empty() && s.len() + 1 > s.capacity().unwrap_or(usize::MAX) {
+                if !indices.is_empty() && s.len() + 1 > self.config.shard.queue_capacity {
                     return Err(LatestError::WouldBlock);
                 }
             }
@@ -951,7 +951,7 @@ impl ServingEngine {
                     while let Ok(job) = rx.recv() {
                         let result = engine.query_batch(&job.queries, job.options);
                         served += 1;
-                        state.done.lock().insert(job.ticket, result);
+                        unpoisoned(state.done.lock()).insert(job.ticket, result);
                         state.ready.notify_all();
                     }
                     served
@@ -991,10 +991,8 @@ impl ServingEngine {
             options,
         }) {
             Ok(()) => Ok(Ticket(ticket)),
-            Err(crossbeam::channel::TrySendError::Full(_)) => Err(LatestError::WouldBlock),
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                Err(LatestError::PipelineShutDown)
-            }
+            Err(TrySendError::Full(_)) => Err(LatestError::WouldBlock),
+            Err(TrySendError::Disconnected(_)) => Err(LatestError::PipelineShutDown),
         }
     }
 
@@ -1002,17 +1000,17 @@ impl ServingEngine {
     /// queued or running. A completed ticket yields its result exactly
     /// once.
     pub fn poll(&self, ticket: Ticket) -> Option<Result<Vec<QueryOutcome>, LatestError>> {
-        self.state.done.lock().remove(&ticket.0)
+        unpoisoned(self.state.done.lock()).remove(&ticket.0)
     }
 
     /// Blocks until the job completes and takes its result.
     pub fn wait(&self, ticket: Ticket) -> Result<Vec<QueryOutcome>, LatestError> {
-        let mut done = self.state.done.lock();
+        let mut done = unpoisoned(self.state.done.lock());
         loop {
             if let Some(result) = done.remove(&ticket.0) {
                 return result;
             }
-            self.state.ready.wait(&mut done);
+            done = unpoisoned(self.state.ready.wait(done));
         }
     }
 

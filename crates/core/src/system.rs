@@ -1107,14 +1107,6 @@ impl Latest {
         outcome
     }
 
-    /// Answers one estimation query at stream time `at` (the pre-unified
-    /// API; `query` with [`QueryOptions::at`] replaces it). The legacy
-    /// path never consulted a cache, so the shim disables it.
-    #[deprecated(since = "0.2.0", note = "use `query(query, QueryOptions::at(at))`")]
-    pub fn query_at(&mut self, query: &RcDvq, at: Timestamp) -> QueryOutcome {
-        self.query(query, QueryOptions::at(at).use_cache(false))
-    }
-
     /// Answers a batch of queries under one set of options, equivalently
     /// to issuing them one at a time in order — same estimates (bit-equal),
     /// same feedback order, same counters — but with the grouped work
@@ -2308,9 +2300,7 @@ impl Latest {
 mod tests {
     use super::*;
     use geostream::synth::DatasetSpec;
-    use geostream::{KeywordId, Rect};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use geostream::{KeywordId, Rect, StreamRng};
 
     fn small_config() -> LatestConfig {
         let spec = DatasetSpec::twitter();
@@ -2338,21 +2328,21 @@ mod tests {
         gen
     }
 
-    fn random_query(rng: &mut StdRng, domain: &Rect) -> RcDvq {
-        let cx = rng.gen_range(domain.min_x..domain.max_x);
-        let cy = rng.gen_range(domain.min_y..domain.max_y);
-        let half = rng.gen_range(0.5..4.0);
-        match rng.gen_range(0..3) {
+    fn random_query(rng: &mut StreamRng, domain: &Rect) -> RcDvq {
+        let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+        let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+        let half = rng.gen_range_f64(0.5..4.0);
+        match rng.gen_range_u32(0..3) {
             0 => RcDvq::spatial(Rect::centered_clamped(
                 geostream::Point::new(cx, cy),
                 half,
                 half,
                 domain,
             )),
-            1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]),
+            1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]),
             _ => RcDvq::hybrid(
                 Rect::centered_clamped(geostream::Point::new(cx, cy), half, half, domain),
-                vec![KeywordId(rng.gen_range(0..100))],
+                vec![KeywordId(rng.gen_range_u32(0..100))],
             ),
         }
     }
@@ -2365,7 +2355,7 @@ mod tests {
         assert_eq!(latest.phase(), PhaseTag::WarmUp);
         let mut gen = warm_up(&mut latest);
         assert_eq!(latest.phase(), PhaseTag::PreTraining);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = StreamRng::seed_from_u64(1);
         for _ in 0..40 {
             for _ in 0..5 {
                 latest.ingest(gen.next_object());
@@ -2384,7 +2374,7 @@ mod tests {
         let domain = config.estimator_config.domain;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = StreamRng::seed_from_u64(2);
         for _ in 0..10 {
             latest.ingest(gen.next_object());
             let q = random_query(&mut rng, &domain);
@@ -2404,7 +2394,7 @@ mod tests {
         let domain = config.estimator_config.domain;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = StreamRng::seed_from_u64(3);
         for _ in 0..60 {
             for _ in 0..3 {
                 latest.ingest(gen.next_object());
@@ -2432,7 +2422,7 @@ mod tests {
         let domain = config.estimator_config.domain;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = StreamRng::seed_from_u64(11);
         let mut queries = 0u64;
         for _ in 0..120 {
             // Exercise the real threaded fan-out even on single-core CI
@@ -2459,11 +2449,11 @@ mod tests {
         config.accuracy_window = 8;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = StreamRng::seed_from_u64(4);
         // Pre-train with keyword queries so rewards already favor samplers.
         for _ in 0..20 {
             latest.ingest(gen.next_object());
-            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]);
+            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]);
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
         }
         assert_eq!(latest.phase(), PhaseTag::Incremental);
@@ -2472,7 +2462,7 @@ mod tests {
             for _ in 0..2 {
                 latest.ingest(gen.next_object());
             }
-            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]);
+            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]);
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
             if latest.active_kind() != EstimatorKind::H4096 {
                 break;
@@ -2496,7 +2486,7 @@ mod tests {
         let domain = config.estimator_config.domain;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = StreamRng::seed_from_u64(5);
         for _ in 0..150 {
             for _ in 0..3 {
                 latest.ingest(gen.next_object());
@@ -2504,8 +2494,8 @@ mod tests {
             // Large ranges → high actual counts → sampler accuracy high.
             let q = RcDvq::spatial(Rect::centered_clamped(
                 geostream::Point::new(
-                    rng.gen_range(domain.min_x..domain.max_x),
-                    rng.gen_range(domain.min_y..domain.max_y),
+                    rng.gen_range_f64(domain.min_x..domain.max_x),
+                    rng.gen_range_f64(domain.min_y..domain.max_y),
                 ),
                 20.0,
                 10.0,
@@ -2528,7 +2518,7 @@ mod tests {
         let domain = config.estimator_config.domain;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = StreamRng::seed_from_u64(6);
         for _ in 0..20 {
             latest.ingest(gen.next_object());
             let q = random_query(&mut rng, &domain);
@@ -2562,12 +2552,12 @@ mod tests {
         config.ablation.switching = false;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = StreamRng::seed_from_u64(21);
         // Keyword flood: full LATEST would abandon the histogram; the
         // no-switching ablation must stay put.
         for _ in 0..120 {
             latest.ingest(gen.next_object());
-            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]);
+            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]);
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
         }
         assert_eq!(latest.active_kind(), EstimatorKind::H4096);
@@ -2584,12 +2574,12 @@ mod tests {
         config.ablation.prefill = false;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(22);
+        let mut rng = StreamRng::seed_from_u64(22);
         for _ in 0..120 {
             for _ in 0..2 {
                 latest.ingest(gen.next_object());
             }
-            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]);
+            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]);
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
             if latest.active_kind() != EstimatorKind::H4096 {
                 break;
@@ -2609,12 +2599,12 @@ mod tests {
         config.ablation.use_tree = false;
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
-        let mut rng = StdRng::seed_from_u64(23);
+        let mut rng = StreamRng::seed_from_u64(23);
         for _ in 0..120 {
             for _ in 0..2 {
                 latest.ingest(gen.next_object());
             }
-            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]);
+            let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]);
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
             if latest.active_kind() != EstimatorKind::H4096 {
                 break;
@@ -2674,10 +2664,6 @@ mod tests {
         assert_ne!(second.served_by, ServedBy::Cache);
         assert_eq!(latest.log().queries.len(), logged + 2);
         assert_eq!(latest.metrics_snapshot().cache_hits, 0);
-        // The deprecated shim preserves the legacy cache-free semantics.
-        #[allow(deprecated)]
-        let third = latest.query_at(&q, gen.clock());
-        assert_ne!(third.served_by, ServedBy::Cache);
     }
 
     #[test]
@@ -2707,7 +2693,7 @@ mod tests {
         let mut single = Latest::new(small_config());
         let gen_b = warm_up(&mut batched);
         let _gen_s = warm_up(&mut single);
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = StreamRng::seed_from_u64(11);
         let mut queries: Vec<RcDvq> = (0..24).map(|_| random_query(&mut rng, &domain)).collect();
         // Duplicates inside the batch must collapse onto cache hits.
         queries.push(queries[0].clone());

@@ -26,7 +26,7 @@ use latest_core::{
     Latest, LatestConfig, LatestError, PhaseTag, QueryOptions, RouterPolicy, ServedBy, ShardConfig,
     ShardedLatest, StreamPipeline, SNAPSHOT_MAGIC,
 };
-use proptest::prelude::*;
+use testkit::{check, u32_in, u64_in, usize_in, vec_of};
 
 /// A process-unique scratch path (no tempdir crate; plain std).
 fn scratch(name: &str) -> PathBuf {
@@ -523,19 +523,16 @@ fn merged_metrics_over_idle_shards_have_no_monitor_average() {
     engine.shutdown();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random churn schedules × every estimator kind (as the forced
-    /// prefill candidate — warm-up/pre-training snapshots already carry
-    /// the full six-kind pool) × every exact backend: the round trip is
-    /// always bit-identical and (under `debug-invariants`) audit-clean.
-    #[test]
-    fn roundtrip_survives_random_churn(
-        schedule in proptest::collection::vec((1u64..80, 0u64..6), 1..8),
-        kind_ix in 0u32..EstimatorKind::ALL.len() as u32,
-        backend_ix in 0usize..3,
-    ) {
+/// Random churn schedules × every estimator kind (as the forced
+/// prefill candidate — warm-up/pre-training snapshots already carry
+/// the full six-kind pool) × every exact backend: the round trip is
+/// always bit-identical and (under `debug-invariants`) audit-clean.
+#[test]
+fn roundtrip_survives_random_churn() {
+    check("roundtrip_survives_random_churn", 12, |rng| {
+        let schedule = vec_of(rng, 1..8, |rng| (u64_in(rng, 1..80), u64_in(rng, 0..6)));
+        let kind_ix = u32_in(rng, 0..EstimatorKind::ALL.len() as u32);
+        let backend_ix = usize_in(rng, 0..3);
         let backend = [
             SpatialIndexKind::Grid,
             SpatialIndexKind::Quadtree,
@@ -561,5 +558,5 @@ proptest! {
         #[cfg(feature = "debug-invariants")]
         restored.audit().expect("restored instance audits clean");
         assert_lockstep(&mut original, &mut restored, at, 3);
-    }
+    });
 }

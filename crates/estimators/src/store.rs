@@ -11,7 +11,7 @@
 //! * `xs` / `ys` — coordinate columns the spatial kernel streams through
 //!   (64-slot chunks of branch-light compares the compiler can
 //!   auto-vectorize). Coordinates stay `f64`: exhaustive samplers must
-//!   reproduce *exact* match counts (`tests/proptest_invariants.rs` pins
+//!   reproduce *exact* match counts (`tests/prop_invariants.rs` pins
 //!   this), and narrowing to `f32` flips membership for points within one
 //!   ulp of a query boundary.
 //! * `oids` + `slot_of` — identity column and the reverse map for O(1)

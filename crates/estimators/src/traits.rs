@@ -1,12 +1,11 @@
 //! The estimator abstraction LATEST builds on.
 
 use geostream::{GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Identity of an estimator implementation. This is the *class label* of
 /// LATEST's Hoeffding tree: the learning model's job is to predict the best
 /// `EstimatorKind` for the current workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
     /// 2D equi-width histogram (the paper's `H4096`).
     H4096,
@@ -79,7 +78,7 @@ impl std::fmt::Display for EstimatorKind {
 /// does: `1.0` reproduces the §VI-A defaults scaled to laptop size
 /// (reservoirs of `100K` objects, 4096 grid cells), `2.0` doubles them, and
 /// so on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EstimatorConfig {
     /// The spatial domain of the stream.
     pub domain: Rect,

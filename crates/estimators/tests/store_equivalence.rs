@@ -18,9 +18,7 @@ use estimators::reservoir_hash::ReservoirHash;
 use estimators::spn::SpnEstimator;
 use estimators::windowed::WindowedSampler;
 use estimators::{EstimatorConfig, SelectivityEstimator};
-use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, Timestamp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::collections::HashMap;
 
 /// Reference array-of-structs algorithm-R reservoir, replicating the
@@ -32,7 +30,7 @@ struct RefReservoir {
     index: HashMap<ObjectId, usize>,
     seen: u64,
     population: u64,
-    rng: StdRng,
+    rng: StreamRng,
 }
 
 impl RefReservoir {
@@ -43,7 +41,7 @@ impl RefReservoir {
             index: HashMap::new(),
             seen: 0,
             population: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StreamRng::seed_from_u64(seed),
         }
     }
 
@@ -64,7 +62,7 @@ impl RefReservoir {
         if self.sample.len() < self.capacity {
             self.place(obj, self.sample.len());
         } else {
-            let j = self.rng.gen_range(0..self.seen);
+            let j = self.rng.gen_range_u64(0..self.seen);
             if (j as usize) < self.capacity {
                 self.place(obj, j as usize);
             }
@@ -99,7 +97,7 @@ struct RefWindowed {
     index: HashMap<ObjectId, usize>,
     arrivals: u64,
     population: u64,
-    rng: StdRng,
+    rng: StreamRng,
 }
 
 impl RefWindowed {
@@ -113,14 +111,14 @@ impl RefWindowed {
             index: HashMap::new(),
             arrivals: 0,
             population: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StreamRng::seed_from_u64(seed),
         }
     }
 
     fn insert(&mut self, obj: &GeoTextObject) {
         self.population += 1;
         self.arrivals += 1;
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = self.rng.gen_range_f64(f64::MIN_POSITIVE..1.0);
         let w = (self.arrivals as f64 / Self::HALF_LIFE * std::f64::consts::LN_2).exp();
         let key = u.ln() / w;
         if self.sample.len() < self.capacity {

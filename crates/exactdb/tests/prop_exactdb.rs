@@ -5,9 +5,9 @@
 //! population.
 
 use exactdb::{AccessPath, ExactExecutor, SpatialIndexKind};
-use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, Timestamp};
-use proptest::prelude::*;
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::collections::BTreeMap;
+use testkit::{check, f64_in, u32_in, usize_in, vec_of};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -28,41 +28,42 @@ enum Op {
     Advance(usize),
 }
 
-fn arb_point() -> impl Strategy<Value = Point> {
-    (0.0..100.0f64, 0.0..100.0f64).prop_map(|(x, y)| Point::new(x, y))
+fn arb_point(rng: &mut StreamRng) -> Point {
+    Point::new(f64_in(rng, 0.0..100.0), f64_in(rng, 0.0..100.0))
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    // Inserts repeated to skew the op mix toward arrivals (the plain
-    // union samples arms uniformly).
-    let insert = || {
-        (arb_point(), proptest::collection::vec(0u32..20, 0..4))
-            .prop_map(|(loc, kws)| Op::Insert { loc, kws })
-    };
-    prop_oneof![
-        insert(),
-        insert(),
-        insert(),
-        insert(),
-        (0usize..64).prop_map(Op::RemoveOldest),
-        (0usize..64).prop_map(Op::RemoveOldest),
-        (1usize..24).prop_map(Op::Advance),
-    ]
+fn arb_insert(rng: &mut StreamRng) -> (Point, Vec<u32>) {
+    (arb_point(rng), vec_of(rng, 0..4, |rng| u32_in(rng, 0..20)))
 }
 
-fn arb_rect() -> impl Strategy<Value = Rect> {
-    (0.0..90.0f64, 0.0..90.0f64, 0.5..50.0f64, 0.5..50.0f64)
-        .prop_map(|(x, y, w, h)| Rect::new(x, y, (x + w).min(100.0), (y + h).min(100.0)))
+fn arb_op(rng: &mut StreamRng) -> Op {
+    // Four in seven are arrivals, two single evictions, one a slide.
+    match rng.gen_range_u32(0..7) {
+        0..=3 => {
+            let (loc, kws) = arb_insert(rng);
+            Op::Insert { loc, kws }
+        }
+        4 | 5 => Op::RemoveOldest(usize_in(rng, 0..64)),
+        _ => Op::Advance(usize_in(rng, 1..24)),
+    }
 }
 
-fn arb_query() -> impl Strategy<Value = RcDvq> {
-    prop_oneof![
-        arb_rect().prop_map(RcDvq::spatial),
-        proptest::collection::vec(0u32..20, 1..4)
-            .prop_map(|k| RcDvq::keyword(k.into_iter().map(KeywordId).collect())),
-        (arb_rect(), proptest::collection::vec(0u32..20, 1..4))
-            .prop_map(|(r, k)| RcDvq::hybrid(r, k.into_iter().map(KeywordId).collect())),
-    ]
+fn arb_rect(rng: &mut StreamRng) -> Rect {
+    let (x, y) = (f64_in(rng, 0.0..90.0), f64_in(rng, 0.0..90.0));
+    let (w, h) = (f64_in(rng, 0.5..50.0), f64_in(rng, 0.5..50.0));
+    Rect::new(x, y, (x + w).min(100.0), (y + h).min(100.0))
+}
+
+fn arb_keywords(rng: &mut StreamRng) -> Vec<KeywordId> {
+    vec_of(rng, 1..4, |rng| KeywordId(u32_in(rng, 0..20)))
+}
+
+fn arb_query(rng: &mut StreamRng) -> RcDvq {
+    match rng.gen_range_u32(0..3) {
+        0 => RcDvq::spatial(arb_rect(rng)),
+        1 => RcDvq::keyword(arb_keywords(rng)),
+        _ => RcDvq::hybrid(arb_rect(rng), arb_keywords(rng)),
+    }
 }
 
 /// Replays the op sequence on all three backends and a brute-force
@@ -140,23 +141,22 @@ fn run_churn(ops: &[Op], queries: &[RcDvq]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    #[test]
-    fn churn_keeps_every_backend_exact(
-        ops in proptest::collection::vec(arb_op(), 1..250),
-        queries in proptest::collection::vec(arb_query(), 1..6),
-    ) {
+#[test]
+fn churn_keeps_every_backend_exact() {
+    check("churn_keeps_every_backend_exact", CASES, |rng| {
+        let ops = vec_of(rng, 1..250, arb_op);
+        let queries = vec_of(rng, 1..6, arb_query);
         run_churn(&ops, &queries);
-    }
+    });
+}
 
-    #[test]
-    fn heavy_eviction_churn_is_exact(
-        inserts in proptest::collection::vec(
-            (arb_point(), proptest::collection::vec(0u32..20, 0..4)), 50..150),
-        queries in proptest::collection::vec(arb_query(), 1..6),
-    ) {
+#[test]
+fn heavy_eviction_churn_is_exact() {
+    check("heavy_eviction_churn_is_exact", CASES, |rng| {
+        let inserts = vec_of(rng, 50..150, arb_insert);
+        let queries = vec_of(rng, 1..6, arb_query);
         // Sliding-window shape: every insert past a capacity of 30 evicts
         // the oldest object, so most slots recycle at least once.
         let mut ops = Vec::new();
@@ -167,5 +167,5 @@ proptest! {
             }
         }
         run_churn(&ops, &queries);
-    }
+    });
 }

@@ -4,10 +4,8 @@
 //! plane (the paper does the same: all spatial predicates are axis-aligned
 //! rectangles over raw coordinates, no great-circle math is involved).
 
-use serde::{Deserialize, Serialize};
-
 /// A point in 2D space. `x` is longitude, `y` is latitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     pub x: f64,
     pub y: f64,
@@ -43,7 +41,7 @@ impl Point {
 ///
 /// Half-open semantics make a regular grid partition exact: every point
 /// belongs to exactly one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     pub min_x: f64,
     pub min_y: f64,

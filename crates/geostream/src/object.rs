@@ -3,11 +3,10 @@
 use crate::geometry::Point;
 use crate::time::Timestamp;
 use crate::vocab::KeywordId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Unique identifier for a stream object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 /// A geo-textual stream object `(oid, loc, kw, timestamp)`.
@@ -17,7 +16,7 @@ pub struct ObjectId(pub u64);
 /// the keyword list. The slice is kept **sorted and deduplicated** by
 /// [`GeoTextObject::new`], which makes keyword-intersection tests a merge
 /// scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoTextObject {
     pub oid: ObjectId,
     pub loc: Point,

@@ -9,11 +9,10 @@
 
 use crate::geometry::Rect;
 use crate::vocab::KeywordId;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a query by which predicates it carries. This is one of
 /// the workload features the learning model trains on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryType {
     /// Only a spatial range (pure range-counting query).
     Spatial,
@@ -59,7 +58,7 @@ impl QueryType {
 /// the selectivity cache and the batch dedup would treat them as
 /// distinct queries and redundantly recompute. NaN bounds (which no
 /// valid query carries) hash by their raw bit patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuerySignature(pub u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -76,7 +75,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A Range-Counting Distinct-Value estimation query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RcDvq {
     range: Option<Rect>,
     /// Sorted, deduplicated query keywords. Empty means "no keyword

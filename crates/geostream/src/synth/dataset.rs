@@ -8,12 +8,11 @@
 
 use crate::geometry::Rect;
 use crate::object::{GeoTextObject, ObjectId};
+use crate::rng::StreamRng;
 use crate::synth::spatial::{GaussianMixture, SpatialModel};
 use crate::synth::text::{KeywordModel, TopicDrift, ZipfKeywords};
 use crate::time::{Duration, Timestamp};
 use crate::vocab::Vocabulary;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Which paper dataset a preset mimics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,7 +178,7 @@ pub struct ObjectGenerator {
     spec: DatasetSpec,
     spatial: GaussianMixture,
     keywords: Box<dyn KeywordModel + Send + Sync>,
-    rng: StdRng,
+    rng: StreamRng,
     next_oid: u64,
     clock: Timestamp,
 }
@@ -188,7 +187,7 @@ impl ObjectGenerator {
     fn new(spec: DatasetSpec) -> Self {
         let spatial = spec.spatial_model();
         let keywords = spec.keyword_model();
-        let rng = StdRng::seed_from_u64(spec.seed);
+        let rng = StreamRng::seed_from_u64(spec.seed);
         ObjectGenerator {
             spec,
             spatial,
@@ -212,11 +211,13 @@ impl ObjectGenerator {
     /// Produces the next object.
     pub fn next_object(&mut self) -> GeoTextObject {
         // Exponential-ish inter-arrival: uniform gap in [0, 2 * mean].
-        let gap = self.rng.gen_range(0..=self.spec.mean_gap.millis() * 2);
+        let gap = self
+            .rng
+            .gen_range_u64_inclusive(0..=self.spec.mean_gap.millis() * 2);
         self.clock = self.clock + Duration::from_millis(gap);
         let loc = self.spatial.sample(&mut self.rng, self.clock);
         let (lo, hi) = self.spec.kw_per_object;
-        let count = self.rng.gen_range(lo..=hi);
+        let count = self.rng.gen_range_usize_inclusive(lo..=hi);
         let kws = self
             .keywords
             .sample_keywords(&mut self.rng, self.clock, count);

@@ -1,14 +1,14 @@
 //! Spatial location models.
 
 use crate::geometry::{Point, Rect};
+use crate::rng::StreamRng;
 use crate::time::Timestamp;
-use rand::Rng;
 
 /// A generator of object locations. Implementations may depend on virtual
 /// time to model drifting distributions.
 pub trait SpatialModel {
     /// Draws a location at virtual time `t`.
-    fn sample(&self, rng: &mut dyn rand::RngCore, t: Timestamp) -> Point;
+    fn sample(&self, rng: &mut StreamRng, t: Timestamp) -> Point;
 
     /// The spatial domain all samples fall into.
     fn domain(&self) -> Rect;
@@ -27,10 +27,10 @@ impl UniformSpatial {
 }
 
 impl SpatialModel for UniformSpatial {
-    fn sample(&self, rng: &mut dyn rand::RngCore, _t: Timestamp) -> Point {
+    fn sample(&self, rng: &mut StreamRng, _t: Timestamp) -> Point {
         Point::new(
-            rng.gen_range(self.domain.min_x..=self.domain.max_x),
-            rng.gen_range(self.domain.min_y..=self.domain.max_y),
+            rng.gen_range_f64_inclusive(self.domain.min_x..=self.domain.max_x),
+            rng.gen_range_f64_inclusive(self.domain.min_y..=self.domain.max_y),
         )
     }
 
@@ -97,13 +97,12 @@ impl GaussianMixture {
     /// Places `n` hotspots deterministically (from `seed`) inside `domain`,
     /// with standard deviations of `sigma_frac` of the domain extent.
     pub fn scattered(domain: Rect, n: usize, sigma_frac: f64, background: f64, seed: u64) -> Self {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StreamRng::seed_from_u64(seed);
         let hotspots = (0..n)
             .map(|_| {
                 // Keep centers off the very edge so most mass stays in-domain.
-                let fx = rng.gen_range(0.1..0.9);
-                let fy = rng.gen_range(0.1..0.9);
+                let fx = rng.gen_range_f64(0.1..0.9);
+                let fy = rng.gen_range_f64(0.1..0.9);
                 Hotspot {
                     center: Point::new(
                         domain.min_x + fx * domain.width(),
@@ -111,7 +110,7 @@ impl GaussianMixture {
                     ),
                     sigma_x: sigma_frac * domain.width(),
                     sigma_y: sigma_frac * domain.height(),
-                    weight: rng.gen_range(0.5..1.5),
+                    weight: rng.gen_range_f64(0.5..1.5),
                 }
             })
             .collect();
@@ -142,7 +141,7 @@ impl GaussianMixture {
         Some(((t.millis() / period.millis()) as usize) % self.hotspots.len())
     }
 
-    fn pick_hotspot(&self, rng: &mut dyn rand::RngCore, t: Timestamp) -> &Hotspot {
+    fn pick_hotspot(&self, rng: &mut StreamRng, t: Timestamp) -> &Hotspot {
         let season = self.seasonal_index(t);
         let total: f64 = self
             .hotspots
@@ -156,7 +155,7 @@ impl GaussianMixture {
                 }
             })
             .sum();
-        let mut u = rng.gen_range(0.0..total);
+        let mut u = rng.gen_range_f64(0.0..total);
         for (i, h) in self.hotspots.iter().enumerate() {
             let w = if Some(i) == season {
                 h.weight * self.seasonal_boost
@@ -173,17 +172,16 @@ impl GaussianMixture {
     }
 }
 
-/// Draws a standard normal variate via the Box–Muller transform. Implemented
-/// here because the sanctioned `rand` crate does not ship distributions.
-fn standard_normal(rng: &mut dyn rand::RngCore) -> f64 {
+/// Draws a standard normal variate via the Box–Muller transform.
+fn standard_normal(rng: &mut StreamRng) -> f64 {
     // Guard against ln(0).
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
+    let u1 = rng.gen_range_f64(f64::MIN_POSITIVE..1.0);
+    let u2 = rng.gen_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 impl SpatialModel for GaussianMixture {
-    fn sample(&self, rng: &mut dyn rand::RngCore, t: Timestamp) -> Point {
+    fn sample(&self, rng: &mut StreamRng, t: Timestamp) -> Point {
         if self.hotspots.is_empty() || rng.gen_bool(self.background) {
             return UniformSpatial::new(self.domain).sample(rng, t);
         }
@@ -205,8 +203,6 @@ impl SpatialModel for GaussianMixture {
 mod tests {
     use super::*;
     use crate::time::Duration;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const DOMAIN: Rect = Rect {
         min_x: -10.0,
@@ -218,7 +214,7 @@ mod tests {
     #[test]
     fn uniform_stays_in_domain() {
         let m = UniformSpatial::new(DOMAIN);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = StreamRng::seed_from_u64(1);
         for _ in 0..1_000 {
             let p = m.sample(&mut rng, Timestamp::ZERO);
             assert!(DOMAIN.contains(&p));
@@ -228,7 +224,7 @@ mod tests {
     #[test]
     fn mixture_stays_in_domain() {
         let m = GaussianMixture::scattered(DOMAIN, 4, 0.05, 0.1, 7);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = StreamRng::seed_from_u64(2);
         for _ in 0..1_000 {
             let p = m.sample(&mut rng, Timestamp::ZERO);
             assert!(DOMAIN.contains(&p));
@@ -244,7 +240,7 @@ mod tests {
             weight: 1.0,
         };
         let m = GaussianMixture::new(DOMAIN, vec![h], 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = StreamRng::seed_from_u64(3);
         let near = Rect::new(3.0, 3.0, 7.0, 7.0);
         let hits = (0..2_000)
             .filter(|_| near.contains(&m.sample(&mut rng, Timestamp::ZERO)))
@@ -262,7 +258,7 @@ mod tests {
             weight: 1.0,
         };
         let m = GaussianMixture::new(DOMAIN, vec![h], 0.5);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = StreamRng::seed_from_u64(4);
         let far = Rect::new(-10.0, -10.0, 0.0, 0.0); // quarter of the domain
         let hits = (0..4_000)
             .filter(|_| far.contains(&m.sample(&mut rng, Timestamp::ZERO)))
@@ -286,9 +282,9 @@ mod tests {
             weight: 1.0,
         };
         let m = GaussianMixture::new(DOMAIN, vec![a, b], 0.0).with_drift(Duration(1_000), 50.0);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = StreamRng::seed_from_u64(5);
         let near_a = Rect::new(-7.0, -7.0, -3.0, -3.0);
-        let at = |t: u64, rng: &mut StdRng| {
+        let at = |t: u64, rng: &mut StreamRng| {
             (0..1_000)
                 .filter(|_| near_a.contains(&m.sample(rng, Timestamp(t))))
                 .count()

@@ -1,8 +1,8 @@
 //! Keyword (textual) models.
 
+use crate::rng::StreamRng;
 use crate::time::{Duration, Timestamp};
 use crate::vocab::KeywordId;
-use rand::Rng;
 
 /// A generator of per-object keyword sets. Implementations may depend on
 /// virtual time to model topical drift ("churn" in the tweet vocabulary, as
@@ -10,12 +10,7 @@ use rand::Rng;
 pub trait KeywordModel {
     /// Draws `count` (not necessarily distinct) keywords for one object at
     /// virtual time `t`.
-    fn sample_keywords(
-        &self,
-        rng: &mut dyn rand::RngCore,
-        t: Timestamp,
-        count: usize,
-    ) -> Vec<KeywordId>;
+    fn sample_keywords(&self, rng: &mut StreamRng, t: Timestamp, count: usize) -> Vec<KeywordId>;
 
     /// Number of distinct terms the model can produce.
     fn vocab_size(&self) -> usize;
@@ -52,8 +47,8 @@ impl ZipfKeywords {
     }
 
     /// Draws a single rank (0-based, rank 0 most frequent).
-    pub fn sample_rank(&self, rng: &mut dyn rand::RngCore) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample_rank(&self, rng: &mut StreamRng) -> usize {
+        let u = rng.gen_f64();
         // partition_point returns the first index with cdf > u.
         self.cdf
             .partition_point(|&c| c <= u)
@@ -62,12 +57,7 @@ impl ZipfKeywords {
 }
 
 impl KeywordModel for ZipfKeywords {
-    fn sample_keywords(
-        &self,
-        rng: &mut dyn rand::RngCore,
-        _t: Timestamp,
-        count: usize,
-    ) -> Vec<KeywordId> {
+    fn sample_keywords(&self, rng: &mut StreamRng, _t: Timestamp, count: usize) -> Vec<KeywordId> {
         (0..count)
             .map(|_| KeywordId(self.sample_rank(rng) as u32))
             .collect()
@@ -102,12 +92,7 @@ impl TopicDrift {
 }
 
 impl KeywordModel for TopicDrift {
-    fn sample_keywords(
-        &self,
-        rng: &mut dyn rand::RngCore,
-        t: Timestamp,
-        count: usize,
-    ) -> Vec<KeywordId> {
+    fn sample_keywords(&self, rng: &mut StreamRng, t: Timestamp, count: usize) -> Vec<KeywordId> {
         let off = self.offset(t);
         let n = self.base.vocab_size();
         (0..count)
@@ -123,13 +108,11 @@ impl KeywordModel for TopicDrift {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zipf_head_is_heavier_than_tail() {
         let z = ZipfKeywords::new(1_000, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = StreamRng::seed_from_u64(1);
         let mut head = 0usize;
         let mut tail = 0usize;
         for _ in 0..10_000 {
@@ -146,7 +129,7 @@ mod tests {
     #[test]
     fn zipf_zero_exponent_is_roughly_uniform() {
         let z = ZipfKeywords::new(10, 0.0);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = StreamRng::seed_from_u64(2);
         let mut counts = [0usize; 10];
         for _ in 0..20_000 {
             counts[z.sample_rank(&mut rng)] += 1;
@@ -159,7 +142,7 @@ mod tests {
     #[test]
     fn zipf_ranks_in_range() {
         let z = ZipfKeywords::new(5, 1.2);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = StreamRng::seed_from_u64(3);
         for _ in 0..1_000 {
             assert!(z.sample_rank(&mut rng) < 5);
         }
@@ -168,7 +151,7 @@ mod tests {
     #[test]
     fn keyword_model_emits_requested_count() {
         let z = ZipfKeywords::new(50, 1.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = StreamRng::seed_from_u64(4);
         assert_eq!(z.sample_keywords(&mut rng, Timestamp::ZERO, 3).len(), 3);
         assert!(z.sample_keywords(&mut rng, Timestamp::ZERO, 0).is_empty());
     }
@@ -177,8 +160,8 @@ mod tests {
     fn drift_rotates_hot_terms() {
         let z = ZipfKeywords::new(100, 1.5);
         let d = TopicDrift::new(z, Duration(1_000), 37);
-        let mut rng = StdRng::seed_from_u64(5);
-        let top_at = |t: u64, rng: &mut StdRng| {
+        let mut rng = StreamRng::seed_from_u64(5);
+        let top_at = |t: u64, rng: &mut StreamRng| {
             let mut counts = vec![0usize; 100];
             for _ in 0..5_000 {
                 for kw in d.sample_keywords(rng, Timestamp(t), 1) {
@@ -201,7 +184,7 @@ mod tests {
     #[test]
     fn drift_preserves_vocab_range() {
         let d = TopicDrift::new(ZipfKeywords::new(10, 1.0), Duration(10), 3);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = StreamRng::seed_from_u64(6);
         for t in [0u64, 10, 25, 10_000] {
             for kw in d.sample_keywords(&mut rng, Timestamp(t), 20) {
                 assert!(kw.index() < 10);

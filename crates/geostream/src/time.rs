@@ -5,18 +5,12 @@
 //! time) makes every experiment deterministic and lets a 10-hour paper
 //! stream be replayed in seconds.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in milliseconds since the stream started.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 /// A span of virtual time, in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Timestamp {

@@ -5,11 +5,10 @@
 //! estimators process hundreds of thousands of keyword memberships per
 //! experiment) and keeps object payloads small.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A compact identifier for an interned keyword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeywordId(pub u32);
 
 impl KeywordId {

@@ -1,10 +1,9 @@
 //! Attribute schema and instances.
 
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};
-use serde::{Deserialize, Serialize};
 
 /// Description of one attribute of the training instances.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttributeSpec {
     /// A categorical attribute with values `0..arity`.
     Categorical { name: String, arity: u32 },
@@ -38,7 +37,7 @@ impl AttributeSpec {
 }
 
 /// One attribute value of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Index into a categorical attribute's value set.
     Cat(u32),
@@ -73,7 +72,7 @@ pub type Instance = Vec<Value>;
 
 /// The schema all instances of one tree share: the attribute list plus the
 /// number of classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     attributes: Vec<AttributeSpec>,
     num_classes: u32,

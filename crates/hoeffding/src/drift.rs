@@ -10,10 +10,9 @@
 //! `p + s > p_min + 3·s_min`, at which point the model should be rebuilt.
 
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};
-use serde::{Deserialize, Serialize};
 
 /// Detector verdict after an observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftState {
     /// The error rate is consistent with the best the model has shown.
     Stable,
@@ -26,7 +25,7 @@ pub enum DriftState {
 }
 
 /// DDM drift detector over a boolean error stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DdmDetector {
     /// Observations since the last reset.
     n: u64,

@@ -11,10 +11,9 @@
 //! revisiting past instances — the property that makes VFDT single-pass.
 
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};
-use serde::{Deserialize, Serialize};
 
 /// Per-class instance counts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassCounts {
     counts: Vec<f64>,
 }
@@ -123,7 +122,7 @@ pub fn partition_entropy(parts: &[ClassCounts]) -> f64 {
 
 /// Incremental Gaussian (mean/variance) estimator using Welford's algorithm,
 /// plus the min/max range of observed values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaussianEstimator {
     weight: f64,
     mean: f64,

@@ -4,10 +4,9 @@ use crate::attribute::{AttributeSpec, Instance, Schema, Value};
 use crate::bound::hoeffding_bound;
 use crate::stats::{partition_entropy, ClassCounts, GaussianEstimator};
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};
-use serde::{Deserialize, Serialize};
 
 /// How a leaf turns its statistics into a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafPrediction {
     /// Predict the most frequent class at the leaf (the paper's WEKA
     /// configuration).
@@ -23,7 +22,7 @@ pub enum LeafPrediction {
 
 /// Tuning knobs of the tree. The defaults mirror the classic VFDT / MOA
 /// settings and the paper's WEKA defaults.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HoeffdingTreeConfig {
     /// Re-evaluate candidate splits at a leaf only every `grace_period`
     /// observations (split evaluation is the expensive step).
@@ -55,7 +54,7 @@ impl Default for HoeffdingTreeConfig {
 }
 
 /// Aggregate shape statistics of a tree, for monitoring and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeStats {
     pub nodes: usize,
     pub leaves: usize,
@@ -82,7 +81,7 @@ fn argmax(weights: &[f64]) -> Option<u32> {
 }
 
 /// Per-attribute sufficient statistics at a leaf.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Observer {
     /// `value → class counts` table.
     Categorical(Vec<ClassCounts>),
@@ -115,7 +114,7 @@ impl Observer {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LeafNode {
     counts: ClassCounts,
     observers: Vec<Observer>,
@@ -144,7 +143,7 @@ impl LeafNode {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf(LeafNode),
     /// Multiway split on a categorical attribute: `children[v]` handles
@@ -190,7 +189,7 @@ struct Candidate {
 /// assert_eq!(tree.predict(&vec![Value::Cat(2), Value::Num(3.0)]), 1);
 /// assert_eq!(tree.predict(&vec![Value::Cat(0), Value::Num(3.0)]), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HoeffdingTree {
     schema: Schema,
     config: HoeffdingTreeConfig,

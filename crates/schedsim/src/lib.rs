@@ -2,7 +2,7 @@
 //! the repo's hand-threaded serving protocols.
 //!
 //! The real threading layer in `latest-core` is built from `std::thread`,
-//! crossbeam channels, mutexes/condvars, and a handful of atomics whose
+//! bounded queues, mutexes/condvars, and a handful of atomics whose
 //! orderings are justified by comments and cross-checked by `cargo xtask
 //! conc`. Static registration proves the *shape* of each protocol; this
 //! crate proves the *behaviour*: each risky protocol is ported onto plain

@@ -12,6 +12,8 @@
 //!   machine (job channel + done-map mutex + condvar).
 //! * [`openflag`] — the `SharedLatest` release/acquire open-flag pair
 //!   guarding cross-thread handle reuse.
+//! * [`queue`] — the in-tree bounded MPMC FIFO every channel site uses
+//!   (mutex + two condvars + disconnect-on-last-drop).
 //!
 //! Every module exposes `check(mutation, &Config)`: `Mutation::None` must
 //! verify exhaustively (no violation, `!truncated`), and each seeded
@@ -21,4 +23,5 @@
 pub mod eviction;
 pub mod openflag;
 pub mod prefill;
+pub mod queue;
 pub mod tickets;

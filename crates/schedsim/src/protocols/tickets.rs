@@ -97,7 +97,7 @@ fn client(state: &mut State, ctx: &mut Ctx) -> Step {
         }
         // Asleep until notified, then loop back to re-check under the lock.
         _ => {
-            if state.ready.is_notified(ctx) {
+            if state.ready.take_wakeup(ctx) {
                 ctx.pc = 2;
                 Step::Ran
             } else {

@@ -1,5 +1,5 @@
-//! Shim synchronization primitives: plain-data stand-ins for the std /
-//! crossbeam types the real protocols use.
+//! Shim synchronization primitives: plain-data stand-ins for the `std`
+//! types (and the in-tree bounded queue) the real protocols use.
 //!
 //! Every type here is `Clone + Hash` so a whole protocol state snapshots
 //! into the explorer's visited set. Operations take the acting thread's
@@ -184,25 +184,49 @@ impl<T> SimMutex<T> {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
 pub struct SimCondvar {
     waiting: [bool; crate::clock::MAX_THREADS],
+    /// `notify_one` wakeups not yet claimed by a sleeper.
+    permits: usize,
 }
 
 impl SimCondvar {
     /// Register the calling thread as asleep. The caller must then unlock
-    /// the paired mutex and block until [`Self::is_notified`].
+    /// the paired mutex and block until [`Self::take_wakeup`].
     pub fn sleep(&mut self, ctx: &Ctx) {
         if let Some(w) = self.waiting.get_mut(ctx.id) {
             *w = true;
         }
     }
 
-    /// True once some notifier has woken this thread (or it never slept).
-    pub fn is_notified(&self, ctx: &Ctx) -> bool {
-        !self.waiting.get(ctx.id).copied().unwrap_or(false)
-    }
-
     pub fn notify_all(&mut self, ctx: &mut Ctx) {
         ctx.clock.bump(ctx.id);
-        self.waiting = [false; crate::clock::MAX_THREADS];
+        *self = SimCondvar::default();
+    }
+
+    /// Wake one sleeper — which one is the scheduler's choice, as in std:
+    /// the notify leaves a permit that the first sleeper to run
+    /// [`Self::take_wakeup`] claims. With no unclaimed sleeper it is lost,
+    /// like any notify nobody waits for.
+    pub fn notify_one(&mut self, ctx: &mut Ctx) {
+        ctx.clock.bump(ctx.id);
+        let sleepers = self.waiting.iter().filter(|w| **w).count();
+        if self.permits < sleepers {
+            self.permits += 1;
+        }
+    }
+
+    /// The sleeper's side of both notify flavours: true once this thread
+    /// is awake — it never slept, a `notify_all` cleared it, or it claims a
+    /// `notify_one` permit here. Mutates nothing when it returns false.
+    pub fn take_wakeup(&mut self, ctx: &Ctx) -> bool {
+        match self.waiting.get_mut(ctx.id) {
+            Some(asleep) if *asleep && self.permits == 0 => false,
+            Some(asleep) if *asleep => {
+                *asleep = false;
+                self.permits -= 1;
+                true
+            }
+            _ => true,
+        }
     }
 }
 
@@ -225,8 +249,8 @@ pub enum RecvOutcome<T> {
 }
 
 /// Shim bounded MPSC channel. Every message carries its sender's clock;
-/// receiving joins it (the send→recv happens-before edge crossbeam gives
-/// the real code).
+/// receiving joins it (the send→recv happens-before edge the real queue's
+/// mutex gives the real code).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SimChannel<T> {
     queue: Vec<(T, VClock)>,
@@ -436,10 +460,26 @@ mod tests {
         let mut cv = SimCondvar::default();
         let sleeper = ctx(2);
         let mut waker = ctx(0);
-        assert!(cv.is_notified(&sleeper));
+        assert!(cv.take_wakeup(&sleeper));
         cv.sleep(&sleeper);
-        assert!(!cv.is_notified(&sleeper));
+        assert!(!cv.take_wakeup(&sleeper));
         cv.notify_all(&mut waker);
-        assert!(cv.is_notified(&sleeper));
+        assert!(cv.take_wakeup(&sleeper));
+    }
+
+    #[test]
+    fn notify_one_wakes_exactly_one_sleeper() {
+        let mut cv = SimCondvar::default();
+        let (a, b) = (ctx(1), ctx(2));
+        let mut waker = ctx(0);
+        cv.notify_one(&mut waker); // nobody asleep: lost
+        cv.sleep(&a);
+        cv.sleep(&b);
+        assert!(!cv.take_wakeup(&a));
+        cv.notify_one(&mut waker);
+        assert!(cv.take_wakeup(&b), "whichever sleeper runs first wakes");
+        assert!(!cv.take_wakeup(&a), "the permit is spent");
+        cv.notify_all(&mut waker);
+        assert!(cv.take_wakeup(&a));
     }
 }

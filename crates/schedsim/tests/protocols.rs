@@ -4,7 +4,7 @@
 //! concurrency gate (`cargo xtask conc` is the static half); CI's `conc`
 //! job runs both.
 
-use schedsim::protocols::{eviction, openflag, prefill, tickets};
+use schedsim::protocols::{eviction, openflag, prefill, queue, tickets};
 use schedsim::sim::{Config, Stats, Violation, ViolationKind};
 
 fn cfg() -> Config {
@@ -122,4 +122,22 @@ fn open_flag_weakened_acquire_races_and_is_caught() {
     );
     assert_eq!(v.kind, ViolationKind::StepFail);
     assert!(v.message.contains("data race"), "{v}");
+}
+
+// --- bounded queue ----------------------------------------------------------
+
+#[test]
+fn bounded_queue_verifies_exhaustively() {
+    let stats = assert_proved("queue", queue::check(queue::Mutation::None, &cfg()));
+    assert!(stats.states > 100, "suspiciously small search: {stats:?}");
+}
+
+#[test]
+fn queue_silent_last_sender_drop_strands_a_receiver_and_is_caught() {
+    let v = assert_caught(
+        "queue/DropDisconnectNotify",
+        queue::check(queue::Mutation::DropDisconnectNotify, &cfg()),
+    );
+    assert_eq!(v.kind, ViolationKind::Deadlock);
+    assert!(v.trace.iter().any(|s| s.starts_with("consumer")), "{v}");
 }

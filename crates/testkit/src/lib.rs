@@ -1,0 +1,148 @@
+//! Dev-only property-test kit: a deterministic case runner and a handful
+//! of plain input generators over [`StreamRng`]. There are no strategy
+//! objects and no shrinking: a property is a closure that draws what it
+//! needs and asserts.
+//!
+//! Runs are reproducible. Case `i` of property `name` draws from a
+//! generator seeded by `(base seed, name, i)`; the base seed is fixed
+//! unless the `PROPTEST_SEED` environment variable overrides it, and a
+//! failing case prints the line that replays it.
+
+use geostream::persist::checksum;
+use geostream::StreamRng;
+use std::ops::{Range, RangeInclusive};
+
+/// Base seed of every run that does not set `PROPTEST_SEED`.
+const DEFAULT_SEED: u64 = 0x4c41_5445_5354;
+
+/// Runs `property` on `cases` independently seeded generators.
+pub fn check(name: &str, cases: u32, mut property: impl FnMut(&mut StreamRng)) {
+    let seed = match std::env::var("PROPTEST_SEED") {
+        Ok(text) => text
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_SEED={text} is not a u64")),
+        Err(_) => DEFAULT_SEED,
+    };
+    for case in 0..cases {
+        let _replay = Replay { name, case, seed };
+        property(&mut case_rng(seed, name, case));
+    }
+}
+
+fn case_rng(seed: u64, name: &str, case: u32) -> StreamRng {
+    let mut key = name.as_bytes().to_vec();
+    key.extend_from_slice(&seed.to_le_bytes());
+    key.extend_from_slice(&case.to_le_bytes());
+    StreamRng::seed_from_u64(checksum(&key))
+}
+
+/// Names the failing case while its panic unwinds.
+struct Replay<'a> {
+    name: &'a str,
+    case: u32,
+    seed: u64,
+}
+
+impl Drop for Replay<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "property `{}` failed at case {}; replay with PROPTEST_SEED={}",
+                self.name, self.case, self.seed
+            );
+        }
+    }
+}
+
+/// An integer in `range`; one draw in four is an endpoint, where
+/// off-by-one bugs live.
+pub fn u64_in(rng: &mut StreamRng, range: Range<u64>) -> u64 {
+    match rng.gen_range_u32(0..8) {
+        0 => range.start,
+        1 => range.end - 1,
+        _ => rng.gen_range_u64(range),
+    }
+}
+
+/// [`u64_in`] for `u32`.
+pub fn u32_in(rng: &mut StreamRng, range: Range<u32>) -> u32 {
+    u64_in(rng, u64::from(range.start)..u64::from(range.end)) as u32
+}
+
+/// [`u64_in`] for `usize`.
+pub fn usize_in(rng: &mut StreamRng, range: Range<usize>) -> usize {
+    u64_in(rng, range.start as u64..range.end as u64) as usize
+}
+
+/// A float in `range`; one draw in eight is the lower bound.
+pub fn f64_in(rng: &mut StreamRng, range: Range<f64>) -> f64 {
+    match rng.gen_range_u32(0..8) {
+        0 => range.start,
+        _ => rng.gen_range_f64(range),
+    }
+}
+
+/// A fair coin.
+pub fn coin(rng: &mut StreamRng) -> bool {
+    rng.gen_bool(0.5)
+}
+
+/// A vector whose length is uniform in `len`, filled by `item`.
+pub fn vec_of<T>(
+    rng: &mut StreamRng,
+    len: Range<usize>,
+    mut item: impl FnMut(&mut StreamRng) -> T,
+) -> Vec<T> {
+    let n = rng.gen_range_usize(len);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+/// A lowercase ASCII word whose length is uniform in `len`.
+pub fn word(rng: &mut StreamRng, len: RangeInclusive<usize>) -> String {
+    let n = rng.gen_range_usize_inclusive(len);
+    (0..n)
+        .map(|_| char::from(b'a' + rng.gen_range_u32(0..26) as u8))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn draws(name: &str) -> Vec<u64> {
+        let mut seen = Vec::new();
+        check(name, 5, |rng| seen.push(rng.next_u64()));
+        seen
+    }
+
+    #[test]
+    fn runs_repeat_and_cases_differ_by_name_and_index() {
+        let first = draws("a");
+        assert_eq!(first, draws("a"), "two runs execute identical cases");
+        assert_ne!(first, draws("b"));
+        let mut distinct = first.clone();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 5, "every case has its own generator");
+    }
+
+    #[test]
+    #[should_panic(expected = "case body failed")]
+    fn a_failing_case_propagates_its_panic() {
+        check("failing", 3, |_| panic!("case body failed"));
+    }
+
+    #[test]
+    fn generators_respect_their_bounds() {
+        check("bounds", 200, |rng| {
+            assert!((3..9).contains(&u64_in(rng, 3..9)));
+            assert_eq!(u32_in(rng, 7..8), 7);
+            assert!((0..2).contains(&usize_in(rng, 0..2)));
+            assert!((-1.0..1.0).contains(&f64_in(rng, -1.0..1.0)));
+            let v = vec_of(rng, 2..5, coin);
+            assert!((2..5).contains(&v.len()));
+            let w = word(rng, 1..=10);
+            assert!((1..=10).contains(&w.len()));
+            assert!(w.bytes().all(|b| b.is_ascii_lowercase()));
+        });
+    }
+}

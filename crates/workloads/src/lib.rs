@@ -378,6 +378,27 @@ mod tests {
         }
     }
 
+    /// The object stream and the query stream are the ground truth of every
+    /// equivalence suite and of the benchmark's `output_checksum`. FNV-1a
+    /// over the first 10 000 Twitter objects and over TwQW1 (1 000 queries,
+    /// so all six blocks are visited) must equal the values recorded while
+    /// the generators still drew from `rand 0.8`'s `StdRng`.
+    #[test]
+    fn streams_are_bit_identical_to_recorded() {
+        use geostream::persist::{checksum, Persist, PersistWriter};
+        let mut w = PersistWriter::new();
+        for o in DatasetSpec::twitter().generator().take(10_000) {
+            o.persist(&mut w);
+        }
+        assert_eq!(checksum(&w.into_bytes()), 0x2ec6_7d1a_c27d_44f1, "objects");
+        let spec = twqw(1).with_total(1_000);
+        let mut g = spec.generator();
+        let mut w = PersistWriter::new();
+        for i in 0..1_000 {
+            w.put_u64(g.query_at(i).signature().0);
+        }
+        assert_eq!(checksum(&w.into_bytes()), 0xdb94_337f_6ef5_48ca, "queries");
+    }
     #[test]
     fn generators_are_deterministic() {
         let a: Vec<_> = {

@@ -1,9 +1,7 @@
 //! Workload specifications and the deterministic query generator.
 
 use geostream::synth::{GaussianMixture, KeywordModel, SpatialModel, TopicDrift, ZipfKeywords};
-use geostream::{KeywordId, Point, RcDvq, Rect, Timestamp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use geostream::{KeywordId, Point, RcDvq, Rect, StreamRng, Timestamp};
 
 /// A composition of query types, as probabilities summing to 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,7 +181,7 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     centers: GaussianMixture,
     keywords: Box<dyn KeywordModel + Send + Sync>,
-    rng: StdRng,
+    rng: StreamRng,
     /// Virtual stream time the next queries are issued at; drives topical
     /// drift so query keywords track the data's hot vocabulary (the paper
     /// picks query keywords "randomly from evaluation data").
@@ -203,7 +201,7 @@ impl WorkloadGenerator {
             Some((period, step)) => Box::new(TopicDrift::new(base, period, step)),
             None => Box::new(base),
         };
-        let rng = StdRng::seed_from_u64(spec.seed);
+        let rng = StreamRng::seed_from_u64(spec.seed);
         WorkloadGenerator {
             spec,
             centers,
@@ -229,7 +227,7 @@ impl WorkloadGenerator {
     /// so identical call sequences produce identical workloads.
     pub fn query_at(&mut self, i: usize) -> RcDvq {
         let mix = self.spec.mix_at(i);
-        let u: f64 = self.rng.gen();
+        let u = self.rng.gen_f64();
         if u < mix.spatial {
             RcDvq::spatial(self.sample_range())
         } else if u < mix.spatial + mix.keyword {
@@ -250,7 +248,7 @@ impl WorkloadGenerator {
                 // selectivities.
                 let base_x = self.spec.dataset.sigma_frac * domain.width();
                 let base_y = self.spec.dataset.sigma_frac * domain.height();
-                let f = self.rng.gen_range(1.5..5.0) * self.spec.range_scale;
+                let f = self.rng.gen_range_f64(1.5..5.0) * self.spec.range_scale;
                 (base_x * f, base_y * f)
             }
         };
@@ -262,7 +260,7 @@ impl WorkloadGenerator {
             Some(c) => c,
             None => {
                 let (lo, hi) = self.spec.keyword_counts;
-                self.rng.gen_range(lo..=hi)
+                self.rng.gen_range_usize_inclusive(lo..=hi)
             }
         };
         // Rejection-light distinct draw: Zipf repeats are re-rolled a few

@@ -12,10 +12,8 @@
 //! ```
 
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect};
+use geostream::{Duration, GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The interned id we reserve for the incident keyword ("fire").
 const FIRE: KeywordId = KeywordId(7);
@@ -23,7 +21,7 @@ const FIRE: KeywordId = KeywordId(7);
 fn main() {
     let dataset = DatasetSpec::twitter();
     let mut background = dataset.generator();
-    let mut rng = StdRng::seed_from_u64(0xf12e);
+    let mut rng = StreamRng::seed_from_u64(0xf12e);
 
     // The affected area: a box around one metro hotspot.
     let incident_center = Point::new(-118.9, 34.2); // Thousand Oaks-ish
@@ -74,12 +72,12 @@ fn main() {
             latest.ingest(background.next_object());
             if event_active && rng.gen_bool(0.12) {
                 // Incident post: inside the box, mentions the keyword.
-                let x = rng.gen_range(affected.min_x..affected.max_x);
-                let y = rng.gen_range(affected.min_y..affected.max_y);
+                let x = rng.gen_range_f64(affected.min_x..affected.max_x);
+                let y = rng.gen_range_f64(affected.min_y..affected.max_y);
                 let obj = GeoTextObject::new(
                     ObjectId(next_oid),
                     Point::new(x, y),
-                    vec![FIRE, KeywordId(rng.gen_range(100..200))],
+                    vec![FIRE, KeywordId(rng.gen_range_u32(100..200))],
                     latest.now(),
                 );
                 next_oid += 1;

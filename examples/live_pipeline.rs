@@ -1,5 +1,5 @@
 //! Live pipeline: run LATEST the way a service would — ingestion on a
-//! background thread (crossbeam channel with backpressure), queries from
+//! background thread (bounded queue with backpressure), queries from
 //! several client threads against a shared handle.
 //!
 //! This keeps one instance behind a lock; to spread the stream itself

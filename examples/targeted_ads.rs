@@ -14,9 +14,8 @@
 use geostream::synth::DatasetSpec;
 #[allow(unused_imports)]
 use geostream::synth::KeywordModel;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
-use rand::SeedableRng;
 
 fn main() {
     let dataset = DatasetSpec::twitter();
@@ -58,7 +57,7 @@ fn main() {
         latest.ingest(objects.next_object());
     }
     // Pre-train on the exact query shape the campaign dashboard issues.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xad5);
+    let mut rng = StreamRng::seed_from_u64(0xad5);
     let mut i = 0usize;
     while latest.phase() == PhaseTag::PreTraining {
         for _ in 0..20 {

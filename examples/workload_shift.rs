@@ -11,15 +11,13 @@
 
 use estimators::EstimatorKind;
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() {
     let dataset = DatasetSpec::twitter();
     let mut objects = dataset.generator();
-    let mut rng = StdRng::seed_from_u64(0x5417);
+    let mut rng = StreamRng::seed_from_u64(0x5417);
 
     let config = LatestConfig::builder()
         .window_span(Duration::from_secs(60))
@@ -43,9 +41,9 @@ fn main() {
         latest.ingest(objects.next_object());
     }
 
-    let spatial_query = |rng: &mut StdRng, domain: &Rect| {
-        let cx = rng.gen_range(domain.min_x..domain.max_x);
-        let cy = rng.gen_range(domain.min_y..domain.max_y);
+    let spatial_query = |rng: &mut StreamRng, domain: &Rect| {
+        let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+        let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
         RcDvq::spatial(Rect::centered_clamped(Point::new(cx, cy), 2.5, 2.0, domain))
     };
 
@@ -58,7 +56,7 @@ fn main() {
         let q = if n.is_multiple_of(2) {
             spatial_query(&mut rng, &dataset.domain)
         } else {
-            RcDvq::keyword(vec![KeywordId(rng.gen_range(0..40))])
+            RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..40))])
         };
         let _ = latest.query(&q, QueryOptions::new());
         n += 1;
@@ -96,7 +94,7 @@ fn main() {
         let q = if i < 120 {
             spatial_query(&mut rng, &dataset.domain)
         } else {
-            RcDvq::keyword(vec![KeywordId(rng.gen_range(0..40))])
+            RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..40))])
         };
         if i == 120 {
             println!("\nphase 2: workload flips to pure keyword queries\n");

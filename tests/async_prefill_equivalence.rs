@@ -28,7 +28,7 @@ use latest_core::{
     AblationConfig, Latest, LatestConfig, QueryOptions, QueryOutcome, RouterPolicy, ShardConfig,
     ShardedLatest,
 };
-use proptest::prelude::*;
+use testkit::{check, u64_in, usize_in};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -472,22 +472,19 @@ fn sharded_async_matches_unsharded_sync_through_natural_switches() {
     assert!(sharded.shutdown() > 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Contract 1 under arbitrary churn schedules: any interleaving of
-    /// batch sizes and clock jumps between prefill start and activation
-    /// (including eviction-heavy jumps) preserves bit-equality. The
-    /// schedule is expanded deterministically from the drawn seed. The
-    /// cap stays at its (ample) default: an overflow re-anchors the
-    /// candidate to the restart point by design, which the dedicated
-    /// overflow test covers.
-    #[test]
-    fn random_churn_mid_build_preserves_bit_equality(
-        kind_idx in 0usize..6,
-        rounds in 1usize..5,
-        schedule_seed in 0u64..u64::MAX,
-    ) {
+/// Contract 1 under arbitrary churn schedules: any interleaving of
+/// batch sizes and clock jumps between prefill start and activation
+/// (including eviction-heavy jumps) preserves bit-equality. The
+/// schedule is expanded deterministically from the drawn seed. The
+/// cap stays at its (ample) default: an overflow re-anchors the
+/// candidate to the restart point by design, which the dedicated
+/// overflow test covers.
+#[test]
+fn random_churn_mid_build_preserves_bit_equality() {
+    check("random_churn_mid_build_preserves_bit_equality", 8, |rng| {
+        let kind_idx = usize_in(rng, 0..6);
+        let rounds = usize_in(rng, 1..5);
+        let schedule_seed = u64_in(rng, 0..u64::MAX);
         let kind = EstimatorKind::ALL[kind_idx];
         let mut s = schedule_seed | 1;
         let churn: Vec<(usize, u64)> = (0..rounds)
@@ -497,5 +494,5 @@ proptest! {
             })
             .collect();
         assert_forced_equivalence(kind, &churn, 65_536);
-    }
+    });
 }

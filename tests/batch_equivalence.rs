@@ -6,8 +6,8 @@
 //! RNG-consumption order of the randomized sketches.
 
 use estimators::{build_estimator, EstimatorConfig, EstimatorKind};
-use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, Timestamp};
-use proptest::prelude::*;
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
+use testkit::{check, coin, f64_in, u32_in, usize_in, vec_of};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -27,29 +27,18 @@ fn config() -> EstimatorConfig {
     }
 }
 
-fn arb_objects(n: usize) -> impl Strategy<Value = Vec<GeoTextObject>> {
-    let one = (
-        0.0..100.0f64,
-        0.0..100.0f64,
-        proptest::collection::vec(0u32..30, 0..4),
-    );
-    proptest::collection::vec(one, n..=n).prop_map(|raw| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (x, y, kws))| {
-                GeoTextObject::new(
-                    ObjectId(i as u64),
-                    Point::new(x, y),
-                    kws.into_iter().map(KeywordId).collect(),
-                    Timestamp(i as u64),
-                )
-            })
-            .collect()
-    })
+fn arb_objects(rng: &mut StreamRng, n: usize) -> Vec<GeoTextObject> {
+    (0..n as u64)
+        .map(|i| {
+            let loc = Point::new(f64_in(rng, 0.0..100.0), f64_in(rng, 0.0..100.0));
+            let kws = vec_of(rng, 0..4, |rng| KeywordId(u32_in(rng, 0..30)));
+            GeoTextObject::new(ObjectId(i), loc, kws, Timestamp(i))
+        })
+        .collect()
 }
 
 /// Splits `objs` into consecutive chunks whose sizes cycle through
-/// `sizes`, so a single proptest vector exercises many partitionings.
+/// `sizes`, so a single drawn vector exercises many partitionings.
 fn chunked<'a>(objs: &'a [GeoTextObject], sizes: &[usize]) -> Vec<&'a [GeoTextObject]> {
     let mut chunks = Vec::new();
     let mut at = 0;
@@ -92,16 +81,15 @@ fn assert_estimate_equivalent(
     }
 }
 
-proptest! {
-    // FFN/SPN construction dominates the runtime; keep the case count
-    // modest — every case already covers all six kinds.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+// FFN/SPN construction dominates the runtime; keep the case count
+// modest — every case already covers all six kinds.
+const CASES: u32 = 12;
 
-    #[test]
-    fn insert_batch_matches_one_at_a_time(
-        objects in arb_objects(140),
-        sizes in proptest::collection::vec(1usize..24, 1..6),
-    ) {
+#[test]
+fn insert_batch_matches_one_at_a_time() {
+    check("insert_batch_matches_one_at_a_time", CASES, |rng| {
+        let objects = arb_objects(rng, 140);
+        let sizes = vec_of(rng, 1..6, |rng| usize_in(rng, 1..24));
         for kind in EstimatorKind::ALL {
             let mut singles = build_estimator(kind, &config());
             let mut batched = build_estimator(kind, &config());
@@ -113,15 +101,20 @@ proptest! {
             }
             assert_estimate_equivalent(kind, singles.as_ref(), batched.as_ref());
         }
-    }
+    });
+}
 
-    #[test]
-    fn remove_batch_matches_one_at_a_time(
-        objects in arb_objects(120),
-        sizes in proptest::collection::vec(1usize..24, 1..6),
-        drop_half in proptest::bool::ANY,
-    ) {
-        let cut = if drop_half { objects.len() / 2 } else { objects.len() };
+#[test]
+fn remove_batch_matches_one_at_a_time() {
+    check("remove_batch_matches_one_at_a_time", CASES, |rng| {
+        let objects = arb_objects(rng, 120);
+        let sizes = vec_of(rng, 1..6, |rng| usize_in(rng, 1..24));
+        let drop_half = coin(rng);
+        let cut = if drop_half {
+            objects.len() / 2
+        } else {
+            objects.len()
+        };
         for kind in EstimatorKind::ALL {
             let mut singles = build_estimator(kind, &config());
             let mut batched = build_estimator(kind, &config());
@@ -138,5 +131,5 @@ proptest! {
             }
             assert_estimate_equivalent(kind, singles.as_ref(), batched.as_ref());
         }
-    }
+    });
 }

@@ -13,11 +13,9 @@
 use estimators::{EstimatorConfig, EstimatorKind};
 use exactdb::SpatialIndexKind;
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect, Timestamp};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions, ServedBy};
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use testkit::{check, u64_in, usize_in};
 
 fn build_latest(kind: EstimatorKind, index: SpatialIndexKind) -> Latest {
     let dataset = DatasetSpec::twitter();
@@ -43,14 +41,14 @@ fn build_latest(kind: EstimatorKind, index: SpatialIndexKind) -> Latest {
     Latest::new(config)
 }
 
-fn mixed_query(rng: &mut StdRng, domain: &Rect) -> RcDvq {
-    let cx = rng.gen_range(domain.min_x..domain.max_x);
-    let cy = rng.gen_range(domain.min_y..domain.max_y);
+fn mixed_query(rng: &mut StreamRng, domain: &Rect) -> RcDvq {
+    let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+    let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
     let rect = Rect::centered_clamped(Point::new(cx, cy), 3.0, 2.5, domain);
-    match rng.gen_range(0..3) {
+    match rng.gen_range_u32(0..3) {
         0 => RcDvq::spatial(rect),
-        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..40))]),
-        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..40))]),
+        1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..40))]),
+        _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..40))]),
     }
 }
 
@@ -67,7 +65,7 @@ fn assert_batch_matches_single(kind: EstimatorKind, index: SpatialIndexKind) {
         batched.ingest(gen_b.next_object());
         single.ingest(gen_s.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(0xBA7C4 + kind.index() as u64);
+    let mut rng = StreamRng::seed_from_u64(0xBA7C4 + kind.index() as u64);
     for round in 0..8u32 {
         for _ in 0..40 {
             batched.ingest(gen_b.next_object());
@@ -151,45 +149,53 @@ fn warmed() -> (Latest, geostream::synth::ObjectGenerator) {
     (latest, gen)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+const CASES: u32 = 12;
 
-    /// Inserting any number of objects invalidates every prior signature:
-    /// the repeat that would have been a cache hit runs the full path.
-    #[test]
-    fn any_insert_invalidates_cached_signatures(extra in 1usize..48) {
+/// Inserting any number of objects invalidates every prior signature:
+/// the repeat that would have been a cache hit runs the full path.
+#[test]
+fn any_insert_invalidates_cached_signatures() {
+    check("any_insert_invalidates_cached_signatures", CASES, |rng| {
+        let extra = usize_in(rng, 1..48);
         let (mut latest, mut gen) = warmed();
         let q = RcDvq::keyword(vec![KeywordId(5)]);
         let first = latest.query(&q, QueryOptions::at(gen.clock()));
-        prop_assert!(first.served_by != ServedBy::Cache);
+        assert!(first.served_by != ServedBy::Cache);
         // Control: unchanged window serves the repeat from the cache.
         let repeat = latest.query(&q, QueryOptions::at(gen.clock()));
-        prop_assert_eq!(repeat.served_by, ServedBy::Cache);
+        assert_eq!(repeat.served_by, ServedBy::Cache);
         for _ in 0..extra {
             latest.ingest(gen.next_object());
         }
         let after = latest.query(&q, QueryOptions::at(gen.clock()));
-        prop_assert!(after.served_by != ServedBy::Cache);
-    }
+        assert!(after.served_by != ServedBy::Cache);
+    });
+}
 
-    /// An eviction sweep — advancing past the window span with no new
-    /// arrivals — likewise invalidates every prior signature.
-    #[test]
-    fn any_eviction_sweep_invalidates_cached_signatures(extra_ms in 1_000u64..80_000) {
-        let (mut latest, gen) = warmed();
-        let q = RcDvq::keyword(vec![KeywordId(5)]);
-        let at = gen.clock();
-        let _ = latest.query(&q, QueryOptions::at(at));
-        prop_assert_eq!(
-            latest.query(&q, QueryOptions::at(at)).served_by,
-            ServedBy::Cache
-        );
-        prop_assert!(latest.window_len() > 0);
-        // Jump past the 40 s span: everything in the window is evicted.
-        let later = Timestamp(at.0 + 40_000 + extra_ms);
-        let after = latest.query(&q, QueryOptions::at(later));
-        prop_assert!(after.served_by != ServedBy::Cache);
-        prop_assert_eq!(after.actual, 0);
-        prop_assert!(latest.cache().invalidations() >= 1);
-    }
+/// An eviction sweep — advancing past the window span with no new
+/// arrivals — likewise invalidates every prior signature.
+#[test]
+fn any_eviction_sweep_invalidates_cached_signatures() {
+    check(
+        "any_eviction_sweep_invalidates_cached_signatures",
+        CASES,
+        |rng| {
+            let extra_ms = u64_in(rng, 1_000..80_000);
+            let (mut latest, gen) = warmed();
+            let q = RcDvq::keyword(vec![KeywordId(5)]);
+            let at = gen.clock();
+            let _ = latest.query(&q, QueryOptions::at(at));
+            assert_eq!(
+                latest.query(&q, QueryOptions::at(at)).served_by,
+                ServedBy::Cache
+            );
+            assert!(latest.window_len() > 0);
+            // Jump past the 40 s span: everything in the window is evicted.
+            let later = Timestamp(at.0 + 40_000 + extra_ms);
+            let after = latest.query(&q, QueryOptions::at(later));
+            assert!(after.served_by != ServedBy::Cache);
+            assert_eq!(after.actual, 0);
+            assert!(latest.cache().invalidations() >= 1);
+        },
+    );
 }

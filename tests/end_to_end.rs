@@ -3,10 +3,8 @@
 
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn test_config(dataset: &DatasetSpec) -> LatestConfig {
     LatestConfig {
@@ -38,7 +36,7 @@ fn full_lifecycle_reaches_incremental_phase() {
         latest.window_len() > 1_000,
         "window too small after warm-up"
     );
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = StreamRng::seed_from_u64(1);
     for i in 0..40u32 {
         for _ in 0..10 {
             latest.ingest(gen.next_object());
@@ -46,15 +44,15 @@ fn full_lifecycle_reaches_incremental_phase() {
         let q = if i % 2 == 0 {
             RcDvq::spatial(Rect::centered_clamped(
                 Point::new(
-                    rng.gen_range(dataset.domain.min_x..dataset.domain.max_x),
-                    rng.gen_range(dataset.domain.min_y..dataset.domain.max_y),
+                    rng.gen_range_f64(dataset.domain.min_x..dataset.domain.max_x),
+                    rng.gen_range_f64(dataset.domain.min_y..dataset.domain.max_y),
                 ),
                 2.0,
                 2.0,
                 &dataset.domain,
             ))
         } else {
-            RcDvq::keyword(vec![KeywordId(rng.gen_range(0..40))])
+            RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..40))])
         };
         let out = latest.query(&q, QueryOptions::at(gen.clock()));
         assert!(out.estimate >= 0.0);
@@ -79,12 +77,12 @@ fn keyword_flood_forces_histogram_abandonment() {
     while latest.phase() == PhaseTag::WarmUp {
         latest.ingest(gen.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(2);
+    let mut rng = StreamRng::seed_from_u64(2);
     for _ in 0..150u32 {
         for _ in 0..10 {
             latest.ingest(gen.next_object());
         }
-        let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..30))]);
+        let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..30))]);
         let _ = latest.query(&q, QueryOptions::at(gen.clock()));
         if latest.phase() == PhaseTag::Incremental && latest.active_kind() != EstimatorKind::H4096 {
             break;
@@ -141,13 +139,13 @@ fn log_is_complete_and_ordered() {
     while latest.phase() == PhaseTag::WarmUp {
         latest.ingest(gen.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = StreamRng::seed_from_u64(3);
     let total = 60;
     for _ in 0..total {
         for _ in 0..5 {
             latest.ingest(gen.next_object());
         }
-        let q = RcDvq::keyword(vec![KeywordId(rng.gen_range(0..100))]);
+        let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]);
         let _ = latest.query(&q, QueryOptions::at(gen.clock()));
     }
     let log = latest.log();

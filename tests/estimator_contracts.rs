@@ -5,9 +5,7 @@
 use estimators::{build_estimator, EstimatorConfig, EstimatorKind};
 use exactdb::{ExactExecutor, SpatialIndexKind};
 use geostream::synth::DatasetSpec;
-use geostream::{GeoTextObject, KeywordId, Point, RcDvq, Rect};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use geostream::{GeoTextObject, KeywordId, Point, RcDvq, Rect, StreamRng};
 use std::collections::VecDeque;
 
 fn config(dataset: &DatasetSpec) -> EstimatorConfig {
@@ -44,17 +42,17 @@ fn churn(
     (est, exact)
 }
 
-fn sample_queries(rng: &mut StdRng, domain: &Rect, n: usize) -> Vec<RcDvq> {
+fn sample_queries(rng: &mut StreamRng, domain: &Rect, n: usize) -> Vec<RcDvq> {
     (0..n)
         .map(|i| {
-            let cx = rng.gen_range(domain.min_x..domain.max_x);
-            let cy = rng.gen_range(domain.min_y..domain.max_y);
-            let half = rng.gen_range(1.0..4.0);
+            let cx = rng.gen_range_f64(domain.min_x..domain.max_x);
+            let cy = rng.gen_range_f64(domain.min_y..domain.max_y);
+            let half = rng.gen_range_f64(1.0..4.0);
             let rect = Rect::centered_clamped(Point::new(cx, cy), half, half, domain);
             match i % 3 {
                 0 => RcDvq::spatial(rect),
-                1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))]),
-                _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range(0..50))]),
+                1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))]),
+                _ => RcDvq::hybrid(rect, vec![KeywordId(rng.gen_range_u32(0..50))]),
             }
         })
         .collect()
@@ -75,7 +73,7 @@ fn population_tracks_window_for_every_estimator() {
 #[test]
 fn estimates_are_finite_and_non_negative() {
     let dataset = DatasetSpec::twitter();
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = StreamRng::seed_from_u64(11);
     let queries = sample_queries(&mut rng, &dataset.domain, 60);
     for kind in EstimatorKind::ALL {
         let (est, _) = churn(kind, 4_000, 2_500);
@@ -94,7 +92,7 @@ fn structure_estimators_beat_trivial_baselines() {
     // For the four structure estimators, the mean accuracy over mixed
     // queries must beat the "always answer zero" strawman.
     let dataset = DatasetSpec::twitter();
-    let mut rng = StdRng::seed_from_u64(13);
+    let mut rng = StreamRng::seed_from_u64(13);
     let queries = sample_queries(&mut rng, &dataset.domain, 90);
     for kind in [EstimatorKind::Rsl, EstimatorKind::Rsh, EstimatorKind::Aasp] {
         let (est, exact) = churn(kind, 6_000, 4_000);
@@ -177,7 +175,7 @@ fn exact_backends_agree_under_churn() {
             quad.remove(&gone);
         }
     }
-    let mut rng = StdRng::seed_from_u64(17);
+    let mut rng = StreamRng::seed_from_u64(17);
     for q in sample_queries(&mut rng, &dataset.domain, 60) {
         assert_eq!(
             grid.execute(&q),

@@ -5,10 +5,8 @@
 
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{EstimatorRole, Latest, LatestConfig, LifecycleEvent, PhaseTag, QueryOptions};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn storm_config(dataset: &DatasetSpec) -> LatestConfig {
     LatestConfig {
@@ -27,15 +25,15 @@ fn storm_config(dataset: &DatasetSpec) -> LatestConfig {
     }
 }
 
-fn keyword_query(rng: &mut StdRng) -> RcDvq {
-    RcDvq::keyword(vec![KeywordId(rng.gen_range(0..50))])
+fn keyword_query(rng: &mut StreamRng) -> RcDvq {
+    RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..50))])
 }
 
-fn spatial_query(rng: &mut StdRng, domain: &Rect) -> RcDvq {
+fn spatial_query(rng: &mut StreamRng, domain: &Rect) -> RcDvq {
     RcDvq::spatial(Rect::centered_clamped(
         Point::new(
-            rng.gen_range(domain.min_x..domain.max_x),
-            rng.gen_range(domain.min_y..domain.max_y),
+            rng.gen_range_f64(domain.min_x..domain.max_x),
+            rng.gen_range_f64(domain.min_y..domain.max_y),
         ),
         2.0,
         1.5,
@@ -57,7 +55,7 @@ fn switch_storm_events_match_system_log() {
     while latest.phase() == PhaseTag::WarmUp {
         latest.ingest(gen.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut rng = StreamRng::seed_from_u64(4);
     // Pre-train on keyword queries so rewards already favor samplers.
     for _ in 0..20 {
         latest.ingest(gen.next_object());
@@ -174,7 +172,7 @@ fn snapshot_covers_every_subsystem() {
     while latest.phase() == PhaseTag::WarmUp {
         latest.ingest(gen.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = StreamRng::seed_from_u64(7);
     for i in 0..80usize {
         for _ in 0..10 {
             latest.ingest(gen.next_object());
@@ -185,14 +183,14 @@ fn snapshot_covers_every_subsystem() {
             _ => RcDvq::hybrid(
                 Rect::centered_clamped(
                     Point::new(
-                        rng.gen_range(dataset.domain.min_x..dataset.domain.max_x),
-                        rng.gen_range(dataset.domain.min_y..dataset.domain.max_y),
+                        rng.gen_range_f64(dataset.domain.min_x..dataset.domain.max_x),
+                        rng.gen_range_f64(dataset.domain.min_y..dataset.domain.max_y),
                     ),
                     2.0,
                     1.5,
                     &dataset.domain,
                 ),
-                vec![KeywordId(rng.gen_range(0..40))],
+                vec![KeywordId(rng.gen_range_u32(0..40))],
             ),
         };
         let _ = latest.query(&q, QueryOptions::at(gen.clock()));

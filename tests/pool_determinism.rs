@@ -7,10 +7,8 @@
 
 use estimators::EstimatorConfig;
 use geostream::synth::DatasetSpec;
-use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
+use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
 use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions, QueryOutcome};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn build_latest(pool_workers: usize) -> Latest {
     let dataset = DatasetSpec::twitter();
@@ -43,7 +41,7 @@ fn run(pool_workers: usize) -> (Vec<QueryOutcome>, Latest) {
     while latest.phase() == PhaseTag::WarmUp {
         latest.ingest(gen.next_object());
     }
-    let mut rng = StdRng::seed_from_u64(0xD1CE);
+    let mut rng = StreamRng::seed_from_u64(0xD1CE);
     let mut outcomes = Vec::new();
     for i in 0..120u32 {
         let batch: Vec<_> = (0..8).map(|_| gen.next_object()).collect();
@@ -51,25 +49,25 @@ fn run(pool_workers: usize) -> (Vec<QueryOutcome>, Latest) {
         let q = match i % 3 {
             0 => RcDvq::spatial(Rect::centered_clamped(
                 Point::new(
-                    rng.gen_range(dataset.domain.min_x..dataset.domain.max_x),
-                    rng.gen_range(dataset.domain.min_y..dataset.domain.max_y),
+                    rng.gen_range_f64(dataset.domain.min_x..dataset.domain.max_x),
+                    rng.gen_range_f64(dataset.domain.min_y..dataset.domain.max_y),
                 ),
                 2.5,
                 2.0,
                 &dataset.domain,
             )),
-            1 => RcDvq::keyword(vec![KeywordId(rng.gen_range(0..40))]),
+            1 => RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..40))]),
             _ => RcDvq::hybrid(
                 Rect::centered_clamped(
                     Point::new(
-                        rng.gen_range(dataset.domain.min_x..dataset.domain.max_x),
-                        rng.gen_range(dataset.domain.min_y..dataset.domain.max_y),
+                        rng.gen_range_f64(dataset.domain.min_x..dataset.domain.max_x),
+                        rng.gen_range_f64(dataset.domain.min_y..dataset.domain.max_y),
                     ),
                     3.0,
                     3.0,
                     &dataset.domain,
                 ),
-                vec![KeywordId(rng.gen_range(0..40))],
+                vec![KeywordId(rng.gen_range_u32(0..40))],
             ),
         };
         outcomes.push(latest.query(&q, QueryOptions::at(gen.clock())));

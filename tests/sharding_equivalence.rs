@@ -26,7 +26,7 @@ use geostream::{Duration, GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect
 use latest_core::{
     Latest, LatestConfig, QueryOptions, RouterPolicy, ShardConfig, ShardRouter, ShardedLatest,
 };
-use proptest::prelude::*;
+use testkit::{check, f64_in, u32_in, u64_in, usize_in};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -254,59 +254,60 @@ fn multi_shard_exact_counts_and_occupancy_match_unsharded() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Scatter-gather soundness: whenever a query matches an object, the
-    /// query's fan-out set contains the shard that owns the object — for
-    /// both policies and every shard count. Losing this property silently
-    /// undercounts; the merge layer can never recover it.
-    #[test]
-    fn matching_objects_are_always_inside_the_query_fanout(
-        shards in 1usize..9,
-        x in 0.0f64..100.0,
-        y in 0.0f64..100.0,
-        kw in 0u32..16,
-        qx in 0.0f64..75.0,
-        qy in 0.0f64..70.0,
-        oid in 0u64..1_000_000,
-    ) {
-        let obj = GeoTextObject::new(
-            ObjectId(oid),
-            Point::new(x, y),
-            vec![KeywordId(kw)],
-            Timestamp(1),
-        );
-        let rect = Rect::new(qx, qy, qx + 25.0, qy + 30.0);
-        let queries = [
-            RcDvq::spatial(rect),
-            RcDvq::keyword(vec![KeywordId(kw)]),
-            RcDvq::hybrid(rect, vec![KeywordId(kw)]),
-        ];
-        for policy in [RouterPolicy::HashOid, RouterPolicy::SpatialTile] {
-            let router = ShardRouter::new(policy, shards, DOMAIN);
-            let owner = router.route_object(&obj);
-            prop_assert!(owner < shards, "{}: owner out of range", policy.name());
-            for q in &queries {
-                let fanout = router.route_query(q);
-                prop_assert!(!fanout.is_empty(), "{}: empty fan-out", policy.name());
-                prop_assert!(
-                    fanout.windows(2).all(|w| w[0] < w[1]),
-                    "{}: fan-out not strictly ascending", policy.name()
-                );
-                prop_assert!(
-                    fanout.iter().all(|&s| s < shards),
-                    "{}: fan-out out of range", policy.name()
-                );
-                if q.matches(&obj) {
-                    prop_assert!(
-                        fanout.contains(&owner),
-                        "{}: shard {owner} owns a matching object but is \
-                         outside the fan-out {fanout:?} of {q:?}",
+/// Scatter-gather soundness: whenever a query matches an object, the
+/// query's fan-out set contains the shard that owns the object — for
+/// both policies and every shard count. Losing this property silently
+/// undercounts; the merge layer can never recover it.
+#[test]
+fn matching_objects_are_always_inside_the_query_fanout() {
+    check(
+        "matching_objects_are_always_inside_the_query_fanout",
+        64,
+        |rng| {
+            let shards = usize_in(rng, 1..9);
+            let (x, y) = (f64_in(rng, 0.0..100.0), f64_in(rng, 0.0..100.0));
+            let kw = u32_in(rng, 0..16);
+            let (qx, qy) = (f64_in(rng, 0.0..75.0), f64_in(rng, 0.0..70.0));
+            let oid = u64_in(rng, 0..1_000_000);
+            let obj = GeoTextObject::new(
+                ObjectId(oid),
+                Point::new(x, y),
+                vec![KeywordId(kw)],
+                Timestamp(1),
+            );
+            let rect = Rect::new(qx, qy, qx + 25.0, qy + 30.0);
+            let queries = [
+                RcDvq::spatial(rect),
+                RcDvq::keyword(vec![KeywordId(kw)]),
+                RcDvq::hybrid(rect, vec![KeywordId(kw)]),
+            ];
+            for policy in [RouterPolicy::HashOid, RouterPolicy::SpatialTile] {
+                let router = ShardRouter::new(policy, shards, DOMAIN);
+                let owner = router.route_object(&obj);
+                assert!(owner < shards, "{}: owner out of range", policy.name());
+                for q in &queries {
+                    let fanout = router.route_query(q);
+                    assert!(!fanout.is_empty(), "{}: empty fan-out", policy.name());
+                    assert!(
+                        fanout.windows(2).all(|w| w[0] < w[1]),
+                        "{}: fan-out not strictly ascending",
                         policy.name()
                     );
+                    assert!(
+                        fanout.iter().all(|&s| s < shards),
+                        "{}: fan-out out of range",
+                        policy.name()
+                    );
+                    if q.matches(&obj) {
+                        assert!(
+                            fanout.contains(&owner),
+                            "{}: shard {owner} owns a matching object but is \
+                         outside the fan-out {fanout:?} of {q:?}",
+                            policy.name()
+                        );
+                    }
                 }
             }
-        }
-    }
+        },
+    );
 }
