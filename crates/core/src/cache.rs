@@ -18,8 +18,7 @@
 use crate::log::PhaseTag;
 use crate::persist::{persist_kind, restore_kind};
 use estimators::EstimatorKind;
-use geostream::{Persist, PersistError, PersistReader, PersistWriter, QuerySignature};
-use std::collections::HashMap;
+use geostream::{IdMap, Persist, PersistError, PersistReader, PersistWriter, QuerySignature};
 
 /// A memoized query answer: everything [`QueryOutcome`](crate::QueryOutcome)
 /// needs besides the (always-zero) latency of serving a cache hit.
@@ -42,7 +41,9 @@ pub struct CachedAnswer {
 pub struct SelectivityCache {
     /// Window generation the current map contents were filled under.
     generation: u64,
-    map: HashMap<QuerySignature, CachedAnswer>,
+    /// Keyed by an FNV hash already, so the table's own hasher is the
+    /// cheap [`geostream::IdHasher`].
+    map: IdMap<QuerySignature, CachedAnswer>,
     capacity: usize,
     /// Whole-map invalidations performed (generation changes observed).
     invalidations: u64,
@@ -54,7 +55,7 @@ impl SelectivityCache {
     pub fn new(capacity: usize) -> Self {
         SelectivityCache {
             generation: 0,
-            map: HashMap::new(),
+            map: IdMap::default(),
             capacity,
             invalidations: 0,
         }
@@ -166,7 +167,7 @@ impl Persist for SelectivityCache {
                 detail: format!("{len} entries exceed capacity {capacity}"),
             });
         }
-        let mut map = HashMap::with_capacity(len);
+        let mut map = IdMap::with_capacity_and_hasher(len, Default::default());
         for _ in 0..len {
             let sig = QuerySignature(r.take_u64("SelectivityCache.signature")?);
             let answer = CachedAnswer::restore(r)?;

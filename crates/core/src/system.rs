@@ -17,7 +17,7 @@ use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind
 use exactdb::{ExactExecutor, SpatialIndexKind};
 use geostream::QueryType;
 use geostream::{
-    Duration, GeoTextObject, Persist, QuerySignature, RcDvq, SlidingWindow, Timestamp,
+    Duration, GeoTextObject, IdSet, Persist, QuerySignature, RcDvq, SlidingWindow, Timestamp,
 };
 use hoeffding::{DdmDetector, DriftState, HoeffdingTree, HoeffdingTreeConfig, TreeStats};
 use std::sync::Arc;
@@ -1167,8 +1167,7 @@ impl Latest {
         // single-query path if an entry failed to land).
         let mut missed: Vec<usize> = Vec::new();
         if cacheable {
-            let mut pending: std::collections::HashSet<QuerySignature> =
-                std::collections::HashSet::new();
+            let mut pending: IdSet<QuerySignature> = IdSet::default();
             for (i, sig) in sigs.iter().enumerate() {
                 if !self.cache.contains(*sig, generation) && pending.insert(*sig) {
                     missed.push(i);

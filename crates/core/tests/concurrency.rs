@@ -70,9 +70,32 @@ fn objects(start: u64, n: u64) -> Vec<GeoTextObject> {
 
 /// Live thread count of this process, via `/proc/self/task`. Returns
 /// `None` where procfs is unavailable (the leak checks become no-ops).
+///
+/// The harness starts and retires the sibling test's thread whenever it
+/// likes — before or after a baseline is taken — so that thread is left
+/// out by name: a task is born with its creator's name (here the main
+/// thread's) and only takes its own once it is first scheduled, and
+/// whatever the sibling spawned inherits the sibling's. Threads the leak
+/// test spawns carry its own name or a library one and are counted. When
+/// the harness runs tests on the main thread itself nothing runs beside
+/// them, and every task counts.
 fn live_threads() -> Option<usize> {
-    let dir = std::fs::read_dir("/proc/self/task").ok()?;
-    Some(dir.count())
+    // The kernel keeps the first 15 bytes of a thread name.
+    const SIBLING: &str = "merged_snapshot\n";
+    let main = std::fs::read_to_string("/proc/self/comm").ok()?;
+    let this = std::fs::read_to_string("/proc/thread-self/comm").ok()?;
+    let names = std::fs::read_dir("/proc/self/task")
+        .ok()?
+        .filter_map(Result::ok)
+        // A task that exits between the listing and this read is gone.
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok());
+    Some(if this == main {
+        names.count()
+    } else {
+        names
+            .filter(|name| *name != main && name != SIBLING)
+            .count()
+    })
 }
 
 /// Asserts the process is back to at most `baseline` threads. Exiting

@@ -510,6 +510,27 @@ fn golden_fixture_still_decodes() {
     }
 }
 
+/// The format is pinned byte for byte, not just "still decodes": loading
+/// the fixture and saving it again reproduces the committed file, so an
+/// in-memory layout change (columns, dense grids, another hasher) cannot
+/// leak into what is written.
+#[test]
+fn golden_fixture_reserialises_to_itself() {
+    let golden = std::fs::read(golden_path()).expect("read fixture");
+    let mut restored =
+        Latest::load_snapshot(golden_config(), golden_path()).expect("golden fixture decodes");
+    let path = scratch("golden-resaved.snap");
+    restored.save_snapshot(&path).expect("save");
+    let resaved = std::fs::read(&path).expect("read resaved");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        resaved == golden,
+        "re-saved fixture differs from golden-v1.snap ({} vs {} bytes)",
+        resaved.len(),
+        golden.len()
+    );
+}
+
 /// All-empty-shards observability regression: a merged snapshot over
 /// shards that have answered nothing must report no monitor average at
 /// all — never a NaN from a 0/0 weighted mean.

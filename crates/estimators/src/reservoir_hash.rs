@@ -12,22 +12,28 @@
 //! posting index, and hybrid queries pick posting-first vs grid-gather by
 //! the store's cost cutover.
 
-use crate::store::{intersects_sorted, SampleStore};
+use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
+use geostream::object::keywords_intersect;
 use geostream::{
-    GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, Point, RcDvq, Rect,
-    StreamRng,
+    CellGrid, GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, Point, RcDvq,
+    Rect, StreamRng,
 };
-use std::collections::HashMap;
+
+/// Largest grid side a snapshot may ask for: the grid is dense, so a
+/// restore allocates `side²` lists before reading any of them.
+const MAX_GRID_SIDE: usize = 1 << 10;
 
 /// Reservoir sample indexed by a 2D grid over the domain.
 pub struct ReservoirHash {
     capacity: usize,
-    domain: Rect,
-    side: usize,
+    layout: CellGrid,
     store: SampleStore,
-    /// `cell → slots of sampled objects in the cell`.
-    grid: HashMap<u32, Vec<u32>>,
+    /// `cell → slots of sampled objects in the cell`, one list per cell of
+    /// `layout` (dense: a query walks its cover by index, no hashing).
+    grid: Vec<Vec<u32>>,
+    /// Cells whose list is non-empty (what `memory_bytes` charges for).
+    occupied: usize,
     seen: u64,
     population: u64,
     /// Construction seed; `clear()` reseeds `rng` from it so a cleared
@@ -41,12 +47,15 @@ impl ReservoirHash {
     /// both scale with the memory budget).
     pub fn new(config: &EstimatorConfig) -> Self {
         let capacity = config.scaled_reservoir();
+        let side = config.scaled_grid_side();
+        assert!(side <= MAX_GRID_SIDE, "grid side {side} is not restorable");
+        let layout = CellGrid::new(config.domain, side);
         ReservoirHash {
             capacity,
-            domain: config.domain,
-            side: config.scaled_grid_side(),
             store: SampleStore::with_capacity(capacity.min(1 << 20), true),
-            grid: HashMap::new(),
+            grid: vec![Vec::new(); layout.cell_count()],
+            layout,
+            occupied: 0,
             seen: 0,
             population: 0,
             seed: config.seed,
@@ -64,37 +73,25 @@ impl ReservoirHash {
         &self.store
     }
 
-    fn cell_id(&self, p: &Point) -> u32 {
-        self.cell_id_xy(p.x, p.y)
-    }
-
-    fn cell_id_xy(&self, x: f64, y: f64) -> u32 {
-        let fx = (x - self.domain.min_x) / self.domain.width();
-        let fy = (y - self.domain.min_y) / self.domain.height();
-        let cx = ((fx * self.side as f64) as isize).clamp(0, self.side as isize - 1) as u32;
-        let cy = ((fy * self.side as f64) as isize).clamp(0, self.side as isize - 1) as u32;
-        cy * self.side as u32 + cx
-    }
-
     /// Cell of the object currently stored at `slot`.
-    fn cell_of_slot(&self, slot: u32) -> u32 {
+    fn cell_of_slot(&self, slot: u32) -> usize {
         let s = slot as usize;
-        self.cell_id_xy(self.store.xs()[s], self.store.ys()[s])
+        self.layout
+            .cell_of(&Point::new(self.store.xs()[s], self.store.ys()[s]))
     }
 
-    fn unlink(&mut self, cell: u32, slot: u32) {
-        if let Some(v) = self.grid.get_mut(&cell) {
-            if let Some(pos) = v.iter().position(|&s| s == slot) {
-                v.swap_remove(pos);
-            }
-            if v.is_empty() {
-                self.grid.remove(&cell);
-            }
+    fn unlink(&mut self, cell: usize, slot: u32) {
+        let v = &mut self.grid[cell];
+        if let Some(pos) = v.iter().position(|&s| s == slot) {
+            v.swap_remove(pos);
+            self.occupied -= usize::from(v.is_empty());
         }
     }
 
-    fn link(&mut self, cell: u32, slot: u32) {
-        self.grid.entry(cell).or_default().push(slot);
+    fn link(&mut self, cell: usize, slot: u32) {
+        let v = &mut self.grid[cell];
+        self.occupied += usize::from(v.is_empty());
+        v.push(slot);
     }
 
     fn place(&mut self, obj: &GeoTextObject, slot: usize) {
@@ -105,54 +102,31 @@ impl ReservoirHash {
         } else {
             self.store.push(obj);
         }
-        self.link(self.cell_id(&obj.loc), slot as u32);
+        self.link(self.layout.cell_of(&obj.loc), slot as u32);
     }
 
-    /// Cell ids the (clipped) rectangle touches.
-    fn cells_for(&self, r: &Rect) -> Vec<u32> {
-        let Some(clipped) = r.intersection(&self.domain) else {
-            return Vec::new();
-        };
-        let w = self.domain.width() / self.side as f64;
-        let h = self.domain.height() / self.side as f64;
-        let x0 = (((clipped.min_x - self.domain.min_x) / w) as isize)
-            .clamp(0, self.side as isize - 1) as u32;
-        let x1 = (((clipped.max_x - self.domain.min_x) / w) as isize)
-            .clamp(0, self.side as isize - 1) as u32;
-        let y0 = (((clipped.min_y - self.domain.min_y) / h) as isize)
-            .clamp(0, self.side as isize - 1) as u32;
-        let y1 = (((clipped.max_y - self.domain.min_y) / h) as isize)
-            .clamp(0, self.side as isize - 1) as u32;
-        let mut cells = Vec::with_capacity(((x1 - x0 + 1) * (y1 - y0 + 1)) as usize);
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                cells.push(cy * self.side as u32 + cx);
-            }
-        }
-        cells
-    }
-
-    /// Count of sample objects matching `query` via the grid: gather the
-    /// touched cells' slot lists and test each candidate.
+    /// Count of sample objects matching `query` via the grid: walk the
+    /// cells of the range's cover and test each candidate — except in
+    /// cells the range wholly covers, which add their length (pure
+    /// spatial) or skip the rectangle test (hybrid).
     fn grid_count(&self, query: &RcDvq, r: &Rect) -> usize {
+        let cover = self.layout.cover(r);
         let kws = query.keywords();
         let mut matches = 0usize;
-        for cell in self.cells_for(r) {
-            let Some(slots) = self.grid.get(&cell) else {
-                continue;
+        self.layout.for_each_cell(&cover, |cell, covered| {
+            let slots = &self.grid[cell];
+            matches += match (covered, kws.is_empty()) {
+                (true, true) => slots.len(),
+                (false, true) => self.store.count_slots_in_rect(slots, r),
+                (covered, false) => slots
+                    .iter()
+                    .filter(|&&s| {
+                        (covered || self.store.slot_in_rect(s, r))
+                            && keywords_intersect(self.store.keywords(s), kws)
+                    })
+                    .count(),
             };
-            if kws.is_empty() {
-                matches += self.store.count_slots_in_rect(slots, r);
-            } else {
-                for &s in slots {
-                    if self.store.slot_in_rect(s, r)
-                        && intersects_sorted(self.store.keywords(s), kws)
-                    {
-                        matches += 1;
-                    }
-                }
-            }
-        }
+        });
         matches
     }
 }
@@ -278,13 +252,14 @@ impl SelectivityEstimator for ReservoirHash {
         // equals the sample length — no walk needed.
         self.store.memory_bytes()
             + self.store.len() * std::mem::size_of::<u32>()
-            + self.grid.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<Vec<u32>>())
+            + self.occupied * (std::mem::size_of::<u32>() + std::mem::size_of::<Vec<u32>>())
             + std::mem::size_of::<Self>()
     }
 
     fn clear(&mut self) {
         self.store.clear();
-        self.grid.clear();
+        self.grid.iter_mut().for_each(Vec::clear);
+        self.occupied = 0;
         self.seen = 0;
         self.population = 0;
         self.rng = StreamRng::seed_from_u64(self.seed ^ 0x2525);
@@ -318,14 +293,27 @@ impl SelectivityEstimator for ReservoirHash {
                 )
             },
         )?;
-        let linked: usize = self.grid.values().map(Vec::len).sum();
+        ensure(
+            self.grid.len() == self.layout.cell_count(),
+            S,
+            "grid-coverage",
+            || {
+                format!(
+                    "{} lists for a grid of {} cells",
+                    self.grid.len(),
+                    self.layout.cell_count()
+                )
+            },
+        )?;
+        let linked: usize = self.grid.iter().map(Vec::len).sum();
         ensure(linked == self.store.len(), S, "grid-coverage", || {
             format!("{linked} grid links for {} slots", self.store.len())
         })?;
-        for (&cell, slots) in &self.grid {
-            ensure(!slots.is_empty(), S, "grid-coverage", || {
-                format!("cell {cell} kept with an empty slot list")
-            })?;
+        let occupied = self.grid.iter().filter(|slots| !slots.is_empty()).count();
+        ensure(occupied == self.occupied, S, "grid-coverage", || {
+            format!("{occupied} non-empty cells, counter says {}", self.occupied)
+        })?;
+        for (cell, slots) in self.grid.iter().enumerate() {
             for &slot in slots {
                 ensure(
                     (slot as usize) < self.store.len() && self.cell_of_slot(slot) == cell,
@@ -343,25 +331,26 @@ impl SelectivityEstimator for ReservoirHash {
 const RSH_TAG: u32 = 0x4512_2502;
 
 impl Persist for ReservoirHash {
-    /// Grid slot lists are serialized verbatim (cells in sorted order for
-    /// determinism): list order is live state produced by `link` /
-    /// `unlink`'s swap-removes, and a restore must leave the estimator
-    /// byte-identical to the instance it snapshotted.
+    /// Grid slot lists are serialized verbatim, as `(cell, list)` pairs for
+    /// the non-empty cells in index order: list order is live state
+    /// produced by `link` / `unlink`'s swap-removes, and a restore must
+    /// leave the estimator byte-identical to the instance it snapshotted.
     fn persist(&self, w: &mut PersistWriter) {
         w.section(RSH_TAG, |w| {
             w.put_usize(self.capacity);
-            self.domain.persist(w);
-            w.put_usize(self.side);
+            self.layout.domain().persist(w);
+            w.put_usize(self.layout.side());
             w.put_u64(self.seen);
             w.put_u64(self.population);
             w.put_u64(self.seed);
             self.rng.persist(w);
-            let mut cells: Vec<u32> = self.grid.keys().copied().collect();
-            cells.sort_unstable();
-            w.put_usize(cells.len());
-            for cell in cells {
-                w.put_u32(cell);
-                self.grid[&cell].persist(w);
+            w.put_usize(self.occupied);
+            for (cell, slots) in self.grid.iter().enumerate() {
+                if !slots.is_empty() {
+                    // `new` and `restore` cap the side at MAX_GRID_SIDE.
+                    w.put_u32(cell as u32);
+                    slots.persist(w);
+                }
             }
             self.store.persist(w);
         });
@@ -369,6 +358,10 @@ impl Persist for ReservoirHash {
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
         const CTX: &str = "reservoir hash";
+        let corrupt = |detail: String| PersistError::Corrupt {
+            context: CTX,
+            detail,
+        };
         let sec = r.begin_section(RSH_TAG, CTX)?;
         let capacity = r.take_usize("rsh capacity")?;
         let domain = Rect::restore(r)?;
@@ -377,40 +370,42 @@ impl Persist for ReservoirHash {
         let population = r.take_u64("rsh population")?;
         let seed = r.take_u64("rsh seed")?;
         let rng = StreamRng::restore(r)?;
-        let cells = r.take_len("rsh grid cells")?;
-        let mut grid = HashMap::with_capacity(cells);
+        if side == 0 || side > MAX_GRID_SIDE {
+            return Err(corrupt(format!(
+                "grid side {side} outside 1..={MAX_GRID_SIDE}"
+            )));
+        }
+        let layout = CellGrid::new(domain, side);
+        let occupied = r.take_len("rsh grid cells")?;
+        let mut grid = vec![Vec::new(); layout.cell_count()];
         let mut linked = 0usize;
-        for _ in 0..cells {
-            let cell = r.take_u32("rsh grid cell")?;
+        for _ in 0..occupied {
+            let cell = r.take_u32("rsh grid cell")? as usize;
             let slots = Vec::<u32>::restore(r)?;
             linked += slots.len();
-            if grid.insert(cell, slots).is_some() {
-                return Err(PersistError::Corrupt {
-                    context: CTX,
-                    detail: format!("duplicate grid cell {cell}"),
-                });
+            match grid.get_mut(cell) {
+                Some(list) if list.is_empty() && !slots.is_empty() => *list = slots,
+                _ => {
+                    return Err(corrupt(format!(
+                        "grid cell {cell} duplicate, empty or off-grid"
+                    )))
+                }
             }
         }
         let store = SampleStore::restore(r)?;
         r.finish_section(sec, CTX)?;
-        if side == 0 {
-            return Err(PersistError::Corrupt {
-                context: CTX,
-                detail: "zero grid side".to_string(),
-            });
-        }
         if linked != store.len() {
-            return Err(PersistError::Corrupt {
-                context: CTX,
-                detail: format!("{linked} grid links for {} slots", store.len()),
-            });
+            return Err(corrupt(format!(
+                "{linked} grid links for {} slots",
+                store.len()
+            )));
         }
         Ok(ReservoirHash {
             capacity,
-            domain,
-            side,
+            layout,
             store,
             grid,
+            occupied,
             seen,
             population,
             seed,
@@ -454,6 +449,23 @@ mod tests {
         assert!((r.estimate(&qk) - 25.0).abs() < 1e-9);
         let qh = RcDvq::hybrid(Rect::new(40.0, 0.0, 60.0, 10.0), vec![KeywordId(2)]);
         assert!((r.estimate(&qh) - 15.0).abs() < 1e-9);
+    }
+
+    /// Twin of `exactdb`'s grid reproducer: with `side = 10` the old cell
+    /// and candidate formulas put `0.3` in columns 3 and 2, and a full
+    /// sample estimated 0 for a rectangle holding the object.
+    #[test]
+    fn object_on_a_cell_boundary_is_counted_at_side_10() {
+        let mut r = ReservoirHash::new(&EstimatorConfig {
+            reservoir_capacity: 16,
+            domain: Rect::new(0.0, 0.0, 1.0, 1.0),
+            grid_cells: 100,
+            ..EstimatorConfig::default()
+        });
+        r.insert(&obj(1, 0.3, 0.05, &[4]));
+        let rect = Rect::new(0.0, 0.0, 0.3, 0.1);
+        assert_eq!(r.estimate(&RcDvq::spatial(rect)), 1.0);
+        assert_eq!(r.estimate(&RcDvq::hybrid(rect, vec![KeywordId(4)])), 1.0);
     }
 
     #[test]
@@ -507,11 +519,11 @@ mod tests {
         for (slot, oid) in r.store.oids().iter().enumerate() {
             assert_eq!(r.store.slot_of(*oid), Some(slot as u32));
         }
-        let grid_slots: usize = r.grid.values().map(Vec::len).sum();
+        let grid_slots: usize = r.grid.iter().map(Vec::len).sum();
         assert_eq!(grid_slots, r.store.len());
-        for (cell, slots) in &r.grid {
+        for (cell, slots) in r.grid.iter().enumerate() {
             for &s in slots {
-                assert_eq!(r.cell_of_slot(s), *cell, "slot in wrong cell");
+                assert_eq!(r.cell_of_slot(s), cell, "slot in wrong cell");
             }
         }
     }
@@ -576,7 +588,36 @@ mod tests {
         r.clear();
         assert_eq!(r.sample_len(), 0);
         assert_eq!(r.population(), 0);
-        assert!(r.grid.is_empty());
+        assert!(r.grid.iter().all(Vec::is_empty));
+        assert_eq!(r.occupied, 0);
+    }
+
+    /// Churn (replacements, evictions, cells emptied and refilled), then
+    /// persist → restore → persist: the second image equals the first, so
+    /// the dense grid writes exactly the `(cell, list)` pairs it reads.
+    #[test]
+    fn persist_restore_persist_is_byte_identical_after_churn() {
+        let mut r = ReservoirHash::new(&config(48));
+        let mut live: Vec<GeoTextObject> = Vec::new();
+        let mut seed = 5u64;
+        for i in 0..2_000u64 {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let x = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+            let o = obj(i, x, 64.0 - x, &[(i % 5) as u32]);
+            r.insert(&o);
+            live.push(o);
+            if live.len() > 150 {
+                r.remove(&live.remove(0));
+            }
+        }
+        let mut first = PersistWriter::new();
+        r.persist(&mut first);
+        let first = first.into_bytes();
+        let back = ReservoirHash::restore(&mut PersistReader::new(&first)).expect("restore");
+        let mut second = PersistWriter::new();
+        back.persist(&mut second);
+        assert!(first == second.into_bytes(), "second image differs");
+        assert_eq!(back.memory_bytes(), r.memory_bytes());
     }
 
     /// Snapshot mid-stream, restore, continue ingesting the same suffix on

@@ -37,9 +37,10 @@
 //! lengths / k-way union merge; hybrid → posting-first when the union mass
 //! is below a quarter of the sample, full scan otherwise.
 
+use geostream::object::keywords_intersect;
 use geostream::{
-    GeoTextObject, KeywordId, ObjectId, Persist, PersistError, PersistReader, PersistWriter, RcDvq,
-    Rect,
+    GeoTextObject, IdMap, KeywordId, ObjectId, Persist, PersistError, PersistReader, PersistWriter,
+    RcDvq, Rect,
 };
 use std::collections::HashMap;
 
@@ -49,6 +50,10 @@ const CHUNK: usize = 64;
 /// Hybrid cost cutover: go posting-first when the union posting mass is
 /// below `len / POSTING_CUTOVER_DIV`.
 const POSTING_CUTOVER_DIV: usize = 4;
+
+/// Keyword sets up to this size merge from list slices held on the stack;
+/// only longer ones allocate.
+const INLINE_MERGE_WAYS: usize = 8;
 
 /// Keyword-pool compaction threshold: rebuild once more than half the pool
 /// is garbage (and the pool is big enough to bother).
@@ -65,7 +70,7 @@ struct PostingList {
 /// Sample-local inverted index over the store's keyword column.
 #[derive(Debug, Default)]
 struct PostingIndex {
-    map: HashMap<KeywordId, PostingList>,
+    map: IdMap<KeywordId, PostingList>,
     /// Total entries across all lists (live + dead) — keeps
     /// [`SampleStore::memory_bytes`] O(1).
     total_entries: usize,
@@ -144,7 +149,7 @@ pub struct SampleStore {
     kw_pool: Vec<KeywordId>,
     /// Dead keyword ids still occupying `kw_pool`.
     kw_garbage: usize,
-    slot_of: HashMap<ObjectId, u32>,
+    slot_of: IdMap<ObjectId, u32>,
     /// High-water generation per physical slot; never decreases while the
     /// store holds data, so recycled slots cannot alias stale postings.
     slot_gen: Vec<u32>,
@@ -163,7 +168,7 @@ impl SampleStore {
             kw_ranges: Vec::new(),
             kw_pool: Vec::new(),
             kw_garbage: 0,
-            slot_of: HashMap::new(),
+            slot_of: IdMap::default(),
             slot_gen: Vec::new(),
             postings: with_postings.then(PostingIndex::default),
         }
@@ -414,7 +419,7 @@ impl SampleStore {
             }
         }
         let kws = query.keywords();
-        kws.is_empty() || intersects_sorted(self.keywords(slot), kws)
+        kws.is_empty() || keywords_intersect(self.keywords(slot), kws)
     }
 
     /// Chunked branch-light spatial kernel: counts slots inside `r` by
@@ -542,43 +547,50 @@ impl SampleStore {
             let s = entry_slot(e) as usize;
             s < live_len && self.slot_gen[s] == entry_gen(e)
         };
-        let lists: Vec<&[u64]> = kws
+        let found = kws
             .iter()
             .filter_map(|k| p.map.get(k))
-            .map(|l| l.entries.as_slice())
-            .collect();
-        match lists.len() {
-            0 => {}
-            1 => {
-                for &e in lists[0] {
-                    if live(e) {
-                        visit(entry_slot(e));
-                    }
+            .map(|l| l.entries.as_slice());
+        let mut inline: [&[u64]; INLINE_MERGE_WAYS] = [&[]; INLINE_MERGE_WAYS];
+        let mut spilled: Vec<&[u64]> = Vec::new();
+        let lists: &mut [&[u64]] = if kws.len() <= INLINE_MERGE_WAYS {
+            let mut n = 0;
+            for list in found {
+                inline[n] = list;
+                n += 1;
+            }
+            &mut inline[..n]
+        } else {
+            spilled.extend(found);
+            &mut spilled
+        };
+        if let [only] = lists {
+            for &e in only.iter() {
+                if live(e) {
+                    visit(entry_slot(e));
                 }
             }
-            _ => {
-                let mut pos = vec![0usize; lists.len()];
-                loop {
-                    let mut min_slot = u32::MAX;
-                    for (cursor, list) in pos.iter_mut().zip(&lists) {
-                        while *cursor < list.len() {
-                            let e = list[*cursor];
-                            if live(e) {
-                                min_slot = min_slot.min(entry_slot(e));
-                                break;
-                            }
-                            *cursor += 1; // dead: skip permanently
-                        }
-                    }
-                    if min_slot == u32::MAX {
+            return;
+        }
+        // A list's cursor is its slice itself, shrunk from the front.
+        loop {
+            let mut min_slot = u32::MAX;
+            for list in lists.iter_mut() {
+                while let Some(&e) = list.first() {
+                    if live(e) {
+                        min_slot = min_slot.min(entry_slot(e));
                         break;
                     }
-                    visit(min_slot);
-                    for (cursor, list) in pos.iter_mut().zip(&lists) {
-                        while *cursor < list.len() && entry_slot(list[*cursor]) <= min_slot {
-                            *cursor += 1;
-                        }
-                    }
+                    *list = &list[1..]; // dead: skip permanently
+                }
+            }
+            if min_slot == u32::MAX {
+                break;
+            }
+            visit(min_slot);
+            for list in lists.iter_mut() {
+                while list.first().is_some_and(|&e| entry_slot(e) <= min_slot) {
+                    *list = &list[1..];
                 }
             }
         }
@@ -607,7 +619,7 @@ impl SampleStore {
                 let mut c = 0usize;
                 // LINT-ALLOW(as-truncation): n is the live sample length, bounded by the reservoir capacity
                 for s in 0..n as u32 {
-                    if self.slot_in_rect(s, r) && intersects_sorted(self.keywords(s), kws) {
+                    if self.slot_in_rect(s, r) && keywords_intersect(self.keywords(s), kws) {
                         c += 1;
                     }
                 }
@@ -627,7 +639,7 @@ impl SampleStore {
                 }
                 // LINT-ALLOW(as-truncation): n is the live sample length, bounded by the reservoir capacity
                 (0..n as u32)
-                    .filter(|&s| intersects_sorted(self.keywords(s), kws))
+                    .filter(|&s| keywords_intersect(self.keywords(s), kws))
                     .count()
             }
         }
@@ -707,7 +719,7 @@ impl Persist for PostingIndex {
     }
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
         let len = r.take_len("posting map length")?;
-        let mut map = HashMap::with_capacity(len.min(1 << 16));
+        let mut map = IdMap::with_capacity_and_hasher(len.min(1 << 16), Default::default());
         for _ in 0..len {
             let kw = KeywordId::restore(r)?;
             let list = PostingList::restore(r)?;
@@ -794,7 +806,7 @@ impl Persist for SampleStore {
                 });
             }
         }
-        let mut slot_of = HashMap::with_capacity(n);
+        let mut slot_of = IdMap::with_capacity_and_hasher(n, Default::default());
         for (s, &oid) in oids.iter().enumerate() {
             let slot = u32::try_from(s).map_err(|_| PersistError::Corrupt {
                 context: CTX,
@@ -979,22 +991,6 @@ impl SampleStore {
         }
         false
     }
-}
-
-/// Merge intersection test over two sorted keyword slices (the RC-DVQ
-/// `o.kw ∩ q.W ≠ ∅` predicate, identical to
-/// `GeoTextObject::matches_any_keyword`).
-#[inline]
-pub fn intersects_sorted(obj_kws: &[KeywordId], query_kws: &[KeywordId]) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < obj_kws.len() && j < query_kws.len() {
-        match obj_kws[i].cmp(&query_kws[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use estimators::reservoir::ReservoirList;
 use estimators::reservoir_hash::ReservoirHash;
 use estimators::{EstimatorConfig, SelectivityEstimator};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
-use testkit::{check, f64_in, u32_in, u64_in, vec_of};
+use testkit::{check, f64_in, grid_case, u32_in, u64_in, vec_of};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -142,6 +142,38 @@ fn rsh_and_rsl_agree_when_exhaustive() {
             assert!((rsl.estimate(&q) - rsh.estimate(&q)).abs() < 1e-9);
         }
     });
+}
+
+/// The grid-boundary cases of `exactdb`'s kernel test against RSH's copy of
+/// the covered-cell rule: with the whole population sampled the estimate
+/// is the exact count, on every grid side the budget scaling can produce.
+#[test]
+fn full_capacity_rsh_is_exact_on_cell_boundaries() {
+    check(
+        "full_capacity_rsh_is_exact_on_cell_boundaries",
+        256,
+        |rng| {
+            let case = grid_case(rng);
+            let mut rsh = ReservoirHash::new(&EstimatorConfig {
+                domain: case.domain,
+                reservoir_capacity: 1_000,
+                grid_cells: case.side * case.side,
+                ..EstimatorConfig::default()
+            });
+            for o in &case.objects {
+                rsh.insert(o);
+            }
+            for q in &case.queries {
+                let brute = case.objects.iter().filter(|o| q.matches(o)).count() as f64;
+                let est = rsh.estimate(q);
+                assert!(
+                    (est - brute).abs() < 1e-6,
+                    "side {}: {est} vs {brute} on {q:?}",
+                    case.side
+                );
+            }
+        },
+    );
 }
 
 #[test]

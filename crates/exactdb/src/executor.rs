@@ -15,8 +15,8 @@ use crate::rtree::RTreeIndex;
 use crate::store::{ObjectStore, SlotId};
 use geostream::obsv::Counter;
 use geostream::{
-    GeoTextObject, ObjectId, Persist, PersistError, PersistReader, PersistWriter, QueryType, RcDvq,
-    Rect,
+    GeoTextObject, IdMap, ObjectId, Persist, PersistError, PersistReader, PersistWriter, QueryType,
+    RcDvq, Rect,
 };
 
 /// Which spatial backend the executor runs on (the two index families
@@ -242,7 +242,7 @@ impl ExactExecutor {
     /// either every structure drops the object or none does, and the
     /// spatial and inverted sides can no longer drift apart.
     pub fn remove_by_oid(&mut self, oid: ObjectId) -> bool {
-        let Some((slot, obj)) = self.store.remove(oid) else {
+        let Some((slot, keywords)) = self.store.remove(oid) else {
             return false;
         };
         let spatial_removed = self.backend.remove(slot, &self.store);
@@ -250,7 +250,7 @@ impl ExactExecutor {
             spatial_removed,
             "slot {slot} was live in the store but missing from the spatial index"
         );
-        self.inverted.remove(&obj.keywords, &mut self.store);
+        self.inverted.remove(&keywords, &mut self.store);
         true
     }
 
@@ -311,12 +311,12 @@ impl ExactExecutor {
     /// distinct queries run grouped by access path so each index's
     /// working set stays hot across its group.
     pub fn execute_batch(&self, queries: &[RcDvq]) -> Vec<u64> {
-        use std::collections::HashMap;
         let mut results = vec![0u64; queries.len()];
         // signature → distinct first occurrences with that signature
         // (nearly always one; equality-checked so a 64-bit hash
         // collision can never alias two different queries).
-        let mut first_of: HashMap<u64, Vec<usize>> = HashMap::with_capacity(queries.len());
+        let mut first_of: IdMap<u64, Vec<usize>> =
+            IdMap::with_capacity_and_hasher(queries.len(), Default::default());
         let mut dup_of: Vec<usize> = (0..queries.len()).collect();
         let mut plan_of: Vec<AccessPath> = Vec::with_capacity(queries.len());
         let mut spatial_group: Vec<usize> = Vec::new();

@@ -2,19 +2,28 @@
 //! the shared [`ObjectStore`].
 
 use crate::store::{ObjectStore, SlotId};
-use geostream::{Persist, PersistError, PersistReader, PersistWriter, Point, RcDvq, Rect};
+use geostream::object::keywords_intersect;
+use geostream::{CellGrid, Persist, PersistError, PersistReader, PersistWriter, RcDvq, Rect};
 
 /// Locator sentinel: slot not present in the grid.
 const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// Locator entry for position `pos` of cell `cell`.
+#[inline]
+fn locator_entry(cell: usize, pos: usize) -> (u32, u32) {
+    // LINT-ALLOW(as-truncation): side is a small per-axis cell count (64 in the executor), so side² fits; a cell holds at most the u32 slot space
+    (cell as u32, pos as u32)
+}
+
 /// A regular `side × side` grid over the domain, each cell holding the
-/// slots of the objects located inside it. Exact and update-cheap, but
-/// queries must touch every candidate object — the index overhead of
-/// Table I.
+/// slots of the objects located inside it. Exact and update-cheap. A
+/// rectangle is answered from the cells of its [`CellGrid::cover`]: cells
+/// the rectangle wholly covers are counted by length (or keyword-tested
+/// only), and objects are read only in the cells on the cover's rim — the
+/// index overhead of Table I.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
-    domain: Rect,
-    side: usize,
+    layout: CellGrid,
     cells: Vec<Vec<SlotId>>,
     /// `slot → (cell, position within cell)` for O(1) removal, indexed
     /// densely by slot id.
@@ -25,11 +34,10 @@ pub struct GridIndex {
 impl GridIndex {
     /// Builds an empty index with `side` cells per axis.
     pub fn new(domain: Rect, side: usize) -> Self {
-        assert!(side >= 1, "grid needs at least one cell per axis");
+        let layout = CellGrid::new(domain, side);
         GridIndex {
-            domain,
-            side,
-            cells: vec![Vec::new(); side * side],
+            cells: vec![Vec::new(); layout.cell_count()],
+            layout,
             locator: Vec::new(),
             len: 0,
         }
@@ -45,14 +53,6 @@ impl GridIndex {
         self.len == 0
     }
 
-    fn cell_of(&self, p: &Point) -> usize {
-        let fx = (p.x - self.domain.min_x) / self.domain.width();
-        let fy = (p.y - self.domain.min_y) / self.domain.height();
-        let cx = ((fx * self.side as f64) as isize).clamp(0, self.side as isize - 1) as usize;
-        let cy = ((fy * self.side as f64) as isize).clamp(0, self.side as isize - 1) as usize;
-        cy * self.side + cx
-    }
-
     #[inline]
     fn locator_mut(&mut self, slot: SlotId) -> &mut (u32, u32) {
         if slot as usize >= self.locator.len() {
@@ -64,10 +64,10 @@ impl GridIndex {
     /// Indexes a live store slot. The slot must not already be present
     /// (the executor removes first on oid replacement).
     pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        let cell = self.cell_of(&store.get(slot).loc);
-        let pos = self.cells[cell].len() as u32;
+        let cell = self.layout.cell_of(store.loc(slot));
+        let pos = self.cells[cell].len();
         self.cells[cell].push(slot);
-        *self.locator_mut(slot) = (cell as u32, pos);
+        *self.locator_mut(slot) = locator_entry(cell, pos);
         self.len += 1;
     }
 
@@ -89,60 +89,50 @@ impl GridIndex {
         true
     }
 
-    /// Exact count of indexed objects matching `query` (predicate checks
-    /// against every object in candidate cells, read from the store).
+    /// Exact count of indexed objects matching `query`. With a range, only
+    /// the rim cells of its cover pay a location read per object; a cell
+    /// the range wholly covers adds its length (pure spatial) or tests
+    /// keywords alone (hybrid).
     pub fn count(&self, query: &RcDvq, store: &ObjectStore) -> u64 {
-        match query.range() {
-            Some(r) => self
-                .candidate_cells(r)
-                .map(|cell| {
-                    self.cells[cell]
-                        .iter()
-                        .filter(|&&s| query.matches(store.get(s)))
-                        .count() as u64
-                })
-                .sum(),
-            None => self
+        let Some(r) = query.range() else {
+            return self
                 .cells
                 .iter()
                 .flatten()
-                .filter(|&&s| query.matches(store.get(s)))
-                .count() as u64,
-        }
+                .filter(|&&s| store.matches(s, query))
+                .count() as u64;
+        };
+        let cover = self.layout.cover(r);
+        let kws = query.keywords();
+        let mut total = 0usize;
+        self.layout.for_each_cell(&cover, |cell, covered| {
+            let slots = &self.cells[cell];
+            total += match (covered, kws.is_empty()) {
+                (true, true) => slots.len(),
+                (false, true) => slots.iter().filter(|&&s| r.contains(store.loc(s))).count(),
+                // Location first: it is the cheap column, and a rim cell
+                // mostly fails it, so the keyword `Arc` is chased on a hit only.
+                (covered, false) => slots
+                    .iter()
+                    .filter(|&&s| {
+                        (covered || r.contains(store.loc(s)))
+                            && keywords_intersect(store.keywords(s), kws)
+                    })
+                    .count(),
+            };
+        });
+        total as u64
     }
 
     /// Candidate-set size of the spatial access path for `r`: the number
     /// of objects in the cells the range touches (the planner's cost for
     /// this backend; O(cells), no object reads).
     pub fn candidate_count(&self, r: &Rect) -> u64 {
-        self.candidate_cells(r)
-            .map(|cell| self.cells[cell].len() as u64)
-            .sum()
-    }
-
-    fn candidate_cells(&self, r: &Rect) -> impl Iterator<Item = usize> + '_ {
-        let clipped = r.intersection(&self.domain);
-        let side = self.side;
-        let (x0, x1, y0, y1) = match clipped {
-            None => (1, 0, 1, 0), // empty iteration
-            Some(c) => {
-                let w = self.domain.width() / side as f64;
-                let h = self.domain.height() / side as f64;
-                (
-                    (((c.min_x - self.domain.min_x) / w) as isize).clamp(0, side as isize - 1)
-                        as usize,
-                    (((c.max_x - self.domain.min_x) / w) as isize).clamp(0, side as isize - 1)
-                        as usize,
-                    (((c.min_y - self.domain.min_y) / h) as isize).clamp(0, side as isize - 1)
-                        as usize,
-                    (((c.max_y - self.domain.min_y) / h) as isize).clamp(0, side as isize - 1)
-                        as usize,
-                )
-            }
-        };
-        (y0..=y1.max(y0))
-            .flat_map(move |cy| (x0..=x1.max(x0)).map(move |cx| cy * side + cx))
-            .filter(move |_| x1 >= x0 && y1 >= y0)
+        let cover = self.layout.cover(r);
+        let mut total = 0usize;
+        self.layout
+            .for_each_cell(&cover, |cell, _| total += self.cells[cell].len());
+        total as u64
     }
 
     /// Clears the index.
@@ -159,8 +149,8 @@ const GRID_TAG: u32 = 0x6e1d_c711;
 impl Persist for GridIndex {
     fn persist(&self, w: &mut PersistWriter) {
         w.section(GRID_TAG, |w| {
-            self.domain.persist(w);
-            w.put_usize(self.side);
+            self.layout.domain().persist(w);
+            w.put_usize(self.layout.side());
             // Cell bucket order is load-bearing (swap_remove renumbers by
             // position), so buckets go out verbatim; the locator is a pure
             // inverse and is rebuilt on restore.
@@ -181,8 +171,7 @@ impl Persist for GridIndex {
             });
         }
         let mut index = GridIndex {
-            domain,
-            side,
+            layout: CellGrid::new(domain, side),
             cells,
             locator: Vec::new(),
             len: 0,
@@ -197,7 +186,7 @@ impl Persist for GridIndex {
                         detail: format!("slot {slot} appears in two cells"),
                     });
                 }
-                *entry = (cell as u32, pos as u32);
+                *entry = locator_entry(cell, pos);
                 index.len += 1;
             }
         }
@@ -208,7 +197,7 @@ impl Persist for GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geostream::{GeoTextObject, KeywordId, ObjectId, Timestamp};
+    use geostream::{GeoTextObject, KeywordId, ObjectId, Point, Timestamp};
 
     const DOMAIN: Rect = Rect {
         min_x: 0.0,
@@ -242,6 +231,53 @@ mod tests {
         let q = RcDvq::spatial(Rect::new(0.0, 0.0, 4.9, 1.0));
         assert_eq!(g.count(&q, &store), 10); // x in {0.5..4.5} twice each
         assert_eq!(g.len(), 20);
+    }
+
+    /// With `side` not a power of two the old cell and candidate formulas
+    /// disagreed at a boundary (`0.3 / 1.0 * 10` truncates to 3,
+    /// `0.3 / (1.0 / 10)` to 2) and this count came back 0.
+    #[test]
+    fn object_on_a_cell_boundary_is_counted_at_side_10() {
+        let mut store = ObjectStore::new();
+        let mut g = GridIndex::new(Rect::new(0.0, 0.0, 1.0, 1.0), 10);
+        insert(&mut g, &mut store, obj(1, 0.3, 0.05, &[4]));
+        let r = Rect::new(0.0, 0.0, 0.3, 0.1);
+        assert_eq!(g.count(&RcDvq::spatial(r), &store), 1);
+        assert_eq!(g.count(&RcDvq::hybrid(r, vec![KeywordId(4)]), &store), 1);
+        assert_eq!(g.candidate_count(&r), 1);
+    }
+
+    /// Covered cells are counted without reading objects; the rim still
+    /// tests each one, out-of-domain objects clamped into it included.
+    #[test]
+    fn covered_cells_and_rim_add_up() {
+        let mut store = ObjectStore::new();
+        let mut g = GridIndex::new(DOMAIN, 10);
+        let mut id = 0;
+        for x in 0..10 {
+            for y in 0..10 {
+                id += 1;
+                let kws = [(x + y) % 3];
+                insert(
+                    &mut g,
+                    &mut store,
+                    obj(id, x as f64 + 0.5, y as f64 + 0.5, &kws),
+                );
+            }
+        }
+        insert(&mut g, &mut store, obj(1_000, -4.0, 5.5, &[0]));
+        insert(&mut g, &mut store, obj(1_001, 10.0, 10.0, &[0]));
+        for r in [
+            Rect::new(1.2, 0.7, 8.6, 9.4),
+            Rect::new(-10.0, -10.0, 20.0, 20.0),
+            Rect::new(0.0, 0.0, 10.0, 10.0),
+            Rect::new(3.5, 3.5, 3.5, 3.5),
+        ] {
+            for q in [RcDvq::spatial(r), RcDvq::hybrid(r, vec![KeywordId(0)])] {
+                let brute = store.iter_live().filter(|&(s, _)| store.matches(s, &q));
+                assert_eq!(g.count(&q, &store), brute.count() as u64, "{q:?}");
+            }
+        }
     }
 
     #[test]

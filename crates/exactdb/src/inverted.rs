@@ -17,8 +17,11 @@
 
 use crate::store::{ObjectStore, SlotId};
 use crate::NoKeywordPredicate;
-use geostream::{KeywordId, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
-use std::collections::HashMap;
+use geostream::{IdMap, KeywordId, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
+
+/// Keyword sets up to this size merge from list slices held on the stack;
+/// only longer ones allocate.
+const INLINE_MERGE_WAYS: usize = 8;
 
 /// One keyword's posting list: ascending slot ids, `dead` of which are
 /// tombstones (slots no longer live in the store).
@@ -44,7 +47,7 @@ impl PostingList {
 /// An inverted index over object keywords, addressing the shared store.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    postings: HashMap<KeywordId, PostingList>,
+    postings: IdMap<KeywordId, PostingList>,
     /// Posting compactions performed (diagnostics / bench reporting).
     compactions: u64,
 }
@@ -74,7 +77,7 @@ impl InvertedIndex {
     /// must not already be present (the executor removes first on oid
     /// replacement, and the store never re-issues a referenced slot).
     pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        for &kw in store.get(slot).keywords.iter() {
+        for &kw in store.keywords(slot) {
             let posting = self.postings.entry(kw).or_default();
             match posting.slots.binary_search(&slot) {
                 Ok(_) => debug_assert!(false, "slot already posted under {kw:?}"),
@@ -145,34 +148,39 @@ impl InvertedIndex {
                 Some(r) => posting
                     .slots
                     .iter()
-                    .filter(|&&s| store.is_live(s) && r.contains(&store.get(s).loc))
+                    .filter(|&&s| store.is_live(s) && r.contains(store.loc(s)))
                     .count() as u64,
             });
         }
         // K-way merge over the sorted postings: duplicates collapse by
-        // advancing every cursor sitting on the minimum slot.
-        let lists: Vec<&[SlotId]> = kws
+        // advancing every list whose head is the minimum slot. A list's
+        // cursor is its slice itself, shrunk from the front.
+        let non_empty = kws
             .iter()
             .filter_map(|kw| self.postings.get(kw))
             .map(|p| p.slots.as_slice())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut cursors = vec![0usize; lists.len()];
+            .filter(|s| !s.is_empty());
+        let mut inline: [&[SlotId]; INLINE_MERGE_WAYS] = [&[]; INLINE_MERGE_WAYS];
+        let mut spilled: Vec<&[SlotId]> = Vec::new();
+        let lists: &mut [&[SlotId]] = if kws.len() <= INLINE_MERGE_WAYS {
+            let mut n = 0;
+            for list in non_empty {
+                inline[n] = list;
+                n += 1;
+            }
+            &mut inline[..n]
+        } else {
+            spilled.extend(non_empty);
+            &mut spilled
+        };
         let mut count = 0u64;
-        loop {
-            let mut min: Option<SlotId> = None;
-            for (list, &cursor) in lists.iter().zip(&cursors) {
-                if let Some(&slot) = list.get(cursor) {
-                    min = Some(min.map_or(slot, |m: SlotId| m.min(slot)));
+        while let Some(slot) = lists.iter().filter_map(|list| list.first().copied()).min() {
+            for list in lists.iter_mut() {
+                if list.first() == Some(&slot) {
+                    *list = &list[1..];
                 }
             }
-            let Some(slot) = min else { break };
-            for (list, cursor) in lists.iter().zip(&mut cursors) {
-                if list.get(*cursor) == Some(&slot) {
-                    *cursor += 1;
-                }
-            }
-            if store.is_live(slot) && range.is_none_or(|r| r.contains(&store.get(slot).loc)) {
+            if store.is_live(slot) && range.is_none_or(|r| r.contains(store.loc(slot))) {
                 count += 1;
             }
         }
@@ -212,7 +220,7 @@ impl Persist for InvertedIndex {
         let section = r.begin_section(INV_TAG, "InvertedIndex")?;
         let compactions = r.take_u64("InvertedIndex.compactions")?;
         let n = r.take_len("InvertedIndex.postings.len")?;
-        let mut postings = HashMap::with_capacity(n);
+        let mut postings = IdMap::with_capacity_and_hasher(n, Default::default());
         let mut prev_kw: Option<u32> = None;
         for _ in 0..n {
             let kw = r.take_u32("InvertedIndex.keyword")?;
@@ -264,7 +272,7 @@ impl InvertedIndex {
     pub fn audit(&self, store: &ObjectStore) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "InvertedIndex";
-        let mut refs: HashMap<SlotId, u32> = HashMap::new();
+        let mut refs: IdMap<SlotId, u32> = IdMap::default();
         for (kw, posting) in &self.postings {
             let mut dead = 0u32;
             for (i, &slot) in posting.slots.iter().enumerate() {
@@ -286,8 +294,8 @@ impl InvertedIndex {
             })?;
         }
         let mut coverage_gap: Option<(SlotId, KeywordId)> = None;
-        for (slot, obj) in store.iter_live() {
-            for &kw in obj.keywords.iter() {
+        for (slot, keywords) in store.iter_live() {
+            for &kw in keywords {
                 let posted = self
                     .postings
                     .get(&kw)
@@ -336,8 +344,8 @@ mod tests {
     }
 
     fn remove(idx: &mut InvertedIndex, store: &mut ObjectStore, id: u64) {
-        let (_, o) = store.remove(ObjectId(id)).expect("present");
-        idx.remove(&o.keywords, store);
+        let (_, keywords) = store.remove(ObjectId(id)).expect("present");
+        idx.remove(&keywords, store);
     }
 
     #[test]

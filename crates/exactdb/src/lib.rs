@@ -6,15 +6,18 @@
 //! (paper §V-D). This crate is that ground-truth substrate: full indexes
 //! over the sliding window that answer RC-DVQ queries **exactly**.
 //!
-//! All live window objects are owned once, by the slot-based
-//! [`store::ObjectStore`]; the spatial backends ([`grid::GridIndex`],
+//! All live window objects are owned once, as parallel columns, by the
+//! slot-based [`store::ObjectStore`]; the spatial backends ([`grid::GridIndex`],
 //! [`quad::QuadtreeIndex`], [`rtree::RTreeIndex`]) and the keyword-side
 //! [`inverted::InvertedIndex`] hold bare `u32` slot ids into it.
 //! [`ExactExecutor`] threads the store through every update and routes
 //! each query with a cost-based access-path planner (posting mass vs.
 //! spatial candidate count). These are also the "Grid" and "QuadTree"
 //! index columns of the paper's Table I: exact indexes touch real
-//! objects, which is why they cost 15–16× an estimator.
+//! objects, which is why they cost an order of magnitude more than an
+//! estimator — the grid reads them only in the cells on the rim of a
+//! range (cells the range wholly covers are counted by length), the
+//! quadtree and R-tree in every bucket the range intersects.
 
 use std::fmt;
 

@@ -83,7 +83,7 @@ impl QuadtreeIndex {
     /// Indexes a live store slot. The slot must not already be present
     /// (the executor removes first on oid replacement).
     pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        let leaf = self.leaf_for(&store.get(slot).loc);
+        let leaf = self.leaf_for(store.loc(slot));
         self.nodes[leaf as usize].bucket.push(slot);
         self.set_locator(slot, leaf);
         self.len += 1;
@@ -110,7 +110,7 @@ impl QuadtreeIndex {
         let bucket = std::mem::take(&mut self.nodes[id as usize].bucket);
         let rect = self.nodes[id as usize].rect;
         for slot in bucket {
-            let q = rect.quadrant_of(&store.get(slot).loc);
+            let q = rect.quadrant_of(store.loc(slot));
             self.locator[slot as usize] = children[q];
             self.nodes[children[q] as usize].bucket.push(slot);
         }
@@ -150,7 +150,7 @@ impl QuadtreeIndex {
             total += node
                 .bucket
                 .iter()
-                .filter(|&&s| query.matches(store.get(s)))
+                .filter(|&&s| store.matches(s, query))
                 .count() as u64;
             if let Some(children) = node.children {
                 stack.extend_from_slice(&children);

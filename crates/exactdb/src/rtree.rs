@@ -150,7 +150,7 @@ impl RTreeIndex {
     /// Indexes a live store slot. The slot must not already be present
     /// (the executor removes first on oid replacement).
     pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        let rect = point_rect(&store.get(slot).loc);
+        let rect = point_rect(store.loc(slot));
         let leaf = self.choose_leaf(&rect);
         if let NodeKind::Leaf(entries) = &mut self.nodes[leaf as usize].kind {
             entries.push(slot);
@@ -179,7 +179,7 @@ impl RTreeIndex {
         let mbr = match &self.nodes[id as usize].kind {
             NodeKind::Leaf(entries) => entries
                 .iter()
-                .map(|&s| point_rect(&store.get(s).loc))
+                .map(|&s| point_rect(store.loc(s)))
                 .reduce(|a, b| join(&a, &b)),
             NodeKind::Internal(children) => children
                 .iter()
@@ -205,10 +205,7 @@ impl RTreeIndex {
     fn split(&mut self, id: NodeId, store: &ObjectStore) {
         // Collect the entry MBRs for seed picking.
         let rects: Vec<Rect> = match &self.nodes[id as usize].kind {
-            NodeKind::Leaf(entries) => entries
-                .iter()
-                .map(|&s| point_rect(&store.get(s).loc))
-                .collect(),
+            NodeKind::Leaf(entries) => entries.iter().map(|&s| point_rect(store.loc(s))).collect(),
             NodeKind::Internal(children) => children
                 .iter()
                 .map(|&c| self.nodes[c as usize].mbr)
@@ -374,10 +371,7 @@ impl RTreeIndex {
             }
             match &node.kind {
                 NodeKind::Leaf(entries) => {
-                    total += entries
-                        .iter()
-                        .filter(|&&s| query.matches(store.get(s)))
-                        .count() as u64;
+                    total += entries.iter().filter(|&&s| store.matches(s, query)).count() as u64;
                 }
                 NodeKind::Internal(children) => stack.extend_from_slice(children),
             }
@@ -458,7 +452,7 @@ impl RTreeIndex {
                 NodeKind::Leaf(entries) => {
                     for &s in entries {
                         assert!(
-                            node.mbr.contains(&store.get(s).loc),
+                            node.mbr.contains(store.loc(s)),
                             "object outside its leaf MBR"
                         );
                         assert_eq!(self.locator[s as usize], id, "stale locator");

@@ -4,9 +4,9 @@
 //! Every backend used to keep its own clone of the `GeoTextObject`s (the
 //! spatial index's cells *and* the inverted index's object map), so each
 //! window insert paid two clones and queries chased pointers through
-//! `HashMap`s. The store replaces all of that with one dense `Vec` of
-//! objects addressed by `u32` slot ids; indexes hold bare slots and read
-//! the shared storage contiguously at query time.
+//! `HashMap`s. The store replaces all of that with one set of dense
+//! columns addressed by `u32` slot ids; indexes hold bare slots and read
+//! only the column they test at query time.
 //!
 //! ## Slot lifecycle and deferred reuse
 //!
@@ -22,17 +22,30 @@
 //! entry calls [`ObjectStore::release_ref`]; the slot only rejoins the
 //! free list at zero. Keyword-less objects recycle immediately.
 
-use geostream::{GeoTextObject, ObjectId, Persist, PersistError, PersistReader, PersistWriter};
-use std::collections::HashMap;
+use geostream::{
+    GeoTextObject, IdMap, KeywordId, ObjectId, Persist, PersistError, PersistReader, PersistWriter,
+    Point, RcDvq, Timestamp,
+};
+use std::sync::Arc;
 
 /// Dense index of an object in the store (and in every backend).
 pub type SlotId = u32;
 
 /// Single owner of the live window objects, shared by all exact indexes.
+///
+/// Objects are split into parallel columns indexed by slot, so a counting
+/// kernel streams only the field it tests: a rectangle check reads the
+/// 16-byte `locs` entry and nothing else of the object.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    /// Dense object storage; `None` for free or parked slots.
-    slots: Vec<Option<GeoTextObject>>,
+    /// Location per slot (stale for free or parked slots).
+    locs: Vec<Point>,
+    /// Identity per slot (stale for free or parked slots).
+    oids: Vec<ObjectId>,
+    /// Keyword set per slot; `None` for free or parked slots.
+    keywords: Vec<Option<Arc<[KeywordId]>>>,
+    /// Arrival time per slot (stale for free or parked slots).
+    timestamps: Vec<Timestamp>,
     /// Liveness per slot — posting lists check this to skip tombstones.
     live: Vec<bool>,
     /// Outstanding posting-list references to a dead slot; the slot is
@@ -41,7 +54,7 @@ pub struct ObjectStore {
     /// Recycled slots ready for reuse.
     free: Vec<SlotId>,
     /// External identity → slot.
-    by_oid: HashMap<ObjectId, SlotId>,
+    by_oid: IdMap<ObjectId, SlotId>,
 }
 
 impl ObjectStore {
@@ -63,7 +76,7 @@ impl ObjectStore {
     /// Total slots ever allocated (live + parked + free) — the capacity
     /// indexes may be asked to address.
     pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
     /// Whether an object with this id is live.
@@ -82,26 +95,48 @@ impl ObjectStore {
         self.live.get(slot as usize).copied().unwrap_or(false)
     }
 
-    /// The live object at `slot`.
+    /// Location of the object at `slot`. Only meaningful for a live slot:
+    /// callers holding possibly dead slots (posting tombstones) check
+    /// [`Self::is_live`] first.
+    #[inline]
+    pub fn loc(&self, slot: SlotId) -> &Point {
+        &self.locs[slot as usize]
+    }
+
+    /// Identity of the object at `slot` (same liveness caveat as
+    /// [`Self::loc`]).
+    #[inline]
+    pub fn oid(&self, slot: SlotId) -> ObjectId {
+        self.oids[slot as usize]
+    }
+
+    /// The sorted keyword set of the live object at `slot`.
     ///
     /// # Panics
     /// Panics if the slot is free or parked — indexes only hold live
     /// slots (posting tombstones are filtered through [`Self::is_live`]).
     #[inline]
-    pub fn get(&self, slot: SlotId) -> &GeoTextObject {
-        self.slots[slot as usize]
-            .as_ref()
+    pub fn keywords(&self, slot: SlotId) -> &[KeywordId] {
+        self.keywords[slot as usize]
+            .as_deref()
             // LINT-ALLOW(no-panic): the free list only ever holds indices of dead slots
             .expect("index holds a dead slot")
     }
 
-    /// Iterates `(slot, object)` over the live population (store order,
+    /// Whether the live object at `slot` satisfies both of `query`'s
+    /// predicates.
+    #[inline]
+    pub fn matches(&self, slot: SlotId, query: &RcDvq) -> bool {
+        query.matches_parts(self.loc(slot), self.keywords(slot))
+    }
+
+    /// Iterates `(slot, keywords)` over the live population (store order,
     /// not insertion order).
-    pub fn iter_live(&self) -> impl Iterator<Item = (SlotId, &GeoTextObject)> {
-        self.slots
+    pub fn iter_live(&self) -> impl Iterator<Item = (SlotId, &[KeywordId])> {
+        self.keywords
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|o| (i as SlotId, o)))
+            .filter_map(|(i, kws)| kws.as_deref().map(|kws| (i as SlotId, kws)))
     }
 
     /// Stores an object and returns its slot.
@@ -113,16 +148,28 @@ impl ObjectStore {
             !self.by_oid.contains_key(&obj.oid),
             "oid re-inserted without removal"
         );
-        let oid = obj.oid;
+        let GeoTextObject {
+            oid,
+            loc,
+            keywords,
+            timestamp,
+        } = obj;
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(obj);
-                self.live[slot as usize] = true;
+                let s = slot as usize;
+                self.locs[s] = loc;
+                self.oids[s] = oid;
+                self.keywords[s] = Some(keywords);
+                self.timestamps[s] = timestamp;
+                self.live[s] = true;
                 slot
             }
             None => {
-                let slot = self.slots.len() as SlotId;
-                self.slots.push(Some(obj));
+                let slot = self.live.len() as SlotId;
+                self.locs.push(loc);
+                self.oids.push(oid);
+                self.keywords.push(Some(keywords));
+                self.timestamps.push(timestamp);
                 self.live.push(true);
                 self.pending_refs.push(0);
                 slot
@@ -132,26 +179,27 @@ impl ObjectStore {
         slot
     }
 
-    /// Removes a live object, returning its slot and the object (the
-    /// caller still needs its location and keywords to update indexes).
+    /// Removes a live object, returning its slot and its keyword set (what
+    /// the inverted index needs to tombstone its postings; the spatial
+    /// backends locate a slot without reading the object).
     ///
     /// The slot is parked with one pending reference per keyword — each
     /// posting list that mentions it — and recycles via
     /// [`Self::release_ref`]; with no keywords it is immediately free.
-    pub fn remove(&mut self, oid: ObjectId) -> Option<(SlotId, GeoTextObject)> {
+    pub fn remove(&mut self, oid: ObjectId) -> Option<(SlotId, Arc<[KeywordId]>)> {
         let slot = self.by_oid.remove(&oid)?;
-        let obj = self.slots[slot as usize]
+        let keywords = self.keywords[slot as usize]
             .take()
             // LINT-ALLOW(no-panic): by_oid entries are removed before their slot is freed, so the slot is occupied
             .expect("by_oid points at an occupied slot");
         self.live[slot as usize] = false;
         // LINT-ALLOW(as-truncation): per-object keyword counts are tiny (tens at most)
-        let refs = obj.keywords.len() as u32;
+        let refs = keywords.len() as u32;
         self.pending_refs[slot as usize] = refs;
         if refs == 0 {
             self.free.push(slot);
         }
-        Some((slot, obj))
+        Some((slot, keywords))
     }
 
     /// Drops one posting-list reference to a parked slot; the last
@@ -175,13 +223,13 @@ impl ObjectStore {
 
     /// Full O(slots) invariant walk (the `debug-invariants` auditor):
     ///
-    /// * **parallel-arrays** — `slots`, `live`, and `pending_refs` have
-    ///   the same length.
+    /// * **parallel-arrays** — the four object columns, `live`, and
+    ///   `pending_refs` have the same length.
     /// * **identity** — `by_oid` maps exactly the live population: every
     ///   entry points at a live slot holding that oid, and every live slot
     ///   is pointed at.
-    /// * **liveness** — a live slot is occupied with zero pending
-    ///   references; a dead slot is vacant.
+    /// * **liveness** — a live slot is occupied (its keyword set is
+    ///   present) with zero pending references; a dead slot is vacant.
     /// * **free-list** — the free list holds exactly the dead slots with
     ///   no outstanding posting references, each once (parked slots —
     ///   dead with references — are excluded until fully released).
@@ -189,23 +237,24 @@ impl ObjectStore {
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "ObjectStore";
-        let n = self.slots.len();
+        let n = self.live.len();
+        let columns = [
+            self.locs.len(),
+            self.oids.len(),
+            self.keywords.len(),
+            self.timestamps.len(),
+            self.pending_refs.len(),
+        ];
         ensure(
-            self.live.len() == n && self.pending_refs.len() == n,
+            columns.iter().all(|&len| len == n),
             S,
             "parallel-arrays",
-            || {
-                format!(
-                    "slots {n} live {} pending_refs {}",
-                    self.live.len(),
-                    self.pending_refs.len()
-                )
-            },
+            || format!("live {n}, locs/oids/keywords/timestamps/pending_refs {columns:?}"),
         )?;
         let mut live_count = 0usize;
         for s in 0..n {
-            match (&self.slots[s], self.live[s]) {
-                (Some(obj), true) => {
+            match (self.keywords[s].is_some(), self.live[s]) {
+                (true, true) => {
                     live_count += 1;
                     ensure(self.pending_refs[s] == 0, S, "liveness", || {
                         format!(
@@ -214,16 +263,16 @@ impl ObjectStore {
                         )
                     })?;
                     ensure(
-                        self.by_oid.get(&obj.oid) == Some(&(s as SlotId)),
+                        self.by_oid.get(&self.oids[s]) == Some(&(s as SlotId)),
                         S,
                         "identity",
-                        || format!("slot {s} holds {:?} but by_oid disagrees", obj.oid),
+                        || format!("slot {s} holds {:?} but by_oid disagrees", self.oids[s]),
                     )?;
                 }
-                (None, false) => {}
+                (false, false) => {}
                 (occupied, live) => {
                     ensure(false, S, "liveness", || {
-                        format!("slot {s}: occupied={} live={live}", occupied.is_some())
+                        format!("slot {s}: occupied={occupied} live={live}")
                     })?;
                 }
             }
@@ -256,7 +305,10 @@ impl ObjectStore {
 
     /// Clears the store (all slots recycled, capacity kept).
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.locs.clear();
+        self.oids.clear();
+        self.keywords.clear();
+        self.timestamps.clear();
         self.live.clear();
         self.pending_refs.clear();
         self.free.clear();
@@ -272,8 +324,22 @@ impl Persist for ObjectStore {
         w.section(OBJ_STORE_TAG, |w| {
             // Slot order is identity here: indexes hold bare slot ids, so
             // the full arena (including parked and free holes) goes out
-            // verbatim. `by_oid` is derived and rebuilt on restore.
-            self.slots.persist(w);
+            // verbatim, one optional object record per slot — the wire
+            // layout predates the columns and does not follow them.
+            // `by_oid` is derived and rebuilt on restore.
+            w.put_usize(self.live.len());
+            for (s, keywords) in self.keywords.iter().enumerate() {
+                match keywords {
+                    None => w.put_u8(0),
+                    Some(keywords) => {
+                        w.put_u8(1);
+                        self.oids[s].persist(w);
+                        self.locs[s].persist(w);
+                        keywords.persist(w);
+                        self.timestamps[s].persist(w);
+                    }
+                }
+            }
             self.live.persist(w);
             self.pending_refs.persist(w);
             self.free.persist(w);
@@ -282,12 +348,24 @@ impl Persist for ObjectStore {
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
         let section = r.begin_section(OBJ_STORE_TAG, "ObjectStore")?;
-        let slots = Vec::<Option<GeoTextObject>>::restore(r)?;
+        let n = r.take_len("ObjectStore.slots")?;
+        let mut store = ObjectStore::default();
+        for _ in 0..n {
+            // Vacant slots get filler in the plain columns; nothing reads
+            // them before `insert` overwrites the slot.
+            let (oid, loc, keywords, timestamp) = match Option::<GeoTextObject>::restore(r)? {
+                Some(obj) => (obj.oid, obj.loc, Some(obj.keywords), obj.timestamp),
+                None => (ObjectId(0), Point::new(0.0, 0.0), None, Timestamp::ZERO),
+            };
+            store.oids.push(oid);
+            store.locs.push(loc);
+            store.keywords.push(keywords);
+            store.timestamps.push(timestamp);
+        }
         let live = Vec::<bool>::restore(r)?;
         let pending_refs = Vec::<u32>::restore(r)?;
         let free = Vec::<SlotId>::restore(r)?;
         r.finish_section(section, "ObjectStore")?;
-        let n = slots.len();
         if live.len() != n || pending_refs.len() != n {
             return Err(PersistError::Corrupt {
                 context: "ObjectStore.parallel-arrays",
@@ -298,31 +376,28 @@ impl Persist for ObjectStore {
                 ),
             });
         }
-        let mut by_oid = HashMap::with_capacity(n);
-        for (s, slot) in slots.iter().enumerate() {
-            match (slot, live[s]) {
-                (Some(obj), true) => {
+        store.by_oid.reserve(n);
+        for s in 0..n {
+            match (store.keywords[s].is_some(), live[s]) {
+                (true, true) => {
                     if pending_refs[s] != 0 {
                         return Err(PersistError::Corrupt {
                             context: "ObjectStore.liveness",
                             detail: format!("live slot {s} carries pending refs"),
                         });
                     }
-                    if by_oid.insert(obj.oid, s as SlotId).is_some() {
+                    if store.by_oid.insert(store.oids[s], s as SlotId).is_some() {
                         return Err(PersistError::Corrupt {
                             context: "ObjectStore.identity",
-                            detail: format!("oid {:?} appears in two live slots", obj.oid),
+                            detail: format!("oid {:?} appears in two live slots", store.oids[s]),
                         });
                     }
                 }
-                (None, false) => {}
+                (false, false) => {}
                 (occupied, flagged) => {
                     return Err(PersistError::Corrupt {
                         context: "ObjectStore.liveness",
-                        detail: format!(
-                            "slot {s}: occupied={} but live={flagged}",
-                            occupied.is_some()
-                        ),
+                        detail: format!("slot {s}: occupied={occupied} but live={flagged}"),
                     });
                 }
             }
@@ -346,20 +421,16 @@ impl Persist for ObjectStore {
                 });
             }
         }
-        Ok(ObjectStore {
-            slots,
-            live,
-            pending_refs,
-            free,
-            by_oid,
-        })
+        store.live = live;
+        store.pending_refs = pending_refs;
+        store.free = free;
+        Ok(store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geostream::{KeywordId, Point, Timestamp};
 
     fn obj(id: u64, kws: &[u32]) -> GeoTextObject {
         GeoTextObject::new(
@@ -377,11 +448,13 @@ mod tests {
         let b = s.insert(obj(2, &[]));
         assert_ne!(a, b);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.get(a).oid, ObjectId(1));
+        assert_eq!(s.oid(a), ObjectId(1));
+        assert_eq!(s.keywords(a), &[KeywordId(7)]);
+        assert_eq!(*s.loc(b), Point::new(2.0, 0.0));
         assert_eq!(s.slot_of(ObjectId(2)), Some(b));
-        let (slot, o) = s.remove(ObjectId(1)).unwrap();
+        let (slot, kws) = s.remove(ObjectId(1)).unwrap();
         assert_eq!(slot, a);
-        assert_eq!(o.oid, ObjectId(1));
+        assert_eq!(&*kws, &[KeywordId(7)]);
         assert!(!s.is_live(a));
         assert!(s.remove(ObjectId(1)).is_none());
         assert_eq!(s.len(), 1);
@@ -422,7 +495,7 @@ mod tests {
         for i in 0..5 {
             s.remove(ObjectId(i));
         }
-        let live: Vec<u64> = s.iter_live().map(|(_, o)| o.oid.0).collect();
+        let live: Vec<u64> = s.iter_live().map(|(slot, _)| s.oid(slot).0).collect();
         assert_eq!(live.len(), 5);
         assert!(live.iter().all(|&id| id >= 5));
     }

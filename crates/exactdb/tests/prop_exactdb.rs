@@ -4,10 +4,11 @@
 //! top of them — in exact agreement with a brute-force scan of the live
 //! population.
 
-use exactdb::{AccessPath, ExactExecutor, SpatialIndexKind};
+use exactdb::grid::GridIndex;
+use exactdb::{AccessPath, ExactExecutor, ObjectStore, SpatialIndexKind};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::collections::BTreeMap;
-use testkit::{check, f64_in, u32_in, usize_in, vec_of};
+use testkit::{check, f64_in, grid_case, u32_in, usize_in, vec_of};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -167,5 +168,40 @@ fn heavy_eviction_churn_is_exact() {
             }
         }
         run_churn(&ops, &queries);
+    });
+}
+
+/// The cell-resolved kernel on every grid side, with objects and rectangle
+/// edges on cell boundaries, their neighbouring floats and the domain
+/// edge: a covered cell may be counted unread only if it really holds
+/// nothing but matches, and no match may fall outside the cover.
+#[test]
+fn cell_resolved_counts_match_brute_force() {
+    check("cell_resolved_counts_match_brute_force", 256, |rng| {
+        let case = grid_case(rng);
+        let mut store = ObjectStore::new();
+        let mut grid = GridIndex::new(case.domain, case.side);
+        let mut executor = ExactExecutor::new(case.domain, SpatialIndexKind::Grid);
+        for o in &case.objects {
+            let slot = store.insert(o.clone());
+            grid.insert(slot, &store);
+            executor.insert(o);
+        }
+        for q in &case.queries {
+            let brute = case.objects.iter().filter(|o| q.matches(o)).count() as u64;
+            assert_eq!(grid.count(q, &store), brute, "side {} on {q:?}", case.side);
+            assert_eq!(executor.execute(q), brute, "planned path on {q:?}");
+            assert_eq!(
+                executor.execute_spatial_path(q),
+                brute,
+                "spatial path on {q:?}"
+            );
+            if let Some(r) = q.range() {
+                assert!(
+                    grid.candidate_count(r) >= brute,
+                    "cost below count on {q:?}"
+                );
+            }
+        }
     });
 }

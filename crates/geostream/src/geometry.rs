@@ -193,9 +193,184 @@ impl Rect {
     };
 }
 
+/// The one map from coordinates to the cells of a regular `side × side`
+/// grid over a domain — shared by every structure that buckets points by
+/// cell *and* answers rectangles from those buckets, because the two sides
+/// must agree to the last bit.
+///
+/// Both go through one per-axis function
+/// `f(v) = clamp(trunc((v − min) / extent · side), 0, side − 1)`.
+/// Each step (subtract, divide and multiply by positives, truncate, clamp)
+/// is monotone non-decreasing under IEEE rounding, so `f` is too, which
+/// gives [`CellGrid::cover`] its contract. With `x0 = f(r.min_x)` and
+/// `x1 = f(r.max_x)`:
+///
+/// * a point with `r.min_x ≤ p.x ≤ r.max_x` has `x0 ≤ f(p.x) ≤ x1`: no
+///   match lies outside the cover;
+/// * a point stored in column `cx` with `x0 < cx < x1` has
+///   `r.min_x < p.x < r.max_x` (were `p.x ≤ r.min_x`, monotonicity would
+///   put it at or left of `x0`): a cell strictly inside the cover on both
+///   axes holds only matches, and can be counted without reading a point.
+///
+/// Points outside the domain are clamped into the border rows and columns,
+/// and so are rectangle corners: a rectangle lying wholly beyond one edge
+/// still covers the border cells on that side, where the only points that
+/// can match it are stored. `0 ≤ x0` and `x1 ≤ side − 1`, so a border cell
+/// is never strictly inside and such points are always tested against the
+/// rectangle itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellGrid {
+    domain: Rect,
+    side: usize,
+}
+
+/// The inclusive block of grid columns `x0..=x1` and rows `y0..=y1` a
+/// rectangle can have matches in (see [`CellGrid::cover`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellCover {
+    pub x0: usize,
+    pub x1: usize,
+    pub y0: usize,
+    pub y1: usize,
+}
+
+impl CellGrid {
+    /// A grid of `side` cells per axis over `domain`.
+    ///
+    /// # Panics
+    /// Panics if `side` is zero.
+    pub fn new(domain: Rect, side: usize) -> Self {
+        assert!(side >= 1, "grid needs at least one cell per axis");
+        CellGrid { domain, side }
+    }
+
+    /// The gridded domain.
+    pub fn domain(&self) -> &Rect {
+        &self.domain
+    }
+
+    /// Cells per axis.
+    pub fn side(&self) -> usize {
+        self.side
+    }
+
+    /// Total number of cells (`side²`); cell indices are row-major below it.
+    pub fn cell_count(&self) -> usize {
+        self.side * self.side
+    }
+
+    #[inline]
+    fn axis(&self, v: f64, min: f64, extent: f64) -> usize {
+        let scaled = (v - min) / extent * self.side as f64;
+        (scaled as isize).clamp(0, self.side as isize - 1) as usize
+    }
+
+    /// Row-major index of the cell `p` is stored in.
+    #[inline]
+    pub fn cell_of(&self, p: &Point) -> usize {
+        let cx = self.axis(p.x, self.domain.min_x, self.domain.width());
+        let cy = self.axis(p.y, self.domain.min_y, self.domain.height());
+        cy * self.side + cx
+    }
+
+    /// The cells `r` can have matches in. Computed by sending the
+    /// rectangle's own corners through the function [`CellGrid::cell_of`]
+    /// uses, which is what makes the cells strictly inside the block wholly
+    /// covered (type-level docs).
+    pub fn cover(&self, r: &Rect) -> CellCover {
+        let d = &self.domain;
+        CellCover {
+            x0: self.axis(r.min_x, d.min_x, d.width()),
+            x1: self.axis(r.max_x, d.min_x, d.width()),
+            y0: self.axis(r.min_y, d.min_y, d.height()),
+            y1: self.axis(r.max_y, d.min_y, d.height()),
+        }
+    }
+
+    /// Calls `visit(cell, covered)` for every cell of `cover` in row-major
+    /// order; `covered` is true when every point stored in the cell
+    /// satisfies the rectangle the cover was computed from.
+    #[inline]
+    pub fn for_each_cell(&self, cover: &CellCover, mut visit: impl FnMut(usize, bool)) {
+        for cy in cover.y0..=cover.y1 {
+            let row_inside = cover.y0 < cy && cy < cover.y1;
+            for cx in cover.x0..=cover.x1 {
+                visit(
+                    cy * self.side + cx,
+                    row_inside && cover.x0 < cx && cx < cover.x1,
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cell_of_and_cover_agree_on_non_power_of_two_sides() {
+        // 0.3 / 1.0 * 10 truncates to 3, 0.3 / (1.0 / 10) to 2: the two
+        // formulas this type replaced put the point and the rectangle edge
+        // in different columns.
+        let g = CellGrid::new(Rect::new(0.0, 0.0, 1.0, 1.0), 10);
+        let p = Point::new(0.3, 0.05);
+        let cover = g.cover(&Rect::new(0.0, 0.0, 0.3, 0.1));
+        assert_eq!(g.cell_of(&p), 3);
+        assert_eq!((cover.x0, cover.x1, cover.y0, cover.y1), (0, 3, 0, 1));
+    }
+
+    #[test]
+    fn covered_cells_hold_only_matches_and_no_match_escapes_the_cover() {
+        let domain = Rect::new(-3.0, 2.0, 7.0, 9.0);
+        // The sweep is cubic in `side`; the interpreter gets the small ones.
+        let sides: &[usize] = if cfg!(miri) {
+            &[1, 3, 10]
+        } else {
+            &[1, 2, 3, 7, 10, 45, 64]
+        };
+        for &side in sides {
+            let g = CellGrid::new(domain, side);
+            let step = domain.width() / side as f64;
+            // Rectangle edges on exact cell boundaries and one ulp either
+            // side, crossed with points on the same values.
+            let mut vals = vec![-5.0, domain.min_x, domain.max_x, 12.0];
+            for k in 0..=side {
+                let edge = domain.min_x + k as f64 * step;
+                vals.extend([edge, edge.next_up(), edge.next_down()]);
+            }
+            for &lo in &vals {
+                for &hi in vals.iter().filter(|&&hi| hi >= lo) {
+                    let r = Rect::new(lo, 2.0, hi, 9.0);
+                    let cover = g.cover(&r);
+                    for &x in &vals {
+                        let p = Point::new(x, 5.0);
+                        let cx = g.cell_of(&p) % side;
+                        if r.contains(&p) {
+                            assert!(cover.x0 <= cx && cx <= cover.x1, "{p:?} escapes {r:?}");
+                        }
+                        if cover.x0 < cx && cx < cover.x1 {
+                            assert!(r.contains(&p), "side {side}: {p:?} covered, not in {r:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_cell_marks_exactly_the_strict_interior() {
+        let g = CellGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8);
+        let cover = g.cover(&Rect::new(1.5, 2.5, 5.5, 4.5));
+        let mut seen = Vec::new();
+        g.for_each_cell(&cover, |cell, covered| seen.push((cell, covered)));
+        assert_eq!(seen.len(), 5 * 3);
+        let covered: Vec<usize> = seen.iter().filter(|c| c.1).map(|c| c.0).collect();
+        assert_eq!(covered, vec![3 * 8 + 2, 3 * 8 + 3, 3 * 8 + 4]);
+        // Beyond the domain: the border cells on that side, none covered.
+        let beyond = g.cover(&Rect::new(9.0, 3.5, 10.0, 12.0));
+        assert_eq!((beyond.x0, beyond.x1, beyond.y0, beyond.y1), (7, 7, 3, 7));
+    }
 
     #[test]
     fn point_distance() {

@@ -20,6 +20,7 @@
 #[cfg(feature = "debug-invariants")]
 pub mod audit;
 pub mod geometry;
+pub mod idmap;
 pub mod object;
 pub mod obsv;
 pub mod persist;
@@ -33,7 +34,8 @@ pub mod window;
 
 #[cfg(feature = "debug-invariants")]
 pub use audit::AuditError;
-pub use geometry::{Point, Rect};
+pub use geometry::{CellCover, CellGrid, Point, Rect};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use object::{GeoTextObject, ObjectId};
 pub use obsv::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use persist::{Persist, PersistError, PersistReader, PersistWriter};

@@ -51,17 +51,7 @@ impl GeoTextObject {
     /// Whether the object's keyword set intersects the **sorted** query
     /// keyword slice (the `o.kw ∩ q.W ≠ ∅` predicate of RC-DVQ).
     pub fn matches_any_keyword(&self, query_kws: &[KeywordId]) -> bool {
-        // Merge scan over two sorted sequences; both sides are tiny (a
-        // handful of keywords), so this beats hashing.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.keywords.len() && j < query_kws.len() {
-            match self.keywords[i].cmp(&query_kws[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
+        keywords_intersect(&self.keywords, query_kws)
     }
 
     /// Approximate heap footprint of the object in bytes, used for memory
@@ -69,6 +59,22 @@ impl GeoTextObject {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.keywords.len() * std::mem::size_of::<KeywordId>()
     }
+}
+
+/// Whether two **sorted** keyword slices share an element.
+#[inline]
+pub fn keywords_intersect(a: &[KeywordId], b: &[KeywordId]) -> bool {
+    // Merge scan over two sorted sequences; both sides are tiny (a
+    // handful of keywords), so this beats hashing.
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 #[cfg(test)]

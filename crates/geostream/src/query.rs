@@ -7,7 +7,8 @@
 //! to a pure range-counting query `q = (R)` or a pure distinct-value query
 //! `q = (W)` — the flexibility LATEST is designed around.
 
-use crate::geometry::Rect;
+use crate::geometry::{Point, Rect};
+use crate::object::keywords_intersect;
 use crate::vocab::KeywordId;
 
 /// Classification of a query by which predicates it carries. This is one of
@@ -159,15 +160,15 @@ impl RcDvq {
     /// Whether `obj` satisfies both predicates (the exact-match test used by
     /// the ground-truth executor and samplers).
     pub fn matches(&self, obj: &crate::object::GeoTextObject) -> bool {
-        if let Some(r) = &self.range {
-            if !r.contains(&obj.loc) {
-                return false;
-            }
-        }
-        if !self.keywords.is_empty() && !obj.matches_any_keyword(&self.keywords) {
-            return false;
-        }
-        true
+        self.matches_parts(&obj.loc, &obj.keywords)
+    }
+
+    /// [`RcDvq::matches`] for an object held as columns: its location and
+    /// its **sorted** keyword slice.
+    #[inline]
+    pub fn matches_parts(&self, loc: &Point, keywords: &[KeywordId]) -> bool {
+        self.range.as_ref().is_none_or(|r| r.contains(loc))
+            && (self.keywords.is_empty() || keywords_intersect(keywords, &self.keywords))
     }
 }
 

@@ -1,5 +1,6 @@
-//! Dev-only property-test kit: a deterministic case runner and a handful
-//! of plain input generators over [`StreamRng`]. There are no strategy
+//! Dev-only property-test kit: a deterministic case runner, a handful of
+//! plain input generators over [`StreamRng`], and the one scenario
+//! generator two crates' suites share ([`grid_case`]). There are no strategy
 //! objects and no shrinking: a property is a closure that draws what it
 //! needs and asserts.
 //!
@@ -9,7 +10,7 @@
 //! failing case prints the line that replays it.
 
 use geostream::persist::checksum;
-use geostream::StreamRng;
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::ops::{Range, RangeInclusive};
 
 /// Base seed of every run that does not set `PROPTEST_SEED`.
@@ -103,6 +104,100 @@ pub fn word(rng: &mut StreamRng, len: RangeInclusive<usize>) -> String {
     (0..n)
         .map(|_| char::from(b'a' + rng.gen_range_u32(0..26) as u8))
         .collect()
+}
+
+/// Objects and queries placed where a `side × side` grid over `domain`
+/// can go wrong: on cell boundaries and one ulp either side of them, on and
+/// beyond the domain edge. Every structure that buckets points by
+/// `geostream::CellGrid` is checked against the same cases.
+pub struct GridCase {
+    pub domain: Rect,
+    pub side: usize,
+    pub objects: Vec<GeoTextObject>,
+    pub queries: Vec<RcDvq>,
+}
+
+/// Draws a [`GridCase`]. Sides cover one cell, powers of two, and the odd
+/// sides whose cell width is not a binary fraction of the domain.
+pub fn grid_case(rng: &mut StreamRng) -> GridCase {
+    const SIDES: [usize; 7] = [1, 2, 3, 7, 10, 45, 64];
+    let domains = [
+        Rect::new(0.0, 0.0, 1.0, 1.0),
+        Rect::new(0.0, 0.0, 100.0, 100.0),
+        Rect::new(-3.0, 2.0, 7.0, 9.0),
+        Rect::WORLD,
+    ];
+    let side = SIDES[rng.gen_range_usize(0..SIDES.len())];
+    let domain = domains[rng.gen_range_usize(0..domains.len())];
+    let objects: Vec<GeoTextObject> = (0..rng.gen_range_u64(1..120))
+        .map(|id| {
+            let loc = Point::new(
+                grid_coord(rng, domain.min_x, domain.max_x, side),
+                grid_coord(rng, domain.min_y, domain.max_y, side),
+            );
+            let kws = vec_of(rng, 0..3, |rng| KeywordId(u32_in(rng, 0..6)));
+            GeoTextObject::new(ObjectId(id), loc, kws, Timestamp(id))
+        })
+        .collect();
+    let queries = vec_of(rng, 1..8, |rng| {
+        // An edge is an object's own coordinate half the time.
+        let span = |rng: &mut StreamRng, min: f64, max: f64, of: fn(&Point) -> f64| {
+            let edge = |rng: &mut StreamRng| {
+                if coin(rng) {
+                    of(&objects[rng.gen_range_usize(0..objects.len())].loc)
+                } else {
+                    grid_coord(rng, min, max, side)
+                }
+            };
+            let (a, b) = (edge(rng), edge(rng));
+            match rng.gen_range_u32(0..6) {
+                0 => (a, a), // degenerate: zero width or height
+                _ => (a.min(b), a.max(b)),
+            }
+        };
+        let (x0, x1) = span(rng, domain.min_x, domain.max_x, |p| p.x);
+        let (y0, y1) = span(rng, domain.min_y, domain.max_y, |p| p.y);
+        let rect = Rect::new(x0, y0, x1, y1);
+        let kws = |rng: &mut StreamRng| vec_of(rng, 1..4, |rng| KeywordId(u32_in(rng, 0..6)));
+        match rng.gen_range_u32(0..3) {
+            0 => RcDvq::spatial(rect),
+            1 => RcDvq::keyword(kws(rng)),
+            _ => RcDvq::hybrid(rect, kws(rng)),
+        }
+    });
+    GridCase {
+        domain,
+        side,
+        objects,
+        queries,
+    }
+}
+
+/// One coordinate on the axis `[min, max]` cut into `side` cells.
+fn grid_coord(rng: &mut StreamRng, min: f64, max: f64, side: usize) -> f64 {
+    let extent = max - min;
+    match rng.gen_range_u32(0..10) {
+        0 => min,
+        1 => max,
+        2 => min - rng.gen_range_f64(0.0..extent),
+        3 => max + rng.gen_range_f64(0.0..extent),
+        4..=6 => {
+            // A cell boundary, rounded either way it can be computed, or
+            // a neighbouring float.
+            let k = rng.gen_range_usize_inclusive(0..=side) as f64;
+            let edge = if coin(rng) {
+                min + k * extent / side as f64
+            } else {
+                min + k * (extent / side as f64)
+            };
+            match rng.gen_range_u32(0..3) {
+                0 => edge,
+                1 => edge.next_up(),
+                _ => edge.next_down(),
+            }
+        }
+        _ => rng.gen_range_f64(min..max),
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //!   deliberately.
 //! * `as-truncation` — no bare `as` casts to narrowing numeric types inside
 //!   the hot kernels (`estimators/src/store.rs`, `exactdb/src/store.rs`,
-//!   `exactdb/src/inverted.rs`): slot/generation packing bugs hide in
-//!   silent truncation.
+//!   `exactdb/src/inverted.rs`, `exactdb/src/grid.rs`): slot/generation
+//!   packing bugs hide in silent truncation.
 //! * `atomic-ordering` — every `Ordering::{Relaxed,Acquire,Release,AcqRel,
 //!   SeqCst}` use must be accompanied by a nearby comment containing the
 //!   word "ordering" explaining why that ordering is sufficient.
