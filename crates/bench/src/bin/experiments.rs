@@ -84,13 +84,6 @@ fn main() {
             die(&format!("cannot write {path}: {e}"));
         }
         eprintln!("wrote {path}");
-        let report = latest_bench::switching_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_switching.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
         let report = latest_bench::recovery_bench::run(scale);
         print!("{}", report.render_text());
         let path = "BENCH_recovery.json";

@@ -511,7 +511,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "obsv-bench",
     "batching-bench",
     "sharding-bench",
-    "switching-bench",
     "recovery-bench",
 ];
 
@@ -538,7 +537,6 @@ pub fn run_by_name(name: &str, scale: Scale) -> Option<String> {
         "obsv-bench" => crate::obsv_bench::run(scale).render_text(),
         "batching-bench" => crate::batching_bench::run(scale).render_text(),
         "sharding-bench" => crate::sharding_bench::run(scale).render_text(),
-        "switching-bench" => crate::switching_bench::run(scale).render_text(),
         "recovery-bench" => crate::recovery_bench::run(scale).render_text(),
         _ => return None,
     })
@@ -566,7 +564,7 @@ mod tests {
     #[test]
     fn run_by_name_dispatch() {
         assert!(run_by_name("unknown", Scale::default()).is_none());
-        assert_eq!(ALL_EXPERIMENTS.len(), 22);
+        assert_eq!(ALL_EXPERIMENTS.len(), 21);
     }
 
     #[test]

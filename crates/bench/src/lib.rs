@@ -27,6 +27,5 @@ pub mod obsv_bench;
 pub mod recovery_bench;
 pub mod report;
 pub mod sharding_bench;
-pub mod switching_bench;
 
 pub use driver::{run_workload, run_workload_with_default, DriverConfig, RunResult};

@@ -7,24 +7,21 @@
 //! * [`SharedLatest`] — a cheaply cloneable, thread-safe handle around a
 //!   [`Latest`] instance (one mutex; LATEST's per-event work is
 //!   microseconds, so a mutex outperforms anything fancier at realistic
-//!   rates);
-//! * [`StreamPipeline`] — a pipeline over a bounded [`queue`](crate::queue)
-//!   that runs ingestion on a background thread while the caller issues
-//!   queries from any number of threads. The consumer drains the queue
-//!   into batches, so lock traffic and estimator maintenance are amortized
-//!   over many arrivals ([`Latest::ingest_batch`]).
+//!   rates). The deployment's own ingest thread feeds it with
+//!   [`SharedLatest::ingest_batch`], so lock traffic and estimator
+//!   maintenance are amortized over many arrivals, while any number of
+//!   threads query clones of the handle;
+//! * [`SnapshotScraper`] — a background thread that periodically offers
+//!   [`MetricsSnapshot`]s of such an engine on a bounded channel.
 //!
-//! Query paths are fallible: once a pipeline shuts down, its handles
-//! return [`LatestError::PipelineShutDown`] instead of silently answering
-//! against a stream that is no longer advancing; a non-blocking request
-//! ([`QueryOptions::blocking`]`(false)`) additionally refuses to wait on a
-//! contended instance and fails with [`LatestError::WouldBlock`] instead.
+//! Query paths are fallible: a non-blocking request
+//! ([`QueryOptions::blocking`]`(false)`) refuses to wait on a contended
+//! instance and fails with [`LatestError::WouldBlock`] instead.
 //!
 //! ```
 //! use geostream::synth::DatasetSpec;
 //! use geostream::{Duration, RcDvq, Rect};
-//! use latest_core::concurrent::StreamPipeline;
-//! use latest_core::{LatestConfig, LatestError, PhaseTag, QueryOptions};
+//! use latest_core::{LatestConfig, PhaseTag, QueryOptions, SharedLatest};
 //!
 //! let dataset = DatasetSpec::twitter();
 //! let config = LatestConfig::builder()
@@ -38,24 +35,25 @@
 //!     })
 //!     .build()
 //!     .expect("parameters are in range");
-//! let pipeline =
-//!     StreamPipeline::spawn(config, dataset.generator(), 8_000).expect("threads spawn");
-//! pipeline.wait_for_phase(PhaseTag::PreTraining);
-//! let handle = pipeline.handle();
-//! let out = handle
+//! let shared = SharedLatest::new(config);
+//! let ingestor = {
+//!     let shared = shared.clone();
+//!     let mut generator = dataset.generator();
+//!     std::thread::spawn(move || {
+//!         while shared.phase() == PhaseTag::WarmUp {
+//!             let batch: Vec<_> = (0..256).map(|_| generator.next_object()).collect();
+//!             shared.ingest_batch(&batch);
+//!         }
+//!     })
+//! };
+//! ingestor.join().expect("ingest thread");
+//! let out = shared
 //!     .query(
 //!         &RcDvq::spatial(Rect::new(-120.0, 30.0, -100.0, 45.0)),
 //!         QueryOptions::new(),
 //!     )
-//!     .expect("pipeline is live");
+//!     .expect("a blocking query waits its turn");
 //! assert!(out.estimate >= 0.0);
-//! pipeline.shutdown();
-//! assert_eq!(
-//!     handle
-//!         .query(&RcDvq::spatial(Rect::WORLD), QueryOptions::new())
-//!         .unwrap_err(),
-//!     LatestError::PipelineShutDown
-//! );
 //! ```
 
 use crate::error::LatestError;
@@ -65,24 +63,14 @@ use crate::queue::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::system::{Latest, LatestConfig, QueryOptions, QueryOutcome};
 use crate::unpoisoned;
 use estimators::EstimatorKind;
-use geostream::synth::ObjectGenerator;
 use geostream::{GeoTextObject, RcDvq};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-
-/// How many queued arrivals the pipeline consumer ingests per lock
-/// acquisition, at most. Large enough to amortize locking and estimator
-/// fan-out, small enough to keep query-path lock waits bounded.
-const INGEST_BATCH: usize = 256;
 
 /// A thread-safe, cloneable handle to a LATEST instance.
 #[derive(Clone)]
 pub struct SharedLatest {
     inner: Arc<Mutex<Latest>>,
-    /// Cleared when the owning pipeline shuts down; standalone handles
-    /// stay open forever.
-    open: Arc<AtomicBool>,
 }
 
 impl SharedLatest {
@@ -92,7 +80,6 @@ impl SharedLatest {
             // CONC(shared-latest/latest-mutex): the one lock guarding all
             // Latest state; held only for the duration of each call
             inner: Arc::new(Mutex::new(Latest::new(config))),
-            open: Arc::new(AtomicBool::new(true)),
         }
     }
 
@@ -104,36 +91,7 @@ impl SharedLatest {
             // CONC(shared-latest/latest-mutex): same lock discipline as
             // `new`; only the provenance of the instance differs
             inner: Arc::new(Mutex::new(latest)),
-            open: Arc::new(AtomicBool::new(true)),
         }
-    }
-
-    /// Whether the backing stream is still live (always true for
-    /// standalone handles; false once an owning pipeline shut down).
-    pub fn is_open(&self) -> bool {
-        // Acquire ordering: pairs with the Release store in `close()` so a
-        // handle that observes `false` also observes every write the
-        // pipeline made before shutting down.
-        // CONC(shared-open-flag/open-flag-load): Acquire half of the
-        // publication pair with close()
-        self.open.load(Ordering::Acquire)
-    }
-
-    fn ensure_open(&self) -> Result<(), LatestError> {
-        if self.is_open() {
-            Ok(())
-        } else {
-            Err(LatestError::PipelineShutDown)
-        }
-    }
-
-    /// Marks the handle family as shut down (further queries fail).
-    pub(crate) fn close(&self) {
-        // Release ordering: publishes all pre-shutdown writes before any
-        // Acquire load in `is_open()` can observe the cleared flag.
-        // CONC(shared-open-flag/open-flag-store): Release half of the
-        // publication pair with is_open()
-        self.open.store(false, Ordering::Release);
     }
 
     fn lock(&self) -> MutexGuard<'_, Latest> {
@@ -153,7 +111,6 @@ impl SharedLatest {
     /// Acquires the instance lock per `options.blocking`: wait for the
     /// lock, or fail with [`LatestError::WouldBlock`] if it is contended.
     fn lock_for(&self, options: &QueryOptions) -> Result<MutexGuard<'_, Latest>, LatestError> {
-        self.ensure_open()?;
         if options.blocking {
             return Ok(self.lock());
         }
@@ -164,15 +121,15 @@ impl SharedLatest {
         }
     }
 
-    /// Answers one query under `options` ([`Latest::query`]), failing once
-    /// the owning pipeline shut down — and, for non-blocking requests,
-    /// when the instance lock is contended.
+    /// Answers one query under `options` ([`Latest::query`]), failing —
+    /// for non-blocking requests only — when the instance lock is
+    /// contended.
     pub fn query(&self, query: &RcDvq, options: QueryOptions) -> Result<QueryOutcome, LatestError> {
         Ok(self.lock_for(&options)?.query(query, options))
     }
 
     /// Answers a batch of queries under one lock acquisition
-    /// ([`Latest::query_batch`]), with the same failure modes as
+    /// ([`Latest::query_batch`]), with the same failure mode as
     /// [`SharedLatest::query`].
     pub fn query_batch(
         &self,
@@ -214,197 +171,12 @@ impl SharedLatest {
     }
 }
 
-/// A background ingestion pipeline: a producer thread pulls objects from a
-/// generator and sends them over a bounded queue; a consumer
-/// thread drains the channel into batches and ingests each batch into the
-/// shared LATEST instance under one lock acquisition.
-pub struct StreamPipeline {
-    handle: SharedLatest,
-    stop: Sender<()>,
-    producer: Option<JoinHandle<()>>,
-    consumer: Option<JoinHandle<u64>>,
-}
-
-impl StreamPipeline {
-    /// Spawns the pipeline. `channel_capacity` bounds producer run-ahead
-    /// (backpressure).
-    pub fn spawn(
-        config: LatestConfig,
-        generator: ObjectGenerator,
-        channel_capacity: usize,
-    ) -> Result<Self, LatestError> {
-        Self::spawn_threads(SharedLatest::new(config), generator, channel_capacity)
-    }
-
-    /// Warm restart: spawns the pipeline around an instance restored from
-    /// a snapshot ([`Latest::load_snapshot`]), preserving every learned
-    /// structure instead of re-entering warm-up. The caller is responsible
-    /// for resuming the generator at (or after) the snapshot's stream
-    /// position; LATEST itself tolerates a gap — the window simply evicts
-    /// past it — but estimates are only continuous without one.
-    pub fn resume(
-        latest: Latest,
-        generator: ObjectGenerator,
-        channel_capacity: usize,
-    ) -> Result<Self, LatestError> {
-        Self::spawn_threads(
-            SharedLatest::from_instance(latest),
-            generator,
-            channel_capacity,
-        )
-    }
-
-    fn spawn_threads(
-        handle: SharedLatest,
-        mut generator: ObjectGenerator,
-        channel_capacity: usize,
-    ) -> Result<Self, LatestError> {
-        // CONC(stream-pipeline/pipeline-objects): bounded handoff from
-        // producer to ingestor; send blocking is the backpressure
-        let (obj_tx, obj_rx): (Sender<GeoTextObject>, Receiver<GeoTextObject>) =
-            bounded(channel_capacity.max(1));
-        // CONC(stream-pipeline/pipeline-stop): one-shot stop token polled by
-        // the producer each iteration
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-
-        // CONC(stream-pipeline/pipeline-producer): joined by shutdown after
-        // the stop token is sent
-        let producer = std::thread::Builder::new()
-            .name("latest-producer".into())
-            .spawn(move || loop {
-                if stop_rx.try_recv().is_ok() {
-                    return;
-                }
-                // Send blocks when the consumer lags: backpressure.
-                if obj_tx.send(generator.next_object()).is_err() {
-                    return;
-                }
-            })
-            .map_err(|e| LatestError::Spawn {
-                thread: "latest-producer",
-                reason: e.to_string(),
-            })?;
-
-        let consumer_handle = handle.clone();
-        // CONC(stream-pipeline/pipeline-ingestor): joined by shutdown once
-        // the producer side disconnects
-        let consumer = std::thread::Builder::new()
-            .name("latest-ingestor".into())
-            .spawn(move || {
-                let mut ingested = 0u64;
-                let mut batch = Vec::with_capacity(INGEST_BATCH);
-                // Block for the first object of a batch, then drain
-                // whatever else is already queued (up to the cap) so one
-                // lock acquisition covers the whole burst.
-                while let Ok(obj) = obj_rx.recv() {
-                    batch.push(obj);
-                    while batch.len() < INGEST_BATCH {
-                        match obj_rx.try_recv() {
-                            Ok(obj) => batch.push(obj),
-                            Err(_) => break,
-                        }
-                    }
-                    consumer_handle.ingest_batch(&batch);
-                    ingested += batch.len() as u64;
-                    batch.clear();
-                }
-                ingested
-            })
-            .map_err(|e| LatestError::Spawn {
-                thread: "latest-ingestor",
-                reason: e.to_string(),
-            })?;
-
-        Ok(StreamPipeline {
-            handle,
-            stop: stop_tx,
-            producer: Some(producer),
-            consumer: Some(consumer),
-        })
-    }
-
-    /// A cloneable query handle.
-    pub fn handle(&self) -> SharedLatest {
-        self.handle.clone()
-    }
-
-    /// Answers one query under `options`, failing once the pipeline shut
-    /// down ([`SharedLatest::query`]).
-    pub fn query(&self, query: &RcDvq, options: QueryOptions) -> Result<QueryOutcome, LatestError> {
-        self.handle.query(query, options)
-    }
-
-    /// Answers a batch of queries under one lock acquisition
-    /// ([`SharedLatest::query_batch`]).
-    pub fn query_batch(
-        &self,
-        queries: &[RcDvq],
-        options: QueryOptions,
-    ) -> Result<Vec<QueryOutcome>, LatestError> {
-        self.handle.query_batch(queries, options)
-    }
-
-    /// Blocks until LATEST has reached (at least) `phase`.
-    pub fn wait_for_phase(&self, phase: PhaseTag) {
-        let rank = |p: PhaseTag| match p {
-            PhaseTag::WarmUp => 0,
-            PhaseTag::PreTraining => 1,
-            PhaseTag::Incremental => 2,
-        };
-        while rank(self.handle.phase()) < rank(phase) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Spawns a periodic metrics scraper against this pipeline: every
-    /// `every`, a [`MetricsSnapshot`] is taken under one brief lock hold
-    /// and offered on the scraper's bounded channel. A slow consumer never
-    /// backpressures the scrape loop — when the channel is full the
-    /// snapshot is dropped (the next one supersedes it anyway). The
-    /// scraper stops on [`SnapshotScraper::stop`], on drop, or on its own
-    /// once the pipeline shuts down.
-    pub fn spawn_scraper(
-        &self,
-        every: std::time::Duration,
-        capacity: usize,
-    ) -> Result<SnapshotScraper, LatestError> {
-        // CONC(snapshot-scraper/scraper-delegate): delegation only; the
-        // scraper joins its thread on stop/Drop
-        SnapshotScraper::spawn(self.handle(), every, capacity)
-    }
-
-    /// Stops both threads and returns the number of objects ingested.
-    /// Every handle cloned from this pipeline starts failing with
-    /// [`LatestError::PipelineShutDown`].
-    pub fn shutdown(mut self) -> u64 {
-        self.stop_threads()
-    }
-
-    fn stop_threads(&mut self) -> u64 {
-        let _ = self.stop.try_send(());
-        if let Some(p) = self.producer.take() {
-            let _ = p.join();
-        }
-        match self.consumer.take() {
-            Some(c) => {
-                let ingested = c.join().unwrap_or(0);
-                self.handle.close();
-                ingested
-            }
-            None => 0,
-        }
-    }
-}
-
-impl Drop for StreamPipeline {
-    fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
 /// A background thread that periodically scrapes [`MetricsSnapshot`]s from
-/// a [`SharedLatest`] handle onto a bounded channel
-/// ([`StreamPipeline::spawn_scraper`]).
+/// a snapshot source onto a bounded channel. A slow consumer never
+/// backpressures the scrape loop — when the channel is full the snapshot
+/// is dropped (the next one supersedes it anyway). The scraper stops on
+/// [`SnapshotScraper::stop`], on drop, or on its own once the source
+/// reports that the engine behind it is gone.
 pub struct SnapshotScraper {
     snapshots: Receiver<MetricsSnapshot>,
     stop: Sender<()>,
@@ -412,20 +184,8 @@ pub struct SnapshotScraper {
 }
 
 impl SnapshotScraper {
-    fn spawn(
-        handle: SharedLatest,
-        every: std::time::Duration,
-        capacity: usize,
-    ) -> Result<Self, LatestError> {
-        Self::spawn_source(
-            move || handle.is_open().then(|| handle.metrics_snapshot()),
-            every,
-            capacity,
-        )
-    }
-
     /// Spawns a scraper over an arbitrary snapshot source — a
-    /// [`SharedLatest`] behind a pipeline, a sharded engine's merged view
+    /// [`SharedLatest`] handle, a sharded engine's merged view
     /// ([`ShardedLatest::spawn_scraper`](crate::ShardedLatest::spawn_scraper)),
     /// or anything else that can produce a [`MetricsSnapshot`] on demand.
     /// `source` returning `None` means the backing system has shut down,
@@ -513,7 +273,8 @@ mod tests {
     use super::*;
     use estimators::EstimatorConfig;
     use geostream::synth::DatasetSpec;
-    use geostream::{Duration, KeywordId, Rect, Timestamp};
+    use geostream::{Duration, KeywordId, Rect};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn config(dataset: &DatasetSpec) -> LatestConfig {
         LatestConfig::builder()
@@ -529,36 +290,57 @@ mod tests {
             .expect("valid test config")
     }
 
-    #[test]
-    fn pipeline_streams_and_answers() {
-        let dataset = DatasetSpec::twitter();
-        let pipeline =
-            StreamPipeline::spawn(config(&dataset), dataset.generator(), 4_096).expect("spawn");
-        pipeline.wait_for_phase(PhaseTag::PreTraining);
-        let handle = pipeline.handle();
-        assert!(handle.window_len() > 0);
-        for i in 0..30u32 {
-            let out = handle
-                .query(
-                    &RcDvq::keyword(vec![KeywordId(i % 20)]),
-                    QueryOptions::new(),
-                )
-                .expect("pipeline is live");
-            assert!(out.estimate >= 0.0);
+    /// The deployment's ingest path, test-local: one thread feeding the
+    /// shared instance from the synthetic stream, 256 objects per lock
+    /// hold, until dropped.
+    struct Ingestor {
+        stop: Arc<AtomicBool>,
+        thread: Option<JoinHandle<()>>,
+    }
+
+    impl Ingestor {
+        fn spawn(shared: &SharedLatest, dataset: &DatasetSpec) -> Self {
+            let stop = Arc::new(AtomicBool::new(false));
+            let (shared, mut generator) = (shared.clone(), dataset.generator());
+            let stopped = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                while !stopped.load(Ordering::SeqCst) {
+                    let batch: Vec<GeoTextObject> =
+                        (0..256).map(|_| generator.next_object()).collect();
+                    shared.ingest_batch(&batch);
+                }
+            });
+            Ingestor {
+                stop,
+                thread: Some(thread),
+            }
         }
-        let ingested = pipeline.shutdown();
-        assert!(ingested > 0);
+    }
+
+    impl Drop for Ingestor {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            if let Some(t) = self.thread.take() {
+                let _ = t.join();
+            }
+        }
+    }
+
+    fn wait_for_pretraining(shared: &SharedLatest) {
+        while shared.phase() == PhaseTag::WarmUp {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn concurrent_queriers_share_one_instance() {
         let dataset = DatasetSpec::twitter();
-        let pipeline =
-            StreamPipeline::spawn(config(&dataset), dataset.generator(), 4_096).expect("spawn");
-        pipeline.wait_for_phase(PhaseTag::PreTraining);
+        let shared = SharedLatest::new(config(&dataset));
+        let _ingestor = Ingestor::spawn(&shared, &dataset);
+        wait_for_pretraining(&shared);
         let mut joins = Vec::new();
         for t in 0..4u32 {
-            let handle = pipeline.handle();
+            let handle = shared.clone();
             joins.push(std::thread::spawn(move || {
                 let mut answered = 0usize;
                 for i in 0..25u32 {
@@ -568,7 +350,7 @@ mod tests {
                     );
                     let out = handle
                         .query(&q, QueryOptions::new())
-                        .expect("pipeline is live");
+                        .expect("blocking queries wait their turn");
                     assert!(out.estimate.is_finite());
                     answered += 1;
                 }
@@ -578,22 +360,24 @@ mod tests {
         let total: usize = joins.into_iter().map(|j| j.join().expect("no panic")).sum();
         assert_eq!(total, 100);
         // All 100 queries are in the single shared log.
-        assert!(pipeline.handle().with(|l| l.log().queries.len()) >= 100);
-        pipeline.shutdown();
+        assert!(shared.with(|l| l.log().queries.len()) >= 100);
     }
 
     #[test]
     fn scraper_delivers_periodic_snapshots() {
         let dataset = DatasetSpec::twitter();
-        let pipeline =
-            StreamPipeline::spawn(config(&dataset), dataset.generator(), 4_096).expect("spawn");
-        let scraper = pipeline
-            .spawn_scraper(std::time::Duration::from_millis(5), 64)
-            .expect("scraper spawns");
-        pipeline.wait_for_phase(PhaseTag::PreTraining);
-        let handle = pipeline.handle();
+        let shared = SharedLatest::new(config(&dataset));
+        let _ingestor = Ingestor::spawn(&shared, &dataset);
+        let source = shared.clone();
+        let scraper = SnapshotScraper::spawn_source(
+            move || Some(source.metrics_snapshot()),
+            std::time::Duration::from_millis(5),
+            64,
+        )
+        .expect("scraper spawns");
+        wait_for_pretraining(&shared);
         for i in 0..20u32 {
-            let _ = handle.query(
+            let _ = shared.query(
                 &RcDvq::keyword(vec![KeywordId(i % 20)]),
                 QueryOptions::new(),
             );
@@ -605,16 +389,6 @@ mod tests {
         assert!(snap.queries_total >= 20);
         let taken = scraper.stop();
         assert!(taken >= 1);
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_via_drop() {
-        let dataset = DatasetSpec::twitter();
-        let pipeline =
-            StreamPipeline::spawn(config(&dataset), dataset.generator(), 128).expect("spawn");
-        pipeline.wait_for_phase(PhaseTag::PreTraining);
-        drop(pipeline); // Drop must stop threads without deadlocking.
     }
 
     #[test]
@@ -641,41 +415,6 @@ mod tests {
         let objs: Vec<GeoTextObject> = (0..200).map(|_| gen.next_object()).collect();
         shared.ingest_batch(&objs);
         assert_eq!(shared.window_len(), 200);
-    }
-
-    #[test]
-    fn queries_fail_after_shutdown() {
-        let dataset = DatasetSpec::twitter();
-        let pipeline =
-            StreamPipeline::spawn(config(&dataset), dataset.generator(), 1_024).expect("spawn");
-        pipeline.wait_for_phase(PhaseTag::PreTraining);
-        let handle = pipeline.handle();
-        assert!(handle.is_open());
-        let q = RcDvq::keyword(vec![KeywordId(1)]);
-        assert!(handle.query(&q, QueryOptions::new()).is_ok());
-        pipeline.shutdown();
-        assert!(!handle.is_open());
-        assert_eq!(
-            handle.query(&q, QueryOptions::new()).unwrap_err(),
-            LatestError::PipelineShutDown
-        );
-        assert_eq!(
-            handle
-                .query_batch(std::slice::from_ref(&q), QueryOptions::new())
-                .unwrap_err(),
-            LatestError::PipelineShutDown
-        );
-        // Every option set fails closed: shutdown outranks `WouldBlock`
-        // and an explicit query time.
-        for options in [
-            QueryOptions::new().blocking(false),
-            QueryOptions::at(Timestamp(1)),
-        ] {
-            assert_eq!(
-                handle.query(&q, options).unwrap_err(),
-                LatestError::PipelineShutDown
-            );
-        }
     }
 
     #[test]

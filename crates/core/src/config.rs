@@ -17,7 +17,6 @@
 //!     .tau(0.8)
 //!     .beta(0.9)
 //!     .alpha(0.25)
-//!     .pool_workers(4)
 //!     .build()
 //!     .expect("parameters are in range");
 //! assert_eq!(config.tau, 0.8);
@@ -59,9 +58,8 @@ pub enum ConfigError {
     /// Shard command queues must be able to hold at least one command,
     /// or every ingest would deadlock against its own backpressure.
     ZeroShardQueueCapacity,
-    /// The async-prefill delta log must be able to hold at least one
-    /// object, or every background build would overflow and restart
-    /// immediately.
+    /// The prefill delta log must be able to hold at least one object, or
+    /// every background build would overflow and restart immediately.
     ZeroPrefillDeltaCap,
 }
 
@@ -271,13 +269,6 @@ impl LatestConfigBuilder {
         self
     }
 
-    /// Worker-thread cap for estimator-pool fan-out (`0`/`1` = serial).
-    #[must_use = "setters move the builder; reassign or chain the result"]
-    pub fn pool_workers(mut self, workers: usize) -> Self {
-        self.config.pool_workers = workers;
-        self
-    }
-
     /// Distinct query signatures the selectivity cache memoizes per
     /// window generation (`0` disables caching).
     #[must_use = "setters move the builder; reassign or chain the result"]
@@ -294,17 +285,9 @@ impl LatestConfigBuilder {
         self
     }
 
-    /// Build prefill candidates on a background worker with delta
-    /// catch-up, instead of inline on the query path (`false` restores the
-    /// synchronous build; activated state is bit-equal either way).
-    #[must_use = "setters move the builder; reassign or chain the result"]
-    pub fn async_prefill(mut self, on: bool) -> Self {
-        self.config.async_prefill = on;
-        self
-    }
-
-    /// Objects the async-prefill delta log may buffer before the build is
-    /// cancelled and restarted from a fresh snapshot (must be nonzero).
+    /// Objects the prefill delta log may buffer before the background
+    /// build is cancelled and restarted from a fresh snapshot (must be
+    /// nonzero).
     #[must_use = "setters move the builder; reassign or chain the result"]
     pub fn prefill_delta_cap(mut self, cap: usize) -> Self {
         self.config.prefill_delta_cap = cap;
@@ -346,7 +329,6 @@ mod tests {
             .shadow_metrics(true)
             .retrain_error_threshold(Some(2.0))
             .drift_detection(false)
-            .pool_workers(4)
             .build()
             .expect("valid");
         assert_eq!(config.window_span, Duration::from_secs(90));
@@ -355,7 +337,6 @@ mod tests {
         assert_eq!(config.default_estimator, EstimatorKind::Aasp);
         assert!(config.shadow_metrics);
         assert_eq!(config.retrain_error_threshold, Some(2.0));
-        assert_eq!(config.pool_workers, 4);
     }
 
     #[test]
@@ -450,16 +431,10 @@ mod tests {
             ConfigError::ZeroPrefillDeltaCap
         );
         let config = LatestConfig::builder()
-            .async_prefill(false)
             .prefill_delta_cap(1)
             .build()
             .expect("minimal delta cap is valid");
-        assert!(!config.async_prefill);
         assert_eq!(config.prefill_delta_cap, 1);
-        assert!(
-            LatestConfig::default().async_prefill,
-            "async prefill is the default — it is bit-equal to sync"
-        );
     }
 
     #[test]

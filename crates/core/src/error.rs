@@ -8,15 +8,16 @@ use geostream::PersistError;
 pub enum LatestError {
     /// The configuration failed validation.
     Config(ConfigError),
-    /// The pipeline backing this handle has been shut down; no further
-    /// queries can be answered consistently with the stream.
+    /// The engine backing this handle has been shut down (its shard or
+    /// serving workers are gone); no further queries can be answered
+    /// consistently with the stream.
     PipelineShutDown,
     /// A non-blocking call found the instance locked by another thread.
     WouldBlock,
-    /// The OS refused to spawn a pipeline thread (resource exhaustion).
+    /// The OS refused to spawn a serving thread (resource exhaustion).
     Spawn {
-        /// Which pipeline thread failed (`"latest-producer"` /
-        /// `"latest-ingestor"`).
+        /// Which thread failed (`"latest-shard"`, `"latest-serving"` or
+        /// `"latest-scraper"`).
         thread: &'static str,
         /// The OS error text.
         reason: String,
@@ -78,9 +79,9 @@ mod tests {
         assert!(LatestError::PipelineShutDown.source().is_none());
         assert!(LatestError::WouldBlock.to_string().contains("busy"));
         let spawn = LatestError::Spawn {
-            thread: "latest-producer",
+            thread: "latest-shard",
             reason: "out of threads".into(),
         };
-        assert!(spawn.to_string().contains("latest-producer"));
+        assert!(spawn.to_string().contains("latest-shard"));
     }
 }

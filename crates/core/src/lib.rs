@@ -42,7 +42,7 @@ pub mod system;
 
 pub use adaptor::Recommender;
 pub use cache::{CachedAnswer, SelectivityCache};
-pub use concurrent::{SharedLatest, SnapshotScraper, StreamPipeline};
+pub use concurrent::{SharedLatest, SnapshotScraper};
 pub use config::{ConfigError, LatestConfigBuilder};
 pub use error::LatestError;
 pub use features::{QueryProfile, RewardScaler};

@@ -9,7 +9,7 @@
 //! * [`MetricsRegistry`] — one struct of relaxed-atomic counters, gauges,
 //!   and fixed-bucket histograms covering every subsystem: the sliding
 //!   window (occupancy, eviction rates), the estimator pool (rounds, batch
-//!   sizes, per-worker busy time), per-[`EstimatorKind`] estimate-latency
+//!   sizes, per-round busy time), per-[`EstimatorKind`] estimate-latency
 //!   histograms and memory gauges, and the phase machine itself. The
 //!   exact executor's path-mix counters are the same [`Counter`] cells
 //!   (they live in `exactdb` and are folded into every snapshot).
@@ -375,16 +375,18 @@ pub struct MetricsRegistry {
     pub prefill_build_us: Histogram,
     /// Wall time the serving thread stalled on prefill work (µs): snapshot
     /// capture, delta replay, and any activation-time wait for the builder
-    /// — the inline cost async prefill is meant to shrink.
+    /// — the inline cost the background builder keeps small.
     pub switch_stall_us: Histogram,
     // --- estimator pool ---
-    /// Pool maintenance/measurement fan-out rounds.
+    /// Pool maintenance/measurement rounds.
     pub pool_rounds: Counter,
-    /// Summed wall-clock busy time of all pool workers (µs).
+    /// Summed wall-clock busy time of all pool rounds (µs).
     pub pool_busy_us: Counter,
     /// Objects per pool maintenance round (arrivals + evictions).
     pub pool_batch_sizes: Histogram,
-    /// Per-worker busy time per fan-out round (wall µs).
+    /// Busy time per pool round (wall µs). The name dates from the thread
+    /// fan-out, when a round had one sample per worker; the snapshot
+    /// schema keeps it.
     pub pool_worker_busy_us: Histogram,
     // --- per-estimator-kind series (indexed by `EstimatorKind::index()`) ---
     /// Wall-clock estimate latency per kind (µs).

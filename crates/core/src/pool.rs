@@ -1,29 +1,24 @@
-//! The estimator pool: parallel maintenance of every live estimator.
+//! The estimator pool: one owner for every estimator a phase maintains.
 //!
 //! LATEST's protocol keeps several estimators consistent with the sliding
 //! window at once — all six during pre-training (§V-C) and shadow-metrics
 //! runs, the active one plus a pre-filling replacement during adaptation
-//! (§V-D). The seed updated them one at a time inside the ingest path, so
-//! maintenance cost scaled linearly with pool size. [`EstimatorPool`]
-//! instead owns the maintained estimators and fans `insert`/`remove`
-//! batches and `estimate`/`observe_query` rounds across them on scoped
-//! worker threads.
+//! (§V-D). [`EstimatorPool`] owns the maintained set and walks it in pool
+//! order, one estimator at a time, on the calling thread: `insert`/`remove`
+//! batches for maintenance, and a timed `estimate` + `observe_query` round
+//! for measurement.
 //!
-//! Parallelism is *across estimators, never within one*: each estimator is
-//! only ever touched by one worker per round, in the same per-estimator
-//! call order as the serial path, so every estimator (including the
-//! RNG-driven reservoirs) reaches a state identical to serial maintenance.
-//! With `workers <= 1` the pool degrades to the serial loop — no threads
-//! are spawned at all. The configured worker count is additionally clamped
-//! to the parallelism the host actually exposes: spawning more CPU-bound
-//! workers than cores buys nothing and costs spawn overhead, so on a
-//! single-core machine a `workers = 4` pool runs the serial loop.
+//! The walk is deliberately serial. A scoped thread fan-out across the
+//! estimators was measured on a 2-vCPU host and lost on the only
+//! end-to-end metric it could move (`setup_s`, worse in ten of ten pairs),
+//! and it timed each estimator while a sibling contended for the
+//! last-level cache — with `α > 0` those latencies are the labels the
+//! Hoeffding tree trains on (DESIGN.md, "Estimator-pool maintenance and
+//! batched ingestion").
 //!
-//! Fan-out rounds accept an optional *sideline* closure that runs on the
-//! calling thread while the workers are busy ([`EstimatorPool::apply_batch_with`]).
-//! The ingest path uses it to overlap the exact executor's index upkeep —
-//! serial work that is independent of every estimator — with the pool
-//! round, taking it off the critical path entirely on multi-core hosts.
+//! The second half of this module is the one thread the switching path
+//! does pay for: [`PrefillBuilder`], the background worker that builds
+//! §V-D's replacement candidate off the serving thread.
 
 use crate::estimation_accuracy;
 use crate::log::ShadowSample;
@@ -32,37 +27,27 @@ use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind
 use geostream::{GeoTextObject, RcDvq, WindowSnapshot};
 use std::sync::Arc;
 
-/// A pool of maintained estimators with a scoped worker fan-out.
+/// A pool of maintained estimators, walked serially in pool order.
 pub struct EstimatorPool {
     estimators: Vec<BoxedEstimator>,
-    /// Worker-thread cap for fan-out rounds; `0` and `1` both mean serial.
-    workers: usize,
-    /// Hardware cap on spawned workers (`available_parallelism` at
-    /// construction); fan-outs never exceed it.
-    spawn_cap: usize,
-    /// Observability registry fed by fan-out rounds (round counts, batch
-    /// sizes, per-worker busy time, per-kind estimate latency). `None`
-    /// leaves the pool uninstrumented.
+    /// Observability registry fed by every round (round counts, batch
+    /// sizes, busy time, per-kind estimate latency). `None` leaves the
+    /// pool uninstrumented.
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl EstimatorPool {
     /// Wraps an existing set of estimators.
-    pub fn new(estimators: Vec<BoxedEstimator>, workers: usize) -> Self {
-        let spawn_cap = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+    pub fn new(estimators: Vec<BoxedEstimator>) -> Self {
         EstimatorPool {
             estimators,
-            workers,
-            spawn_cap,
             metrics: None,
         }
     }
 
-    /// Connects the pool to a metrics registry; subsequent fan-out rounds
-    /// feed it. The registry survives pool rebuilds at phase transitions —
-    /// callers re-attach the same `Arc` to the successor pool.
+    /// Connects the pool to a metrics registry; subsequent rounds feed it.
+    /// The registry survives pool rebuilds at phase transitions — callers
+    /// re-attach the same `Arc` to the successor pool.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
         self.metrics = Some(metrics);
     }
@@ -75,17 +60,23 @@ impl EstimatorPool {
 
     /// Builds the full six-estimator pool of the pre-training phase, in
     /// [`EstimatorKind::ALL`] order.
-    pub fn full(config: &EstimatorConfig, workers: usize) -> Self {
+    ///
+    /// The second argument is ignored. It was the worker count of the
+    /// retired thread fan-out and survives only because the frozen
+    /// benchmark sources (`crates/bench/src/bin/e2e/trace.rs`) still pass
+    /// one; the next PR allowed to edit them drops it (CHANGES.md keeps the
+    /// list).
+    pub fn full(config: &EstimatorConfig, _retired_workers: usize) -> Self {
         let estimators = EstimatorKind::ALL
             .iter()
             .map(|&k| build_estimator(k, config))
             .collect();
-        EstimatorPool::new(estimators, workers)
+        EstimatorPool::new(estimators)
     }
 
     /// An estimator-less pool (placeholder during phase transitions).
     pub fn empty() -> Self {
-        EstimatorPool::new(Vec::new(), 1)
+        EstimatorPool::new(Vec::new())
     }
 
     /// Number of estimators maintained.
@@ -96,45 +87,6 @@ impl EstimatorPool {
     /// Whether the pool maintains no estimators.
     pub fn is_empty(&self) -> bool {
         self.estimators.is_empty()
-    }
-
-    /// The configured worker cap (`<= 1` means serial).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Overrides the hardware spawn cap. Test hook: lets single-core CI
-    /// hosts exercise the real threaded fan-out.
-    #[doc(hidden)]
-    pub fn set_spawn_cap(&mut self, cap: usize) {
-        self.spawn_cap = cap.max(1);
-    }
-
-    /// Workers a fan-out round will actually use: the configured cap,
-    /// bounded by the pool size and the host's parallelism.
-    fn effective_workers(&self) -> usize {
-        self.workers
-            .clamp(1, self.estimators.len().max(1))
-            .min(self.spawn_cap)
-    }
-
-    /// Splits `ests` into at most `workers` contiguous chunks whose sizes
-    /// differ by at most one (pool order preserved), so no worker inherits
-    /// two extra estimators while another sits idle.
-    fn balanced_chunks(ests: &mut [BoxedEstimator], workers: usize) -> Vec<&mut [BoxedEstimator]> {
-        let (base, rem) = (ests.len() / workers, ests.len() % workers);
-        let mut chunks = Vec::with_capacity(workers);
-        let mut rest = ests;
-        for i in 0..workers {
-            let take = base + usize::from(i < rem);
-            if take == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(take);
-            chunks.push(head);
-            rest = tail;
-        }
-        chunks
     }
 
     /// The kinds currently maintained, in pool order.
@@ -163,8 +115,18 @@ impl EstimatorPool {
         self.estimators
     }
 
-    /// Records one worker's busy interval into the registry.
-    fn record_busy(metrics: Option<&MetricsRegistry>, timer: WallTimer) {
+    /// Applies `f` to every estimator in pool order and records the walk's
+    /// busy interval into the registry. Takes the two fields apart so `f`
+    /// may borrow the registry too.
+    fn walk(
+        estimators: &mut [BoxedEstimator],
+        metrics: Option<&MetricsRegistry>,
+        mut f: impl FnMut(&mut BoxedEstimator),
+    ) {
+        let timer = WallTimer::start();
+        for est in estimators {
+            f(est);
+        }
         if let Some(m) = metrics {
             let us = timer.elapsed_us();
             m.pool_worker_busy_us.record(us);
@@ -172,97 +134,14 @@ impl EstimatorPool {
         }
     }
 
-    /// Fans a closure across every estimator, running `sideline` on the
-    /// calling thread while the workers are busy. Each estimator is
-    /// visited exactly once, by exactly one thread; the sideline always
-    /// runs, even on an empty pool.
-    fn fan_out<F>(&mut self, f: F, sideline: impl FnOnce())
-    where
-        F: Fn(&mut BoxedEstimator) + Sync,
-    {
-        let workers = self.effective_workers();
-        let metrics = self.metrics.as_deref();
-        if workers <= 1 {
-            sideline();
-            let timer = WallTimer::start();
-            for est in &mut self.estimators {
-                f(est);
-            }
-            Self::record_busy(metrics, timer);
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|s| {
-            for slice in Self::balanced_chunks(&mut self.estimators, workers) {
-                // CONC(pool-fanout/fanout-workers): scope joins every worker
-                // before fan_out returns
-                s.spawn(move || {
-                    let timer = WallTimer::start();
-                    for est in slice {
-                        f(est);
-                    }
-                    Self::record_busy(metrics, timer);
-                });
-            }
-            // Overlaps with the workers; the scope joins them afterwards.
-            sideline();
-        });
-    }
-
-    /// [`Self::fan_out`] without a sideline.
-    fn par_for_each<F>(&mut self, f: F)
-    where
-        F: Fn(&mut BoxedEstimator) + Sync,
-    {
-        self.fan_out(f, || {});
-    }
-
-    /// Fans a closure across every estimator and collects the results in
-    /// pool order.
-    fn par_map<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut BoxedEstimator) -> R + Sync,
-    {
-        let workers = self.effective_workers();
-        let metrics = self.metrics.as_deref();
-        if workers <= 1 {
-            let timer = WallTimer::start();
-            let out = self.estimators.iter_mut().map(f).collect();
-            Self::record_busy(metrics, timer);
-            return out;
-        }
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = Self::balanced_chunks(&mut self.estimators, workers)
-                .into_iter()
-                .map(|slice| {
-                    // CONC(pool-fanout/parmap-workers): scope joins the
-                    // handles in spawn order before par_map returns
-                    s.spawn(move || {
-                        let timer = WallTimer::start();
-                        let out = slice.iter_mut().map(f).collect::<Vec<R>>();
-                        Self::record_busy(metrics, timer);
-                        out
-                    })
-                })
-                .collect();
-            // Chunks are contiguous, so joining in spawn order preserves
-            // pool order.
-            handles
-                .into_iter()
-                // LINT-ALLOW(no-panic): join re-raises a worker panic on the caller thread; workers panic only on bugs
-                .flat_map(|h| h.join().expect("pool worker panicked"))
-                .collect()
-        })
-    }
-
     /// Ingests a batch of arrivals into every estimator.
     pub fn insert_batch(&mut self, objs: &[GeoTextObject]) {
         if objs.is_empty() {
             return;
         }
-        self.par_for_each(|est| est.insert_batch(objs));
+        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+            est.insert_batch(objs);
+        });
     }
 
     /// Retracts a batch of evictions from every estimator.
@@ -270,57 +149,34 @@ impl EstimatorPool {
         if objs.is_empty() {
             return;
         }
-        self.par_for_each(|est| est.remove_batch(objs));
+        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+            est.remove_batch(objs);
+        });
     }
 
     /// One maintenance round: every estimator ingests `arrived` and then
-    /// retracts `evicted`, in a single fan-out.
+    /// retracts `evicted`.
     pub fn apply_batch(&mut self, arrived: &[GeoTextObject], evicted: &[GeoTextObject]) {
         if arrived.is_empty() && evicted.is_empty() {
             return;
         }
-        self.apply_batch_with(arrived, evicted, || {});
-    }
-
-    /// [`Self::apply_batch`], with independent caller work overlapped on
-    /// the calling thread while the pool's workers run. The ingest path
-    /// passes the exact executor's index upkeep here, taking that serial
-    /// cost off the critical path. `sideline` runs exactly once, even when
-    /// both batches are empty or the pool maintains no estimators.
-    pub fn apply_batch_with(
-        &mut self,
-        arrived: &[GeoTextObject],
-        evicted: &[GeoTextObject],
-        sideline: impl FnOnce(),
-    ) {
         if let Some(m) = &self.metrics {
             m.pool_rounds.inc();
             m.pool_batch_sizes
                 .record((arrived.len() + evicted.len()) as u64);
         }
-        self.fan_out(
-            |est| {
-                est.insert_batch(arrived);
-                est.remove_batch(evicted);
-            },
-            sideline,
-        );
+        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+            est.insert_batch(arrived);
+            est.remove_batch(evicted);
+        });
     }
 
     /// Deep invariant walk over the pool (the `debug-invariants`
-    /// auditor): each estimator's own `audit`, plus
-    ///
-    /// * **population-agreement** — every maintained estimator has been
-    ///   fed the same insert/remove stream, so all populations match;
-    /// * **chunk-coverage** — [`Self::balanced_chunks`] partitions the
-    ///   pool at every worker count: chunk sizes sum to the pool length
-    ///   and differ by at most one, so a fan-out round visits every
-    ///   estimator exactly once with no worker inheriting two extras.
-    ///
-    /// Takes `&mut self` only because the chunk check exercises the real
-    /// `&mut`-splitting fan-out path; no estimator state changes.
+    /// auditor): each estimator's own `audit`, plus **population-agreement**
+    /// — every maintained estimator has been fed the same insert/remove
+    /// stream, so all populations match.
     #[cfg(feature = "debug-invariants")]
-    pub fn audit(&mut self) -> Result<(), geostream::AuditError> {
+    pub fn audit(&self) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "EstimatorPool";
         let mut first: Option<(EstimatorKind, u64)> = None;
@@ -339,53 +195,38 @@ impl EstimatorPool {
                 }
             }
         }
-        let n = self.estimators.len();
-        for workers in 1..=n.max(1) {
-            let sizes: Vec<usize> = Self::balanced_chunks(&mut self.estimators, workers)
-                .iter()
-                .map(|c| c.len())
-                .collect();
-            ensure(
-                sizes.iter().sum::<usize>() == n,
-                S,
-                "chunk-coverage",
-                || format!("{workers} workers: chunks {sizes:?} do not cover {n} estimators"),
-            )?;
-            let min = sizes.iter().min().copied().unwrap_or(0);
-            let max = sizes.iter().max().copied().unwrap_or(0);
-            ensure(max - min <= 1, S, "chunk-coverage", || {
-                format!("{workers} workers: chunk sizes {sizes:?} differ by more than one")
-            })?;
-        }
         Ok(())
     }
 
     /// One measurement round: every estimator answers `query` (timed) and
-    /// receives the `observe_query` feedback, in a single fan-out. Samples
-    /// come back in pool order. Estimate latencies also feed the per-kind
-    /// histograms and memory gauges of an attached registry.
+    /// receives the `observe_query` feedback, one after the other, so no
+    /// estimator is timed while another runs. Samples come back in pool
+    /// order. Estimate latencies also feed the per-kind histograms and
+    /// memory gauges of an attached registry.
     pub fn measure(&mut self, query: &RcDvq, actual: u64) -> Vec<ShadowSample> {
         if let Some(m) = &self.metrics {
             m.pool_rounds.inc();
         }
-        let metrics = self.metrics.clone();
-        self.par_map(move |est| {
+        let metrics = self.metrics.as_deref();
+        let mut samples = Vec::with_capacity(self.estimators.len());
+        Self::walk(&mut self.estimators, metrics, |est| {
             let timer = WallTimer::start();
             let estimate = est.estimate(query);
             let latency_us = timer.elapsed_us();
             est.observe_query(query, actual);
-            if let Some(m) = &metrics {
+            if let Some(m) = metrics {
                 m.record_estimate_latency(est.kind(), latency_us);
                 m.estimator_memory_bytes[est.kind().index() as usize]
                     .set(est.memory_bytes() as u64);
             }
-            ShadowSample {
+            samples.push(ShadowSample {
                 estimator: est.kind(),
                 estimate,
                 latency_ms: latency_us as f64 / 1_000.0,
                 accuracy: estimation_accuracy(estimate, actual),
-            }
-        })
+            });
+        });
+        samples
     }
 }
 
@@ -476,7 +317,8 @@ pub struct PrefillBuilder {
     /// Cancel flag of the most recent job, poked on drop so shutdown never
     /// waits out a full build.
     last_cancel: Option<Arc<AtomicBool>>,
-    /// Set once a spawn attempt failed; stops re-attempting per submit.
+    /// Set once a spawn attempt failed (or by the on-caller test hook);
+    /// stops re-attempting per submit.
     spawn_failed: bool,
 }
 
@@ -567,10 +409,15 @@ impl PrefillBuilder {
         }
     }
 
-    /// Whether builds actually run on a background worker (false after a
-    /// failed spawn, where `submit` degrades to inline builds).
-    pub fn is_async(&self) -> bool {
-        !self.spawn_failed
+    /// Puts the builder in the state a failed spawn leaves it in: every
+    /// later `submit` runs its job on the calling thread and hands back a
+    /// ticket that is already resolved. Backs
+    /// `Latest::debug_build_prefills_on_caller`.
+    pub(crate) fn build_on_caller(&mut self) {
+        // Closing the queue retires a worker that already started; Drop
+        // joins it.
+        self.tx = None;
+        self.spawn_failed = true;
     }
 
     fn run_job(job: PrefillJob) {
@@ -673,75 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_serial_state() {
-        let mut serial = EstimatorPool::full(&config(), 1);
-        let mut pooled = EstimatorPool::full(&config(), 4);
-        // Exercise the real threaded fan-out even on single-core hosts,
-        // where the hardware clamp would otherwise degrade it to serial.
-        pooled.set_spawn_cap(4);
-        let objs = objects(600);
-        let (head, tail) = objs.split_at(400);
-        serial.insert_batch(head);
-        pooled.insert_batch(head);
-        serial.apply_batch(tail, &head[..100]);
-        pooled.apply_batch(tail, &head[..100]);
-        let q = probe();
-        let a = serial.measure(&q, 80);
-        let b = pooled.measure(&q, 80);
-        for (sa, sb) in a.iter().zip(&b) {
-            assert_eq!(sa.estimator, sb.estimator);
-            assert!(
-                (sa.estimate - sb.estimate).abs() < 1e-9,
-                "{}: serial {} vs pooled {}",
-                sa.estimator,
-                sa.estimate,
-                sb.estimate
-            );
-        }
-    }
-
-    #[test]
     fn empty_batches_are_no_ops() {
-        let mut pool = EstimatorPool::full(&config(), 4);
+        let mut pool = EstimatorPool::full(&config(), 1);
         pool.insert_batch(&[]);
         pool.remove_batch(&[]);
         pool.apply_batch(&[], &[]);
         assert!(pool.measure(&probe(), 0).iter().all(|s| s.estimate == 0.0));
-    }
-
-    #[test]
-    fn sideline_runs_exactly_once_in_every_configuration() {
-        let objs = objects(50);
-        for (pool_size, workers) in [(0, 1), (6, 1), (6, 4)] {
-            let mut pool = if pool_size == 0 {
-                EstimatorPool::empty()
-            } else {
-                EstimatorPool::full(&config(), workers)
-            };
-            pool.set_spawn_cap(workers);
-            let mut ran = 0;
-            pool.apply_batch_with(&objs, &[], || ran += 1);
-            assert_eq!(ran, 1, "pool_size={pool_size} workers={workers}");
-            // Empty batches must not skip the sideline either.
-            let mut ran = 0;
-            pool.apply_batch_with(&[], &[], || ran += 1);
-            assert_eq!(ran, 1);
-        }
-    }
-
-    #[test]
-    fn balanced_chunks_cover_the_pool_without_overlap() {
-        let mut pool = EstimatorPool::full(&config(), 4);
-        let sizes: Vec<usize> = EstimatorPool::balanced_chunks(&mut pool.estimators, 4)
-            .iter()
-            .map(|c| c.len())
-            .collect();
-        assert_eq!(sizes, vec![2, 2, 1, 1]);
-        let sizes: Vec<usize> = EstimatorPool::balanced_chunks(&mut pool.estimators, 8)
-            .iter()
-            .map(|c| c.len())
-            .collect();
-        assert_eq!(sizes, vec![1; 6]);
     }
 
     /// The pool auditor passes on a consistently maintained pool and
@@ -749,7 +533,7 @@ mod tests {
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn audit_checks_every_estimator_and_population_agreement() {
-        let mut pool = EstimatorPool::full(&config(), 2);
+        let mut pool = EstimatorPool::full(&config(), 1);
         let objs = objects(300);
         pool.insert_batch(&objs);
         pool.remove_batch(&objs[..100]);
@@ -764,7 +548,7 @@ mod tests {
 
     #[test]
     fn attached_registry_sees_rounds_and_latencies() {
-        let mut pool = EstimatorPool::full(&config(), 2);
+        let mut pool = EstimatorPool::full(&config(), 1);
         let m = Arc::new(MetricsRegistry::new());
         pool.set_metrics(Arc::clone(&m));
         pool.apply_batch(&objects(100), &[]);
@@ -806,6 +590,42 @@ mod tests {
         }
     }
 
+    /// The spawn-failure degradation: `submit` runs the job on the caller,
+    /// so the ticket is resolved the moment it is handed back, and the
+    /// candidate is the one a background build of the same snapshot makes.
+    #[test]
+    fn on_caller_build_resolves_at_once_and_matches_background_build() {
+        let cfg = config();
+        let objs = objects(3_000);
+        let persisted = |est: &BoxedEstimator| {
+            let mut w = geostream::PersistWriter::new();
+            estimators::persist_boxed(est.as_ref(), &mut w);
+            w.into_bytes()
+        };
+        let mut background = PrefillBuilder::new();
+        let mut on_caller = PrefillBuilder::new();
+        on_caller.build_on_caller();
+        for kind in EstimatorKind::ALL {
+            let mut ticket = on_caller.submit(kind, &cfg, objs.clone().into(), None);
+            let built = ticket
+                .try_take()
+                .expect("an on-caller build is complete when submit returns");
+            assert_eq!(built.snapshot_len, objs.len());
+            let reference = background
+                .submit(kind, &cfg, objs.clone().into(), None)
+                .wait()
+                .expect("worker delivered");
+            assert!(
+                persisted(&built.estimator) == persisted(&reference.estimator),
+                "{kind}: on-caller build persists differently from the background build"
+            );
+        }
+        assert!(
+            on_caller.worker.is_none(),
+            "on-caller mode spawned a thread"
+        );
+    }
+
     #[test]
     fn reused_candidate_builds_bit_equal_to_fresh() {
         let cfg = config();
@@ -842,7 +662,7 @@ mod tests {
 
     #[test]
     fn retain_and_push_reshape_the_pool() {
-        let mut pool = EstimatorPool::full(&config(), 2);
+        let mut pool = EstimatorPool::full(&config(), 1);
         pool.retain(|e| e.kind() != EstimatorKind::Ffn);
         assert_eq!(pool.len(), 5);
         pool.push(build_estimator(EstimatorKind::Ffn, &config()));

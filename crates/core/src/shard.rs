@@ -605,9 +605,9 @@ impl ShardedLatest {
     }
 
     /// Spawns a periodic metrics scraper over the merged engine snapshot
-    /// (the sharded counterpart of
-    /// [`StreamPipeline::spawn_scraper`](crate::StreamPipeline::spawn_scraper)).
-    /// The scraper stops on its own once the engine is dropped.
+    /// ([`SnapshotScraper::spawn_source`](crate::SnapshotScraper::spawn_source)
+    /// over [`Self::metrics_snapshot`]). The scraper stops on its own once
+    /// the engine is dropped.
     pub fn spawn_scraper(
         self: &Arc<Self>,
         every: std::time::Duration,

@@ -12,7 +12,7 @@ use crate::obsv::{
     EVICTION_EVENT_GRANULARITY,
 };
 use crate::pool::{EstimatorPool, PrefillBuilder, PrefillTicket};
-use crate::shard::ShardConfig;
+use crate::shard::{RouterPolicy, ShardConfig};
 use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind};
 use exactdb::{ExactExecutor, SpatialIndexKind};
 use geostream::QueryType;
@@ -67,12 +67,6 @@ pub struct LatestConfig {
     /// DDM-based retraining (§V-D's "overall error rate" trigger): watch
     /// the tree's own prediction errors and reset it on detected drift.
     pub drift_detection: bool,
-    /// Worker-thread cap for fanning estimator-pool maintenance and
-    /// measurement across threads (`0` and `1` both mean serial). Only the
-    /// multi-estimator paths — pre-training and shadow metrics — fan out;
-    /// parallelism is across estimators, so results are identical to the
-    /// serial path (latency measurements aside).
-    pub pool_workers: usize,
     /// Capacity of the selectivity cache: distinct query signatures
     /// memoized per window generation (any window content change clears
     /// the cache wholesale). `0` disables caching entirely.
@@ -82,18 +76,11 @@ pub struct LatestConfig {
     /// and the routing policy. A plain [`Latest`] ignores everything but
     /// validation; the default is one shard (unsharded behavior).
     pub shard: ShardConfig,
-    /// Build prefill candidates on a background builder worker and catch
-    /// up with a delta log at activation, instead of sweeping the full
-    /// window inline on the query path (§V-D's pre-fill, off the critical
-    /// path). The activated estimator is bit-equal either way — the
-    /// `insert_batch`/`remove_batch` state-equivalence contract makes the
-    /// snapshot + delta replay land in the same state as the inline build
-    /// — so this defaults to on; `false` restores the synchronous build.
-    pub async_prefill: bool,
-    /// Objects the async-prefill delta log may buffer while a background
-    /// build is in flight. Exceeding it cancels the build and restarts
-    /// from a fresh snapshot (the tail to replay must stay short, or
-    /// activation would stall like the inline build did).
+    /// Objects the prefill delta log may buffer while a background build
+    /// of the §V-D replacement is in flight. Exceeding it cancels the build
+    /// and restarts from a fresh snapshot (the tail to replay must stay
+    /// short, or activation would stall the way an inline sweep of the
+    /// whole window does).
     pub prefill_delta_cap: usize,
     /// Ablation knobs for the design-choice experiments. All on for the
     /// full LATEST protocol.
@@ -160,10 +147,8 @@ impl Default for LatestConfig {
             shadow_metrics: false,
             retrain_error_threshold: None,
             drift_detection: true,
-            pool_workers: 1,
             selectivity_cache_capacity: 4_096,
             shard: ShardConfig::default(),
-            async_prefill: true,
             prefill_delta_cap: 65_536,
             ablation: AblationConfig::default(),
         }
@@ -171,8 +156,7 @@ impl Default for LatestConfig {
 }
 
 /// Per-request knobs of the unified query API ([`Latest::query`],
-/// [`Latest::query_batch`], and the [`SharedLatest`] /
-/// [`StreamPipeline`] counterparts).
+/// [`Latest::query_batch`], and the [`SharedLatest`] counterparts).
 ///
 /// The default is the common case: answer at the stream's current time,
 /// block on a contended shared instance, consult the selectivity cache,
@@ -189,7 +173,6 @@ impl Default for LatestConfig {
 /// ```
 ///
 /// [`SharedLatest`]: crate::SharedLatest
-/// [`StreamPipeline`]: crate::StreamPipeline
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
     /// Stream time to answer at; `None` means the window's current time.
@@ -543,15 +526,15 @@ pub struct Latest {
     /// keyed on `(QuerySignature, window generation)`.
     cache: SelectivityCache,
     /// Run-wide observability registry, shared (`Arc`) with the estimator
-    /// pools so their fan-out rounds feed the same cells.
+    /// pools so their rounds feed the same cells.
     metrics: Arc<MetricsRegistry>,
     /// Evictions accumulated since the last coalesced `WindowEvicted`
     /// lifecycle event.
     evictions_since_event: u64,
     /// Stream time of the previous query, for the inter-query gap series.
     last_query_at: Option<Timestamp>,
-    /// Background prefill build worker (lazy; never spawned while
-    /// `async_prefill` is off).
+    /// Background prefill build worker (lazy: spawned by the first
+    /// prefill).
     builder: PrefillBuilder,
 }
 
@@ -572,7 +555,7 @@ impl Latest {
             phase: PhaseTag::WarmUp,
             at: Timestamp::ZERO,
         });
-        let mut pool = EstimatorPool::full(&config.estimator_config, config.pool_workers);
+        let mut pool = EstimatorPool::full(&config.estimator_config, 1);
         pool.set_metrics(Arc::clone(&metrics));
         Latest {
             window: SlidingWindow::new(config.window_span),
@@ -825,144 +808,44 @@ impl Latest {
         result
     }
 
-    /// Overrides the current phase's estimator-pool hardware spawn cap.
-    /// Test hook (mirrors [`EstimatorPool::set_spawn_cap`]): lets
-    /// single-core CI hosts exercise the real threaded fan-out. Phase
-    /// transitions rebuild pools, so re-apply after them.
+    /// Test hook: from now on prefill candidates are built on the calling
+    /// thread — the degradation [`PrefillBuilder`] falls back to when its
+    /// worker cannot be spawned. Such a candidate is complete when the
+    /// adaptor's decision returns, so it is promoted at the next window
+    /// change after a one-batch replay and maintained inline from then on;
+    /// `tests/async_prefill_equivalence.rs` uses an engine in this mode as
+    /// the reference the threaded build must match bit for bit.
     #[doc(hidden)]
-    pub fn set_pool_spawn_cap(&mut self, cap: usize) {
-        match &mut self.phase {
-            Phase::WarmUp { pool } | Phase::PreTraining { pool } => pool.set_spawn_cap(cap),
-            Phase::Incremental { shadow, .. } => shadow.set_spawn_cap(cap),
-        }
+    pub fn debug_build_prefills_on_caller(&mut self) {
+        self.builder.build_on_caller();
     }
 
-    /// Test hook: starts a prefill of `kind` right now, exactly as the
-    /// adaptor would (same bookkeeping, same async/sync path selection),
-    /// bypassing the accuracy thresholds. Returns `false` when not in the
-    /// incremental phase or a prefill is already pending. Lets equivalence
-    /// tests drive the prefill state machine deterministically.
+    /// Test hook: starts a prefill of `kind` right now through the
+    /// adaptor's own transition (`Latest::start_prefill`), bypassing the
+    /// accuracy thresholds. Returns `false` when not in the incremental
+    /// phase or a prefill is already pending. Lets equivalence tests drive
+    /// the prefill state machine deterministically.
     #[doc(hidden)]
     pub fn debug_force_prefill(&mut self, kind: EstimatorKind) -> bool {
-        let seq = self.queries_seen;
-        let Phase::Incremental {
-            prefill, parked, ..
-        } = &mut self.phase
-        else {
-            return false;
-        };
-        if !prefill.is_idle() {
-            return false;
-        }
-        *prefill = Self::start_prefill_slot(
-            &mut self.window,
-            &mut self.builder,
-            parked,
-            &self.config,
-            &self.metrics,
-            kind,
-            seq,
-        );
-        self.log.prefill_starts.push(seq);
-        self.metrics.prefill_starts.inc();
-        self.metrics
-            .events
-            .record(LifecycleEvent::PrefillStarted { seq, kind });
-        true
+        self.start_prefill(kind, self.queries_seen)
     }
 
-    /// Test hook: discards the pending prefill right now, exactly as the
-    /// adaptor would on accuracy recovery (a built candidate is parked
-    /// for allocation reuse; an in-flight build is cancelled). Returns
+    /// Test hook: discards the pending prefill right now through the
+    /// adaptor's own transition (`Latest::discard_prefill`). Returns
     /// `false` when there is nothing to discard.
     #[doc(hidden)]
     pub fn debug_discard_prefill(&mut self) -> bool {
-        let seq = self.queries_seen;
-        let Phase::Incremental {
-            prefill, parked, ..
-        } = &mut self.phase
-        else {
-            return false;
-        };
-        match std::mem::replace(prefill, PrefillSlot::Idle) {
-            PrefillSlot::Idle => false,
-            PrefillSlot::Ready(p) => {
-                let kind = p.kind();
-                *parked = Some(p);
-                self.log.prefill_discards.push(seq);
-                self.metrics.prefill_discards.inc();
-                self.metrics
-                    .events
-                    .record(LifecycleEvent::PrefillDiscarded { seq, kind });
-                true
-            }
-            PrefillSlot::Building { kind, ticket, .. } => {
-                ticket.cancel();
-                self.metrics.prefill_cancelled.inc();
-                self.metrics
-                    .events
-                    .record(LifecycleEvent::PrefillCancelled { seq, kind });
-                self.log.prefill_discards.push(seq);
-                self.metrics.prefill_discards.inc();
-                self.metrics
-                    .events
-                    .record(LifecycleEvent::PrefillDiscarded { seq, kind });
-                true
-            }
-        }
+        self.discard_prefill(self.queries_seen)
     }
 
-    /// Test hook: activates the pending prefill right now, exactly as the
-    /// adaptor would at the τ threshold (wait + delta replay for an
-    /// in-flight build, full switch bookkeeping). Returns `false` when
-    /// there is nothing to activate.
+    /// Test hook: activates the pending prefill right now through the
+    /// adaptor's own transition (`Latest::activate_prefill`). Returns
+    /// `false` when there is nothing to activate.
     #[doc(hidden)]
     pub fn debug_activate_prefill(&mut self) -> bool {
-        let seq = self.queries_seen;
         let at = self.window.now();
         let avg = self.monitor.average().unwrap_or(0.0);
-        let Phase::Incremental {
-            active,
-            prefill,
-            shadow,
-            ..
-        } = &mut self.phase
-        else {
-            return false;
-        };
-        let slot = std::mem::replace(prefill, PrefillSlot::Idle);
-        let Some(replacement) =
-            Self::resolve_candidate(slot, &self.window, &self.config, &self.metrics, seq)
-        else {
-            return false;
-        };
-        let from = active.kind();
-        let old = std::mem::replace(active, replacement);
-        if self.config.shadow_metrics {
-            let new_kind = active.kind();
-            shadow.retain(|e| e.kind() != new_kind);
-            shadow.push(old);
-        }
-        self.log.switches.push(SwitchEvent {
-            at_seq: seq,
-            at,
-            from,
-            to: active.kind(),
-            trigger_average: avg,
-        });
-        self.metrics.switches.inc();
-        self.metrics
-            .events
-            .record(LifecycleEvent::EstimatorSwitched {
-                seq,
-                at,
-                from,
-                to: active.kind(),
-                trigger_average: avg,
-            });
-        self.monitor.reset();
-        self.queries_since_switch = 0;
-        true
+        self.activate_prefill(self.queries_seen, at, avg)
     }
 
     /// Ingests one stream object, updating the window, the exact executor,
@@ -973,12 +856,11 @@ impl Latest {
     }
 
     /// Ingests a batch of stream objects (non-decreasing timestamps) in one
-    /// maintenance round: the window slides once, and each maintained
-    /// estimator receives the arrivals and the evictions as batches —
-    /// fanned across the estimator pool's workers where the phase keeps
-    /// more than one estimator. The warm-up → pre-training transition is
-    /// checked once, after the batch lands (the phases maintain the same
-    /// pool, so mid-batch arrival order is unaffected).
+    /// maintenance round: the window slides once, and the exact executor
+    /// and each maintained estimator receive the arrivals and the evictions
+    /// as batches. The warm-up → pre-training transition is checked once,
+    /// after the batch lands (the phases maintain the same pool, so
+    /// mid-batch arrival order is unaffected).
     pub fn ingest_batch(&mut self, batch: &[GeoTextObject]) {
         if batch.is_empty() {
             return;
@@ -987,18 +869,12 @@ impl Latest {
         let mut evicted = std::mem::take(&mut self.evict_buf);
         self.window
             .insert_batch(batch.iter().cloned(), &mut evicted);
-        // The exact executor's index upkeep is independent of every
-        // estimator, so it rides on the calling thread while the pool's
-        // workers run (split borrows: executor vs. phase).
-        let executor = &mut self.executor;
-        let mut upkeep = || {
-            executor.insert_batch(batch);
-            executor.remove_batch(&evicted);
-        };
+        self.executor.insert_batch(batch);
+        self.executor.remove_batch(&evicted);
         let generation = self.window.generation();
         match &mut self.phase {
             Phase::WarmUp { pool } | Phase::PreTraining { pool } => {
-                pool.apply_batch_with(batch, &evicted, upkeep);
+                pool.apply_batch(batch, &evicted);
             }
             Phase::Incremental {
                 active,
@@ -1006,25 +882,20 @@ impl Latest {
                 shadow,
                 ..
             } => {
-                // The active (and pre-filling) estimator stays on the
-                // calling thread too: it is the latency-critical one, and
-                // the shadow pool is where the bulk of the work lives.
-                shadow.apply_batch_with(batch, &evicted, || {
-                    upkeep();
-                    active.insert_batch(batch);
-                    active.remove_batch(&evicted);
-                    match prefill {
-                        PrefillSlot::Ready(p) => {
-                            p.insert_batch(batch);
-                            p.remove_batch(&evicted);
-                        }
-                        PrefillSlot::Building { delta, .. } => {
-                            delta.push_insert(batch, generation);
-                            delta.push_remove(&evicted, generation);
-                        }
-                        PrefillSlot::Idle => {}
+                active.insert_batch(batch);
+                active.remove_batch(&evicted);
+                match prefill {
+                    PrefillSlot::Ready(p) => {
+                        p.insert_batch(batch);
+                        p.remove_batch(&evicted);
                     }
-                });
+                    PrefillSlot::Building { delta, .. } => {
+                        delta.push_insert(batch, generation);
+                        delta.push_remove(&evicted, generation);
+                    }
+                    PrefillSlot::Idle => {}
+                }
+                shadow.apply_batch(batch, &evicted);
             }
         }
         self.metrics.objects_ingested.add(batch.len() as u64);
@@ -1279,20 +1150,17 @@ impl Latest {
         self.poll_prefill();
     }
 
-    /// Starts a prefill for `rec`, honouring the async toggle and the
-    /// prefill ablation. An associated function (not `&mut self`) because
-    /// every caller holds the destructured `Phase::Incremental` borrow.
+    /// Builds the slot for a prefill of `rec`, honouring the prefill
+    /// ablation. An associated function (not `&mut self`) because every
+    /// caller holds the destructured `Phase::Incremental` borrow.
     ///
-    /// * async: take a structurally shared window snapshot (O(#chunks)
-    ///   `Arc` handle clones — microseconds at any occupancy, the only
-    ///   serving-thread cost), hand the build to the background worker,
-    ///   and open a delta log at the snapshot's generation.
-    /// * sync: build inline from the window's chunk slices, exactly as
-    ///   before the async path existed.
-    ///
-    /// Either way, a `parked` candidate of the recommended kind is
-    /// recycled (`clear()` resets it to pristine state, so reuse is
-    /// indistinguishable from a fresh build).
+    /// Takes a structurally shared window snapshot (O(#chunks) `Arc`
+    /// handle clones — microseconds at any occupancy, the only
+    /// serving-thread cost), hands the build to the background worker, and
+    /// opens a delta log at the snapshot's generation. A `parked`
+    /// candidate of the recommended kind is recycled (`clear()` resets it
+    /// to pristine state, so reuse is indistinguishable from a fresh
+    /// build).
     #[allow(clippy::too_many_arguments)]
     fn start_prefill_slot(
         window: &mut SlidingWindow,
@@ -1312,40 +1180,137 @@ impl Latest {
         } else {
             None
         };
-        if config.async_prefill {
-            let timer = WallTimer::start();
-            let snapshot = window.snapshot();
-            let ticket = builder.submit(rec, &config.estimator_config, snapshot, reuse);
-            // The serving thread pays only for the O(#chunks) snapshot
-            // handles; the object sweep happens on the worker.
-            metrics.switch_stall_us.record(timer.elapsed_us());
-            PrefillSlot::Building {
-                kind: rec,
-                ticket,
-                delta: DeltaLog::new(config.prefill_delta_cap, window.generation()),
-                started_seq: seq,
-            }
-        } else {
-            let timer = WallTimer::start();
-            let mut c = match reuse {
-                Some(mut p) => {
-                    p.clear();
-                    p
-                }
-                None => build_estimator(rec, &config.estimator_config),
-            };
-            // Pre-fill from the live window in batched sweeps over its
-            // chunk slices.
-            for slice in window.chunk_slices() {
-                c.insert_batch(slice);
-            }
-            let us = timer.elapsed_us();
-            metrics.prefill_build_us.record(us);
-            // The inline build blocks the serving thread for its entire
-            // duration — this is the stall the async path removes.
-            metrics.switch_stall_us.record(us);
-            PrefillSlot::Ready(c)
+        let timer = WallTimer::start();
+        let snapshot = window.snapshot();
+        let ticket = builder.submit(rec, &config.estimator_config, snapshot, reuse);
+        // The serving thread pays only for the O(#chunks) snapshot
+        // handles; the object sweep happens on the worker.
+        metrics.switch_stall_us.record(timer.elapsed_us());
+        PrefillSlot::Building {
+            kind: rec,
+            ticket,
+            delta: DeltaLog::new(config.prefill_delta_cap, window.generation()),
+            started_seq: seq,
         }
+    }
+
+    /// The adaptor's first transition (§V-D, below `β·τ`): start
+    /// pre-filling `kind` from the live window. `false` when not in the
+    /// incremental phase or a prefill is already pending.
+    fn start_prefill(&mut self, kind: EstimatorKind, seq: u64) -> bool {
+        let Phase::Incremental {
+            prefill, parked, ..
+        } = &mut self.phase
+        else {
+            return false;
+        };
+        if !prefill.is_idle() {
+            return false;
+        }
+        *prefill = Self::start_prefill_slot(
+            &mut self.window,
+            &mut self.builder,
+            parked,
+            &self.config,
+            &self.metrics,
+            kind,
+            seq,
+        );
+        self.log.prefill_starts.push(seq);
+        self.metrics.prefill_starts.inc();
+        self.metrics
+            .events
+            .record(LifecycleEvent::PrefillStarted { seq, kind });
+        true
+    }
+
+    /// The adaptor's second transition (accuracy recovered above `β·τ`):
+    /// drop the pending prefill. `false` when there is nothing to discard.
+    fn discard_prefill(&mut self, seq: u64) -> bool {
+        let Phase::Incremental {
+            prefill, parked, ..
+        } = &mut self.phase
+        else {
+            return false;
+        };
+        let kind = match std::mem::replace(prefill, PrefillSlot::Idle) {
+            PrefillSlot::Idle => return false,
+            PrefillSlot::Ready(p) => {
+                let kind = p.kind();
+                // Park the built candidate: re-entering the danger zone
+                // with the same recommendation recycles its allocations
+                // via `clear()` instead of building a fresh structure.
+                *parked = Some(p);
+                kind
+            }
+            PrefillSlot::Building { kind, ticket, .. } => {
+                ticket.cancel();
+                self.metrics.prefill_cancelled.inc();
+                self.metrics
+                    .events
+                    .record(LifecycleEvent::PrefillCancelled { seq, kind });
+                kind
+            }
+        };
+        // A cancelled build still counts as a discarded prefill decision,
+        // so the run-log identity `starts == switches + discards + pending`
+        // holds.
+        self.log.prefill_discards.push(seq);
+        self.metrics.prefill_discards.inc();
+        self.metrics
+            .events
+            .record(LifecycleEvent::PrefillDiscarded { seq, kind });
+        true
+    }
+
+    /// The adaptor's third transition (below `τ` with a prefill pending):
+    /// the candidate becomes the active estimator. A build still in flight
+    /// blocks only for the remaining tail — the wait plus the delta
+    /// replay. `false` when there is nothing to activate.
+    fn activate_prefill(&mut self, seq: u64, at: Timestamp, trigger_average: f64) -> bool {
+        let Phase::Incremental {
+            active,
+            prefill,
+            shadow,
+            ..
+        } = &mut self.phase
+        else {
+            return false;
+        };
+        let slot = std::mem::replace(prefill, PrefillSlot::Idle);
+        let Some(replacement) =
+            Self::resolve_candidate(slot, &self.window, &self.config, &self.metrics, seq)
+        else {
+            return false;
+        };
+        let from = active.kind();
+        let to = replacement.kind();
+        let old = std::mem::replace(active, replacement);
+        if self.config.shadow_metrics {
+            // Keep the old estimator measurable in shadow mode.
+            shadow.retain(|e| e.kind() != to);
+            shadow.push(old);
+        }
+        self.log.switches.push(SwitchEvent {
+            at_seq: seq,
+            at,
+            from,
+            to,
+            trigger_average,
+        });
+        self.metrics.switches.inc();
+        self.metrics
+            .events
+            .record(LifecycleEvent::EstimatorSwitched {
+                seq,
+                at,
+                from,
+                to,
+                trigger_average,
+            });
+        self.monitor.reset();
+        self.queries_since_switch = 0;
+        true
     }
 
     /// Turns a non-idle prefill slot into an activated candidate. A
@@ -1424,7 +1389,7 @@ impl Latest {
     ///   cancelled counter records the churn).
     /// * **Promotion** — the worker delivered: replay the delta tail and
     ///   promote the candidate to `Ready`, after which it is maintained
-    ///   inline exactly like a synchronously built one.
+    ///   inline exactly like the active estimator.
     fn poll_prefill(&mut self) {
         let Phase::Incremental {
             prefill, parked, ..
@@ -1590,7 +1555,7 @@ impl Latest {
         let (Phase::WarmUp { pool } | Phase::PreTraining { pool }) = &mut self.phase else {
             unreachable!("phase checked by caller")
         };
-        // One fan-out measures (and feeds back to) every pool estimator.
+        // One round measures (and feeds back to) every pool estimator.
         let samples = pool.measure(query, actual);
         for s in &samples {
             self.scaler.observe_latency(s.latency_ms);
@@ -1670,8 +1635,8 @@ impl Latest {
             // Otherwise dropped: wiped out to keep one live structure.
         }
         // Pool rebuilds must not orphan the registry: re-attach the same
-        // `Arc` so shadow fan-outs keep feeding the run-wide cells.
-        let mut shadow = EstimatorPool::new(shadow, self.config.pool_workers);
+        // `Arc` so shadow rounds keep feeding the run-wide cells.
+        let mut shadow = EstimatorPool::new(shadow);
         shadow.set_metrics(Arc::clone(&self.metrics));
         self.phase = Phase::Incremental {
             // LINT-ALLOW(no-panic): the loop above inserted every kind, including the default, into the pool
@@ -1721,13 +1686,7 @@ impl Latest {
         for t in &self.recent_types {
             type_weights[t.index() as usize] += 1.0;
         }
-        let Phase::Incremental {
-            active,
-            prefill,
-            parked,
-            shadow,
-        } = &mut self.phase
-        else {
+        let Phase::Incremental { active, shadow, .. } = &mut self.phase else {
             unreachable!("phase checked by caller")
         };
         let active_kind = active.kind();
@@ -1752,8 +1711,8 @@ impl Latest {
         self.metrics.estimator_memory_bytes[active_kind.index() as usize]
             .set(active.memory_bytes() as u64);
 
-        // Shadow measurements for the figures, when enabled: one fan-out
-        // across the shadow pool.
+        // Shadow measurements for the figures, when enabled: one round
+        // over the shadow pool.
         let mut samples = Vec::new();
         if self.config.shadow_metrics {
             samples.push(ShadowSample {
@@ -1805,11 +1764,7 @@ impl Latest {
         self.tree.train(&instance, label.index());
 
         self.monitor.push(accuracy);
-        // track_error, inlined: the destructured phase borrow above blocks
-        // `&mut self` method calls, but disjoint field access is fine.
-        let rel = (estimate - actual as f64).abs() / (actual as f64).max(1.0);
-        self.error_sum += rel.min(10.0);
-        self.error_count += 1;
+        self.track_error(estimate, actual);
         self.queries_since_switch += 1;
         let monitor_average = self.monitor.warmed_up().then(|| {
             self.monitor
@@ -1819,44 +1774,16 @@ impl Latest {
         });
 
         // ---- Estimator Adaptor (§V-D) ----
+        // The phase borrow above has ended: each transition is a method
+        // that takes it again, shared with the `debug_*` hooks.
         let mut switched = false;
         if let Some(avg) = monitor_average.filter(|_| self.config.ablation.switching) {
             let spaced = self.queries_since_switch >= self.config.min_switch_spacing;
             if avg >= prefill_threshold {
                 // Accuracy recovered: discard any pre-filling candidate.
-                match std::mem::replace(prefill, PrefillSlot::Idle) {
-                    PrefillSlot::Idle => {}
-                    PrefillSlot::Ready(p) => {
-                        let kind = p.kind();
-                        // Park the built candidate: re-entering the danger
-                        // zone with the same recommendation recycles its
-                        // allocations via `clear()` instead of building
-                        // a fresh structure.
-                        *parked = Some(p);
-                        self.log.prefill_discards.push(seq);
-                        self.metrics.prefill_discards.inc();
-                        self.metrics
-                            .events
-                            .record(LifecycleEvent::PrefillDiscarded { seq, kind });
-                    }
-                    PrefillSlot::Building { kind, ticket, .. } => {
-                        ticket.cancel();
-                        self.metrics.prefill_cancelled.inc();
-                        self.metrics
-                            .events
-                            .record(LifecycleEvent::PrefillCancelled { seq, kind });
-                        // A cancelled build still counts as a discarded
-                        // prefill decision, so the run-log identity
-                        // `starts == switches + discards + pending` holds.
-                        self.log.prefill_discards.push(seq);
-                        self.metrics.prefill_discards.inc();
-                        self.metrics
-                            .events
-                            .record(LifecycleEvent::PrefillDiscarded { seq, kind });
-                    }
-                }
+                self.discard_prefill(seq);
             } else if spaced {
-                if prefill.is_idle() {
+                if self.prefilling().is_none() {
                     // Entering the danger zone: consult the model about the
                     // recent workload *mix* and start pre-filling its
                     // recommendation from the live window — but only if the
@@ -1877,71 +1804,19 @@ impl Latest {
                     let advantage = self.recommender.expected_reward(&type_weights, rec)
                         - self.recommender.expected_reward(&type_weights, active_kind);
                     if advantage > self.config.switch_margin {
-                        *prefill = Self::start_prefill_slot(
-                            &mut self.window,
-                            &mut self.builder,
-                            parked,
-                            &self.config,
-                            &self.metrics,
-                            rec,
-                            seq,
-                        );
-                        self.log.prefill_starts.push(seq);
-                        self.metrics.prefill_starts.inc();
-                        self.metrics
-                            .events
-                            .record(LifecycleEvent::PrefillStarted { seq, kind: rec });
+                        self.start_prefill(rec, seq);
                     }
                 }
-                // Below τ with a prefill pending: activate it. A build
-                // still in flight blocks only for the remaining tail —
-                // the wait plus the delta replay. (No prefill means the
-                // model sees no better option — stay on the current
-                // estimator rather than churn.)
-                if avg < tau && !prefill.is_idle() {
-                    let slot = std::mem::replace(prefill, PrefillSlot::Idle);
-                    let replacement = Self::resolve_candidate(
-                        slot,
-                        &self.window,
-                        &self.config,
-                        &self.metrics,
-                        seq,
-                    )
-                    // LINT-ALLOW(no-panic): the slot is non-idle on this branch, so a candidate always resolves
-                    .expect("non-idle slot resolves to a candidate");
-                    let old = std::mem::replace(active, replacement);
-                    if self.config.shadow_metrics {
-                        // Keep the old estimator measurable in shadow mode.
-                        let new_kind = active.kind();
-                        shadow.retain(|e| e.kind() != new_kind);
-                        shadow.push(old);
-                    }
-                    self.log.switches.push(SwitchEvent {
-                        at_seq: seq,
-                        at,
-                        from: active_kind,
-                        to: active.kind(),
-                        trigger_average: avg,
-                    });
-                    self.metrics.switches.inc();
-                    self.metrics
-                        .events
-                        .record(LifecycleEvent::EstimatorSwitched {
-                            seq,
-                            at,
-                            from: active_kind,
-                            to: active.kind(),
-                            trigger_average: avg,
-                        });
-                    self.monitor.reset();
-                    self.queries_since_switch = 0;
-                    switched = true;
+                // Below τ with a prefill pending: activate it. (No prefill
+                // means the model sees no better option — stay on the
+                // current estimator rather than churn.)
+                if avg < tau {
+                    switched = self.activate_prefill(seq, at, avg);
                 }
             }
         }
 
-        // maybe_retrain, inlined for the same borrow reason (§V-D manual
-        // retraining trigger).
+        // §V-D manual retraining trigger.
         if let Some(threshold) = self.config.retrain_error_threshold {
             if self.error_count >= 200 && self.error_sum / self.error_count as f64 > threshold {
                 self.tree.reset();
@@ -2027,12 +1902,136 @@ impl Latest {
         }
     }
 
-    /// FNV fingerprint of the configuration, stored in the snapshot and
-    /// re-checked on restore: a snapshot only restores under the exact
-    /// configuration that produced it (estimator sizing, thresholds, and
-    /// window span all shape the persisted state).
+    /// Fingerprint of the configuration, stored in the snapshot and
+    /// re-checked on restore: a snapshot only restores under a configuration
+    /// that agrees with the one that produced it on every setting that
+    /// shapes the persisted state or the answers given after the restore.
+    ///
+    /// It is the FNV-1a checksum of an explicit [`PersistWriter`] encoding,
+    /// in this fixed order (the order is part of the snapshot format; a
+    /// change is a `FORMAT_VERSION` bump):
+    ///
+    /// 1. `window_span`, `warmup`, `pretrain_queries`;
+    /// 2. `tau`, `beta`, `alpha`;
+    /// 3. `accuracy_window`, `min_switch_spacing`, `switch_margin`,
+    ///    `default_estimator`;
+    /// 4. `estimator_config`: `domain`, `memory_budget`,
+    ///    `reservoir_capacity`, `grid_cells`, `aasp_split_value`,
+    ///    `ffn_train_budget`, `seed`;
+    /// 5. `tree_config`: `grace_period`, `split_confidence`,
+    ///    `tie_threshold`, `leaf_prediction`, `num_split_points`,
+    ///    `max_depth`;
+    /// 6. `index_kind`, `shadow_metrics`, `retrain_error_threshold`,
+    ///    `drift_detection`, `selectivity_cache_capacity`;
+    /// 7. `shard.shards`, `shard.router`;
+    /// 8. `ablation`: `prefill`, `use_tree`, `mix_recommendation`,
+    ///    `switching`.
+    ///
+    /// Left out on purpose, because they bound latency and memory and
+    /// cannot change an answer: `shard.queue_capacity` (backpressure) and
+    /// `prefill_delta_cap` (when a background build restarts; the activated
+    /// candidate is bit-equal either way). An operator may retune both
+    /// across a restart.
+    ///
+    /// Every struct is destructured without `..`, so a new field fails to
+    /// compile here until someone decides which of the two lists it joins.
+    ///
+    /// [`PersistWriter`]: geostream::PersistWriter
     fn config_fingerprint(config: &LatestConfig) -> u64 {
-        geostream::persist::checksum(format!("{config:?}").as_bytes())
+        let LatestConfig {
+            window_span,
+            warmup,
+            pretrain_queries,
+            tau,
+            beta,
+            alpha,
+            accuracy_window,
+            min_switch_spacing,
+            switch_margin,
+            default_estimator,
+            estimator_config,
+            tree_config,
+            index_kind,
+            shadow_metrics,
+            retrain_error_threshold,
+            drift_detection,
+            selectivity_cache_capacity,
+            shard,
+            prefill_delta_cap: _,
+            ablation,
+        } = config;
+        let EstimatorConfig {
+            domain,
+            memory_budget,
+            reservoir_capacity,
+            grid_cells,
+            aasp_split_value,
+            ffn_train_budget,
+            seed,
+        } = estimator_config;
+        let HoeffdingTreeConfig {
+            grace_period,
+            split_confidence,
+            tie_threshold,
+            leaf_prediction,
+            num_split_points,
+            max_depth,
+        } = tree_config;
+        let ShardConfig {
+            shards,
+            queue_capacity: _,
+            router,
+        } = shard;
+        let AblationConfig {
+            prefill,
+            use_tree,
+            mix_recommendation,
+            switching,
+        } = ablation;
+
+        let mut w = geostream::PersistWriter::new();
+        window_span.persist(&mut w);
+        warmup.persist(&mut w);
+        w.put_usize(*pretrain_queries);
+        w.put_f64(*tau);
+        w.put_f64(*beta);
+        w.put_f64(*alpha);
+        w.put_usize(*accuracy_window);
+        w.put_usize(*min_switch_spacing);
+        w.put_f64(*switch_margin);
+        crate::persist::persist_kind(&mut w, *default_estimator);
+        domain.persist(&mut w);
+        w.put_f64(*memory_budget);
+        w.put_usize(*reservoir_capacity);
+        w.put_usize(*grid_cells);
+        w.put_f64(*aasp_split_value);
+        w.put_u64(*ffn_train_budget);
+        w.put_u64(*seed);
+        w.put_u64(*grace_period);
+        w.put_f64(*split_confidence);
+        w.put_f64(*tie_threshold);
+        leaf_prediction.persist(&mut w);
+        w.put_usize(*num_split_points);
+        w.put_usize(*max_depth);
+        w.put_u8(match index_kind {
+            SpatialIndexKind::Grid => 0,
+            SpatialIndexKind::Quadtree => 1,
+            SpatialIndexKind::RTree => 2,
+        });
+        w.put_bool(*shadow_metrics);
+        retrain_error_threshold.persist(&mut w);
+        w.put_bool(*drift_detection);
+        w.put_usize(*selectivity_cache_capacity);
+        w.put_usize(*shards);
+        w.put_u8(match router {
+            RouterPolicy::HashOid => 0,
+            RouterPolicy::SpatialTile => 1,
+        });
+        w.put_bool(*prefill);
+        w.put_bool(*use_tree);
+        w.put_bool(*mix_recommendation);
+        w.put_bool(*switching);
+        geostream::persist::checksum(&w.into_bytes())
     }
 
     /// Serializes the full system state (after settling any in-flight
@@ -2106,7 +2105,6 @@ impl Latest {
 
     fn restore_pool(
         r: &mut geostream::PersistReader<'_>,
-        config: &LatestConfig,
         metrics: &Arc<MetricsRegistry>,
     ) -> Result<EstimatorPool, geostream::PersistError> {
         let len = r.take_usize("Latest.pool.len")?;
@@ -2123,7 +2121,7 @@ impl Latest {
         for _ in 0..len {
             ests.push(estimators::restore_boxed(r)?);
         }
-        let mut pool = EstimatorPool::new(ests, config.pool_workers);
+        let mut pool = EstimatorPool::new(ests);
         pool.set_metrics(Arc::clone(metrics));
         Ok(pool)
     }
@@ -2131,7 +2129,10 @@ impl Latest {
     /// Rebuilds an instance from [`Latest::snapshot_bytes`] output. The
     /// caller supplies the configuration (it contains closures-adjacent
     /// runtime sizing and is cheap to keep alongside the snapshot); a
-    /// fingerprint check refuses payloads produced under a different one.
+    /// fingerprint check refuses payloads produced under one that differs
+    /// in a state- or answer-shaping setting. The two latency-only
+    /// settings, `shard.queue_capacity` and `prefill_delta_cap`, may
+    /// differ.
     ///
     /// Restore is all-or-nothing: any decode failure returns the typed
     /// error and no instance.
@@ -2190,10 +2191,10 @@ impl Latest {
         let metrics = Arc::new(MetricsRegistry::new());
         let phase = match r.take_u8("Latest.phase")? {
             0 => Phase::WarmUp {
-                pool: Self::restore_pool(&mut r, &config, &metrics)?,
+                pool: Self::restore_pool(&mut r, &metrics)?,
             },
             1 => Phase::PreTraining {
-                pool: Self::restore_pool(&mut r, &config, &metrics)?,
+                pool: Self::restore_pool(&mut r, &metrics)?,
             },
             2 => {
                 let active = estimators::restore_boxed(&mut r)?;
@@ -2211,7 +2212,7 @@ impl Latest {
                     active,
                     prefill,
                     parked: None,
-                    shadow: Self::restore_pool(&mut r, &config, &metrics)?,
+                    shadow: Self::restore_pool(&mut r, &metrics)?,
                 }
             }
             d => {
@@ -2407,34 +2408,6 @@ mod tests {
         assert!(acc > 0.3, "incremental accuracy too low: {acc}");
         // Every query ran once through the exact executor's planner.
         assert_eq!(latest.executor_path_mix().total(), 60);
-    }
-
-    /// The executor's path-mix counters stay exact when estimator
-    /// maintenance runs on a threaded pool with the executor's index
-    /// upkeep riding the fan-out's sideline hook: one planner routing per
-    /// query, regardless of how the maintenance rounds were scheduled.
-    #[test]
-    fn path_mix_is_exact_under_pooled_sideline_upkeep() {
-        let mut config = small_config();
-        config.pool_workers = 4;
-        config.shadow_metrics = true;
-        let domain = config.estimator_config.domain;
-        let mut latest = Latest::new(config);
-        let mut gen = warm_up(&mut latest);
-        let mut rng = StreamRng::seed_from_u64(11);
-        let mut queries = 0u64;
-        for _ in 0..120 {
-            // Exercise the real threaded fan-out even on single-core CI
-            // hosts; phase transitions rebuild pools, so re-apply.
-            latest.set_pool_spawn_cap(4);
-            for _ in 0..3 {
-                latest.ingest(gen.next_object());
-            }
-            let q = random_query(&mut rng, &domain);
-            let _ = latest.query(&q, QueryOptions::at(gen.clock()));
-            queries += 1;
-        }
-        assert_eq!(latest.executor_path_mix().total(), queries);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Concurrency regression tests for the hand-threaded serving layer:
 //!
 //! * **thread-leak detection** — every component that spawns workers
-//!   (`ShardedLatest`, `ServingEngine`, `PrefillBuilder`, `StreamPipeline`)
+//!   (`ShardedLatest`, `ServingEngine`, `PrefillBuilder`, `SnapshotScraper`)
 //!   must join them on its drop path, and `Latest` must never spawn one at
 //!   all. Checked by counting `/proc/self/task` entries around each
 //!   component's lifetime (the `thread.*` join claims in `conc.toml`,
@@ -23,7 +23,7 @@ use geostream::synth::DatasetSpec;
 use geostream::{Duration, GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Timestamp};
 use latest_core::{
     Latest, LatestConfig, PrefillBuilder, QueryOptions, RouterPolicy, ServingEngine, ShardConfig,
-    ShardedLatest, StreamPipeline,
+    ShardedLatest, SharedLatest, SnapshotScraper,
 };
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -193,19 +193,22 @@ fn drops_join_every_worker_thread() {
     }
     assert_no_thread_leak("PrefillBuilder", baseline);
 
-    // StreamPipeline: shutdown stops producer and ingestor.
+    // SnapshotScraper: stop() joins the scrape thread.
     let baseline = live_threads().unwrap();
     {
-        let dataset = DatasetSpec::twitter();
-        let pipeline = StreamPipeline::spawn(config(1), dataset.generator(), 1_024).expect("spawn");
-        let scraper = pipeline
-            .spawn_scraper(StdDuration::from_millis(5), 16)
-            .expect("scraper spawns");
+        let shared = SharedLatest::new(config(1));
+        shared.ingest_batch(&objects(0, 256));
+        let source = shared.clone();
+        let scraper = SnapshotScraper::spawn_source(
+            move || Some(source.metrics_snapshot()),
+            StdDuration::from_millis(5),
+            16,
+        )
+        .expect("scraper spawns");
         std::thread::sleep(StdDuration::from_millis(20));
         scraper.stop();
-        pipeline.shutdown();
     }
-    assert_no_thread_leak("StreamPipeline", baseline);
+    assert_no_thread_leak("SnapshotScraper", baseline);
 }
 
 /// A scraper thread calling `metrics_snapshot` (which merges per-shard

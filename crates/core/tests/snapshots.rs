@@ -24,7 +24,7 @@ use geostream::synth::DatasetSpec;
 use geostream::{Duration, GeoTextObject, KeywordId, PersistError, Point, RcDvq, Rect, Timestamp};
 use latest_core::{
     Latest, LatestConfig, LatestError, PhaseTag, QueryOptions, RouterPolicy, ServedBy, ShardConfig,
-    ShardedLatest, StreamPipeline, SNAPSHOT_MAGIC,
+    ShardedLatest, SharedLatest, SNAPSHOT_MAGIC,
 };
 use testkit::{check, u32_in, u64_in, usize_in, vec_of};
 
@@ -326,6 +326,87 @@ fn corrupted_snapshots_fail_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `shard.queue_capacity` and `prefill_delta_cap` bound latency and memory
+/// and cannot change an answer, so they are not part of the fingerprint: an
+/// operator may retune backpressure across a restart, and the restored
+/// instance still continues bit-identically.
+#[test]
+fn latency_only_settings_do_not_block_restore() {
+    let saved_under = LatestConfig {
+        shard: ShardConfig {
+            queue_capacity: 8_192,
+            ..ShardConfig::default()
+        },
+        prefill_delta_cap: 65_536,
+        ..small_config()
+    };
+    let restored_under = LatestConfig {
+        shard: ShardConfig {
+            queue_capacity: 4_096,
+            ..ShardConfig::default()
+        },
+        prefill_delta_cap: 1_024,
+        ..small_config()
+    };
+    let mut original = Latest::new(saved_under);
+    let at = drive_to(&mut original, PhaseTag::Incremental, 0);
+    let bytes = original.snapshot_bytes();
+    let mut restored = Latest::restore(restored_under, &bytes)
+        .expect("queue capacity and delta cap are free to change across a restart");
+    // 6 rounds × 6 queries: the next 36 answers against the uninterrupted twin.
+    assert_lockstep(&mut original, &mut restored, at, 6);
+}
+
+/// The other direction: every setting that shapes persisted state or future
+/// answers still refuses the restore with the typed configuration error.
+#[test]
+fn state_shaping_settings_still_do() {
+    let config = small_config();
+    let mut original = Latest::new(config.clone());
+    drive_to(&mut original, PhaseTag::Incremental, 0);
+    let bytes = original.snapshot_bytes();
+    let mismatches = [
+        (
+            "tau",
+            LatestConfig {
+                tau: 0.06,
+                ..config.clone()
+            },
+        ),
+        (
+            "reservoir_capacity",
+            LatestConfig {
+                estimator_config: EstimatorConfig {
+                    reservoir_capacity: 999,
+                    ..config.estimator_config.clone()
+                },
+                ..config.clone()
+            },
+        ),
+        (
+            "shard.router",
+            LatestConfig {
+                shard: ShardConfig {
+                    router: RouterPolicy::SpatialTile,
+                    ..config.shard
+                },
+                ..config.clone()
+            },
+        ),
+    ];
+    for (what, other) in mismatches {
+        match Latest::restore(other, &bytes) {
+            Err(PersistError::Corrupt { context, .. }) => {
+                assert_eq!(context, "Latest.config_fingerprint", "{what}");
+            }
+            other => panic!(
+                "a different {what} produced {:?}, wanted Corrupt",
+                other.err()
+            ),
+        }
+    }
+}
+
 fn sharded_config(index_kind: SpatialIndexKind) -> LatestConfig {
     let spec = DatasetSpec::twitter();
     LatestConfig::builder()
@@ -431,33 +512,44 @@ fn sharded_restore_rejects_corruption_and_missing_manifest() {
 }
 
 /// An engine restored from snapshot re-enters the concurrent serving path
-/// via [`StreamPipeline::resume`] with its learned state intact.
+/// via [`SharedLatest::from_instance`] — one ingesting thread, queries
+/// beside it — with its learned state intact.
 #[test]
 fn pipeline_resume_continues_from_a_snapshot() {
     let config = small_config();
     let mut original = Latest::new(config.clone());
-    drive_to(&mut original, PhaseTag::Incremental, 0);
+    let mut at = drive_to(&mut original, PhaseTag::Incremental, 0);
     let switches_before = original.log().switches.len();
     let path = scratch("resume.snap");
     original.save_snapshot(&path).expect("save");
 
     let restored = Latest::load_snapshot(config, &path).expect("load");
     assert_eq!(restored.phase(), PhaseTag::Incremental);
-    let pipeline = StreamPipeline::resume(restored, DatasetSpec::twitter().generator(), 1_024)
-        .expect("resume");
-    // No warm-up re-entry: the pipeline answers from the incremental phase
+    let shared = SharedLatest::from_instance(restored);
+    let ingestor = {
+        let shared = shared.clone();
+        // The stream resumes where the snapshot left it: the window
+        // refuses arrivals older than its clock.
+        std::thread::spawn(move || {
+            for _ in 0..8 {
+                shared.ingest_batch(&objects(at, 64));
+                at += 64;
+            }
+        })
+    };
+    // No warm-up re-entry: the handle answers from the incremental phase
     // immediately, with the pre-crash log still attached.
-    assert_eq!(pipeline.handle().phase(), PhaseTag::Incremental);
-    let out = pipeline
+    assert_eq!(shared.phase(), PhaseTag::Incremental);
+    let out = shared
         .query(&RcDvq::keyword(vec![KeywordId(3)]), QueryOptions::new())
-        .expect("pipeline is live");
+        .expect("a blocking query waits its turn");
     assert!(out.estimate.is_finite());
     assert_eq!(
-        pipeline.handle().with(|l| l.log().switches.len()),
+        shared.with(|l| l.log().switches.len()),
         switches_before,
         "restored log lost its switch history"
     );
-    pipeline.shutdown();
+    ingestor.join().expect("ingest thread");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -473,7 +565,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v1.snap")
+        .join("golden-v2.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -525,7 +617,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v1.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v2.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );

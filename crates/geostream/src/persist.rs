@@ -41,7 +41,12 @@ use std::sync::Arc;
 
 /// Current snapshot format version. Bump on any breaking layout change
 /// (see the module docs for what counts as breaking).
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// * 1 — the first format.
+/// * 2 — `latest-core`'s configuration fingerprint became an explicit field
+///   encoding (it was a hash of the config's `Debug` text); nothing else
+///   moved.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a

@@ -21,14 +21,12 @@
 //!   sequence), while relaxed RMWs preserve it — faithful enough to catch
 //!   every ordering bug the protocols here could contain;
 //! * mutex unlock→lock and channel send→recv edges transfer clocks the same
-//!   way;
-//! * [`sync::SimCell`] is non-atomic data: any access not happens-after the
-//!   last conflicting access is reported as a data race.
+//!   way.
 //!
 //! Violations surface as counterexample traces (`thread@pc` per step), so a
 //! seeded bug — dropping an `AdvanceTo` broadcast, promoting a cancelled
-//! prefill build, losing a condvar notify, weakening an `Acquire` to
-//! `Relaxed` — fails with the exact interleaving that exposes it. The
+//! prefill build, losing a condvar notify — fails with the exact
+//! interleaving that exposes it. The
 //! [`protocols`] module ports the riskiest real protocols and carries those
 //! seeded mutations; `tests/protocols.rs` asserts the clean models verify
 //! exhaustively and every mutant is caught.

@@ -10,8 +10,6 @@
 //!   from PR 8's zero-stall estimator switching.
 //! * [`tickets`] — the `ServingEngine` submit/poll/wait ticket state
 //!   machine (job channel + done-map mutex + condvar).
-//! * [`openflag`] — the `SharedLatest` release/acquire open-flag pair
-//!   guarding cross-thread handle reuse.
 //! * [`queue`] — the in-tree bounded MPMC FIFO every channel site uses
 //!   (mutex + two condvars + disconnect-on-last-drop).
 //!
@@ -21,7 +19,6 @@
 //! regression suite in `tests/protocols.rs` asserts both directions.
 
 pub mod eviction;
-pub mod openflag;
 pub mod prefill;
 pub mod queue;
 pub mod tickets;

@@ -304,62 +304,6 @@ impl<T> SimChannel<T> {
     }
 }
 
-/// Non-atomic shared data with race detection: any access that is not
-/// ordered (by the clocks the other shims move around) after the last
-/// conflicting access is a data race and fails the model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
-pub struct SimCell<T> {
-    value: T,
-    last_write: VClock,
-    reads: VClock,
-}
-
-impl<T: Copy> SimCell<T> {
-    pub fn new(value: T) -> Self {
-        SimCell {
-            value,
-            last_write: VClock::default(),
-            reads: VClock::default(),
-        }
-    }
-
-    pub fn write(&mut self, value: T, ctx: &mut Ctx) -> Result<(), String> {
-        if !self.last_write.leq(&ctx.clock) {
-            return Err(format!(
-                "data race: write by thread {} not ordered after previous write",
-                ctx.id
-            ));
-        }
-        if !self.reads.leq(&ctx.clock) {
-            return Err(format!(
-                "data race: write by thread {} concurrent with a read",
-                ctx.id
-            ));
-        }
-        ctx.clock.bump(ctx.id);
-        self.value = value;
-        self.last_write = ctx.clock;
-        Ok(())
-    }
-
-    pub fn read(&mut self, ctx: &mut Ctx) -> Result<T, String> {
-        if !self.last_write.leq(&ctx.clock) {
-            return Err(format!(
-                "data race: read by thread {} concurrent with a write",
-                ctx.id
-            ));
-        }
-        ctx.clock.bump(ctx.id);
-        self.reads.join(&ctx.clock);
-        Ok(self.value)
-    }
-
-    /// Peek for invariant checks only (no race accounting).
-    pub fn peek(&self) -> &T {
-        &self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,20 +383,6 @@ mod tests {
         assert_eq!(ch.try_recv(&mut rx), RecvOutcome::Disconnected);
         assert!(ch.is_empty());
         assert_eq!(ch.len(), 0);
-    }
-
-    #[test]
-    fn cell_detects_unordered_access() {
-        let mut cell = SimCell::new(0u64);
-        let mut w = ctx(0);
-        let mut r = ctx(1);
-        cell.write(9, &mut w).expect("first write is clean");
-        // r never synchronized with w: racy read.
-        assert!(cell.read(&mut r).is_err());
-        // After joining w's clock (as an acquire load would), the read is fine.
-        r.clock.join(&w.clock);
-        assert_eq!(cell.read(&mut r).expect("ordered read"), 9);
-        assert_eq!(*cell.peek(), 9);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! concurrency gate (`cargo xtask conc` is the static half); CI's `conc`
 //! job runs both.
 
-use schedsim::protocols::{eviction, openflag, prefill, queue, tickets};
+use schedsim::protocols::{eviction, prefill, queue, tickets};
 use schedsim::sim::{Config, Stats, Violation, ViolationKind};
 
 fn cfg() -> Config {
@@ -102,26 +102,6 @@ fn tickets_dropped_notify_deadlocks_and_is_caught() {
         tickets::check(tickets::Mutation::DropNotify, &cfg()),
     );
     assert_eq!(v.kind, ViolationKind::Deadlock);
-}
-
-// --- open flag --------------------------------------------------------------
-
-#[test]
-fn open_flag_pair_verifies_exhaustively() {
-    assert_proved(
-        "openflag",
-        openflag::check(openflag::Mutation::None, &cfg()),
-    );
-}
-
-#[test]
-fn open_flag_weakened_acquire_races_and_is_caught() {
-    let v = assert_caught(
-        "openflag/WeakenAcquireToRelaxed",
-        openflag::check(openflag::Mutation::WeakenAcquireToRelaxed, &cfg()),
-    );
-    assert_eq!(v.kind, ViolationKind::StepFail);
-    assert!(v.message.contains("data race"), "{v}");
 }
 
 // --- bounded queue ----------------------------------------------------------

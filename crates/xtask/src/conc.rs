@@ -47,6 +47,10 @@ use crate::lint::{
 /// Heading the `--check-docs` mode anchors on in DESIGN.md.
 const DOCS_HEADING: &str = "## Concurrency protocols";
 
+/// Subsection of [`DOCS_HEADING`] whose `* **name** —` bullets are one per
+/// registered protocol.
+const PROTOCOL_LIST_HEADING: &str = "### Protocols and their happens-before arguments";
+
 /// Site kinds the scanner discovers, in reporting order.
 const KINDS: [&str; 4] = ["atomic", "lock", "channel", "thread"];
 
@@ -589,7 +593,8 @@ fn check_lock_order(cfg: &ConcConfig, report: &mut Report) {
 }
 
 /// `--check-docs`: DESIGN.md's "Concurrency protocols" section must
-/// mention every protocol and every registered site by name.
+/// mention every protocol and every registered site by name, and its
+/// protocol list must not keep a bullet for a protocol the registry dropped.
 fn check_docs_section(root: &Path, cfg: &ConcConfig, report: &mut Report) {
     let path = root.join("DESIGN.md");
     let diag = |report: &mut Report, message: String| {
@@ -636,6 +641,24 @@ fn check_docs_section(root: &Path, cfg: &ConcConfig, report: &mut Report) {
                     format!("{kind} site `{name}` is not documented under `{DOCS_HEADING}`"),
                 );
             }
+        }
+    }
+    let Some(start) = section.find(PROTOCOL_LIST_HEADING) else {
+        return;
+    };
+    let list = &section[start + PROTOCOL_LIST_HEADING.len()..];
+    let list = list.find("\n### ").map_or(list, |end| &list[..end]);
+    let bullets = list
+        .lines()
+        .filter_map(|line| Some(line.strip_prefix("* **")?.split_once("**")?.0));
+    for name in bullets {
+        if !cfg.protocols.contains_key(name) {
+            diag(
+                report,
+                format!(
+                    "`{PROTOCOL_LIST_HEADING}` documents protocol `{name}`, which conc.toml does not register"
+                ),
+            );
         }
     }
 }
@@ -929,6 +952,31 @@ pub fn build() {\n\
         .unwrap();
         let report = conc_workspace(&root, true).unwrap();
         assert!(report.is_clean(), "{:?}", report.diagnostics);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// `--check-docs`, reverse direction: a protocol bullet that outlived
+    /// its registry entry.
+    #[test]
+    fn check_docs_rejects_bullets_for_unregistered_protocols() {
+        let root = write_tree(CLEAN_TOML, CLEAN_SRC);
+        let design = |bullets: &str| {
+            format!(
+                "# X\n\n## Concurrency protocols\n\n\
+                 ### Protocols and their happens-before arguments\n\n{bullets}\n\
+                 ### Another subsection\n\n* **not-a-protocol** — outside the list\n\n## Next\n"
+            )
+        };
+        let demo = "* **demo** — counter, state, inner, jobs, worker\n";
+        std::fs::write(root.join("DESIGN.md"), design(demo)).unwrap();
+        let report = conc_workspace(&root, true).unwrap();
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+
+        let stale = format!("{demo}* **retired-flag** — a protocol conc.toml no longer has\n");
+        std::fs::write(root.join("DESIGN.md"), design(&stale)).unwrap();
+        let report = conc_workspace(&root, true).unwrap();
+        assert_eq!(rules(&report), ["conc-docs"], "{:?}", report.diagnostics);
+        assert!(report.diagnostics[0].message.contains("retired-flag"));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

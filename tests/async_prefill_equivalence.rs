@@ -1,8 +1,18 @@
 //! Async prefill equivalence: a candidate built in the background from a
 //! window snapshot and caught up through the delta log must be
 //! indistinguishable — bit for bit — from one built synchronously on the
-//! serving thread. `async_prefill` is a latency knob, never a semantics
-//! change.
+//! serving thread. Where the build runs decides latency, never an answer.
+//!
+//! **The reference engine** ("sync" below) is the same configuration with
+//! the builder running its jobs on the calling thread
+//! (`Latest::debug_build_prefills_on_caller`): the degradation
+//! `PrefillBuilder` falls back to when its worker cannot be spawned. It
+//! still is a reference, not a second copy of the code under test: an
+//! on-caller candidate is complete before the next window change, so it is
+//! promoted after a one-batch replay and maintained inline from then on —
+//! the retired synchronous path in all but name — while the threaded
+//! engine ("async") races the churn and replays a many-batch tail, or is
+//! cancelled, restarted and waited for.
 //!
 //! Three contracts, each against deterministic lock-step streams (no
 //! external RNG, identical on every run; α = 0 so wall-clock noise
@@ -88,9 +98,8 @@ fn assert_outcomes_bit_equal(a: &QueryOutcome, b: &QueryOutcome, ctx: &str) {
 }
 
 /// Config for the forced-storm contracts: the adaptor's own switching is
-/// ablated away so the debug hooks are the only switch driver, and the
-/// two engines differ in nothing but `async_prefill`.
-fn forced_config(async_prefill: bool, delta_cap: usize) -> LatestConfig {
+/// ablated away so the debug hooks are the only switch driver.
+fn forced_config(delta_cap: usize) -> LatestConfig {
     LatestConfig::builder()
         .window_span(Duration::from_secs(2))
         .warmup(Duration::from_secs(2))
@@ -103,7 +112,6 @@ fn forced_config(async_prefill: bool, delta_cap: usize) -> LatestConfig {
             switching: false,
             ..AblationConfig::default()
         })
-        .async_prefill(async_prefill)
         .prefill_delta_cap(delta_cap)
         .estimator_config(EstimatorConfig {
             domain: DOMAIN,
@@ -114,14 +122,22 @@ fn forced_config(async_prefill: bool, delta_cap: usize) -> LatestConfig {
         .expect("test parameters are in range")
 }
 
+/// The reference engine (module docs): `config`, with every prefill built
+/// on the calling thread.
+fn sync_engine(config: LatestConfig) -> Latest {
+    let mut latest = Latest::new(config);
+    latest.debug_build_prefills_on_caller();
+    latest
+}
+
 /// Drives a sync and an async engine in lock-step: prime into the
 /// incremental phase, force a prefill of `kind`, churn through `churn`
 /// rounds of `(batch_size, clock_step_ms)` while the async build is in
 /// flight, activate on both, then keep churning and probing. Every
 /// outcome along the way must be bit-equal.
 fn assert_forced_equivalence(kind: EstimatorKind, churn: &[(usize, u64)], delta_cap: usize) {
-    let mut sync = Latest::new(forced_config(false, delta_cap));
-    let mut asyn = Latest::new(forced_config(true, delta_cap));
+    let mut sync = sync_engine(forced_config(delta_cap));
+    let mut asyn = Latest::new(forced_config(delta_cap));
     let mut rng = 0xA51D_0001 ^ ((kind.index() as u64) << 8) ^ (delta_cap as u64);
     let mut clock = Timestamp::ZERO;
     let mut next_id = 0u64;
@@ -253,8 +269,8 @@ fn async_prefill_is_bit_equal_to_sync_for_every_kind() {
 #[test]
 fn overflowing_delta_log_restarts_and_stays_bit_equal() {
     for kind in [EstimatorKind::Rsh, EstimatorKind::Spn, EstimatorKind::Ffn] {
-        let mut sync = Latest::new(forced_config(false, 32));
-        let mut asyn = Latest::new(forced_config(true, 32));
+        let mut sync = sync_engine(forced_config(32));
+        let mut asyn = Latest::new(forced_config(32));
         let mut rng = 0x0F10_u64 ^ (kind.index() as u64);
         let mut clock = Timestamp::ZERO;
         let mut next_id = 0u64;
@@ -337,8 +353,8 @@ fn overflowing_delta_log_restarts_and_stays_bit_equal() {
 #[test]
 fn discarded_candidate_reuse_is_bit_equal() {
     for kind in [EstimatorKind::Rsl, EstimatorKind::Aasp] {
-        let mut sync = Latest::new(forced_config(false, 65_536));
-        let mut asyn = Latest::new(forced_config(true, 65_536));
+        let mut sync = sync_engine(forced_config(65_536));
+        let mut asyn = Latest::new(forced_config(65_536));
         let mut rng = 0x0D15_CA4D ^ (kind.index() as u64);
         let mut clock = Timestamp::ZERO;
         let mut next_id = 0u64;
@@ -397,7 +413,7 @@ fn discarded_candidate_reuse_is_bit_equal() {
 /// Adaptor tuned to switch eagerly: a spatial-only default estimator on a
 /// keyword-heavy mix keeps the monitor in the danger zone, so natural
 /// (un-forced) prefills and switches happen along the replay.
-fn eager_config(async_prefill: bool, shards: usize) -> LatestConfig {
+fn eager_config(shards: usize) -> LatestConfig {
     LatestConfig::builder()
         .window_span(Duration::from_secs(2))
         .warmup(Duration::from_secs(2))
@@ -410,7 +426,6 @@ fn eager_config(async_prefill: bool, shards: usize) -> LatestConfig {
         .alpha(0.0)
         .shadow_metrics(false)
         .default_estimator(EstimatorKind::H4096)
-        .async_prefill(async_prefill)
         .estimator_config(EstimatorConfig {
             domain: DOMAIN,
             reservoir_capacity: 512,
@@ -430,8 +445,8 @@ fn eager_config(async_prefill: bool, shards: usize) -> LatestConfig {
 /// outcome must still match bit-for-bit.
 #[test]
 fn sharded_async_matches_unsharded_sync_through_natural_switches() {
-    let sharded = ShardedLatest::new(eager_config(true, 1)).expect("one shard spawns");
-    let mut solo = Latest::new(eager_config(false, 1));
+    let sharded = ShardedLatest::new(eager_config(1)).expect("one shard spawns");
+    let mut solo = sync_engine(eager_config(1));
     let mut rng = 0x5eed_a51d;
     let mut clock = Timestamp::ZERO;
     let mut next_id = 0u64;

@@ -199,7 +199,6 @@ fn async_prefill_delta_log_stays_audit_clean_under_churn() {
             .pretrain_queries(16)
             .alpha(0.0)
             .default_estimator(EstimatorKind::Rsh)
-            .async_prefill(true)
             .prefill_delta_cap(delta_cap)
             .estimator_config(EstimatorConfig {
                 domain: DOMAIN,
