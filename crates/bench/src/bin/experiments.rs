@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `id` is one of `fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//! fig13 table1 table2 model-convergence`. `--scale` multiplies query
-//! counts (default 1.0; use 0.1 for a quick pass, 2.0+ for tighter
+//! fig13 table1 table2 model-convergence ablation`. `--scale` multiplies
+//! query counts (default 1.0; use 0.1 for a quick pass, 2.0+ for tighter
 //! statistics).
 
 use latest_bench::experiments::{run_by_name, Scale, ALL_EXPERIMENTS};
@@ -15,12 +15,10 @@ use latest_bench::experiments::{run_by_name, Scale, ALL_EXPERIMENTS};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default();
-    let mut bench_json = false;
     let mut targets: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--bench-json" => bench_json = true,
             "--scale" => {
                 i += 1;
                 let v = args
@@ -46,53 +44,6 @@ fn main() {
         }
         i += 1;
     }
-    if bench_json {
-        // Machine-readable hot-path runs: print the tables, write the
-        // JSON next to the working directory for CI/docs to diff.
-        let report = latest_bench::exact_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_exactdb.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        let report = latest_bench::estimator_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_estimators.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        let report = latest_bench::obsv_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_observability.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        let report = latest_bench::batching_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_batching.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        let report = latest_bench::sharding_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_sharding.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        let report = latest_bench::recovery_bench::run(scale);
-        print!("{}", report.render_text());
-        let path = "BENCH_recovery.json";
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {path}");
-        return;
-    }
     if targets.is_empty() {
         print_usage();
         std::process::exit(2);
@@ -117,7 +68,7 @@ fn main() {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments <id>... [--scale F]\n       experiments all [--scale F]\n       experiments --bench-json [--scale F]\n       experiments --list"
+        "usage: experiments <id>... [--scale F]\n       experiments all [--scale F]\n       experiments --list"
     );
 }
 

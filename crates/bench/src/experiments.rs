@@ -506,12 +506,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig13",
     "model-convergence",
     "ablation",
-    "exactdb-bench",
-    "estimator-bench",
-    "obsv-bench",
-    "batching-bench",
-    "sharding-bench",
-    "recovery-bench",
 ];
 
 /// Runs one experiment by id.
@@ -532,12 +526,6 @@ pub fn run_by_name(name: &str, scale: Scale) -> Option<String> {
         "table2" => table2(scale),
         "model-convergence" => model_convergence(scale),
         "ablation" => ablation(scale),
-        "exactdb-bench" => crate::exact_bench::run(scale).render_text(),
-        "estimator-bench" => crate::estimator_bench::run(scale).render_text(),
-        "obsv-bench" => crate::obsv_bench::run(scale).render_text(),
-        "batching-bench" => crate::batching_bench::run(scale).render_text(),
-        "sharding-bench" => crate::sharding_bench::run(scale).render_text(),
-        "recovery-bench" => crate::recovery_bench::run(scale).render_text(),
         _ => return None,
     })
 }
@@ -564,7 +552,7 @@ mod tests {
     #[test]
     fn run_by_name_dispatch() {
         assert!(run_by_name("unknown", Scale::default()).is_none());
-        assert_eq!(ALL_EXPERIMENTS.len(), 21);
+        assert_eq!(ALL_EXPERIMENTS.len(), 15);
     }
 
     #[test]

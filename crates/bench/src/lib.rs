@@ -18,14 +18,8 @@
 //! defaults finish each figure in seconds on a laptop while preserving the
 //! paper's qualitative shapes.
 
-pub mod batching_bench;
 pub mod driver;
-pub mod estimator_bench;
-pub mod exact_bench;
 pub mod experiments;
-pub mod obsv_bench;
-pub mod recovery_bench;
 pub mod report;
-pub mod sharding_bench;
 
 pub use driver::{run_workload, run_workload_with_default, DriverConfig, RunResult};

@@ -19,8 +19,7 @@
 //!   just happened" has a machine-readable answer.
 //! * [`MetricsSnapshot`] — a plain-data copy of everything above, taken by
 //!   [`Latest::metrics_snapshot`](crate::Latest::metrics_snapshot), with a
-//!   hand-rolled [`MetricsSnapshot::to_json`] writer (the bench harness
-//!   ships it as `BENCH_observability.json`).
+//!   hand-rolled [`MetricsSnapshot::to_json`] writer.
 //!
 //! ## Clocks
 //!
@@ -577,8 +576,9 @@ fn hist_json(h: &HistogramSnapshot) -> String {
 
 impl MetricsSnapshot {
     /// Serializes the snapshot with the workspace's hand-rolled JSON
-    /// style (the same writer discipline as the bench reports; validated
-    /// by `python3 -m json.tool` in CI).
+    /// style (checked against the RFC 8259 grammar by
+    /// `testkit::validate_json` in this module's tests and in
+    /// `tests/observability.rs`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"phase\": \"{}\",\n", self.phase.name()));
@@ -904,6 +904,24 @@ mod tests {
                 phase: PhaseTag::WarmUp,
                 at: Timestamp(0),
             },
+            LifecycleEvent::PrefillStarted {
+                seq: 3,
+                kind: EstimatorKind::Rsh,
+            },
+            LifecycleEvent::PrefillDiscarded {
+                seq: 4,
+                kind: EstimatorKind::Aasp,
+            },
+            LifecycleEvent::PrefillCompleted {
+                seq: 5,
+                kind: EstimatorKind::Spn,
+                build_ms: 12.5,
+                delta_len: 40,
+            },
+            LifecycleEvent::PrefillCancelled {
+                seq: 6,
+                kind: EstimatorKind::Ffn,
+            },
             LifecycleEvent::EstimatorSwitched {
                 seq: 7,
                 at: Timestamp(123),
@@ -928,11 +946,7 @@ mod tests {
             let json = ev.to_json();
             assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
             assert!(json.contains(ev.name()), "{json}");
-            assert_eq!(
-                json.matches('{').count(),
-                json.matches('}').count(),
-                "{json}"
-            );
+            testkit::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
@@ -1147,8 +1161,7 @@ mod tests {
         let a = snap(PhaseTag::Incremental, 10, Some(0.9), 8);
         let b = snap(PhaseTag::WarmUp, 4, None, 0);
         let json = a.merge(&b).to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        testkit::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
         assert!(json.contains("\"phase\": \"warm-up\""));
     }
 }

@@ -2016,7 +2016,6 @@ impl Latest {
         w.put_u8(match index_kind {
             SpatialIndexKind::Grid => 0,
             SpatialIndexKind::Quadtree => 1,
-            SpatialIndexKind::RTree => 2,
         });
         w.put_bool(*shadow_metrics);
         retrain_error_threshold.persist(&mut w);

@@ -316,7 +316,7 @@ fn corrupted_snapshots_fail_typed() {
     // restoring learned state under different parameters would silently
     // violate every capacity invariant.
     std::fs::write(&path, &full).expect("write intact");
-    let other_config = config_with(SpatialIndexKind::RTree, 500);
+    let other_config = config_with(SpatialIndexKind::Quadtree, 500);
     match Latest::load_snapshot(other_config, &path) {
         Err(PersistError::Corrupt { context, .. }) => {
             assert!(context.contains("config"), "unexpected context {context}");
@@ -645,12 +645,7 @@ fn roundtrip_survives_random_churn() {
     check("roundtrip_survives_random_churn", 12, |rng| {
         let schedule = vec_of(rng, 1..8, |rng| (u64_in(rng, 1..80), u64_in(rng, 0..6)));
         let kind_ix = u32_in(rng, 0..EstimatorKind::ALL.len() as u32);
-        let backend_ix = usize_in(rng, 0..3);
-        let backend = [
-            SpatialIndexKind::Grid,
-            SpatialIndexKind::Quadtree,
-            SpatialIndexKind::RTree,
-        ][backend_ix];
+        let backend = [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree][usize_in(rng, 0..2)];
         let config = config_with(backend, 700);
         let mut original = Latest::new(config.clone());
         let mut at = drive_to(&mut original, PhaseTag::Incremental, 0);

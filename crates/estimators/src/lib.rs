@@ -20,7 +20,6 @@
 
 pub mod aasp;
 pub mod asp_tree;
-pub mod equidepth;
 pub mod error;
 pub mod ffn;
 pub mod histogram2d;
@@ -31,7 +30,6 @@ pub mod reservoir_hash;
 pub mod spn;
 pub mod store;
 mod traits;
-pub mod windowed;
 
 pub use error::EstimateError;
 pub use traits::{

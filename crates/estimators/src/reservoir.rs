@@ -39,7 +39,7 @@ impl ReservoirList {
         let capacity = config.scaled_reservoir();
         ReservoirList {
             capacity,
-            store: SampleStore::with_capacity(capacity.min(1 << 20), true),
+            store: SampleStore::with_capacity(capacity.min(1 << 20)),
             seen: 0,
             population: 0,
             seed: config.seed,

@@ -52,7 +52,7 @@ impl ReservoirHash {
         let layout = CellGrid::new(config.domain, side);
         ReservoirHash {
             capacity,
-            store: SampleStore::with_capacity(capacity.min(1 << 20), true),
+            store: SampleStore::with_capacity(capacity.min(1 << 20)),
             grid: vec![Vec::new(); layout.cell_count()],
             layout,
             occupied: 0,
@@ -180,11 +180,7 @@ impl SelectivityEstimator for ReservoirHash {
                 let kws = query.keywords();
                 // Hybrid cost cutover: a rare keyword's posting union is
                 // cheaper than gathering the touched cells.
-                let posting_first = !kws.is_empty()
-                    && self
-                        .store
-                        .posting_mass(kws)
-                        .is_some_and(|mass| mass * 4 < n);
+                let posting_first = !kws.is_empty() && self.store.posting_mass(kws) * 4 < n;
                 if posting_first {
                     self.store.count(query)
                 } else {
@@ -217,11 +213,7 @@ impl SelectivityEstimator for ReservoirHash {
             match q.range() {
                 Some(r) => {
                     let kws = q.keywords();
-                    let posting_first = !kws.is_empty()
-                        && self
-                            .store
-                            .posting_mass(kws)
-                            .is_some_and(|mass| mass * 4 < n);
+                    let posting_first = !kws.is_empty() && self.store.posting_mass(kws) * 4 < n;
                     if posting_first {
                         store_routed.push(i);
                         store_queries.push(q.clone());

@@ -157,7 +157,7 @@ impl SpnEstimator {
         let bins = 32;
         SpnEstimator {
             domain: config.domain,
-            buffer: SampleStore::new(true),
+            buffer: SampleStore::new(),
             buffer_capacity,
             components: Vec::new(),
             clusters,

@@ -1,7 +1,7 @@
 //! Shared structure-of-arrays sample storage for the sampling estimators.
 //!
-//! Every sampling-family estimator (RSL, RSH, equi-depth, windowed, the
-//! SPN training buffer) used to keep its own `Vec<GeoTextObject>` plus an
+//! Every sampling-family estimator (RSL, RSH, the SPN training buffer)
+//! used to keep its own `Vec<GeoTextObject>` plus an
 //! `oid → slot` `HashMap`, and answered `estimate` by scanning the whole
 //! vector with [`RcDvq::matches`] — a pointer-chasing loop (one
 //! `Arc<[KeywordId]>` deref per object) that dominates query latency at
@@ -18,7 +18,7 @@
 //!   retraction of evicted objects.
 //! * `kw_pool` + `kw_ranges` — one flat keyword-id pool with per-slot
 //!   `(offset, len)` ranges; no per-object allocation, no `Arc` deref.
-//! * an optional sample-local **inverted posting index**: per keyword a
+//! * a sample-local **inverted posting index**: per keyword a
 //!   sorted list of packed `(slot << 32) | generation` entries with lazy
 //!   tombstones, compacted once a quarter of a list is dead (the same
 //!   recipe as `exactdb`'s postings). Pure-keyword counts become
@@ -140,6 +140,7 @@ impl PostingIndex {
 }
 
 /// Structure-of-arrays storage for a dense, swap-removed object sample.
+#[derive(Default)]
 pub struct SampleStore {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -153,30 +154,18 @@ pub struct SampleStore {
     /// High-water generation per physical slot; never decreases while the
     /// store holds data, so recycled slots cannot alias stale postings.
     slot_gen: Vec<u32>,
-    postings: Option<PostingIndex>,
+    postings: PostingIndex,
 }
 
 impl SampleStore {
-    /// An empty store. `with_postings` enables the sample-local inverted
-    /// index (estimators that never answer keyword predicates from the
-    /// sample — e.g. the equi-depth grid — skip its upkeep cost).
-    pub fn new(with_postings: bool) -> Self {
-        SampleStore {
-            xs: Vec::new(),
-            ys: Vec::new(),
-            oids: Vec::new(),
-            kw_ranges: Vec::new(),
-            kw_pool: Vec::new(),
-            kw_garbage: 0,
-            slot_of: IdMap::default(),
-            slot_gen: Vec::new(),
-            postings: with_postings.then(PostingIndex::default),
-        }
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Like [`SampleStore::new`] with pre-sized columns.
-    pub fn with_capacity(cap: usize, with_postings: bool) -> Self {
-        let mut s = Self::new(with_postings);
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut s = Self::new();
         s.xs.reserve(cap);
         s.ys.reserve(cap);
         s.oids.reserve(cap);
@@ -222,7 +211,7 @@ impl SampleStore {
 
     /// Posting-list compactions performed so far (diagnostics).
     pub fn compactions(&self) -> u64 {
-        self.postings.as_ref().map_or(0, |p| p.compactions)
+        self.postings.compactions
     }
 
     /// Appends `obj` at slot `len`, returning its slot.
@@ -241,11 +230,9 @@ impl SampleStore {
             self.slot_gen.push(0);
         }
         self.slot_of.insert(obj.oid, slot);
-        if let Some(p) = self.postings.as_mut() {
-            let gen = self.slot_gen[slot as usize];
-            for &kw in obj.keywords.iter() {
-                p.post(kw, slot, gen);
-            }
+        let gen = self.slot_gen[slot as usize];
+        for &kw in obj.keywords.iter() {
+            self.postings.post(kw, slot, gen);
         }
         slot
     }
@@ -266,21 +253,19 @@ impl SampleStore {
         // LINT-ALLOW(as-truncation): per-object keyword counts are tiny (tens at most)
         self.kw_ranges[s] = (off, obj.keywords.len() as u32);
         self.slot_of.insert(obj.oid, slot);
-        if let Some(p) = self.postings.as_mut() {
-            let gen = self.slot_gen[s];
-            for &kw in obj.keywords.iter() {
-                p.post(kw, slot, gen);
-            }
-            let live_len = self.xs.len();
-            for i in old_off..old_off + old_len {
-                p.tombstone(
-                    self.kw_pool[i as usize],
-                    slot,
-                    old_gen,
-                    &self.slot_gen,
-                    live_len,
-                );
-            }
+        let gen = self.slot_gen[s];
+        for &kw in obj.keywords.iter() {
+            self.postings.post(kw, slot, gen);
+        }
+        let live_len = self.xs.len();
+        for i in old_off..old_off + old_len {
+            self.postings.tombstone(
+                self.kw_pool[i as usize],
+                slot,
+                old_gen,
+                &self.slot_gen,
+                live_len,
+            );
         }
         self.kw_garbage += old_len as usize;
         self.maybe_compact_pool();
@@ -308,52 +293,49 @@ impl SampleStore {
             self.slot_gen[slot] = self.slot_gen[slot].wrapping_add(1);
             self.slot_gen[last] = self.slot_gen[last].wrapping_add(1);
             self.pop_columns();
-            if let Some(p) = self.postings.as_mut() {
-                let gen = self.slot_gen[slot];
-                let live_len = self.xs.len();
-                // Re-post the moved object at its new slot, then tombstone
-                // both its stale entries (at `last`) and the victim's.
-                for i in moved_off..moved_off + moved_len {
+            let gen = self.slot_gen[slot];
+            let live_len = self.xs.len();
+            // Re-post the moved object at its new slot, then tombstone
+            // both its stale entries (at `last`) and the victim's.
+            for i in moved_off..moved_off + moved_len {
+                let kw = self.kw_pool[i as usize];
+                // LINT-ALLOW(as-truncation): slot indices are bounded by the reservoir capacity, far below u32::MAX
+                self.postings.post(kw, slot as u32, gen);
+            }
+            for i in moved_off..moved_off + moved_len {
+                self.postings.tombstone(
+                    self.kw_pool[i as usize],
+                    // LINT-ALLOW(as-truncation): `last` is a live slot index, bounded by the reservoir capacity
+                    last as u32,
+                    moved_old_gen,
+                    &self.slot_gen,
+                    live_len,
+                );
+            }
+            for i in gone_off..gone_off + gone_len {
+                self.postings.tombstone(
+                    self.kw_pool[i as usize],
                     // LINT-ALLOW(as-truncation): slot indices are bounded by the reservoir capacity, far below u32::MAX
-                    p.post(self.kw_pool[i as usize], slot as u32, gen);
-                }
-                for i in moved_off..moved_off + moved_len {
-                    p.tombstone(
-                        self.kw_pool[i as usize],
-                        // LINT-ALLOW(as-truncation): `last` is a live slot index, bounded by the reservoir capacity
-                        last as u32,
-                        moved_old_gen,
-                        &self.slot_gen,
-                        live_len,
-                    );
-                }
-                for i in gone_off..gone_off + gone_len {
-                    p.tombstone(
-                        self.kw_pool[i as usize],
-                        // LINT-ALLOW(as-truncation): slot indices are bounded by the reservoir capacity, far below u32::MAX
-                        slot as u32,
-                        victim_gen,
-                        &self.slot_gen,
-                        live_len,
-                    );
-                }
+                    slot as u32,
+                    victim_gen,
+                    &self.slot_gen,
+                    live_len,
+                );
             }
         } else {
             let victim_gen = self.slot_gen[slot];
             self.slot_gen[slot] = self.slot_gen[slot].wrapping_add(1);
             self.pop_columns();
-            if let Some(p) = self.postings.as_mut() {
-                let live_len = self.xs.len();
-                for i in gone_off..gone_off + gone_len {
-                    p.tombstone(
-                        self.kw_pool[i as usize],
-                        // LINT-ALLOW(as-truncation): slot indices are bounded by the reservoir capacity, far below u32::MAX
-                        slot as u32,
-                        victim_gen,
-                        &self.slot_gen,
-                        live_len,
-                    );
-                }
+            let live_len = self.xs.len();
+            for i in gone_off..gone_off + gone_len {
+                self.postings.tombstone(
+                    self.kw_pool[i as usize],
+                    // LINT-ALLOW(as-truncation): slot indices are bounded by the reservoir capacity, far below u32::MAX
+                    slot as u32,
+                    victim_gen,
+                    &self.slot_gen,
+                    live_len,
+                );
             }
         }
         self.kw_garbage += gone_len as usize;
@@ -396,9 +378,7 @@ impl SampleStore {
         self.slot_of.clear();
         // Safe to reset: the postings that generations guard are gone too.
         self.slot_gen.clear();
-        if let Some(p) = self.postings.as_mut() {
-            p.clear();
-        }
+        self.postings.clear();
     }
 
     // ---- match kernels ------------------------------------------------
@@ -494,22 +474,16 @@ impl SampleStore {
             }
         }
         for (kws, members) in kw_groups {
-            if self.postings.is_some() {
-                // One union merge serves every query with this keyword
-                // set; per visited slot each member only tests its rect.
-                self.for_each_union_slot(kws, |s| {
-                    for &i in &members {
-                        match queries[i].range() {
-                            Some(r) => counts[i] += self.slot_in_rect(s, r) as usize,
-                            None => counts[i] += 1,
-                        }
-                    }
-                });
-            } else {
+            // One union merge serves every query with this keyword set;
+            // per visited slot each member only tests its rect.
+            self.for_each_union_slot(kws, |s| {
                 for &i in &members {
-                    counts[i] = self.count(&queries[i]);
+                    match queries[i].range() {
+                        Some(r) => counts[i] += self.slot_in_rect(s, r) as usize,
+                        None => counts[i] += 1,
+                    }
                 }
-            }
+            });
         }
         counts
     }
@@ -524,24 +498,18 @@ impl SampleStore {
         c
     }
 
-    /// Live posting mass of the keyword union (`None` when postings are
-    /// disabled) — the cost model input for the hybrid cutover.
-    pub fn posting_mass(&self, kws: &[KeywordId]) -> Option<usize> {
-        let p = self.postings.as_ref()?;
-        Some(
-            kws.iter()
-                .filter_map(|k| p.map.get(k))
-                .map(|l| l.entries.len() - l.dead as usize)
-                .sum(),
-        )
+    /// Live posting mass of the keyword union — the cost model input for
+    /// the hybrid cutover.
+    pub fn posting_mass(&self, kws: &[KeywordId]) -> usize {
+        kws.iter()
+            .filter_map(|k| self.postings.map.get(k))
+            .map(|l| l.entries.len() - l.dead as usize)
+            .sum()
     }
 
     /// Visits each live slot whose object carries ≥1 of `kws`, exactly
     /// once, via a k-way merge over the sorted posting lists.
     fn for_each_union_slot(&self, kws: &[KeywordId], mut visit: impl FnMut(u32)) {
-        let Some(p) = self.postings.as_ref() else {
-            return;
-        };
         let live_len = self.xs.len();
         let live = |e: u64| {
             let s = entry_slot(e) as usize;
@@ -549,7 +517,7 @@ impl SampleStore {
         };
         let found = kws
             .iter()
-            .filter_map(|k| p.map.get(k))
+            .filter_map(|k| self.postings.map.get(k))
             .map(|l| l.entries.as_slice());
         let mut inline: [&[u64]; INLINE_MERGE_WAYS] = [&[]; INLINE_MERGE_WAYS];
         let mut spilled: Vec<&[u64]> = Vec::new();
@@ -609,12 +577,10 @@ impl SampleStore {
         match query.range() {
             Some(r) if kws.is_empty() => self.count_in_rect(r),
             Some(r) => {
-                if let Some(mass) = self.posting_mass(kws) {
-                    if mass * POSTING_CUTOVER_DIV < n {
-                        let mut c = 0usize;
-                        self.for_each_union_slot(kws, |s| c += self.slot_in_rect(s, r) as usize);
-                        return c;
-                    }
+                if self.posting_mass(kws) * POSTING_CUTOVER_DIV < n {
+                    let mut c = 0usize;
+                    self.for_each_union_slot(kws, |s| c += self.slot_in_rect(s, r) as usize);
+                    return c;
                 }
                 let mut c = 0usize;
                 // LINT-ALLOW(as-truncation): n is the live sample length, bounded by the reservoir capacity
@@ -626,21 +592,12 @@ impl SampleStore {
                 c
             }
             None => {
-                if let Some(p) = self.postings.as_ref() {
-                    if kws.len() == 1 {
-                        return p
-                            .map
-                            .get(&kws[0])
-                            .map_or(0, |l| l.entries.len() - l.dead as usize);
-                    }
-                    let mut c = 0usize;
-                    self.for_each_union_slot(kws, |_| c += 1);
-                    return c;
+                if kws.len() == 1 {
+                    return self.posting_mass(kws);
                 }
-                // LINT-ALLOW(as-truncation): n is the live sample length, bounded by the reservoir capacity
-                (0..n as u32)
-                    .filter(|&s| keywords_intersect(self.keywords(s), kws))
-                    .count()
+                let mut c = 0usize;
+                self.for_each_union_slot(kws, |_| c += 1);
+                c
             }
         }
     }
@@ -650,17 +607,13 @@ impl SampleStore {
     /// Heap bytes, O(1): every term comes from a column length or a
     /// maintained counter.
     pub fn memory_bytes(&self) -> usize {
-        self.bytes_with_posting_entries(self.postings.as_ref().map_or(0, |p| p.total_entries))
+        self.bytes_with_posting_entries(self.postings.total_entries)
     }
 
     /// Heap bytes recomputed by walking every posting list — O(total
     /// entries); exists to verify the maintained counter in tests.
     pub fn recompute_memory_bytes(&self) -> usize {
-        self.bytes_with_posting_entries(
-            self.postings
-                .as_ref()
-                .map_or(0, |p| p.map.values().map(|l| l.entries.len()).sum()),
-        )
+        self.bytes_with_posting_entries(self.postings.map.values().map(|l| l.entries.len()).sum())
     }
 
     fn bytes_with_posting_entries(&self, posting_entries: usize) -> usize {
@@ -671,10 +624,8 @@ impl SampleStore {
             + self.kw_pool.len() * size_of::<KeywordId>()
             + self.slot_gen.len() * size_of::<u32>()
             + self.slot_of.len() * (size_of::<ObjectId>() + size_of::<u32>())
-            + self.postings.as_ref().map_or(0, |p| {
-                posting_entries * size_of::<u64>()
-                    + p.map.len() * (size_of::<KeywordId>() + size_of::<PostingList>())
-            })
+            + posting_entries * size_of::<u64>()
+            + self.postings.map.len() * (size_of::<KeywordId>() + size_of::<PostingList>())
     }
 }
 
@@ -765,6 +716,9 @@ impl Persist for SampleStore {
             self.kw_pool.persist(w);
             w.put_usize(self.kw_garbage);
             self.slot_gen.persist(w);
+            // The byte `Option::persist` wrote when the index was optional;
+            // every store ever saved had one.
+            w.put_u8(1);
             self.postings.persist(w);
         });
     }
@@ -779,7 +733,11 @@ impl Persist for SampleStore {
         let kw_pool = Vec::<KeywordId>::restore(r)?;
         let kw_garbage = r.take_usize("kw garbage")?;
         let slot_gen = Vec::<u32>::restore(r)?;
-        let postings = Option::<PostingIndex>::restore(r)?;
+        let postings =
+            Option::<PostingIndex>::restore(r)?.ok_or_else(|| PersistError::Corrupt {
+                context: CTX,
+                detail: "posting index absent".to_string(),
+            })?;
         r.finish_section(sec, CTX)?;
 
         let n = xs.len();
@@ -922,45 +880,44 @@ impl SampleStore {
                 )
             },
         )?;
-        if let Some(p) = self.postings.as_ref() {
-            let mut entries_seen = 0usize;
-            for (kw, list) in &p.map {
-                entries_seen += list.entries.len();
-                let mut actual_dead = 0u32;
-                for (i, &e) in list.entries.iter().enumerate() {
-                    if i > 0 {
-                        ensure(list.entries[i - 1] < e, S, "posting-sorted", || {
-                            format!("{kw:?} entries out of order at {i}")
-                        })?;
-                    }
-                    let s = entry_slot(e) as usize;
-                    if s >= n || self.slot_gen[s] != entry_gen(e) {
-                        actual_dead += 1;
-                    }
-                }
-                ensure(list.dead == actual_dead, S, "dead-counter", || {
-                    format!(
-                        "{kw:?} maintains dead {} but {actual_dead} entries are dead",
-                        list.dead
-                    )
-                })?;
-            }
-            ensure(p.total_entries == entries_seen, S, "total-entries", || {
-                format!("counter {} != walked {entries_seen}", p.total_entries)
-            })?;
-            for s in 0..n {
-                let gen = self.slot_gen[s];
-                // LINT-ALLOW(as-truncation): slot indices fit u32 by construction (push caps the store)
-                let slot = s as u32;
-                for &kw in self.keywords(slot) {
-                    let posted = p
-                        .map
-                        .get(&kw)
-                        .is_some_and(|l| l.entries.binary_search(&pack(slot, gen)).is_ok());
-                    ensure(posted, S, "posting-coverage", || {
-                        format!("slot {s} gen {gen} not posted under {kw:?}")
+        let p = &self.postings;
+        let mut entries_seen = 0usize;
+        for (kw, list) in &p.map {
+            entries_seen += list.entries.len();
+            let mut actual_dead = 0u32;
+            for (i, &e) in list.entries.iter().enumerate() {
+                if i > 0 {
+                    ensure(list.entries[i - 1] < e, S, "posting-sorted", || {
+                        format!("{kw:?} entries out of order at {i}")
                     })?;
                 }
+                let s = entry_slot(e) as usize;
+                if s >= n || self.slot_gen[s] != entry_gen(e) {
+                    actual_dead += 1;
+                }
+            }
+            ensure(list.dead == actual_dead, S, "dead-counter", || {
+                format!(
+                    "{kw:?} maintains dead {} but {actual_dead} entries are dead",
+                    list.dead
+                )
+            })?;
+        }
+        ensure(p.total_entries == entries_seen, S, "total-entries", || {
+            format!("counter {} != walked {entries_seen}", p.total_entries)
+        })?;
+        for s in 0..n {
+            let gen = self.slot_gen[s];
+            // LINT-ALLOW(as-truncation): slot indices fit u32 by construction (push caps the store)
+            let slot = s as u32;
+            for &kw in self.keywords(slot) {
+                let posted = p
+                    .map
+                    .get(&kw)
+                    .is_some_and(|l| l.entries.binary_search(&pack(slot, gen)).is_ok());
+                ensure(posted, S, "posting-coverage", || {
+                    format!("slot {s} gen {gen} not posted under {kw:?}")
+                })?;
             }
         }
         ensure(
@@ -983,11 +940,10 @@ impl SampleStore {
     /// whether a non-empty list existed to corrupt.
     #[doc(hidden)]
     pub fn debug_desync_dead_counter(&mut self) -> bool {
-        if let Some(p) = self.postings.as_mut() {
-            if let Some(list) = p.map.values_mut().find(|l| !l.entries.is_empty()) {
-                list.dead += 1;
-                return true;
-            }
+        let lists = &mut self.postings.map;
+        if let Some(list) = lists.values_mut().find(|l| !l.entries.is_empty()) {
+            list.dead += 1;
+            return true;
         }
         false
     }
@@ -1023,7 +979,7 @@ mod tests {
 
     #[test]
     fn push_replace_remove_roundtrip() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         assert_eq!(s.push(&obj(1, 1.0, 2.0, &[5])), 0);
         assert_eq!(s.push(&obj(2, 3.0, 4.0, &[5, 7])), 1);
         assert_eq!(s.push(&obj(3, 5.0, 6.0, &[])), 2);
@@ -1046,7 +1002,7 @@ mod tests {
 
     #[test]
     fn kernels_agree_with_naive_matching_under_churn() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         let mut rng = 0xfeedu64;
         let mut live: Vec<GeoTextObject> = Vec::new();
         let queries = [
@@ -1100,54 +1056,49 @@ mod tests {
 
     #[test]
     fn count_many_agrees_with_per_query_count() {
-        for with_postings in [true, false] {
-            let mut s = SampleStore::new(with_postings);
-            let mut rng = 0x5eedu64;
-            for i in 0..2_500u64 {
-                let x = (lcg(&mut rng) % 1_000) as f64 / 10.0;
-                let y = (lcg(&mut rng) % 1_000) as f64 / 10.0;
-                let nk = (lcg(&mut rng) % 4) as usize;
-                let kws: Vec<u32> = (0..nk).map(|_| (lcg(&mut rng) % 8) as u32).collect();
-                s.push(&obj(i, x, y, &kws));
-                if i % 3 == 0 && s.len() > 100 {
-                    let victim = s.oids()[(lcg(&mut rng) as usize) % s.len()];
-                    s.remove(victim);
-                }
+        let mut s = SampleStore::new();
+        let mut rng = 0x5eedu64;
+        for i in 0..2_500u64 {
+            let x = (lcg(&mut rng) % 1_000) as f64 / 10.0;
+            let y = (lcg(&mut rng) % 1_000) as f64 / 10.0;
+            let nk = (lcg(&mut rng) % 4) as usize;
+            let kws: Vec<u32> = (0..nk).map(|_| (lcg(&mut rng) % 8) as u32).collect();
+            s.push(&obj(i, x, y, &kws));
+            if i % 3 == 0 && s.len() > 100 {
+                let victim = s.oids()[(lcg(&mut rng) as usize) % s.len()];
+                s.remove(victim);
             }
-            // A batch mixing all three types, duplicate signatures, and
-            // shared keyword sets (the shared-merge path).
-            let batch = vec![
-                RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
-                RcDvq::spatial(Rect::new(0.0, 0.0, 100.0, 100.0)),
-                RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
-                RcDvq::keyword(vec![KeywordId(3)]),
-                RcDvq::keyword(vec![KeywordId(1), KeywordId(4)]),
-                RcDvq::hybrid(
-                    Rect::new(0.0, 0.0, 45.0, 90.0),
-                    vec![KeywordId(1), KeywordId(4)],
-                ),
-                RcDvq::hybrid(
-                    Rect::new(20.0, 5.0, 80.0, 70.0),
-                    vec![KeywordId(1), KeywordId(4)],
-                ),
-                RcDvq::hybrid(Rect::new(20.0, 5.0, 80.0, 70.0), vec![KeywordId(6)]),
-                RcDvq::keyword(vec![KeywordId(31)]), // absent keyword
-            ];
-            let many = s.count_many(&batch);
-            let singles: Vec<usize> = batch.iter().map(|q| s.count(q)).collect();
-            assert_eq!(
-                many, singles,
-                "count_many diverged (postings={with_postings})"
-            );
         }
+        // A batch mixing all three types, duplicate signatures, and
+        // shared keyword sets (the shared-merge path).
+        let batch = vec![
+            RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
+            RcDvq::spatial(Rect::new(0.0, 0.0, 100.0, 100.0)),
+            RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::keyword(vec![KeywordId(1), KeywordId(4)]),
+            RcDvq::hybrid(
+                Rect::new(0.0, 0.0, 45.0, 90.0),
+                vec![KeywordId(1), KeywordId(4)],
+            ),
+            RcDvq::hybrid(
+                Rect::new(20.0, 5.0, 80.0, 70.0),
+                vec![KeywordId(1), KeywordId(4)],
+            ),
+            RcDvq::hybrid(Rect::new(20.0, 5.0, 80.0, 70.0), vec![KeywordId(6)]),
+            RcDvq::keyword(vec![KeywordId(31)]), // absent keyword
+        ];
+        let many = s.count_many(&batch);
+        let singles: Vec<usize> = batch.iter().map(|q| s.count(q)).collect();
+        assert_eq!(many, singles);
         // Empty store: all zeros.
-        let s = SampleStore::new(true);
+        let s = SampleStore::new();
         assert_eq!(s.count_many(&[RcDvq::keyword(vec![KeywordId(0)])]), vec![0]);
     }
 
     #[test]
     fn memory_counter_matches_recompute_after_churn() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         let mut rng = 0xabcdu64;
         let mut ids: Vec<u64> = Vec::new();
         for i in 0..3_000u64 {
@@ -1168,7 +1119,7 @@ mod tests {
 
     #[test]
     fn keyword_pool_compacts_under_replacement() {
-        let mut s = SampleStore::new(false);
+        let mut s = SampleStore::new();
         for i in 0..8u64 {
             s.push(&obj(i, 0.0, 0.0, &[1, 2, 3, 4]));
         }
@@ -1187,7 +1138,7 @@ mod tests {
 
     #[test]
     fn recycled_slots_never_alias_postings() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         // Object with keyword 1 at slot 0, then swap-remove and refill the
         // slot with a keyword-2 object; the keyword-1 posting must be dead.
         s.push(&obj(1, 0.0, 0.0, &[1]));
@@ -1204,7 +1155,7 @@ mod tests {
 
     #[test]
     fn hybrid_cutover_both_paths_agree() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         // Keyword 7 is rare (posting-first), keyword 0 is universal
         // (scan-first under the mass < len/4 cutover).
         for i in 0..1_000u64 {
@@ -1224,7 +1175,7 @@ mod tests {
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn audit_survives_churn_and_catches_seeded_corruption() {
-        let mut s = SampleStore::new(true);
+        let mut s = SampleStore::new();
         let mut rng = 0xabcdu64;
         let mut live: Vec<ObjectId> = Vec::new();
         for i in 0..2_000u64 {
@@ -1250,8 +1201,8 @@ mod tests {
 
     /// Builds a churned store (swap-removes, replacements, compactions) so
     /// the round-trip test covers recycled slots and tombstoned postings.
-    fn churned_store(with_postings: bool) -> SampleStore {
-        let mut s = SampleStore::new(with_postings);
+    fn churned_store() -> SampleStore {
+        let mut s = SampleStore::new();
         let mut rng = 0x7e57u64;
         let mut live: Vec<ObjectId> = Vec::new();
         for i in 0..2_000u64 {
@@ -1282,43 +1233,41 @@ mod tests {
 
     #[test]
     fn persist_round_trip_preserves_every_kernel() {
-        for with_postings in [true, false] {
-            let s = churned_store(with_postings);
-            let mut w = geostream::PersistWriter::new();
-            s.persist(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = geostream::PersistReader::new(&bytes);
-            let back = SampleStore::restore(&mut r).expect("round trip");
-            assert!(r.is_exhausted());
+        let s = churned_store();
+        let mut w = geostream::PersistWriter::new();
+        s.persist(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = geostream::PersistReader::new(&bytes);
+        let back = SampleStore::restore(&mut r).expect("round trip");
+        assert!(r.is_exhausted());
 
-            assert_eq!(back.len(), s.len());
-            assert_eq!(back.xs(), s.xs());
-            assert_eq!(back.ys(), s.ys());
-            assert_eq!(back.oids(), s.oids());
-            assert_eq!(back.compactions(), s.compactions());
-            assert_eq!(back.memory_bytes(), s.memory_bytes());
-            for slot in 0..s.len() as u32 {
-                assert_eq!(back.keywords(slot), s.keywords(slot));
-                assert_eq!(back.slot_of(s.oids()[slot as usize]), Some(slot));
-            }
-            let queries = [
-                RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
-                RcDvq::keyword(vec![KeywordId(3)]),
-                RcDvq::hybrid(Rect::new(0.0, 0.0, 45.0, 90.0), vec![KeywordId(2)]),
-            ];
-            for q in &queries {
-                assert_eq!(back.count(q), s.count(q));
-            }
-            #[cfg(feature = "debug-invariants")]
-            back.audit().expect("restored store audit");
+        assert_eq!(back.len(), s.len());
+        assert_eq!(back.xs(), s.xs());
+        assert_eq!(back.ys(), s.ys());
+        assert_eq!(back.oids(), s.oids());
+        assert_eq!(back.compactions(), s.compactions());
+        assert_eq!(back.memory_bytes(), s.memory_bytes());
+        for slot in 0..s.len() as u32 {
+            assert_eq!(back.keywords(slot), s.keywords(slot));
+            assert_eq!(back.slot_of(s.oids()[slot as usize]), Some(slot));
         }
+        let queries = [
+            RcDvq::spatial(Rect::new(10.0, 10.0, 60.0, 55.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 45.0, 90.0), vec![KeywordId(2)]),
+        ];
+        for q in &queries {
+            assert_eq!(back.count(q), s.count(q));
+        }
+        #[cfg(feature = "debug-invariants")]
+        back.audit().expect("restored store audit");
     }
 
     /// Restored state must keep behaving identically under *further*
     /// churn — slot order, generations, and postings are all live state.
     #[test]
     fn persist_round_trip_survives_further_churn() {
-        let mut original = churned_store(true);
+        let mut original = churned_store();
         let mut w = geostream::PersistWriter::new();
         original.persist(&mut w);
         let bytes = w.into_bytes();
@@ -1345,7 +1294,7 @@ mod tests {
 
     #[test]
     fn persist_rejects_corrupt_stores() {
-        let s = churned_store(true);
+        let s = churned_store();
         let mut w = geostream::PersistWriter::new();
         s.persist(&mut w);
         let bytes = w.into_bytes();
@@ -1355,12 +1304,28 @@ mod tests {
             assert!(SampleStore::restore(&mut r).is_err(), "cut {cut} decoded");
         }
         // Duplicate oid: two pushes of the same id through the encoder.
-        let mut dup = SampleStore::new(false);
+        let mut dup = SampleStore::new();
         dup.push(&obj(1, 0.0, 0.0, &[]));
         dup.push(&obj(2, 1.0, 1.0, &[]));
         let mut w = geostream::PersistWriter::new();
         dup.persist(&mut w);
         let mut bytes = w.into_bytes();
+        // A frame without a posting index — what a posting-less store used
+        // to write — is refused by name. With no keywords stored the index
+        // is the frame's last 25 bytes: presence byte, empty map, two
+        // counters; the reader skips what follows a cleared presence byte.
+        let mut absent = bytes.clone();
+        let presence = absent.len() - 25;
+        assert_eq!(absent[presence], 1, "presence byte moved");
+        absent[presence] = 0;
+        let mut r = geostream::PersistReader::new(&absent);
+        assert!(matches!(
+            SampleStore::restore(&mut r),
+            Err(geostream::PersistError::Corrupt {
+                context: "sample store",
+                ..
+            })
+        ));
         // Patch the second oid to collide with the first: oid 1 is the
         // only u64 value 1 in this encoding, and oid 2 sits right after
         // it in the oids column.

@@ -12,11 +12,9 @@
 //! compaction, asserting estimates agree to 1e-9 across spatial,
 //! keyword, and hybrid queries.
 
-use estimators::equidepth::EquiDepthGrid;
 use estimators::reservoir::ReservoirList;
 use estimators::reservoir_hash::ReservoirHash;
 use estimators::spn::SpnEstimator;
-use estimators::windowed::WindowedSampler;
 use estimators::{EstimatorConfig, SelectivityEstimator};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::collections::HashMap;
@@ -73,79 +71,6 @@ impl RefReservoir {
         self.population = self.population.saturating_sub(1);
         if let Some(slot) = self.index.remove(&obj.oid) {
             self.sample.swap_remove(slot);
-            if slot < self.sample.len() {
-                self.index.insert(self.sample[slot].oid, slot);
-            }
-        }
-    }
-
-    fn estimate(&self, query: &RcDvq) -> f64 {
-        if self.sample.is_empty() {
-            return 0.0;
-        }
-        let matches = self.sample.iter().filter(|o| query.matches(o)).count();
-        matches as f64 / self.sample.len() as f64 * self.population as f64
-    }
-}
-
-/// Reference A-ES recency-biased sampler mirroring `WindowedSampler`'s
-/// seed semantics (identical key formula, identical `min_by` tie shape).
-struct RefWindowed {
-    capacity: usize,
-    sample: Vec<GeoTextObject>,
-    keys: Vec<f64>,
-    index: HashMap<ObjectId, usize>,
-    arrivals: u64,
-    population: u64,
-    rng: StreamRng,
-}
-
-impl RefWindowed {
-    const HALF_LIFE: f64 = 20_000.0;
-
-    fn new(capacity: usize, seed: u64) -> Self {
-        RefWindowed {
-            capacity,
-            sample: Vec::new(),
-            keys: Vec::new(),
-            index: HashMap::new(),
-            arrivals: 0,
-            population: 0,
-            rng: StreamRng::seed_from_u64(seed),
-        }
-    }
-
-    fn insert(&mut self, obj: &GeoTextObject) {
-        self.population += 1;
-        self.arrivals += 1;
-        let u = self.rng.gen_range_f64(f64::MIN_POSITIVE..1.0);
-        let w = (self.arrivals as f64 / Self::HALF_LIFE * std::f64::consts::LN_2).exp();
-        let key = u.ln() / w;
-        if self.sample.len() < self.capacity {
-            self.index.insert(obj.oid, self.sample.len());
-            self.sample.push(obj.clone());
-            self.keys.push(key);
-            return;
-        }
-        let (min_slot, &min_key) = self
-            .keys
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite keys"))
-            .expect("sample non-empty at capacity");
-        if key > min_key {
-            self.index.remove(&self.sample[min_slot].oid);
-            self.index.insert(obj.oid, min_slot);
-            self.sample[min_slot] = obj.clone();
-            self.keys[min_slot] = key;
-        }
-    }
-
-    fn remove(&mut self, obj: &GeoTextObject) {
-        self.population = self.population.saturating_sub(1);
-        if let Some(slot) = self.index.remove(&obj.oid) {
-            self.sample.swap_remove(slot);
-            self.keys.swap_remove(slot);
             if slot < self.sample.len() {
                 self.index.insert(self.sample[slot].oid, slot);
             }
@@ -311,75 +236,6 @@ fn spn_buffer_is_seed_equivalent_pre_model() {
 }
 
 #[test]
-fn equidepth_sample_is_seed_equivalent_under_churn() {
-    // The equi-depth grid estimates from quantile cells, not a sample
-    // scan, so estimate equality vs a scanning reference is not defined.
-    // What the refactor must preserve is the *boundary sample* itself:
-    // same RNG stream, same slot arithmetic, hence identical sample
-    // membership in identical slot order at every step.
-    let cfg = config(2_048); // sample capacity = 2_048/8 = 256
-    let mut est = EquiDepthGrid::new(&cfg);
-    let mut reference = RefReservoir::new(256, DEFAULT_SEED ^ 0xe9d1);
-    let mut churn = Churn::new(0xfeed_f00d);
-    for step in 0..3_000usize {
-        let obj = churn.next_object();
-        est.insert(&obj);
-        reference.insert(&obj);
-        if step % 3 == 2 && churn.live.len() > 128 {
-            for _ in 0..2 {
-                if let Some(victim) = churn.victim() {
-                    est.remove(&victim);
-                    reference.remove(&victim);
-                }
-            }
-        }
-        if step % 211 == 0 || step + 1 == 3_000 {
-            assert_eq!(est.store().len(), reference.sample.len(), "len @ {step}");
-            assert_eq!(est.population(), reference.population, "pop @ {step}");
-            for (slot, want) in reference.sample.iter().enumerate() {
-                assert_eq!(est.store().oids()[slot], want.oid, "oid @ slot {slot}");
-                assert_eq!(est.store().xs()[slot], want.loc.x, "x @ slot {slot}");
-                assert_eq!(est.store().ys()[slot], want.loc.y, "y @ slot {slot}");
-            }
-        }
-    }
-}
-
-#[test]
-fn windowed_is_seed_equivalent_under_churn() {
-    let cfg = config(128);
-    let mut est = WindowedSampler::new(&cfg);
-    let mut reference = RefWindowed::new(cfg.scaled_reservoir(), DEFAULT_SEED ^ 0x71de);
-    let queries = probe_queries();
-    let mut churn = Churn::new(0xabad_1dea);
-    for step in 0..4_000usize {
-        let obj = churn.next_object();
-        est.insert(&obj);
-        reference.insert(&obj);
-        if step % 3 == 2 && churn.live.len() > 64 {
-            for _ in 0..2 {
-                if let Some(victim) = churn.victim() {
-                    est.remove(&victim);
-                    reference.remove(&victim);
-                }
-            }
-        }
-        if step % 97 == 0 || step + 1 == 4_000 {
-            assert_eq!(est.sample_len(), reference.sample.len(), "len @ {step}");
-            assert_eq!(est.population(), reference.population, "pop @ {step}");
-            for (qi, q) in queries.iter().enumerate() {
-                let got = est.estimate(q);
-                let want = reference.estimate(q);
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "windowed diverged @ {step}, query {qi}: {got} vs {want}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn rsl_batch_ingestion_is_seed_equivalent() {
     // Batched ingestion must consume the RNG in the same order as
     // one-at-a-time seed insertion — estimates stay bit-equal.
@@ -418,26 +274,19 @@ fn estimator_memory_counters_match_recompute_under_churn() {
     let cfg = config(128);
     let mut rsl = ReservoirList::new(&cfg);
     let mut rsh = ReservoirHash::new(&cfg);
-    let mut win = WindowedSampler::new(&cfg);
     let mut churn = Churn::new(0x5eed_5eed);
     for step in 0..2_000usize {
         let obj = churn.next_object();
         rsl.insert(&obj);
         rsh.insert(&obj);
-        win.insert(&obj);
         if step % 3 == 2 && churn.live.len() > 64 {
             if let Some(victim) = churn.victim() {
                 rsl.remove(&victim);
                 rsh.remove(&victim);
-                win.remove(&victim);
             }
         }
         if step % 251 == 0 || step + 1 == 2_000 {
-            for (name, store) in [
-                ("rsl", rsl.store()),
-                ("rsh", rsh.store()),
-                ("windowed", win.store()),
-            ] {
+            for (name, store) in [("rsl", rsl.store()), ("rsh", rsh.store())] {
                 assert_eq!(
                     store.memory_bytes(),
                     store.recompute_memory_bytes(),

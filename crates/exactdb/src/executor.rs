@@ -11,7 +11,6 @@
 use crate::grid::GridIndex;
 use crate::inverted::InvertedIndex;
 use crate::quad::QuadtreeIndex;
-use crate::rtree::RTreeIndex;
 use crate::store::{ObjectStore, SlotId};
 use geostream::obsv::Counter;
 use geostream::{
@@ -25,7 +24,6 @@ use geostream::{
 pub enum SpatialIndexKind {
     Grid,
     Quadtree,
-    RTree,
 }
 
 impl SpatialIndexKind {
@@ -34,7 +32,6 @@ impl SpatialIndexKind {
         match self {
             SpatialIndexKind::Grid => "Grid",
             SpatialIndexKind::Quadtree => "QuadTree",
-            SpatialIndexKind::RTree => "RTree",
         }
     }
 }
@@ -67,7 +64,6 @@ impl PathMix {
 enum Backend {
     Grid(GridIndex),
     Quad(QuadtreeIndex),
-    RTree(RTreeIndex),
 }
 
 impl Backend {
@@ -75,15 +71,13 @@ impl Backend {
         match self {
             Backend::Grid(g) => g.insert(slot, store),
             Backend::Quad(q) => q.insert(slot, store),
-            Backend::RTree(r) => r.insert(slot, store),
         }
     }
 
-    fn remove(&mut self, slot: SlotId, store: &ObjectStore) -> bool {
+    fn remove(&mut self, slot: SlotId) -> bool {
         match self {
             Backend::Grid(g) => g.remove(slot),
             Backend::Quad(q) => q.remove(slot),
-            Backend::RTree(r) => r.remove(slot, store),
         }
     }
 
@@ -91,7 +85,6 @@ impl Backend {
         match self {
             Backend::Grid(g) => g.count(query, store),
             Backend::Quad(q) => q.count(query, store),
-            Backend::RTree(r) => r.count(query, store),
         }
     }
 
@@ -99,7 +92,6 @@ impl Backend {
         match self {
             Backend::Grid(g) => g.candidate_count(r),
             Backend::Quad(q) => q.candidate_count(r),
-            Backend::RTree(r_) => r_.candidate_count(r),
         }
     }
 
@@ -107,7 +99,6 @@ impl Backend {
         match self {
             Backend::Grid(g) => g.clear(),
             Backend::Quad(q) => q.clear(),
-            Backend::RTree(r) => r.clear(),
         }
     }
 }
@@ -153,7 +144,6 @@ impl ExactExecutor {
             SpatialIndexKind::Quadtree => {
                 Backend::Quad(QuadtreeIndex::new(domain, QUAD_BUCKET, QUAD_DEPTH))
             }
-            SpatialIndexKind::RTree => Backend::RTree(RTreeIndex::new()),
         };
         ExactExecutor {
             store: ObjectStore::new(),
@@ -169,7 +159,6 @@ impl ExactExecutor {
         match self.backend {
             Backend::Grid(_) => SpatialIndexKind::Grid,
             Backend::Quad(_) => SpatialIndexKind::Quadtree,
-            Backend::RTree(_) => SpatialIndexKind::RTree,
         }
     }
 
@@ -245,7 +234,7 @@ impl ExactExecutor {
         let Some((slot, keywords)) = self.store.remove(oid) else {
             return false;
         };
-        let spatial_removed = self.backend.remove(slot, &self.store);
+        let spatial_removed = self.backend.remove(slot);
         debug_assert!(
             spatial_removed,
             "slot {slot} was live in the store but missing from the spatial index"
@@ -399,13 +388,11 @@ impl Persist for ExactExecutor {
             w.put_u8(match self.backend {
                 Backend::Grid(_) => 0,
                 Backend::Quad(_) => 1,
-                Backend::RTree(_) => 2,
             });
             self.store.persist(w);
             match &self.backend {
                 Backend::Grid(g) => g.persist(w),
                 Backend::Quad(q) => q.persist(w),
-                Backend::RTree(t) => t.persist(w),
             }
             self.inverted.persist(w);
             w.put_u64(self.spatial_hits.get());
@@ -420,7 +407,6 @@ impl Persist for ExactExecutor {
         let backend = match kind {
             0 => Backend::Grid(GridIndex::restore(r)?),
             1 => Backend::Quad(QuadtreeIndex::restore(r)?),
-            2 => Backend::RTree(RTreeIndex::restore(r)?),
             d => {
                 return Err(PersistError::Corrupt {
                     context: "ExactExecutor.backend-kind",
@@ -481,11 +467,7 @@ mod tests {
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn audit_passes_under_churn_on_every_backend() {
-        for kind in [
-            SpatialIndexKind::Grid,
-            SpatialIndexKind::Quadtree,
-            SpatialIndexKind::RTree,
-        ] {
+        for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
             let mut e = ExactExecutor::new(DOMAIN, kind);
             let mut state = 0x5eedu64;
             let mut live: Vec<u64> = Vec::new();
@@ -550,10 +532,8 @@ mod tests {
     fn backends_agree_on_all_query_types() {
         let mut grid = ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid);
         let mut quad = ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree);
-        let mut rtree = ExactExecutor::new(DOMAIN, SpatialIndexKind::RTree);
         populate(&mut grid);
         populate(&mut quad);
-        populate(&mut rtree);
         let queries = [
             RcDvq::spatial(Rect::new(10.0, 0.0, 42.0, 30.0)),
             RcDvq::keyword(vec![KeywordId(3), KeywordId(7)]),
@@ -565,15 +545,9 @@ mod tests {
                 quad.execute(q),
                 "backends disagree on {q:?}"
             );
-            assert_eq!(
-                grid.execute(q),
-                rtree.execute(q),
-                "rtree disagrees on {q:?}"
-            );
         }
         assert_eq!(grid.kind(), SpatialIndexKind::Grid);
         assert_eq!(quad.kind(), SpatialIndexKind::Quadtree);
-        assert_eq!(rtree.kind(), SpatialIndexKind::RTree);
     }
 
     #[test]
@@ -626,8 +600,8 @@ mod tests {
 
     #[test]
     fn batch_ops_match_singles() {
-        let mut single = ExactExecutor::new(DOMAIN, SpatialIndexKind::RTree);
-        let mut batched = ExactExecutor::new(DOMAIN, SpatialIndexKind::RTree);
+        let mut single = ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree);
+        let mut batched = ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree);
         let objects: Vec<_> = (0..300u64)
             .map(|i| obj(i, (i % 100) as f64, (i % 37) as f64, &[(i % 5) as u32]))
             .collect();
@@ -654,11 +628,7 @@ mod tests {
     /// including duplicate queries inside the batch.
     #[test]
     fn execute_batch_matches_singles_and_counters() {
-        for kind in [
-            SpatialIndexKind::Grid,
-            SpatialIndexKind::Quadtree,
-            SpatialIndexKind::RTree,
-        ] {
+        for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
             let mut e = ExactExecutor::new(DOMAIN, kind);
             populate(&mut e);
             let batch = vec![
@@ -766,11 +736,7 @@ mod tests {
     /// restored executor passes the deep auditor.
     #[test]
     fn persist_round_trip_on_every_backend() {
-        for kind in [
-            SpatialIndexKind::Grid,
-            SpatialIndexKind::Quadtree,
-            SpatialIndexKind::RTree,
-        ] {
+        for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
             let mut e = ExactExecutor::new(DOMAIN, kind);
             // Dense churn: few keywords → tombstones, compactions, parked
             // slots, and recycled slot ids are all in-flight at snapshot.
@@ -852,5 +818,18 @@ mod tests {
         flipped[0] ^= 0xff;
         let mut r = PersistReader::new(&flipped);
         assert!(ExactExecutor::restore(&mut r).is_err(), "bad tag survived");
+        // A backend byte the format no longer defines (2 was the retired
+        // R-tree) is refused by name; it sits right after `tag | len`.
+        let mut retired = bytes.clone();
+        assert_eq!(retired[12], 1, "Quadtree discriminant moved");
+        retired[12] = 2;
+        let mut r = PersistReader::new(&retired);
+        assert!(matches!(
+            ExactExecutor::restore(&mut r),
+            Err(PersistError::Corrupt {
+                context: "ExactExecutor.backend-kind",
+                ..
+            })
+        ));
     }
 }

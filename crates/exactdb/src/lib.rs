@@ -8,8 +8,8 @@
 //!
 //! All live window objects are owned once, as parallel columns, by the
 //! slot-based [`store::ObjectStore`]; the spatial backends ([`grid::GridIndex`],
-//! [`quad::QuadtreeIndex`], [`rtree::RTreeIndex`]) and the keyword-side
-//! [`inverted::InvertedIndex`] hold bare `u32` slot ids into it.
+//! [`quad::QuadtreeIndex`]) and the keyword-side [`inverted::InvertedIndex`]
+//! hold bare `u32` slot ids into it.
 //! [`ExactExecutor`] threads the store through every update and routes
 //! each query with a cost-based access-path planner (posting mass vs.
 //! spatial candidate count). These are also the "Grid" and "QuadTree"
@@ -17,7 +17,7 @@
 //! objects, which is why they cost an order of magnitude more than an
 //! estimator — the grid reads them only in the cells on the rim of a
 //! range (cells the range wholly covers are counted by length), the
-//! quadtree and R-tree in every bucket the range intersects.
+//! quadtree in every bucket the range intersects.
 
 use std::fmt;
 
@@ -25,7 +25,6 @@ pub mod executor;
 pub mod grid;
 pub mod inverted;
 pub mod quad;
-pub mod rtree;
 pub mod store;
 
 pub use executor::{AccessPath, ExactExecutor, PathMix, SpatialIndexKind};

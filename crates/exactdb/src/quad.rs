@@ -136,16 +136,32 @@ impl QuadtreeIndex {
         }
     }
 
+    /// `r` with its corners clamped into the root rectangle — the range
+    /// nodes are pruned against. An object outside the domain is routed by
+    /// comparisons against node centres, which lands it in the edge leaf
+    /// its clamped position falls in; clamping is monotone, so a point
+    /// inside `r` clamps to a point that is inside the clamped range and
+    /// inside every node on its own path, and no such node is pruned.
+    /// Objects are still tested against `r` itself.
+    fn clamped(&self, r: &Rect) -> Rect {
+        let d = &self.nodes[0].rect;
+        Rect {
+            min_x: r.min_x.max(d.min_x).min(d.max_x),
+            min_y: r.min_y.max(d.min_y).min(d.max_y),
+            max_x: r.max_x.max(d.min_x).min(d.max_x),
+            max_y: r.max_y.max(d.min_y).min(d.max_y),
+        }
+    }
+
     /// Exact count of indexed objects matching `query`.
     pub fn count(&self, query: &RcDvq, store: &ObjectStore) -> u64 {
+        let prune = query.range().map(|r| self.clamped(r));
         let mut total = 0u64;
         let mut stack: Vec<NodeId> = vec![0];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
-            if let Some(r) = query.range() {
-                if !node.rect.intersects(r) {
-                    continue;
-                }
+            if prune.is_some_and(|r| !node.rect.intersects(&r)) {
+                continue;
             }
             total += node
                 .bucket
@@ -163,11 +179,12 @@ impl QuadtreeIndex {
     /// population of every node the range intersects (the planner's cost
     /// for this backend; traversal only, no object reads).
     pub fn candidate_count(&self, r: &Rect) -> u64 {
+        let r = self.clamped(r);
         let mut total = 0u64;
         let mut stack: Vec<NodeId> = vec![0];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
-            if !node.rect.intersects(r) {
+            if !node.rect.intersects(&r) {
                 continue;
             }
             total += node.bucket.len() as u64;
@@ -369,6 +386,20 @@ mod tests {
         assert_eq!(q.count(&RcDvq::keyword(vec![KeywordId(5)]), &store), 2);
         let h = RcDvq::hybrid(Rect::new(0.0, 0.0, 2.0, 2.0), vec![KeywordId(5)]);
         assert_eq!(q.count(&h, &store), 1);
+    }
+
+    /// Regression: nodes were pruned against the unclamped range, so a
+    /// range reaching past the domain skipped the edge leaf that holds the
+    /// objects routed there — and priced the spatial path at 0.
+    #[test]
+    fn object_beyond_the_domain_is_counted() {
+        let mut store = ObjectStore::new();
+        let mut q = QuadtreeIndex::new(Rect::new(0.0, 0.0, 1.0, 1.0), 2, 10);
+        insert(&mut q, &mut store, obj(1, 1.5, 0.5, &[7]));
+        let r = Rect::new(1.2, 0.2, 1.8, 0.8);
+        assert_eq!(q.count(&RcDvq::spatial(r), &store), 1);
+        assert_eq!(q.count(&RcDvq::hybrid(r, vec![KeywordId(7)]), &store), 1);
+        assert_eq!(q.candidate_count(&r), 1);
     }
 
     #[test]

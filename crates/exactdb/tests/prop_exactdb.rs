@@ -5,6 +5,7 @@
 //! population.
 
 use exactdb::grid::GridIndex;
+use exactdb::quad::QuadtreeIndex;
 use exactdb::{AccessPath, ExactExecutor, ObjectStore, SpatialIndexKind};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use std::collections::BTreeMap;
@@ -67,13 +68,12 @@ fn arb_query(rng: &mut StreamRng) -> RcDvq {
     }
 }
 
-/// Replays the op sequence on all three backends and a brute-force
+/// Replays the op sequence on both backends and a brute-force
 /// oracle, checking exactness after the churn settles.
 fn run_churn(ops: &[Op], queries: &[RcDvq]) {
     let mut executors = [
         ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid),
         ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree),
-        ExactExecutor::new(DOMAIN, SpatialIndexKind::RTree),
     ];
     // Brute-force oracle: oid → object, in insertion (= age) order.
     let mut oracle: BTreeMap<u64, GeoTextObject> = BTreeMap::new();
@@ -174,32 +174,52 @@ fn heavy_eviction_churn_is_exact() {
 /// The cell-resolved kernel on every grid side, with objects and rectangle
 /// edges on cell boundaries, their neighbouring floats and the domain
 /// edge: a covered cell may be counted unread only if it really holds
-/// nothing but matches, and no match may fall outside the cover.
+/// nothing but matches, and no match may fall outside the cover. The
+/// quadtree takes the same cases (a small bucket, so the tree is deep):
+/// objects beyond the domain sit in its edge leaves, and a range that
+/// reaches past the domain must still find them.
 #[test]
 fn cell_resolved_counts_match_brute_force() {
     check("cell_resolved_counts_match_brute_force", 256, |rng| {
         let case = grid_case(rng);
         let mut store = ObjectStore::new();
         let mut grid = GridIndex::new(case.domain, case.side);
-        let mut executor = ExactExecutor::new(case.domain, SpatialIndexKind::Grid);
+        let mut quad = QuadtreeIndex::new(case.domain, 4, 14);
+        let mut executors = [
+            ExactExecutor::new(case.domain, SpatialIndexKind::Grid),
+            ExactExecutor::new(case.domain, SpatialIndexKind::Quadtree),
+        ];
         for o in &case.objects {
             let slot = store.insert(o.clone());
             grid.insert(slot, &store);
-            executor.insert(o);
+            quad.insert(slot, &store);
+            for e in &mut executors {
+                e.insert(o);
+            }
         }
         for q in &case.queries {
             let brute = case.objects.iter().filter(|o| q.matches(o)).count() as u64;
             assert_eq!(grid.count(q, &store), brute, "side {} on {q:?}", case.side);
-            assert_eq!(executor.execute(q), brute, "planned path on {q:?}");
-            assert_eq!(
-                executor.execute_spatial_path(q),
-                brute,
-                "spatial path on {q:?}"
-            );
+            assert_eq!(quad.count(q, &store), brute, "quadtree on {q:?}");
+            for e in &executors {
+                let name = e.kind().name();
+                assert_eq!(e.execute(q), brute, "{name} planned path on {q:?}");
+                assert_eq!(
+                    e.execute_spatial_path(q),
+                    brute,
+                    "{name} spatial path on {q:?}"
+                );
+            }
             if let Some(r) = q.range() {
+                // The planner prices the spatial path with these: a cost
+                // below the count would route hybrids on a wrong number.
                 assert!(
                     grid.candidate_count(r) >= brute,
-                    "cost below count on {q:?}"
+                    "grid cost below count on {q:?}"
+                );
+                assert!(
+                    quad.candidate_count(r) >= brute,
+                    "quadtree cost below count on {q:?}"
                 );
             }
         }

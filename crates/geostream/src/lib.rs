@@ -26,7 +26,6 @@ pub mod obsv;
 pub mod persist;
 pub mod query;
 pub mod rng;
-pub mod stream;
 pub mod synth;
 pub mod time;
 pub mod vocab;

@@ -1,7 +1,6 @@
-//! Property tests of the stream substrate: generators, distributions,
-//! vocabulary, and event merging.
+//! Property tests of the stream substrate: generators, distributions and
+//! vocabulary.
 
-use geostream::stream::{merge_by_time, Clocked, Merged};
 use geostream::synth::{DatasetSpec, KeywordModel, ZipfKeywords};
 use geostream::{StreamRng, Timestamp, Vocabulary};
 use testkit::{check, f64_in, u64_in, usize_in, vec_of, word};
@@ -75,30 +74,6 @@ fn vocabulary_intern_resolve_roundtrip() {
         }
         let distinct: std::collections::HashSet<_> = words.iter().collect();
         assert_eq!(v.len(), distinct.len());
-    });
-}
-
-#[test]
-fn merge_by_time_is_sorted_and_complete() {
-    check("merge_by_time_is_sorted_and_complete", CASES, |rng| {
-        let mut a = vec_of(rng, 0..50, |rng| u64_in(rng, 0..1_000));
-        let mut b = vec_of(rng, 0..50, |rng| u64_in(rng, 0..1_000));
-        a.sort_unstable();
-        b.sort_unstable();
-        let left: Vec<Clocked<u64>> = a.iter().map(|&t| Clocked::new(Timestamp(t), t)).collect();
-        let right: Vec<Clocked<u64>> = b.iter().map(|&t| Clocked::new(Timestamp(t), t)).collect();
-        let merged: Vec<_> = merge_by_time(left.into_iter(), right.into_iter()).collect();
-        assert_eq!(merged.len(), a.len() + b.len());
-        // Non-decreasing output times.
-        for w in merged.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-        // Every input appears exactly once per side.
-        let lefts = merged
-            .iter()
-            .filter(|c| matches!(c.item, Merged::Left(_)))
-            .count();
-        assert_eq!(lefts, a.len());
     });
 }
 

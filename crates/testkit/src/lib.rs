@@ -1,6 +1,7 @@
 //! Dev-only property-test kit: a deterministic case runner, a handful of
-//! plain input generators over [`StreamRng`], and the one scenario
-//! generator two crates' suites share ([`grid_case`]). There are no strategy
+//! plain input generators over [`StreamRng`], the one scenario generator
+//! two crates' suites share ([`grid_case`]), and a strict JSON checker for
+//! the hand-rolled writers ([`validate_json`]). There are no strategy
 //! objects and no shrinking: a property is a closure that draws what it
 //! needs and asserts.
 //!
@@ -200,6 +201,96 @@ fn grid_coord(rng: &mut StreamRng, min: f64, max: f64, side: usize) -> f64 {
     }
 }
 
+/// Checks `text` against the RFC 8259 grammar, strictly: exactly one
+/// value, no trailing commas, no `NaN` or `Infinity`, no leading zeros, no
+/// raw control characters in strings and only the escapes the RFC names.
+/// The error quotes the text from the byte the parse stopped at.
+pub fn validate_json(text: &str) -> Result<(), String> {
+    /// Input and cursor; every method reports success and, on failure,
+    /// leaves the cursor on the offending byte.
+    struct Parser<'a>(&'a [u8], usize);
+    impl Parser<'_> {
+        fn eat(&mut self, set: impl Fn(u8) -> bool) -> bool {
+            let hit = self.0.get(self.1).is_some_and(|&c| set(c));
+            self.1 += usize::from(hit);
+            hit
+        }
+        fn ws(&mut self) -> bool {
+            while self.eat(|c| b" \t\n\r".contains(&c)) {}
+            true
+        }
+        fn digits(&mut self) -> bool {
+            let start = self.1;
+            while self.eat(|c| c.is_ascii_digit()) {}
+            self.1 > start
+        }
+        fn string(&mut self) -> bool {
+            if !self.eat(|c| c == b'"') {
+                return false;
+            }
+            loop {
+                if self.eat(|c| c == b'\\') {
+                    let escape = if self.eat(|c| c == b'u') {
+                        (0..4).all(|_| self.eat(|c| c.is_ascii_hexdigit()))
+                    } else {
+                        self.eat(|c| b"\"\\/bfnrt".contains(&c))
+                    };
+                    if !escape {
+                        return false;
+                    }
+                } else if !self.eat(|c| c >= 0x20 && c != b'"') {
+                    return self.eat(|c| c == b'"');
+                }
+            }
+        }
+        fn number(&mut self) -> bool {
+            self.eat(|c| c == b'-');
+            (self.eat(|c| c == b'0') || self.digits())
+                && (!self.eat(|c| c == b'.') || self.digits())
+                && (!self.eat(|c| c == b'e' || c == b'E') || {
+                    self.eat(|c| c == b'+' || c == b'-');
+                    self.digits()
+                })
+        }
+        fn value(&mut self, depth: usize) -> bool {
+            self.ws();
+            match self.0.get(self.1) {
+                Some(b'"') => self.string(),
+                Some(b'-' | b'0'..=b'9') => self.number(),
+                Some(&open @ (b'{' | b'[')) if depth < 64 => {
+                    let close = open + 2; // ASCII: `{` closes with `}`, `[` with `]`
+                    self.1 += 1;
+                    self.ws();
+                    let mut first = true;
+                    while !self.eat(|c| c == close) {
+                        let item = (std::mem::take(&mut first)
+                            || self.eat(|c| c == b',') && self.ws())
+                            && (open == b'['
+                                || self.string() && self.ws() && self.eat(|c| c == b':'))
+                            && self.value(depth + 1)
+                            && self.ws();
+                        if !item {
+                            return false;
+                        }
+                    }
+                    true
+                }
+                _ => ["true", "false", "null"].iter().any(|literal| {
+                    let hit = self.0[self.1..].starts_with(literal.as_bytes());
+                    self.1 += if hit { literal.len() } else { 0 };
+                    hit
+                }),
+            }
+        }
+    }
+    let mut p = Parser(text.as_bytes(), 0);
+    if p.value(0) && p.ws() && p.1 == p.0.len() {
+        return Ok(());
+    }
+    let rest = String::from_utf8_lossy(&p.0[p.1..p.0.len().min(p.1 + 32)]);
+    Err(format!("not RFC 8259 JSON at byte {}: {rest:?}", p.1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +315,46 @@ mod tests {
     #[should_panic(expected = "case body failed")]
     fn a_failing_case_propagates_its_panic() {
         check("failing", 3, |_| panic!("case body failed"));
+    }
+
+    #[test]
+    fn json_validator_is_strict() {
+        for ok in [
+            "0",
+            " -0.5e+3 ",
+            "\"a\\n\\u00e9/\"",
+            "[]",
+            "{}",
+            "[1, [true, null], {\"k\": {\"n\": -1E2}}]\n",
+        ] {
+            assert_eq!(validate_json(ok), Ok(()), "{ok}");
+        }
+        for bad in [
+            "",
+            "NaN",
+            "[Infinity]",
+            "-inf",
+            "01",
+            "1.",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+            "[1,]",
+            "{\"a\": 1,}",
+            "{a: 1}",
+            "{\"a\" 1}",
+            "[1 2]",
+            "[1",
+            "\"a\\x\"",
+            "\"a\\u12g4\"",
+            "\"tab\there\"",
+            "\"open",
+            "{} {}",
+            "nulls",
+        ] {
+            assert!(validate_json(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

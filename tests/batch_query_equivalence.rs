@@ -131,13 +131,6 @@ fn batch_matches_single_for_every_kind_on_quadtree() {
     }
 }
 
-#[test]
-fn batch_matches_single_for_every_kind_on_rtree() {
-    for kind in EstimatorKind::ALL {
-        assert_batch_matches_single(kind, SpatialIndexKind::RTree);
-    }
-}
-
 /// Drives a system past warm-up with a deterministic stream and returns
 /// it together with its generator.
 fn warmed() -> (Latest, geostream::synth::ObjectGenerator) {

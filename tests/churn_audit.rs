@@ -80,14 +80,10 @@ fn full_stack_stays_audit_clean_under_churn() {
     };
     let mut window = SlidingWindow::new(Duration::from_millis(2_000));
     let mut pool = EstimatorPool::full(&config, 2);
-    let mut execs: Vec<ExactExecutor> = [
-        SpatialIndexKind::Grid,
-        SpatialIndexKind::Quadtree,
-        SpatialIndexKind::RTree,
-    ]
-    .into_iter()
-    .map(|k| ExactExecutor::new(DOMAIN, k))
-    .collect();
+    let mut execs: Vec<ExactExecutor> = [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree]
+        .into_iter()
+        .map(|k| ExactExecutor::new(DOMAIN, k))
+        .collect();
 
     let mut rng = 0x1a7e57u64;
     let mut clock = Timestamp::ZERO;
@@ -152,7 +148,7 @@ fn full_stack_stays_audit_clean_under_churn() {
 /// `posting-coverage` edge), not only between batches.
 #[test]
 fn sample_store_recycling_and_midstream_compaction_stay_audit_clean() {
-    let mut s = SampleStore::new(true);
+    let mut s = SampleStore::new();
     let mut rng = 0xdecafu64;
     let mut live: Vec<ObjectId> = Vec::new();
     for i in 0..6_000u64 {

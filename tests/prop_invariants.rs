@@ -9,7 +9,7 @@ use geostream::{
     Timestamp,
 };
 use hoeffding::{AttributeSpec, HoeffdingTree, HoeffdingTreeConfig, Schema, Value};
-use testkit::{check, coin, f64_in, u32_in, u64_in, vec_of};
+use testkit::{check, f64_in, u32_in, u64_in, vec_of};
 
 const DOMAIN: Rect = Rect {
     min_x: 0.0,
@@ -62,39 +62,13 @@ fn executor_matches_brute_force() {
         let query = arb_query(rng);
         let mut grid = ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid);
         let mut quad = ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree);
-        let mut rtree = ExactExecutor::new(DOMAIN, SpatialIndexKind::RTree);
         for o in &objects {
             grid.insert(o);
             quad.insert(o);
-            rtree.insert(o);
         }
         let brute = objects.iter().filter(|o| query.matches(o)).count() as u64;
         assert_eq!(grid.execute(&query), brute);
         assert_eq!(quad.execute(&query), brute);
-        assert_eq!(rtree.execute(&query), brute);
-    });
-}
-
-#[test]
-fn rtree_invariants_survive_arbitrary_churn() {
-    check("rtree_invariants_survive_arbitrary_churn", CASES, |rng| {
-        let objects = arb_objects(rng, 150);
-        let drop: Vec<bool> = (0..150).map(|_| coin(rng)).collect();
-        let mut store = exactdb::ObjectStore::new();
-        let mut t = exactdb::rtree::RTreeIndex::new();
-        for o in &objects {
-            let slot = store.insert(o.clone());
-            t.insert(slot, &store);
-        }
-        for (o, d) in objects.iter().zip(&drop) {
-            if *d {
-                let (slot, _) = store.remove(o.oid).expect("object was inserted");
-                assert!(t.remove(slot, &store));
-            }
-        }
-        t.check_invariants(&store);
-        let live = objects.iter().zip(&drop).filter(|(_, d)| !**d).count();
-        assert_eq!(t.len(), live);
     });
 }
 
