@@ -1,8 +1,9 @@
 //! The stream driver: replays a dataset + workload through LATEST.
 
+use crate::log::RunLog;
 use estimators::EstimatorConfig;
 use geostream::{Duration, Timestamp};
-use latest_core::{Latest, LatestConfig, QueryOptions, SystemLog};
+use latest_core::{Latest, LatestConfig, QueryOptions, ServedBy};
 use workloads::WorkloadSpec;
 
 /// How a workload is replayed.
@@ -52,7 +53,7 @@ impl Default for DriverConfig {
 /// Everything a finished run exposes to the report layer.
 pub struct RunResult {
     pub workload: &'static str,
-    pub log: SystemLog,
+    pub log: RunLog,
     /// Stream time at the start of the incremental phase.
     pub incremental_start: Timestamp,
     /// Final Hoeffding-tree statistics.
@@ -128,6 +129,7 @@ fn run_workload_inner(
     let total_queries = driver.pretrain_queries + driver.incremental_queries;
     let mut incremental_start = latest.now();
     let mut started = false;
+    let mut log = RunLog::default();
     for qi in 0..total_queries {
         for _ in 0..driver.objects_per_query {
             latest.ingest(objects.next_object());
@@ -138,7 +140,14 @@ fn run_workload_inner(
         let pos = qi * spec.total() / total_queries.max(1);
         queries.set_time(objects.clock());
         let query = queries.query_at(pos);
-        let _ = latest.query(&query, QueryOptions::at(objects.clock()));
+        let out = latest.query(&query, QueryOptions::at(objects.clock()));
+        if let ServedBy::Estimator(from) = out.served_by {
+            if out.switched {
+                log.switches
+                    .push((log.queries.len(), from, latest.active_kind()));
+            }
+            log.queries.push(out);
+        }
         if !started && latest.phase() == latest_core::PhaseTag::Incremental {
             incremental_start = latest.now();
             started = true;
@@ -147,7 +156,7 @@ fn run_workload_inner(
 
     RunResult {
         workload: spec.name(),
-        log: latest.log().clone(),
+        log,
         incremental_start,
         tree_stats: latest.tree_stats(),
         metrics: latest.metrics_snapshot(),
@@ -175,7 +184,7 @@ mod tests {
         let result = run_workload(&spec, &tiny_driver());
         assert_eq!(result.workload, "TwQW2");
         assert_eq!(result.log.queries.len(), 80);
-        assert_eq!(result.log.incremental_queries(), 60);
+        assert_eq!(result.log.incremental().count(), 60);
         // Drift detection may reset the tree mid-run; it must still be
         // learning at the end.
         assert!(result.tree_stats.instances_seen >= 1);

@@ -20,6 +20,7 @@
 
 pub mod driver;
 pub mod experiments;
+pub mod log;
 pub mod report;
 
 pub use driver::{run_workload, run_workload_with_default, DriverConfig, RunResult};

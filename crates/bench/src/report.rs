@@ -3,7 +3,7 @@
 
 use crate::driver::RunResult;
 use estimators::EstimatorKind;
-use latest_core::{PhaseTag, QueryRecord};
+use latest_core::{PhaseTag, QueryOutcome};
 
 /// Per-estimator mean latency/accuracy within one timeline bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -30,12 +30,7 @@ pub struct Timeline {
 impl Timeline {
     /// Builds the timeline from a run with shadow metrics.
     pub fn from_result(result: &RunResult, buckets: usize) -> Timeline {
-        let incremental: Vec<&QueryRecord> = result
-            .log
-            .queries
-            .iter()
-            .filter(|q| q.phase == PhaseTag::Incremental)
-            .collect();
+        let incremental: Vec<&QueryOutcome> = result.log.incremental().collect();
         let n = incremental.len().max(1);
         let mut sums = vec![vec![(0.0f64, 0.0f64, 0usize); buckets]; EstimatorKind::ALL.len()];
         let mut active_votes = vec![[0usize; 6]; buckets];
@@ -73,15 +68,21 @@ impl Timeline {
                 EstimatorKind::from_index(best).expect("valid index")
             })
             .collect();
-        // Map switch seq positions to 0..=100 marks.
-        let first_seq = incremental.first().map(|q| q.seq).unwrap_or(0);
+        // Map switch positions to 0..=100 marks, counted from the first
+        // incremental answer.
+        let first_seq = result
+            .log
+            .queries
+            .iter()
+            .position(|q| q.phase == PhaseTag::Incremental)
+            .unwrap_or(0);
         let switches = result
             .log
             .switches
             .iter()
-            .map(|sw| {
-                let pos = (sw.at_seq.saturating_sub(first_seq)) as usize * 100 / n;
-                (pos.min(100), sw.from, sw.to)
+            .map(|&(at, from, to)| {
+                let pos = at.saturating_sub(first_seq) * 100 / n;
+                (pos.min(100), from, to)
             })
             .collect();
         Timeline {
@@ -143,12 +144,7 @@ impl Timeline {
 /// sweep figures, where one run contributes one point per estimator).
 pub fn incremental_means(result: &RunResult) -> Vec<BucketStats> {
     let mut sums = vec![(0.0f64, 0.0f64, 0usize); EstimatorKind::ALL.len()];
-    for rec in result
-        .log
-        .queries
-        .iter()
-        .filter(|q| q.phase == PhaseTag::Incremental)
-    {
+    for rec in result.log.incremental() {
         for s in &rec.shadow {
             let cell = &mut sums[s.estimator.index() as usize];
             cell.0 += s.latency_ms;
@@ -169,10 +165,8 @@ pub fn incremental_means(result: &RunResult) -> Vec<BucketStats> {
 pub fn final_choice(result: &RunResult) -> EstimatorKind {
     result
         .log
-        .queries
-        .iter()
-        .rev()
-        .find(|q| q.phase == PhaseTag::Incremental)
+        .incremental()
+        .next_back()
         .map(|q| q.estimator)
         .unwrap_or(EstimatorKind::Rsh)
 }

@@ -248,13 +248,6 @@ impl LatestConfigBuilder {
         self
     }
 
-    /// Mean-relative-error retraining trigger (§V-D), `None` to disable.
-    #[must_use = "setters move the builder; reassign or chain the result"]
-    pub fn retrain_error_threshold(mut self, threshold: Option<f64>) -> Self {
-        self.config.retrain_error_threshold = threshold;
-        self
-    }
-
     /// DDM-based drift retraining of the Hoeffding tree.
     #[must_use = "setters move the builder; reassign or chain the result"]
     pub fn drift_detection(mut self, on: bool) -> Self {
@@ -327,7 +320,6 @@ mod tests {
             .switch_margin(0.1)
             .default_estimator(EstimatorKind::Aasp)
             .shadow_metrics(true)
-            .retrain_error_threshold(Some(2.0))
             .drift_detection(false)
             .build()
             .expect("valid");
@@ -336,7 +328,7 @@ mod tests {
         assert_eq!(config.tau, 1.0); // τ = 1 is the inclusive upper bound
         assert_eq!(config.default_estimator, EstimatorKind::Aasp);
         assert!(config.shadow_metrics);
-        assert_eq!(config.retrain_error_threshold, Some(2.0));
+        assert!(!config.drift_detection);
     }
 
     #[test]

@@ -46,11 +46,10 @@ pub use concurrent::{SharedLatest, SnapshotScraper};
 pub use config::{ConfigError, LatestConfigBuilder};
 pub use error::LatestError;
 pub use features::{QueryProfile, RewardScaler};
-pub use log::{PhaseTag, QueryRecord, ShadowSample, SwitchEvent, SystemLog};
+pub use log::{PhaseTag, ShadowSample};
 pub use monitor::AccuracyMonitor;
 pub use obsv::{
-    EstimatorRole, EventStream, LifecycleEvent, MetricsRegistry, MetricsSnapshot, RetrainCause,
-    WallTimer,
+    EstimatorRole, EventStream, LifecycleEvent, MetricsRegistry, MetricsSnapshot, WallTimer,
 };
 pub use persist::{MANIFEST_MAGIC, SNAPSHOT_MAGIC};
 pub use pool::{BuiltPrefill, EstimatorPool, PrefillBuilder, PrefillTicket};

@@ -2,9 +2,9 @@
 //! stream, and point-in-time snapshots.
 //!
 //! The adaptor's whole control loop (§V-D) runs on signals — moving-average
-//! accuracy, prefill/switch decisions, drift retrainings — that used to be
-//! inspectable only post-hoc through [`SystemLog`](crate::SystemLog). This
-//! module makes the system observable *live*:
+//! accuracy, prefill/switch decisions, drift retrainings. This module is
+//! where they are observable, live and after the fact — the engine keeps no
+//! other journal:
 //!
 //! * [`MetricsRegistry`] — one struct of relaxed-atomic counters, gauges,
 //!   and fixed-bucket histograms covering every subsystem: the sliding
@@ -98,26 +98,6 @@ impl WallTimer {
     }
 }
 
-/// Why the Hoeffding tree was reset and regrown (§V-D retraining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrainCause {
-    /// DDM drift detection over the tree's own prediction errors.
-    Drift,
-    /// The mean relative error since the last training exceeded the
-    /// configured threshold.
-    ErrorThreshold,
-}
-
-impl RetrainCause {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RetrainCause::Drift => "drift",
-            RetrainCause::ErrorThreshold => "error-threshold",
-        }
-    }
-}
-
 /// One typed lifecycle event of a LATEST run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LifecycleEvent {
@@ -138,8 +118,9 @@ pub enum LifecycleEvent {
     /// A background prefill build was abandoned mid-flight (discard while
     /// building, or a delta-log overflow forcing a fresh snapshot).
     PrefillCancelled { seq: u64, kind: EstimatorKind },
-    /// The adaptor switched the employed estimator (mirrors the
-    /// [`SwitchEvent`](crate::SwitchEvent) appended to the system log).
+    /// The adaptor switched the employed estimator at query `seq` (stream
+    /// time `at`); `trigger_average` is the moving-average accuracy that
+    /// triggered it.
     EstimatorSwitched {
         seq: u64,
         at: Timestamp,
@@ -147,8 +128,9 @@ pub enum LifecycleEvent {
         to: EstimatorKind,
         trigger_average: f64,
     },
-    /// The Hoeffding tree was reset and will regrow.
-    TreeRetrained { seq: u64, cause: RetrainCause },
+    /// The Hoeffding tree was reset and will regrow: DDM drift detection
+    /// over its own prediction errors fired (§V-D retraining).
+    TreeRetrained { seq: u64 },
     /// `n` objects left the sliding window (coalesced: one event per
     /// [`EVICTION_EVENT_GRANULARITY`] evictions, stamped with the stream
     /// time of the sweep that crossed the threshold).
@@ -219,10 +201,9 @@ impl LifecycleEvent {
                 from.name(),
                 to.name()
             ),
-            LifecycleEvent::TreeRetrained { seq, cause } => format!(
-                "{{\"event\": \"tree_retrained\", \"seq\": {seq}, \"cause\": \"{}\"}}",
-                cause.name()
-            ),
+            LifecycleEvent::TreeRetrained { seq } => {
+                format!("{{\"event\": \"tree_retrained\", \"seq\": {seq}}}")
+            }
             LifecycleEvent::WindowEvicted { n, at } => format!(
                 "{{\"event\": \"window_evicted\", \"n\": {n}, \"at_ms\": {}}}",
                 at.0
@@ -351,7 +332,8 @@ pub struct MetricsRegistry {
     /// Virtual stream-time gap between consecutive queries (ms).
     pub query_stream_gap_ms: Histogram,
     /// Queries served straight from the selectivity cache (these skip the
-    /// executor, the log, and `queries_total` — a cache hit is a pure read).
+    /// executor, the learning loop, and `queries_total` — a cache hit is a
+    /// pure read).
     pub cache_hits: Counter,
     /// Cache-eligible queries that had to run the full estimation path.
     pub cache_misses: Counter,
@@ -364,7 +346,7 @@ pub struct MetricsRegistry {
     pub prefill_starts: Counter,
     /// Prefills discarded after accuracy recovered.
     pub prefill_discards: Counter,
-    /// Hoeffding-tree retrainings (drift + error-threshold).
+    /// Hoeffding-tree retrainings (DDM drift).
     pub tree_retrainings: Counter,
     /// Background prefill builds abandoned mid-flight (discard while
     /// building, or delta-log overflow forcing a fresh snapshot).
@@ -929,10 +911,7 @@ mod tests {
                 to: EstimatorKind::Rsh,
                 trigger_average: 0.61,
             },
-            LifecycleEvent::TreeRetrained {
-                seq: 9,
-                cause: RetrainCause::Drift,
-            },
+            LifecycleEvent::TreeRetrained { seq: 9 },
             LifecycleEvent::WindowEvicted {
                 n: 256,
                 at: Timestamp(4),

@@ -861,8 +861,10 @@ impl Drop for ShardedLatest {
 /// engine-level outcome. A single part is returned verbatim; otherwise
 /// counts sum left-to-right (`estimate`, `actual`), the accuracy is
 /// re-derived from the merged totals, the latency is the gather makespan
-/// (the slowest shard), and identity fields (`estimator`, `phase`,
-/// `served_by`) come from the lowest-indexed participating shard.
+/// (the slowest shard), identity fields (`estimator`, `phase`,
+/// `served_by`) come from the lowest-indexed participating shard, and the
+/// shadow samples are dropped (each scores one shard's partial count, not
+/// the merged answer).
 fn merge_outcomes(parts: Vec<QueryOutcome>) -> Option<QueryOutcome> {
     let mut iter = parts.into_iter();
     let mut merged = iter.next()?;
@@ -876,6 +878,7 @@ fn merge_outcomes(parts: Vec<QueryOutcome>) -> Option<QueryOutcome> {
     }
     if many {
         merged.accuracy = crate::estimation_accuracy(merged.estimate, merged.actual);
+        merged.shadow.clear();
     }
     Some(merged)
 }
@@ -1274,6 +1277,7 @@ mod tests {
             phase: PhaseTag::Incremental,
             switched: false,
             served_by: crate::system::ServedBy::Estimator(estimators::EstimatorKind::Rsh),
+            shadow: Vec::new(),
         };
         // Single part: verbatim.
         let single = merge_outcomes(vec![part(9.0, 10, 0.5)]).expect("one part");

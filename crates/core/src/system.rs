@@ -4,11 +4,11 @@ use crate::adaptor::Recommender;
 use crate::cache::{CachedAnswer, SelectivityCache};
 use crate::estimation_accuracy;
 use crate::features::{model_schema, QueryProfile, RewardScaler};
-use crate::log::{PhaseTag, QueryRecord, ShadowSample, SwitchEvent, SystemLog};
+use crate::log::{PhaseTag, ShadowSample};
 use crate::monitor::AccuracyMonitor;
 use crate::obsv::{
     phase_index, AdaptorMetrics, EstimatorMetrics, EstimatorRole, ExecutorMetrics, LifecycleEvent,
-    MetricsRegistry, MetricsSnapshot, PoolMetrics, RetrainCause, WallTimer, WindowMetrics,
+    MetricsRegistry, MetricsSnapshot, PoolMetrics, WallTimer, WindowMetrics,
     EVICTION_EVENT_GRANULARITY,
 };
 use crate::pool::{EstimatorPool, PrefillBuilder, PrefillTicket};
@@ -61,9 +61,6 @@ pub struct LatestConfig {
     /// paper's figures plot every estimator's latency/accuracy). Costs
     /// memory and time; off by default.
     pub shadow_metrics: bool,
-    /// Retrain trigger (§V-D): reset and regrow the tree when the mean
-    /// relative error since the last (re)training exceeds this, if set.
-    pub retrain_error_threshold: Option<f64>,
     /// DDM-based retraining (§V-D's "overall error rate" trigger): watch
     /// the tree's own prediction errors and reset it on detected drift.
     pub drift_detection: bool,
@@ -145,7 +142,6 @@ impl Default for LatestConfig {
             },
             index_kind: SpatialIndexKind::Grid,
             shadow_metrics: false,
-            retrain_error_threshold: None,
             drift_detection: true,
             selectivity_cache_capacity: 4_096,
             shard: ShardConfig::default(),
@@ -184,12 +180,12 @@ pub struct QueryOptions {
     /// [`LatestError::WouldBlock`]: crate::LatestError::WouldBlock
     pub blocking: bool,
     /// Whether to consult (and feed) the selectivity cache. Cache hits are
-    /// pure reads: they skip the executor, the learning loop, the query
-    /// log, and the `queries_total` counter.
+    /// pure reads: they skip the executor, the learning loop, and the
+    /// `queries_total` counter.
     pub use_cache: bool,
     /// Answer with the exact executor's ground truth instead of an
     /// estimate. Exact answers bypass the cache, the estimators, and the
-    /// query log — they still count toward `queries_total` and the
+    /// learning loop — they still count toward `queries_total` and the
     /// executor's path mix.
     pub exact: bool,
 }
@@ -292,6 +288,11 @@ pub struct QueryOutcome {
     /// Which subsystem produced the answer (estimator, exact executor, or
     /// the selectivity cache).
     pub served_by: ServedBy,
+    /// Per-estimator measurements of this query under
+    /// [`LatestConfig::shadow_metrics`] (one per maintained estimator, the
+    /// answering one included); empty — no allocation — otherwise, and on
+    /// exact and cached answers.
+    pub shadow: Vec<ShadowSample>,
 }
 
 /// One recorded window change for the async-prefill delta log, preserving
@@ -494,8 +495,10 @@ enum Phase {
 }
 
 /// The LATEST module. Drive it with [`Latest::ingest`] for stream objects
-/// and [`Latest::query`] for estimation queries; read
-/// [`Latest::log`] afterwards.
+/// and [`Latest::query`] for estimation queries. Every answer is handed
+/// back as a [`QueryOutcome`] and nothing is kept per query: what the
+/// engine holds is bounded by the window, the estimators and the model,
+/// not by how long it has been serving (DESIGN.md, "Bounded state").
 pub struct Latest {
     config: LatestConfig,
     window: SlidingWindow,
@@ -505,12 +508,9 @@ pub struct Latest {
     recommender: Recommender,
     scaler: RewardScaler,
     monitor: AccuracyMonitor,
-    log: SystemLog,
+    /// Estimation-path queries answered so far (the next one's `seq`).
     queries_seen: u64,
     queries_since_switch: usize,
-    /// Aggregate relative error since the last tree (re)training.
-    error_sum: f64,
-    error_count: u64,
     /// DDM detector over the tree's own prediction errors.
     drift: DdmDetector,
     /// Model retrainings triggered by drift detection.
@@ -565,11 +565,8 @@ impl Latest {
             recommender: Recommender::new(),
             scaler: RewardScaler::new(config.alpha),
             monitor: AccuracyMonitor::new(config.accuracy_window),
-            log: SystemLog::new(),
             queries_seen: 0,
             queries_since_switch: 0,
-            error_sum: 0.0,
-            error_count: 0,
             drift: DdmDetector::default(),
             drift_retrainings: 0,
             recent_types: std::collections::VecDeque::new(),
@@ -614,11 +611,6 @@ impl Latest {
             Phase::Incremental { prefill, .. } => prefill.kind(),
             _ => None,
         }
-    }
-
-    /// Read access to the run log.
-    pub fn log(&self) -> &SystemLog {
-        &self.log
     }
 
     /// Shape statistics of the learning model.
@@ -861,9 +853,31 @@ impl Latest {
     /// as batches. The warm-up → pre-training transition is checked once,
     /// after the batch lands (the phases maintain the same pool, so
     /// mid-batch arrival order is unaffected).
+    ///
+    /// # Panics
+    /// Panics if any object is older than its predecessor (in the batch or
+    /// already in the window). The whole batch is refused before anything
+    /// is touched, so an engine reached again after the unwind — through
+    /// `catch_unwind`, or a [`SharedLatest`](crate::SharedLatest) whose
+    /// lock recovers from poisoning — is the engine from before the call.
     pub fn ingest_batch(&mut self, batch: &[GeoTextObject]) {
         if batch.is_empty() {
             return;
+        }
+        // The window's own check fires per object, after the earlier ones
+        // of the batch went in: it would leave the window ahead of the
+        // executor and the estimators.
+        let mut newest = self.window.newest();
+        for obj in batch {
+            if let Some(newest) = newest {
+                assert!(
+                    obj.timestamp >= newest,
+                    "out-of-order arrival: {} after {}",
+                    obj.timestamp,
+                    newest
+                );
+            }
+            newest = Some(obj.timestamp);
         }
         self.evict_buf.clear();
         let mut evicted = std::mem::take(&mut self.evict_buf);
@@ -1023,6 +1037,7 @@ impl Latest {
                     phase,
                     switched: false,
                     served_by: ServedBy::Exact,
+                    shadow: Vec::new(),
                 });
             }
             return outcomes;
@@ -1100,6 +1115,7 @@ impl Latest {
             phase: hit.phase,
             switched: false,
             served_by: ServedBy::Cache,
+            shadow: Vec::new(),
         }
     }
 
@@ -1216,7 +1232,6 @@ impl Latest {
             kind,
             seq,
         );
-        self.log.prefill_starts.push(seq);
         self.metrics.prefill_starts.inc();
         self.metrics
             .events
@@ -1253,9 +1268,8 @@ impl Latest {
             }
         };
         // A cancelled build still counts as a discarded prefill decision,
-        // so the run-log identity `starts == switches + discards + pending`
+        // so the counter identity `starts == switches + discards + pending`
         // holds.
-        self.log.prefill_discards.push(seq);
         self.metrics.prefill_discards.inc();
         self.metrics
             .events
@@ -1291,13 +1305,6 @@ impl Latest {
             shadow.retain(|e| e.kind() != to);
             shadow.push(old);
         }
-        self.log.switches.push(SwitchEvent {
-            at_seq: seq,
-            at,
-            from,
-            to,
-            trigger_average,
-        });
         self.metrics.switches.inc();
         self.metrics
             .events
@@ -1467,8 +1474,8 @@ impl Latest {
         self.last_query_at = Some(at);
     }
 
-    /// The ground-truth path: the exact executor answers, nothing is
-    /// learned and nothing is logged (the answer is not an estimate).
+    /// The ground-truth path: the exact executor answers and nothing is
+    /// learned (the answer is not an estimate).
     fn exact_query(&mut self, query: &RcDvq, at: Timestamp) -> QueryOutcome {
         self.record_query_admission(at);
         let timer = WallTimer::start();
@@ -1482,6 +1489,7 @@ impl Latest {
             phase: self.phase(),
             switched: false,
             served_by: ServedBy::Exact,
+            shadow: Vec::new(),
         }
     }
 
@@ -1500,7 +1508,7 @@ impl Latest {
         let profile = QueryProfile::of(query, &self.config.estimator_config.domain);
         let outcome = match self.phase() {
             PhaseTag::WarmUp | PhaseTag::PreTraining => {
-                self.pretraining_query(query, at, seq, actual, &profile)
+                self.pretraining_query(query, actual, &profile)
             }
             PhaseTag::Incremental => {
                 self.incremental_query(query, at, seq, actual, &profile, precomputed)
@@ -1546,8 +1554,6 @@ impl Latest {
     fn pretraining_query(
         &mut self,
         query: &RcDvq,
-        at: Timestamp,
-        seq: u64,
         actual: u64,
         profile: &QueryProfile,
     ) -> QueryOutcome {
@@ -1580,20 +1586,6 @@ impl Latest {
             .copied()
             // LINT-ALLOW(no-panic): the pool is seeded from ALL_KINDS, which includes the configured default kind
             .expect("default estimator is in the pool");
-        self.track_error(answer.estimate, actual);
-        self.log.queries.push(QueryRecord {
-            seq,
-            at,
-            phase: self.phase(),
-            query_type: profile.query_type,
-            estimator: default_kind,
-            estimate: answer.estimate,
-            actual,
-            latency_ms: answer.latency_ms,
-            accuracy: answer.accuracy,
-            monitor_average: None,
-            shadow: samples,
-        });
         QueryOutcome {
             estimate: answer.estimate,
             actual,
@@ -1603,6 +1595,11 @@ impl Latest {
             phase: self.phase(),
             switched: false,
             served_by: ServedBy::Estimator(default_kind),
+            shadow: if self.config.shadow_metrics {
+                samples
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -1612,7 +1609,7 @@ impl Latest {
     /// used at the beginning of the next phase").
     fn maybe_finish_pretraining(&mut self) {
         let done = matches!(&self.phase, Phase::PreTraining { .. })
-            && self.log.queries.len() >= self.config.pretrain_queries;
+            && self.queries_seen >= self.config.pretrain_queries as u64;
         if !done {
             return;
         }
@@ -1755,16 +1752,14 @@ impl Latest {
                 self.drift.reset();
                 self.drift_retrainings += 1;
                 self.metrics.tree_retrainings.inc();
-                self.metrics.events.record(LifecycleEvent::TreeRetrained {
-                    seq,
-                    cause: RetrainCause::Drift,
-                });
+                self.metrics
+                    .events
+                    .record(LifecycleEvent::TreeRetrained { seq });
             }
         }
         self.tree.train(&instance, label.index());
 
         self.monitor.push(accuracy);
-        self.track_error(estimate, actual);
         self.queries_since_switch += 1;
         let monitor_average = self.monitor.warmed_up().then(|| {
             self.monitor
@@ -1816,33 +1811,6 @@ impl Latest {
             }
         }
 
-        // §V-D manual retraining trigger.
-        if let Some(threshold) = self.config.retrain_error_threshold {
-            if self.error_count >= 200 && self.error_sum / self.error_count as f64 > threshold {
-                self.tree.reset();
-                self.error_sum = 0.0;
-                self.error_count = 0;
-                self.metrics.tree_retrainings.inc();
-                self.metrics.events.record(LifecycleEvent::TreeRetrained {
-                    seq,
-                    cause: RetrainCause::ErrorThreshold,
-                });
-            }
-        }
-
-        self.log.queries.push(QueryRecord {
-            seq,
-            at,
-            phase: PhaseTag::Incremental,
-            query_type: profile.query_type,
-            estimator: active_kind,
-            estimate,
-            actual,
-            latency_ms,
-            accuracy,
-            monitor_average,
-            shadow: samples,
-        });
         QueryOutcome {
             estimate,
             actual,
@@ -1852,13 +1820,8 @@ impl Latest {
             phase: PhaseTag::Incremental,
             switched,
             served_by: ServedBy::Estimator(active_kind),
+            shadow: samples,
         }
-    }
-
-    fn track_error(&mut self, estimate: f64, actual: u64) {
-        let rel = (estimate - actual as f64).abs() / (actual as f64).max(1.0);
-        self.error_sum += rel.min(10.0); // cap outliers
-        self.error_count += 1;
     }
 }
 
@@ -1867,8 +1830,10 @@ impl Latest {
 /// A snapshot captures everything that influences future *answers*: the
 /// window, the exact executor, every live estimator (with its sampler RNG
 /// state), the learning model, the adaptor's monitor/recommender/scaler
-/// state, the system log, and the selectivity cache. A restored instance
-/// therefore produces bit-identical estimates to the uninterrupted run.
+/// state, and the selectivity cache. A restored instance therefore
+/// produces bit-identical estimates to the uninterrupted run. Its size is a
+/// function of the window, the estimators and the model — not of how many
+/// queries were answered before it was taken.
 ///
 /// Deliberately *not* persisted, because it is process-local scratch:
 ///
@@ -1919,10 +1884,9 @@ impl Latest {
     ///    `reservoir_capacity`, `grid_cells`, `aasp_split_value`,
     ///    `ffn_train_budget`, `seed`;
     /// 5. `tree_config`: `grace_period`, `split_confidence`,
-    ///    `tie_threshold`, `leaf_prediction`, `num_split_points`,
-    ///    `max_depth`;
-    /// 6. `index_kind`, `shadow_metrics`, `retrain_error_threshold`,
-    ///    `drift_detection`, `selectivity_cache_capacity`;
+    ///    `tie_threshold`, `num_split_points`, `max_depth`;
+    /// 6. `index_kind`, `shadow_metrics`, `drift_detection`,
+    ///    `selectivity_cache_capacity`;
     /// 7. `shard.shards`, `shard.router`;
     /// 8. `ablation`: `prefill`, `use_tree`, `mix_recommendation`,
     ///    `switching`.
@@ -1953,7 +1917,6 @@ impl Latest {
             tree_config,
             index_kind,
             shadow_metrics,
-            retrain_error_threshold,
             drift_detection,
             selectivity_cache_capacity,
             shard,
@@ -1973,7 +1936,6 @@ impl Latest {
             grace_period,
             split_confidence,
             tie_threshold,
-            leaf_prediction,
             num_split_points,
             max_depth,
         } = tree_config;
@@ -2010,7 +1972,6 @@ impl Latest {
         w.put_u64(*grace_period);
         w.put_f64(*split_confidence);
         w.put_f64(*tie_threshold);
-        leaf_prediction.persist(&mut w);
         w.put_usize(*num_split_points);
         w.put_usize(*max_depth);
         w.put_u8(match index_kind {
@@ -2018,7 +1979,6 @@ impl Latest {
             SpatialIndexKind::Quadtree => 1,
         });
         w.put_bool(*shadow_metrics);
-        retrain_error_threshold.persist(&mut w);
         w.put_bool(*drift_detection);
         w.put_usize(*selectivity_cache_capacity);
         w.put_usize(*shards);
@@ -2045,13 +2005,10 @@ impl Latest {
         self.recommender.persist(&mut w);
         self.scaler.persist(&mut w);
         self.monitor.persist(&mut w);
-        self.log.persist(&mut w);
         self.cache.persist(&mut w);
         self.drift.persist(&mut w);
         w.put_u64(self.queries_seen);
         w.put_usize(self.queries_since_switch);
-        w.put_f64(self.error_sum);
-        w.put_u64(self.error_count);
         w.put_u64(self.drift_retrainings);
         w.put_usize(self.recent_types.len());
         for &t in &self.recent_types {
@@ -2156,13 +2113,10 @@ impl Latest {
         let recommender = Recommender::restore(&mut r)?;
         let scaler = RewardScaler::restore(&mut r)?;
         let monitor = AccuracyMonitor::restore(&mut r)?;
-        let log = SystemLog::restore(&mut r)?;
         let cache = SelectivityCache::restore(&mut r)?;
         let drift = DdmDetector::restore(&mut r)?;
         let queries_seen = r.take_u64("Latest.queries_seen")?;
         let queries_since_switch = r.take_usize("Latest.queries_since_switch")?;
-        let error_sum = r.take_f64("Latest.error_sum")?;
-        let error_count = r.take_u64("Latest.error_count")?;
         let drift_retrainings = r.take_u64("Latest.drift_retrainings")?;
         let recent_len = r.take_usize("Latest.recent_types.len")?;
         if recent_len > config.accuracy_window {
@@ -2229,11 +2183,8 @@ impl Latest {
             recommender,
             scaler,
             monitor,
-            log,
             queries_seen,
             queries_since_switch,
-            error_sum,
-            error_count,
             drift,
             drift_retrainings,
             recent_types,
@@ -2380,11 +2331,11 @@ mod tests {
             let out = latest.query(&q, QueryOptions::at(gen.clock()));
             assert_eq!(out.estimator, EstimatorKind::Rsh);
             assert_eq!(out.phase, PhaseTag::PreTraining);
+            // The pool measured all six, but shadow metrics are off: the
+            // samples stay inside the engine.
+            assert!(out.shadow.is_empty());
         }
         assert!(latest.tree_stats().instances_seen >= 10);
-        // Every pre-training record carries all six shadow samples.
-        let rec = &latest.log().queries[0];
-        assert_eq!(rec.shadow.len(), 6);
     }
 
     #[test]
@@ -2394,16 +2345,19 @@ mod tests {
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
         let mut rng = StreamRng::seed_from_u64(3);
+        let mut incremental = Vec::new();
         for _ in 0..60 {
             for _ in 0..3 {
                 latest.ingest(gen.next_object());
             }
             let q = random_query(&mut rng, &domain);
-            let _ = latest.query(&q, QueryOptions::at(gen.clock()));
+            let out = latest.query(&q, QueryOptions::at(gen.clock()));
+            if out.phase == PhaseTag::Incremental {
+                incremental.push(out.accuracy);
+            }
         }
-        let log = latest.log();
-        assert!(log.incremental_queries() > 0);
-        let acc = log.mean_incremental_accuracy().unwrap();
+        assert!(!incremental.is_empty());
+        let acc = incremental.iter().sum::<f64>() / incremental.len() as f64;
         assert!(acc > 0.3, "incremental accuracy too low: {acc}");
         // Every query ran once through the exact executor's planner.
         assert_eq!(latest.executor_path_mix().total(), 60);
@@ -2444,10 +2398,17 @@ mod tests {
             EstimatorKind::H4096,
             "never switched away from a keyword-blind estimator"
         );
-        assert!(!latest.log().switches.is_empty());
-        let sw = latest.log().switches[0];
-        assert_eq!(sw.from, EstimatorKind::H4096);
-        assert!(sw.trigger_average < latest.config().tau);
+        let snap = latest.metrics_snapshot();
+        let Some(LifecycleEvent::EstimatorSwitched {
+            from,
+            trigger_average,
+            ..
+        }) = snap.switch_events().first().copied()
+        else {
+            panic!("no switch event recorded");
+        };
+        assert_eq!(*from, EstimatorKind::H4096);
+        assert!(*trigger_average < latest.config().tau);
     }
 
     #[test]
@@ -2474,11 +2435,8 @@ mod tests {
             ));
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
         }
-        assert!(
-            latest.log().switches.len() <= 1,
-            "stable workload caused {} switches",
-            latest.log().switches.len()
-        );
+        let switches = latest.metrics_snapshot().adaptor.switches;
+        assert!(switches <= 1, "stable workload caused {switches} switches");
     }
 
     #[test]
@@ -2490,14 +2448,15 @@ mod tests {
         let mut latest = Latest::new(config);
         let mut gen = warm_up(&mut latest);
         let mut rng = StreamRng::seed_from_u64(6);
+        let mut last_phase = PhaseTag::WarmUp;
         for _ in 0..20 {
             latest.ingest(gen.next_object());
             let q = random_query(&mut rng, &domain);
-            let _ = latest.query(&q, QueryOptions::at(gen.clock()));
+            let out = latest.query(&q, QueryOptions::at(gen.clock()));
+            assert_eq!(out.shadow.len(), 6, "shadow mode must measure all six");
+            last_phase = out.phase;
         }
-        let last = latest.log().queries.last().unwrap();
-        assert_eq!(last.phase, PhaseTag::Incremental);
-        assert_eq!(last.shadow.len(), 6, "shadow mode must measure all six");
+        assert_eq!(last_phase, PhaseTag::Incremental);
     }
 
     #[test]
@@ -2517,6 +2476,40 @@ mod tests {
     }
 
     #[test]
+    fn refused_batch_leaves_the_engine_untouched() {
+        let mut latest = Latest::new(small_config());
+        let mut gen = warm_up(&mut latest);
+        let q = RcDvq::spatial(Rect::WORLD);
+        let exact = QueryOptions::new().exact(true);
+        let uncached = QueryOptions::new().use_cache(false);
+        let len = latest.window_len();
+        let count = latest.query(&q, exact).actual;
+        let estimate = latest.query(&q, uncached).estimate;
+        // Two good arrivals, then one from before the window's newest.
+        let mut batch: Vec<GeoTextObject> = (0..3).map(|_| gen.next_object()).collect();
+        batch[2].timestamp = Timestamp::ZERO;
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            latest.ingest_batch(&batch);
+        }));
+        let message = *refused
+            .expect_err("a late object must refuse the batch")
+            .downcast::<String>()
+            .expect("assert! panics with a String");
+        assert!(message.contains("out-of-order arrival"), "{message}");
+        // Nothing of the batch went in: window, executor and estimators
+        // still agree with each other and with the moment before the call.
+        assert_eq!(latest.window_len(), len);
+        assert_eq!(latest.query(&q, exact).actual, count);
+        assert_eq!(
+            latest.query(&q, uncached).estimate.to_bits(),
+            estimate.to_bits()
+        );
+        // And the engine still takes the batch once it is in order.
+        latest.ingest_batch(&batch[..2]);
+        assert_eq!(latest.query(&q, exact).actual as usize, latest.window_len());
+    }
+
+    #[test]
     fn switching_ablation_pins_default_estimator() {
         let mut config = small_config();
         config.default_estimator = EstimatorKind::H4096;
@@ -2532,7 +2525,7 @@ mod tests {
             let _ = latest.query(&q, QueryOptions::at(gen.clock()));
         }
         assert_eq!(latest.active_kind(), EstimatorKind::H4096);
-        assert!(latest.log().switches.is_empty());
+        assert_eq!(latest.metrics_snapshot().adaptor.switches, 0);
     }
 
     #[test]
@@ -2601,8 +2594,8 @@ mod tests {
         let first = latest.query(&q, QueryOptions::at(gen.clock()));
         assert!(matches!(first.served_by, ServedBy::Estimator(_)));
         // Same query, unchanged window: a pure cache read that repeats the
-        // answer bit-for-bit and skips the executor and the log.
-        let logged = latest.log().queries.len();
+        // answer bit-for-bit and skips the executor and the learning loop.
+        let answered = latest.metrics_snapshot().queries_total;
         let hit = latest.query(&q, QueryOptions::at(gen.clock()));
         assert_eq!(hit.served_by, ServedBy::Cache);
         assert_eq!(hit.estimate.to_bits(), first.estimate.to_bits());
@@ -2610,8 +2603,8 @@ mod tests {
         assert_eq!(hit.accuracy.to_bits(), first.accuracy.to_bits());
         assert_eq!(hit.latency_ms, 0.0);
         assert!(!hit.switched);
-        assert_eq!(latest.log().queries.len(), logged);
         let m = latest.metrics_snapshot();
+        assert_eq!(m.queries_total, answered);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.cache_misses, 1);
         // Any content change invalidates: the next repeat misses again.
@@ -2629,11 +2622,11 @@ mod tests {
         let gen = warm_up(&mut latest);
         let q = RcDvq::keyword(vec![KeywordId(3)]);
         let opts = QueryOptions::at(gen.clock()).use_cache(false);
-        let logged = latest.log().queries.len();
+        let learned = latest.tree_stats().instances_seen;
         let _ = latest.query(&q, opts);
         let second = latest.query(&q, opts);
         assert_ne!(second.served_by, ServedBy::Cache);
-        assert_eq!(latest.log().queries.len(), logged + 2);
+        assert_eq!(latest.tree_stats().instances_seen, learned + 2);
         assert_eq!(latest.metrics_snapshot().cache_hits, 0);
     }
 
@@ -2643,14 +2636,14 @@ mod tests {
         let mut latest = Latest::new(config);
         let gen = warm_up(&mut latest);
         let q = RcDvq::keyword(vec![KeywordId(7)]);
-        let logged = latest.log().queries.len();
+        let learned = latest.tree_stats().instances_seen;
         let out = latest.query(&q, QueryOptions::at(gen.clock()).exact(true));
         assert_eq!(out.served_by, ServedBy::Exact);
         assert_eq!(out.estimate, out.actual as f64);
         assert_eq!(out.accuracy, 1.0);
-        // Ground truth is not an estimate: nothing is logged or learned,
-        // and nothing lands in the cache.
-        assert_eq!(latest.log().queries.len(), logged);
+        // Ground truth is not an estimate: nothing is learned, and nothing
+        // lands in the cache.
+        assert_eq!(latest.tree_stats().instances_seen, learned);
         assert!(latest.cache().is_empty());
         let estimated = latest.query(&q, QueryOptions::at(gen.clock()));
         assert!(matches!(estimated.served_by, ServedBy::Estimator(_)));
@@ -2686,8 +2679,8 @@ mod tests {
         }
         assert_eq!(batch_outs[24].served_by, ServedBy::Cache);
         assert_eq!(batch_outs[25].served_by, ServedBy::Cache);
-        assert_eq!(batched.log().queries.len(), single.log().queries.len());
         let m = batched.metrics_snapshot();
+        assert_eq!(m.queries_total, single.metrics_snapshot().queries_total);
         // At least the two appended duplicates hit (the random 24 may
         // collide among themselves too).
         assert!(m.cache_hits >= 2);

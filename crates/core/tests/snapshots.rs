@@ -312,6 +312,23 @@ fn corrupted_snapshots_fail_typed() {
         other => panic!("wrong magic produced {:?}, wanted BadMagic", other.err()),
     }
 
+    // A file of the previous format is refused by its header and never
+    // decoded: these are the 28 bytes `golden-v2.snap` began with.
+    let v2_header: [u8; 28] = [
+        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x02, 0x00, 0x00, 0x00, 0x7e, 0x62, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x90, 0x61, 0xbc, 0xa4, 0xe8, 0x65, 0x15,
+    ];
+    std::fs::write(&path, v2_header).expect("write v2 header");
+    match Latest::load_snapshot(config.clone(), &path) {
+        Err(PersistError::UnsupportedVersion { found, supported }) => {
+            assert_eq!((found, supported), (2, 3));
+        }
+        other => panic!(
+            "v2 header produced {:?}, wanted UnsupportedVersion",
+            other.err()
+        ),
+    }
+
     // A config that does not match the snapshot's fingerprint is refused —
     // restoring learned state under different parameters would silently
     // violate every capacity invariant.
@@ -519,7 +536,6 @@ fn pipeline_resume_continues_from_a_snapshot() {
     let config = small_config();
     let mut original = Latest::new(config.clone());
     let mut at = drive_to(&mut original, PhaseTag::Incremental, 0);
-    let switches_before = original.log().switches.len();
     let path = scratch("resume.snap");
     original.save_snapshot(&path).expect("save");
 
@@ -538,17 +554,12 @@ fn pipeline_resume_continues_from_a_snapshot() {
         })
     };
     // No warm-up re-entry: the handle answers from the incremental phase
-    // immediately, with the pre-crash log still attached.
+    // immediately.
     assert_eq!(shared.phase(), PhaseTag::Incremental);
     let out = shared
         .query(&RcDvq::keyword(vec![KeywordId(3)]), QueryOptions::new())
         .expect("a blocking query waits its turn");
     assert!(out.estimate.is_finite());
-    assert_eq!(
-        shared.with(|l| l.log().switches.len()),
-        switches_before,
-        "restored log lost its switch history"
-    );
     ingestor.join().expect("ingest thread");
     let _ = std::fs::remove_file(&path);
 }
@@ -565,7 +576,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v2.snap")
+        .join("golden-v3.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -617,7 +628,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v2.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v3.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );
@@ -667,4 +678,61 @@ fn roundtrip_survives_random_churn() {
         restored.audit().expect("restored instance audits clean");
         assert_lockstep(&mut original, &mut restored, at, 3);
     });
+}
+
+/// Bounded state, asserted: nothing a `Latest` writes into a snapshot grows
+/// with the number of queries it has answered. The stream is fixed-shape
+/// and fixed-rate, so the window holds the same 1 201 objects throughout; a
+/// forced prefill + activation every 150 queries keeps lifecycle events
+/// flowing. Two parts of a snapshot are saw-toothed rather than flat — the
+/// window writes its front chunk's already-evicted prefix (under one chunk
+/// of objects) and a sampler carries dead slots until it compacts — and
+/// both restart at a forced switch (the window snapshot seals a chunk, the
+/// replacement is built compact), so the two marks sit right after a
+/// switch back to RSH, past the 1 024-object chunks warm-up left behind.
+/// What is then left to move between the 25 % and the 100 % mark is the
+/// model — an order of magnitude under the 96-byte record per answered
+/// query the engine used to keep and persist.
+#[test]
+fn snapshot_size_does_not_grow_with_queries_served() {
+    const QUERIES: u64 = 2_400; // 120× the 20 pre-training queries
+    const PER_ROUND: u64 = 6; // divides 150, 600 and 2 400
+    let mut latest = Latest::new(small_config());
+    let mut at = drive_to(&mut latest, PhaseTag::Incremental, 0);
+    let mut quarter_mark = 0;
+    for round in 0..QUERIES / PER_ROUND {
+        for q in queries(2_000 + round, PER_ROUND) {
+            let out = latest.query(&q, QueryOptions::new());
+            assert!(matches!(out.served_by, ServedBy::Estimator(_)));
+        }
+        let answered = (round + 1) * PER_ROUND;
+        if answered.is_multiple_of(150) {
+            let to = match latest.active_kind() {
+                EstimatorKind::Rsh => EstimatorKind::Rsl,
+                _ => EstimatorKind::Rsh,
+            };
+            assert!(latest.debug_force_prefill(to));
+            assert!(latest.debug_activate_prefill());
+        }
+        // The ingest empties the selectivity cache, so neither mark counts
+        // cached answers.
+        latest.ingest_batch(&objects(at, 16));
+        at += 16;
+        if answered == QUERIES / 4 {
+            assert_eq!(latest.active_kind(), EstimatorKind::Rsh);
+            quarter_mark = latest.snapshot_bytes().len();
+        }
+    }
+    assert_eq!(latest.active_kind(), EstimatorKind::Rsh);
+    let full_mark = latest.snapshot_bytes().len();
+    let a_log_would_have_added = 96 * (QUERIES - QUERIES / 4) as usize;
+    assert!(
+        full_mark.abs_diff(quarter_mark) < a_log_would_have_added / 10,
+        "snapshot went from {quarter_mark} to {full_mark} bytes over {} queries",
+        QUERIES - QUERIES / 4
+    );
+    let snap = latest.metrics_snapshot();
+    assert_eq!(snap.adaptor.switches, QUERIES / 150);
+    assert!(latest.metrics().events.len() <= latest.metrics().events.capacity());
+    assert_eq!(snap.events_dropped, 0);
 }

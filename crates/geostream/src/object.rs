@@ -53,12 +53,6 @@ impl GeoTextObject {
     pub fn matches_any_keyword(&self, query_kws: &[KeywordId]) -> bool {
         keywords_intersect(&self.keywords, query_kws)
     }
-
-    /// Approximate heap footprint of the object in bytes, used for memory
-    /// budget accounting in the estimators.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.keywords.len() * std::mem::size_of::<KeywordId>()
-    }
 }
 
 /// Whether two **sorted** keyword slices share an element.
@@ -121,10 +115,5 @@ mod tests {
         let o = obj(vec![1, 2, 3]);
         let o2 = o.clone();
         assert!(Arc::ptr_eq(&o.keywords, &o2.keywords));
-    }
-
-    #[test]
-    fn approx_bytes_grows_with_keywords() {
-        assert!(obj(vec![1, 2, 3]).approx_bytes() > obj(vec![1]).approx_bytes());
     }
 }

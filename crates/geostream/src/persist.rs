@@ -46,7 +46,11 @@ use std::sync::Arc;
 /// * 2 — `latest-core`'s configuration fingerprint became an explicit field
 ///   encoding (it was a hash of the config's `Debug` text); nothing else
 ///   moved.
-pub const FORMAT_VERSION: u32 = 2;
+/// * 3 — `latest-core`'s payload lost its per-query log (the engine keeps
+///   none), the error-threshold retraining state and that setting's
+///   fingerprint line; `hoeffding`'s tree lost the leaf-prediction strategy
+///   and each leaf's two naive-Bayes counters.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a

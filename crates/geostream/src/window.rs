@@ -156,8 +156,9 @@ impl SlidingWindow {
         self.len == 0
     }
 
-    /// Timestamp of the newest live object, if any.
-    fn newest(&self) -> Option<Timestamp> {
+    /// Timestamp of the newest live object, if any — what the next arrival
+    /// must not precede.
+    pub fn newest(&self) -> Option<Timestamp> {
         self.tail
             .back()
             .or_else(|| self.sealed.back().and_then(|c| c.last()))

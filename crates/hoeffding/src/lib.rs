@@ -6,8 +6,7 @@
 //! algorithm with the paper's configuration:
 //!
 //! * **splitting criterion:** information gain;
-//! * **leaf prediction:** majority class (naive-Bayes leaves are also
-//!   available, see [`LeafPrediction`]);
+//! * **leaf prediction:** majority class;
 //! * **split decision:** the Hoeffding bound
 //!   `ε = sqrt(R² · ln(1/δ) / (2n))` decides when the observed best split
 //!   is reliably better than the runner-up, so each training record is read
@@ -33,4 +32,4 @@ pub use attribute::{AttributeSpec, Instance, Schema, Value};
 pub use bound::hoeffding_bound;
 pub use drift::{DdmDetector, DriftState};
 pub use stats::{ClassCounts, GaussianEstimator};
-pub use tree::{HoeffdingTree, HoeffdingTreeConfig, LeafPrediction, TreeStats};
+pub use tree::{HoeffdingTree, HoeffdingTreeConfig, TreeStats};

@@ -5,23 +5,9 @@ use crate::bound::hoeffding_bound;
 use crate::stats::{partition_entropy, ClassCounts, GaussianEstimator};
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};
 
-/// How a leaf turns its statistics into a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafPrediction {
-    /// Predict the most frequent class at the leaf (the paper's WEKA
-    /// configuration).
-    MajorityClass,
-    /// Naive-Bayes prediction from the leaf's attribute observers; often
-    /// more accurate with few observations per leaf.
-    NaiveBayes,
-    /// Per-leaf adaptive choice: each leaf prequentially scores both
-    /// strategies on its own stream and predicts with whichever has been
-    /// more accurate there (the classic VFDT-NBAdaptive variant).
-    NBAdaptive,
-}
-
 /// Tuning knobs of the tree. The defaults mirror the classic VFDT / MOA
-/// settings and the paper's WEKA defaults.
+/// settings and the paper's WEKA defaults; leaves predict their majority
+/// class, the paper's WEKA configuration.
 #[derive(Debug, Clone)]
 pub struct HoeffdingTreeConfig {
     /// Re-evaluate candidate splits at a leaf only every `grace_period`
@@ -32,8 +18,6 @@ pub struct HoeffdingTreeConfig {
     /// If the bound `ε` drops below this value, the top two splits are
     /// considered tied and the best one is taken.
     pub tie_threshold: f64,
-    /// Leaf prediction strategy.
-    pub leaf_prediction: LeafPrediction,
     /// Candidate thresholds evaluated per numeric attribute.
     pub num_split_points: usize,
     /// Hard depth cap (safety valve; `usize::MAX` disables).
@@ -46,7 +30,6 @@ impl Default for HoeffdingTreeConfig {
             grace_period: 200,
             split_confidence: 1e-7,
             tie_threshold: 0.05,
-            leaf_prediction: LeafPrediction::MajorityClass,
             num_split_points: 10,
             max_depth: usize::MAX,
         }
@@ -64,21 +47,6 @@ pub struct TreeStats {
 }
 
 type NodeId = usize;
-
-/// Index of the largest weight, ties to the lowest index; `None` when all
-/// weights are zero.
-fn argmax(weights: &[f64]) -> Option<u32> {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    weights
-        .iter()
-        .enumerate()
-        // LINT-ALLOW(no-panic): information gains over finite counts are finite, so partial_cmp succeeds
-        .max_by(|(ai, a), (bi, b)| a.partial_cmp(b).expect("finite").then(bi.cmp(ai)))
-        .map(|(i, _)| i as u32)
-}
 
 /// Per-attribute sufficient statistics at a leaf.
 #[derive(Debug, Clone)]
@@ -120,9 +88,6 @@ struct LeafNode {
     observers: Vec<Observer>,
     weight_at_last_eval: f64,
     depth: usize,
-    /// Prequential correct-prediction counts for the NBAdaptive strategy.
-    mc_correct: f64,
-    nb_correct: f64,
 }
 
 impl LeafNode {
@@ -137,8 +102,6 @@ impl LeafNode {
                 .map(|a| Observer::for_attr(a, schema.num_classes()))
                 .collect(),
             depth,
-            mc_correct: 0.0,
-            nb_correct: 0.0,
         }
     }
 }
@@ -242,26 +205,6 @@ impl HoeffdingTree {
         self.instances_seen += 1;
         let leaf_id = self.sort_to_leaf(instance);
         let grace = self.config.grace_period as f64;
-        if self.config.leaf_prediction == LeafPrediction::NBAdaptive {
-            // Prequential evaluation: score both strategies on this
-            // instance *before* training on it.
-            let (mc_hit, nb_hit) = {
-                let Node::Leaf(leaf) = &self.nodes[leaf_id] else {
-                    unreachable!("sorted to a leaf")
-                };
-                let mc = leaf.counts.majority();
-                let nb_weights = self.naive_bayes_weights(leaf, instance);
-                let nb = argmax(&nb_weights);
-                (mc == Some(class), nb == Some(class))
-            };
-            let leaf = self.leaf_mut(leaf_id);
-            if mc_hit {
-                leaf.mc_correct += 1.0;
-            }
-            if nb_hit {
-                leaf.nb_correct += 1.0;
-            }
-        }
         let (should_eval, depth) = {
             let leaf = self.leaf_mut(leaf_id);
             leaf.counts.add(class, 1.0);
@@ -290,9 +233,8 @@ impl HoeffdingTree {
             .unwrap_or(0)
     }
 
-    /// Per-class scores for `instance` (not normalized). Majority-class
-    /// leaves return raw class counts; naive-Bayes leaves return
-    /// likelihood-weighted counts.
+    /// Per-class scores for `instance` (not normalized): the raw class
+    /// counts of the leaf it sorts to.
     pub fn predict_weights(&self, instance: &Instance) -> Vec<f64> {
         self.schema
             .validate(instance)
@@ -302,48 +244,7 @@ impl HoeffdingTree {
         let Node::Leaf(leaf) = &self.nodes[leaf_id] else {
             unreachable!("sort_to_leaf_ref returns a leaf")
         };
-        match self.config.leaf_prediction {
-            LeafPrediction::MajorityClass => leaf.counts.iter().collect(),
-            LeafPrediction::NaiveBayes => self.naive_bayes_weights(leaf, instance),
-            LeafPrediction::NBAdaptive => {
-                if leaf.nb_correct > leaf.mc_correct {
-                    self.naive_bayes_weights(leaf, instance)
-                } else {
-                    leaf.counts.iter().collect()
-                }
-            }
-        }
-    }
-
-    fn naive_bayes_weights(&self, leaf: &LeafNode, instance: &Instance) -> Vec<f64> {
-        let total = leaf.counts.total();
-        if total <= 0.0 {
-            return leaf.counts.iter().collect();
-        }
-        (0..self.schema.num_classes())
-            .map(|c| {
-                let prior = (leaf.counts.get(c) + 1.0) / (total + self.schema.num_classes() as f64);
-                let mut w = prior;
-                for (obs, &v) in leaf.observers.iter().zip(instance.iter()) {
-                    w *= match (obs, v) {
-                        (Observer::Categorical(table), Value::Cat(val)) => {
-                            let class_total: f64 = table.iter().map(|cc| cc.get(c)).sum();
-                            (table[val as usize].get(c) + 1.0) / (class_total + table.len() as f64)
-                        }
-                        (Observer::Numeric(gs), Value::Num(x)) => {
-                            let g = &gs[c as usize];
-                            if g.weight() > 0.0 {
-                                g.pdf(x).max(1e-12)
-                            } else {
-                                1e-12
-                            }
-                        }
-                        _ => unreachable!("schema validated"),
-                    };
-                }
-                w
-            })
-            .collect()
+        leaf.counts.iter().collect()
     }
 
     /// Shape statistics of the tree.
@@ -591,34 +492,11 @@ impl HoeffdingTree {
     }
 }
 
-impl Persist for LeafPrediction {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_u8(match self {
-            LeafPrediction::MajorityClass => 0,
-            LeafPrediction::NaiveBayes => 1,
-            LeafPrediction::NBAdaptive => 2,
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8("LeafPrediction")? {
-            0 => Ok(LeafPrediction::MajorityClass),
-            1 => Ok(LeafPrediction::NaiveBayes),
-            2 => Ok(LeafPrediction::NBAdaptive),
-            d => Err(PersistError::Corrupt {
-                context: "LeafPrediction",
-                detail: format!("unknown strategy {d}"),
-            }),
-        }
-    }
-}
-
 impl Persist for HoeffdingTreeConfig {
     fn persist(&self, w: &mut PersistWriter) {
         w.put_u64(self.grace_period);
         w.put_f64(self.split_confidence);
         w.put_f64(self.tie_threshold);
-        self.leaf_prediction.persist(w);
         w.put_usize(self.num_split_points);
         // usize::MAX disables the depth cap; a u64 round-trips it exactly
         // on 64-bit targets.
@@ -629,7 +507,6 @@ impl Persist for HoeffdingTreeConfig {
         let grace_period = r.take_u64("HoeffdingTreeConfig.grace_period")?;
         let split_confidence = r.take_f64("HoeffdingTreeConfig.split_confidence")?;
         let tie_threshold = r.take_f64("HoeffdingTreeConfig.tie_threshold")?;
-        let leaf_prediction = LeafPrediction::restore(r)?;
         let num_split_points = r.take_usize("HoeffdingTreeConfig.num_split_points")?;
         let max_depth = r.take_u64("HoeffdingTreeConfig.max_depth")? as usize;
         if grace_period == 0 || num_split_points == 0 || !(0.0..1.0).contains(&split_confidence) {
@@ -644,7 +521,6 @@ impl Persist for HoeffdingTreeConfig {
             grace_period,
             split_confidence,
             tie_threshold,
-            leaf_prediction,
             num_split_points,
             max_depth,
         })
@@ -683,8 +559,6 @@ impl Persist for LeafNode {
         self.observers.persist(w);
         w.put_f64(self.weight_at_last_eval);
         w.put_u64(self.depth as u64);
-        w.put_f64(self.mc_correct);
-        w.put_f64(self.nb_correct);
     }
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
@@ -693,8 +567,6 @@ impl Persist for LeafNode {
             observers: Vec::<Observer>::restore(r)?,
             weight_at_last_eval: r.take_f64("LeafNode.weight_at_last_eval")?,
             depth: r.take_u64("LeafNode.depth")? as usize,
-            mc_correct: r.take_f64("LeafNode.mc_correct")?,
-            nb_correct: r.take_f64("LeafNode.nb_correct")?,
         })
     }
 }
@@ -909,68 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_bayes_leaves_work_with_few_samples() {
-        let schema = Schema::new(vec![AttributeSpec::numeric("x")], 2);
-        let config = HoeffdingTreeConfig {
-            leaf_prediction: LeafPrediction::NaiveBayes,
-            ..HoeffdingTreeConfig::default()
-        };
-        let mut tree = HoeffdingTree::new(schema, config);
-        // 30 samples: class 0 around 0, class 1 around 10 — far below the
-        // grace period, so the tree is a single NB leaf.
-        for i in 0..15 {
-            tree.train(&vec![Value::Num(i as f64 * 0.1)], 0);
-            tree.train(&vec![Value::Num(10.0 + i as f64 * 0.1)], 1);
-        }
-        assert_eq!(tree.stats().splits, 0);
-        assert_eq!(tree.predict(&vec![Value::Num(0.5)]), 0);
-        assert_eq!(tree.predict(&vec![Value::Num(10.5)]), 1);
-    }
-
-    #[test]
-    fn nb_adaptive_tracks_the_better_strategy() {
-        // Numeric Gaussian concept where NB shines with few samples per
-        // leaf; NBAdaptive must match or beat plain majority class.
-        let schema = Schema::new(vec![AttributeSpec::numeric("x")], 2);
-        let adaptive = HoeffdingTreeConfig {
-            leaf_prediction: LeafPrediction::NBAdaptive,
-            ..HoeffdingTreeConfig::default()
-        };
-        let mut tree = HoeffdingTree::new(schema, adaptive);
-        for i in 0..60 {
-            tree.train(&vec![Value::Num(i as f64 * 0.1)], 0);
-            tree.train(&vec![Value::Num(20.0 + i as f64 * 0.1)], 1);
-        }
-        // Far below the grace period: a single leaf, NB counters decide.
-        assert_eq!(tree.predict(&vec![Value::Num(1.0)]), 0);
-        assert_eq!(tree.predict(&vec![Value::Num(21.0)]), 1);
-    }
-
-    #[test]
-    fn nb_adaptive_falls_back_to_majority_when_nb_flounders() {
-        // A class-balanced coin-flip target: NB cannot beat majority, and
-        // the adaptive leaf should not crash or degrade below majority.
-        let schema = Schema::new(vec![AttributeSpec::categorical("c", 2)], 2);
-        let mut tree = HoeffdingTree::new(
-            schema,
-            HoeffdingTreeConfig {
-                leaf_prediction: LeafPrediction::NBAdaptive,
-                grace_period: 1_000_000, // never split
-                ..HoeffdingTreeConfig::default()
-            },
-        );
-        let mut s = 5u32;
-        for _ in 0..2_000 {
-            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            // Label mostly 1 regardless of the attribute.
-            let label = u32::from(!s.is_multiple_of(10));
-            tree.train(&vec![Value::Cat(s % 2)], label);
-        }
-        assert_eq!(tree.predict(&vec![Value::Cat(0)]), 1);
-        assert_eq!(tree.predict(&vec![Value::Cat(1)]), 1);
-    }
-
-    #[test]
     fn pure_stream_never_splits() {
         let mut tree = HoeffdingTree::new(cat_schema(), HoeffdingTreeConfig::default());
         for i in 0..2_000u32 {
@@ -1074,11 +884,7 @@ mod tests {
             ],
             3,
         );
-        let config = HoeffdingTreeConfig {
-            leaf_prediction: LeafPrediction::NBAdaptive,
-            ..HoeffdingTreeConfig::default()
-        };
-        let mut tree = HoeffdingTree::new(schema, config);
+        let mut tree = HoeffdingTree::new(schema, HoeffdingTreeConfig::default());
         let mut s = 29u32;
         let mut gen = move || {
             s = s.wrapping_mul(747_796_405).wrapping_add(2_891_336_453);

@@ -101,6 +101,6 @@ fn main() {
 
     println!(
         "\nestimates tracked the burst and decay; switches performed: {}",
-        latest.log().switches.len()
+        latest.metrics_snapshot().adaptor.switches
     );
 }

@@ -7,7 +7,7 @@
 
 use geostream::synth::DatasetSpec;
 use geostream::{Duration, KeywordId, Point, RcDvq, Rect};
-use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
+use latest_core::{Latest, LatestConfig, LifecycleEvent, PhaseTag, QueryOptions};
 
 fn main() {
     // A Twitter-like synthetic stream: hotspot-clustered geotagged posts
@@ -71,12 +71,16 @@ fn main() {
 
     // Phase 3 — incremental learning: one active estimator answers, the
     // system logs score it, and the adaptor switches when accuracy sags.
+    // The engine keeps no per-query history: a caller that wants one builds
+    // it from the outcomes it is handed.
+    let mut accuracy_sum = 0.0;
     for i in 0..200u32 {
         for _ in 0..25 {
             latest.ingest(objects.next_object());
         }
         let query = RcDvq::hybrid(downtown, vec![KeywordId(i % 20)]);
         let out = latest.query(&query, QueryOptions::new());
+        accuracy_sum += out.accuracy;
         if i % 50 == 0 {
             println!(
                 "q{i:>3} [{}] estimate={:>8.1} actual={:>6} accuracy={:.2} latency={:.3}ms",
@@ -85,17 +89,25 @@ fn main() {
         }
     }
 
-    let log = latest.log();
+    // Lifecycle history — switches, prefills, phase changes — is in the
+    // bounded event stream of the metrics snapshot.
+    let snap = latest.metrics_snapshot();
     println!(
         "\nactive estimator: {} | switches: {} | mean incremental accuracy: {:.3}",
         latest.active_kind(),
-        log.switches.len(),
-        log.mean_incremental_accuracy().unwrap_or(f64::NAN)
+        snap.adaptor.switches,
+        accuracy_sum / 200.0
     );
-    for sw in &log.switches {
-        println!(
-            "  switch at query #{}: {} -> {} (trigger avg {:.2})",
-            sw.at_seq, sw.from, sw.to, sw.trigger_average
-        );
+    for event in snap.switch_events() {
+        if let LifecycleEvent::EstimatorSwitched {
+            seq,
+            from,
+            to,
+            trigger_average,
+            ..
+        } = event
+        {
+            println!("  switch at query #{seq}: {from} -> {to} (trigger avg {trigger_average:.2})");
+        }
     }
 }

@@ -12,7 +12,7 @@
 use estimators::EstimatorKind;
 use geostream::synth::DatasetSpec;
 use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
-use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
+use latest_core::{Latest, LatestConfig, LifecycleEvent, PhaseTag, QueryOptions};
 
 fn main() {
     let dataset = DatasetSpec::twitter();
@@ -69,10 +69,9 @@ fn main() {
     println!("query  active  accuracy  monitor_avg");
     let print_row = |i: u32, latest: &Latest, acc: f64, switched: bool| {
         let avg = latest
-            .log()
-            .queries
-            .last()
-            .and_then(|q| q.monitor_average)
+            .metrics_snapshot()
+            .adaptor
+            .monitor_average
             .map(|a| format!("{a:.2}"))
             .unwrap_or_else(|| "warming".into());
         println!(
@@ -106,11 +105,17 @@ fn main() {
     }
 
     println!("\nswitch history:");
-    for sw in &latest.log().switches {
-        println!(
-            "  at query #{}: {} -> {} (monitor avg {:.2})",
-            sw.at_seq, sw.from, sw.to, sw.trigger_average
-        );
+    for event in latest.metrics_snapshot().switch_events() {
+        if let LifecycleEvent::EstimatorSwitched {
+            seq,
+            from,
+            to,
+            trigger_average,
+            ..
+        } = event
+        {
+            println!("  at query #{seq}: {from} -> {to} (monitor avg {trigger_average:.2})");
+        }
     }
     assert_ne!(
         latest.active_kind(),

@@ -4,7 +4,7 @@
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
 use geostream::{Duration, KeywordId, Point, RcDvq, Rect, StreamRng};
-use latest_core::{Latest, LatestConfig, PhaseTag, QueryOptions};
+use latest_core::{Latest, LatestConfig, LifecycleEvent, PhaseTag, QueryOptions, ServedBy};
 
 fn test_config(dataset: &DatasetSpec) -> LatestConfig {
     LatestConfig {
@@ -89,13 +89,20 @@ fn keyword_flood_forces_histogram_abandonment() {
         }
     }
     assert_ne!(latest.active_kind(), EstimatorKind::H4096);
-    let log = latest.log();
-    assert!(!log.switches.is_empty());
+    let snap = latest.metrics_snapshot();
     // The switch event must be internally consistent.
-    let sw = log.switches[0];
-    assert_eq!(sw.from, EstimatorKind::H4096);
-    assert_ne!(sw.to, EstimatorKind::H4096);
-    assert!(sw.trigger_average < 0.9);
+    let Some(LifecycleEvent::EstimatorSwitched {
+        from,
+        to,
+        trigger_average,
+        ..
+    }) = snap.switch_events().first().copied()
+    else {
+        panic!("no switch event recorded");
+    };
+    assert_eq!(*from, EstimatorKind::H4096);
+    assert_ne!(*to, EstimatorKind::H4096);
+    assert!(*trigger_average < 0.9);
 }
 
 #[test]
@@ -140,28 +147,38 @@ fn log_is_complete_and_ordered() {
         latest.ingest(gen.next_object());
     }
     let mut rng = StreamRng::seed_from_u64(3);
-    let total = 60;
+    let total = 60u64;
     for _ in 0..total {
         for _ in 0..5 {
             latest.ingest(gen.next_object());
         }
         let q = RcDvq::keyword(vec![KeywordId(rng.gen_range_u32(0..100))]);
-        let _ = latest.query(&q, QueryOptions::at(gen.clock()));
+        let out = latest.query(&q, QueryOptions::at(gen.clock()));
+        // The window moved since the last query, so every answer is an
+        // estimator's (nothing served from the cache).
+        assert!(matches!(out.served_by, ServedBy::Estimator(_)));
     }
-    let log = latest.log();
-    assert_eq!(log.queries.len(), total);
-    // Sequence numbers are dense and stream times non-decreasing.
-    for (i, rec) in log.queries.iter().enumerate() {
-        assert_eq!(rec.seq, i as u64);
-        if i > 0 {
-            assert!(rec.at >= log.queries[i - 1].at);
-        }
-        assert_eq!(rec.query_type, geostream::QueryType::Keyword);
-    }
-    // Switches (if any) reference real query positions.
-    for sw in &log.switches {
-        assert!((sw.at_seq as usize) < total);
-        assert_ne!(sw.from, sw.to);
+    // The engine's own journal: every query counted once, phases entered
+    // in lifetime order.
+    let snap = latest.metrics_snapshot();
+    assert_eq!(snap.queries_total, total);
+    assert_eq!(
+        snap.phase_events(),
+        [
+            PhaseTag::WarmUp,
+            PhaseTag::PreTraining,
+            PhaseTag::Incremental
+        ]
+    );
+    // Switches (if any) reference real query positions, in order.
+    let mut last_seq = 0;
+    for ev in snap.switch_events() {
+        let LifecycleEvent::EstimatorSwitched { seq, from, to, .. } = ev else {
+            panic!("switch_events returned {ev:?}");
+        };
+        assert!(*seq < total && *seq >= last_seq);
+        assert_ne!(from, to);
+        last_seq = *seq;
     }
 }
 

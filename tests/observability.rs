@@ -1,7 +1,7 @@
 //! End-to-end observability: the metrics registry and lifecycle event
-//! stream must agree exactly with the system log across a deterministic
-//! switch storm, and an end-of-run snapshot must carry non-trivial data
-//! for every subsystem.
+//! stream must account for every switch of a deterministic switch storm —
+//! they are the engine's only journal — and an end-of-run snapshot must
+//! carry non-trivial data for every subsystem.
 
 use estimators::{EstimatorConfig, EstimatorKind};
 use geostream::synth::DatasetSpec;
@@ -42,13 +42,13 @@ fn spatial_query(rng: &mut StreamRng, domain: &Rect) -> RcDvq {
 }
 
 /// Drives a keyword flood against a keyword-blind default estimator so
-/// the adaptor keeps switching, and checks after every query that the
-/// observability layer agrees with the system log: one
-/// `EstimatorSwitched` event per logged switch (same order, same
-/// fields), the accuracy monitor reset on each switch, and the
-/// prefill-start/discard/switch accounting identity.
+/// the adaptor keeps switching, and checks that the observability layer
+/// accounts for what the caller saw: one `EstimatorSwitched` event per
+/// outcome that reported a switch (same order, from the answering
+/// estimator to the one active afterwards), the accuracy monitor reset on
+/// each switch, and the prefill-start/discard/switch accounting identity.
 #[test]
-fn switch_storm_events_match_system_log() {
+fn switch_storm_events_account_for_every_switch() {
     let dataset = DatasetSpec::twitter();
     let mut latest = Latest::new(storm_config(&dataset));
     let mut gen = dataset.generator();
@@ -68,7 +68,9 @@ fn switch_storm_events_match_system_log() {
     // Alternate hostile blocks: keyword floods (bad for histograms) and
     // narrow spatial bursts, so accuracy keeps collapsing after each
     // switch and the adaptor fires more than once.
-    let mut switches_seen = 0usize;
+    // (query position, stream time, from, to) of every switch the outcomes
+    // reported; the 20 pre-training queries came first.
+    let mut switches_seen = Vec::new();
     for i in 0..400usize {
         for _ in 0..2 {
             latest.ingest(gen.next_object());
@@ -78,35 +80,37 @@ fn switch_storm_events_match_system_log() {
         } else {
             spatial_query(&mut rng, &dataset.domain)
         };
-        let _ = latest.query(&q, QueryOptions::at(gen.clock()));
+        let at = gen.clock();
+        let out = latest.query(&q, QueryOptions::at(at));
 
-        let logged = latest.log().switches.len();
-        if logged > switches_seen {
-            switches_seen = logged;
+        if out.switched {
+            switches_seen.push((20 + i as u64, at, out.estimator, latest.active_kind()));
             // The monitor must restart from empty after every switch (the
             // switching query's own observation lands before the reset).
             let snap = latest.metrics_snapshot();
             assert_eq!(
-                snap.adaptor.monitor_len, 0,
-                "accuracy monitor not reset after switch {logged}"
+                snap.adaptor.monitor_len,
+                0,
+                "accuracy monitor not reset after switch {}",
+                switches_seen.len()
             );
             assert_eq!(snap.adaptor.queries_since_switch, 0);
         }
     }
     assert!(
-        switches_seen >= 2,
-        "hostile workload produced only {switches_seen} switches — not a storm"
+        switches_seen.len() >= 2,
+        "hostile workload produced only {} switches — not a storm",
+        switches_seen.len()
     );
 
     let snap = latest.metrics_snapshot();
-    let log = latest.log();
 
-    // Every logged switch has exactly one EstimatorSwitched event, in
-    // order, with identical fields.
-    assert_eq!(snap.adaptor.switches, log.switches.len() as u64);
+    // Every switch an outcome reported has exactly one EstimatorSwitched
+    // event, in order, naming that query and those two estimators.
+    assert_eq!(snap.adaptor.switches, switches_seen.len() as u64);
     let events = snap.switch_events();
-    assert_eq!(events.len(), log.switches.len());
-    for (ev, sw) in events.iter().zip(&log.switches) {
+    assert_eq!(events.len(), switches_seen.len());
+    for (ev, seen) in events.iter().zip(&switches_seen) {
         match ev {
             LifecycleEvent::EstimatorSwitched {
                 seq,
@@ -115,23 +119,15 @@ fn switch_storm_events_match_system_log() {
                 to,
                 trigger_average,
             } => {
-                assert_eq!(*seq, sw.at_seq);
-                assert_eq!(*at, sw.at);
-                assert_eq!(*from, sw.from);
-                assert_eq!(*to, sw.to);
-                assert_eq!(trigger_average.to_bits(), sw.trigger_average.to_bits());
+                assert_eq!((*seq, *at, *from, *to), *seen);
+                assert!(*trigger_average < latest.config().tau);
             }
             other => panic!("switch_events returned {other:?}"),
         }
     }
 
-    // Prefill accounting: registry counters mirror the log, and every
-    // prefill either switched in, was discarded, or is still pending.
-    assert_eq!(snap.adaptor.prefill_starts, log.prefill_starts.len() as u64);
-    assert_eq!(
-        snap.adaptor.prefill_discards,
-        log.prefill_discards.len() as u64
-    );
+    // Prefill accounting: every prefill either switched in, was
+    // discarded, or is still pending.
     let pending = snap
         .estimators
         .iter()
@@ -210,13 +206,12 @@ fn snapshot_covers_every_subsystem() {
     );
     assert_eq!(snap.phase, PhaseTag::Incremental);
 
-    // Query accounting adds up and matches the log.
+    // Query accounting adds up.
     assert_eq!(snap.queries_total, 80);
     assert_eq!(
         snap.queries_by_phase.iter().sum::<u64>(),
         snap.queries_total
     );
-    assert_eq!(snap.queries_total, latest.log().queries.len() as u64);
 
     // Window: everything ingested is either resident or evicted.
     assert!(snap.window.ingested > 0);
