@@ -107,12 +107,14 @@ pub enum LifecycleEvent {
     PrefillStarted { seq: u64, kind: EstimatorKind },
     /// A pre-filling replacement was discarded (accuracy recovered).
     PrefillDiscarded { seq: u64, kind: EstimatorKind },
-    /// A background prefill build finished and its delta tail was replayed
+    /// A background prefill build finished — `snapshot_len` objects in
+    /// `build_ms` on the worker — and its delta tail was replayed
     /// (`delta_len` objects caught up on the serving thread).
     PrefillCompleted {
         seq: u64,
         kind: EstimatorKind,
         build_ms: f64,
+        snapshot_len: usize,
         delta_len: usize,
     },
     /// A background prefill build was abandoned mid-flight (discard while
@@ -178,10 +180,12 @@ impl LifecycleEvent {
                 seq,
                 kind,
                 build_ms,
+                snapshot_len,
                 delta_len,
             } => format!(
                 "{{\"event\": \"prefill_completed\", \"seq\": {seq}, \"kind\": \"{}\", \
-                 \"build_ms\": {build_ms:.3}, \"delta_len\": {delta_len}}}",
+                 \"build_ms\": {build_ms:.3}, \"snapshot_len\": {snapshot_len}, \
+                 \"delta_len\": {delta_len}}}",
                 kind.name()
             ),
             LifecycleEvent::PrefillCancelled { seq, kind } => format!(
@@ -898,6 +902,7 @@ mod tests {
                 seq: 5,
                 kind: EstimatorKind::Spn,
                 build_ms: 12.5,
+                snapshot_len: 100_000,
                 delta_len: 40,
             },
             LifecycleEvent::PrefillCancelled {
@@ -927,6 +932,12 @@ mod tests {
             assert!(json.contains(ev.name()), "{json}");
             testkit::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
         }
+        // Objects and milliseconds of a build sit side by side.
+        assert_eq!(
+            events[3].to_json(),
+            "{\"event\": \"prefill_completed\", \"seq\": 5, \"kind\": \"SPN\", \
+             \"build_ms\": 12.500, \"snapshot_len\": 100000, \"delta_len\": 40}"
+        );
     }
 
     #[test]

@@ -237,13 +237,42 @@ impl EstimatorPool {
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
-/// Objects fed per `insert_batch` call while building a prefill snapshot on
-/// the worker; between chunks the worker polls the cancel flag so a
-/// discarded build stops within one chunk instead of finishing the sweep.
-/// Chunking preserves bit-equality: `insert_batch` is state-equivalent to
-/// per-object inserts in order, so any chunking of the same sequence lands
-/// in the same state.
-const PREFILL_BUILD_CHUNK: usize = 1024;
+/// Builds a prefill candidate of `kind` from `slices` (oldest first): the
+/// one build every candidate comes from — the worker's job, the on-caller
+/// degradation, and the engine's overflow / worker-died fallbacks — so all
+/// of them persist byte for byte alike. `reuse` recycles a discarded
+/// candidate's allocations through `clear()`.
+///
+/// The slices go through `SelectivityEstimator::insert_slices` in one call.
+/// Its contract is the *observable* state of one `insert` per object in
+/// order — population, arrivals seen, RNG state, each sample's slot →
+/// object map, SPN's `rebuilds` and components — so the candidate's
+/// estimates are bit-identical, now and after any further churn, to those
+/// of one maintained inline. What no estimate reads may differ from such a
+/// one: a bulk-built sample has every posting generation at zero, no
+/// tombstones or keyword-pool garbage, and RSH cells that list their slots
+/// in ascending order.
+///
+/// A caller that may abandon the build ends `slices` early and drops the
+/// result: the worker's sequence stops at the first slice boundary after
+/// its cancel flag is set (a window snapshot's slices hold at most 1 024
+/// objects).
+pub(crate) fn build_candidate<'a>(
+    kind: EstimatorKind,
+    config: &EstimatorConfig,
+    mut slices: impl Iterator<Item = &'a [GeoTextObject]>,
+    reuse: Option<BoxedEstimator>,
+) -> BoxedEstimator {
+    let mut est = match reuse {
+        Some(mut e) => {
+            e.clear();
+            e
+        }
+        None => build_estimator(kind, config),
+    };
+    est.insert_slices(&mut slices);
+    est
+}
 
 /// A finished background prefill build, as delivered on a [`PrefillTicket`].
 pub struct BuiltPrefill {
@@ -292,11 +321,11 @@ impl PrefillTicket {
         self.rx.recv().ok()
     }
 
-    /// Abandons the build: the worker stops at the next chunk boundary
+    /// Abandons the build: the worker stops at the next slice boundary
     /// and drops the partial candidate.
     pub fn cancel(self) {
         // Relaxed ordering: advisory early-exit flag — the worker merely
-        // stops sooner or later by a chunk; dropping `rx` is what
+        // stops sooner or later by a slice; dropping `rx` is what
         // actually detaches the result.
         // CONC(prefill-handoff/prefill-cancel): advisory early-exit flag;
         // the done channel carries the real handoff
@@ -421,38 +450,32 @@ impl PrefillBuilder {
     }
 
     fn run_job(job: PrefillJob) {
-        // Relaxed ordering here and below: the flag is advisory — it only
-        // decides how soon the worker abandons a cancelled build; the
-        // result channel provides the actual cross-thread handoff.
-        // CONC(prefill-handoff/prefill-cancel): advisory-only check before
-        // any build work starts
-        if job.cancel.load(Ordering::Relaxed) {
+        // Relaxed ordering: the flag is advisory — it only decides how soon
+        // the worker abandons a cancelled build; the result channel
+        // provides the actual cross-thread handoff.
+        // CONC(prefill-handoff/prefill-cancel): read before any build work
+        // starts, at every slice boundary of the snapshot, and once more
+        // before delivery
+        let cancelled = || job.cancel.load(Ordering::Relaxed);
+        if cancelled() {
             return;
         }
         let timer = WallTimer::start();
-        let mut est = match job.reuse {
-            Some(mut e) => {
-                e.clear();
-                e
-            }
-            None => build_estimator(job.kind, &job.config),
-        };
-        let snapshot_len = job.snapshot.len();
-        for slice in job.snapshot.chunk_slices() {
-            for chunk in slice.chunks(PREFILL_BUILD_CHUNK) {
-                // Relaxed ordering: same advisory cancel flag as above.
-                // CONC(prefill-handoff/prefill-cancel): chunk-boundary check;
-                // stops a cancelled build early
-                if job.cancel.load(Ordering::Relaxed) {
-                    return;
-                }
-                est.insert_batch(chunk);
-            }
+        let est = build_candidate(
+            job.kind,
+            &job.config,
+            job.snapshot.chunk_slices().take_while(|_| !cancelled()),
+            job.reuse,
+        );
+        // A cancelled build may have seen only part of the snapshot: it is
+        // dropped, never delivered.
+        if cancelled() {
+            return;
         }
         let _ = job.done.send(BuiltPrefill {
             estimator: est,
             build_us: timer.elapsed_us(),
-            snapshot_len,
+            snapshot_len: job.snapshot.len(),
         });
     }
 }
@@ -618,6 +641,14 @@ mod tests {
             assert!(
                 persisted(&built.estimator) == persisted(&reference.estimator),
                 "{kind}: on-caller build persists differently from the background build"
+            );
+            // The engine's overflow and worker-died fallbacks build from the
+            // live window through the same function; a window slices the
+            // same sequence differently than its snapshot does.
+            let fallback = build_candidate(kind, &cfg, objs.chunks(700), None);
+            assert!(
+                persisted(&fallback) == persisted(&reference.estimator),
+                "{kind}: fallback build persists differently from the background build"
             );
         }
         assert!(

@@ -11,7 +11,7 @@ use crate::obsv::{
     MetricsRegistry, MetricsSnapshot, PoolMetrics, WallTimer, WindowMetrics,
     EVICTION_EVENT_GRANULARITY,
 };
-use crate::pool::{EstimatorPool, PrefillBuilder, PrefillTicket};
+use crate::pool::{build_candidate, EstimatorPool, PrefillBuilder, PrefillTicket};
 use crate::shard::{RouterPolicy, ShardConfig};
 use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind};
 use exactdb::{ExactExecutor, SpatialIndexKind};
@@ -1323,9 +1323,10 @@ impl Latest {
     /// Turns a non-idle prefill slot into an activated candidate. A
     /// `Ready` candidate is handed over as-is; a `Building` one blocks on
     /// the worker and replays the delta tail (the only remaining stall).
-    /// Falls back to an inline rebuild from the live window if the worker
-    /// died or the delta log overflowed — the candidate must always be
-    /// state-equal to one maintained inline.
+    /// Falls back to an inline build from the live window if the worker
+    /// died or the delta log overflowed — through the builder's own
+    /// [`build_candidate`], so the fallback's candidate is the one the
+    /// worker would have delivered for the same window.
     fn resolve_candidate(
         slot: PrefillSlot,
         window: &SlidingWindow,
@@ -1333,13 +1334,6 @@ impl Latest {
         metrics: &MetricsRegistry,
         seq: u64,
     ) -> Option<BoxedEstimator> {
-        let inline_rebuild = |kind: EstimatorKind| {
-            let mut c = build_estimator(kind, &config.estimator_config);
-            for slice in window.chunk_slices() {
-                c.insert_batch(slice);
-            }
-            c
-        };
         match slot {
             PrefillSlot::Idle => None,
             PrefillSlot::Ready(p) => Some(p),
@@ -1350,35 +1344,37 @@ impl Latest {
                 ..
             } => {
                 let timer = WallTimer::start();
-                if delta.overflowed() {
+                let built = if delta.overflowed() {
                     ticket.cancel();
                     metrics.prefill_cancelled.inc();
                     metrics
                         .events
                         .record(LifecycleEvent::PrefillCancelled { seq, kind });
-                    let c = inline_rebuild(kind);
-                    metrics.switch_stall_us.record(timer.elapsed_us());
-                    return Some(c);
-                }
-                let mut est = match ticket.wait() {
-                    Some(built) => {
-                        metrics.prefill_build_us.record(built.build_us);
-                        metrics.events.record(LifecycleEvent::PrefillCompleted {
-                            seq,
-                            kind,
-                            build_ms: built.build_us as f64 / 1_000.0,
-                            delta_len: delta.objects(),
-                        });
-                        built.estimator
-                    }
-                    None => {
-                        // Worker died mid-build: rebuild inline so the
-                        // switch still happens.
-                        let c = inline_rebuild(kind);
-                        metrics.switch_stall_us.record(timer.elapsed_us());
-                        return Some(c);
-                    }
+                    None
+                } else {
+                    ticket.wait()
                 };
+                let Some(built) = built else {
+                    // The log overflowed or the worker died mid-build:
+                    // build inline so the switch still happens.
+                    let est = build_candidate(
+                        kind,
+                        &config.estimator_config,
+                        window.chunk_slices(),
+                        None,
+                    );
+                    metrics.switch_stall_us.record(timer.elapsed_us());
+                    return Some(est);
+                };
+                metrics.prefill_build_us.record(built.build_us);
+                metrics.events.record(LifecycleEvent::PrefillCompleted {
+                    seq,
+                    kind,
+                    build_ms: built.build_us as f64 / 1_000.0,
+                    snapshot_len: built.snapshot_len,
+                    delta_len: delta.objects(),
+                });
+                let mut est = built.estimator;
                 delta.replay_into(&mut est);
                 metrics.switch_stall_us.record(timer.elapsed_us());
                 Some(est)
@@ -1452,6 +1448,7 @@ impl Latest {
                         seq: *started_seq,
                         kind: *kind,
                         build_ms: built.build_us as f64 / 1_000.0,
+                        snapshot_len: built.snapshot_len,
                         delta_len: delta.objects(),
                     });
                 finished = Some(est);

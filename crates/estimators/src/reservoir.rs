@@ -17,6 +17,67 @@ use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::StreamRng;
 use geostream::{GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
 
+/// Algorithm R's outcome over a run of arrivals, decided before any object
+/// is read: the first pass of a bulk build
+/// ([`SelectivityEstimator::insert_slices`]).
+///
+/// `winner[slot]` is the last arrival algorithm R wrote to `slot` (`None`:
+/// the slot keeps the object it held on entry), and `winner.len()` is the
+/// sample length after the run. An arrival that a later one overwrites is
+/// never placed, so the second pass ([`Winners::drain`]) writes each slot
+/// at most once.
+pub(crate) struct Winners<'a> {
+    winner: Vec<Option<&'a GeoTextObject>>,
+}
+
+impl<'a> Winners<'a> {
+    /// No decisions yet over a sample of `sample_len` objects.
+    pub(crate) fn over(sample_len: usize) -> Self {
+        Winners {
+            winner: vec![None; sample_len],
+        }
+    }
+
+    /// Sample length once every decision so far is placed.
+    pub(crate) fn sample_len(&self) -> usize {
+        self.winner.len()
+    }
+
+    /// Decides `objs` in order exactly as one `insert` each would: every
+    /// arrival bumps `seen`; below `capacity` it takes the next free slot
+    /// and draws nothing, at capacity it draws `0..seen` from `rng` and
+    /// takes slot `j` iff `j < capacity`.
+    pub(crate) fn decide(
+        &mut self,
+        objs: &'a [GeoTextObject],
+        capacity: usize,
+        seen: &mut u64,
+        rng: &mut StreamRng,
+    ) {
+        let fill = capacity.saturating_sub(self.winner.len()).min(objs.len());
+        let (filling, steady) = objs.split_at(fill);
+        *seen += fill as u64;
+        self.winner.extend(filling.iter().map(Some));
+        for obj in steady {
+            *seen += 1;
+            let j = rng.gen_range_u64(0..*seen);
+            if (j as usize) < capacity {
+                self.winner[j as usize] = Some(obj);
+            }
+        }
+    }
+
+    /// Hands out the decided `(slot, object)` placements, slots ascending —
+    /// so a slot past the entry length is always the store's next free one
+    /// — leaving no decision over the sample as placed.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (usize, &'a GeoTextObject)> + '_ {
+        self.winner
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(slot, w)| w.take().map(|obj| (slot, obj)))
+    }
+}
+
 /// Algorithm-R reservoir sample of the window.
 pub struct ReservoirList {
     capacity: usize,
@@ -60,6 +121,11 @@ impl ReservoirList {
     /// The backing sample store (read access for diagnostics and tests).
     pub fn store(&self) -> &SampleStore {
         &self.store
+    }
+
+    /// The sampling RNG (read access for tests: equal states draw alike).
+    pub fn rng(&self) -> &StreamRng {
+        &self.rng
     }
 
     /// Counts sample objects matching `query` and scales to the window
@@ -126,6 +192,20 @@ impl SelectivityEstimator for ReservoirList {
             if (j as usize) < self.capacity {
                 self.place(obj, j as usize);
             }
+        }
+    }
+
+    /// Two passes: decide every arrival (draws only), then place each
+    /// surviving slot once — `n` arrivals cost `n` draws and at most
+    /// `capacity` store writes instead of `capacity · (1 + ln(n / capacity))`.
+    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
+        let mut winners = Winners::over(self.store.len());
+        for slice in slices {
+            self.population += slice.len() as u64;
+            winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
+        }
+        for (slot, obj) in winners.drain() {
+            self.place(obj, slot);
         }
     }
 
@@ -386,6 +466,70 @@ mod tests {
         for (q, b) in batch.iter().zip(many) {
             assert_eq!(b.to_bits(), r.estimate(q).to_bits(), "diverged on {q:?}");
         }
+    }
+
+    /// A count, not a stopwatch, pins what the bulk build saves: the same
+    /// sample and RNG state as one `insert` per arrival, reached with each
+    /// slot written once — where the singles side churned through
+    /// replacements, tombstones and compactions to get there.
+    #[test]
+    fn bulk_build_writes_each_slot_once_and_matches_singles() {
+        let objs: Vec<GeoTextObject> = (0..3_000u64)
+            .map(|i| obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6, 7]))
+            .collect();
+        let mut singles = ReservoirList::new(&config(32));
+        for o in &objs {
+            singles.insert(o);
+        }
+        let mut bulk = ReservoirList::new(&config(32));
+        // Slices that straddle the fill → steady edge, and an empty one.
+        let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
+        bulk.insert_slices(&mut slices.into_iter());
+
+        assert_eq!(bulk.store.oids(), singles.store.oids());
+        assert_eq!(bulk.seen, singles.seen);
+        assert_eq!(bulk.population(), singles.population());
+        assert_eq!(bulk.rng.state(), singles.rng.state());
+        let q = RcDvq::hybrid(Rect::new(0.0, 0.0, 50.0, 50.0), vec![KeywordId(2)]);
+        assert_eq!(bulk.estimate(&q).to_bits(), singles.estimate(&q).to_bits());
+
+        assert!(bulk.store.written_once(), "a slot was written twice");
+        assert_eq!(bulk.store.compactions(), 0);
+        assert!(!singles.store.written_once(), "singles never replaced");
+        assert!(singles.store.compactions() > 0, "singles never compacted");
+        #[cfg(feature = "debug-invariants")]
+        bulk.audit().expect("bulk-built reservoir audit");
+    }
+
+    /// On a sample that removals shrank below capacity, the bulk build
+    /// refills the free slots without drawing — as `insert` does — and
+    /// replaces in place below the entry length.
+    #[test]
+    fn bulk_build_continues_a_shrunk_sample_like_singles() {
+        let objs: Vec<GeoTextObject> = (0..1_200u64)
+            .map(|i| obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]))
+            .collect();
+        let (mut singles, mut bulk) = (
+            ReservoirList::new(&config(32)),
+            ReservoirList::new(&config(32)),
+        );
+        for r in [&mut singles, &mut bulk] {
+            r.insert_batch(&objs[..400]);
+            let sampled: Vec<ObjectId> = r.store.oids()[..12].to_vec();
+            for oid in sampled {
+                r.remove(&objs[oid.0 as usize]);
+            }
+            assert_eq!(r.sample_len(), 20);
+        }
+        for o in &objs[400..] {
+            singles.insert(o);
+        }
+        bulk.insert_slices(&mut objs[400..].chunks(150));
+        assert_eq!(bulk.store.oids(), singles.store.oids());
+        assert_eq!(bulk.rng.state(), singles.rng.state());
+        assert_eq!(bulk.seen, singles.seen);
+        #[cfg(feature = "debug-invariants")]
+        bulk.audit().expect("bulk-continued reservoir audit");
     }
 
     #[test]

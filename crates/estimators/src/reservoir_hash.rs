@@ -12,6 +12,7 @@
 //! posting index, and hybrid queries pick posting-first vs grid-gather by
 //! the store's cost cutover.
 
+use crate::reservoir::Winners;
 use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::object::keywords_intersect;
@@ -71,6 +72,11 @@ impl ReservoirHash {
     /// The backing sample store (read access for diagnostics and tests).
     pub fn store(&self) -> &SampleStore {
         &self.store
+    }
+
+    /// The sampling RNG (read access for tests: equal states draw alike).
+    pub fn rng(&self) -> &StreamRng {
+        &self.rng
     }
 
     /// Cell of the object currently stored at `slot`.
@@ -146,6 +152,20 @@ impl SelectivityEstimator for ReservoirHash {
             if (j as usize) < self.capacity {
                 self.place(obj, j as usize);
             }
+        }
+    }
+
+    /// Decide, then place once — see [`Winners`]. Each placement links its
+    /// grid cell as `insert` does, so a cell lists its slots in ascending
+    /// order rather than in arrival order; no count depends on that order.
+    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
+        let mut winners = Winners::over(self.store.len());
+        for slice in slices {
+            self.population += slice.len() as u64;
+            winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
+        }
+        for (slot, obj) in winners.drain() {
+            self.place(obj, slot);
         }
     }
 
@@ -518,6 +538,55 @@ mod tests {
                 assert_eq!(r.cell_of_slot(s), cell, "slot in wrong cell");
             }
         }
+    }
+
+    /// The bulk build leaves the singles' sample and RNG state, every slot
+    /// written once, and a grid that covers exactly the sample — its cells
+    /// list slots in ascending order, which is the one thing that differs.
+    #[test]
+    fn bulk_build_writes_each_slot_once_and_matches_singles() {
+        let mut seed = 31u64;
+        let objs: Vec<GeoTextObject> = (0..3_000u64)
+            .map(|i| {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let x = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+                obj(i, x, 64.0 - x, &[(i % 5) as u32, 9])
+            })
+            .collect();
+        let mut singles = ReservoirHash::new(&config(32));
+        for o in &objs {
+            singles.insert(o);
+        }
+        let mut bulk = ReservoirHash::new(&config(32));
+        let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
+        bulk.insert_slices(&mut slices.into_iter());
+
+        assert_eq!(bulk.store.oids(), singles.store.oids());
+        assert_eq!(bulk.seen, singles.seen);
+        assert_eq!(bulk.population(), singles.population());
+        assert_eq!(bulk.rng.state(), singles.rng.state());
+        assert_eq!(bulk.occupied, singles.occupied);
+        for (cell, slots) in bulk.grid.iter().enumerate() {
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "cell {cell} unsorted"
+            );
+            let mut theirs = singles.grid[cell].clone();
+            theirs.sort_unstable();
+            assert_eq!(*slots, theirs, "cell {cell} holds other slots");
+        }
+        for q in [
+            RcDvq::spatial(Rect::new(5.0, 5.0, 40.0, 60.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(9)]),
+        ] {
+            assert_eq!(bulk.estimate(&q).to_bits(), singles.estimate(&q).to_bits());
+        }
+        assert!(bulk.store.written_once(), "a slot was written twice");
+        assert_eq!(bulk.store.compactions(), 0);
+        assert!(!singles.store.written_once(), "singles never replaced");
+        #[cfg(feature = "debug-invariants")]
+        bulk.audit().expect("bulk-built rsh audit");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! the coordinate columns, and the pre-model estimate path (before the
 //! first rebuild) answers from the store's kernels instead of a scan.
 
+use crate::reservoir::Winners;
 use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
@@ -122,6 +123,12 @@ impl Component {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// k-means trainings run on this thread (tests run one per thread).
+    static TRAININGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The sum-product network estimator.
 pub struct SpnEstimator {
     domain: Rect,
@@ -192,6 +199,11 @@ impl SpnEstimator {
         &self.buffer
     }
 
+    /// The sampling RNG (read access for tests: equal states draw alike).
+    pub fn rng(&self) -> &StreamRng {
+        &self.rng
+    }
+
     fn buffer_insert(&mut self, obj: &GeoTextObject) {
         self.seen += 1;
         if self.buffer.len() < self.buffer_capacity {
@@ -204,24 +216,51 @@ impl SpnEstimator {
         }
     }
 
+    /// Places a bulk build's decided winners into the buffer.
+    fn place_winners(&mut self, winners: &mut Winners<'_>) {
+        for (slot, obj) in winners.drain() {
+            if slot < self.buffer.len() {
+                self.buffer.replace(slot as u32, obj);
+            } else {
+                self.buffer.push(obj);
+            }
+        }
+    }
+
+    /// Opens a rebuild over an `n`-object buffer: counts it and draws the
+    /// k-means seed slots, which is all the randomness a rebuild consumes.
+    /// A bulk build calls this alone for a rebuild whose model the next
+    /// rebuild of the same call replaces before any estimate can read it.
+    fn draw_seeds(&mut self, n: usize) -> Vec<usize> {
+        self.rebuilds += 1;
+        self.inserts_since_rebuild = 0;
+        (0..self.clusters.min(n))
+            .map(|_| self.rng.gen_range_usize(0..n))
+            .collect()
+    }
+
     /// Rebuilds the mixture from the current buffer: k-means over
     /// locations, then per-cluster leaf distributions.
     fn rebuild(&mut self) {
-        self.rebuilds += 1;
-        self.inserts_since_rebuild = 0;
+        let seeds = self.draw_seeds(self.buffer.len());
+        self.train(&seeds);
+    }
+
+    /// Trains the mixture on the current buffer from the given seed slots.
+    fn train(&mut self, seeds: &[usize]) {
+        #[cfg(test)]
+        TRAININGS.with(|t| t.set(t.get() + 1));
         self.components.clear();
-        if self.buffer.is_empty() {
+        if seeds.is_empty() {
             return;
         }
         let (xs, ys) = (self.buffer.xs(), self.buffer.ys());
         let n = xs.len();
-        let k = self.clusters.min(n);
+        let k = seeds.len();
         // Init centroids from distinct-ish sample positions.
-        let mut centroids: Vec<Point> = (0..k)
-            .map(|_| {
-                let idx = self.rng.gen_range_usize(0..n);
-                Point::new(xs[idx], ys[idx])
-            })
+        let mut centroids: Vec<Point> = seeds
+            .iter()
+            .map(|&idx| Point::new(xs[idx], ys[idx]))
             .collect();
         let mut assignment = vec![0usize; n];
         for _ in 0..KMEANS_ITERS {
@@ -438,6 +477,45 @@ impl SelectivityEstimator for SpnEstimator {
     fn remove(&mut self, obj: &GeoTextObject) {
         self.population = self.population.saturating_sub(1);
         self.buffer.remove(obj.oid);
+    }
+
+    /// Decide, then place once — see [`Winners`] — with the sequence cut at
+    /// the `rebuild_every` boundaries `insert` would rebuild at. Only the
+    /// last boundary's model can ever be read, so the buffer is
+    /// materialised and k-means run there alone; the earlier ones spend
+    /// their seed draws ([`SpnEstimator::draw_seeds`]) and nothing else.
+    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
+        // Which boundary is the last depends on the total, so the slice
+        // list (not the objects) is taken up front.
+        let slices: Vec<&[GeoTextObject]> = slices.collect();
+        let mut left: u64 = slices.iter().map(|s| s.len() as u64).sum();
+        self.population += left;
+        let every = self.rebuild_every.max(1);
+        let mut until_rebuild = every.saturating_sub(self.inserts_since_rebuild).max(1);
+        let mut winners = Winners::over(self.buffer.len());
+        for mut slice in slices {
+            while !slice.is_empty() {
+                let take =
+                    usize::try_from(until_rebuild).map_or(slice.len(), |u| u.min(slice.len()));
+                let (head, rest) = slice.split_at(take);
+                winners.decide(head, self.buffer_capacity, &mut self.seen, &mut self.rng);
+                slice = rest;
+                left -= take as u64;
+                until_rebuild -= take as u64;
+                self.inserts_since_rebuild += take as u64;
+                if until_rebuild > 0 {
+                    continue;
+                }
+                until_rebuild = every;
+                if left >= every {
+                    self.draw_seeds(winners.sample_len());
+                } else {
+                    self.place_winners(&mut winners);
+                    self.rebuild();
+                }
+            }
+        }
+        self.place_winners(&mut winners);
     }
 
     fn estimate(&self, query: &RcDvq) -> f64 {
@@ -693,6 +771,54 @@ mod tests {
             orig.audit().unwrap();
             back.audit().unwrap();
         }
+    }
+
+    /// The benchmark's shape — 100 k objects into a 2 048-object buffer
+    /// that rebuilds every 8 192 inserts: twelve rebuilds are counted and
+    /// their seeds drawn, one k-means is run, and the state is the one
+    /// twelve k-means runs reach one insert at a time.
+    #[test]
+    fn bulk_build_of_100k_counts_twelve_rebuilds_and_trains_once() {
+        let cfg = EstimatorConfig {
+            reservoir_capacity: 8_192,
+            ..config()
+        };
+        let objs: Vec<GeoTextObject> = (0..100_000u64)
+            .map(|i| {
+                let x = (i.wrapping_mul(37) % 100) as f64;
+                let y = (i.wrapping_mul(59) % 100) as f64;
+                obj(i, x, y, &[(i % 50) as u32])
+            })
+            .collect();
+        let trainings = || TRAININGS.with(std::cell::Cell::get);
+
+        let before = trainings();
+        let mut bulk = SpnEstimator::new(&cfg);
+        bulk.insert_slices(&mut objs.chunks(1_024));
+        assert_eq!(bulk.rebuilds(), 12);
+        assert_eq!(trainings() - before, 1, "k-means runs in one bulk build");
+
+        let before = trainings();
+        let mut singles = SpnEstimator::new(&cfg);
+        for o in &objs {
+            singles.insert(o);
+        }
+        assert_eq!(singles.rebuilds(), 12);
+        assert_eq!(trainings() - before, 12);
+
+        assert_eq!(bulk.buffer.oids(), singles.buffer.oids());
+        assert_eq!(bulk.rng.state(), singles.rng.state());
+        assert_eq!(bulk.seen, singles.seen);
+        assert_eq!(bulk.inserts_since_rebuild, singles.inserts_since_rebuild);
+        for q in [
+            RcDvq::spatial(Rect::new(10.0, 10.0, 40.0, 40.0)),
+            RcDvq::keyword(vec![KeywordId(7)]),
+            RcDvq::hybrid(Rect::new(20.0, 0.0, 90.0, 70.0), vec![KeywordId(13)]),
+        ] {
+            assert_eq!(bulk.estimate(&q).to_bits(), singles.estimate(&q).to_bits());
+        }
+        #[cfg(feature = "debug-invariants")]
+        bulk.audit().expect("bulk-built spn audit");
     }
 
     #[test]

@@ -214,6 +214,16 @@ impl SampleStore {
         self.postings.compactions
     }
 
+    /// Whether every slot was written exactly once and nothing retired: no
+    /// generation bumped, no dead posting entry, no keyword garbage — what
+    /// a bulk build into an empty store must leave.
+    #[cfg(test)]
+    pub(crate) fn written_once(&self) -> bool {
+        self.kw_garbage == 0
+            && self.slot_gen.iter().all(|&g| g == 0)
+            && self.postings.map.values().all(|l| l.dead == 0)
+    }
+
     /// Appends `obj` at slot `len`, returning its slot.
     pub fn push(&mut self, obj: &GeoTextObject) -> u32 {
         // LINT-ALLOW(as-truncation): slot count is bounded by the reservoir capacity, far below u32::MAX

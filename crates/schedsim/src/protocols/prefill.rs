@@ -123,7 +123,7 @@ fn builder(state: &mut State, ctx: &mut Ctx) -> Step {
             }
         },
         // Chunk boundary: a cancelled generation-1 build aborts silently
-        // (no done message), exactly like run_job's per-chunk poll.
+        // (no done message), exactly like run_job's per-slice poll.
         // Ordering note: the relaxed load may miss a concurrent cancel —
         // the protocol tolerates that by construction.
         1 | 2 => {

@@ -14,8 +14,7 @@
 //! *bookkeeping* stays exactly consistent under sustained churn.
 
 use estimators::store::SampleStore;
-use estimators::EstimatorConfig;
-use estimators::EstimatorKind;
+use estimators::{build_estimator, EstimatorConfig, EstimatorKind};
 use exactdb::{ExactExecutor, SpatialIndexKind};
 use geostream::{
     Duration, GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, SlidingWindow, Timestamp,
@@ -116,6 +115,22 @@ fn full_stack_stays_audit_clean_under_churn() {
                 assert_eq!(e.execute(&q), truth, "backends disagree on {q:?}");
             }
             pool.measure(&q, truth);
+        }
+
+        // Mid-run, swap the whole pool for candidates bulk-built from the
+        // live window, the way a prefill builds them: from here on the
+        // sweeps audit decision-replay samples (each slot written once,
+        // generations all zero, RSH cells in slot order) as eviction and
+        // replacement churn through them.
+        if i == 6_000 {
+            let rebuilt = EstimatorKind::ALL.map(|kind| {
+                let mut est = build_estimator(kind, &config);
+                est.insert_slices(&mut window.chunk_slices());
+                est
+            });
+            pool = EstimatorPool::new(rebuilt.into());
+            pool.audit()
+                .unwrap_or_else(|e| panic!("bulk-built pool: {e}"));
         }
 
         if i % 500 == 0 || i == 11_999 {

@@ -140,6 +140,27 @@ fn switch_storm_events_account_for_every_switch() {
         "prefill starts must equal switches + discards + pending"
     );
 
+    // Every build that finished says how many objects it swept, beside how
+    // long it took.
+    let mut completed = 0;
+    for ev in &snap.events {
+        if let LifecycleEvent::PrefillCompleted { snapshot_len, .. } = ev {
+            completed += 1;
+            assert!(
+                (1..=snap.window.ingested).contains(&(*snapshot_len as u64)),
+                "build of {snapshot_len} objects, {} ever ingested",
+                snap.window.ingested
+            );
+            assert!(ev
+                .to_json()
+                .contains(&format!("\"snapshot_len\": {snapshot_len}")));
+        }
+    }
+    assert!(
+        completed > 0,
+        "no prefill build completed in a switch storm"
+    );
+
     // The event stream was sized for the run: nothing was dropped, so the
     // orderings above are complete, not a suffix.
     assert_eq!(snap.events_dropped, 0);
