@@ -1824,18 +1824,26 @@ impl Latest {
 
 /// Snapshot/restore: the crash-consistent persistence path.
 ///
-/// A snapshot captures everything that influences future *answers*: the
-/// window, the exact executor, every live estimator (with its sampler RNG
-/// state), the learning model, the adaptor's monitor/recommender/scaler
-/// state, and the selectivity cache. A restored instance therefore
-/// produces bit-identical estimates to the uninterrupted run. Its size is a
-/// function of the window, the estimators and the model — not of how many
-/// queries were answered before it was taken.
+/// A snapshot is the window plus what was learned: the window, every live
+/// estimator (with its sampler RNG state), the learning model, the
+/// adaptor's monitor/recommender/scaler state, and the selectivity cache.
+/// A restored instance therefore produces bit-identical estimates and
+/// exact counts to the uninterrupted run, as long as the window's live
+/// object ids are distinct. Its size is a function of the window, the
+/// estimators and the model — not of how many queries were answered before
+/// it was taken.
 ///
-/// Deliberately *not* persisted, because it is process-local scratch:
+/// Deliberately *not* persisted:
 ///
-/// * the [`MetricsRegistry`] — observability counters restart at zero
-///   (a restart is an observable event; hiding it would be lying);
+/// * the exact executor — the paper's "system logs" source, a function of
+///   the window alone. Restore rebuilds it from the restored window on the
+///   configured backend, so posting tombstones, the compaction clock and
+///   slot numbering come back compact and the quadtree in fresh node
+///   shape; none of these reaches an answer (the hybrid planner may pick
+///   the other access path, which changes latency only);
+/// * the [`MetricsRegistry`] — observability counters, the executor's
+///   path-mix counters among them, restart at zero (a restart is an
+///   observable event; hiding it would be lying);
 /// * the prefill builder worker — recreated lazily on first use;
 /// * a `parked` (discarded) prefill candidate — an allocation-reuse
 ///   cache, rebuilt on demand;
@@ -1882,17 +1890,18 @@ impl Latest {
     ///    `ffn_train_budget`, `seed`;
     /// 5. `tree_config`: `grace_period`, `split_confidence`,
     ///    `tie_threshold`, `num_split_points`, `max_depth`;
-    /// 6. `index_kind`, `shadow_metrics`, `drift_detection`,
-    ///    `selectivity_cache_capacity`;
+    /// 6. `shadow_metrics`, `drift_detection`, `selectivity_cache_capacity`;
     /// 7. `shard.shards`, `shard.router`;
     /// 8. `ablation`: `prefill`, `use_tree`, `mix_recommendation`,
     ///    `switching`.
     ///
     /// Left out on purpose, because they bound latency and memory and
-    /// cannot change an answer: `shard.queue_capacity` (backpressure) and
+    /// cannot change an answer: `shard.queue_capacity` (backpressure),
     /// `prefill_delta_cap` (when a background build restarts; the activated
-    /// candidate is bit-equal either way). An operator may retune both
-    /// across a restart.
+    /// candidate is bit-equal either way) and `index_kind` (the exact
+    /// executor is rebuilt from the restored window on the configured
+    /// backend, and both backends return the same counts). An operator may
+    /// retune all three across a restart.
     ///
     /// Every struct is destructured without `..`, so a new field fails to
     /// compile here until someone decides which of the two lists it joins.
@@ -1912,7 +1921,7 @@ impl Latest {
             default_estimator,
             estimator_config,
             tree_config,
-            index_kind,
+            index_kind: _,
             shadow_metrics,
             drift_detection,
             selectivity_cache_capacity,
@@ -1971,10 +1980,6 @@ impl Latest {
         w.put_f64(*tie_threshold);
         w.put_usize(*num_split_points);
         w.put_usize(*max_depth);
-        w.put_u8(match index_kind {
-            SpatialIndexKind::Grid => 0,
-            SpatialIndexKind::Quadtree => 1,
-        });
         w.put_bool(*shadow_metrics);
         w.put_bool(*drift_detection);
         w.put_usize(*selectivity_cache_capacity);
@@ -1997,7 +2002,6 @@ impl Latest {
         let mut w = geostream::PersistWriter::new();
         w.put_u64(Self::config_fingerprint(&self.config));
         self.window.persist(&mut w);
-        self.executor.persist(&mut w);
         self.tree.persist(&mut w);
         self.recommender.persist(&mut w);
         self.scaler.persist(&mut w);
@@ -2083,9 +2087,9 @@ impl Latest {
     /// caller supplies the configuration (it contains closures-adjacent
     /// runtime sizing and is cheap to keep alongside the snapshot); a
     /// fingerprint check refuses payloads produced under one that differs
-    /// in a state- or answer-shaping setting. The two latency-only
-    /// settings, `shard.queue_capacity` and `prefill_delta_cap`, may
-    /// differ.
+    /// in a state- or answer-shaping setting. The three latency-only
+    /// settings, `shard.queue_capacity`, `prefill_delta_cap` and
+    /// `index_kind`, may differ.
     ///
     /// Restore is all-or-nothing: any decode failure returns the typed
     /// error and no instance.
@@ -2105,7 +2109,12 @@ impl Latest {
             });
         }
         let window = SlidingWindow::restore(&mut r)?;
-        let executor = ExactExecutor::restore(&mut r)?;
+        // The executor is a function of the window: rebuild it through the
+        // calls `ingest_batch` makes.
+        let mut executor = ExactExecutor::new(config.estimator_config.domain, config.index_kind);
+        for chunk in window.chunk_slices() {
+            executor.insert_batch(chunk);
+        }
         let tree = HoeffdingTree::restore(&mut r)?;
         let recommender = Recommender::restore(&mut r)?;
         let scaler = RewardScaler::restore(&mut r)?;

@@ -313,25 +313,27 @@ fn corrupted_snapshots_fail_typed() {
     }
 
     // A file of the previous format is refused by its header and never
-    // decoded: these are the 28 bytes `golden-v2.snap` began with.
-    let v2_header: [u8; 28] = [
-        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x02, 0x00, 0x00, 0x00, 0x7e, 0x62, 0x03,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x90, 0x61, 0xbc, 0xa4, 0xe8, 0x65, 0x15,
+    // decoded: these are the 28 bytes `golden-v3.snap` began with.
+    let v3_header: [u8; 28] = [
+        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x03, 0x00, 0x00, 0x00, 0x31, 0x50, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x22, 0x28, 0x69, 0xff, 0x54, 0x26, 0x42, 0x76,
     ];
-    std::fs::write(&path, v2_header).expect("write v2 header");
+    std::fs::write(&path, v3_header).expect("write v3 header");
     match Latest::load_snapshot(config.clone(), &path) {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!((found, supported), (2, 3));
+            assert_eq!((found, supported), (3, 4));
         }
         other => panic!(
-            "v2 header produced {:?}, wanted UnsupportedVersion",
+            "v3 header produced {:?}, wanted UnsupportedVersion",
             other.err()
         ),
     }
 
     // A config that does not match the snapshot's fingerprint is refused —
     // restoring learned state under different parameters would silently
-    // violate every capacity invariant.
+    // violate every capacity invariant. The other backend alone would be
+    // accepted (`index_kind` shapes no persisted state); the 500-slot
+    // reservoir is what refuses it.
     std::fs::write(&path, &full).expect("write intact");
     let other_config = config_with(SpatialIndexKind::Quadtree, 500);
     match Latest::load_snapshot(other_config, &path) {
@@ -343,10 +345,12 @@ fn corrupted_snapshots_fail_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `shard.queue_capacity` and `prefill_delta_cap` bound latency and memory
-/// and cannot change an answer, so they are not part of the fingerprint: an
-/// operator may retune backpressure across a restart, and the restored
-/// instance still continues bit-identically.
+/// `shard.queue_capacity`, `prefill_delta_cap` and `index_kind` bound
+/// latency and memory and cannot change an answer, so they are not part of
+/// the fingerprint: an operator may retune backpressure, or move a grid
+/// snapshot onto the quadtree (the exact executor is rebuilt from the
+/// restored window on the configured backend), and the restored instance
+/// still continues bit-identically.
 #[test]
 fn latency_only_settings_do_not_block_restore() {
     let saved_under = LatestConfig {
@@ -363,13 +367,13 @@ fn latency_only_settings_do_not_block_restore() {
             ..ShardConfig::default()
         },
         prefill_delta_cap: 1_024,
-        ..small_config()
+        ..config_with(SpatialIndexKind::Quadtree, 1_000)
     };
     let mut original = Latest::new(saved_under);
     let at = drive_to(&mut original, PhaseTag::Incremental, 0);
     let bytes = original.snapshot_bytes();
     let mut restored = Latest::restore(restored_under, &bytes)
-        .expect("queue capacity and delta cap are free to change across a restart");
+        .expect("queue capacity, delta cap and backend are free to change across a restart");
     // 6 rounds × 6 queries: the next 36 answers against the uninterrupted twin.
     assert_lockstep(&mut original, &mut restored, at, 6);
 }
@@ -422,6 +426,23 @@ fn state_shaping_settings_still_do() {
             ),
         }
     }
+}
+
+/// Where the bytes went, as a count: the snapshot holds the window and the
+/// learned state and no executor index, so two engines that differ only in
+/// their spatial backend write snapshots of the same length. α = 0 keeps
+/// wall-clock latency out of the rewards, so both learn the same model.
+#[test]
+fn the_spatial_backend_adds_no_snapshot_bytes() {
+    let lens = [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree].map(|kind| {
+        let mut latest = Latest::new(LatestConfig {
+            alpha: 0.0,
+            ..config_with(kind, 1_000)
+        });
+        drive_to(&mut latest, PhaseTag::Incremental, 0);
+        latest.snapshot_bytes().len()
+    });
+    assert_eq!(lens[0], lens[1], "grid vs quadtree snapshot length");
 }
 
 fn sharded_config(index_kind: SpatialIndexKind) -> LatestConfig {
@@ -576,7 +597,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v3.snap")
+        .join("golden-v4.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -628,7 +649,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v3.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v4.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );

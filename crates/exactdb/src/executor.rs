@@ -13,10 +13,7 @@ use crate::inverted::InvertedIndex;
 use crate::quad::QuadtreeIndex;
 use crate::store::{ObjectStore, SlotId};
 use geostream::obsv::Counter;
-use geostream::{
-    GeoTextObject, IdMap, ObjectId, Persist, PersistError, PersistReader, PersistWriter, QueryType,
-    RcDvq, Rect,
-};
+use geostream::{GeoTextObject, IdMap, ObjectId, QueryType, RcDvq, Rect};
 
 /// Which spatial backend the executor runs on (the two index families
 /// compared in Table I).
@@ -379,59 +376,6 @@ impl ExactExecutor {
     }
 }
 
-/// Section tag for the exact executor's snapshot frame.
-const EXEC_TAG: u32 = 0x0e8e_c001;
-
-impl Persist for ExactExecutor {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(EXEC_TAG, |w| {
-            w.put_u8(match self.backend {
-                Backend::Grid(_) => 0,
-                Backend::Quad(_) => 1,
-            });
-            self.store.persist(w);
-            match &self.backend {
-                Backend::Grid(g) => g.persist(w),
-                Backend::Quad(q) => q.persist(w),
-            }
-            self.inverted.persist(w);
-            w.put_u64(self.spatial_hits.get());
-            w.put_u64(self.inverted_hits.get());
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(EXEC_TAG, "ExactExecutor")?;
-        let kind = r.take_u8("ExactExecutor.backend-kind")?;
-        let store = ObjectStore::restore(r)?;
-        let backend = match kind {
-            0 => Backend::Grid(GridIndex::restore(r)?),
-            1 => Backend::Quad(QuadtreeIndex::restore(r)?),
-            d => {
-                return Err(PersistError::Corrupt {
-                    context: "ExactExecutor.backend-kind",
-                    detail: format!("unknown backend discriminant {d}"),
-                })
-            }
-        };
-        let inverted = InvertedIndex::restore(r)?;
-        let spatial = r.take_u64("ExactExecutor.spatial_hits")?;
-        let inverted_count = r.take_u64("ExactExecutor.inverted_hits")?;
-        r.finish_section(section, "ExactExecutor")?;
-        let spatial_hits = Counter::new();
-        spatial_hits.add(spatial);
-        let inverted_hits = Counter::new();
-        inverted_hits.add(inverted_count);
-        Ok(ExactExecutor {
-            store,
-            backend,
-            inverted,
-            spatial_hits,
-            inverted_hits,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,107 +673,5 @@ mod tests {
         e.clear();
         assert!(e.is_empty());
         assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(1)])), 0);
-    }
-
-    /// Snapshot/restore is bit-identical on every backend: answers, path
-    /// counters, compaction clocks, and continued churn all agree, and a
-    /// restored executor passes the deep auditor.
-    #[test]
-    fn persist_round_trip_on_every_backend() {
-        for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
-            let mut e = ExactExecutor::new(DOMAIN, kind);
-            // Dense churn: few keywords → tombstones, compactions, parked
-            // slots, and recycled slot ids are all in-flight at snapshot.
-            let mut state = 0xc0ffee_u64;
-            let mut live: Vec<u64> = Vec::new();
-            for i in 0..900u64 {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1);
-                let r = state >> 11;
-                if live.len() > 40 && r.is_multiple_of(3) {
-                    let id = live.swap_remove((r % live.len() as u64) as usize);
-                    e.remove_by_oid(ObjectId(id));
-                } else {
-                    e.insert(&obj(
-                        i,
-                        (r % 100) as f64,
-                        (r % 89) as f64,
-                        &[(r % 5) as u32],
-                    ));
-                    live.push(i);
-                }
-            }
-            let _ = e.execute(&RcDvq::keyword(vec![KeywordId(1)]));
-            let mut w = PersistWriter::new();
-            e.persist(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = PersistReader::new(&bytes);
-            let mut restored = ExactExecutor::restore(&mut r)
-                .unwrap_or_else(|err| panic!("{kind:?} restore: {err}"));
-            assert!(r.is_exhausted());
-            assert_eq!(restored.kind(), kind);
-            assert_eq!(restored.len(), e.len());
-            assert_eq!(restored.path_mix(), e.path_mix());
-            assert_eq!(restored.compactions(), e.compactions());
-            #[cfg(feature = "debug-invariants")]
-            restored
-                .audit()
-                .unwrap_or_else(|err| panic!("{kind:?} restored audit: {err}"));
-            // Continued churn evolves both executors identically (same
-            // slot recycling, same compaction timing).
-            for i in 900..1_200u64 {
-                let o = obj(i, (i % 100) as f64, (i % 89) as f64, &[(i % 5) as u32]);
-                e.insert(&o);
-                restored.insert(&o);
-                if let Some(&id) = live.get((i % live.len() as u64) as usize) {
-                    e.remove_by_oid(ObjectId(id));
-                    restored.remove_by_oid(ObjectId(id));
-                }
-            }
-            assert_eq!(restored.len(), e.len());
-            assert_eq!(restored.compactions(), e.compactions());
-            for q in [
-                RcDvq::spatial(Rect::new(0.0, 0.0, 60.0, 60.0)),
-                RcDvq::keyword(vec![KeywordId(2)]),
-                RcDvq::hybrid(Rect::new(10.0, 10.0, 90.0, 50.0), vec![KeywordId(3)]),
-            ] {
-                assert_eq!(restored.execute(&q), e.execute(&q), "{kind:?} {q:?}");
-            }
-        }
-    }
-
-    /// A truncated or bit-flipped snapshot is a typed error, not a panic
-    /// or a half-restored executor.
-    #[test]
-    fn corrupted_snapshot_is_a_typed_error() {
-        let mut e = ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree);
-        populate(&mut e);
-        let mut w = PersistWriter::new();
-        e.persist(&mut w);
-        let bytes = w.into_bytes();
-        for cut in [0, 4, bytes.len() / 3, bytes.len() - 1] {
-            let mut r = PersistReader::new(&bytes[..cut]);
-            assert!(ExactExecutor::restore(&mut r).is_err(), "cut at {cut}");
-        }
-        // Flipping the section tag is always rejected (arbitrary payload
-        // flips are caught one layer up, by the sealed file checksum).
-        let mut flipped = bytes.clone();
-        flipped[0] ^= 0xff;
-        let mut r = PersistReader::new(&flipped);
-        assert!(ExactExecutor::restore(&mut r).is_err(), "bad tag survived");
-        // A backend byte the format no longer defines (2 was the retired
-        // R-tree) is refused by name; it sits right after `tag | len`.
-        let mut retired = bytes.clone();
-        assert_eq!(retired[12], 1, "Quadtree discriminant moved");
-        retired[12] = 2;
-        let mut r = PersistReader::new(&retired);
-        assert!(matches!(
-            ExactExecutor::restore(&mut r),
-            Err(PersistError::Corrupt {
-                context: "ExactExecutor.backend-kind",
-                ..
-            })
-        ));
     }
 }

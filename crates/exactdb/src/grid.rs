@@ -3,7 +3,7 @@
 
 use crate::store::{ObjectStore, SlotId};
 use geostream::object::keywords_intersect;
-use geostream::{CellGrid, Persist, PersistError, PersistReader, PersistWriter, RcDvq, Rect};
+use geostream::{CellGrid, RcDvq, Rect};
 
 /// Locator sentinel: slot not present in the grid.
 const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
@@ -140,57 +140,6 @@ impl GridIndex {
         self.cells.iter_mut().for_each(Vec::clear);
         self.locator.clear();
         self.len = 0;
-    }
-}
-
-/// Section tag for the grid index's snapshot frame.
-const GRID_TAG: u32 = 0x6e1d_c711;
-
-impl Persist for GridIndex {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(GRID_TAG, |w| {
-            self.layout.domain().persist(w);
-            w.put_usize(self.layout.side());
-            // Cell bucket order is load-bearing (swap_remove renumbers by
-            // position), so buckets go out verbatim; the locator is a pure
-            // inverse and is rebuilt on restore.
-            self.cells.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(GRID_TAG, "GridIndex")?;
-        let domain = Rect::restore(r)?;
-        let side = r.take_usize("GridIndex.side")?;
-        let cells = Vec::<Vec<SlotId>>::restore(r)?;
-        r.finish_section(section, "GridIndex")?;
-        if side == 0 || cells.len() != side * side {
-            return Err(PersistError::Corrupt {
-                context: "GridIndex.cells",
-                detail: format!("{} cells for side {side}", cells.len()),
-            });
-        }
-        let mut index = GridIndex {
-            layout: CellGrid::new(domain, side),
-            cells,
-            locator: Vec::new(),
-            len: 0,
-        };
-        for cell in 0..index.cells.len() {
-            for pos in 0..index.cells[cell].len() {
-                let slot = index.cells[cell][pos];
-                let entry = index.locator_mut(slot);
-                if *entry != NOWHERE {
-                    return Err(PersistError::Corrupt {
-                        context: "GridIndex.locator",
-                        detail: format!("slot {slot} appears in two cells"),
-                    });
-                }
-                *entry = locator_entry(cell, pos);
-                index.len += 1;
-            }
-        }
-        Ok(index)
     }
 }
 

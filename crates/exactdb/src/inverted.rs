@@ -17,7 +17,7 @@
 
 use crate::store::{ObjectStore, SlotId};
 use crate::NoKeywordPredicate;
-use geostream::{IdMap, KeywordId, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
+use geostream::{IdMap, KeywordId, RcDvq};
 
 /// Keyword sets up to this size merge from list slices held on the stack;
 /// only longer ones allocate.
@@ -190,68 +190,6 @@ impl InvertedIndex {
     /// Clears the index.
     pub fn clear(&mut self) {
         self.postings.clear();
-    }
-}
-
-/// Section tag for the inverted index's snapshot frame.
-const INV_TAG: u32 = 0x13f0_11de;
-
-impl Persist for InvertedIndex {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(INV_TAG, |w| {
-            w.put_u64(self.compactions);
-            // HashMap iteration order is not stable; keyword-sorted output
-            // keeps snapshots deterministic. Tombstoned entries and dead
-            // counters ship verbatim — compaction timing is part of the
-            // bit-identical resume contract.
-            let mut kws: Vec<KeywordId> = self.postings.keys().copied().collect();
-            kws.sort_unstable_by_key(|kw| kw.0);
-            w.put_usize(kws.len());
-            for kw in kws {
-                w.put_u32(kw.0);
-                let posting = &self.postings[&kw];
-                posting.slots.persist(w);
-                w.put_u32(posting.dead);
-            }
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(INV_TAG, "InvertedIndex")?;
-        let compactions = r.take_u64("InvertedIndex.compactions")?;
-        let n = r.take_len("InvertedIndex.postings.len")?;
-        let mut postings = IdMap::with_capacity_and_hasher(n, Default::default());
-        let mut prev_kw: Option<u32> = None;
-        for _ in 0..n {
-            let kw = r.take_u32("InvertedIndex.keyword")?;
-            if prev_kw.is_some_and(|p| p >= kw) {
-                return Err(PersistError::Corrupt {
-                    context: "InvertedIndex.postings",
-                    detail: "keywords not strictly ascending".into(),
-                });
-            }
-            prev_kw = Some(kw);
-            let slots = Vec::<SlotId>::restore(r)?;
-            let dead = r.take_u32("InvertedIndex.dead")?;
-            if slots.windows(2).any(|p| p[0] >= p[1]) {
-                return Err(PersistError::Corrupt {
-                    context: "InvertedIndex.posting-sorted",
-                    detail: format!("keyword {kw} posting out of order"),
-                });
-            }
-            if dead as usize > slots.len() {
-                return Err(PersistError::Corrupt {
-                    context: "InvertedIndex.dead-counter",
-                    detail: format!("keyword {kw}: {dead} tombstones in {} slots", slots.len()),
-                });
-            }
-            postings.insert(KeywordId(kw), PostingList { slots, dead });
-        }
-        r.finish_section(section, "InvertedIndex")?;
-        Ok(InvertedIndex {
-            postings,
-            compactions,
-        })
     }
 }
 

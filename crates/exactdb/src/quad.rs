@@ -2,7 +2,7 @@
 //! shared [`ObjectStore`].
 
 use crate::store::{ObjectStore, SlotId};
-use geostream::{Persist, PersistError, PersistReader, PersistWriter, Point, RcDvq, Rect};
+use geostream::{Point, RcDvq, Rect};
 
 type NodeId = u32;
 
@@ -207,125 +207,6 @@ impl QuadtreeIndex {
         });
         self.locator.clear();
         self.len = 0;
-    }
-}
-
-impl Persist for QuadNode {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.rect.persist(w);
-        self.bucket.persist(w);
-        match self.children {
-            Some(kids) => {
-                w.put_bool(true);
-                for id in kids {
-                    w.put_u32(id);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u32(self.depth as u32);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let rect = Rect::restore(r)?;
-        let bucket = Vec::<SlotId>::restore(r)?;
-        let children = if r.take_bool("QuadNode.has_children")? {
-            let mut kids = [0 as NodeId; 4];
-            for id in &mut kids {
-                *id = r.take_u32("QuadNode.child")?;
-            }
-            Some(kids)
-        } else {
-            None
-        };
-        let depth = r.take_u32("QuadNode.depth")?;
-        if depth > u16::MAX as u32 {
-            return Err(PersistError::Corrupt {
-                context: "QuadNode.depth",
-                detail: format!("depth {depth} exceeds u16"),
-            });
-        }
-        Ok(QuadNode {
-            rect,
-            bucket,
-            children,
-            depth: depth as u16,
-        })
-    }
-}
-
-/// Section tag for the quadtree index's snapshot frame.
-const QUAD_TAG: u32 = 0x06ad_c712;
-
-impl Persist for QuadtreeIndex {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(QUAD_TAG, |w| {
-            w.put_usize(self.bucket_capacity);
-            w.put_u32(self.max_depth as u32);
-            // The node arena carries the split history verbatim; the slot
-            // locator is a pure inverse and is rebuilt on restore.
-            self.nodes.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(QUAD_TAG, "QuadtreeIndex")?;
-        let bucket_capacity = r.take_usize("QuadtreeIndex.bucket_capacity")?;
-        let max_depth = r.take_u32("QuadtreeIndex.max_depth")?;
-        let nodes = Vec::<QuadNode>::restore(r)?;
-        r.finish_section(section, "QuadtreeIndex")?;
-        if nodes.is_empty() {
-            return Err(PersistError::Corrupt {
-                context: "QuadtreeIndex.nodes",
-                detail: "tree has no root node".into(),
-            });
-        }
-        if bucket_capacity == 0 || max_depth > u16::MAX as u32 {
-            return Err(PersistError::Corrupt {
-                context: "QuadtreeIndex.config",
-                detail: format!("bucket capacity {bucket_capacity}, max depth {max_depth}"),
-            });
-        }
-        for (id, node) in nodes.iter().enumerate() {
-            if let Some(kids) = node.children {
-                for kid in kids {
-                    if kid as usize >= nodes.len() {
-                        return Err(PersistError::Corrupt {
-                            context: "QuadtreeIndex.children",
-                            detail: format!(
-                                "node {id} links child {kid} outside arena of {}",
-                                nodes.len()
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let mut index = QuadtreeIndex {
-            nodes,
-            bucket_capacity,
-            max_depth: max_depth as u16,
-            locator: Vec::new(),
-            len: 0,
-        };
-        for node_id in 0..index.nodes.len() as NodeId {
-            for pos in 0..index.nodes[node_id as usize].bucket.len() {
-                let slot = index.nodes[node_id as usize].bucket[pos];
-                if index
-                    .locator
-                    .get(slot as usize)
-                    .is_some_and(|&l| l != NOWHERE)
-                {
-                    return Err(PersistError::Corrupt {
-                        context: "QuadtreeIndex.locator",
-                        detail: format!("slot {slot} bucketed under two nodes"),
-                    });
-                }
-                index.set_locator(slot, node_id);
-                index.len += 1;
-            }
-        }
-        Ok(index)
     }
 }
 

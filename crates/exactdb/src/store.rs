@@ -22,10 +22,7 @@
 //! entry calls [`ObjectStore::release_ref`]; the slot only rejoins the
 //! free list at zero. Keyword-less objects recycle immediately.
 
-use geostream::{
-    GeoTextObject, IdMap, KeywordId, ObjectId, Persist, PersistError, PersistReader, PersistWriter,
-    Point, RcDvq, Timestamp,
-};
+use geostream::{GeoTextObject, IdMap, KeywordId, ObjectId, Point, RcDvq, Timestamp};
 use std::sync::Arc;
 
 /// Dense index of an object in the store (and in every backend).
@@ -313,118 +310,6 @@ impl ObjectStore {
         self.pending_refs.clear();
         self.free.clear();
         self.by_oid.clear();
-    }
-}
-
-/// Section tag for the object store's snapshot frame.
-const OBJ_STORE_TAG: u32 = 0x0b1e_c751;
-
-impl Persist for ObjectStore {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(OBJ_STORE_TAG, |w| {
-            // Slot order is identity here: indexes hold bare slot ids, so
-            // the full arena (including parked and free holes) goes out
-            // verbatim, one optional object record per slot — the wire
-            // layout predates the columns and does not follow them.
-            // `by_oid` is derived and rebuilt on restore.
-            w.put_usize(self.live.len());
-            for (s, keywords) in self.keywords.iter().enumerate() {
-                match keywords {
-                    None => w.put_u8(0),
-                    Some(keywords) => {
-                        w.put_u8(1);
-                        self.oids[s].persist(w);
-                        self.locs[s].persist(w);
-                        keywords.persist(w);
-                        self.timestamps[s].persist(w);
-                    }
-                }
-            }
-            self.live.persist(w);
-            self.pending_refs.persist(w);
-            self.free.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(OBJ_STORE_TAG, "ObjectStore")?;
-        let n = r.take_len("ObjectStore.slots")?;
-        let mut store = ObjectStore::default();
-        for _ in 0..n {
-            // Vacant slots get filler in the plain columns; nothing reads
-            // them before `insert` overwrites the slot.
-            let (oid, loc, keywords, timestamp) = match Option::<GeoTextObject>::restore(r)? {
-                Some(obj) => (obj.oid, obj.loc, Some(obj.keywords), obj.timestamp),
-                None => (ObjectId(0), Point::new(0.0, 0.0), None, Timestamp::ZERO),
-            };
-            store.oids.push(oid);
-            store.locs.push(loc);
-            store.keywords.push(keywords);
-            store.timestamps.push(timestamp);
-        }
-        let live = Vec::<bool>::restore(r)?;
-        let pending_refs = Vec::<u32>::restore(r)?;
-        let free = Vec::<SlotId>::restore(r)?;
-        r.finish_section(section, "ObjectStore")?;
-        if live.len() != n || pending_refs.len() != n {
-            return Err(PersistError::Corrupt {
-                context: "ObjectStore.parallel-arrays",
-                detail: format!(
-                    "{n} slots, {} live flags, {} ref counters",
-                    live.len(),
-                    pending_refs.len()
-                ),
-            });
-        }
-        store.by_oid.reserve(n);
-        for s in 0..n {
-            match (store.keywords[s].is_some(), live[s]) {
-                (true, true) => {
-                    if pending_refs[s] != 0 {
-                        return Err(PersistError::Corrupt {
-                            context: "ObjectStore.liveness",
-                            detail: format!("live slot {s} carries pending refs"),
-                        });
-                    }
-                    if store.by_oid.insert(store.oids[s], s as SlotId).is_some() {
-                        return Err(PersistError::Corrupt {
-                            context: "ObjectStore.identity",
-                            detail: format!("oid {:?} appears in two live slots", store.oids[s]),
-                        });
-                    }
-                }
-                (false, false) => {}
-                (occupied, flagged) => {
-                    return Err(PersistError::Corrupt {
-                        context: "ObjectStore.liveness",
-                        detail: format!("slot {s}: occupied={occupied} but live={flagged}"),
-                    });
-                }
-            }
-        }
-        let mut in_free = vec![false; n];
-        for &slot in &free {
-            let s = slot as usize;
-            if s >= n || in_free[s] || live[s] || pending_refs[s] != 0 {
-                return Err(PersistError::Corrupt {
-                    context: "ObjectStore.free-list",
-                    detail: format!("slot {slot} free-listed but not recyclable"),
-                });
-            }
-            in_free[s] = true;
-        }
-        for s in 0..n {
-            if !live[s] && pending_refs[s] == 0 && !in_free[s] {
-                return Err(PersistError::Corrupt {
-                    context: "ObjectStore.free-list",
-                    detail: format!("recyclable slot {s} missing from the free list"),
-                });
-            }
-        }
-        store.live = live;
-        store.pending_refs = pending_refs;
-        store.free = free;
-        Ok(store)
     }
 }
 

@@ -50,7 +50,10 @@ use std::sync::Arc;
 ///   none), the error-threshold retraining state and that setting's
 ///   fingerprint line; `hoeffding`'s tree lost the leaf-prediction strategy
 ///   and each leaf's two naive-Bayes counters.
-pub const FORMAT_VERSION: u32 = 3;
+/// * 4 — `latest-core`'s payload lost the exact executor (object store,
+///   spatial index, inverted index, path-mix counters), which restore
+///   rebuilds from the window, and the fingerprint lost `index_kind`.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a

@@ -211,25 +211,6 @@ impl GaussianEstimator {
     pub fn weight_below(&self, t: f64) -> f64 {
         self.weight * self.cdf(t)
     }
-
-    /// Gaussian probability density at `x`, with a point-mass fallback used
-    /// by naive-Bayes leaves for zero-variance attributes.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.weight <= 0.0 {
-            return 0.0;
-        }
-        let sd = self.std_dev();
-        if sd <= f64::EPSILON {
-            // Point mass: use a narrow tolerance band around the mean.
-            return if (x - self.mean).abs() < 1e-9 {
-                1.0
-            } else {
-                1e-9
-            };
-        }
-        let z = (x - self.mean) / sd;
-        (-0.5 * z * z).exp() / (sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
 }
 
 impl Persist for GaussianEstimator {
@@ -385,7 +366,6 @@ mod tests {
         let g = GaussianEstimator::new();
         assert_eq!(g.weight(), 0.0);
         assert_eq!(g.cdf(0.0), 0.0);
-        assert_eq!(g.pdf(0.0), 0.0);
         assert_eq!(g.min(), None);
         assert_eq!(g.max(), None);
     }
@@ -395,14 +375,5 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
         assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn pdf_peaks_at_mean() {
-        let mut g = GaussianEstimator::new();
-        for v in [-1.0, 0.0, 1.0, 0.0] {
-            g.add(v, 1.0);
-        }
-        assert!(g.pdf(g.mean()) > g.pdf(g.mean() + 2.0));
     }
 }
