@@ -248,13 +248,6 @@ impl LatestConfigBuilder {
         self
     }
 
-    /// DDM-based drift retraining of the Hoeffding tree.
-    #[must_use = "setters move the builder; reassign or chain the result"]
-    pub fn drift_detection(mut self, on: bool) -> Self {
-        self.config.drift_detection = on;
-        self
-    }
-
     /// Ablation knobs for the design-choice experiments.
     #[must_use = "setters move the builder; reassign or chain the result"]
     pub fn ablation(mut self, ablation: AblationConfig) -> Self {
@@ -320,7 +313,6 @@ mod tests {
             .switch_margin(0.1)
             .default_estimator(EstimatorKind::Aasp)
             .shadow_metrics(true)
-            .drift_detection(false)
             .build()
             .expect("valid");
         assert_eq!(config.window_span, Duration::from_secs(90));
@@ -328,7 +320,6 @@ mod tests {
         assert_eq!(config.tau, 1.0); // τ = 1 is the inclusive upper bound
         assert_eq!(config.default_estimator, EstimatorKind::Aasp);
         assert!(config.shadow_metrics);
-        assert!(!config.drift_detection);
     }
 
     #[test]

@@ -239,9 +239,8 @@ use std::sync::mpsc;
 
 /// Builds a prefill candidate of `kind` from `slices` (oldest first): the
 /// one build every candidate comes from — the worker's job, the on-caller
-/// degradation, and the engine's overflow / worker-died fallbacks — so all
-/// of them persist byte for byte alike. `reuse` recycles a discarded
-/// candidate's allocations through `clear()`.
+/// degradation, and the engine's worker-died fallback — so all of them
+/// persist byte for byte alike.
 ///
 /// The slices go through `SelectivityEstimator::insert_slices` in one call.
 /// Its contract is the *observable* state of one `insert` per object in
@@ -261,15 +260,8 @@ pub(crate) fn build_candidate<'a>(
     kind: EstimatorKind,
     config: &EstimatorConfig,
     mut slices: impl Iterator<Item = &'a [GeoTextObject]>,
-    reuse: Option<BoxedEstimator>,
 ) -> BoxedEstimator {
-    let mut est = match reuse {
-        Some(mut e) => {
-            e.clear();
-            e
-        }
-        None => build_estimator(kind, config),
-    };
+    let mut est = build_estimator(kind, config);
     est.insert_slices(&mut slices);
     est
 }
@@ -290,10 +282,6 @@ struct PrefillJob {
     kind: EstimatorKind,
     config: EstimatorConfig,
     snapshot: WindowSnapshot,
-    /// Recycled allocation from a discarded candidate of the same kind;
-    /// the worker `clear()`s it before the build (the clear contract makes
-    /// that state-identical to a fresh construction).
-    reuse: Option<BoxedEstimator>,
     cancel: Arc<AtomicBool>,
     done: mpsc::Sender<BuiltPrefill>,
 }
@@ -395,15 +383,12 @@ impl PrefillBuilder {
 
     /// Builds `kind` from `snapshot` (a structurally shared
     /// [`WindowSnapshot`] — taking one never copies objects), then
-    /// delivers it on the returned ticket. `reuse` recycles a discarded
-    /// candidate's allocations when the adaptor re-recommends the same
-    /// kind.
+    /// delivers it on the returned ticket.
     pub fn submit(
         &mut self,
         kind: EstimatorKind,
         config: &EstimatorConfig,
         snapshot: WindowSnapshot,
-        reuse: Option<BoxedEstimator>,
     ) -> PrefillTicket {
         let cancel = Arc::new(AtomicBool::new(false));
         // CONC(prefill-handoff/prefill-done): one-shot result channel; the
@@ -413,7 +398,6 @@ impl PrefillBuilder {
             kind,
             config: config.clone(),
             snapshot,
-            reuse,
             cancel: Arc::clone(&cancel),
             done: done_tx,
         };
@@ -465,7 +449,6 @@ impl PrefillBuilder {
             job.kind,
             &job.config,
             job.snapshot.chunk_slices().take_while(|_| !cancelled()),
-            job.reuse,
         );
         // A cancelled build may have seen only part of the snapshot: it is
         // dropped, never delivered.
@@ -598,7 +581,7 @@ mod tests {
         let objs = objects(3_000);
         let mut builder = PrefillBuilder::new();
         for kind in EstimatorKind::ALL {
-            let ticket = builder.submit(kind, &cfg, objs.clone().into(), None);
+            let ticket = builder.submit(kind, &cfg, objs.clone().into());
             let built = ticket.wait().expect("worker delivered");
             assert_eq!(built.snapshot_len, objs.len());
             let mut inline = build_estimator(kind, &cfg);
@@ -629,23 +612,23 @@ mod tests {
         let mut on_caller = PrefillBuilder::new();
         on_caller.build_on_caller();
         for kind in EstimatorKind::ALL {
-            let mut ticket = on_caller.submit(kind, &cfg, objs.clone().into(), None);
+            let mut ticket = on_caller.submit(kind, &cfg, objs.clone().into());
             let built = ticket
                 .try_take()
                 .expect("an on-caller build is complete when submit returns");
             assert_eq!(built.snapshot_len, objs.len());
             let reference = background
-                .submit(kind, &cfg, objs.clone().into(), None)
+                .submit(kind, &cfg, objs.clone().into())
                 .wait()
                 .expect("worker delivered");
             assert!(
                 persisted(&built.estimator) == persisted(&reference.estimator),
                 "{kind}: on-caller build persists differently from the background build"
             );
-            // The engine's overflow and worker-died fallbacks build from the
-            // live window through the same function; a window slices the
-            // same sequence differently than its snapshot does.
-            let fallback = build_candidate(kind, &cfg, objs.chunks(700), None);
+            // The engine's worker-died fallback builds from the live window
+            // through the same function; a window slices the same sequence
+            // differently than its snapshot does.
+            let fallback = build_candidate(kind, &cfg, objs.chunks(700));
             assert!(
                 persisted(&fallback) == persisted(&reference.estimator),
                 "{kind}: fallback build persists differently from the background build"
@@ -658,36 +641,12 @@ mod tests {
     }
 
     #[test]
-    fn reused_candidate_builds_bit_equal_to_fresh() {
-        let cfg = config();
-        let objs = objects(2_000);
-        let mut builder = PrefillBuilder::new();
-        for kind in EstimatorKind::ALL {
-            // Dirty a candidate with an unrelated stream, then hand it back
-            // as the reuse allocation for a second build.
-            let mut dirty = build_estimator(kind, &cfg);
-            dirty.insert_batch(&objects(700));
-            dirty.remove_batch(&objects(200));
-            let ticket = builder.submit(kind, &cfg, objs.clone().into(), Some(dirty));
-            let reused = ticket.wait().expect("worker delivered").estimator;
-            let ticket = builder.submit(kind, &cfg, objs.clone().into(), None);
-            let fresh = ticket.wait().expect("worker delivered").estimator;
-            let q = probe();
-            assert_eq!(
-                reused.estimate(&q).to_bits(),
-                fresh.estimate(&q).to_bits(),
-                "{kind}: recycled allocation diverged from fresh build"
-            );
-        }
-    }
-
-    #[test]
     fn cancelled_ticket_never_delivers() {
         let mut builder = PrefillBuilder::new();
-        let ticket = builder.submit(EstimatorKind::H4096, &config(), objects(5_000).into(), None);
+        let ticket = builder.submit(EstimatorKind::H4096, &config(), objects(5_000).into());
         ticket.cancel();
         // A second submit on the same builder still works after a cancel.
-        let ticket = builder.submit(EstimatorKind::Rsl, &config(), objects(100).into(), None);
+        let ticket = builder.submit(EstimatorKind::Rsl, &config(), objects(100).into());
         assert!(ticket.wait().is_some());
     }
 

@@ -36,7 +36,7 @@
 //! the delta catch-up stays shard-local (each shard replays only its own
 //! inserts and evictions). The deep auditors reached through
 //! [`ShardedLatest::audit`] sweep every shard's prefill slot — delta-log
-//! bounds, generation monotonicity, parked candidates — alongside the
+//! bounds, generation monotonicity, ready candidates — alongside the
 //! cross-shard ownership invariants.
 
 use crate::error::LatestError;

@@ -11,7 +11,7 @@ use crate::obsv::{
     MetricsRegistry, MetricsSnapshot, PoolMetrics, WallTimer, WindowMetrics,
     EVICTION_EVENT_GRANULARITY,
 };
-use crate::pool::{build_candidate, EstimatorPool, PrefillBuilder, PrefillTicket};
+use crate::pool::{build_candidate, BuiltPrefill, EstimatorPool, PrefillBuilder, PrefillTicket};
 use crate::shard::{RouterPolicy, ShardConfig};
 use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind};
 use exactdb::{ExactExecutor, SpatialIndexKind};
@@ -61,9 +61,6 @@ pub struct LatestConfig {
     /// paper's figures plot every estimator's latency/accuracy). Costs
     /// memory and time; off by default.
     pub shadow_metrics: bool,
-    /// DDM-based retraining (§V-D's "overall error rate" trigger): watch
-    /// the tree's own prediction errors and reset it on detected drift.
-    pub drift_detection: bool,
     /// Capacity of the selectivity cache: distinct query signatures
     /// memoized per window generation (any window content change clears
     /// the cache wholesale). `0` disables caching entirely.
@@ -142,7 +139,6 @@ impl Default for LatestConfig {
             },
             index_kind: SpatialIndexKind::Grid,
             shadow_metrics: false,
-            drift_detection: true,
             selectivity_cache_capacity: 4_096,
             shard: ShardConfig::default(),
             prefill_delta_cap: 65_536,
@@ -431,12 +427,15 @@ impl DeltaLog {
                 )
             },
         )?;
-        ensure(
-            !self.overflowed || self.objects == 0,
-            S,
-            "overflow-drained",
-            || format!("overflowed log still buffers {} objects", self.objects),
-        )?;
+        // `poll_prefill` runs after every window change that pushes here
+        // and restarts an overflowed build on the spot, so a slot at rest
+        // never holds an overflowed log.
+        ensure(!self.overflowed, S, "restarted-at-overflow", || {
+            format!(
+                "overflowed log (cap {}) outlived the window change that overflowed it",
+                self.cap
+            )
+        })?;
         Ok(())
     }
 }
@@ -484,11 +483,6 @@ enum Phase {
     Incremental {
         active: BoxedEstimator,
         prefill: PrefillSlot,
-        /// The most recently discarded (fully built) candidate, parked so
-        /// the common β·τ oscillation — re-entering the danger zone with
-        /// the same recommendation — recycles its allocations instead of
-        /// building from scratch.
-        parked: Option<BoxedEstimator>,
         /// Shadow pool for per-estimator metrics, when enabled.
         shadow: EstimatorPool,
     },
@@ -776,7 +770,6 @@ impl Latest {
                 Phase::Incremental {
                     active,
                     prefill,
-                    parked,
                     shadow,
                 } => {
                     active.audit()?;
@@ -784,9 +777,6 @@ impl Latest {
                         PrefillSlot::Idle => {}
                         PrefillSlot::Building { delta, .. } => delta.audit(window_generation)?,
                         PrefillSlot::Ready(p) => p.audit()?,
-                    }
-                    if let Some(p) = parked {
-                        p.audit()?;
                     }
                     shadow.audit()
                 }
@@ -1173,15 +1163,10 @@ impl Latest {
     /// Takes a structurally shared window snapshot (O(#chunks) `Arc`
     /// handle clones — microseconds at any occupancy, the only
     /// serving-thread cost), hands the build to the background worker, and
-    /// opens a delta log at the snapshot's generation. A `parked`
-    /// candidate of the recommended kind is recycled (`clear()` resets it
-    /// to pristine state, so reuse is indistinguishable from a fresh
-    /// build).
-    #[allow(clippy::too_many_arguments)]
+    /// opens a delta log at the snapshot's generation.
     fn start_prefill_slot(
         window: &mut SlidingWindow,
         builder: &mut PrefillBuilder,
-        parked: &mut Option<BoxedEstimator>,
         config: &LatestConfig,
         metrics: &MetricsRegistry,
         rec: EstimatorKind,
@@ -1191,14 +1176,9 @@ impl Latest {
             // Ablation: cold replacement, no pre-filling.
             return PrefillSlot::Ready(build_estimator(rec, &config.estimator_config));
         }
-        let reuse = if parked.as_ref().is_some_and(|p| p.kind() == rec) {
-            parked.take()
-        } else {
-            None
-        };
         let timer = WallTimer::start();
         let snapshot = window.snapshot();
-        let ticket = builder.submit(rec, &config.estimator_config, snapshot, reuse);
+        let ticket = builder.submit(rec, &config.estimator_config, snapshot);
         // The serving thread pays only for the O(#chunks) snapshot
         // handles; the object sweep happens on the worker.
         metrics.switch_stall_us.record(timer.elapsed_us());
@@ -1214,10 +1194,7 @@ impl Latest {
     /// pre-filling `kind` from the live window. `false` when not in the
     /// incremental phase or a prefill is already pending.
     fn start_prefill(&mut self, kind: EstimatorKind, seq: u64) -> bool {
-        let Phase::Incremental {
-            prefill, parked, ..
-        } = &mut self.phase
-        else {
+        let Phase::Incremental { prefill, .. } = &mut self.phase else {
             return false;
         };
         if !prefill.is_idle() {
@@ -1226,7 +1203,6 @@ impl Latest {
         *prefill = Self::start_prefill_slot(
             &mut self.window,
             &mut self.builder,
-            parked,
             &self.config,
             &self.metrics,
             kind,
@@ -1240,24 +1216,16 @@ impl Latest {
     }
 
     /// The adaptor's second transition (accuracy recovered above `β·τ`):
-    /// drop the pending prefill. `false` when there is nothing to discard.
+    /// drop the pending prefill. A built candidate is dropped with it: a
+    /// later re-entry builds afresh from the window it then finds.
+    /// `false` when there is nothing to discard.
     fn discard_prefill(&mut self, seq: u64) -> bool {
-        let Phase::Incremental {
-            prefill, parked, ..
-        } = &mut self.phase
-        else {
+        let Phase::Incremental { prefill, .. } = &mut self.phase else {
             return false;
         };
         let kind = match std::mem::replace(prefill, PrefillSlot::Idle) {
             PrefillSlot::Idle => return false,
-            PrefillSlot::Ready(p) => {
-                let kind = p.kind();
-                // Park the built candidate: re-entering the danger zone
-                // with the same recommendation recycles its allocations
-                // via `clear()` instead of building a fresh structure.
-                *parked = Some(p);
-                kind
-            }
+            PrefillSlot::Ready(p) => p.kind(),
             PrefillSlot::Building { kind, ticket, .. } => {
                 ticket.cancel();
                 self.metrics.prefill_cancelled.inc();
@@ -1324,9 +1292,9 @@ impl Latest {
     /// `Ready` candidate is handed over as-is; a `Building` one blocks on
     /// the worker and replays the delta tail (the only remaining stall).
     /// Falls back to an inline build from the live window if the worker
-    /// died or the delta log overflowed — through the builder's own
-    /// [`build_candidate`], so the fallback's candidate is the one the
-    /// worker would have delivered for the same window.
+    /// died — through the builder's own [`build_candidate`], so the
+    /// fallback's candidate is the one the worker would have delivered for
+    /// the same window.
     fn resolve_candidate(
         slot: PrefillSlot,
         window: &SlidingWindow,
@@ -1343,43 +1311,43 @@ impl Latest {
                 delta,
                 ..
             } => {
+                // `poll_prefill` restarts an overflowed build at the window
+                // change that overflowed it, so activation never meets one.
+                debug_assert!(!delta.overflowed(), "overflowed build was not restarted");
                 let timer = WallTimer::start();
-                let built = if delta.overflowed() {
-                    ticket.cancel();
-                    metrics.prefill_cancelled.inc();
-                    metrics
-                        .events
-                        .record(LifecycleEvent::PrefillCancelled { seq, kind });
-                    None
-                } else {
-                    ticket.wait()
+                let est = match ticket.wait() {
+                    Some(built) => Self::promote(built, &delta, kind, seq, metrics),
+                    // The worker died mid-build: build inline so the switch
+                    // still happens.
+                    None => build_candidate(kind, &config.estimator_config, window.chunk_slices()),
                 };
-                let Some(built) = built else {
-                    // The log overflowed or the worker died mid-build:
-                    // build inline so the switch still happens.
-                    let est = build_candidate(
-                        kind,
-                        &config.estimator_config,
-                        window.chunk_slices(),
-                        None,
-                    );
-                    metrics.switch_stall_us.record(timer.elapsed_us());
-                    return Some(est);
-                };
-                metrics.prefill_build_us.record(built.build_us);
-                metrics.events.record(LifecycleEvent::PrefillCompleted {
-                    seq,
-                    kind,
-                    build_ms: built.build_us as f64 / 1_000.0,
-                    snapshot_len: built.snapshot_len,
-                    delta_len: delta.objects(),
-                });
-                let mut est = built.estimator;
-                delta.replay_into(&mut est);
                 metrics.switch_stall_us.record(timer.elapsed_us());
                 Some(est)
             }
         }
+    }
+
+    /// Hands over a build the worker delivered: records its cost, emits
+    /// `PrefillCompleted` and replays the delta tail, which leaves the
+    /// candidate caught up with the live window.
+    fn promote(
+        built: BuiltPrefill,
+        delta: &DeltaLog,
+        kind: EstimatorKind,
+        seq: u64,
+        metrics: &MetricsRegistry,
+    ) -> BoxedEstimator {
+        metrics.prefill_build_us.record(built.build_us);
+        metrics.events.record(LifecycleEvent::PrefillCompleted {
+            seq,
+            kind,
+            build_ms: built.build_us as f64 / 1_000.0,
+            snapshot_len: built.snapshot_len,
+            delta_len: delta.objects(),
+        });
+        let mut est = built.estimator;
+        delta.replay_into(&mut est);
+        est
     }
 
     /// Drives an in-flight background prefill forward; called after every
@@ -1394,10 +1362,7 @@ impl Latest {
     ///   promote the candidate to `Ready`, after which it is maintained
     ///   inline exactly like the active estimator.
     fn poll_prefill(&mut self) {
-        let Phase::Incremental {
-            prefill, parked, ..
-        } = &mut self.phase
-        else {
+        let Phase::Incremental { prefill, .. } = &mut self.phase else {
             return;
         };
         if matches!(&*prefill, PrefillSlot::Building { delta, .. } if delta.overflowed()) {
@@ -1419,7 +1384,6 @@ impl Latest {
                 *prefill = Self::start_prefill_slot(
                     &mut self.window,
                     &mut self.builder,
-                    parked,
                     &self.config,
                     &self.metrics,
                     kind,
@@ -1428,7 +1392,6 @@ impl Latest {
             }
             return;
         }
-        let mut finished = None;
         if let PrefillSlot::Building {
             kind,
             ticket,
@@ -1438,24 +1401,10 @@ impl Latest {
         {
             if let Some(built) = ticket.try_take() {
                 let timer = WallTimer::start();
-                let mut est = built.estimator;
-                delta.replay_into(&mut est);
+                let est = Self::promote(built, delta, *kind, *started_seq, &self.metrics);
                 self.metrics.switch_stall_us.record(timer.elapsed_us());
-                self.metrics.prefill_build_us.record(built.build_us);
-                self.metrics
-                    .events
-                    .record(LifecycleEvent::PrefillCompleted {
-                        seq: *started_seq,
-                        kind: *kind,
-                        build_ms: built.build_us as f64 / 1_000.0,
-                        snapshot_len: built.snapshot_len,
-                        delta_len: delta.objects(),
-                    });
-                finished = Some(est);
+                *prefill = PrefillSlot::Ready(est);
             }
-        }
-        if let Some(est) = finished {
-            *prefill = PrefillSlot::Ready(est);
         }
     }
 
@@ -1636,7 +1585,6 @@ impl Latest {
             // LINT-ALLOW(no-panic): the loop above inserted every kind, including the default, into the pool
             active: active.expect("default estimator was in the pool"),
             prefill: PrefillSlot::Idle,
-            parked: None,
             shadow,
         };
         self.monitor.reset();
@@ -1742,17 +1690,15 @@ impl Latest {
         // §V-D retraining trigger: score the tree's own prediction before
         // training on the record; sustained error growth (DDM drift) means
         // the learned concept is stale — reset and regrow.
-        if self.config.drift_detection {
-            let wrong = self.tree.predict(&instance) != label.index();
-            if self.drift.observe(wrong) == DriftState::Drift {
-                self.tree.reset();
-                self.drift.reset();
-                self.drift_retrainings += 1;
-                self.metrics.tree_retrainings.inc();
-                self.metrics
-                    .events
-                    .record(LifecycleEvent::TreeRetrained { seq });
-            }
+        let wrong = self.tree.predict(&instance) != label.index();
+        if self.drift.observe(wrong) == DriftState::Drift {
+            self.tree.reset();
+            self.drift.reset();
+            self.drift_retrainings += 1;
+            self.metrics.tree_retrainings.inc();
+            self.metrics
+                .events
+                .record(LifecycleEvent::TreeRetrained { seq });
         }
         self.tree.train(&instance, label.index());
 
@@ -1845,8 +1791,6 @@ impl Latest {
 ///   path-mix counters among them, restart at zero (a restart is an
 ///   observable event; hiding it would be lying);
 /// * the prefill builder worker — recreated lazily on first use;
-/// * a `parked` (discarded) prefill candidate — an allocation-reuse
-///   cache, rebuilt on demand;
 /// * the eviction scratch buffer.
 ///
 /// An in-flight background prefill build cannot be persisted (it lives on
@@ -1890,7 +1834,7 @@ impl Latest {
     ///    `ffn_train_budget`, `seed`;
     /// 5. `tree_config`: `grace_period`, `split_confidence`,
     ///    `tie_threshold`, `num_split_points`, `max_depth`;
-    /// 6. `shadow_metrics`, `drift_detection`, `selectivity_cache_capacity`;
+    /// 6. `shadow_metrics`, `selectivity_cache_capacity`;
     /// 7. `shard.shards`, `shard.router`;
     /// 8. `ablation`: `prefill`, `use_tree`, `mix_recommendation`,
     ///    `switching`.
@@ -1923,7 +1867,6 @@ impl Latest {
             tree_config,
             index_kind: _,
             shadow_metrics,
-            drift_detection,
             selectivity_cache_capacity,
             shard,
             prefill_delta_cap: _,
@@ -1981,7 +1924,6 @@ impl Latest {
         w.put_usize(*num_split_points);
         w.put_usize(*max_depth);
         w.put_bool(*shadow_metrics);
-        w.put_bool(*drift_detection);
         w.put_usize(*selectivity_cache_capacity);
         w.put_usize(*shards);
         w.put_u8(match router {
@@ -2032,7 +1974,6 @@ impl Latest {
             Phase::Incremental {
                 active,
                 prefill,
-                parked: _,
                 shadow,
             } => {
                 w.put_u8(2);
@@ -2170,7 +2111,6 @@ impl Latest {
                 Phase::Incremental {
                     active,
                     prefill,
-                    parked: None,
                     shadow: Self::restore_pool(&mut r, &metrics)?,
                 }
             }

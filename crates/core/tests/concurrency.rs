@@ -185,9 +185,9 @@ fn drops_join_every_worker_thread() {
             ..EstimatorConfig::default()
         };
         let mut builder = PrefillBuilder::new();
-        let ticket = builder.submit(EstimatorKind::H4096, &cfg, objects(0, 2_000).into(), None);
+        let ticket = builder.submit(EstimatorKind::H4096, &cfg, objects(0, 2_000).into());
         assert!(ticket.wait().is_some(), "builder delivered");
-        let ticket = builder.submit(EstimatorKind::Rsl, &cfg, objects(0, 4_000).into(), None);
+        let ticket = builder.submit(EstimatorKind::Rsl, &cfg, objects(0, 4_000).into());
         drop(ticket); // abandoned mid-build
         drop(builder);
     }

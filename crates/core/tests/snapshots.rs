@@ -313,18 +313,18 @@ fn corrupted_snapshots_fail_typed() {
     }
 
     // A file of the previous format is refused by its header and never
-    // decoded: these are the 28 bytes `golden-v3.snap` began with.
-    let v3_header: [u8; 28] = [
-        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x03, 0x00, 0x00, 0x00, 0x31, 0x50, 0x03,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x22, 0x28, 0x69, 0xff, 0x54, 0x26, 0x42, 0x76,
+    // decoded: these are the 28 bytes `golden-v4.snap` began with.
+    let v4_header: [u8; 28] = [
+        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x04, 0x00, 0x00, 0x00, 0xc0, 0xb9, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0xbb, 0x4e, 0x00, 0xb6, 0x61, 0xd6, 0x5c,
     ];
-    std::fs::write(&path, v3_header).expect("write v3 header");
+    std::fs::write(&path, v4_header).expect("write v4 header");
     match Latest::load_snapshot(config.clone(), &path) {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!((found, supported), (3, 4));
+            assert_eq!((found, supported), (4, 5));
         }
         other => panic!(
-            "v3 header produced {:?}, wanted UnsupportedVersion",
+            "v4 header produced {:?}, wanted UnsupportedVersion",
             other.err()
         ),
     }
@@ -597,7 +597,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v4.snap")
+        .join("golden-v5.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -649,7 +649,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v4.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v5.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );

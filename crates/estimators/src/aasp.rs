@@ -285,11 +285,6 @@ impl SelectivityEstimator for AaspTree {
         self.tree.memory_bytes(BucketCounts::memory_bytes) + self.kmv.memory_bytes()
     }
 
-    fn clear(&mut self) {
-        self.tree.clear();
-        self.kmv.clear();
-    }
-
     fn persist_state(&self, w: &mut PersistWriter) {
         self.persist(w);
     }
@@ -455,18 +450,6 @@ mod tests {
         // Query for either keyword individually sees exactly one object.
         assert_eq!(b.matches(&[KeywordId(1)]), 1.0);
         assert_eq!(b.matches(&[KeywordId(2)]), 1.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut a = AaspTree::new(&config());
-        for i in 0..100 {
-            a.insert(&obj(i, 1.0, 1.0, &[3]));
-        }
-        a.clear();
-        assert_eq!(a.population(), 0);
-        assert_eq!(a.node_count(), 1);
-        assert_eq!(a.distinct_keywords(), 0.0);
     }
 
     #[test]

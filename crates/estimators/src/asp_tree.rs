@@ -332,21 +332,6 @@ impl<P: Default> AspTree<P> {
         }
     }
 
-    /// Drops all structure, keeping configuration.
-    pub fn clear(&mut self) {
-        let domain = self.domain();
-        self.nodes.clear();
-        self.nodes.push(AspNode {
-            rect: domain,
-            own: 0.0,
-            subtree: 0.0,
-            children: None,
-            depth: 0,
-            payload: P::default(),
-        });
-        self.population = 0;
-    }
-
     /// Full O(nodes) invariant walk (the `debug-invariants` auditor):
     ///
     /// * **partition** — each split node's four children carry exactly its
@@ -587,18 +572,6 @@ mod tests {
         t.for_each_node(|n| max_depth = max_depth.max(n.depth));
         assert!(max_depth <= 2);
         assert!((t.estimate_range(&DOMAIN) - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 2, 8);
-        for _ in 0..100 {
-            t.insert(&Point::new(1.0, 1.0));
-        }
-        t.clear();
-        assert_eq!(t.node_count(), 1);
-        assert_eq!(t.population(), 0);
-        assert_eq!(t.domain(), DOMAIN);
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct FfnEstimator {
     /// shrinking") and then serves as-is — it cannot keep adapting to the
     /// stream, which is precisely the weakness LATEST exploits (§V-B).
     train_budget: u64,
-    /// Construction seed; `clear()` rebuilds the net and reseeds `rng`
-    /// from it so a cleared FFN is state-identical to a freshly built one.
-    seed: u64,
     rng: StreamRng,
 }
 
@@ -69,7 +66,6 @@ impl FfnEstimator {
             replay_next: 0,
             trained: 0,
             train_budget: config.ffn_train_budget,
-            seed: config.seed,
             rng: StreamRng::seed_from_u64(config.seed ^ 0xf0f0),
         }
     }
@@ -124,7 +120,6 @@ impl Persist for FfnEstimator {
             w.put_u64(self.population);
             w.put_u64(self.trained);
             w.put_u64(self.train_budget);
-            w.put_u64(self.seed);
             w.put_usize(self.replay_next);
             self.rng.persist(w);
             self.net.persist(w);
@@ -144,7 +139,6 @@ impl Persist for FfnEstimator {
         let population = r.take_u64("FfnEstimator.population")?;
         let trained = r.take_u64("FfnEstimator.trained")?;
         let train_budget = r.take_u64("FfnEstimator.train_budget")?;
-        let seed = r.take_u64("FfnEstimator.seed")?;
         let replay_next = r.take_usize("FfnEstimator.replay_next")?;
         let rng = StreamRng::restore(r)?;
         let net = Mlp::restore(r)?;
@@ -185,7 +179,6 @@ impl Persist for FfnEstimator {
             replay_next,
             trained,
             train_budget,
-            seed,
             rng,
         })
     }
@@ -243,15 +236,6 @@ impl SelectivityEstimator for FfnEstimator {
         self.net.memory_bytes()
             + self.replay.capacity() * std::mem::size_of::<([f64; FEATURES], f64)>()
             + std::mem::size_of::<Self>()
-    }
-
-    fn clear(&mut self) {
-        self.net = Mlp::new(&[FEATURES, HIDDEN, HIDDEN, 1], 0.3, 0.2, self.seed ^ 0xff17);
-        self.replay.clear();
-        self.replay_next = 0;
-        self.trained = 0;
-        self.population = 0;
-        self.rng = StreamRng::seed_from_u64(self.seed ^ 0xf0f0);
     }
 
     fn persist_state(&self, w: &mut PersistWriter) {
@@ -369,19 +353,6 @@ mod tests {
             f.observe_query(&q, 1_000_000);
         }
         assert!(f.estimate(&q) <= 1.0);
-    }
-
-    #[test]
-    fn clear_forgets_training() {
-        let mut f = FfnEstimator::new(&config());
-        let q = range_query(50.0, 50.0, 10.0);
-        for _ in 0..100 {
-            f.observe_query(&q, 500);
-        }
-        assert!(f.trained_records() > 0);
-        f.clear();
-        assert_eq!(f.trained_records(), 0);
-        assert_eq!(f.estimate(&q), 0.0);
     }
 
     #[test]

@@ -215,11 +215,6 @@ impl SelectivityEstimator for Histogram2D {
         self.cells.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Self>()
     }
 
-    fn clear(&mut self) {
-        self.cells.iter_mut().for_each(|c| *c = 0.0);
-        self.population = 0;
-    }
-
     fn persist_state(&self, w: &mut PersistWriter) {
         self.persist(w);
     }
@@ -324,16 +319,6 @@ mod tests {
         h.insert(&obj(1, 64.0, 64.0)); // top-right corner clamps to last cell
         let q = RcDvq::spatial(Rect::new(63.0, 63.0, 64.0, 64.0));
         assert!((h.estimate(&q) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram2D::new(&config());
-        h.insert(&obj(1, 5.0, 5.0));
-        h.clear();
-        assert_eq!(h.population(), 0);
-        let q = RcDvq::spatial(Rect::new(0.0, 0.0, 64.0, 64.0));
-        assert_eq!(h.estimate(&q), 0.0);
     }
 
     #[test]

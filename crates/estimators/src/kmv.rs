@@ -85,12 +85,6 @@ impl KmvSynopsis {
         (self.k as f64 - 1.0) / normalized
     }
 
-    /// Forgets everything.
-    pub fn clear(&mut self) {
-        self.mins.clear();
-        self.observed = 0;
-    }
-
     /// Approximate heap bytes.
     pub fn memory_bytes(&self) -> usize {
         self.mins.len() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
@@ -195,15 +189,6 @@ mod tests {
         let s = KmvSynopsis::new(16);
         assert!(s.is_empty());
         assert_eq!(s.estimate_distinct(), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = KmvSynopsis::new(16);
-        s.insert(KeywordId(1));
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.observed(), 0);
     }
 
     #[test]

@@ -87,9 +87,6 @@ pub struct ReservoirList {
     seen: u64,
     /// Live window population (inserts − removes).
     population: u64,
-    /// Construction seed; `clear()` reseeds `rng` from it so a cleared
-    /// reservoir is state-identical to a freshly built one.
-    seed: u64,
     rng: StreamRng,
 }
 
@@ -103,7 +100,6 @@ impl ReservoirList {
             store: SampleStore::with_capacity(capacity.min(1 << 20)),
             seen: 0,
             population: 0,
-            seed: config.seed,
             rng: StreamRng::seed_from_u64(config.seed ^ 0x5151),
         }
     }
@@ -240,13 +236,6 @@ impl SelectivityEstimator for ReservoirList {
         self.store.memory_bytes() + std::mem::size_of::<Self>()
     }
 
-    fn clear(&mut self) {
-        self.store.clear();
-        self.seen = 0;
-        self.population = 0;
-        self.rng = StreamRng::seed_from_u64(self.seed ^ 0x5151);
-    }
-
     fn persist_state(&self, w: &mut PersistWriter) {
         self.persist(w);
     }
@@ -290,7 +279,6 @@ impl Persist for ReservoirList {
             w.put_usize(self.capacity);
             w.put_u64(self.seen);
             w.put_u64(self.population);
-            w.put_u64(self.seed);
             self.rng.persist(w);
             self.store.persist(w);
         });
@@ -302,7 +290,6 @@ impl Persist for ReservoirList {
         let capacity = r.take_usize("reservoir capacity")?;
         let seen = r.take_u64("reservoir seen")?;
         let population = r.take_u64("reservoir population")?;
-        let seed = r.take_u64("reservoir seed")?;
         let rng = StreamRng::restore(r)?;
         let store = SampleStore::restore(r)?;
         r.finish_section(sec, CTX)?;
@@ -317,7 +304,6 @@ impl Persist for ReservoirList {
             store,
             seen,
             population,
-            seed,
             rng,
         })
     }
@@ -432,18 +418,6 @@ mod tests {
         let r = ReservoirList::new(&config(10));
         let q = RcDvq::spatial(Rect::new(0.0, 0.0, 1.0, 1.0));
         assert_eq!(r.estimate(&q), 0.0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut r = ReservoirList::new(&config(10));
-        for i in 0..100 {
-            r.insert(&obj(i, 0.0, 0.0, &[]));
-        }
-        r.clear();
-        assert_eq!(r.sample_len(), 0);
-        assert_eq!(r.population(), 0);
-        assert!(r.memory_bytes() > 0); // struct overhead remains
     }
 
     #[test]

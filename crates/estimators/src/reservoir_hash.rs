@@ -37,9 +37,6 @@ pub struct ReservoirHash {
     occupied: usize,
     seen: u64,
     population: u64,
-    /// Construction seed; `clear()` reseeds `rng` from it so a cleared
-    /// estimator is state-identical to a freshly built one.
-    seed: u64,
     rng: StreamRng,
 }
 
@@ -59,7 +56,6 @@ impl ReservoirHash {
             occupied: 0,
             seen: 0,
             population: 0,
-            seed: config.seed,
             rng: StreamRng::seed_from_u64(config.seed ^ 0x2525),
         }
     }
@@ -268,15 +264,6 @@ impl SelectivityEstimator for ReservoirHash {
             + std::mem::size_of::<Self>()
     }
 
-    fn clear(&mut self) {
-        self.store.clear();
-        self.grid.iter_mut().for_each(Vec::clear);
-        self.occupied = 0;
-        self.seen = 0;
-        self.population = 0;
-        self.rng = StreamRng::seed_from_u64(self.seed ^ 0x2525);
-    }
-
     fn persist_state(&self, w: &mut PersistWriter) {
         self.persist(w);
     }
@@ -354,7 +341,6 @@ impl Persist for ReservoirHash {
             w.put_usize(self.layout.side());
             w.put_u64(self.seen);
             w.put_u64(self.population);
-            w.put_u64(self.seed);
             self.rng.persist(w);
             w.put_usize(self.occupied);
             for (cell, slots) in self.grid.iter().enumerate() {
@@ -380,7 +366,6 @@ impl Persist for ReservoirHash {
         let side = r.take_usize("rsh grid side")?;
         let seen = r.take_u64("rsh seen")?;
         let population = r.take_u64("rsh population")?;
-        let seed = r.take_u64("rsh seed")?;
         let rng = StreamRng::restore(r)?;
         if side == 0 || side > MAX_GRID_SIDE {
             return Err(corrupt(format!(
@@ -420,7 +405,6 @@ impl Persist for ReservoirHash {
             occupied,
             seen,
             population,
-            seed,
             rng,
         })
     }
@@ -638,19 +622,6 @@ mod tests {
         r.insert(&obj(1, 5.0, 5.0, &[]));
         let q = RcDvq::spatial(Rect::new(100.0, 100.0, 110.0, 110.0));
         assert_eq!(r.estimate(&q), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut r = ReservoirHash::new(&config(10));
-        for i in 0..50 {
-            r.insert(&obj(i, 5.0, 5.0, &[]));
-        }
-        r.clear();
-        assert_eq!(r.sample_len(), 0);
-        assert_eq!(r.population(), 0);
-        assert!(r.grid.iter().all(Vec::is_empty));
-        assert_eq!(r.occupied, 0);
     }
 
     /// Churn (replacements, evictions, cells emptied and refilled), then

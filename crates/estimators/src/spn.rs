@@ -145,9 +145,6 @@ pub struct SpnEstimator {
     rebuilds: u64,
     seen: u64,
     population: u64,
-    /// Construction seed; `clear()` reseeds `rng` from it so a cleared
-    /// estimator is state-identical to a freshly built one.
-    seed: u64,
     rng: StreamRng,
 }
 
@@ -179,7 +176,6 @@ impl SpnEstimator {
             rebuilds: 0,
             seen: 0,
             population: 0,
-            seed: config.seed,
             rng: StreamRng::seed_from_u64(config.seed ^ 0x59a9),
         }
     }
@@ -409,7 +405,6 @@ impl Persist for SpnEstimator {
             w.put_u64(self.rebuilds);
             w.put_u64(self.seen);
             w.put_u64(self.population);
-            w.put_u64(self.seed);
             self.rng.persist(w);
             self.components.persist(w);
             self.buffer.persist(w);
@@ -427,7 +422,6 @@ impl Persist for SpnEstimator {
         let rebuilds = r.take_u64("SpnEstimator.rebuilds")?;
         let seen = r.take_u64("SpnEstimator.seen")?;
         let population = r.take_u64("SpnEstimator.population")?;
-        let seed = r.take_u64("SpnEstimator.seed")?;
         let rng = StreamRng::restore(r)?;
         let components = Vec::<Component>::restore(r)?;
         let buffer = SampleStore::restore(r)?;
@@ -454,7 +448,6 @@ impl Persist for SpnEstimator {
             rebuilds,
             seen,
             population,
-            seed,
             rng,
         })
     }
@@ -550,16 +543,6 @@ impl SelectivityEstimator for SpnEstimator {
                 })
                 .sum::<usize>()
             + std::mem::size_of::<Self>()
-    }
-
-    fn clear(&mut self) {
-        self.buffer.clear();
-        self.components.clear();
-        self.inserts_since_rebuild = 0;
-        self.rebuilds = 0;
-        self.seen = 0;
-        self.population = 0;
-        self.rng = StreamRng::seed_from_u64(self.seed ^ 0x59a9);
     }
 
     fn persist_state(&self, w: &mut PersistWriter) {
@@ -696,21 +679,6 @@ mod tests {
             vec![KeywordId(1), KeywordId(2)],
         );
         assert!(s.estimate(&q) <= s.population() as f64 + 1e-9);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = SpnEstimator::new(&config());
-        for i in 0..2_000 {
-            s.insert(&obj(i, 10.0, 10.0, &[]));
-        }
-        s.clear();
-        assert_eq!(s.population(), 0);
-        assert!(!s.has_model());
-        assert_eq!(
-            s.estimate(&RcDvq::spatial(Rect::new(0.0, 0.0, 100.0, 100.0))),
-            0.0
-        );
     }
 
     #[test]

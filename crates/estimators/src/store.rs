@@ -132,11 +132,6 @@ impl PostingIndex {
             self.map.remove(&kw);
         }
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.total_entries = 0;
-    }
 }
 
 /// Structure-of-arrays storage for a dense, swap-removed object sample.
@@ -375,20 +370,6 @@ impl SampleStore {
         }
         self.kw_pool = pool;
         self.kw_garbage = 0;
-    }
-
-    /// Drops all contents (capacities retained).
-    pub fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
-        self.oids.clear();
-        self.kw_ranges.clear();
-        self.kw_pool.clear();
-        self.kw_garbage = 0;
-        self.slot_of.clear();
-        // Safe to reset: the postings that generations guard are gone too.
-        self.slot_gen.clear();
-        self.postings.clear();
     }
 
     // ---- match kernels ------------------------------------------------
@@ -1122,9 +1103,6 @@ mod tests {
         }
         assert_eq!(s.memory_bytes(), s.recompute_memory_bytes());
         assert!(s.memory_bytes() > 0);
-        s.clear();
-        assert_eq!(s.memory_bytes(), s.recompute_memory_bytes());
-        assert_eq!(s.len(), 0);
     }
 
     #[test]

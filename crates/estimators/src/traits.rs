@@ -273,17 +273,6 @@ pub trait SelectivityEstimator: Send {
     /// Approximate heap footprint in bytes.
     fn memory_bytes(&self) -> usize;
 
-    /// Drops all state (used when an estimator is wiped after the
-    /// pre-training phase, §V-C, and when a discarded prefill candidate's
-    /// allocations are recycled for the next build).
-    ///
-    /// Contract: a cleared estimator must be *state-identical* to a
-    /// freshly built one with the same `EstimatorConfig` — including any
-    /// internal RNG, which must be reseeded to its construction state —
-    /// so that `clear()` + re-feeding a stream is bit-equal to building
-    /// from scratch.
-    fn clear(&mut self);
-
     /// Number of window objects currently represented (the population the
     /// estimator scales to).
     fn population(&self) -> u64;

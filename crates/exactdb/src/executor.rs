@@ -91,13 +91,6 @@ impl Backend {
             Backend::Quad(q) => q.candidate_count(r),
         }
     }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Grid(g) => g.clear(),
-            Backend::Quad(q) => q.clear(),
-        }
-    }
 }
 
 /// Exact RC-DVQ execution over the live window.
@@ -365,14 +358,6 @@ impl ExactExecutor {
     pub fn reset_path_mix(&self) {
         self.spatial_hits.reset();
         self.inverted_hits.reset();
-    }
-
-    /// Clears all indexes and the store.
-    pub fn clear(&mut self) {
-        self.backend.clear();
-        self.inverted.clear();
-        self.store.clear();
-        self.reset_path_mix();
     }
 }
 
@@ -664,14 +649,5 @@ mod tests {
         assert_eq!(mix.total(), 2);
         e.reset_path_mix();
         assert_eq!(e.path_mix().total(), 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut e = ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid);
-        populate(&mut e);
-        e.clear();
-        assert!(e.is_empty());
-        assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(1)])), 0);
     }
 }

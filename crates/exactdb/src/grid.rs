@@ -134,13 +134,6 @@ impl GridIndex {
             .for_each_cell(&cover, |cell, _| total += self.cells[cell].len());
         total as u64
     }
-
-    /// Clears the index.
-    pub fn clear(&mut self) {
-        self.cells.iter_mut().for_each(Vec::clear);
-        self.locator.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -301,14 +294,5 @@ mod tests {
         let q = RcDvq::spatial(Rect::new(50.0, 50.0, 60.0, 60.0));
         assert_eq!(g.count(&q, &store), 0);
         assert_eq!(g.candidate_count(q.range().unwrap()), 0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut store = ObjectStore::new();
-        let mut g = GridIndex::new(DOMAIN, 4);
-        insert(&mut g, &mut store, obj(1, 5.0, 5.0, &[]));
-        g.clear();
-        assert!(g.is_empty());
     }
 }

@@ -186,11 +186,6 @@ impl InvertedIndex {
         }
         Ok(count)
     }
-
-    /// Clears the index.
-    pub fn clear(&mut self) {
-        self.postings.clear();
-    }
 }
 
 #[cfg(feature = "debug-invariants")]
@@ -378,17 +373,6 @@ mod tests {
         let mut idx = InvertedIndex::new();
         insert(&mut idx, &mut store, obj(1, 0.0, &[1]));
         let q = RcDvq::keyword(vec![KeywordId(99)]);
-        assert_eq!(idx.count(&q, &store).unwrap(), 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut store = ObjectStore::new();
-        let mut idx = InvertedIndex::new();
-        insert(&mut idx, &mut store, obj(1, 0.0, &[1]));
-        idx.clear();
-        assert_eq!(idx.distinct_keywords(), 0);
-        let q = RcDvq::keyword(vec![KeywordId(1)]);
         assert_eq!(idx.count(&q, &store).unwrap(), 0);
     }
 }

@@ -194,20 +194,6 @@ impl QuadtreeIndex {
         }
         total
     }
-
-    /// Clears the index.
-    pub fn clear(&mut self) {
-        let domain = self.nodes[0].rect;
-        self.nodes.clear();
-        self.nodes.push(QuadNode {
-            rect: domain,
-            bucket: Vec::new(),
-            children: None,
-            depth: 0,
-        });
-        self.locator.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -323,17 +309,5 @@ mod tests {
                 "slot {slot} not in its located leaf"
             );
         }
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut store = ObjectStore::new();
-        let mut q = QuadtreeIndex::new(DOMAIN, 2, 10);
-        for i in 0..20 {
-            insert(&mut q, &mut store, obj(i, 1.0, 1.0, &[]));
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.node_count(), 1);
     }
 }

@@ -22,7 +22,7 @@
 //! entry calls [`ObjectStore::release_ref`]; the slot only rejoins the
 //! free list at zero. Keyword-less objects recycle immediately.
 
-use geostream::{GeoTextObject, IdMap, KeywordId, ObjectId, Point, RcDvq, Timestamp};
+use geostream::{GeoTextObject, IdMap, KeywordId, ObjectId, Point, RcDvq};
 use std::sync::Arc;
 
 /// Dense index of an object in the store (and in every backend).
@@ -41,8 +41,6 @@ pub struct ObjectStore {
     oids: Vec<ObjectId>,
     /// Keyword set per slot; `None` for free or parked slots.
     keywords: Vec<Option<Arc<[KeywordId]>>>,
-    /// Arrival time per slot (stale for free or parked slots).
-    timestamps: Vec<Timestamp>,
     /// Liveness per slot — posting lists check this to skip tombstones.
     live: Vec<bool>,
     /// Outstanding posting-list references to a dead slot; the slot is
@@ -146,10 +144,7 @@ impl ObjectStore {
             "oid re-inserted without removal"
         );
         let GeoTextObject {
-            oid,
-            loc,
-            keywords,
-            timestamp,
+            oid, loc, keywords, ..
         } = obj;
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -157,7 +152,6 @@ impl ObjectStore {
                 self.locs[s] = loc;
                 self.oids[s] = oid;
                 self.keywords[s] = Some(keywords);
-                self.timestamps[s] = timestamp;
                 self.live[s] = true;
                 slot
             }
@@ -166,7 +160,6 @@ impl ObjectStore {
                 self.locs.push(loc);
                 self.oids.push(oid);
                 self.keywords.push(Some(keywords));
-                self.timestamps.push(timestamp);
                 self.live.push(true);
                 self.pending_refs.push(0);
                 slot
@@ -220,7 +213,7 @@ impl ObjectStore {
 
     /// Full O(slots) invariant walk (the `debug-invariants` auditor):
     ///
-    /// * **parallel-arrays** — the four object columns, `live`, and
+    /// * **parallel-arrays** — the three object columns, `live`, and
     ///   `pending_refs` have the same length.
     /// * **identity** — `by_oid` maps exactly the live population: every
     ///   entry points at a live slot holding that oid, and every live slot
@@ -239,14 +232,13 @@ impl ObjectStore {
             self.locs.len(),
             self.oids.len(),
             self.keywords.len(),
-            self.timestamps.len(),
             self.pending_refs.len(),
         ];
         ensure(
             columns.iter().all(|&len| len == n),
             S,
             "parallel-arrays",
-            || format!("live {n}, locs/oids/keywords/timestamps/pending_refs {columns:?}"),
+            || format!("live {n}, locs/oids/keywords/pending_refs {columns:?}"),
         )?;
         let mut live_count = 0usize;
         for s in 0..n {
@@ -299,23 +291,12 @@ impl ObjectStore {
         }
         Ok(())
     }
-
-    /// Clears the store (all slots recycled, capacity kept).
-    pub fn clear(&mut self) {
-        self.locs.clear();
-        self.oids.clear();
-        self.keywords.clear();
-        self.timestamps.clear();
-        self.live.clear();
-        self.pending_refs.clear();
-        self.free.clear();
-        self.by_oid.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geostream::Timestamp;
 
     fn obj(id: u64, kws: &[u32]) -> GeoTextObject {
         GeoTextObject::new(
@@ -383,14 +364,5 @@ mod tests {
         let live: Vec<u64> = s.iter_live().map(|(slot, _)| s.oid(slot).0).collect();
         assert_eq!(live.len(), 5);
         assert!(live.iter().all(|&id| id >= 5));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = ObjectStore::new();
-        s.insert(obj(1, &[2]));
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.slot_capacity(), 0);
     }
 }

@@ -53,7 +53,10 @@ use std::sync::Arc;
 /// * 4 — `latest-core`'s payload lost the exact executor (object store,
 ///   spatial index, inverted index, path-mix counters), which restore
 ///   rebuilds from the window, and the fingerprint lost `index_kind`.
-pub const FORMAT_VERSION: u32 = 4;
+/// * 5 — `estimators`' RSL, RSH, SPN and FFN sections lost their
+///   construction seed (the live RNG state is what continues the stream),
+///   and the fingerprint lost `drift_detection`.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a

@@ -52,7 +52,7 @@ pub struct SlidingWindow {
     /// Most recent clock value observed, used to validate monotonicity.
     now: Timestamp,
     /// Content-change counter: bumped whenever the live set changes
-    /// (insert, eviction sweep, clear). Selectivity caches key answers
+    /// (insert or eviction sweep). Selectivity caches key answers
     /// on `(QuerySignature, generation)`, so any content change makes
     /// every prior cached answer unreachable.
     generation: u64,
@@ -310,18 +310,6 @@ impl SlidingWindow {
             .chain([tail_a, tail_b])
             .filter(|s| !s.is_empty())
     }
-
-    /// Removes every object and resets the clock to zero. The generation
-    /// still advances — cached answers against the old contents must not
-    /// resurface against the emptied window.
-    pub fn clear(&mut self) {
-        self.sealed.clear();
-        self.front_offset = 0;
-        self.tail.clear();
-        self.len = 0;
-        self.now = Timestamp::ZERO;
-        self.generation += 1;
-    }
 }
 
 impl crate::persist::Persist for SlidingWindow {
@@ -532,16 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut w = SlidingWindow::new(Duration(1_000));
-        let mut ev = Vec::new();
-        w.insert(obj(1, 10), &mut ev);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.now(), Timestamp::ZERO);
-    }
-
-    #[test]
     fn insert_batch_matches_one_at_a_time() {
         let mut single = SlidingWindow::new(Duration(100));
         let mut batched = SlidingWindow::new(Duration(100));
@@ -676,9 +654,6 @@ mod tests {
         assert_eq!(ev.len(), 1);
         let g2 = w.generation();
         assert!(g2 > g1);
-        // clear() always advances, even when already empty of interest.
-        w.clear();
-        assert!(w.generation() > g2);
     }
 
     #[test]

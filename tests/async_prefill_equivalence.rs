@@ -347,11 +347,10 @@ fn overflowing_delta_log_restarts_and_stays_bit_equal() {
     }
 }
 
-/// Discard-then-re-enter: a parked candidate recycled through `clear()`
-/// must leave no trace — the rebuilt candidate behaves exactly like the
-/// first one.
+/// Discard-then-re-enter: a discarded candidate is dropped, and the one
+/// built on re-entry must still match the on-caller reference bit for bit.
 #[test]
-fn discarded_candidate_reuse_is_bit_equal() {
+fn discard_then_reenter_is_bit_equal() {
     for kind in [EstimatorKind::Rsl, EstimatorKind::Aasp] {
         let mut sync = sync_engine(forced_config(65_536));
         let mut asyn = Latest::new(forced_config(65_536));
@@ -384,7 +383,7 @@ fn discarded_candidate_reuse_is_bit_equal() {
         while sync.phase() != latest_core::PhaseTag::Incremental {
             feed(&mut sync, &mut asyn, &mut rng, &mut clock, &mut next_id);
         }
-        // First prefill: build fully, then discard (parks the candidate).
+        // First prefill: build fully, then discard (drops the candidate).
         assert!(sync.debug_force_prefill(kind));
         assert!(asyn.debug_force_prefill(kind));
         for _ in 0..3 {
@@ -394,7 +393,7 @@ fn discarded_candidate_reuse_is_bit_equal() {
         assert!(asyn.debug_discard_prefill());
         assert_eq!(sync.prefilling(), None);
         assert_eq!(asyn.prefilling(), None);
-        // Re-enter with the same kind: the parked candidate is recycled.
+        // Re-enter with the same kind: a fresh candidate is built.
         assert!(sync.debug_force_prefill(kind));
         assert!(asyn.debug_force_prefill(kind));
         for _ in 0..2 {
@@ -486,6 +485,44 @@ fn sharded_async_matches_unsharded_sync_through_natural_switches() {
     );
     assert_eq!(snap.adaptor.switches, solo_snap.adaptor.switches);
     assert!(sharded.shutdown() > 0);
+}
+
+/// ROADMAP 1(i)–(iii) as a test: with the pre-fill threshold β·τ below τ,
+/// the query that starts a natural pre-fill also activates it, so no
+/// pre-fill outlives its query and none is ever discarded. Ordering the
+/// thresholds (ROADMAP 1(a)) must invert this test.
+#[test]
+fn natural_prefill_never_outlives_its_query() {
+    let mut latest = Latest::new(eager_config(1));
+    let mut rng = 0x5eed_a51d;
+    let mut clock = Timestamp::ZERO;
+    let mut next_id = 0u64;
+    for round in 0..96u32 {
+        let batch: Vec<GeoTextObject> = (0..48)
+            .map(|_| {
+                let r = lcg(&mut rng);
+                clock = clock.after(Duration::from_millis(r % 5));
+                next_id += 1;
+                make_obj(next_id, r, clock)
+            })
+            .collect();
+        latest.ingest_batch(&batch);
+        for i in 0..6 {
+            let _ = latest.query(&probe(lcg(&mut rng)), QueryOptions::at(clock));
+            assert_eq!(
+                latest.prefilling(),
+                None,
+                "round {round} query {i}: a natural pre-fill outlived its query"
+            );
+        }
+    }
+    let adaptor = latest.metrics_snapshot().adaptor;
+    assert!(
+        adaptor.prefill_starts >= 1,
+        "workload never entered the danger zone; the run was vacuous"
+    );
+    assert_eq!(adaptor.prefill_starts, adaptor.switches);
+    assert_eq!(adaptor.prefill_discards, 0);
 }
 
 /// Contract 1 under arbitrary churn schedules: any interleaving of

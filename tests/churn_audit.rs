@@ -195,12 +195,12 @@ fn sample_store_recycling_and_midstream_compaction_stay_audit_clean() {
 
 /// Async-prefill churn: the delta log of an in-flight background build
 /// must stay audit-clean — bounded length, internal count agreement,
-/// generation monotonicity against the live window — through sustained
-/// insert/evict churn, through overflow restarts (tiny cap), through
-/// discard-and-park, and across activation. The deep audit walks the
-/// delta log whenever the slot is `Building` and the parked candidate
-/// whenever one exists, so every arm of the prefill state machine gets
-/// swept here.
+/// generation monotonicity against the live window, restarted at
+/// overflow — through sustained insert/evict churn, through overflow
+/// restarts (tiny cap), through discard, and across activation. The deep
+/// audit walks the delta log whenever the slot is `Building` and the
+/// candidate whenever it is `Ready`, so every arm of the prefill state
+/// machine gets swept here.
 #[test]
 fn async_prefill_delta_log_stays_audit_clean_under_churn() {
     for delta_cap in [64usize, 65_536] {
@@ -253,7 +253,7 @@ fn async_prefill_delta_log_stays_audit_clean_under_churn() {
             // the window churns: start a build, let it ride three rounds
             // (overflowing mid-flight when the cap is tiny — two 48-object
             // batches overrun a 64-entry log), then alternately discard
-            // (parking the candidate) or activate (switching to it).
+            // (dropping the candidate) or activate (switching to it).
             match round % 6 {
                 0 => {
                     let kind = kinds[(round as usize / 6) % kinds.len()];

@@ -132,18 +132,6 @@ fn histogram_is_exact_on_whole_domain() {
 }
 
 #[test]
-fn clear_resets_every_estimator() {
-    let dataset = DatasetSpec::twitter();
-    for kind in EstimatorKind::ALL {
-        let (mut est, _) = churn(kind, 2_000, 1_500);
-        est.clear();
-        assert_eq!(est.population(), 0, "{kind}: population after clear");
-        let q = RcDvq::spatial(dataset.domain);
-        assert_eq!(est.estimate(&q), 0.0, "{kind}: estimate after clear");
-    }
-}
-
-#[test]
 fn memory_accounting_is_plausible() {
     for kind in EstimatorKind::ALL {
         let (est_small, _) = churn(kind, 500, 400);
