@@ -5,7 +5,7 @@
 //! with local keyword statistics, plus a global KMV synopsis of distinct
 //! keywords:
 //!
-//! * each node keeps a **hashed keyword-bucket table** — `B` counters of
+//! * each node keeps a **hashed keyword-bucket row** — `B` counters of
 //!   how many local objects carry at least one keyword hashing into each
 //!   bucket. This is the bounded-size synopsis that captures "local
 //!   correlations" between a region and its vocabulary; hash collisions
@@ -14,16 +14,27 @@
 //! * a global [`KmvSynopsis`] estimates the
 //!   distinct-keyword cardinality for diagnostics and collision pricing.
 //!
-//! A keyword predicate `W` is evaluated per leaf as the bucket-count sum
-//! over `W`'s distinct buckets, capped by the leaf's object count, then
-//! scaled by spatial coverage. Because all statistics live at the leaves
+//! The rows live in one **bucket-major table of `u32` counts** indexed by
+//! the tree's [`NodeId`]s (`B` columns, one row per node), not inside the
+//! nodes: a query hashes its keywords to its distinct buckets once and
+//! then reads only those columns, and an insert or retraction touches only
+//! the object's own buckets.
+//!
+//! A keyword predicate `W` is evaluated per node as the bucket-count sum
+//! over `W`'s distinct buckets, capped by the node's object count, then
+//! scaled by spatial coverage. Because all statistics live at the nodes
 //! ("tightly couples spatial and keyword predicates", §II), **every**
-//! query — including pure spatial ones — pays a per-leaf walk with no
+//! query — including pure spatial ones — pays a per-node walk with no
 //! aggregate shortcuts, and the split threshold is small: AASP is by
 //! construction the highest-latency estimator of the pool, exactly its
-//! profile in the paper's experiments.
+//! profile in the paper's experiments. Spatial and hybrid queries walk the
+//! tree depth first over the nodes their range intersects; a keyword-only
+//! query has no range, so it scans the arena in `NodeId` order. Every term
+//! of that scan is an integer (counts and `own` are whole numbers and
+//! coverage is 1), so its sum is exact in any order and equals the
+//! depth-first sum bit for bit.
 
-use crate::asp_tree::{AspNode, AspTree};
+use crate::asp_tree::{AspTree, NodeId};
 use crate::kmv::KmvSynopsis;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
@@ -44,108 +55,147 @@ fn bucket_of(kw: KeywordId) -> usize {
     (z ^ (z >> 27)) as usize % BUCKETS
 }
 
-/// Per-node keyword-bucket counters: `counts[b]` = objects at this node
-/// carrying at least one keyword in bucket `b`.
+/// The distinct buckets of a keyword set, as a bit set (bit `b` is bucket
+/// `b`; `BUCKETS` is 64, one `u64`).
+fn bucket_set(kws: &[KeywordId]) -> u64 {
+    kws.iter().fold(0, |set, &kw| set | 1 << bucket_of(kw))
+}
+
+/// The buckets of `set`, ascending.
+fn buckets_in(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let b = set.trailing_zeros() as usize;
+            set &= set - 1;
+            b
+        })
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bucket counters read by estimates on this thread (tests run one per
+    /// thread).
+    static COUNTERS_READ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Every node's keyword-bucket counters, bucket-major: `columns[b][id]` =
+/// objects counted at node `id` carrying at least one keyword in bucket
+/// `b`. Each column holds one row per tree node.
 #[derive(Debug, Clone)]
-pub struct BucketCounts {
-    counts: Box<[f64; BUCKETS]>,
+struct BucketTable {
+    columns: [Vec<u32>; BUCKETS],
 }
 
-impl Default for BucketCounts {
-    fn default() -> Self {
-        BucketCounts {
-            counts: Box::new([0.0; BUCKETS]),
+impl BucketTable {
+    /// A table of `nodes` all-zero rows.
+    fn zeroed(nodes: usize) -> Self {
+        BucketTable {
+            columns: std::array::from_fn(|_| vec![0; nodes]),
         }
     }
-}
 
-impl BucketCounts {
-    /// Registers one object's keyword set (each distinct bucket counts the
-    /// object once).
-    pub fn add_object(&mut self, keywords: &[KeywordId]) {
-        let mut hit = [false; BUCKETS];
-        for &kw in keywords {
-            hit[bucket_of(kw)] = true;
-        }
-        for (b, &h) in hit.iter().enumerate() {
-            if h {
-                self.counts[b] += 1.0;
+    /// Number of rows (tree nodes) held.
+    fn rows(&self) -> usize {
+        self.columns[0].len()
+    }
+
+    /// Appends all-zero rows up to `nodes` (the tree appends four nodes
+    /// per split).
+    fn grow_to(&mut self, nodes: usize) {
+        if self.rows() < nodes {
+            for column in &mut self.columns {
+                column.resize(nodes, 0);
             }
         }
     }
 
-    /// Retracts one object's keyword set.
-    pub fn retract_object(&mut self, keywords: &[KeywordId]) {
-        let mut hit = [false; BUCKETS];
-        for &kw in keywords {
-            hit[bucket_of(kw)] = true;
-        }
-        for (b, &h) in hit.iter().enumerate() {
-            if h {
-                self.counts[b] = (self.counts[b] - 1.0).max(0.0);
-            }
+    /// Registers one object at node `id` (each of its distinct buckets
+    /// counts it once).
+    fn add(&mut self, id: NodeId, buckets: u64) {
+        for b in buckets_in(buckets) {
+            let count = &mut self.columns[b][id as usize];
+            *count = count.saturating_add(1);
         }
     }
 
-    /// Estimated local objects matching any keyword of `kws`: union-bound
-    /// sum over the query's distinct buckets. Collisions with unrelated
-    /// terms make this an overestimate — the synopsis' intrinsic error.
-    pub fn matches(&self, kws: &[KeywordId]) -> f64 {
-        let mut hit = [false; BUCKETS];
-        for &kw in kws {
-            hit[bucket_of(kw)] = true;
+    /// Retracts one object at node `id`, clamping at zero.
+    fn retract(&mut self, id: NodeId, buckets: u64) {
+        for b in buckets_in(buckets) {
+            let count = &mut self.columns[b][id as usize];
+            *count = count.saturating_sub(1);
         }
-        hit.iter()
-            .enumerate()
-            .filter(|(_, &h)| h)
-            .map(|(b, _)| self.counts[b])
-            .sum()
+    }
+
+    /// Estimated objects at node `id` matching any keyword of the query
+    /// whose distinct buckets are `buckets`: the union-bound sum of their
+    /// counters. Collisions with unrelated terms make this an
+    /// overestimate — the synopsis' intrinsic error.
+    fn matches(&self, id: usize, buckets: u64) -> f64 {
+        let mut sum = 0.0;
+        for b in buckets_in(buckets) {
+            #[cfg(test)]
+            COUNTERS_READ.with(|c| c.set(c.get() + 1));
+            sum += f64::from(self.columns[b][id]);
+        }
+        sum
     }
 
     fn memory_bytes(&self) -> usize {
-        BUCKETS * std::mem::size_of::<f64>()
+        BUCKETS * self.rows() * std::mem::size_of::<u32>()
     }
 }
 
-impl Persist for BucketCounts {
-    fn persist(&self, w: &mut PersistWriter) {
-        for &c in self.counts.iter() {
-            w.put_f64(c);
-        }
+/// Reads one persisted bucket counter, refusing any value the table
+/// cannot hold exactly.
+fn take_bucket_count(r: &mut PersistReader<'_>) -> Result<u32, PersistError> {
+    let count = r.take_f64("AaspTree.bucket")?;
+    if !(count >= 0.0 && count <= f64::from(u32::MAX) && count.fract() == 0.0) {
+        return Err(PersistError::Corrupt {
+            context: "AaspTree.bucket",
+            detail: format!("bucket count {count} is not a 32-bit whole number"),
+        });
     }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let mut counts = Box::new([0.0; BUCKETS]);
-        for c in counts.iter_mut() {
-            *c = r.take_f64("BucketCounts.count")?;
-        }
-        Ok(BucketCounts { counts })
-    }
+    // Checked above: a whole number in `0..=u32::MAX` converts exactly.
+    Ok(count as u32)
 }
 
 /// Section tag for the AASP estimator's snapshot frame.
 const AASP_TAG: u32 = 0x4512_aa59;
 
 impl Persist for AaspTree {
+    /// Each node's counters follow its fields, one `f64` per bucket — the
+    /// layout of the per-node rows the table replaced.
     fn persist(&self, w: &mut PersistWriter) {
         w.section(AASP_TAG, |w| {
-            self.tree.persist(w);
+            self.tree.persist_with(w, |id, w| {
+                for column in &self.table.columns {
+                    w.put_f64(f64::from(column[id as usize]));
+                }
+            });
             self.kmv.persist(w);
         });
     }
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
         let section = r.begin_section(AASP_TAG, "AaspTree")?;
-        let tree = AspTree::restore(r)?;
+        let mut table = BucketTable::zeroed(0);
+        let tree = AspTree::restore_with(r, |_, r| {
+            for column in &mut table.columns {
+                column.push(take_bucket_count(r)?);
+            }
+            Ok(())
+        })?;
         let kmv = KmvSynopsis::restore(r)?;
         r.finish_section(section, "AaspTree")?;
-        Ok(AaspTree { tree, kmv })
+        Ok(AaspTree { tree, table, kmv })
     }
 }
 
 /// The AASP selectivity estimator.
 pub struct AaspTree {
-    tree: AspTree<BucketCounts>,
+    tree: AspTree,
+    table: BucketTable,
     kmv: KmvSynopsis,
 }
 
@@ -155,14 +205,16 @@ impl AaspTree {
     /// The split threshold follows the paper's `split value` knob: a node
     /// splits after `split_value × 16 / memory_budget` points. Small leaves
     /// mean many nodes, and — because keyword statistics live per node, so
-    /// every query must consult each intersecting leaf — many nodes mean
+    /// every query must consult each intersecting node — many nodes mean
     /// the highest per-query latency of the estimator pool. Larger memory
     /// budgets split even finer, so latency grows with budget (Fig. 13).
     pub fn new(config: &EstimatorConfig) -> Self {
         let threshold =
             ((config.aasp_split_value * 16.0 / config.memory_budget.max(1e-6)) as usize).max(2);
+        let tree = AspTree::new(config.domain, threshold, MAX_DEPTH);
         AaspTree {
-            tree: AspTree::new(config.domain, threshold, MAX_DEPTH),
+            table: BucketTable::zeroed(tree.node_count()),
+            tree,
             kmv: KmvSynopsis::new(KMV_K),
         }
     }
@@ -177,36 +229,69 @@ impl AaspTree {
         self.kmv.estimate_distinct()
     }
 
-    fn node_keyword_matches(node: &AspNode<BucketCounts>, kws: &[KeywordId]) -> f64 {
-        node.payload.matches(kws).min(node.own)
+    /// Counts `obj` in the tree and in its node's bucket row.
+    fn count(&mut self, obj: &GeoTextObject) {
+        let counted_at = self.tree.insert(&obj.loc);
+        self.table.grow_to(self.tree.node_count());
+        self.table.add(counted_at, bucket_set(&obj.keywords));
+    }
+
+    /// Retracts `obj` from the tree and from the bucket row of the node
+    /// that gave up the count.
+    ///
+    /// The retired count and the retired keywords may live at different
+    /// nodes when the tree split since this object arrived; the pairing is
+    /// approximate, a bounded synopsis error that washes out as the window
+    /// slides.
+    fn uncount(&mut self, obj: &GeoTextObject) {
+        if let Some(node) = self.tree.remove(&obj.loc) {
+            self.table.retract(node, bucket_set(&obj.keywords));
+        }
+    }
+
+    /// Keyword-only estimate: every node with mass, in arena order. The
+    /// terms are whole numbers, so the sum is exact and equals the
+    /// depth-first walk's.
+    fn keyword_estimate(&self, buckets: u64) -> f64 {
+        let mut total = 0.0;
+        for (id, node) in self.tree.nodes().iter().enumerate() {
+            if node.own > 0.0 {
+                total += self.table.matches(id, buckets).min(node.own);
+            }
+        }
+        total
     }
 
     /// Full invariant walk (the `debug-invariants` auditor): the spatial
     /// tree's partition/subtree/population invariants
-    /// ([`AspTree::audit`]), plus keyword-bucket sanity — every bucket
-    /// counter is finite and non-negative, and no bucket anywhere exceeds
-    /// the tree population (a bucket counts a subset of all inserted
-    /// objects; per-node bounds are deliberately *not* asserted because
-    /// retraction pairs counts and keywords only approximately across
-    /// splits, see [`SelectivityEstimator::remove`]).
+    /// ([`AspTree::audit`]), plus keyword-table sanity — one row per tree
+    /// node, and no bucket anywhere exceeds the tree population (a bucket
+    /// counts a subset of all inserted objects; per-node bounds are
+    /// deliberately *not* asserted because retraction pairs counts and
+    /// keywords only approximately across splits, see `uncount`).
     #[cfg(feature = "debug-invariants")]
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         self.tree.audit()?;
-        let population = self.tree.population() as f64;
-        let mut violation: Option<(usize, usize, f64)> = None;
-        let mut id = 0usize;
-        self.tree.for_each_node(|node| {
-            for (b, &count) in node.payload.counts.iter().enumerate() {
-                let ok = count.is_finite() && count >= 0.0 && count <= population + 1e-6;
-                if violation.is_none() && !ok {
-                    violation = Some((id, b, count));
-                }
-            }
-            id += 1;
-        });
+        let nodes = self.tree.node_count();
+        ensure(
+            self.table.columns.iter().all(|c| c.len() == nodes),
+            "AaspTree",
+            "table-shape",
+            || format!("bucket columns are not {nodes} rows long"),
+        )?;
+        let population = self.tree.population();
+        let violation = self
+            .table
+            .columns
+            .iter()
+            .enumerate()
+            .find_map(|(b, column)| {
+                let node = column.iter().position(|&c| u64::from(c) > population)?;
+                Some((node, b, column[node]))
+            });
         ensure(violation.is_none(), "AaspTree", "bucket-bounds", || {
-            let (node, bucket, count) = violation.unwrap_or((0, 0, 0.0));
+            let (node, bucket, count) = violation.unwrap_or((0, 0, 0));
             format!("node {node} bucket {bucket} counts {count} of {population} objects")
         })
     }
@@ -218,21 +303,14 @@ impl SelectivityEstimator for AaspTree {
     }
 
     fn insert(&mut self, obj: &GeoTextObject) {
-        let counted_at = self.tree.insert(&obj.loc);
-        self.tree.payload_mut(counted_at).add_object(&obj.keywords);
+        self.count(obj);
         for &kw in obj.keywords.iter() {
             self.kmv.insert(kw);
         }
     }
 
     fn remove(&mut self, obj: &GeoTextObject) {
-        // The retired count and the retired keywords may live at different
-        // nodes when the tree split since this object arrived; the pairing
-        // is approximate, a bounded synopsis error that washes out as the
-        // window slides.
-        if let Some(node) = self.tree.remove(&obj.loc) {
-            self.tree.payload_mut(node).retract_object(&obj.keywords);
-        }
+        self.uncount(obj);
         // KMV is insert-only (distinct counts cannot be retracted); the
         // slight overcount decays in relevance as the stream moves on.
     }
@@ -242,8 +320,7 @@ impl SelectivityEstimator for AaspTree {
         // but the KMV synopsis is an order-independent set of minimum
         // hashes, so its updates can run as a second cache-friendly sweep.
         for obj in objs {
-            let counted_at = self.tree.insert(&obj.loc);
-            self.tree.payload_mut(counted_at).add_object(&obj.keywords);
+            self.count(obj);
         }
         for obj in objs {
             for &kw in obj.keywords.iter() {
@@ -254,35 +331,32 @@ impl SelectivityEstimator for AaspTree {
 
     fn remove_batch(&mut self, objs: &[GeoTextObject]) {
         for obj in objs {
-            if let Some(node) = self.tree.remove(&obj.loc) {
-                self.tree.payload_mut(node).retract_object(&obj.keywords);
-            }
+            self.uncount(obj);
         }
     }
 
     fn estimate(&self, query: &RcDvq) -> f64 {
         match query.query_type() {
-            // Even pure spatial queries pay the per-leaf walk: statistics
-            // live at the leaves, so no aggregate shortcut exists.
-            QueryType::Spatial => self.tree.estimate_nodes_with(
+            // Even pure spatial queries pay the per-node walk: statistics
+            // live at the nodes, so no aggregate shortcut exists.
+            QueryType::Spatial => self.tree.estimate_range(
                 // LINT-ALLOW(no-panic): QueryType::Spatial carries a range by construction
-                Some(query.range().expect("spatial query has range")),
-                &|node| node.own,
+                query.range().expect("spatial query has range"),
             ),
-            QueryType::Keyword => self.tree.estimate_nodes_with(None, &|node| {
-                Self::node_keyword_matches(node, query.keywords())
-            }),
-            QueryType::Hybrid => self
-                .tree
-                // LINT-ALLOW(no-panic): QueryType::Hybrid carries a range by construction
-                .estimate_nodes_with(Some(query.range().expect("hybrid")), &|node| {
-                    Self::node_keyword_matches(node, query.keywords())
-                }),
+            QueryType::Keyword => self.keyword_estimate(bucket_set(query.keywords())),
+            QueryType::Hybrid => {
+                let buckets = bucket_set(query.keywords());
+                self.tree
+                    // LINT-ALLOW(no-panic): QueryType::Hybrid carries a range by construction
+                    .estimate_nodes_with(query.range().expect("hybrid"), |id, node| {
+                        self.table.matches(id as usize, buckets).min(node.own)
+                    })
+            }
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.tree.memory_bytes(BucketCounts::memory_bytes) + self.kmv.memory_bytes()
+        self.tree.memory_bytes() + self.table.memory_bytes() + self.kmv.memory_bytes()
     }
 
     fn persist_state(&self, w: &mut PersistWriter) {
@@ -303,6 +377,7 @@ impl SelectivityEstimator for AaspTree {
 mod tests {
     use super::*;
     use geostream::{ObjectId, Point, Rect, Timestamp};
+    use testkit::check;
 
     fn config() -> EstimatorConfig {
         EstimatorConfig {
@@ -429,27 +504,302 @@ mod tests {
 
     #[test]
     fn bucket_counts_add_retract_symmetry() {
-        let mut b = BucketCounts::default();
-        let kws: Vec<KeywordId> = vec![KeywordId(1), KeywordId(900), KeywordId(77)];
-        b.add_object(&kws);
-        b.add_object(&kws);
-        assert!(b.matches(&kws) >= 2.0);
-        b.retract_object(&kws);
-        b.retract_object(&kws);
-        assert_eq!(b.matches(&kws), 0.0);
+        let mut t = BucketTable::zeroed(3);
+        let kws = bucket_set(&[KeywordId(1), KeywordId(900), KeywordId(77)]);
+        t.add(2, kws);
+        t.add(2, kws);
+        assert!(t.matches(2, kws) >= 2.0);
+        assert_eq!(t.matches(1, kws), 0.0, "another node's row moved");
+        t.retract(2, kws);
+        t.retract(2, kws);
+        assert_eq!(t.matches(2, kws), 0.0);
         // Extra retraction clamps at zero.
-        b.retract_object(&kws);
-        assert_eq!(b.matches(&kws), 0.0);
+        t.retract(2, kws);
+        assert_eq!(t.matches(2, kws), 0.0);
+        assert!(t.columns.iter().flatten().all(|&c| c == 0));
     }
 
     #[test]
     fn multi_keyword_object_counts_once_per_bucket() {
-        let mut b = BucketCounts::default();
+        let mut t = BucketTable::zeroed(1);
         // Two keywords in (very likely distinct) buckets, one object.
-        b.add_object(&[KeywordId(1), KeywordId(2)]);
+        t.add(0, bucket_set(&[KeywordId(1), KeywordId(2)]));
         // Query for either keyword individually sees exactly one object.
-        assert_eq!(b.matches(&[KeywordId(1)]), 1.0);
-        assert_eq!(b.matches(&[KeywordId(2)]), 1.0);
+        assert_eq!(t.matches(0, bucket_set(&[KeywordId(1)])), 1.0);
+        assert_eq!(t.matches(0, bucket_set(&[KeywordId(2)])), 1.0);
+        // A keyword listed twice, or two keywords sharing a bucket, still
+        // count the object once.
+        let (a, b) = (0..)
+            .map(KeywordId)
+            .flat_map(|a| (a.0 + 1..a.0 + 500).map(move |b| (a, KeywordId(b))))
+            .find(|&(a, b)| bucket_of(a) == bucket_of(b))
+            .expect("64 buckets collide within 500 keywords");
+        let mut t = BucketTable::zeroed(1);
+        t.add(0, bucket_set(&[a, b, a]));
+        assert_eq!(t.matches(0, bucket_set(&[a])), 1.0);
+        assert_eq!(t.columns.iter().flatten().sum::<u32>(), 1);
+    }
+
+    /// AASP as first written, kept as the oracle the table must match bit
+    /// for bit: a 64-slot `f64` row per node, a 64-entry hit array
+    /// rebuilt for every node a query visits, and one depth-first walk for
+    /// all three query types (the keyword-only walk with coverage 1).
+    struct PerNodeReference {
+        tree: AspTree,
+        rows: Vec<[f64; BUCKETS]>,
+    }
+
+    impl PerNodeReference {
+        fn new(config: &EstimatorConfig) -> Self {
+            PerNodeReference {
+                tree: AaspTree::new(config).tree,
+                rows: vec![[0.0; BUCKETS]],
+            }
+        }
+
+        fn hits(kws: &[KeywordId]) -> [bool; BUCKETS] {
+            let mut hit = [false; BUCKETS];
+            for &kw in kws {
+                hit[bucket_of(kw)] = true;
+            }
+            hit
+        }
+
+        fn insert(&mut self, obj: &GeoTextObject) {
+            let at = self.tree.insert(&obj.loc) as usize;
+            self.rows.resize(self.tree.node_count(), [0.0; BUCKETS]);
+            for (b, h) in Self::hits(&obj.keywords).into_iter().enumerate() {
+                if h {
+                    self.rows[at][b] += 1.0;
+                }
+            }
+        }
+
+        fn remove(&mut self, obj: &GeoTextObject) {
+            if let Some(at) = self.tree.remove(&obj.loc) {
+                for (b, h) in Self::hits(&obj.keywords).into_iter().enumerate() {
+                    if h {
+                        let c = &mut self.rows[at as usize][b];
+                        *c = (*c - 1.0).max(0.0);
+                    }
+                }
+            }
+        }
+
+        fn matches(&self, id: NodeId, kws: &[KeywordId]) -> f64 {
+            Self::hits(kws)
+                .iter()
+                .enumerate()
+                .filter(|(_, &h)| h)
+                .map(|(b, _)| self.rows[id as usize][b])
+                .sum()
+        }
+
+        fn estimate(&self, q: &RcDvq) -> f64 {
+            let range = q.range();
+            let mut total = 0.0;
+            let mut stack: Vec<NodeId> = vec![0];
+            while let Some(id) = stack.pop() {
+                let node = self.tree.node(id);
+                if node.subtree <= 0.0 {
+                    continue;
+                }
+                let coverage = match range {
+                    None => 1.0,
+                    Some(r) => {
+                        if !node.rect.intersects(r) {
+                            continue;
+                        }
+                        node.rect.coverage_by(r)
+                    }
+                };
+                if node.own > 0.0 && coverage > 0.0 {
+                    let weight = match q.query_type() {
+                        QueryType::Spatial => node.own,
+                        _ => self.matches(id, q.keywords()).min(node.own),
+                    };
+                    total += weight.clamp(0.0, node.own) * coverage;
+                }
+                if let Some(children) = node.children {
+                    stack.extend_from_slice(&children);
+                }
+            }
+            total
+        }
+
+        fn assert_table_matches(&self, a: &AaspTree) {
+            assert_eq!(a.table.rows(), self.rows.len());
+            for (id, row) in self.rows.iter().enumerate() {
+                for (b, &count) in row.iter().enumerate() {
+                    assert_eq!(f64::from(a.table.columns[b][id]).to_bits(), count.to_bits());
+                }
+            }
+        }
+    }
+
+    fn persisted(a: &AaspTree) -> Vec<u8> {
+        let mut w = PersistWriter::new();
+        a.persist(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn estimates_bit_equal_to_per_node_reference_under_churn_and_restore() {
+        use testkit::{f64_in, u32_in, usize_in, vec_of};
+        check(
+            "estimates_bit_equal_to_per_node_reference_under_churn_and_restore",
+            12,
+            |rng| {
+                let cfg = config();
+                let mut a = AaspTree::new(&cfg);
+                let mut reference = PerNodeReference::new(&cfg);
+                let mut live: std::collections::VecDeque<GeoTextObject> = Default::default();
+                let steps = 500;
+                let restore_at = usize_in(rng, 100..steps);
+                for step in 0..steps {
+                    let roll = usize_in(rng, 0..10);
+                    let kws = vec_of(rng, 0..4, |rng| u32_in(rng, 0..40));
+                    let side = if roll.is_multiple_of(2) { 6.0 } else { 64.0 };
+                    let o = obj(
+                        step as u64,
+                        f64_in(rng, 0.0..side),
+                        f64_in(rng, 0.0..side),
+                        &kws,
+                    );
+                    match roll {
+                        // FIFO eviction of a live object.
+                        0..=2 if !live.is_empty() => {
+                            let old = live.pop_front().expect("non-empty");
+                            a.remove(&old);
+                            reference.remove(&old);
+                        }
+                        // A never-counted object: its removal retires some
+                        // other object's count (clamping its buckets at
+                        // zero) or finds a path without mass.
+                        3 => {
+                            a.remove(&o);
+                            reference.remove(&o);
+                        }
+                        _ => {
+                            a.insert(&o);
+                            reference.insert(&o);
+                            live.push_back(o);
+                        }
+                    }
+                    reference.assert_table_matches(&a);
+                    if step == restore_at {
+                        let bytes = persisted(&a);
+                        a = AaspTree::restore(&mut PersistReader::new(&bytes)).expect("restore");
+                        assert_eq!(persisted(&a), bytes);
+                        reference.assert_table_matches(&a);
+                    }
+                    if step % 25 == 0 || step + 1 == steps {
+                        for _ in 0..6 {
+                            let (x, y) = (f64_in(rng, 0.0..60.0), f64_in(rng, 0.0..60.0));
+                            let r = Rect::new(
+                                x,
+                                y,
+                                (x + f64_in(rng, 0.1..40.0)).min(64.0),
+                                (y + f64_in(rng, 0.1..40.0)).min(64.0),
+                            );
+                            let words = vec_of(rng, 1..4, |rng| KeywordId(u32_in(rng, 0..40)));
+                            for q in [
+                                RcDvq::spatial(r),
+                                RcDvq::keyword(words.clone()),
+                                RcDvq::hybrid(r, words),
+                            ] {
+                                assert_eq!(
+                                    a.estimate(&q).to_bits(),
+                                    reference.estimate(&q).to_bits(),
+                                    "{q:?} at step {step}"
+                                );
+                            }
+                        }
+                    }
+                }
+                assert!(a.node_count() > 1, "churn never split");
+            },
+        );
+    }
+
+    fn churned(objects: u64) -> AaspTree {
+        let mut a = AaspTree::new(&config());
+        for i in 0..objects {
+            let (x, y) = ((i * 29 % 64) as f64 + 0.25, (i * 43 % 64) as f64 + 0.25);
+            a.insert(&obj(i, x / (1 + i % 4) as f64, y, &[(i % 80) as u32, 7]));
+            if i % 3 == 0 {
+                let j = i / 2;
+                a.remove(&obj(
+                    j,
+                    (j * 29 % 64) as f64 + 0.25,
+                    (j * 43 % 64) as f64 + 0.25,
+                    &[],
+                ));
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn keyword_estimate_reads_only_query_buckets_of_nodes_with_mass() {
+        let a = churned(3_000);
+        let with_mass = a.tree.nodes().iter().filter(|n| n.own > 0.0).count() as u64;
+        assert!(with_mass > 100 && with_mass < a.node_count() as u64);
+        let reads = |q: &RcDvq| {
+            COUNTERS_READ.with(|c| c.set(0));
+            let _ = a.estimate(q);
+            COUNTERS_READ.with(|c| c.get())
+        };
+        for kws in [vec![7], vec![7, 3], vec![1, 2, 3, 4, 5]] {
+            let kws: Vec<KeywordId> = kws.into_iter().map(KeywordId).collect();
+            let distinct = u64::from(bucket_set(&kws).count_ones());
+            // The per-node formulation read all 64 counters of each of
+            // these nodes; the table reads the query's columns only.
+            assert_eq!(reads(&RcDvq::keyword(kws.clone())), distinct * with_mass);
+            let hybrid = reads(&RcDvq::hybrid(Rect::new(0.0, 0.0, 20.0, 64.0), kws));
+            assert!(hybrid > 0 && hybrid < distinct * with_mass);
+        }
+        assert_eq!(reads(&RcDvq::spatial(Rect::new(0.0, 0.0, 64.0, 64.0))), 0);
+    }
+
+    #[test]
+    fn memory_is_one_row_per_node_without_per_node_heap() {
+        let a = churned(3_000);
+        let bound = a.node_count()
+            * (std::mem::size_of::<crate::asp_tree::AspNode>() + BUCKETS * 4)
+            + a.kmv.memory_bytes();
+        assert!(a.memory_bytes() <= bound, "{} > {bound}", a.memory_bytes());
+        assert_eq!(a.table.rows(), a.node_count());
+    }
+
+    #[test]
+    fn restore_refuses_bucket_counts_a_u32_cannot_hold() {
+        // One node (no split): its 64 counters sit right before the KMV.
+        let mut a = AaspTree::new(&config());
+        a.insert(&obj(0, 1.0, 1.0, &[5]));
+        assert_eq!(a.node_count(), 1);
+        let bytes = persisted(&a);
+        let mut kmv = PersistWriter::new();
+        a.kmv.persist(&mut kmv);
+        let at = bytes.len() - kmv.len() - 8 * (BUCKETS - bucket_of(KeywordId(5)));
+        let with = |count: f64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&count.to_bits().to_le_bytes());
+            AaspTree::restore(&mut PersistReader::new(&b))
+        };
+        // The offset is the counter's: a valid rewrite moves the estimate.
+        let q = RcDvq::keyword(vec![KeywordId(5)]);
+        assert_eq!(a.estimate(&q), 1.0);
+        assert_eq!(with(0.0).expect("a zero count restores").estimate(&q), 0.0);
+        assert!(with(f64::from(u32::MAX)).is_ok());
+        for bad in [0.5, -1.0, f64::NAN, (1u64 << 40) as f64, f64::INFINITY] {
+            match with(bad) {
+                Err(PersistError::Corrupt { context, .. }) => {
+                    assert_eq!(context, "AaspTree.bucket", "{bad}");
+                }
+                other => panic!("count {bad} restored as {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

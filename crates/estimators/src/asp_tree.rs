@@ -16,8 +16,14 @@
 //! ones counted at the shallowest nodes, so [`AspTree::remove`] decrements
 //! the **shallowest** node on the containment path that still holds mass.
 //!
-//! The tree is generic over a per-node payload `P` so the augmented AASP
-//! estimator can hang keyword synopses off every node.
+//! Nodes live in one arena and are named by their [`NodeId`], which never
+//! changes (nodes are only ever appended). The tree carries no per-node
+//! payload: an owner that keeps statistics beside it (AASP's keyword-bucket
+//! table) indexes them by `NodeId`, learns the node an insert or removal
+//! touched from its return value, receives each node's id in
+//! [`AspTree::estimate_nodes_with`]'s weight callback, and interleaves its
+//! per-node bytes through [`AspTree::persist_with`] /
+//! [`AspTree::restore_with`].
 
 use geostream::{Persist, PersistError, PersistReader, PersistWriter, Point, Rect};
 
@@ -26,7 +32,7 @@ pub type NodeId = u32;
 
 /// One node of the ASP tree.
 #[derive(Debug, Clone)]
-pub struct AspNode<P> {
+pub struct AspNode {
     /// Spatial extent of the node.
     pub rect: Rect,
     /// Points counted *at this node* (arrived while it was the deepest
@@ -38,18 +44,16 @@ pub struct AspNode<P> {
     pub children: Option<[NodeId; 4]>,
     /// Depth of the node (root = 0).
     pub depth: u16,
-    /// Caller-managed payload (e.g. a keyword synopsis).
-    pub payload: P,
 }
 
-impl<P> AspNode<P> {
+impl AspNode {
     /// Whether this node is a leaf.
     pub fn is_leaf(&self) -> bool {
         self.children.is_none()
     }
 }
 
-impl<P: Persist> Persist for AspNode<P> {
+impl Persist for AspNode {
     fn persist(&self, w: &mut PersistWriter) {
         self.rect.persist(w);
         w.put_f64(self.own);
@@ -64,7 +68,6 @@ impl<P: Persist> Persist for AspNode<P> {
             None => w.put_bool(false),
         }
         w.put_u32(self.depth as u32);
-        self.payload.persist(w);
     }
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
@@ -87,79 +90,26 @@ impl<P: Persist> Persist for AspNode<P> {
                 detail: format!("depth {depth} exceeds u16"),
             });
         }
-        let payload = P::restore(r)?;
         Ok(AspNode {
             rect,
             own,
             subtree,
             children,
             depth: depth as u16,
-            payload,
-        })
-    }
-}
-
-impl<P: Persist> Persist for AspTree<P> {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_f64(self.split_threshold);
-        w.put_u32(self.max_depth as u32);
-        w.put_u64(self.population);
-        self.nodes.persist(w);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let split_threshold = r.take_f64("AspTree.split_threshold")?;
-        let max_depth = r.take_u32("AspTree.max_depth")?;
-        let population = r.take_u64("AspTree.population")?;
-        let nodes = Vec::<AspNode<P>>::restore(r)?;
-        if nodes.is_empty() {
-            return Err(PersistError::Corrupt {
-                context: "AspTree.nodes",
-                detail: "tree has no root node".into(),
-            });
-        }
-        if max_depth > u16::MAX as u32 {
-            return Err(PersistError::Corrupt {
-                context: "AspTree.max_depth",
-                detail: format!("max depth {max_depth} exceeds u16"),
-            });
-        }
-        // Arena indices must stay inside the arena or every later walk
-        // would panic instead of reporting corruption.
-        for (id, node) in nodes.iter().enumerate() {
-            if let Some(kids) = node.children {
-                for kid in kids {
-                    if kid as usize >= nodes.len() {
-                        return Err(PersistError::Corrupt {
-                            context: "AspTree.children",
-                            detail: format!(
-                                "node {id} links child {kid} outside arena of {}",
-                                nodes.len()
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(AspTree {
-            nodes,
-            split_threshold,
-            max_depth: max_depth as u16,
-            population,
         })
     }
 }
 
 /// A compressed adaptive quadtree of count summaries.
 #[derive(Debug, Clone)]
-pub struct AspTree<P = ()> {
-    nodes: Vec<AspNode<P>>,
+pub struct AspTree {
+    nodes: Vec<AspNode>,
     split_threshold: f64,
     max_depth: u16,
     population: u64,
 }
 
-impl<P: Default> AspTree<P> {
+impl AspTree {
     /// Creates a tree over `domain` whose nodes split past
     /// `split_threshold` own points, never deeper than `max_depth`.
     pub fn new(domain: Rect, split_threshold: usize, max_depth: u16) -> Self {
@@ -171,7 +121,6 @@ impl<P: Default> AspTree<P> {
                 subtree: 0.0,
                 children: None,
                 depth: 0,
-                payload: P::default(),
             }],
             split_threshold: split_threshold as f64,
             max_depth,
@@ -195,29 +144,32 @@ impl<P: Default> AspTree<P> {
     }
 
     /// Immutable access to a node.
-    pub fn node(&self, id: NodeId) -> &AspNode<P> {
+    pub fn node(&self, id: NodeId) -> &AspNode {
         &self.nodes[id as usize]
     }
 
-    /// Mutable access to a node's payload.
-    pub fn payload_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id as usize].payload
+    /// The node arena, in `NodeId` order.
+    pub fn nodes(&self) -> &[AspNode] {
+        &self.nodes
+    }
+
+    /// The child of `id` on `p`'s containment path, if `id` is split.
+    fn child_towards(&self, id: NodeId, p: &Point) -> Option<NodeId> {
+        let node = &self.nodes[id as usize];
+        node.children.map(|kids| kids[node.rect.quadrant_of(p)])
     }
 
     /// Counts `p` at the deepest existing node containing it, splitting
     /// that node if it crossed the threshold (children start empty; the
     /// historical count stays put). Returns the node the point was counted
-    /// at, so callers can update its payload.
+    /// at, so callers can update their statistics for it.
     pub fn insert(&mut self, p: &Point) -> NodeId {
         self.population += 1;
         let mut id: NodeId = 0;
         loop {
             self.nodes[id as usize].subtree += 1.0;
-            match self.nodes[id as usize].children {
-                Some(children) => {
-                    let q = self.nodes[id as usize].rect.quadrant_of(p);
-                    id = children[q];
-                }
+            match self.child_towards(id, p) {
+                Some(child) => id = child,
                 None => break,
             }
         }
@@ -233,29 +185,29 @@ impl<P: Default> AspTree<P> {
     /// containment path with remaining own mass (FIFO eviction retires the
     /// oldest counts, which live highest in the tree). Returns the node
     /// decremented, or `None` if the path held no mass.
+    ///
+    /// Two walks down the same path and no buffer: the first finds the
+    /// victim, the second decrements `subtree` from the root down to it.
     pub fn remove(&mut self, p: &Point) -> Option<NodeId> {
-        let mut path = Vec::with_capacity(self.max_depth as usize + 1);
-        let mut id: NodeId = 0;
+        let mut victim: NodeId = 0;
         loop {
-            path.push(id);
-            match self.nodes[id as usize].children {
-                Some(children) => {
-                    let q = self.nodes[id as usize].rect.quadrant_of(p);
-                    id = children[q];
-                }
-                None => break,
+            if self.nodes[victim as usize].own > 0.0 {
+                break;
             }
+            victim = self.child_towards(victim, p)?;
         }
-        let victim = path
-            .iter()
-            .copied()
-            .find(|&n| self.nodes[n as usize].own > 0.0)?;
         self.population = self.population.saturating_sub(1);
         self.nodes[victim as usize].own -= 1.0;
-        for &n in &path {
-            self.nodes[n as usize].subtree = (self.nodes[n as usize].subtree - 1.0).max(0.0);
-            if n == victim {
+        let mut id: NodeId = 0;
+        loop {
+            let node = &mut self.nodes[id as usize];
+            node.subtree = (node.subtree - 1.0).max(0.0);
+            if id == victim {
                 break;
+            }
+            match self.child_towards(id, p) {
+                Some(child) => id = child,
+                None => break,
             }
         }
         Some(victim)
@@ -273,7 +225,6 @@ impl<P: Default> AspTree<P> {
                 subtree: 0.0,
                 children: None,
                 depth,
-                payload: P::default(),
             });
         }
         self.nodes[id as usize].children = Some([base, base + 1, base + 2, base + 3]);
@@ -282,54 +233,40 @@ impl<P: Default> AspTree<P> {
     /// Estimated number of points inside `range`, applying the per-node
     /// uniformity assumption to every counted node.
     pub fn estimate_range(&self, range: &Rect) -> f64 {
-        self.estimate_nodes_with(Some(range), &|node: &AspNode<P>| node.own)
+        self.estimate_nodes_with(range, |_, node| node.own)
     }
 
-    /// Generalized estimate over **all counted nodes**: `weight(node)`
-    /// returns the share of the node's own mass matching the non-spatial
-    /// predicates (clamped to `own`); spatial coverage scaling is applied
-    /// here. `range = None` means no spatial predicate.
+    /// Generalized estimate over **all counted nodes intersecting
+    /// `range`**, in depth-first order: `weight(id, node)` returns the
+    /// share of the node's own mass matching the non-spatial predicates
+    /// (clamped to `own`); spatial coverage scaling is applied here.
     ///
     /// There is deliberately no aggregate shortcut for fully covered
     /// subtrees: node statistics (keyword synopses) are per node, so every
     /// intersecting node is consulted — the source of AASP's latency
-    /// profile.
+    /// profile. The visiting order is part of the answer: coverage makes
+    /// the terms fractional, so a different order could round differently.
     pub fn estimate_nodes_with(
         &self,
-        range: Option<&Rect>,
-        weight: &dyn Fn(&AspNode<P>) -> f64,
+        range: &Rect,
+        weight: impl Fn(NodeId, &AspNode) -> f64,
     ) -> f64 {
         let mut total = 0.0;
         let mut stack: Vec<NodeId> = vec![0];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
-            if node.subtree <= 0.0 {
+            if node.subtree <= 0.0 || !node.rect.intersects(range) {
                 continue;
             }
-            let coverage = match range {
-                None => 1.0,
-                Some(r) => {
-                    if !node.rect.intersects(r) {
-                        continue;
-                    }
-                    node.rect.coverage_by(r)
-                }
-            };
+            let coverage = node.rect.coverage_by(range);
             if node.own > 0.0 && coverage > 0.0 {
-                total += weight(node).clamp(0.0, node.own) * coverage;
+                total += weight(id, node).clamp(0.0, node.own) * coverage;
             }
             if let Some(children) = node.children {
                 stack.extend_from_slice(&children);
             }
         }
         total
-    }
-
-    /// Visits every node (arena order).
-    pub fn for_each_node(&self, mut f: impl FnMut(&AspNode<P>)) {
-        for node in &self.nodes {
-            f(node);
-        }
     }
 
     /// Full O(nodes) invariant walk (the `debug-invariants` auditor):
@@ -421,20 +358,89 @@ impl<P: Default> AspTree<P> {
         Ok(())
     }
 
-    /// Approximate heap bytes, with payload bytes supplied by the caller.
-    pub fn memory_bytes(&self, payload_bytes: impl Fn(&P) -> usize) -> usize {
-        self.nodes.len() * std::mem::size_of::<AspNode<P>>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| payload_bytes(&n.payload))
-                .sum::<usize>()
+    /// Approximate heap bytes of the node arena.
+    pub fn memory_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<AspNode>()
+    }
+
+    /// Writes the tree, calling `node_tail(id, w)` right after each node's
+    /// own fields so an owner can interleave its per-node data.
+    pub fn persist_with(
+        &self,
+        w: &mut PersistWriter,
+        mut node_tail: impl FnMut(NodeId, &mut PersistWriter),
+    ) {
+        w.put_f64(self.split_threshold);
+        w.put_u32(self.max_depth as u32);
+        w.put_u64(self.population);
+        w.put_usize(self.nodes.len());
+        for (id, node) in (0..).zip(&self.nodes) {
+            node.persist(w);
+            node_tail(id, w);
+        }
+    }
+
+    /// Reads what [`AspTree::persist_with`] wrote, handing the reader to
+    /// `node_tail(id, r)` after each node's own fields.
+    pub fn restore_with(
+        r: &mut PersistReader<'_>,
+        mut node_tail: impl FnMut(NodeId, &mut PersistReader<'_>) -> Result<(), PersistError>,
+    ) -> Result<Self, PersistError> {
+        let split_threshold = r.take_f64("AspTree.split_threshold")?;
+        let max_depth = r.take_u32("AspTree.max_depth")?;
+        let population = r.take_u64("AspTree.population")?;
+        let len = r.take_len("AspTree.nodes")?;
+        let len = NodeId::try_from(len).map_err(|_| PersistError::Corrupt {
+            context: "AspTree.nodes",
+            detail: format!("{len} nodes exceed the NodeId range"),
+        })?;
+        let mut nodes = Vec::with_capacity((len as usize).min(1 << 16));
+        for id in 0..len {
+            nodes.push(AspNode::restore(r)?);
+            node_tail(id, r)?;
+        }
+        if nodes.is_empty() {
+            return Err(PersistError::Corrupt {
+                context: "AspTree.nodes",
+                detail: "tree has no root node".into(),
+            });
+        }
+        if max_depth > u16::MAX as u32 {
+            return Err(PersistError::Corrupt {
+                context: "AspTree.max_depth",
+                detail: format!("max depth {max_depth} exceeds u16"),
+            });
+        }
+        // Arena indices must stay inside the arena or every later walk
+        // would panic instead of reporting corruption.
+        for (id, node) in nodes.iter().enumerate() {
+            if let Some(kids) = node.children {
+                for kid in kids {
+                    if kid as usize >= nodes.len() {
+                        return Err(PersistError::Corrupt {
+                            context: "AspTree.children",
+                            detail: format!(
+                                "node {id} links child {kid} outside arena of {}",
+                                nodes.len()
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(AspTree {
+            nodes,
+            split_threshold,
+            max_depth: max_depth as u16,
+            population,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::{check, f64_in, usize_in};
 
     const DOMAIN: Rect = Rect {
         min_x: 0.0,
@@ -443,9 +449,98 @@ mod tests {
         max_y: 64.0,
     };
 
+    /// The eviction rule as first written: collect the whole containment
+    /// path, then retire the first node on it with own mass. Kept as the
+    /// reference [`AspTree::remove`] must match step for step.
+    fn remove_collecting_path(t: &mut AspTree, p: &Point) -> Option<NodeId> {
+        let mut path = Vec::with_capacity(t.max_depth as usize + 1);
+        let mut id: NodeId = 0;
+        loop {
+            path.push(id);
+            match t.nodes[id as usize].children {
+                Some(children) => {
+                    let q = t.nodes[id as usize].rect.quadrant_of(p);
+                    id = children[q];
+                }
+                None => break,
+            }
+        }
+        let victim = path
+            .iter()
+            .copied()
+            .find(|&n| t.nodes[n as usize].own > 0.0)?;
+        t.population = t.population.saturating_sub(1);
+        t.nodes[victim as usize].own -= 1.0;
+        for &n in &path {
+            t.nodes[n as usize].subtree = (t.nodes[n as usize].subtree - 1.0).max(0.0);
+            if n == victim {
+                break;
+            }
+        }
+        Some(victim)
+    }
+
+    #[test]
+    fn remove_matches_path_collecting_reference_under_churn() {
+        check(
+            "remove_matches_path_collecting_reference_under_churn",
+            24,
+            |rng| {
+                let threshold = usize_in(rng, 1..6);
+                let mut fast = AspTree::new(DOMAIN, threshold, 6);
+                let mut reference = fast.clone();
+                let mut live: Vec<Point> = Vec::new();
+                let same = |a: &AspTree, b: &AspTree| {
+                    assert_eq!(a.population, b.population);
+                    assert_eq!(a.nodes.len(), b.nodes.len());
+                    for (x, y) in a.nodes.iter().zip(&b.nodes) {
+                        assert_eq!(x.own.to_bits(), y.own.to_bits());
+                        assert_eq!(x.subtree.to_bits(), y.subtree.to_bits());
+                    }
+                };
+                for _ in 0..600 {
+                    let roll = usize_in(rng, 0..10);
+                    if roll < 6 {
+                        // Points clump in one corner so the tree splits deep.
+                        let side = if roll < 3 { 8.0 } else { 64.0 };
+                        let p = Point::new(f64_in(rng, 0.0..side), f64_in(rng, 0.0..side));
+                        assert_eq!(fast.insert(&p), reference.insert(&p));
+                        live.push(p);
+                    } else {
+                        // Live points (FIFO and random), and points that were
+                        // never counted: those retire foreign mass or find a
+                        // path without any.
+                        let p = match roll {
+                            6 if !live.is_empty() => live.remove(0),
+                            7 if !live.is_empty() => live.swap_remove(usize_in(rng, 0..live.len())),
+                            _ => Point::new(f64_in(rng, 0.0..64.0), f64_in(rng, 0.0..64.0)),
+                        };
+                        assert_eq!(fast.remove(&p), remove_collecting_path(&mut reference, &p));
+                    }
+                    same(&fast, &reference);
+                }
+                assert!(fast.node_count() > 1, "churn never split");
+                // Drain node by node (each removal aims at a node still
+                // holding mass), then probe the empty tree: the no-mass
+                // path runs in every case.
+                while let Some(r) = fast.nodes.iter().find(|n| n.own > 0.0).map(|n| n.rect) {
+                    let p = Point::new((r.min_x + r.max_x) / 2.0, (r.min_y + r.max_y) / 2.0);
+                    let got = fast.remove(&p);
+                    assert!(got.is_some());
+                    assert_eq!(got, remove_collecting_path(&mut reference, &p));
+                    same(&fast, &reference);
+                }
+                assert_eq!(fast.population(), 0);
+                let p = Point::new(f64_in(rng, 0.0..64.0), f64_in(rng, 0.0..64.0));
+                assert_eq!(fast.remove(&p), None);
+                assert_eq!(remove_collecting_path(&mut reference, &p), None);
+            },
+        );
+    }
+
     #[test]
     fn counts_without_split() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 100, 16);
+        let mut t = AspTree::new(DOMAIN, 100, 16);
         for i in 0..10 {
             t.insert(&Point::new(i as f64, 1.0));
         }
@@ -456,21 +551,20 @@ mod tests {
 
     #[test]
     fn splits_keep_total_mass() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 4, 16);
+        let mut t = AspTree::new(DOMAIN, 4, 16);
         for _ in 0..20 {
             t.insert(&Point::new(1.0, 1.0));
         }
         assert!(t.node_count() > 1, "tree never split");
         // All mass counted exactly once across nodes.
         assert!((t.estimate_range(&DOMAIN) - 20.0).abs() < 1e-9);
-        let mut own_total = 0.0;
-        t.for_each_node(|n| own_total += n.own);
+        let own_total: f64 = t.nodes().iter().map(|n| n.own).sum();
         assert!((own_total - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn historical_counts_stay_at_coarse_nodes() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 4, 16);
+        let mut t = AspTree::new(DOMAIN, 4, 16);
         for _ in 0..6 {
             t.insert(&Point::new(1.0, 1.0));
         }
@@ -482,7 +576,7 @@ mod tests {
 
     #[test]
     fn adapts_to_dense_regions_with_bounded_smear() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 8, 16);
+        let mut t = AspTree::new(DOMAIN, 8, 16);
         for i in 0..500 {
             t.insert(&Point::new(1.0 + (i % 10) as f64 * 0.01, 1.0));
         }
@@ -508,7 +602,7 @@ mod tests {
 
     #[test]
     fn partial_coverage_scales() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 1_000, 16);
+        let mut t = AspTree::new(DOMAIN, 1_000, 16);
         for _ in 0..100 {
             t.insert(&Point::new(32.0, 32.0));
         }
@@ -518,7 +612,7 @@ mod tests {
 
     #[test]
     fn remove_retires_shallowest_mass_first() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 4, 16);
+        let mut t = AspTree::new(DOMAIN, 4, 16);
         let p = Point::new(1.0, 1.0);
         for _ in 0..10 {
             t.insert(&p);
@@ -537,7 +631,7 @@ mod tests {
 
     #[test]
     fn subtree_counts_stay_consistent() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 3, 16);
+        let mut t = AspTree::new(DOMAIN, 3, 16);
         let pts: Vec<Point> = (0..200)
             .map(|i| Point::new((i * 13 % 64) as f64, (i * 29 % 64) as f64))
             .collect();
@@ -564,32 +658,34 @@ mod tests {
 
     #[test]
     fn max_depth_caps_splitting() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 2, 2);
+        let mut t = AspTree::new(DOMAIN, 2, 2);
         for _ in 0..1_000 {
             t.insert(&Point::new(1.0, 1.0));
         }
-        let mut max_depth = 0;
-        t.for_each_node(|n| max_depth = max_depth.max(n.depth));
-        assert!(max_depth <= 2);
+        let max_depth = t.nodes().iter().map(|n| n.depth).max();
+        assert!(max_depth <= Some(2));
         assert!((t.estimate_range(&DOMAIN) - 1_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn estimate_with_custom_weight() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 1_000, 8);
+        let mut t = AspTree::new(DOMAIN, 1_000, 8);
         for _ in 0..100 {
             t.insert(&Point::new(32.0, 32.0));
         }
-        let est = t.estimate_nodes_with(None, &|n| n.own * 0.5);
+        let est = t.estimate_nodes_with(&DOMAIN, |_, n| n.own * 0.5);
         assert!((est - 50.0).abs() < 1e-9);
         // Weight above own is clamped.
-        let est2 = t.estimate_nodes_with(None, &|n| n.own * 10.0);
+        let est2 = t.estimate_nodes_with(&DOMAIN, |_, n| n.own * 10.0);
         assert!((est2 - 100.0).abs() < 1e-9);
+        // The callback is handed each visited node's arena id.
+        let est3 = t.estimate_nodes_with(&DOMAIN, |id, n| if id == 0 { n.own } else { 0.0 });
+        assert!((est3 - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn disjoint_query_is_zero() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 8, 8);
+        let mut t = AspTree::new(DOMAIN, 8, 8);
         t.insert(&Point::new(1.0, 1.0));
         assert_eq!(
             t.estimate_range(&Rect::new(100.0, 100.0, 101.0, 101.0)),
@@ -599,18 +695,18 @@ mod tests {
 
     #[test]
     fn memory_is_node_bound_not_window_bound() {
-        let mut t: AspTree = AspTree::new(DOMAIN, 8, 4);
+        let mut t = AspTree::new(DOMAIN, 8, 4);
         // Saturate the depth-capped path first.
         for _ in 0..1_000 {
             t.insert(&Point::new(1.0, 1.0));
         }
-        let m1 = t.memory_bytes(|_| 0);
+        let m1 = t.memory_bytes();
         for _ in 0..100_000 {
             t.insert(&Point::new(1.0, 1.0));
         }
         // Depth-capped: node count (and memory) stays put while the
         // population grows 10_000×.
-        let m2 = t.memory_bytes(|_| 0);
+        let m2 = t.memory_bytes();
         assert_eq!(m1, m2, "synopsis memory must not grow with points");
     }
 }

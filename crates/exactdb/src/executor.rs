@@ -405,7 +405,7 @@ mod tests {
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1);
                 let r = state >> 11;
-                if live.len() > 50 && r % 3 == 0 {
+                if live.len() > 50 && r.is_multiple_of(3) {
                     let id = live.swap_remove((r % live.len() as u64) as usize);
                     e.remove_by_oid(ObjectId(id));
                 } else {

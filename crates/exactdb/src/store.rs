@@ -280,12 +280,12 @@ impl ObjectStore {
             })?;
             in_free[s] = true;
         }
-        for s in 0..n {
+        for (s, &free_listed) in in_free.iter().enumerate() {
             let should_be_free = !self.live[s] && self.pending_refs[s] == 0;
-            ensure(in_free[s] == should_be_free, S, "free-list", || {
+            ensure(free_listed == should_be_free, S, "free-list", || {
                 format!(
-                    "slot {s}: live={} refs={} but free-listed={}",
-                    self.live[s], self.pending_refs[s], in_free[s]
+                    "slot {s}: live={} refs={} but free-listed={free_listed}",
+                    self.live[s], self.pending_refs[s]
                 )
             })?;
         }

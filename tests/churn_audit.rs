@@ -173,7 +173,7 @@ fn sample_store_recycling_and_midstream_compaction_stay_audit_clean() {
         if live.len() > 32 && r % 5 < 2 {
             let victim = live.swap_remove((r % live.len() as u64) as usize);
             assert!(s.remove(victim).is_some());
-        } else if !live.is_empty() && r % 7 == 0 {
+        } else if !live.is_empty() && r.is_multiple_of(7) {
             // In-place replacement: the old object's postings die while
             // the slot stays occupied by the new one.
             let slot = (r % s.len() as u64) as u32;
