@@ -765,6 +765,7 @@ impl Latest {
             .window
             .audit()
             .and_then(|()| self.executor.audit())
+            .and_then(|()| self.audit_executor_against_window())
             .and_then(|()| match &mut self.phase {
                 Phase::WarmUp { pool } | Phase::PreTraining { pool } => pool.audit(),
                 Phase::Incremental {
@@ -788,6 +789,37 @@ impl Latest {
             });
         }
         result
+    }
+
+    /// The executor holds the window's view (**executor-window**): the
+    /// same population, the same oldest object (the next eviction) and
+    /// the same newest.
+    #[cfg(feature = "debug-invariants")]
+    fn audit_executor_against_window(&self) -> Result<(), geostream::AuditError> {
+        let oldest = self.window.iter().next().map(|o| o.oid);
+        let newest = self
+            .window
+            .chunk_slices()
+            .last()
+            .and_then(|chunk| chunk.last())
+            .map(|o| o.oid);
+        let executor = &self.executor;
+        geostream::audit::ensure(
+            executor.len() == self.window.len()
+                && executor.oldest() == oldest
+                && executor.newest() == newest,
+            "Latest",
+            "executor-window",
+            || {
+                format!(
+                    "executor {} live, oldest {:?}, newest {:?}; window {}, {oldest:?}, {newest:?}",
+                    executor.len(),
+                    executor.oldest(),
+                    executor.newest(),
+                    self.window.len()
+                )
+            },
+        )
     }
 
     /// Test hook: from now on prefill candidates are built on the calling
@@ -1773,20 +1805,21 @@ impl Latest {
 /// A snapshot is the window plus what was learned: the window, every live
 /// estimator (with its sampler RNG state), the learning model, the
 /// adaptor's monitor/recommender/scaler state, and the selectivity cache.
-/// A restored instance therefore produces bit-identical estimates and
-/// exact counts to the uninterrupted run, as long as the window's live
-/// object ids are distinct. Its size is a function of the window, the
-/// estimators and the model — not of how many queries were answered before
-/// it was taken.
+/// A restored instance therefore produces exact counts equal to the
+/// uninterrupted run's, and bit-identical estimates as long as the
+/// window's live object ids are distinct (the sampling estimators key on
+/// the id, and a sample holding one twice is refused on restore). Its
+/// size is a function of the window, the estimators and the model — not
+/// of how many queries were answered before it was taken.
 ///
 /// Deliberately *not* persisted:
 ///
 /// * the exact executor — the paper's "system logs" source, a function of
 ///   the window alone. Restore rebuilds it from the restored window on the
-///   configured backend, so posting tombstones, the compaction clock and
-///   slot numbering come back compact and the quadtree in fresh node
-///   shape; none of these reaches an answer (the hybrid planner may pick
-///   the other access path, which changes latency only);
+///   configured backend, so its ring numbering restarts at zero and the
+///   quadtree comes back in fresh node shape; neither reaches an answer
+///   (the hybrid planner may pick the other access path, which changes
+///   latency only);
 /// * the [`MetricsRegistry`] — observability counters, the executor's
 ///   path-mix counters among them, restart at zero (a restart is an
 ///   observable event; hiding it would be lying);
@@ -2419,6 +2452,93 @@ mod tests {
         // than ingested.
         assert!(latest.window_len() < 3_000);
         assert_eq!(latest.executor.len(), latest.window_len());
+    }
+
+    /// A batch that repeats a live id puts a second copy in the window. The
+    /// executor counts both until each leaves, so every `actual` equals a
+    /// brute-force count over the window — and so does a restored copy's.
+    ///
+    /// The sampling estimators key their samples on the id, and a snapshot
+    /// whose sample holds one id twice does not restore. So the repeat
+    /// arrives once the engine maintains H4096 alone: pre-training (the
+    /// whole pool) is over, and switching is off.
+    #[test]
+    fn repeated_live_oid_keeps_actual_equal_to_the_window() {
+        let mut config = small_config();
+        config.window_span = Duration::from_secs(5);
+        config.warmup = Duration::from_secs(5);
+        config.pretrain_queries = 10;
+        config.default_estimator = EstimatorKind::H4096;
+        config.ablation.switching = false;
+        let domain = config.estimator_config.domain;
+        let mut latest = Latest::new(config.clone());
+        let mut gen = warm_up(&mut latest);
+        let mut rng = StreamRng::seed_from_u64(31);
+        while latest.phase() != PhaseTag::Incremental {
+            latest.ingest(gen.next_object());
+            let q = random_query(&mut rng, &domain);
+            let _ = latest.query(&q, QueryOptions::at(gen.clock()));
+        }
+        for _ in 0..200 {
+            latest.ingest(gen.next_object());
+        }
+        let original = latest
+            .window_objects()
+            .skip(latest.window_len() / 2)
+            .find(|o| !o.keywords.is_empty())
+            .expect("a live object with keywords")
+            .clone();
+        let mut batch: Vec<GeoTextObject> = (0..8).map(|_| gen.next_object()).collect();
+        batch[3].oid = original.oid;
+        let repeat = batch[3].clone();
+        latest.ingest_batch(&batch);
+        let probes = [
+            RcDvq::spatial(Rect::WORLD),
+            RcDvq::keyword(original.keywords.to_vec()),
+            RcDvq::hybrid(
+                Rect::centered_clamped(original.loc, 2.0, 2.0, &domain),
+                original.keywords.to_vec(),
+            ),
+            RcDvq::spatial(Rect::centered_clamped(repeat.loc, 2.0, 2.0, &domain)),
+        ];
+        let copies = |latest: &Latest| {
+            latest
+                .window_objects()
+                .filter(|o| o.oid == original.oid)
+                .count()
+        };
+        let check = |latest: &mut Latest, at: &str| {
+            assert_eq!(latest.executor.len(), latest.window_len(), "{at}");
+            #[cfg(feature = "debug-invariants")]
+            latest.audit().unwrap_or_else(|e| panic!("{at}: {e}"));
+            for q in &probes {
+                let brute = latest.window_objects().filter(|o| q.matches(o)).count() as u64;
+                let out = latest.query(q, QueryOptions::new().use_cache(false));
+                assert_eq!(out.actual, brute, "{at}: {q:?}");
+            }
+        };
+        assert_eq!(copies(&latest), 2);
+        let mut round_tripped = [false; 3];
+        for step in 0.. {
+            let n = copies(&latest);
+            check(&mut latest, &format!("step {step}, {n} copies live"));
+            if !round_tripped[n] {
+                round_tripped[n] = true;
+                let bytes = latest.snapshot_bytes();
+                let mut restored = Latest::restore(config.clone(), &bytes).expect("restores");
+                check(
+                    &mut restored,
+                    &format!("restored at step {step}, {n} copies"),
+                );
+            }
+            if n == 0 {
+                break;
+            }
+            assert!(step < 1_000, "the copies never left the window");
+            let batch: Vec<GeoTextObject> = (0..50).map(|_| gen.next_object()).collect();
+            latest.ingest_batch(&batch);
+        }
+        assert_eq!(round_tripped, [true; 3]);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The exact executor — LATEST's "system logs" source and Table I's
 //! full-index comparison point.
 //!
-//! The executor owns the shared [`ObjectStore`] and threads it through
-//! every index update and query. Hybrid queries are routed by a
+//! The executor owns the shared [`ObjectStore`] ring and threads it
+//! through every index update and query. It keys every index on window
+//! position: an arrival is pushed at the back of the ring and of its
+//! cell and postings, and an eviction takes the oldest object from the
+//! front of each. Hybrid queries are routed by a
 //! cost-based planner: the inverted path is priced at its live posting
 //! mass, the spatial path at the candidate population of the cells or
 //! subtrees the range touches, and the cheaper one runs. Per-path hit
@@ -11,7 +14,7 @@
 use crate::grid::GridIndex;
 use crate::inverted::InvertedIndex;
 use crate::quad::QuadtreeIndex;
-use crate::store::{ObjectStore, SlotId};
+use crate::store::{ObjectStore, Seq};
 use geostream::obsv::Counter;
 use geostream::{GeoTextObject, IdMap, ObjectId, QueryType, RcDvq, Rect};
 
@@ -38,7 +41,7 @@ impl SpatialIndexKind {
 pub enum AccessPath {
     /// Walk the spatial index and verify predicates per candidate.
     Spatial,
-    /// Merge the keywords' posting lists and verify the range per slot.
+    /// Merge the keywords' posting lists and verify the range per object.
     Inverted,
 }
 
@@ -64,17 +67,17 @@ enum Backend {
 }
 
 impl Backend {
-    fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
+    fn insert(&mut self, seq: Seq, store: &ObjectStore) {
         match self {
-            Backend::Grid(g) => g.insert(slot, store),
-            Backend::Quad(q) => q.insert(slot, store),
+            Backend::Grid(g) => g.insert(seq, store),
+            Backend::Quad(q) => q.insert(seq, store),
         }
     }
 
-    fn remove(&mut self, slot: SlotId) -> bool {
+    fn pop_front(&mut self, seq: Seq, store: &ObjectStore) -> bool {
         match self {
-            Backend::Grid(g) => g.remove(slot),
-            Backend::Quad(q) => q.remove(slot),
+            Backend::Grid(g) => g.pop_front(seq, store),
+            Backend::Quad(q) => q.pop_front(seq, store),
         }
     }
 
@@ -91,13 +94,21 @@ impl Backend {
             Backend::Quad(q) => q.candidate_count(r),
         }
     }
+
+    #[cfg(feature = "debug-invariants")]
+    fn audit(&self, store: &ObjectStore) -> Result<(), geostream::AuditError> {
+        match self {
+            Backend::Grid(g) => g.audit(store),
+            Backend::Quad(q) => q.audit(store),
+        }
+    }
 }
 
 /// Exact RC-DVQ execution over the live window.
 ///
-/// Owns the shared [`ObjectStore`] plus one spatial index and the
-/// inverted keyword index (both slot-based), and routes each query to
-/// the cheaper access path:
+/// Owns the shared [`ObjectStore`] ring plus one spatial index and the
+/// inverted keyword index (both queues of ring `seq`s), and routes each
+/// query to the cheaper access path:
 ///
 /// * pure spatial → spatial index;
 /// * pure keyword → inverted index;
@@ -152,7 +163,7 @@ impl ExactExecutor {
         }
     }
 
-    /// Number of indexed window objects (the store's live population —
+    /// Number of indexed window objects (the ring's live population —
     /// the single source of truth; indexes cannot drift from it).
     pub fn len(&self) -> usize {
         self.store.len()
@@ -163,35 +174,36 @@ impl ExactExecutor {
         self.store.is_empty()
     }
 
-    /// Read access to the shared store (tests, estimator training taps).
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
+    /// Identity of the oldest indexed object: the only one an eviction
+    /// may take.
+    pub fn oldest(&self) -> Option<ObjectId> {
+        self.store.oldest()
     }
 
-    /// Posting-list compactions performed so far (bench diagnostics).
-    pub fn compactions(&self) -> u64 {
-        self.inverted.compactions()
+    /// Identity of the newest indexed object.
+    pub fn newest(&self) -> Option<ObjectId> {
+        self.store.newest()
     }
 
     /// Deep cross-structure invariant walk (the `debug-invariants`
-    /// auditor): the store's slot/identity/free-list invariants, then the
-    /// inverted index's posting order, tombstone counters, live-object
-    /// coverage, and parked-reference accounting against that store.
+    /// auditor): the ring's shape and occupancy, then every cell (or leaf)
+    /// and posting against it — age order over live objects, each `seq` in
+    /// the cell its location maps to, the cells holding the ring's
+    /// population, and every live object posted exactly once under each of
+    /// its keywords.
     #[cfg(feature = "debug-invariants")]
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
         self.store.audit()?;
+        self.backend.audit(&self.store)?;
         self.inverted.audit(&self.store)
     }
 
-    /// Indexes an arriving window object. A live object with the same id
-    /// is replaced.
+    /// Indexes an arriving window object at the back of the ring. An object
+    /// whose id is already live is another entry: the window holds both.
     pub fn insert(&mut self, obj: &GeoTextObject) {
-        if self.store.contains(obj.oid) {
-            self.remove_by_oid(obj.oid);
-        }
-        let slot = self.store.insert(obj.clone());
-        self.backend.insert(slot, &self.store);
-        self.inverted.insert(slot, &self.store);
+        let seq = self.store.push(obj);
+        self.backend.insert(seq, &self.store);
+        self.inverted.insert(seq, &self.store);
     }
 
     /// Indexes a batch of arriving objects (one pass, amortizing the
@@ -202,34 +214,36 @@ impl ExactExecutor {
         }
     }
 
-    /// Drops an evicted window object.
-    pub fn remove(&mut self, obj: &GeoTextObject) {
-        self.remove_by_oid(obj.oid);
+    /// Drops an evicted window object, which must be the oldest (see
+    /// [`Self::remove_by_oid`]). Returns whether it was.
+    pub fn remove(&mut self, obj: &GeoTextObject) -> bool {
+        self.remove_by_oid(obj.oid)
     }
 
-    /// Drops a batch of evicted objects.
+    /// Drops a batch of evicted objects, oldest first — the order the
+    /// window evicts them in.
     pub fn remove_batch(&mut self, objs: &[GeoTextObject]) {
         for obj in objs {
             self.remove_by_oid(obj.oid);
         }
     }
 
-    /// Drops an evicted object by id. Returns whether it was present.
+    /// Evicts the oldest indexed object if its id is `oid`, and returns
+    /// whether it did. Any other object is refused and nothing changes:
+    /// the window evicts only its oldest object, so that is all the
+    /// executor supports.
     ///
-    /// Removal goes through the store first (it owns liveness), then the
-    /// spatial backend, then the inverted index's lazy tombstones — so
-    /// either every structure drops the object or none does, and the
-    /// spatial and inverted sides can no longer drift apart.
+    /// The object leaves the front of its cell (or leaf) and of each of
+    /// its keywords' postings, then the ring; the indexes read its columns
+    /// before the ring drops them.
     pub fn remove_by_oid(&mut self, oid: ObjectId) -> bool {
-        let Some((slot, keywords)) = self.store.remove(oid) else {
+        let Some(seq) = self.store.front().filter(|&seq| self.store.oid(seq) == oid) else {
             return false;
         };
-        let spatial_removed = self.backend.remove(slot);
-        debug_assert!(
-            spatial_removed,
-            "slot {slot} was live in the store but missing from the spatial index"
-        );
-        self.inverted.remove(&keywords, &mut self.store);
+        let in_cell = self.backend.pop_front(seq, &self.store);
+        debug_assert!(in_cell, "seq {seq} is not the front of its cell");
+        self.inverted.pop_front(seq, &self.store);
+        self.store.pop_front();
         true
     }
 
@@ -390,37 +404,44 @@ mod tests {
         }
     }
 
-    /// Every backend's executor stays audit-clean through insert/remove
-    /// churn dense enough to force slot recycling, posting tombstones,
-    /// and mid-stream compactions.
+    /// Every backend's executor stays audit-clean through sliding-window
+    /// churn: arrivals with few distinct keywords (long shared postings),
+    /// evictions from the front in runs, drains of consumed prefixes, ring
+    /// growth, and refused evictions of objects that are not the oldest.
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn audit_passes_under_churn_on_every_backend() {
         for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
             let mut e = ExactExecutor::new(DOMAIN, kind);
             let mut state = 0x5eedu64;
-            let mut live: Vec<u64> = Vec::new();
+            let mut live = std::collections::VecDeque::new();
             for i in 0..1_500u64 {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1);
                 let r = state >> 11;
                 if live.len() > 50 && r.is_multiple_of(3) {
-                    let id = live.swap_remove((r % live.len() as u64) as usize);
-                    e.remove_by_oid(ObjectId(id));
+                    for _ in 0..r % 4 {
+                        let Some(oldest) = live.pop_front() else {
+                            break;
+                        };
+                        assert!(e.remove_by_oid(ObjectId(oldest)));
+                    }
+                    if live.len() > 1 {
+                        let younger = *live.back().unwrap();
+                        assert!(!e.remove_by_oid(ObjectId(younger)), "{kind:?} step {i}");
+                    }
                 } else {
-                    // Few distinct keywords → long shared postings → the
-                    // 25% tombstone threshold trips repeatedly.
                     let kws = [(r % 6) as u32];
                     e.insert(&obj(i, (r % 100) as f64, (r % 97) as f64, &kws));
-                    live.push(i);
+                    live.push_back(i);
                 }
                 if i % 200 == 0 {
                     e.audit()
                         .unwrap_or_else(|err| panic!("{kind:?} step {i}: {err}"));
                 }
             }
-            assert!(e.compactions() > 0, "{kind:?} churn never compacted");
+            assert_eq!(e.len(), live.len());
             e.audit()
                 .unwrap_or_else(|err| panic!("{kind:?} final: {err}"));
         }
@@ -580,22 +601,78 @@ mod tests {
         }
     }
 
+    /// A repeated live id is a second entry, as it is in the window: both
+    /// copies count until each leaves, and each eviction takes the oldest
+    /// copy.
     #[test]
-    fn duplicate_oid_insert_replaces() {
+    fn duplicate_oid_is_a_second_entry() {
         let mut e = ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid);
         e.insert(&obj(7, 10.0, 10.0, &[1]));
         e.insert(&obj(7, 90.0, 90.0, &[2]));
-        assert_eq!(e.len(), 1);
-        assert_eq!(
-            e.execute(&RcDvq::spatial(Rect::new(0.0, 0.0, 20.0, 20.0))),
-            0
-        );
-        assert_eq!(
-            e.execute(&RcDvq::spatial(Rect::new(80.0, 80.0, 100.0, 100.0))),
-            1
-        );
-        assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(1)])), 0);
+        assert_eq!(e.len(), 2);
+        let west = RcDvq::spatial(Rect::new(0.0, 0.0, 20.0, 20.0));
+        let east = RcDvq::spatial(Rect::new(80.0, 80.0, 100.0, 100.0));
+        assert_eq!((e.execute(&west), e.execute(&east)), (1, 1));
+        assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(1)])), 1);
         assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(2)])), 1);
+        assert!(e.remove_by_oid(ObjectId(7)));
+        assert_eq!((e.execute(&west), e.execute(&east)), (0, 1));
+        assert_eq!(e.execute(&RcDvq::keyword(vec![KeywordId(1)])), 0);
+        assert!(e.remove_by_oid(ObjectId(7)));
+        assert!(e.is_empty());
+    }
+
+    /// Only the oldest object may leave: anything else is refused, and
+    /// every structure stays as it was.
+    #[test]
+    fn evicting_a_younger_object_is_refused() {
+        for kind in [SpatialIndexKind::Grid, SpatialIndexKind::Quadtree] {
+            let mut e = ExactExecutor::new(DOMAIN, kind);
+            populate(&mut e);
+            let queries = [
+                RcDvq::spatial(Rect::new(0.0, 0.0, 50.0, 50.0)),
+                RcDvq::keyword(vec![KeywordId(1), KeywordId(4)]),
+                RcDvq::hybrid(Rect::new(0.0, 0.0, 100.0, 100.0), vec![KeywordId(0)]),
+            ];
+            let before: Vec<u64> = queries.iter().map(|q| e.execute(q)).collect();
+            assert!(!e.remove_by_oid(ObjectId(5)), "{kind:?}");
+            assert!(!e.remove(&obj(199, 99.0, 49.5, &[9])), "{kind:?}");
+            assert_eq!(e.len(), 200);
+            assert_eq!(
+                (e.oldest(), e.newest()),
+                (Some(ObjectId(0)), Some(ObjectId(199)))
+            );
+            let after: Vec<u64> = queries.iter().map(|q| e.execute(q)).collect();
+            assert_eq!(before, after, "{kind:?}");
+            assert!(e.remove_by_oid(ObjectId(0)));
+            assert_eq!(e.oldest(), Some(ObjectId(1)));
+        }
+    }
+
+    /// Where the upkeep saving comes from: n arrivals carrying k keywords
+    /// in total, then n evictions, are n + k queue pushes and n + k front
+    /// pops — one per cell and per posting, with no search and no insert
+    /// into the middle of a list — and the drains of consumed prefixes
+    /// move no more entries than were popped.
+    #[test]
+    fn upkeep_is_one_push_and_one_pop_per_cell_and_posting() {
+        let before = crate::store::QueueOps::get();
+        let mut e = ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid);
+        let objects: Vec<_> = (0..3_000u64)
+            .map(|i| {
+                let kws: Vec<u32> = (0..i % 4).map(|j| ((i * 7 + j * 13) % 50) as u32).collect();
+                obj(i, (i * 37 % 100) as f64, (i * 11 % 100) as f64, &kws)
+            })
+            .collect();
+        let n = objects.len() as u64;
+        let k: u64 = objects.iter().map(|o| o.keywords.len() as u64).sum();
+        e.insert_batch(&objects);
+        e.remove_batch(&objects);
+        assert!(e.is_empty());
+        let ops = crate::store::QueueOps::get();
+        assert_eq!(ops.pushes - before.pushes, n + k);
+        assert_eq!(ops.pops - before.pops, n + k);
+        assert!(ops.shifted - before.shifted <= ops.pops - before.pops);
     }
 
     #[test]

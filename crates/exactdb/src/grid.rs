@@ -1,33 +1,21 @@
-//! Full grid index: a regular spatial grid whose cells hold slot ids into
-//! the shared [`ObjectStore`].
+//! Full grid index: a regular spatial grid whose cells are queues of
+//! `seq`s into the shared [`ObjectStore`], in arrival order.
 
-use crate::store::{ObjectStore, SlotId};
+use crate::store::{ObjectStore, Seq, SeqQueue};
 use geostream::object::keywords_intersect;
 use geostream::{CellGrid, RcDvq, Rect};
 
-/// Locator sentinel: slot not present in the grid.
-const NOWHERE: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Locator entry for position `pos` of cell `cell`.
-#[inline]
-fn locator_entry(cell: usize, pos: usize) -> (u32, u32) {
-    // LINT-ALLOW(as-truncation): side is a small per-axis cell count (64 in the executor), so side² fits; a cell holds at most the u32 slot space
-    (cell as u32, pos as u32)
-}
-
 /// A regular `side × side` grid over the domain, each cell holding the
-/// slots of the objects located inside it. Exact and update-cheap. A
-/// rectangle is answered from the cells of its [`CellGrid::cover`]: cells
-/// the rectangle wholly covers are counted by length (or keyword-tested
-/// only), and objects are read only in the cells on the cover's rim — the
-/// index overhead of Table I.
+/// `seq`s of the objects located inside it, oldest first. Exact and
+/// update-cheap: an arrival pushes onto its cell, an eviction pops the
+/// front of its cell. A rectangle is answered from the cells of its
+/// [`CellGrid::cover`]: cells the rectangle wholly covers are counted by
+/// length (or keyword-tested only), and objects are read only in the
+/// cells on the cover's rim — the index overhead of Table I.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     layout: CellGrid,
-    cells: Vec<Vec<SlotId>>,
-    /// `slot → (cell, position within cell)` for O(1) removal, indexed
-    /// densely by slot id.
-    locator: Vec<(u32, u32)>,
+    cells: Vec<SeqQueue>,
     len: usize,
 }
 
@@ -36,9 +24,8 @@ impl GridIndex {
     pub fn new(domain: Rect, side: usize) -> Self {
         let layout = CellGrid::new(domain, side);
         GridIndex {
-            cells: vec![Vec::new(); layout.cell_count()],
+            cells: vec![SeqQueue::default(); layout.cell_count()],
             layout,
-            locator: Vec::new(),
             len: 0,
         }
     }
@@ -53,38 +40,21 @@ impl GridIndex {
         self.len == 0
     }
 
-    #[inline]
-    fn locator_mut(&mut self, slot: SlotId) -> &mut (u32, u32) {
-        if slot as usize >= self.locator.len() {
-            self.locator.resize(slot as usize + 1, NOWHERE);
-        }
-        &mut self.locator[slot as usize]
-    }
-
-    /// Indexes a live store slot. The slot must not already be present
-    /// (the executor removes first on oid replacement).
-    pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        let cell = self.layout.cell_of(store.loc(slot));
-        let pos = self.cells[cell].len();
-        self.cells[cell].push(slot);
-        *self.locator_mut(slot) = locator_entry(cell, pos);
+    /// Indexes the store's newest object.
+    pub fn insert(&mut self, seq: Seq, store: &ObjectStore) {
+        self.cells[self.layout.cell_of(store.loc(seq))].push(seq);
         self.len += 1;
     }
 
-    /// Removes a slot. Returns whether anything was removed.
-    pub fn remove(&mut self, slot: SlotId) -> bool {
-        let Some(&(cell, pos)) = self.locator.get(slot as usize) else {
-            return false;
-        };
-        if (cell, pos) == NOWHERE {
+    /// Evicts the store's oldest object, `seq`, from the front of its
+    /// cell. Call before the store drops it. Returns `false`, changing
+    /// nothing, if `seq` is not that front.
+    pub fn pop_front(&mut self, seq: Seq, store: &ObjectStore) -> bool {
+        let cell = &mut self.cells[self.layout.cell_of(store.loc(seq))];
+        if cell.front() != Some(seq) {
             return false;
         }
-        self.locator[slot as usize] = NOWHERE;
-        let bucket = &mut self.cells[cell as usize];
-        bucket.swap_remove(pos as usize);
-        if (pos as usize) < bucket.len() {
-            self.locator[bucket[pos as usize] as usize] = (cell, pos);
-        }
+        cell.pop_front();
         self.len -= 1;
         true
     }
@@ -98,7 +68,7 @@ impl GridIndex {
             return self
                 .cells
                 .iter()
-                .flatten()
+                .flat_map(SeqQueue::as_slice)
                 .filter(|&&s| store.matches(s, query))
                 .count() as u64;
         };
@@ -106,13 +76,13 @@ impl GridIndex {
         let kws = query.keywords();
         let mut total = 0usize;
         self.layout.for_each_cell(&cover, |cell, covered| {
-            let slots = &self.cells[cell];
+            let seqs = self.cells[cell].as_slice();
             total += match (covered, kws.is_empty()) {
-                (true, true) => slots.len(),
-                (false, true) => slots.iter().filter(|&&s| r.contains(store.loc(s))).count(),
+                (true, true) => seqs.len(),
+                (false, true) => seqs.iter().filter(|&&s| r.contains(store.loc(s))).count(),
                 // Location first: it is the cheap column, and a rim cell
                 // mostly fails it, so the keyword `Arc` is chased on a hit only.
-                (covered, false) => slots
+                (covered, false) => seqs
                     .iter()
                     .filter(|&&s| {
                         (covered || r.contains(store.loc(s)))
@@ -133,6 +103,33 @@ impl GridIndex {
         self.layout
             .for_each_cell(&cover, |cell, _| total += self.cells[cell].len());
         total as u64
+    }
+
+    /// Invariant walk against the ring (the `debug-invariants` auditor):
+    /// every cell is in age order over live objects (**age-order**), each
+    /// `seq` sits in the cell its location maps to (**cell-of**), and the
+    /// cells hold the ring's population exactly (**population**).
+    #[cfg(feature = "debug-invariants")]
+    pub fn audit(&self, store: &ObjectStore) -> Result<(), geostream::AuditError> {
+        use geostream::audit::ensure;
+        const S: &str = "GridIndex";
+        let mut total = 0usize;
+        for (cell, queue) in self.cells.iter().enumerate() {
+            store.audit_queue(S, queue, || format!("cell {cell}"))?;
+            for &seq in queue.as_slice() {
+                let home = self.layout.cell_of(store.loc(seq));
+                ensure(home == cell, S, "cell-of", || {
+                    format!("seq {seq} in cell {cell}, its location maps to {home}")
+                })?;
+            }
+            total += queue.len();
+        }
+        ensure(
+            total == self.len && total == store.len(),
+            S,
+            "population",
+            || format!("cells hold {total}, len {}, ring {}", self.len, store.len()),
+        )
     }
 }
 
@@ -157,10 +154,10 @@ mod tests {
         )
     }
 
-    fn insert(g: &mut GridIndex, store: &mut ObjectStore, o: GeoTextObject) -> SlotId {
-        let slot = store.insert(o);
-        g.insert(slot, store);
-        slot
+    fn insert(g: &mut GridIndex, store: &mut ObjectStore, o: GeoTextObject) -> Seq {
+        let seq = store.push(&o);
+        g.insert(seq, store);
+        seq
     }
 
     #[test]
@@ -216,7 +213,7 @@ mod tests {
             Rect::new(3.5, 3.5, 3.5, 3.5),
         ] {
             for q in [RcDvq::spatial(r), RcDvq::hybrid(r, vec![KeywordId(0)])] {
-                let brute = store.iter_live().filter(|&(s, _)| store.matches(s, &q));
+                let brute = store.seqs().filter(|&s| store.matches(s, &q));
                 assert_eq!(g.count(&q, &store), brute.count() as u64, "{q:?}");
             }
         }
@@ -246,44 +243,56 @@ mod tests {
         assert_eq!(g.candidate_count(q.range().unwrap()), 2);
     }
 
+    /// Evictions pop cell fronts; an object that is not the oldest is
+    /// refused and nothing changes.
     #[test]
     fn remove_works() {
         let mut store = ObjectStore::new();
         let mut g = GridIndex::new(DOMAIN, 4);
         let a = insert(&mut g, &mut store, obj(1, 5.0, 5.0, &[]));
-        insert(&mut g, &mut store, obj(2, 5.0, 5.0, &[]));
-        assert!(g.remove(a));
-        assert!(!g.remove(a));
+        let b = insert(&mut g, &mut store, obj(2, 5.0, 5.0, &[]));
+        assert!(!g.pop_front(b, &store), "only the front may leave");
+        assert!(g.pop_front(a, &store));
+        store.pop_front();
+        assert!(!g.pop_front(a, &store));
         assert_eq!(g.len(), 1);
-        store.remove(ObjectId(1));
         let q = RcDvq::spatial(Rect::new(4.0, 4.0, 6.0, 6.0));
         assert_eq!(g.count(&q, &store), 1);
     }
 
+    /// Under sliding-window churn every cell stays in arrival order and
+    /// holds exactly the live objects that map to it.
     #[test]
-    fn locator_consistent_under_churn() {
+    fn cells_stay_in_arrival_order_under_churn() {
         let mut store = ObjectStore::new();
         let mut g = GridIndex::new(DOMAIN, 8);
-        let mut slots = std::collections::HashMap::new();
         for i in 0..500u64 {
-            let s = insert(
+            insert(
                 &mut g,
                 &mut store,
-                obj(i, (i % 10) as f64, ((i / 10) % 10) as f64, &[]),
+                obj(i, (i % 10) as f64, ((i * 7 / 10) % 10) as f64, &[]),
             );
-            slots.insert(i, s);
             if i >= 100 {
-                let old = slots[&(i - 100)];
-                assert!(g.remove(old));
-                store.remove(ObjectId(i - 100));
+                let oldest = store.front().unwrap();
+                assert!(g.pop_front(oldest, &store));
+                store.pop_front();
             }
         }
         assert_eq!(g.len(), 100);
-        for (cell, bucket) in g.cells.iter().enumerate() {
-            for (pos, &slot) in bucket.iter().enumerate() {
-                assert_eq!(g.locator[slot as usize], (cell as u32, pos as u32));
+        let mut seen = 0;
+        for (cell, queue) in g.cells.iter().enumerate() {
+            let ages: Vec<u32> = queue.as_slice().iter().map(|&s| store.age(s)).collect();
+            assert!(
+                ages.windows(2).all(|w| w[0] < w[1]),
+                "cell {cell}: {ages:?}"
+            );
+            for &seq in queue.as_slice() {
+                assert!(store.is_live(seq));
+                assert_eq!(g.layout.cell_of(store.loc(seq)), cell);
             }
+            seen += queue.len();
         }
+        assert_eq!(seen, store.len());
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Inverted keyword index over store slots: `keyword → sorted posting
-//! list of slot ids`.
+//! Inverted keyword index over the ring: `keyword → posting list of
+//! seqs`, oldest first.
 //!
-//! Postings are plain sorted `Vec<SlotId>`s into the shared
-//! [`ObjectStore`] — no per-object clones, no hash sets. Removal is
-//! **lazy**: it only bumps a per-posting dead counter (the store's live
-//! bitmap is the truth), and a posting is compacted — dead entries
-//! filtered out, their slot references released back to the store — once
-//! a quarter of it is tombstones. Each compaction drops at least a
-//! quarter of the list, so the amortized cost per removal is O(1) and a
-//! posting never carries more than ~33% garbage.
+//! Postings are `SeqQueue`s into the shared [`ObjectStore`] — no
+//! per-object clones, no hash sets. An arrival pushes its `seq` onto each
+//! of its keywords' postings; an eviction pops the front of each, which is
+//! the evicted object because it is the oldest live one. A posting that
+//! empties leaves the map. There are no tombstones, so a posting's length
+//! is its live count and a count never checks liveness.
 //!
-//! Multi-keyword counting runs a k-way merge over the sorted postings:
-//! duplicates collapse by slot order instead of through a per-query
-//! `HashSet`, and hybrid queries verify the spatial predicate by reading
-//! the shared store directly.
+//! Multi-keyword counting runs a k-way merge over the postings, which are
+//! sorted by age: duplicates collapse by age order instead of through a
+//! per-query `HashSet`, and hybrid queries verify the spatial predicate by
+//! reading the shared store directly.
 
-use crate::store::{ObjectStore, SlotId};
+use crate::store::{ObjectStore, Seq, SeqQueue};
 use crate::NoKeywordPredicate;
 use geostream::{IdMap, KeywordId, RcDvq};
 
@@ -23,33 +21,10 @@ use geostream::{IdMap, KeywordId, RcDvq};
 /// only longer ones allocate.
 const INLINE_MERGE_WAYS: usize = 8;
 
-/// One keyword's posting list: ascending slot ids, `dead` of which are
-/// tombstones (slots no longer live in the store).
-#[derive(Debug, Clone, Default)]
-struct PostingList {
-    slots: Vec<SlotId>,
-    dead: u32,
-}
-
-impl PostingList {
-    #[inline]
-    fn live_len(&self) -> usize {
-        self.slots.len() - self.dead as usize
-    }
-
-    /// Tombstone threshold: compact once ≥ 25% of the list is dead.
-    #[inline]
-    fn needs_compaction(&self) -> bool {
-        self.dead as usize * 4 >= self.slots.len()
-    }
-}
-
 /// An inverted index over object keywords, addressing the shared store.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    postings: IdMap<KeywordId, PostingList>,
-    /// Posting compactions performed (diagnostics / bench reporting).
-    compactions: u64,
+    postings: IdMap<KeywordId, SeqQueue>,
 }
 
 impl InvertedIndex {
@@ -58,60 +33,35 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Number of distinct keywords with live postings.
+    /// Number of distinct keywords among the live objects.
     pub fn distinct_keywords(&self) -> usize {
-        self.postings.values().filter(|p| p.live_len() > 0).count()
+        self.postings.len()
     }
 
-    /// Posting compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Live posting-list size for one keyword.
+    /// Posting-list size for one keyword.
     pub fn postings_len(&self, kw: KeywordId) -> usize {
-        self.postings.get(&kw).map_or(0, PostingList::live_len)
+        self.postings.get(&kw).map_or(0, SeqQueue::len)
     }
 
-    /// Indexes a live slot under each of the object's keywords. The slot
-    /// must not already be present (the executor removes first on oid
-    /// replacement, and the store never re-issues a referenced slot).
-    pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        for &kw in store.keywords(slot) {
-            let posting = self.postings.entry(kw).or_default();
-            match posting.slots.binary_search(&slot) {
-                Ok(_) => debug_assert!(false, "slot already posted under {kw:?}"),
-                Err(pos) => posting.slots.insert(pos, slot),
-            }
+    /// Posts the store's newest object under each of its keywords.
+    pub fn insert(&mut self, seq: Seq, store: &ObjectStore) {
+        for &kw in store.keywords(seq) {
+            self.postings.entry(kw).or_default().push(seq);
         }
     }
 
-    /// Lazily removes a slot: each of the object's postings gains a
-    /// tombstone, and postings crossing the garbage threshold are
-    /// compacted (releasing their parked slot references to the store).
-    ///
-    /// Call **after** `store.remove` — the liveness bitmap drives both
-    /// tombstone filtering and compaction.
-    pub fn remove(&mut self, keywords: &[KeywordId], store: &mut ObjectStore) {
-        for &kw in keywords {
+    /// Evicts the store's oldest object, `seq`, from the front of each of
+    /// its keywords' postings. Call before the store drops it.
+    pub fn pop_front(&mut self, seq: Seq, store: &ObjectStore) {
+        for &kw in store.keywords(seq) {
             let Some(posting) = self.postings.get_mut(&kw) else {
-                debug_assert!(false, "removing a slot that was never posted");
+                debug_assert!(false, "seq {seq} was never posted under {kw:?}");
                 continue;
             };
-            posting.dead += 1;
-            if posting.needs_compaction() {
-                posting.slots.retain(|&s| {
-                    let keep = store.is_live(s);
-                    if !keep {
-                        store.release_ref(s);
-                    }
-                    keep
-                });
-                posting.dead = 0;
-                self.compactions += 1;
-                if posting.slots.is_empty() {
-                    self.postings.remove(&kw);
-                }
+            debug_assert_eq!(posting.front(), Some(seq), "{kw:?} front");
+            posting.pop_front();
+            if posting.is_empty() {
+                self.postings.remove(&kw);
             }
         }
     }
@@ -121,7 +71,7 @@ impl InvertedIndex {
     pub fn candidate_cost(&self, keywords: &[KeywordId]) -> u64 {
         keywords
             .iter()
-            .map(|kw| self.postings.get(kw).map_or(0, |p| p.live_len() as u64))
+            .map(|kw| self.postings_len(*kw) as u64)
             .sum()
     }
 
@@ -139,30 +89,27 @@ impl InvertedIndex {
         let range = query.range();
         if let [kw] = kws {
             // Single-keyword fast path: no merge needed, and without a
-            // spatial predicate the live length *is* the answer.
+            // spatial predicate the length *is* the answer.
             let Some(posting) = self.postings.get(kw) else {
                 return Ok(0);
             };
             return Ok(match range {
-                None => posting.live_len() as u64,
+                None => posting.len() as u64,
                 Some(r) => posting
-                    .slots
+                    .as_slice()
                     .iter()
-                    .filter(|&&s| store.is_live(s) && r.contains(store.loc(s)))
+                    .filter(|&&s| r.contains(store.loc(s)))
                     .count() as u64,
             });
         }
-        // K-way merge over the sorted postings: duplicates collapse by
-        // advancing every list whose head is the minimum slot. A list's
-        // cursor is its slice itself, shrunk from the front.
         let non_empty = kws
             .iter()
             .filter_map(|kw| self.postings.get(kw))
-            .map(|p| p.slots.as_slice())
+            .map(SeqQueue::as_slice)
             .filter(|s| !s.is_empty());
-        let mut inline: [&[SlotId]; INLINE_MERGE_WAYS] = [&[]; INLINE_MERGE_WAYS];
-        let mut spilled: Vec<&[SlotId]> = Vec::new();
-        let lists: &mut [&[SlotId]] = if kws.len() <= INLINE_MERGE_WAYS {
+        let mut inline: [&[Seq]; INLINE_MERGE_WAYS] = [&[]; INLINE_MERGE_WAYS];
+        let mut spilled: Vec<&[Seq]> = Vec::new();
+        let lists: &mut [&[Seq]] = if kws.len() <= INLINE_MERGE_WAYS {
             let mut n = 0;
             for list in non_empty {
                 inline[n] = list;
@@ -173,86 +120,81 @@ impl InvertedIndex {
             spilled.extend(non_empty);
             &mut spilled
         };
-        let mut count = 0u64;
-        while let Some(slot) = lists.iter().filter_map(|list| list.first().copied()).min() {
-            for list in lists.iter_mut() {
-                if list.first() == Some(&slot) {
-                    *list = &list[1..];
-                }
-            }
-            if store.is_live(slot) && range.is_none_or(|r| r.contains(store.loc(slot))) {
-                count += 1;
+        let passes = |seq: Seq| range.is_none_or(|r| r.contains(store.loc(seq)));
+        // Age order is `seq` order unless the live range wraps the `u32`
+        // space (once per 2³² arrivals); only then is every head rebased,
+        // which costs the merge ≈ 10 %.
+        Ok(if store.wraps() {
+            merge_count(lists, |seq| store.age(seq), passes)
+        } else {
+            merge_count(lists, |seq| seq, passes)
+        })
+    }
+}
+
+/// K-way merge: counts the objects in the union of `lists` — each sorted
+/// by `key`, oldest first — that `passes` accepts. Every list whose head
+/// is the oldest advances, so an object posted under several of the
+/// keywords counts once without a per-query `HashSet`. A list's cursor is
+/// its slice itself, shrunk from the front.
+fn merge_count(
+    lists: &mut [&[Seq]],
+    key: impl Fn(Seq) -> u32,
+    passes: impl Fn(Seq) -> bool,
+) -> u64 {
+    let mut count = 0;
+    while let Some(oldest) = lists
+        .iter()
+        .filter_map(|list| list.first().copied())
+        .min_by_key(|&seq| key(seq))
+    {
+        for list in lists.iter_mut() {
+            if list.first() == Some(&oldest) {
+                *list = &list[1..];
             }
         }
-        Ok(count)
+        if passes(oldest) {
+            count += 1;
+        }
     }
+    count
 }
 
 #[cfg(feature = "debug-invariants")]
 impl InvertedIndex {
-    /// Full O(postings) invariant walk against the shared store (the
+    /// Full O(postings) invariant walk against the ring (the
     /// `debug-invariants` auditor):
     ///
-    /// * **posting-sorted** — every posting list is strictly ascending in
-    ///   slot id (binary-search insertion and k-way merging depend on it).
-    /// * **dead-counter** — each list's maintained tombstone count equals
-    ///   the number of its slots no longer live in the store.
-    /// * **posting-coverage** — every live object's keywords post its
-    ///   slot.
-    /// * **pending-refs** — each dead slot's outstanding reference count
-    ///   in the store equals the posting entries still mentioning it (the
-    ///   contract that keeps recycled slots from aliasing stale entries).
+    /// * **age-order** — every posting is strictly increasing in age over
+    ///   live objects (the k-way merge and front pops depend on it).
+    /// * **posting-keyword** — every entry's object carries the keyword,
+    ///   and no posting is empty.
+    /// * **posting-coverage** — the postings hold as many entries as the
+    ///   live objects carry keywords. With the two checks above, every
+    ///   live object is posted exactly once under each of its keywords.
     pub fn audit(&self, store: &ObjectStore) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "InvertedIndex";
-        let mut refs: IdMap<SlotId, u32> = IdMap::default();
+        let mut posted = 0usize;
         for (kw, posting) in &self.postings {
-            let mut dead = 0u32;
-            for (i, &slot) in posting.slots.iter().enumerate() {
-                if i > 0 {
-                    ensure(posting.slots[i - 1] < slot, S, "posting-sorted", || {
-                        format!("{kw:?} slots out of order at {i}")
-                    })?;
-                }
-                if !store.is_live(slot) {
-                    dead += 1;
-                    *refs.entry(slot).or_insert(0) += 1;
-                }
-            }
-            ensure(posting.dead == dead, S, "dead-counter", || {
-                format!(
-                    "{kw:?} maintains dead {} but {dead} slots are dead",
-                    posting.dead
-                )
+            store.audit_queue(S, posting, || format!("{kw:?}"))?;
+            ensure(!posting.is_empty(), S, "posting-keyword", || {
+                format!("{kw:?} posting is empty")
             })?;
-        }
-        let mut coverage_gap: Option<(SlotId, KeywordId)> = None;
-        for (slot, keywords) in store.iter_live() {
-            for &kw in keywords {
-                let posted = self
-                    .postings
-                    .get(&kw)
-                    .is_some_and(|p| p.slots.binary_search(&slot).is_ok());
-                if coverage_gap.is_none() && !posted {
-                    coverage_gap = Some((slot, kw));
-                }
+            for &seq in posting.as_slice() {
+                ensure(
+                    store.keywords(seq).binary_search(kw).is_ok(),
+                    S,
+                    "posting-keyword",
+                    || format!("seq {seq} posted under {kw:?} it does not carry"),
+                )?;
             }
+            posted += posting.len();
         }
-        ensure(coverage_gap.is_none(), S, "posting-coverage", || {
-            let (slot, kw) = coverage_gap.unwrap_or((0, KeywordId(0)));
-            format!("live slot {slot} not posted under {kw:?}")
-        })?;
-        for slot in 0..store.slot_capacity() as SlotId {
-            if store.is_live(slot) {
-                continue;
-            }
-            let expected = refs.get(&slot).copied().unwrap_or(0);
-            let parked = store.pending_refs_of(slot);
-            ensure(parked == expected, S, "pending-refs", || {
-                format!("dead slot {slot} parks {parked} refs, {expected} entries remain")
-            })?;
-        }
-        Ok(())
+        let carried: usize = store.seqs().map(|seq| store.keywords(seq).len()).sum();
+        ensure(posted == carried, S, "posting-coverage", || {
+            format!("postings hold {posted} entries, live objects carry {carried} keywords")
+        })
     }
 }
 
@@ -270,15 +212,16 @@ mod tests {
         )
     }
 
-    fn insert(idx: &mut InvertedIndex, store: &mut ObjectStore, o: GeoTextObject) -> SlotId {
-        let slot = store.insert(o);
-        idx.insert(slot, store);
-        slot
+    fn insert(idx: &mut InvertedIndex, store: &mut ObjectStore, o: GeoTextObject) -> Seq {
+        let seq = store.push(&o);
+        idx.insert(seq, store);
+        seq
     }
 
-    fn remove(idx: &mut InvertedIndex, store: &mut ObjectStore, id: u64) {
-        let (_, keywords) = store.remove(ObjectId(id)).expect("present");
-        idx.remove(&keywords, store);
+    fn remove_oldest(idx: &mut InvertedIndex, store: &mut ObjectStore) {
+        let seq = store.front().expect("non-empty");
+        idx.pop_front(seq, store);
+        store.pop_front();
     }
 
     #[test]
@@ -311,52 +254,65 @@ mod tests {
         assert_eq!(idx.count(&q2, &store).unwrap(), 1);
     }
 
+    /// Evictions pop posting fronts, so neither the single-keyword length
+    /// nor the merge sees an evicted object.
     #[test]
-    fn tombstones_hide_removed_objects() {
+    fn evictions_leave_the_postings() {
         let mut store = ObjectStore::new();
         let mut idx = InvertedIndex::new();
         for i in 0..10 {
-            insert(&mut idx, &mut store, obj(i, 0.0, &[1]));
+            insert(&mut idx, &mut store, obj(i, 0.0, &[1, 1 + (i % 2) as u32]));
         }
-        remove(&mut idx, &mut store, 0);
-        remove(&mut idx, &mut store, 1);
-        // Lazy: tombstones only, but counts must not see the dead.
+        remove_oldest(&mut idx, &mut store);
+        remove_oldest(&mut idx, &mut store);
         assert_eq!(idx.postings_len(KeywordId(1)), 8);
+        assert_eq!(idx.postings_len(KeywordId(2)), 4);
         let q = RcDvq::keyword(vec![KeywordId(1)]);
         assert_eq!(idx.count(&q, &store).unwrap(), 8);
         let multi = RcDvq::keyword(vec![KeywordId(1), KeywordId(2)]);
         assert_eq!(idx.count(&multi, &store).unwrap(), 8);
+        let odd = RcDvq::keyword(vec![KeywordId(2), KeywordId(3)]);
+        assert_eq!(idx.count(&odd, &store).unwrap(), 4);
     }
 
-    #[test]
-    fn compaction_releases_slots_for_reuse() {
-        let mut store = ObjectStore::new();
-        let mut idx = InvertedIndex::new();
-        for i in 0..8 {
-            insert(&mut idx, &mut store, obj(i, 0.0, &[1]));
-        }
-        // Remove enough to cross the 25% threshold.
-        remove(&mut idx, &mut store, 0);
-        remove(&mut idx, &mut store, 1);
-        assert!(idx.compactions() >= 1, "threshold crossed, no compaction");
-        // Compaction released the refs: the freed slots recycle.
-        let reused = store.insert(obj(100, 0.0, &[]));
-        assert!(reused < 8, "slot {reused} should come from the free list");
-        let q = RcDvq::keyword(vec![KeywordId(1)]);
-        assert_eq!(idx.count(&q, &store).unwrap(), 6);
-    }
-
+    /// A posting that empties leaves the map: rare keywords leak nothing.
     #[test]
     fn singleton_posting_compacts_away() {
         let mut store = ObjectStore::new();
         let mut idx = InvertedIndex::new();
         insert(&mut idx, &mut store, obj(1, 0.0, &[42]));
-        remove(&mut idx, &mut store, 1);
-        assert_eq!(idx.distinct_keywords(), 0);
+        insert(&mut idx, &mut store, obj(2, 0.0, &[7]));
+        remove_oldest(&mut idx, &mut store);
+        assert_eq!(idx.distinct_keywords(), 1);
         assert_eq!(idx.postings_len(KeywordId(42)), 0);
-        // The slot fully recycles — no leak from rare keywords.
-        let reused = store.insert(obj(2, 0.0, &[]));
-        assert_eq!(reused, 0);
+        assert!(!idx.postings.contains_key(&KeywordId(42)));
+    }
+
+    /// The merge runs by age, not by `seq` value: a posting whose entries
+    /// straddle the `u32` wrap still collapses duplicates.
+    #[test]
+    fn posting_merge_orders_by_age_across_the_seq_wrap() {
+        let mut store = ObjectStore::starting_at(u32::MAX - 3);
+        let mut idx = InvertedIndex::new();
+        for i in 0..8u64 {
+            insert(
+                &mut idx,
+                &mut store,
+                obj(i, i as f64, &[1, 2 + (i % 3) as u32]),
+            );
+        }
+        assert_eq!(
+            store.seqs().nth(4),
+            Some(0),
+            "the live range straddles the wrap"
+        );
+        let q = RcDvq::keyword(vec![KeywordId(1), KeywordId(3)]);
+        assert_eq!(idx.count(&q, &store).unwrap(), 8);
+        let r = RcDvq::hybrid(
+            geostream::Rect::new(2.5, -1.0, 6.5, 1.0),
+            vec![KeywordId(2), KeywordId(4)],
+        );
+        assert_eq!(idx.count(&r, &store).unwrap(), 3);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! over the sliding window that answer RC-DVQ queries **exactly**.
 //!
 //! All live window objects are owned once, as parallel columns, by the
-//! slot-based [`store::ObjectStore`]; the spatial backends ([`grid::GridIndex`],
-//! [`quad::QuadtreeIndex`]) and the keyword-side [`inverted::InvertedIndex`]
-//! hold bare `u32` slot ids into it.
+//! [`store::ObjectStore`] ring, in arrival order. The spatial backends
+//! ([`grid::GridIndex`], [`quad::QuadtreeIndex`]) and the keyword-side
+//! [`inverted::InvertedIndex`] keep each object's `u32` arrival number in
+//! append-only queues, oldest first: the window evicts only its oldest
+//! object, so an eviction pops queue fronts and never searches.
 //! [`ExactExecutor`] threads the store through every update and routes
 //! each query with a cost-based access-path planner (posting mass vs.
 //! spatial candidate count). These are also the "Grid" and "QuadTree"
@@ -28,7 +30,7 @@ pub mod quad;
 pub mod store;
 
 pub use executor::{AccessPath, ExactExecutor, PathMix, SpatialIndexKind};
-pub use store::{ObjectStore, SlotId};
+pub use store::{ObjectStore, Seq};
 
 /// Error returned when the inverted index is asked to count a query with
 /// no keyword predicate — posting lists are its only access path, so a

@@ -1,33 +1,32 @@
-//! Full PR-quadtree index whose leaf buckets hold slot ids into the
-//! shared [`ObjectStore`].
+//! Full PR-quadtree index whose leaves are queues of `seq`s into the
+//! shared [`ObjectStore`], in arrival order.
 
-use crate::store::{ObjectStore, SlotId};
+use crate::store::{ObjectStore, Seq, SeqQueue};
 use geostream::{Point, RcDvq, Rect};
 
 type NodeId = u32;
 
-/// Locator sentinel: slot not present in the tree.
-const NOWHERE: NodeId = NodeId::MAX;
-
 #[derive(Debug, Clone)]
 struct QuadNode {
     rect: Rect,
-    bucket: Vec<SlotId>,
+    /// The leaf's objects, oldest first (empty once the node splits).
+    bucket: SeqQueue,
     children: Option<[NodeId; 4]>,
     depth: u16,
 }
 
 /// A point-region quadtree over the domain: leaves hold up to
-/// `bucket_capacity` slots and split on overflow. Exact query answering
+/// `bucket_capacity` objects and split on overflow. Exact query answering
 /// with spatial pruning; the QuadTree index column of Table I.
+///
+/// A split hands each child its objects in bucket order, so every leaf
+/// stays in arrival order, and an eviction descends by the evicted
+/// location to its leaf and pops that leaf's front.
 #[derive(Debug, Clone)]
 pub struct QuadtreeIndex {
     nodes: Vec<QuadNode>,
     bucket_capacity: usize,
     max_depth: u16,
-    /// `slot → leaf` hint for removals (positions shift, so the bucket is
-    /// searched within the leaf), indexed densely by slot id.
-    locator: Vec<NodeId>,
     len: usize,
 }
 
@@ -38,13 +37,12 @@ impl QuadtreeIndex {
         QuadtreeIndex {
             nodes: vec![QuadNode {
                 rect: domain,
-                bucket: Vec::new(),
+                bucket: SeqQueue::default(),
                 children: None,
                 depth: 0,
             }],
             bucket_capacity,
             max_depth,
-            locator: Vec::new(),
             len: 0,
         }
     }
@@ -73,19 +71,10 @@ impl QuadtreeIndex {
         id
     }
 
-    fn set_locator(&mut self, slot: SlotId, node: NodeId) {
-        if slot as usize >= self.locator.len() {
-            self.locator.resize(slot as usize + 1, NOWHERE);
-        }
-        self.locator[slot as usize] = node;
-    }
-
-    /// Indexes a live store slot. The slot must not already be present
-    /// (the executor removes first on oid replacement).
-    pub fn insert(&mut self, slot: SlotId, store: &ObjectStore) {
-        let leaf = self.leaf_for(store.loc(slot));
-        self.nodes[leaf as usize].bucket.push(slot);
-        self.set_locator(slot, leaf);
+    /// Indexes the store's newest object.
+    pub fn insert(&mut self, seq: Seq, store: &ObjectStore) {
+        let leaf = self.leaf_for(store.loc(seq));
+        self.nodes[leaf as usize].bucket.push(seq);
         self.len += 1;
         if self.nodes[leaf as usize].bucket.len() > self.bucket_capacity
             && self.nodes[leaf as usize].depth < self.max_depth
@@ -101,7 +90,7 @@ impl QuadtreeIndex {
         for rect in quadrants {
             self.nodes.push(QuadNode {
                 rect,
-                bucket: Vec::new(),
+                bucket: SeqQueue::default(),
                 children: None,
                 depth,
             });
@@ -109,31 +98,25 @@ impl QuadtreeIndex {
         let children = [base, base + 1, base + 2, base + 3];
         let bucket = std::mem::take(&mut self.nodes[id as usize].bucket);
         let rect = self.nodes[id as usize].rect;
-        for slot in bucket {
-            let q = rect.quadrant_of(store.loc(slot));
-            self.locator[slot as usize] = children[q];
-            self.nodes[children[q] as usize].bucket.push(slot);
+        for &seq in bucket.as_slice() {
+            let q = rect.quadrant_of(store.loc(seq));
+            self.nodes[children[q] as usize].bucket.push(seq);
         }
         self.nodes[id as usize].children = Some(children);
     }
 
-    /// Removes a slot. Returns whether anything was removed.
-    pub fn remove(&mut self, slot: SlotId) -> bool {
-        let Some(&leaf) = self.locator.get(slot as usize) else {
-            return false;
-        };
-        if leaf == NOWHERE {
-            return false;
-        }
-        self.locator[slot as usize] = NOWHERE;
+    /// Evicts the store's oldest object, `seq`, from the front of its
+    /// leaf. Call before the store drops it. Returns `false`, changing
+    /// nothing, if `seq` is not that front.
+    pub fn pop_front(&mut self, seq: Seq, store: &ObjectStore) -> bool {
+        let leaf = self.leaf_for(store.loc(seq));
         let bucket = &mut self.nodes[leaf as usize].bucket;
-        if let Some(pos) = bucket.iter().position(|&s| s == slot) {
-            bucket.swap_remove(pos);
-            self.len -= 1;
-            true
-        } else {
-            false
+        if bucket.front() != Some(seq) {
+            return false;
         }
+        bucket.pop_front();
+        self.len -= 1;
+        true
     }
 
     /// `r` with its corners clamped into the root rectangle — the range
@@ -165,6 +148,7 @@ impl QuadtreeIndex {
             }
             total += node
                 .bucket
+                .as_slice()
                 .iter()
                 .filter(|&&s| store.matches(s, query))
                 .count() as u64;
@@ -194,6 +178,40 @@ impl QuadtreeIndex {
         }
         total
     }
+
+    /// Invariant walk against the ring (the `debug-invariants` auditor):
+    /// every bucket is in age order over live objects (**age-order**),
+    /// only leaves hold objects and each `seq` sits in the leaf its
+    /// location descends to (**leaf-of**), and the leaves hold the ring's
+    /// population exactly (**population**).
+    #[cfg(feature = "debug-invariants")]
+    pub fn audit(&self, store: &ObjectStore) -> Result<(), geostream::AuditError> {
+        use geostream::audit::ensure;
+        const S: &str = "QuadtreeIndex";
+        let mut total = 0usize;
+        for (id, node) in self.nodes.iter().enumerate() {
+            store.audit_queue(S, &node.bucket, || format!("node {id}"))?;
+            for &seq in node.bucket.as_slice() {
+                let leaf = self.leaf_for(store.loc(seq));
+                ensure(leaf as usize == id, S, "leaf-of", || {
+                    format!("seq {seq} in node {id}, its location descends to {leaf}")
+                })?;
+            }
+            total += node.bucket.len();
+        }
+        ensure(
+            total == self.len && total == store.len(),
+            S,
+            "population",
+            || {
+                format!(
+                    "leaves hold {total}, len {}, ring {}",
+                    self.len,
+                    store.len()
+                )
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -217,10 +235,10 @@ mod tests {
         )
     }
 
-    fn insert(q: &mut QuadtreeIndex, store: &mut ObjectStore, o: GeoTextObject) -> SlotId {
-        let slot = store.insert(o);
-        q.insert(slot, store);
-        slot
+    fn insert(q: &mut QuadtreeIndex, store: &mut ObjectStore, o: GeoTextObject) -> Seq {
+        let seq = store.push(&o);
+        q.insert(seq, store);
+        seq
     }
 
     #[test]
@@ -273,41 +291,53 @@ mod tests {
     fn remove_and_len() {
         let mut store = ObjectStore::new();
         let mut q = QuadtreeIndex::new(DOMAIN, 2, 10);
-        let slots: Vec<_> = (0..20)
+        let seqs: Vec<_> = (0..20)
             .map(|i| insert(&mut q, &mut store, obj(i, 1.0 + (i as f64) * 0.1, 1.0, &[])))
             .collect();
         assert_eq!(q.len(), 20);
-        for &s in slots.iter().take(10) {
-            assert!(q.remove(s));
-        }
-        for i in 0..10u64 {
-            store.remove(ObjectId(i));
+        for &s in seqs.iter().take(10) {
+            assert!(q.pop_front(s, &store));
+            store.pop_front();
         }
         assert_eq!(q.len(), 10);
         assert_eq!(q.count(&RcDvq::spatial(DOMAIN), &store), 10);
-        assert!(!q.remove(slots[0]));
+        assert!(!q.pop_front(seqs[0], &store));
     }
 
+    /// Splits hand children their objects in order: under sliding-window
+    /// churn every leaf is a queue of live objects in arrival order, and
+    /// each sits in the leaf its location descends to.
     #[test]
-    fn locator_survives_splits() {
+    fn leaves_stay_in_arrival_order_across_splits() {
         let mut store = ObjectStore::new();
         let mut q = QuadtreeIndex::new(DOMAIN, 3, 10);
-        let slots: Vec<_> = (0..50)
-            .map(|i| {
-                insert(
-                    &mut q,
-                    &mut store,
-                    obj(i, (i % 16) as f64, ((i * 7) % 16) as f64, &[]),
-                )
-            })
-            .collect();
-        // Every locator entry must point at a leaf containing the slot.
-        for &slot in &slots {
-            let leaf = q.locator[slot as usize];
-            assert!(
-                q.nodes[leaf as usize].bucket.contains(&slot),
-                "slot {slot} not in its located leaf"
+        for i in 0..400u64 {
+            insert(
+                &mut q,
+                &mut store,
+                obj(i, (i % 16) as f64, ((i * 7) % 16) as f64, &[]),
             );
+            if i >= 120 {
+                let oldest = store.front().unwrap();
+                assert!(q.pop_front(oldest, &store));
+                store.pop_front();
+            }
         }
+        assert!(q.node_count() > 1, "never split");
+        let mut seen = 0;
+        for (id, node) in q.nodes.iter().enumerate() {
+            let ages: Vec<u32> = node
+                .bucket
+                .as_slice()
+                .iter()
+                .map(|&s| store.age(s))
+                .collect();
+            assert!(ages.windows(2).all(|w| w[0] < w[1]), "node {id}: {ages:?}");
+            for &seq in node.bucket.as_slice() {
+                assert_eq!(q.leaf_for(store.loc(seq)) as usize, id);
+            }
+            seen += node.bucket.len();
+        }
+        assert_eq!(seen, store.len());
     }
 }

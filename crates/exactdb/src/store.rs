@@ -1,55 +1,54 @@
-//! Slot-based shared object store: the single owner of live window
-//! objects.
+//! Arrival-order storage: the ring that owns the live window objects, and
+//! the queue every index keeps its entries in.
 //!
-//! Every backend used to keep its own clone of the `GeoTextObject`s (the
-//! spatial index's cells *and* the inverted index's object map), so each
-//! window insert paid two clones and queries chased pointers through
-//! `HashMap`s. The store replaces all of that with one set of dense
-//! columns addressed by `u32` slot ids; indexes hold bare slots and read
-//! only the column they test at query time.
+//! The window only ever evicts its oldest object. The executor therefore
+//! numbers arrivals with a wrapping `u32` sequence number ([`Seq`]) and
+//! keeps them in a power-of-two ring of columns indexed by `seq & mask`:
+//! an arrival enters at the back, an eviction leaves from the front.
 //!
-//! ## Slot lifecycle and deferred reuse
+//! Every grid cell, quadtree leaf and posting list is a `SeqQueue` of
+//! `seq`s in age order. An arrival is one push per structure it enters.
+//! An eviction pops the front of each structure that holds the oldest
+//! object, and that front is the object by construction. Nothing is ever
+//! removed from the middle, so there is no identity map, free list,
+//! tombstone or locator, and a query never meets a dead entry.
 //!
-//! Slots are recycled through a free list, but the inverted index keeps
-//! **lazy tombstones**: removing an object does not touch its posting
-//! lists, it only bumps per-posting dead counters (compaction is
-//! amortized, see [`crate::inverted`]). A dead slot must therefore not be
-//! handed out again while stale posting entries still reference it —
-//! otherwise an old entry would alias the new object. The store enforces
-//! this with a per-slot reference count: [`ObjectStore::remove`] parks the
-//! slot with one reference per posting list that mentions it (= the
-//! object's keyword count), and each posting compaction that drops a dead
-//! entry calls [`ObjectStore::release_ref`]; the slot only rejoins the
-//! free list at zero. Keyword-less objects recycle immediately.
+//! Age order is `seq.wrapping_sub(head)`. It is valid while fewer than
+//! 2³² objects are live; the ring checks that once, when it grows.
 
-use geostream::{GeoTextObject, IdMap, KeywordId, ObjectId, Point, RcDvq};
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq};
 use std::sync::Arc;
 
-/// Dense index of an object in the store (and in every backend).
-pub type SlotId = u32;
+/// Arrival number of an object in the executor, wrapping at 2³².
+pub type Seq = u32;
+
+/// Ring size of the first allocation.
+const MIN_CAPACITY: u32 = 64;
+
+/// Largest ring mask: the ring holds at most 2³¹ objects, so an age never
+/// wraps.
+const MAX_MASK: u32 = (1 << 31) - 1;
 
 /// Single owner of the live window objects, shared by all exact indexes.
 ///
-/// Objects are split into parallel columns indexed by slot, so a counting
-/// kernel streams only the field it tests: a rectangle check reads the
-/// 16-byte `locs` entry and nothing else of the object.
+/// Objects are split into parallel columns, so a counting kernel streams
+/// only the field it tests: a rectangle check reads the 16-byte `locs`
+/// entry and nothing else of the object.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    /// Location per slot (stale for free or parked slots).
+    /// Location per ring position (stale outside the live range).
     locs: Vec<Point>,
-    /// Identity per slot (stale for free or parked slots).
+    /// Identity per ring position (stale outside the live range).
     oids: Vec<ObjectId>,
-    /// Keyword set per slot; `None` for free or parked slots.
+    /// Keyword set per ring position; `None` outside the live range, so
+    /// an eviction releases its `Arc`.
     keywords: Vec<Option<Arc<[KeywordId]>>>,
-    /// Liveness per slot — posting lists check this to skip tombstones.
-    live: Vec<bool>,
-    /// Outstanding posting-list references to a dead slot; the slot is
-    /// recycled only when this drains to zero.
-    pending_refs: Vec<u32>,
-    /// Recycled slots ready for reuse.
-    free: Vec<SlotId>,
-    /// External identity → slot.
-    by_oid: IdMap<ObjectId, SlotId>,
+    /// Ring size − 1 (the columns' common length is a power of two).
+    mask: u32,
+    /// `seq` of the oldest live object.
+    head: Seq,
+    /// `seq` the next arrival gets.
+    tail: Seq,
 }
 
 impl ObjectStore {
@@ -59,237 +58,326 @@ impl ObjectStore {
     }
 
     /// Number of live objects.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.by_oid.len()
+        self.tail.wrapping_sub(self.head) as usize
     }
 
     /// Whether the store holds no live objects.
     pub fn is_empty(&self) -> bool {
-        self.by_oid.is_empty()
+        self.head == self.tail
     }
 
-    /// Total slots ever allocated (live + parked + free) — the capacity
-    /// indexes may be asked to address.
-    pub fn slot_capacity(&self) -> usize {
-        self.live.len()
+    /// Ring size (a power of two, or zero before the first arrival).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.locs.len()
     }
 
-    /// Whether an object with this id is live.
-    pub fn contains(&self, oid: ObjectId) -> bool {
-        self.by_oid.contains_key(&oid)
-    }
-
-    /// The slot of a live object, if present.
-    pub fn slot_of(&self, oid: ObjectId) -> Option<SlotId> {
-        self.by_oid.get(&oid).copied()
-    }
-
-    /// Whether `slot` holds a live object. Out-of-range slots are dead.
+    /// Whether the live `seq`s wrap past `u32::MAX`, so that `seq` order
+    /// is not age order.
     #[inline]
-    pub fn is_live(&self, slot: SlotId) -> bool {
-        self.live.get(slot as usize).copied().unwrap_or(false)
+    pub(crate) fn wraps(&self) -> bool {
+        self.tail < self.head
     }
 
-    /// Location of the object at `slot`. Only meaningful for a live slot:
-    /// callers holding possibly dead slots (posting tombstones) check
-    /// [`Self::is_live`] first.
+    /// Position of `seq` in arrival order: 0 for the oldest live object.
     #[inline]
-    pub fn loc(&self, slot: SlotId) -> &Point {
-        &self.locs[slot as usize]
+    pub(crate) fn age(&self, seq: Seq) -> u32 {
+        seq.wrapping_sub(self.head)
     }
 
-    /// Identity of the object at `slot` (same liveness caveat as
-    /// [`Self::loc`]).
+    /// Whether `seq` names a live object.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn is_live(&self, seq: Seq) -> bool {
+        self.age(seq) < self.tail.wrapping_sub(self.head)
+    }
+
+    /// The live `seq`s, oldest first.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = Seq> + '_ {
+        (0..self.tail.wrapping_sub(self.head)).map(|age| self.head.wrapping_add(age))
+    }
+
+    /// `seq` of the oldest live object, the one the next eviction takes.
+    pub(crate) fn front(&self) -> Option<Seq> {
+        (!self.is_empty()).then_some(self.head)
+    }
+
+    /// Identity of the oldest live object.
+    pub(crate) fn oldest(&self) -> Option<ObjectId> {
+        self.front().map(|seq| self.oid(seq))
+    }
+
+    /// Identity of the newest live object.
+    pub(crate) fn newest(&self) -> Option<ObjectId> {
+        (!self.is_empty()).then(|| self.oid(self.tail.wrapping_sub(1)))
+    }
+
     #[inline]
-    pub fn oid(&self, slot: SlotId) -> ObjectId {
-        self.oids[slot as usize]
+    fn index(&self, seq: Seq) -> usize {
+        (seq & self.mask) as usize
     }
 
-    /// The sorted keyword set of the live object at `slot`.
-    ///
-    /// # Panics
-    /// Panics if the slot is free or parked — indexes only hold live
-    /// slots (posting tombstones are filtered through [`Self::is_live`]).
+    /// Location of the live object `seq`.
     #[inline]
-    pub fn keywords(&self, slot: SlotId) -> &[KeywordId] {
-        self.keywords[slot as usize]
-            .as_deref()
-            // LINT-ALLOW(no-panic): the free list only ever holds indices of dead slots
-            .expect("index holds a dead slot")
+    pub fn loc(&self, seq: Seq) -> &Point {
+        &self.locs[self.index(seq)]
     }
 
-    /// Whether the live object at `slot` satisfies both of `query`'s
+    /// Identity of the live object `seq`.
+    #[inline]
+    pub fn oid(&self, seq: Seq) -> ObjectId {
+        self.oids[self.index(seq)]
+    }
+
+    /// The sorted keyword set of the live object `seq`. Indexes hold live
+    /// `seq`s only (the auditors check it); a vacant position reads as no
+    /// keywords.
+    #[inline]
+    pub fn keywords(&self, seq: Seq) -> &[KeywordId] {
+        let keywords = self.keywords[self.index(seq)].as_deref();
+        debug_assert!(keywords.is_some(), "seq {seq} is not live");
+        keywords.unwrap_or(&[])
+    }
+
+    /// Whether the live object `seq` satisfies both of `query`'s
     /// predicates.
     #[inline]
-    pub fn matches(&self, slot: SlotId, query: &RcDvq) -> bool {
-        query.matches_parts(self.loc(slot), self.keywords(slot))
+    pub fn matches(&self, seq: Seq, query: &RcDvq) -> bool {
+        query.matches_parts(self.loc(seq), self.keywords(seq))
     }
 
-    /// Iterates `(slot, keywords)` over the live population (store order,
-    /// not insertion order).
-    pub fn iter_live(&self) -> impl Iterator<Item = (SlotId, &[KeywordId])> {
-        self.keywords
-            .iter()
-            .enumerate()
-            .filter_map(|(i, kws)| kws.as_deref().map(|kws| (i as SlotId, kws)))
+    /// An empty store whose first arrival gets `seq` (tests of the wrap).
+    #[cfg(test)]
+    pub(crate) fn starting_at(seq: Seq) -> Self {
+        ObjectStore {
+            head: seq,
+            tail: seq,
+            ..Self::default()
+        }
     }
 
-    /// Stores an object and returns its slot.
+    /// Stores an arrival at the back of the ring and returns its `seq`.
+    pub fn push(&mut self, obj: &GeoTextObject) -> Seq {
+        if self.len() == self.locs.len() {
+            self.grow();
+        }
+        let seq = self.tail;
+        let i = self.index(seq);
+        self.locs[i] = obj.loc;
+        self.oids[i] = obj.oid;
+        self.keywords[i] = Some(Arc::clone(&obj.keywords));
+        self.tail = seq.wrapping_add(1);
+        seq
+    }
+
+    /// Drops the oldest live object and returns its `seq`. The indexes
+    /// pop it first: they read its columns to find their fronts.
+    pub fn pop_front(&mut self) -> Option<Seq> {
+        let seq = self.front()?;
+        let i = self.index(seq);
+        self.keywords[i] = None;
+        self.head = seq.wrapping_add(1);
+        Some(seq)
+    }
+
+    /// Doubles the ring, re-placing each live entry at `seq & new_mask`.
+    /// Indexes hold `seq`s, not positions, so they are not touched.
     ///
-    /// The caller (the executor) is responsible for removing any previous
-    /// object with the same id first; debug builds assert it.
-    pub fn insert(&mut self, obj: GeoTextObject) -> SlotId {
-        debug_assert!(
-            !self.by_oid.contains_key(&obj.oid),
-            "oid re-inserted without removal"
-        );
-        let GeoTextObject {
-            oid, loc, keywords, ..
-        } = obj;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = slot as usize;
-                self.locs[s] = loc;
-                self.oids[s] = oid;
-                self.keywords[s] = Some(keywords);
-                self.live[s] = true;
-                slot
-            }
-            None => {
-                let slot = self.live.len() as SlotId;
-                self.locs.push(loc);
-                self.oids.push(oid);
-                self.keywords.push(Some(keywords));
-                self.live.push(true);
-                self.pending_refs.push(0);
-                slot
-            }
+    /// # Panics
+    /// Panics if 2³¹ objects are already live.
+    fn grow(&mut self) {
+        let new_mask = if self.locs.is_empty() {
+            MIN_CAPACITY - 1
+        } else {
+            assert!(
+                self.mask < MAX_MASK,
+                "exact executor ring full: {} objects live",
+                self.len()
+            );
+            (self.mask << 1) | 1
         };
-        self.by_oid.insert(oid, slot);
-        slot
-    }
-
-    /// Removes a live object, returning its slot and its keyword set (what
-    /// the inverted index needs to tombstone its postings; the spatial
-    /// backends locate a slot without reading the object).
-    ///
-    /// The slot is parked with one pending reference per keyword — each
-    /// posting list that mentions it — and recycles via
-    /// [`Self::release_ref`]; with no keywords it is immediately free.
-    pub fn remove(&mut self, oid: ObjectId) -> Option<(SlotId, Arc<[KeywordId]>)> {
-        let slot = self.by_oid.remove(&oid)?;
-        let keywords = self.keywords[slot as usize]
-            .take()
-            // LINT-ALLOW(no-panic): by_oid entries are removed before their slot is freed, so the slot is occupied
-            .expect("by_oid points at an occupied slot");
-        self.live[slot as usize] = false;
-        // LINT-ALLOW(as-truncation): per-object keyword counts are tiny (tens at most)
-        let refs = keywords.len() as u32;
-        self.pending_refs[slot as usize] = refs;
-        if refs == 0 {
-            self.free.push(slot);
+        let size = new_mask as usize + 1;
+        let mut locs = vec![Point::new(0.0, 0.0); size];
+        let mut oids = vec![ObjectId(0); size];
+        let mut keywords = vec![None; size];
+        let mut seq = self.head;
+        while seq != self.tail {
+            let (from, to) = (self.index(seq), (seq & new_mask) as usize);
+            locs[to] = self.locs[from];
+            oids[to] = self.oids[from];
+            keywords[to] = self.keywords[from].take();
+            seq = seq.wrapping_add(1);
         }
-        Some((slot, keywords))
+        self.locs = locs;
+        self.oids = oids;
+        self.keywords = keywords;
+        self.mask = new_mask;
     }
 
-    /// Drops one posting-list reference to a parked slot; the last
-    /// reference returns the slot to the free list.
-    pub fn release_ref(&mut self, slot: SlotId) {
-        let refs = &mut self.pending_refs[slot as usize];
-        debug_assert!(*refs > 0, "released more refs than were parked");
-        *refs -= 1;
-        if *refs == 0 {
-            self.free.push(slot);
-        }
-    }
-
-    /// Outstanding posting-list references parked on a slot (zero for
-    /// live or out-of-range slots). Auditor-only cross-check against the
-    /// inverted index's actual tombstone entries.
-    #[cfg(feature = "debug-invariants")]
-    pub(crate) fn pending_refs_of(&self, slot: SlotId) -> u32 {
-        self.pending_refs.get(slot as usize).copied().unwrap_or(0)
-    }
-
-    /// Full O(slots) invariant walk (the `debug-invariants` auditor):
+    /// Full O(ring) invariant walk (the `debug-invariants` auditor):
     ///
-    /// * **parallel-arrays** — the three object columns, `live`, and
-    ///   `pending_refs` have the same length.
-    /// * **identity** — `by_oid` maps exactly the live population: every
-    ///   entry points at a live slot holding that oid, and every live slot
-    ///   is pointed at.
-    /// * **liveness** — a live slot is occupied (its keyword set is
-    ///   present) with zero pending references; a dead slot is vacant.
-    /// * **free-list** — the free list holds exactly the dead slots with
-    ///   no outstanding posting references, each once (parked slots —
-    ///   dead with references — are excluded until fully released).
+    /// * **ring-shape** — the three columns have one length, zero or a
+    ///   power of two equal to `mask + 1`, and it holds the live range.
+    /// * **occupancy** — exactly the live positions carry a keyword set.
     #[cfg(feature = "debug-invariants")]
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "ObjectStore";
-        let n = self.live.len();
-        let columns = [
-            self.locs.len(),
-            self.oids.len(),
-            self.keywords.len(),
-            self.pending_refs.len(),
-        ];
+        let n = self.locs.len();
         ensure(
-            columns.iter().all(|&len| len == n),
+            self.oids.len() == n
+                && self.keywords.len() == n
+                && (n == 0 || (n.is_power_of_two() && n == self.mask as usize + 1))
+                && self.len() <= n,
             S,
-            "parallel-arrays",
-            || format!("live {n}, locs/oids/keywords/pending_refs {columns:?}"),
-        )?;
-        let mut live_count = 0usize;
-        for s in 0..n {
-            match (self.keywords[s].is_some(), self.live[s]) {
-                (true, true) => {
-                    live_count += 1;
-                    ensure(self.pending_refs[s] == 0, S, "liveness", || {
-                        format!(
-                            "live slot {s} carries {} pending refs",
-                            self.pending_refs[s]
-                        )
-                    })?;
-                    ensure(
-                        self.by_oid.get(&self.oids[s]) == Some(&(s as SlotId)),
-                        S,
-                        "identity",
-                        || format!("slot {s} holds {:?} but by_oid disagrees", self.oids[s]),
-                    )?;
-                }
-                (false, false) => {}
-                (occupied, live) => {
-                    ensure(false, S, "liveness", || {
-                        format!("slot {s}: occupied={occupied} live={live}")
-                    })?;
-                }
-            }
-        }
-        ensure(self.by_oid.len() == live_count, S, "identity", || {
-            format!(
-                "by_oid maps {} oids, {live_count} slots live",
-                self.by_oid.len()
-            )
-        })?;
-        let mut in_free = vec![false; n];
-        for &slot in &self.free {
-            let s = slot as usize;
-            ensure(s < n && !in_free[s], S, "free-list", || {
-                format!("slot {slot} out of range or listed twice")
-            })?;
-            in_free[s] = true;
-        }
-        for (s, &free_listed) in in_free.iter().enumerate() {
-            let should_be_free = !self.live[s] && self.pending_refs[s] == 0;
-            ensure(free_listed == should_be_free, S, "free-list", || {
+            "ring-shape",
+            || {
                 format!(
-                    "slot {s}: live={} refs={} but free-listed={free_listed}",
-                    self.live[s], self.pending_refs[s]
+                    "columns {n}/{}/{}, mask {}, {} live",
+                    self.oids.len(),
+                    self.keywords.len(),
+                    self.mask,
+                    self.len()
                 )
+            },
+        )?;
+        let mut live = vec![false; n];
+        for seq in self.seqs() {
+            live[self.index(seq)] = true;
+        }
+        for (i, (keywords, &live)) in self.keywords.iter().zip(&live).enumerate() {
+            ensure(keywords.is_some() == live, S, "occupancy", || {
+                format!("position {i}: occupied={} live={live}", keywords.is_some())
             })?;
         }
         Ok(())
+    }
+
+    /// Checks one index queue against the ring: every entry is live and
+    /// the entries are strictly increasing in age (`invariant`
+    /// "age-order"). `what` names the queue in the error.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn audit_queue(
+        &self,
+        structure: &'static str,
+        queue: &SeqQueue,
+        what: impl Fn() -> String,
+    ) -> Result<(), geostream::AuditError> {
+        let mut previous: Option<u32> = None;
+        for &seq in queue.as_slice() {
+            let age = self.age(seq);
+            geostream::audit::ensure(
+                self.is_live(seq) && previous.is_none_or(|p| p < age),
+                structure,
+                "age-order",
+                || {
+                    format!(
+                        "{}: seq {seq} at age {age} after {previous:?}, {} live",
+                        what(),
+                        self.len()
+                    )
+                },
+            )?;
+            previous = Some(age);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Queue traffic on this thread (tests run one per thread): pushes,
+    /// front pops, and entries moved by the drains of consumed prefixes.
+    static QUEUE_OPS: std::cell::Cell<QueueOps> = const {
+        std::cell::Cell::new(QueueOps { pushes: 0, pops: 0, shifted: 0 })
+    };
+}
+
+/// Counts of `SeqQueue` operations on the current thread (test builds).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct QueueOps {
+    pub pushes: u64,
+    pub pops: u64,
+    pub shifted: u64,
+}
+
+#[cfg(test)]
+impl QueueOps {
+    /// The counts so far on this thread.
+    pub fn get() -> QueueOps {
+        QUEUE_OPS.with(std::cell::Cell::get)
+    }
+
+    fn bump(f: impl FnOnce(&mut QueueOps)) {
+        QUEUE_OPS.with(|ops| {
+            let mut now = ops.get();
+            f(&mut now);
+            ops.set(now);
+        });
+    }
+}
+
+/// An append-only queue of `seq`s in age order: a grid cell, a quadtree
+/// leaf or a posting list.
+///
+/// Pops advance a front offset. The consumed prefix is drained once it
+/// reaches half the vector, which moves at most as many entries as were
+/// popped: amortised O(1) per pop, and no allocation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeqQueue {
+    seqs: Vec<Seq>,
+    front: usize,
+}
+
+impl SeqQueue {
+    /// Number of queued entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.seqs.len() - self.front
+    }
+
+    /// Whether the queue is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.front == self.seqs.len()
+    }
+
+    /// The queued entries, oldest first.
+    #[inline]
+    pub fn as_slice(&self) -> &[Seq] {
+        &self.seqs[self.front..]
+    }
+
+    /// The oldest entry.
+    #[inline]
+    pub fn front(&self) -> Option<Seq> {
+        self.seqs.get(self.front).copied()
+    }
+
+    /// Appends the newest entry.
+    #[inline]
+    pub fn push(&mut self, seq: Seq) {
+        #[cfg(test)]
+        QueueOps::bump(|ops| ops.pushes += 1);
+        self.seqs.push(seq);
+    }
+
+    /// Removes and returns the oldest entry.
+    pub fn pop_front(&mut self) -> Option<Seq> {
+        let seq = self.front()?;
+        #[cfg(test)]
+        QueueOps::bump(|ops| ops.pops += 1);
+        self.front += 1;
+        if self.front * 2 >= self.seqs.len() {
+            #[cfg(test)]
+            QueueOps::bump(|ops| ops.shifted += self.len() as u64);
+            self.seqs.drain(..self.front);
+            self.front = 0;
+        }
+        Some(seq)
     }
 }
 
@@ -310,59 +398,103 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut s = ObjectStore::new();
-        let a = s.insert(obj(1, &[7]));
-        let b = s.insert(obj(2, &[]));
-        assert_ne!(a, b);
+        let a = s.push(&obj(1, &[7]));
+        let b = s.push(&obj(2, &[]));
+        assert_eq!((a, b), (0, 1));
         assert_eq!(s.len(), 2);
         assert_eq!(s.oid(a), ObjectId(1));
         assert_eq!(s.keywords(a), &[KeywordId(7)]);
         assert_eq!(*s.loc(b), Point::new(2.0, 0.0));
-        assert_eq!(s.slot_of(ObjectId(2)), Some(b));
-        let (slot, kws) = s.remove(ObjectId(1)).unwrap();
-        assert_eq!(slot, a);
-        assert_eq!(&*kws, &[KeywordId(7)]);
+        assert_eq!(
+            (s.oldest(), s.newest()),
+            (Some(ObjectId(1)), Some(ObjectId(2)))
+        );
+        assert_eq!(s.pop_front(), Some(a));
         assert!(!s.is_live(a));
-        assert!(s.remove(ObjectId(1)).is_none());
+        assert!(s.is_live(b));
         assert_eq!(s.len(), 1);
+        assert_eq!(s.pop_front(), Some(b));
+        assert_eq!(s.pop_front(), None);
+        assert!(s.is_empty());
     }
 
+    /// A ring position freed by an eviction takes the next arrival: a
+    /// window that stays under the ring size never grows it.
     #[test]
     fn keywordless_slot_recycles_immediately() {
         let mut s = ObjectStore::new();
-        let a = s.insert(obj(1, &[]));
-        s.remove(ObjectId(1));
-        let b = s.insert(obj(2, &[]));
-        assert_eq!(a, b, "free slot must be reused");
-        assert_eq!(s.slot_capacity(), 1);
+        for i in 0..10 * u64::from(MIN_CAPACITY) {
+            s.push(&obj(i, &[]));
+            if s.len() == 3 {
+                s.pop_front();
+            }
+        }
+        assert_eq!(s.capacity(), MIN_CAPACITY as usize);
+        assert_eq!(s.len(), 2);
     }
 
+    /// Growth re-places live entries at their new positions, across the
+    /// wrap of both the ring and the `u32` sequence numbers.
     #[test]
-    fn keyword_slot_parks_until_refs_release() {
-        let mut s = ObjectStore::new();
-        let a = s.insert(obj(1, &[3, 5]));
-        s.remove(ObjectId(1));
-        // Two posting lists still reference the slot: not reusable yet.
-        let b = s.insert(obj(2, &[]));
-        assert_ne!(a, b);
-        s.release_ref(a);
-        let c = s.insert(obj(3, &[]));
-        assert_ne!(a, c, "one ref still parked");
-        s.release_ref(a);
-        let d = s.insert(obj(4, &[]));
-        assert_eq!(a, d, "fully released slot recycles");
+    fn ring_grows_across_the_wrap() {
+        // Start just below the wrap so the live range straddles it.
+        let mut s = ObjectStore::starting_at(u32::MAX - 40);
+        for i in 0..50 {
+            s.push(&obj(i, &[]));
+        }
+        for _ in 0..20 {
+            s.pop_front();
+        }
+        for i in 50..200 {
+            s.push(&obj(i, &[i as u32]));
+        }
+        assert_eq!(s.capacity(), 256);
+        let oids: Vec<u64> = s.seqs().map(|seq| s.oid(seq).0).collect();
+        assert_eq!(oids, (20..200).collect::<Vec<_>>());
+        let ages: Vec<u32> = s.seqs().map(|seq| s.age(seq)).collect();
+        assert_eq!(ages, (0..180).collect::<Vec<_>>());
+        let last = s.seqs().last().unwrap();
+        assert_eq!(s.keywords(last), &[KeywordId(199)]);
+        assert_eq!(s.newest(), Some(ObjectId(199)));
     }
 
     #[test]
     fn iter_live_sees_exactly_the_population() {
         let mut s = ObjectStore::new();
         for i in 0..10 {
-            s.insert(obj(i, &[]));
+            s.push(&obj(i, &[]));
         }
-        for i in 0..5 {
-            s.remove(ObjectId(i));
+        for _ in 0..5 {
+            s.pop_front();
         }
-        let live: Vec<u64> = s.iter_live().map(|(slot, _)| s.oid(slot).0).collect();
-        assert_eq!(live.len(), 5);
-        assert!(live.iter().all(|&id| id >= 5));
+        let live: Vec<u64> = s.seqs().map(|seq| s.oid(seq).0).collect();
+        assert_eq!(live, [5, 6, 7, 8, 9]);
+    }
+
+    /// Pops return entries oldest first, and draining the consumed prefix
+    /// never moves more entries than were popped.
+    #[test]
+    fn queue_pops_in_order_and_drains_cheaply() {
+        let before = QueueOps::get();
+        let mut q = SeqQueue::default();
+        let mut expected = std::collections::VecDeque::new();
+        for seq in 0..1_000u32 {
+            q.push(seq);
+            expected.push_back(seq);
+            if seq % 3 != 0 {
+                assert_eq!(q.pop_front(), expected.pop_front());
+            }
+            assert_eq!(q.as_slice(), expected.make_contiguous());
+            assert_eq!(q.front(), expected.front().copied());
+        }
+        while let Some(seq) = expected.pop_front() {
+            assert_eq!(q.pop_front(), Some(seq));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.pop_front(), None);
+        let ops = QueueOps::get();
+        assert_eq!(ops.pushes - before.pushes, 1_000);
+        assert_eq!(ops.pops - before.pops, 1_000);
+        assert!(ops.shifted - before.shifted <= ops.pops - before.pops);
     }
 }

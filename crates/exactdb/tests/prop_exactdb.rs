@@ -1,14 +1,15 @@
-//! Property-based churn tests for the slot-based exact executor: an
-//! arbitrary interleaving of inserts, removals, and window slides must
-//! leave every spatial backend — and the cost-based planner routing on
-//! top of them — in exact agreement with a brute-force scan of the live
-//! population.
+//! Property-based churn tests for the arrival-order exact executor: an
+//! arbitrary interleaving of arrivals (some repeating a live id),
+//! evictions of the oldest object, window slides, and refused evictions of
+//! younger objects must leave every spatial backend — and the cost-based
+//! planner routing on top of them — in exact agreement with a brute-force
+//! scan of the live population.
 
 use exactdb::grid::GridIndex;
 use exactdb::quad::QuadtreeIndex;
 use exactdb::{AccessPath, ExactExecutor, ObjectStore, SpatialIndexKind};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use testkit::{check, f64_in, grid_case, u32_in, usize_in, vec_of};
 
 const DOMAIN: Rect = Rect {
@@ -21,13 +22,22 @@ const DOMAIN: Rect = Rect {
 /// One step of window churn.
 #[derive(Debug, Clone)]
 enum Op {
-    /// A fresh arrival at the given location with the given keywords.
-    Insert { loc: Point, kws: Vec<u32> },
-    /// Evict the i-th oldest live object (modulo the live population).
-    RemoveOldest(usize),
+    /// An arrival at the given location with the given keywords; with
+    /// `repeat`, it reuses the id of the i-th oldest live object (modulo
+    /// the live population).
+    Insert {
+        loc: Point,
+        kws: Vec<u32>,
+        repeat: Option<usize>,
+    },
+    /// Evict the oldest live object.
+    RemoveOldest,
     /// Slide: evict the oldest `n` live objects at once (a window
     /// advance evicting a batch).
     Advance(usize),
+    /// Try to evict the i-th oldest live object (modulo the live
+    /// population): refused unless it shares the oldest's id.
+    RemoveYounger(usize),
 }
 
 fn arb_point(rng: &mut StreamRng) -> Point {
@@ -39,14 +49,17 @@ fn arb_insert(rng: &mut StreamRng) -> (Point, Vec<u32>) {
 }
 
 fn arb_op(rng: &mut StreamRng) -> Op {
-    // Four in seven are arrivals, two single evictions, one a slide.
-    match rng.gen_range_u32(0..7) {
-        0..=3 => {
+    // Eight in fourteen are arrivals (one of them repeating an id), two
+    // single evictions, two slides, two refused evictions.
+    match rng.gen_range_u32(0..14) {
+        0..=7 => {
             let (loc, kws) = arb_insert(rng);
-            Op::Insert { loc, kws }
+            let repeat = rng.gen_bool(0.125).then(|| usize_in(rng, 0..64));
+            Op::Insert { loc, kws, repeat }
         }
-        4 | 5 => Op::RemoveOldest(usize_in(rng, 0..64)),
-        _ => Op::Advance(usize_in(rng, 1..24)),
+        8 | 9 => Op::RemoveOldest,
+        10 | 11 => Op::Advance(usize_in(rng, 1..24)),
+        _ => Op::RemoveYounger(usize_in(rng, 1..64)),
     }
 }
 
@@ -75,55 +88,70 @@ fn run_churn(ops: &[Op], queries: &[RcDvq]) {
         ExactExecutor::new(DOMAIN, SpatialIndexKind::Grid),
         ExactExecutor::new(DOMAIN, SpatialIndexKind::Quadtree),
     ];
-    // Brute-force oracle: oid → object, in insertion (= age) order.
-    let mut oracle: BTreeMap<u64, GeoTextObject> = BTreeMap::new();
+    // Brute-force oracle: the live objects in arrival (= age) order.
+    let mut oracle: VecDeque<GeoTextObject> = VecDeque::new();
     let mut next_id = 0u64;
     for op in ops {
         match op {
-            Op::Insert { loc, kws } => {
+            Op::Insert { loc, kws, repeat } => {
+                let oid = match repeat {
+                    Some(i) if !oracle.is_empty() => oracle[i % oracle.len()].oid,
+                    _ => {
+                        next_id += 1;
+                        ObjectId(next_id)
+                    }
+                };
                 let o = GeoTextObject::new(
-                    ObjectId(next_id),
+                    oid,
                     *loc,
                     kws.iter().copied().map(KeywordId).collect(),
                     Timestamp(next_id),
                 );
-                next_id += 1;
                 for e in &mut executors {
                     e.insert(&o);
                 }
-                oracle.insert(o.oid.0, o);
+                oracle.push_back(o);
             }
-            Op::RemoveOldest(i) => {
-                if oracle.is_empty() {
+            Op::RemoveOldest => {
+                let Some(o) = oracle.pop_front() else {
                     continue;
-                }
-                let idx = i % oracle.len();
-                let oid = *oracle.keys().nth(idx).expect("index in range");
-                let o = oracle.remove(&oid).expect("key exists");
+                };
                 for e in &mut executors {
-                    e.remove(&o);
+                    assert!(e.remove(&o), "{} refused the oldest", e.kind().name());
                 }
             }
             Op::Advance(n) => {
-                let batch: Vec<GeoTextObject> = oracle
-                    .keys()
-                    .take(*n)
-                    .copied()
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|oid| oracle.remove(&oid).expect("key exists"))
-                    .collect();
+                let n = (*n).min(oracle.len());
+                let batch: Vec<GeoTextObject> = oracle.drain(..n).collect();
                 for e in &mut executors {
                     e.remove_batch(&batch);
+                }
+            }
+            Op::RemoveYounger(i) => {
+                if oracle.len() < 2 {
+                    continue;
+                }
+                let target = oracle[1 + i % (oracle.len() - 1)].clone();
+                let takes_oldest = target.oid == oracle[0].oid;
+                for e in &mut executors {
+                    assert_eq!(e.remove(&target), takes_oldest, "{}", e.kind().name());
+                }
+                if takes_oldest {
+                    oracle.pop_front();
                 }
             }
         }
     }
     for e in &executors {
-        assert_eq!(e.len(), oracle.len(), "{} length drifted", e.kind().name());
+        let name = e.kind().name();
+        assert_eq!(e.len(), oracle.len(), "{name} length drifted");
+        assert_eq!(e.oldest(), oracle.front().map(|o| o.oid), "{name} oldest");
+        assert_eq!(e.newest(), oracle.back().map(|o| o.oid), "{name} newest");
+        #[cfg(feature = "debug-invariants")]
+        e.audit().unwrap_or_else(|err| panic!("{name}: {err}"));
     }
     for q in queries {
-        let brute = oracle.values().filter(|o| q.matches(o)).count() as u64;
+        let brute = oracle.iter().filter(|o| q.matches(o)).count() as u64;
         for e in &executors {
             assert_eq!(
                 e.execute(q),
@@ -159,10 +187,14 @@ fn heavy_eviction_churn_is_exact() {
         let inserts = vec_of(rng, 50..150, arb_insert);
         let queries = vec_of(rng, 1..6, arb_query);
         // Sliding-window shape: every insert past a capacity of 30 evicts
-        // the oldest object, so most slots recycle at least once.
+        // the oldest object, so the ring wraps several times.
         let mut ops = Vec::new();
         for (i, (loc, kws)) in inserts.into_iter().enumerate() {
-            ops.push(Op::Insert { loc, kws });
+            ops.push(Op::Insert {
+                loc,
+                kws,
+                repeat: None,
+            });
             if i >= 30 {
                 ops.push(Op::Advance(1));
             }
@@ -190,9 +222,9 @@ fn cell_resolved_counts_match_brute_force() {
             ExactExecutor::new(case.domain, SpatialIndexKind::Quadtree),
         ];
         for o in &case.objects {
-            let slot = store.insert(o.clone());
-            grid.insert(slot, &store);
-            quad.insert(slot, &store);
+            let seq = store.push(o);
+            grid.insert(seq, &store);
+            quad.insert(seq, &store);
             for e in &mut executors {
                 e.insert(o);
             }

@@ -20,6 +20,9 @@
 //! - Output words are buffered four ChaCha blocks (64 `u32`s) at a
 //!   time, and `next_u64` reproduces `BlockRng`'s block-straddling
 //!   behavior at `index == 63`.
+//! - On x86-64 the refill computes the four blocks side by side, one
+//!   block per SSE2 lane (`sse2::refill`); the scalar `block12` is the
+//!   other targets' path and the kernel's test oracle.
 //! - A `u32` range draws one `next_u32`; `u64`, `usize` and `f64` shapes
 //!   draw one `next_u64` (`rand 0.8` on a 64-bit target).
 //! - `gen_range_*` reproduce `UniformInt::sample_single` /
@@ -33,6 +36,7 @@ use core::ops::{Range, RangeInclusive};
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 #[inline(always)]
 fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[a] = s[a].wrapping_add(s[b]);
@@ -47,6 +51,7 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 
 /// One ChaCha12 block (6 double rounds) keyed like `rand_chacha`:
 /// 64-bit counter in words 12–13, zero nonce.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 fn block12(key: &[u32; 8], counter: u64, out: &mut [u32]) {
     let mut s: [u32; 16] = [0; 16];
     s[..4].copy_from_slice(&CONSTANTS);
@@ -68,6 +73,100 @@ fn block12(key: &[u32; 8], counter: u64, out: &mut [u32]) {
     }
     for i in 0..16 {
         out[i] = s[i].wrapping_add(init[i]);
+    }
+}
+
+/// The four-block refill in SSE2 lanes: state word `i` of blocks 0–3 sits
+/// in the four lanes of vector `i`, so each quarter round runs on four
+/// blocks at once. Value-only intrinsics: nothing here reads or writes
+/// through a pointer.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod sse2 {
+    use super::CONSTANTS;
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si64, _mm_or_si128, _mm_set1_epi32, _mm_setr_epi32,
+        _mm_shufflehi_epi16, _mm_shufflelo_epi16, _mm_slli_epi32, _mm_srli_epi32,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// A `u32` word in every lane.
+    #[target_feature(enable = "sse2")]
+    fn splat(word: u32) -> __m128i {
+        _mm_set1_epi32(word as i32)
+    }
+
+    /// Lane-wise `rotate_left(L)`, with `R = 32 − L`.
+    #[target_feature(enable = "sse2")]
+    fn rotl<const L: i32, const R: i32>(x: __m128i) -> __m128i {
+        _mm_or_si128(_mm_slli_epi32::<L>(x), _mm_srli_epi32::<R>(x))
+    }
+
+    /// Lane-wise `rotate_left(16)`: swap the 16-bit halves of each lane.
+    #[target_feature(enable = "sse2")]
+    fn rotl16(x: __m128i) -> __m128i {
+        _mm_shufflehi_epi16::<0b10_11_00_01>(_mm_shufflelo_epi16::<0b10_11_00_01>(x))
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn quarter(s: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = _mm_add_epi32(s[a], s[b]);
+        s[d] = rotl16(_mm_xor_si128(s[d], s[a]));
+        s[c] = _mm_add_epi32(s[c], s[d]);
+        s[b] = rotl::<12, 20>(_mm_xor_si128(s[b], s[c]));
+        s[a] = _mm_add_epi32(s[a], s[b]);
+        s[d] = rotl::<8, 24>(_mm_xor_si128(s[d], s[a]));
+        s[c] = _mm_add_epi32(s[c], s[d]);
+        s[b] = rotl::<7, 25>(_mm_xor_si128(s[b], s[c]));
+    }
+
+    /// Blocks `counter .. counter + 4` into `out`, block `b` at
+    /// `out[16 b ..]` — the words four `block12` calls write.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn refill(key: &[u32; 8], counter: u64, out: &mut [u32; 64]) {
+        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|b| counter.wrapping_add(b));
+        let lanes = |f: fn(u64) -> u32| {
+            _mm_setr_epi32(f(c0) as i32, f(c1) as i32, f(c2) as i32, f(c3) as i32)
+        };
+        let zero = splat(0);
+        let init: [__m128i; 16] = [
+            splat(CONSTANTS[0]),
+            splat(CONSTANTS[1]),
+            splat(CONSTANTS[2]),
+            splat(CONSTANTS[3]),
+            splat(key[0]),
+            splat(key[1]),
+            splat(key[2]),
+            splat(key[3]),
+            splat(key[4]),
+            splat(key[5]),
+            splat(key[6]),
+            splat(key[7]),
+            lanes(|c| c as u32),
+            lanes(|c| (c >> 32) as u32),
+            zero,
+            zero,
+        ];
+        let mut s = init;
+        for _ in 0..6 {
+            quarter(&mut s, 0, 4, 8, 12);
+            quarter(&mut s, 1, 5, 9, 13);
+            quarter(&mut s, 2, 6, 10, 14);
+            quarter(&mut s, 3, 7, 11, 15);
+            quarter(&mut s, 0, 5, 10, 15);
+            quarter(&mut s, 1, 6, 11, 12);
+            quarter(&mut s, 2, 7, 8, 13);
+            quarter(&mut s, 3, 4, 9, 14);
+        }
+        for i in 0..16 {
+            let word = _mm_add_epi32(s[i], init[i]);
+            // Lanes 0 and 1, then lanes 2 and 3, as two 64-bit halves.
+            let low = _mm_cvtsi128_si64(word) as u64;
+            let high = _mm_cvtsi128_si64(_mm_unpackhi_epi64(word, word)) as u64;
+            out[i] = low as u32;
+            out[16 + i] = (low >> 32) as u32;
+            out[32 + i] = high as u32;
+            out[48 + i] = (high >> 32) as u32;
+        }
     }
 }
 
@@ -137,12 +236,20 @@ impl StreamRng {
         }
     }
 
+    /// The next four blocks into `buf`.
     fn refill(&mut self) {
-        for b in 0..4 {
-            let (lo, hi) = (b * 16, b * 16 + 16);
-            block12(&self.key, self.counter, &mut self.buf[lo..hi]);
-            self.counter = self.counter.wrapping_add(1);
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        #[allow(unsafe_code)]
+        // SAFETY: compiled only for targets that enable SSE2, so the CPU
+        // running this has every instruction the kernel uses.
+        unsafe {
+            sse2::refill(&self.key, self.counter, &mut self.buf);
         }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        for (b, block) in (0u64..).zip(self.buf.chunks_exact_mut(16)) {
+            block12(&self.key, self.counter.wrapping_add(b), block);
+        }
+        self.counter = self.counter.wrapping_add(4);
     }
 
     pub fn next_u32(&mut self) -> u32 {
@@ -513,6 +620,36 @@ mod tests {
         let mut resumed = StreamRng::from_state(state);
         let actual: Vec<u64> = (0..100).map(|_| resumed.next_u64()).collect();
         assert_eq!(expected, actual);
+    }
+
+    /// The refill writes the words four scalar `block12` calls write, for
+    /// random keys and counters, for every counter whose low word is about
+    /// to carry into word 13 in some lane, and across the 64-bit wrap.
+    #[test]
+    fn refill_matches_four_scalar_blocks() {
+        let mut source = StreamRng::seed_from_u64(0x0b10_c512);
+        let random = if cfg!(miri) { 100 } else { 10_000 };
+        let mut counters: Vec<u64> = (0..random).map(|_| source.next_u64()).collect();
+        for high in [0, 1, 0x1234_5678, 0xFFFF_FFFE, 0xFFFF_FFFF] {
+            counters.extend((0xFFFF_FFFDu64..=0xFFFF_FFFF).map(|low| (high << 32) | low));
+        }
+        counters.extend([0, u64::MAX - 3, u64::MAX - 2, u64::MAX - 1, u64::MAX]);
+        for counter in counters {
+            let key: [u32; 8] = std::array::from_fn(|_| source.next_u32());
+            let mut rng = StreamRng::from_state(RngState {
+                key,
+                counter,
+                buf: [0; 64],
+                index: 64,
+            });
+            rng.refill();
+            let mut want = [0u32; 64];
+            for (b, block) in (0u64..).zip(want.chunks_exact_mut(16)) {
+                block12(&key, counter.wrapping_add(b), block);
+            }
+            assert_eq!(rng.buf, want, "counter {counter:#x}");
+            assert_eq!(rng.counter, counter.wrapping_add(4));
+        }
     }
 
     #[test]
