@@ -58,8 +58,6 @@ pub struct RunResult {
     pub incremental_start: Timestamp,
     /// Final Hoeffding-tree statistics.
     pub tree_stats: hoeffding::TreeStats,
-    /// End-of-run observability snapshot (registry + lifecycle events).
-    pub metrics: latest_core::MetricsSnapshot,
 }
 
 /// [`run_workload`] with an explicit default estimator (used by the
@@ -159,7 +157,6 @@ fn run_workload_inner(
         log,
         incremental_start,
         tree_stats: latest.tree_stats(),
-        metrics: latest.metrics_snapshot(),
     }
 }
 

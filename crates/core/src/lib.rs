@@ -61,8 +61,8 @@ pub use system::{AblationConfig, Latest, LatestConfig, QueryOptions, QueryOutcom
 /// The crate's lock-poisoning policy, applied to every `lock()` and condvar
 /// wait: a later caller gets the guard even if an earlier holder panicked.
 /// This is the non-poisoning behaviour the serving layer was written and
-/// measured against. The queue, done-map and event-ring critical sections
-/// are single pushes, pops and inserts that cannot leave torn state; a panic
+/// measured against. The queue and done-map critical sections are single
+/// pushes, pops and inserts that cannot leave torn state; a panic
 /// inside a `Latest` call under [`SharedLatest`]'s mutex can, exactly as it
 /// could before — turning that into a typed error is ROADMAP item 7(c).
 pub(crate) fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {

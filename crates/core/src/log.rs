@@ -3,8 +3,9 @@
 //!
 //! The engine keeps no per-query history of its own. Whoever wants a run
 //! log builds it from the outcomes they are handed (`latest-bench`'s driver
-//! does, for the paper's figures); lifecycle history lives in the bounded
-//! [`EventStream`](crate::EventStream).
+//! does, for the paper's figures); the adaptor's decisions live in the
+//! bounded [`EventStream`](crate::EventStream), each one beside the counter
+//! that counts it.
 
 use estimators::EstimatorKind;
 use geostream::{Persist, PersistError, PersistReader, PersistWriter};

@@ -6,58 +6,40 @@
 //! where they are observable, live and after the fact — the engine keeps no
 //! other journal:
 //!
-//! * [`MetricsRegistry`] — one struct of relaxed-atomic counters, gauges,
-//!   and fixed-bucket histograms covering every subsystem: the sliding
-//!   window (occupancy, eviction rates), the estimator pool (rounds, batch
-//!   sizes, per-round busy time), per-[`EstimatorKind`] estimate-latency
-//!   histograms and memory gauges, and the phase machine itself. The
-//!   exact executor's path-mix counters are the same [`Counter`] cells
-//!   (they live in `exactdb` and are folded into every snapshot).
-//! * [`EventStream`] — a bounded ring of typed [`LifecycleEvent`]s
-//!   (phase transitions, prefill starts/discards, switches, tree
-//!   retrainings, coalesced window evictions, audit failures), so "what
+//! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms for
+//!   the facts an operator asks about: window flows, queries per phase,
+//!   cache traffic, the adaptor's decisions and their costs, and
+//!   per-[`EstimatorKind`] estimate-latency histograms and memory gauges.
+//!   The exact executor's path-mix counters live in `exactdb` and are
+//!   folded into every snapshot. Every cell has a reader (DESIGN.md,
+//!   "Observability", lists them).
+//! * [`EventStream`] — a bounded ring of typed [`LifecycleEvent`]s (phase
+//!   transitions, prefill starts/completions/cancellations/discards,
+//!   switches, tree retrainings, audit failures): apart from an audit
+//!   failure, each one a decision that a counter also counts, so "what
 //!   just happened" has a machine-readable answer.
 //! * [`MetricsSnapshot`] — a plain-data copy of everything above, taken by
 //!   [`Latest::metrics_snapshot`](crate::Latest::metrics_snapshot), with a
 //!   hand-rolled [`MetricsSnapshot::to_json`] writer.
 //!
-//! ## Clocks
-//!
-//! The storage cells are clock-free ([`geostream::obsv`]); histograms come
-//! in two variants only by what feeds them. *Virtual-clock* series (the
-//! inter-query stream-time gaps, eviction batch sizes) are derived from
-//! object [`Timestamp`]s and stay deterministic under replay. *Wall-clock*
-//! series (estimate latency, pool busy time) are timed with [`WallTimer`] —
-//! the **single** wall-clock read in the instrumented crates, explicitly
+//! The registry is owned by one [`Latest`](crate::Latest) and touched only
+//! by the thread that holds it. Wall-clock series (estimate latency,
+//! prefill build and stall times) are timed with [`WallTimer`] — the
+//! **single** wall-clock read in the instrumented crates, explicitly
 //! budgeted under the `virtual-clock` lint rule rather than silently
-//! exempted.
+//! exempted; event timestamps are virtual stream time ([`Timestamp`]).
 
 use crate::log::PhaseTag;
-use crate::unpoisoned;
 use estimators::EstimatorKind;
 use geostream::Timestamp;
 pub use geostream::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Bucket bounds (microseconds) for wall-clock latency histograms: sub-µs
 /// estimator kernels up to multi-ms stragglers.
 pub const WALL_LATENCY_US_BOUNDS: [u64; 12] =
     [1, 2, 5, 10, 25, 50, 100, 250, 1_000, 5_000, 25_000, 100_000];
-
-/// Bucket bounds (virtual milliseconds) for stream-time gap histograms.
-pub const VIRTUAL_GAP_MS_BOUNDS: [u64; 9] = [1, 10, 50, 100, 500, 1_000, 5_000, 30_000, 300_000];
-
-/// Bucket bounds (objects) for batch-size histograms (ingest rounds,
-/// eviction sweeps, pool maintenance batches).
-pub const BATCH_SIZE_BOUNDS: [u64; 8] = [1, 4, 16, 64, 256, 1_024, 4_096, 16_384];
-
-/// How many evicted objects accumulate before one coalesced
-/// [`LifecycleEvent::WindowEvicted`] event is emitted. Evictions happen on
-/// every window slide; per-slide events would flood the bounded stream and
-/// push out the rare, valuable ones (switches, phase transitions).
-pub const EVICTION_EVENT_GRANULARITY: u64 = 256;
 
 /// Default capacity of the bounded [`EventStream`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_096;
@@ -133,10 +115,6 @@ pub enum LifecycleEvent {
     /// The Hoeffding tree was reset and will regrow: DDM drift detection
     /// over its own prediction errors fired (§V-D retraining).
     TreeRetrained { seq: u64 },
-    /// `n` objects left the sliding window (coalesced: one event per
-    /// [`EVICTION_EVENT_GRANULARITY`] evictions, stamped with the stream
-    /// time of the sweep that crossed the threshold).
-    WindowEvicted { n: u64, at: Timestamp },
     /// A `debug-invariants` audit walk found a violated invariant.
     AuditFailed {
         structure: String,
@@ -155,7 +133,6 @@ impl LifecycleEvent {
             LifecycleEvent::PrefillCancelled { .. } => "prefill_cancelled",
             LifecycleEvent::EstimatorSwitched { .. } => "estimator_switched",
             LifecycleEvent::TreeRetrained { .. } => "tree_retrained",
-            LifecycleEvent::WindowEvicted { .. } => "window_evicted",
             LifecycleEvent::AuditFailed { .. } => "audit_failed",
         }
     }
@@ -208,10 +185,6 @@ impl LifecycleEvent {
             LifecycleEvent::TreeRetrained { seq } => {
                 format!("{{\"event\": \"tree_retrained\", \"seq\": {seq}}}")
             }
-            LifecycleEvent::WindowEvicted { n, at } => format!(
-                "{{\"event\": \"window_evicted\", \"n\": {n}, \"at_ms\": {}}}",
-                at.0
-            ),
             LifecycleEvent::AuditFailed {
                 structure,
                 invariant,
@@ -225,66 +198,55 @@ impl LifecycleEvent {
 
 /// A bounded ring of recent [`LifecycleEvent`]s.
 ///
-/// Recording is `&self` (a short mutex hold; events are rare by design —
-/// evictions are coalesced). When the ring is full the oldest event is
-/// dropped and the drop is counted, so consumers can tell a quiet system
-/// from a saturated stream.
+/// When the ring is full the oldest event is dropped and the drop is
+/// counted, so consumers can tell a quiet system from a saturated stream.
+/// Only decisions (and `debug-invariants` audit failures) are recorded,
+/// each decision kind with a counter beside it, so the ring fills at the
+/// rate the adaptor decides, not at the rate the stream flows.
+#[derive(Debug)]
 pub struct EventStream {
-    inner: Mutex<VecDeque<LifecycleEvent>>,
+    events: VecDeque<LifecycleEvent>,
     capacity: usize,
-    dropped: Counter,
-}
-
-impl std::fmt::Debug for EventStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventStream")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped.get())
-            .finish()
-    }
+    dropped: u64,
 }
 
 impl EventStream {
     /// An event ring holding at most `capacity` recent events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventStream {
-            // CONC(event-stream/event-ring): serializes push and drain of
-            // the recent-event ring; never held across user code
-            inner: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
+            events: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
-            dropped: Counter::new(),
+            dropped: 0,
         }
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, event: LifecycleEvent) {
-        let mut buf = unpoisoned(self.inner.lock());
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.inc();
+    pub fn record(&mut self, event: LifecycleEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
         }
-        buf.push_back(event);
+        self.events.push_back(event);
     }
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<LifecycleEvent> {
-        unpoisoned(self.inner.lock()).iter().cloned().collect()
+        self.events.iter().cloned().collect()
     }
 
     /// Events lost to the capacity bound so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.dropped
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        unpoisoned(self.inner.lock()).len()
+        self.events.len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        unpoisoned(self.inner.lock()).is_empty()
+        self.events.is_empty()
     }
 
     /// The ring's capacity bound.
@@ -311,9 +273,9 @@ pub fn phase_index(phase: PhaseTag) -> usize {
 /// The single place where "is the system healthy" is answerable at
 /// runtime: every subsystem's counters, gauges, and histograms.
 ///
-/// All cells update through `&self`, so the registry is shared as an
-/// `Arc` between [`Latest`](crate::Latest) and the estimator pool's
-/// worker threads without locks.
+/// One [`Latest`](crate::Latest) owns its registry and updates it from the
+/// thread that holds the engine; the cells are relaxed atomics only so a
+/// snapshot can read them through `&self`.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     // --- sliding window / ingest path ---
@@ -321,28 +283,17 @@ pub struct MetricsRegistry {
     pub objects_ingested: Counter,
     /// Objects evicted by window slides (ingest and query paths).
     pub objects_evicted: Counter,
-    /// Ingest batches applied.
-    pub ingest_batches: Counter,
-    /// Live window occupancy after the latest slide.
-    pub window_occupancy: Gauge,
-    /// Eviction sweep sizes (objects per non-empty sweep; virtual-clock
-    /// series — sizes are driven by object timestamps).
-    pub eviction_batch_sizes: Histogram,
     // --- phase machine / queries ---
     /// Queries answered, total.
     pub queries_total: Counter,
     /// Queries answered per phase (`[warm-up, pre-training, incremental]`).
     pub queries_by_phase: [Counter; 3],
-    /// Virtual stream-time gap between consecutive queries (ms).
-    pub query_stream_gap_ms: Histogram,
     /// Queries served straight from the selectivity cache (these skip the
     /// executor, the learning loop, and `queries_total` — a cache hit is a
     /// pure read).
     pub cache_hits: Counter,
     /// Cache-eligible queries that had to run the full estimation path.
     pub cache_misses: Counter,
-    /// Sizes of the batches handed to `query_batch` (queries per call).
-    pub query_batch_sizes: Histogram,
     // --- estimator adaptor ---
     /// Estimator switches performed.
     pub switches: Counter,
@@ -362,17 +313,6 @@ pub struct MetricsRegistry {
     /// capture, delta replay, and any activation-time wait for the builder
     /// — the inline cost the background builder keeps small.
     pub switch_stall_us: Histogram,
-    // --- estimator pool ---
-    /// Pool maintenance/measurement rounds.
-    pub pool_rounds: Counter,
-    /// Summed wall-clock busy time of all pool rounds (µs).
-    pub pool_busy_us: Counter,
-    /// Objects per pool maintenance round (arrivals + evictions).
-    pub pool_batch_sizes: Histogram,
-    /// Busy time per pool round (wall µs). The name dates from the thread
-    /// fan-out, when a round had one sample per worker; the snapshot
-    /// schema keeps it.
-    pub pool_worker_busy_us: Histogram,
     // --- per-estimator-kind series (indexed by `EstimatorKind::index()`) ---
     /// Wall-clock estimate latency per kind (µs).
     pub estimate_latency_us: [Histogram; EstimatorKind::COUNT],
@@ -389,15 +329,10 @@ impl MetricsRegistry {
         MetricsRegistry {
             objects_ingested: Counter::new(),
             objects_evicted: Counter::new(),
-            ingest_batches: Counter::new(),
-            window_occupancy: Gauge::new(),
-            eviction_batch_sizes: Histogram::new(&BATCH_SIZE_BOUNDS),
             queries_total: Counter::new(),
             queries_by_phase: std::array::from_fn(|_| Counter::new()),
-            query_stream_gap_ms: Histogram::new(&VIRTUAL_GAP_MS_BOUNDS),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
-            query_batch_sizes: Histogram::new(&BATCH_SIZE_BOUNDS),
             switches: Counter::new(),
             prefill_starts: Counter::new(),
             prefill_discards: Counter::new(),
@@ -405,10 +340,6 @@ impl MetricsRegistry {
             prefill_cancelled: Counter::new(),
             prefill_build_us: Histogram::new(&WALL_LATENCY_US_BOUNDS),
             switch_stall_us: Histogram::new(&WALL_LATENCY_US_BOUNDS),
-            pool_rounds: Counter::new(),
-            pool_busy_us: Counter::new(),
-            pool_batch_sizes: Histogram::new(&BATCH_SIZE_BOUNDS),
-            pool_worker_busy_us: Histogram::new(&WALL_LATENCY_US_BOUNDS),
             estimate_latency_us: std::array::from_fn(|_| Histogram::new(&WALL_LATENCY_US_BOUNDS)),
             estimator_memory_bytes: std::array::from_fn(|_| Gauge::new()),
             events: EventStream::default(),
@@ -433,8 +364,6 @@ pub struct WindowMetrics {
     pub occupancy: u64,
     pub ingested: u64,
     pub evicted: u64,
-    pub ingest_batches: u64,
-    pub eviction_batch_sizes: HistogramSnapshot,
 }
 
 /// Adaptor-subsystem slice of a snapshot.
@@ -455,15 +384,6 @@ pub struct AdaptorMetrics {
     /// Current moving-average accuracy, if any observations exist.
     pub monitor_average: Option<f64>,
     pub queries_since_switch: u64,
-}
-
-/// Estimator-pool slice of a snapshot.
-#[derive(Debug, Clone)]
-pub struct PoolMetrics {
-    pub rounds: u64,
-    pub busy_us: u64,
-    pub batch_sizes: HistogramSnapshot,
-    pub worker_busy_us: HistogramSnapshot,
 }
 
 /// Exact-executor slice of a snapshot (the access-path mix).
@@ -519,17 +439,13 @@ pub struct MetricsSnapshot {
     pub queries_total: u64,
     /// `[warm-up, pre-training, incremental]`.
     pub queries_by_phase: [u64; 3],
-    pub query_stream_gap_ms: HistogramSnapshot,
     /// Queries served straight from the selectivity cache (not counted in
     /// `queries_total`).
     pub cache_hits: u64,
     /// Cache-eligible queries that ran the full estimation path.
     pub cache_misses: u64,
-    /// Batch sizes observed by `query_batch`.
-    pub query_batch_sizes: HistogramSnapshot,
     pub window: WindowMetrics,
     pub adaptor: AdaptorMetrics,
-    pub pool: PoolMetrics,
     pub executor: ExecutorMetrics,
     /// One entry per [`EstimatorKind`], in `ALL` order.
     pub estimators: Vec<EstimatorMetrics>,
@@ -579,29 +495,13 @@ impl MetricsSnapshot {
             "    \"incremental\": {},\n",
             self.queries_by_phase[2]
         ));
-        s.push_str(&format!(
-            "    \"stream_gap_ms\": {},\n",
-            hist_json(&self.query_stream_gap_ms)
-        ));
         s.push_str(&format!("    \"cache_hits\": {},\n", self.cache_hits));
-        s.push_str(&format!("    \"cache_misses\": {},\n", self.cache_misses));
-        s.push_str(&format!(
-            "    \"batch_sizes\": {}\n",
-            hist_json(&self.query_batch_sizes)
-        ));
+        s.push_str(&format!("    \"cache_misses\": {}\n", self.cache_misses));
         s.push_str("  },\n");
         s.push_str("  \"window\": {\n");
         s.push_str(&format!("    \"occupancy\": {},\n", self.window.occupancy));
         s.push_str(&format!("    \"ingested\": {},\n", self.window.ingested));
-        s.push_str(&format!("    \"evicted\": {},\n", self.window.evicted));
-        s.push_str(&format!(
-            "    \"ingest_batches\": {},\n",
-            self.window.ingest_batches
-        ));
-        s.push_str(&format!(
-            "    \"eviction_batch_sizes\": {}\n",
-            hist_json(&self.window.eviction_batch_sizes)
-        ));
+        s.push_str(&format!("    \"evicted\": {}\n", self.window.evicted));
         s.push_str("  },\n");
         s.push_str("  \"adaptor\": {\n");
         s.push_str(&format!("    \"switches\": {},\n", self.adaptor.switches));
@@ -640,18 +540,6 @@ impl MetricsSnapshot {
         s.push_str(&format!(
             "    \"queries_since_switch\": {}\n",
             self.adaptor.queries_since_switch
-        ));
-        s.push_str("  },\n");
-        s.push_str("  \"pool\": {\n");
-        s.push_str(&format!("    \"rounds\": {},\n", self.pool.rounds));
-        s.push_str(&format!("    \"busy_us\": {},\n", self.pool.busy_us));
-        s.push_str(&format!(
-            "    \"batch_sizes\": {},\n",
-            hist_json(&self.pool.batch_sizes)
-        ));
-        s.push_str(&format!(
-            "    \"worker_busy_us\": {}\n",
-            hist_json(&self.pool.worker_busy_us)
         ));
         s.push_str("  },\n");
         s.push_str(&format!(
@@ -715,7 +603,7 @@ impl MetricsSnapshot {
     /// cell class:
     ///
     /// * **counters** (queries, ingest/eviction flows, cache traffic,
-    ///   adaptor decisions, pool work, path mix) sum;
+    ///   adaptor decisions, path mix) sum;
     /// * **histograms** add bucket-wise ([`HistogramSnapshot::merge`]);
     /// * **gauges**: occupancy and memory footprints sum (they partition
     ///   disjoint state), the monitor average becomes the
@@ -771,19 +659,12 @@ impl MetricsSnapshot {
             queries_by_phase: std::array::from_fn(|i| {
                 self.queries_by_phase[i] + other.queries_by_phase[i]
             }),
-            query_stream_gap_ms: self.query_stream_gap_ms.merge(&other.query_stream_gap_ms),
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
-            query_batch_sizes: self.query_batch_sizes.merge(&other.query_batch_sizes),
             window: WindowMetrics {
                 occupancy: self.window.occupancy + other.window.occupancy,
                 ingested: self.window.ingested + other.window.ingested,
                 evicted: self.window.evicted + other.window.evicted,
-                ingest_batches: self.window.ingest_batches + other.window.ingest_batches,
-                eviction_batch_sizes: self
-                    .window
-                    .eviction_batch_sizes
-                    .merge(&other.window.eviction_batch_sizes),
             },
             adaptor: AdaptorMetrics {
                 switches: self.adaptor.switches + other.adaptor.switches,
@@ -805,12 +686,6 @@ impl MetricsSnapshot {
                     .adaptor
                     .queries_since_switch
                     .max(other.adaptor.queries_since_switch),
-            },
-            pool: PoolMetrics {
-                rounds: self.pool.rounds + other.pool.rounds,
-                busy_us: self.pool.busy_us + other.pool.busy_us,
-                batch_sizes: self.pool.batch_sizes.merge(&other.pool.batch_sizes),
-                worker_busy_us: self.pool.worker_busy_us.merge(&other.pool.worker_busy_us),
             },
             executor: ExecutorMetrics {
                 spatial: self.executor.spatial + other.executor.spatial,
@@ -842,7 +717,7 @@ mod tests {
 
     #[test]
     fn event_stream_is_bounded_and_counts_drops() {
-        let stream = EventStream::with_capacity(3);
+        let mut stream = EventStream::with_capacity(3);
         for seq in 0..5 {
             stream.record(LifecycleEvent::PrefillStarted {
                 seq,
@@ -883,9 +758,9 @@ mod tests {
         assert!(t.elapsed_ms() >= 0.0);
     }
 
-    #[test]
-    fn event_json_fragments_are_well_formed() {
-        let events = [
+    /// One event of every kind.
+    fn every_event() -> Vec<LifecycleEvent> {
+        vec![
             LifecycleEvent::PhaseEntered {
                 phase: PhaseTag::WarmUp,
                 at: Timestamp(0),
@@ -917,15 +792,16 @@ mod tests {
                 trigger_average: 0.61,
             },
             LifecycleEvent::TreeRetrained { seq: 9 },
-            LifecycleEvent::WindowEvicted {
-                n: 256,
-                at: Timestamp(4),
-            },
             LifecycleEvent::AuditFailed {
                 structure: "SampleStore".into(),
                 invariant: "dead-counter".into(),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn event_json_fragments_are_well_formed() {
+        let events = every_event();
         for ev in &events {
             let json = ev.to_json();
             assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
@@ -951,7 +827,7 @@ mod tests {
     /// the per-field algebra distinguishable.
     fn snap(phase: PhaseTag, queries: u64, avg: Option<f64>, len: u64) -> MetricsSnapshot {
         let hist = |values: &[u64]| {
-            let h = Histogram::new(&BATCH_SIZE_BOUNDS);
+            let h = Histogram::new(&WALL_LATENCY_US_BOUNDS);
             for &v in values {
                 h.record(v);
             }
@@ -961,16 +837,12 @@ mod tests {
             phase,
             queries_total: queries,
             queries_by_phase: [1, 2, queries.saturating_sub(3)],
-            query_stream_gap_ms: hist(&[queries]),
             cache_hits: 2 * queries,
             cache_misses: queries,
-            query_batch_sizes: hist(&[3, 300]),
             window: WindowMetrics {
                 occupancy: 10 * queries,
                 ingested: 12 * queries,
                 evicted: 2 * queries,
-                ingest_batches: queries,
-                eviction_batch_sizes: hist(&[5]),
             },
             adaptor: AdaptorMetrics {
                 switches: 1,
@@ -978,17 +850,11 @@ mod tests {
                 prefill_discards: 1,
                 tree_retrainings: 1,
                 prefill_cancelled: 1,
-                prefill_build_us: hist(&[9]),
+                prefill_build_us: hist(&[3, 300]),
                 switch_stall_us: hist(&[11]),
                 monitor_len: len,
                 monitor_average: avg,
                 queries_since_switch: queries,
-            },
-            pool: PoolMetrics {
-                rounds: queries,
-                busy_us: 100 * queries,
-                batch_sizes: hist(&[17]),
-                worker_busy_us: hist(&[40]),
             },
             executor: ExecutorMetrics {
                 spatial: queries,
@@ -1034,15 +900,15 @@ mod tests {
         assert_eq!(m.window.evicted, 28);
         assert_eq!(m.executor.spatial, 14);
         assert_eq!(m.executor.inverted, 28);
-        assert_eq!(m.pool.busy_us, 1_400);
         assert_eq!(m.events_dropped, 14);
         // Histograms: counts add bucket-for-bucket, totals add.
-        assert_eq!(m.query_batch_sizes.count, 4);
-        assert_eq!(m.query_batch_sizes.sum, 606);
+        let build = &m.adaptor.prefill_build_us;
+        assert_eq!(build.count, 4);
+        assert_eq!(build.sum, 606);
         assert_eq!(
-            m.query_batch_sizes.counts.iter().sum::<u64>(),
-            a.query_batch_sizes.counts.iter().sum::<u64>()
-                + b.query_batch_sizes.counts.iter().sum::<u64>()
+            build.counts.iter().sum::<u64>(),
+            a.adaptor.prefill_build_us.counts.iter().sum::<u64>()
+                + b.adaptor.prefill_build_us.counts.iter().sum::<u64>()
         );
         // Events concatenate, self first.
         assert_eq!(m.events.len(), 2);
@@ -1143,7 +1009,102 @@ mod tests {
         let ab = a.merge(&b);
         assert_eq!(ab.queries_total, ba.queries_total);
         assert_eq!(ab.phase, ba.phase);
-        assert_eq!(ab.query_batch_sizes, ba.query_batch_sizes);
+        assert_eq!(ab.adaptor.prefill_build_us, ba.adaptor.prefill_build_us);
+    }
+
+    /// Every key path of a JSON document that leads to a scalar, in
+    /// document order and once each: object keys joined by `.`, array
+    /// elements as `[]`. Assumes well-formed input (the writers here are
+    /// checked by `testkit::validate_json`).
+    fn key_paths(json: &str) -> Vec<String> {
+        fn leaf(path: &[String], out: &mut Vec<String>) {
+            let p = path.join(".").replace(".[]", "[]");
+            if !out.contains(&p) {
+                out.push(p);
+            }
+        }
+        let (b, mut i) = (json.as_bytes(), 0);
+        let (mut path, mut out) = (Vec::new(), Vec::new());
+        while i < b.len() {
+            match b[i] {
+                b'{' => path.push(String::new()),
+                b'[' => path.push("[]".to_string()),
+                b'}' | b']' => {
+                    path.pop();
+                }
+                b'"' => {
+                    let start = i + 1;
+                    i = start;
+                    while b[i] != b'"' {
+                        i += if b[i] == b'\\' { 2 } else { 1 };
+                    }
+                    if json[i + 1..].trim_start().starts_with(':') {
+                        *path.last_mut().expect("a key sits in an object") = json[start..i].into();
+                    } else {
+                        leaf(&path, &mut out);
+                    }
+                }
+                c if c == b'-' || c.is_ascii_alphanumeric() => {
+                    leaf(&path, &mut out);
+                    while i + 1 < b.len() && !b",}] \n".contains(&b[i + 1]) {
+                        i += 1;
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        out
+    }
+
+    /// Every key `MetricsSnapshot::to_json` writes, in document order. A
+    /// key joins this list together with a row in DESIGN.md's
+    /// "Observability" table that names its reader.
+    const SNAPSHOT_KEYS: &str = "\
+        phase queries.total queries.warmup queries.pretraining queries.incremental \
+        queries.cache_hits queries.cache_misses window.occupancy window.ingested \
+        window.evicted adaptor.switches adaptor.prefill_starts \
+        adaptor.prefill_discards adaptor.tree_retrainings adaptor.prefill_cancelled \
+        adaptor.prefill_build_us.count adaptor.prefill_build_us.sum \
+        adaptor.prefill_build_us.mean adaptor.prefill_build_us.buckets[].le \
+        adaptor.prefill_build_us.buckets[].n adaptor.switch_stall_us.count \
+        adaptor.switch_stall_us.sum adaptor.switch_stall_us.mean \
+        adaptor.switch_stall_us.buckets[].le adaptor.switch_stall_us.buckets[].n \
+        adaptor.monitor_len adaptor.monitor_average adaptor.queries_since_switch \
+        executor.spatial executor.inverted estimators[].kind estimators[].role \
+        estimators[].memory_bytes estimators[].latency_us.count \
+        estimators[].latency_us.sum estimators[].latency_us.mean \
+        estimators[].latency_us.buckets[].le estimators[].latency_us.buckets[].n \
+        events.dropped events.recent[].event events.recent[].phase \
+        events.recent[].at_ms events.recent[].seq events.recent[].kind \
+        events.recent[].build_ms events.recent[].snapshot_len \
+        events.recent[].delta_len events.recent[].from events.recent[].to \
+        events.recent[].trigger_average events.recent[].structure \
+        events.recent[].invariant";
+
+    #[test]
+    fn snapshot_keys_are_pinned_and_each_has_a_reader() {
+        let mut full = snap(PhaseTag::Incremental, 10, Some(0.9), 8);
+        full.events = every_event();
+        let json = full.to_json();
+        testkit::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
+        let keys: Vec<&str> = SNAPSHOT_KEYS.split_whitespace().collect();
+        assert_eq!(key_paths(&json), keys, "{json}");
+
+        let design =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+                .expect("read DESIGN.md");
+        let section = design
+            .split("\n## Observability")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has an Observability section");
+        for key in keys {
+            assert!(
+                section.contains(&format!("| `{key}` |")),
+                "DESIGN.md's Observability table has no row for `{key}`"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::estimation_accuracy;
 use crate::log::ShadowSample;
-use crate::obsv::{MetricsRegistry, WallTimer};
+use crate::obsv::WallTimer;
 use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind};
 use geostream::{GeoTextObject, RcDvq, WindowSnapshot};
 use std::sync::Arc;
@@ -30,32 +30,12 @@ use std::sync::Arc;
 /// A pool of maintained estimators, walked serially in pool order.
 pub struct EstimatorPool {
     estimators: Vec<BoxedEstimator>,
-    /// Observability registry fed by every round (round counts, batch
-    /// sizes, busy time, per-kind estimate latency). `None` leaves the
-    /// pool uninstrumented.
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl EstimatorPool {
     /// Wraps an existing set of estimators.
     pub fn new(estimators: Vec<BoxedEstimator>) -> Self {
-        EstimatorPool {
-            estimators,
-            metrics: None,
-        }
-    }
-
-    /// Connects the pool to a metrics registry; subsequent rounds feed it.
-    /// The registry survives pool rebuilds at phase transitions — callers
-    /// re-attach the same `Arc` to the successor pool.
-    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        self.metrics = Some(metrics);
-    }
-
-    /// The attached metrics registry, if any (for re-attaching across
-    /// pool rebuilds).
-    pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.metrics.clone()
+        EstimatorPool { estimators }
     }
 
     /// Builds the full six-estimator pool of the pre-training phase, in
@@ -95,7 +75,8 @@ impl EstimatorPool {
     }
 
     /// Read access to the maintained estimators, in pool order (the
-    /// snapshot path persists each one through `persist_boxed`).
+    /// snapshot path persists each one through `persist_boxed`, and the
+    /// engine reads their memory footprints after a measurement round).
     pub(crate) fn estimators(&self) -> &[BoxedEstimator] {
         &self.estimators
     }
@@ -115,33 +96,14 @@ impl EstimatorPool {
         self.estimators
     }
 
-    /// Applies `f` to every estimator in pool order and records the walk's
-    /// busy interval into the registry. Takes the two fields apart so `f`
-    /// may borrow the registry too.
-    fn walk(
-        estimators: &mut [BoxedEstimator],
-        metrics: Option<&MetricsRegistry>,
-        mut f: impl FnMut(&mut BoxedEstimator),
-    ) {
-        let timer = WallTimer::start();
-        for est in estimators {
-            f(est);
-        }
-        if let Some(m) = metrics {
-            let us = timer.elapsed_us();
-            m.pool_worker_busy_us.record(us);
-            m.pool_busy_us.add(us);
-        }
-    }
-
     /// Ingests a batch of arrivals into every estimator.
     pub fn insert_batch(&mut self, objs: &[GeoTextObject]) {
         if objs.is_empty() {
             return;
         }
-        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+        for est in &mut self.estimators {
             est.insert_batch(objs);
-        });
+        }
     }
 
     /// Retracts a batch of evictions from every estimator.
@@ -149,9 +111,9 @@ impl EstimatorPool {
         if objs.is_empty() {
             return;
         }
-        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+        for est in &mut self.estimators {
             est.remove_batch(objs);
-        });
+        }
     }
 
     /// One maintenance round: every estimator ingests `arrived` and then
@@ -160,15 +122,10 @@ impl EstimatorPool {
         if arrived.is_empty() && evicted.is_empty() {
             return;
         }
-        if let Some(m) = &self.metrics {
-            m.pool_rounds.inc();
-            m.pool_batch_sizes
-                .record((arrived.len() + evicted.len()) as u64);
-        }
-        Self::walk(&mut self.estimators, self.metrics.as_deref(), |est| {
+        for est in &mut self.estimators {
             est.insert_batch(arrived);
             est.remove_batch(evicted);
-        });
+        }
     }
 
     /// Deep invariant walk over the pool (the `debug-invariants`
@@ -201,31 +158,21 @@ impl EstimatorPool {
     /// One measurement round: every estimator answers `query` (timed) and
     /// receives the `observe_query` feedback, one after the other, so no
     /// estimator is timed while another runs. Samples come back in pool
-    /// order. Estimate latencies also feed the per-kind histograms and
-    /// memory gauges of an attached registry.
+    /// order.
     pub fn measure(&mut self, query: &RcDvq, actual: u64) -> Vec<ShadowSample> {
-        if let Some(m) = &self.metrics {
-            m.pool_rounds.inc();
-        }
-        let metrics = self.metrics.as_deref();
         let mut samples = Vec::with_capacity(self.estimators.len());
-        Self::walk(&mut self.estimators, metrics, |est| {
+        for est in &mut self.estimators {
             let timer = WallTimer::start();
             let estimate = est.estimate(query);
             let latency_us = timer.elapsed_us();
             est.observe_query(query, actual);
-            if let Some(m) = metrics {
-                m.record_estimate_latency(est.kind(), latency_us);
-                m.estimator_memory_bytes[est.kind().index() as usize]
-                    .set(est.memory_bytes() as u64);
-            }
             samples.push(ShadowSample {
                 estimator: est.kind(),
                 estimate,
                 latency_ms: latency_us as f64 / 1_000.0,
                 accuracy: estimation_accuracy(estimate, actual),
             });
-        });
+        }
         samples
     }
 }
@@ -550,29 +497,6 @@ mod tests {
         let err = pool.audit().expect_err("stale estimator must be caught");
         assert_eq!(err.structure, "EstimatorPool");
         assert_eq!(err.invariant, "population-agreement");
-    }
-
-    #[test]
-    fn attached_registry_sees_rounds_and_latencies() {
-        let mut pool = EstimatorPool::full(&config(), 1);
-        let m = Arc::new(MetricsRegistry::new());
-        pool.set_metrics(Arc::clone(&m));
-        pool.apply_batch(&objects(100), &[]);
-        pool.measure(&probe(), 10);
-        assert_eq!(m.pool_rounds.get(), 2);
-        assert_eq!(m.pool_batch_sizes.count(), 1);
-        assert!(m.pool_busy_us.get() > 0 || m.pool_worker_busy_us.count() > 0);
-        for k in EstimatorKind::ALL {
-            assert_eq!(
-                m.estimate_latency_us[k.index() as usize].count(),
-                1,
-                "{k} latency histogram missed the measure round"
-            );
-        }
-        assert!(
-            m.estimator_memory_bytes.iter().any(|g| g.get() > 0),
-            "memory gauges never updated"
-        );
     }
 
     #[test]

@@ -8,8 +8,7 @@ use crate::log::{PhaseTag, ShadowSample};
 use crate::monitor::AccuracyMonitor;
 use crate::obsv::{
     phase_index, AdaptorMetrics, EstimatorMetrics, EstimatorRole, ExecutorMetrics, LifecycleEvent,
-    MetricsRegistry, MetricsSnapshot, PoolMetrics, WallTimer, WindowMetrics,
-    EVICTION_EVENT_GRANULARITY,
+    MetricsRegistry, MetricsSnapshot, WallTimer, WindowMetrics,
 };
 use crate::pool::{build_candidate, BuiltPrefill, EstimatorPool, PrefillBuilder, PrefillTicket};
 use crate::shard::{RouterPolicy, ShardConfig};
@@ -20,7 +19,6 @@ use geostream::{
     Duration, GeoTextObject, IdSet, Persist, QuerySignature, RcDvq, SlidingWindow, Timestamp,
 };
 use hoeffding::{DdmDetector, DriftState, HoeffdingTree, HoeffdingTreeConfig, TreeStats};
-use std::sync::Arc;
 
 /// Configuration of a LATEST instance. Defaults mirror the paper's §VI-A
 /// setup at laptop scale.
@@ -507,8 +505,6 @@ pub struct Latest {
     queries_since_switch: usize,
     /// DDM detector over the tree's own prediction errors.
     drift: DdmDetector,
-    /// Model retrainings triggered by drift detection.
-    pub(crate) drift_retrainings: u64,
     /// Query types of the most recent incremental queries (the workload
     /// mix the adaptor optimizes for).
     recent_types: std::collections::VecDeque<QueryType>,
@@ -519,14 +515,8 @@ pub struct Latest {
     /// Memoized answers for repeated queries over an unchanged window,
     /// keyed on `(QuerySignature, window generation)`.
     cache: SelectivityCache,
-    /// Run-wide observability registry, shared (`Arc`) with the estimator
-    /// pools so their rounds feed the same cells.
-    metrics: Arc<MetricsRegistry>,
-    /// Evictions accumulated since the last coalesced `WindowEvicted`
-    /// lifecycle event.
-    evictions_since_event: u64,
-    /// Stream time of the previous query, for the inter-query gap series.
-    last_query_at: Option<Timestamp>,
+    /// Run-wide observability registry.
+    metrics: MetricsRegistry,
     /// Background prefill build worker (lazy: spawned by the first
     /// prefill).
     builder: PrefillBuilder,
@@ -544,17 +534,17 @@ impl Latest {
             // LINT-ALLOW(no-panic): `new` documents this panic; `try_new` is the fallible path for recoverable callers
             panic!("{e}");
         }
-        let metrics = Arc::new(MetricsRegistry::new());
+        let mut metrics = MetricsRegistry::new();
         metrics.events.record(LifecycleEvent::PhaseEntered {
             phase: PhaseTag::WarmUp,
             at: Timestamp::ZERO,
         });
-        let mut pool = EstimatorPool::full(&config.estimator_config, 1);
-        pool.set_metrics(Arc::clone(&metrics));
         Latest {
             window: SlidingWindow::new(config.window_span),
             executor: ExactExecutor::new(config.estimator_config.domain, config.index_kind),
-            phase: Phase::WarmUp { pool },
+            phase: Phase::WarmUp {
+                pool: EstimatorPool::full(&config.estimator_config, 1),
+            },
             tree: HoeffdingTree::new(model_schema(), config.tree_config.clone()),
             recommender: Recommender::new(),
             scaler: RewardScaler::new(config.alpha),
@@ -562,14 +552,11 @@ impl Latest {
             queries_seen: 0,
             queries_since_switch: 0,
             drift: DdmDetector::default(),
-            drift_retrainings: 0,
             recent_types: std::collections::VecDeque::new(),
             type_profiles: [None, None, None],
             evict_buf: Vec::new(),
             cache: SelectivityCache::new(config.selectivity_cache_capacity),
             metrics,
-            evictions_since_event: 0,
-            last_query_at: None,
             builder: PrefillBuilder::new(),
             config,
         }
@@ -612,20 +599,9 @@ impl Latest {
         self.tree.stats()
     }
 
-    /// Number of drift-triggered model retrainings performed (§V-D).
-    pub fn drift_retrainings(&self) -> u64 {
-        self.drift_retrainings
-    }
-
     /// Live window size.
     pub fn window_len(&self) -> usize {
         self.window.len()
-    }
-
-    /// How the exact executor's access-path planner has routed the
-    /// ground-truth queries so far (spatial index vs. inverted index).
-    pub fn executor_path_mix(&self) -> exactdb::PathMix {
-        self.executor.path_mix()
     }
 
     /// Current stream time.
@@ -659,14 +635,13 @@ impl Latest {
         &self.cache
     }
 
-    /// The run-wide observability registry (shared with the estimator
-    /// pools). Live cells; prefer [`Latest::metrics_snapshot`] for a
-    /// consistent point-in-time copy.
+    /// The run-wide observability registry. Live cells; prefer
+    /// [`Latest::metrics_snapshot`] for a consistent point-in-time copy.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// A point-in-time copy of every subsystem's metrics — window, pool,
+    /// A point-in-time copy of every subsystem's metrics — window, adaptor,
     /// executor path mix, per-estimator series, lifecycle events — plus
     /// the adaptor state only the system itself can see (monitor window,
     /// estimator roles).
@@ -706,16 +681,12 @@ impl Latest {
                 m.queries_by_phase[1].get(),
                 m.queries_by_phase[2].get(),
             ],
-            query_stream_gap_ms: m.query_stream_gap_ms.snapshot(),
             cache_hits: m.cache_hits.get(),
             cache_misses: m.cache_misses.get(),
-            query_batch_sizes: m.query_batch_sizes.snapshot(),
             window: WindowMetrics {
                 occupancy: self.window.len() as u64,
                 ingested: m.objects_ingested.get(),
                 evicted: m.objects_evicted.get(),
-                ingest_batches: m.ingest_batches.get(),
-                eviction_batch_sizes: m.eviction_batch_sizes.snapshot(),
             },
             adaptor: AdaptorMetrics {
                 switches: m.switches.get(),
@@ -728,12 +699,6 @@ impl Latest {
                 monitor_len: self.monitor.len() as u64,
                 monitor_average: self.monitor.average(),
                 queries_since_switch: self.queries_since_switch as u64,
-            },
-            pool: PoolMetrics {
-                rounds: m.pool_rounds.get(),
-                busy_us: m.pool_busy_us.get(),
-                batch_sizes: m.pool_batch_sizes.snapshot(),
-                worker_busy_us: m.pool_worker_busy_us.snapshot(),
             },
             executor: ExecutorMetrics {
                 spatial: mix.spatial,
@@ -935,30 +900,10 @@ impl Latest {
             }
         }
         self.metrics.objects_ingested.add(batch.len() as u64);
-        self.metrics.ingest_batches.inc();
-        self.note_evictions(evicted.len());
+        self.metrics.objects_evicted.add(evicted.len() as u64);
         self.evict_buf = evicted;
         self.poll_prefill();
         self.maybe_leave_warmup();
-    }
-
-    /// Folds one eviction sweep into the registry: totals, occupancy, the
-    /// sweep-size histogram, and (coalesced) `WindowEvicted` events.
-    fn note_evictions(&mut self, evicted: usize) {
-        self.metrics.window_occupancy.set(self.window.len() as u64);
-        if evicted == 0 {
-            return;
-        }
-        self.metrics.objects_evicted.add(evicted as u64);
-        self.metrics.eviction_batch_sizes.record(evicted as u64);
-        self.evictions_since_event += evicted as u64;
-        if self.evictions_since_event >= EVICTION_EVENT_GRANULARITY {
-            self.metrics.events.record(LifecycleEvent::WindowEvicted {
-                n: self.evictions_since_event,
-                at: self.window.now(),
-            });
-            self.evictions_since_event = 0;
-        }
     }
 
     fn maybe_leave_warmup(&mut self) {
@@ -1003,7 +948,7 @@ impl Latest {
             self.metrics.cache_misses.inc();
         }
         if options.exact {
-            return self.exact_query(query, at);
+            return self.exact_query(query);
         }
         let actual = self.executor.execute(query);
         let outcome = self.answer_estimation(query, at, actual, None);
@@ -1036,7 +981,6 @@ impl Latest {
         if queries.is_empty() {
             return Vec::new();
         }
-        self.metrics.query_batch_sizes.record(queries.len() as u64);
         let at = options.at.unwrap_or_else(|| self.window.now());
         self.advance_window_to(at);
         if options.exact {
@@ -1049,7 +993,7 @@ impl Latest {
             let phase = self.phase();
             let mut outcomes = Vec::with_capacity(queries.len());
             for actual in actuals {
-                self.record_query_admission(at);
+                self.record_query_admission();
                 outcomes.push(QueryOutcome {
                     estimate: actual as f64,
                     actual,
@@ -1182,8 +1126,8 @@ impl Latest {
                 }
             }
             self.executor.remove_batch(&evicted);
+            self.metrics.objects_evicted.add(evicted.len() as u64);
         }
-        self.note_evictions(evicted.len());
         self.evict_buf = evicted;
         self.poll_prefill();
     }
@@ -1293,7 +1237,7 @@ impl Latest {
         };
         let slot = std::mem::replace(prefill, PrefillSlot::Idle);
         let Some(replacement) =
-            Self::resolve_candidate(slot, &self.window, &self.config, &self.metrics, seq)
+            Self::resolve_candidate(slot, &self.window, &self.config, &mut self.metrics, seq)
         else {
             return false;
         };
@@ -1331,7 +1275,7 @@ impl Latest {
         slot: PrefillSlot,
         window: &SlidingWindow,
         config: &LatestConfig,
-        metrics: &MetricsRegistry,
+        metrics: &mut MetricsRegistry,
         seq: u64,
     ) -> Option<BoxedEstimator> {
         match slot {
@@ -1367,7 +1311,7 @@ impl Latest {
         delta: &DeltaLog,
         kind: EstimatorKind,
         seq: u64,
-        metrics: &MetricsRegistry,
+        metrics: &mut MetricsRegistry,
     ) -> BoxedEstimator {
         metrics.prefill_build_us.record(built.build_us);
         metrics.events.record(LifecycleEvent::PrefillCompleted {
@@ -1433,7 +1377,7 @@ impl Latest {
         {
             if let Some(built) = ticket.try_take() {
                 let timer = WallTimer::start();
-                let est = Self::promote(built, delta, *kind, *started_seq, &self.metrics);
+                let est = Self::promote(built, delta, *kind, *started_seq, &mut self.metrics);
                 self.metrics.switch_stall_us.record(timer.elapsed_us());
                 *prefill = PrefillSlot::Ready(est);
             }
@@ -1441,21 +1385,29 @@ impl Latest {
     }
 
     /// Counts one admitted (non-cache-hit) query into the registry.
-    fn record_query_admission(&mut self, at: Timestamp) {
+    fn record_query_admission(&self) {
         self.metrics.queries_total.inc();
         self.metrics.queries_by_phase[phase_index(self.phase())].inc();
-        if let Some(prev) = self.last_query_at {
-            self.metrics
-                .query_stream_gap_ms
-                .record(at.0.saturating_sub(prev.0));
+    }
+
+    /// Folds one pool measurement round into the per-kind series: each
+    /// sample's estimate latency, and the memory footprint of every
+    /// estimator the round measured.
+    fn record_round(metrics: &MetricsRegistry, pool: &EstimatorPool, samples: &[ShadowSample]) {
+        for s in samples {
+            let latency_us = (s.latency_ms * 1_000.0).round() as u64;
+            metrics.record_estimate_latency(s.estimator, latency_us);
         }
-        self.last_query_at = Some(at);
+        for est in pool.estimators() {
+            metrics.estimator_memory_bytes[est.kind().index() as usize]
+                .set(est.memory_bytes() as u64);
+        }
     }
 
     /// The ground-truth path: the exact executor answers and nothing is
     /// learned (the answer is not an estimate).
-    fn exact_query(&mut self, query: &RcDvq, at: Timestamp) -> QueryOutcome {
-        self.record_query_admission(at);
+    fn exact_query(&mut self, query: &RcDvq) -> QueryOutcome {
+        self.record_query_admission();
         let timer = WallTimer::start();
         let actual = self.executor.execute(query);
         QueryOutcome {
@@ -1480,7 +1432,7 @@ impl Latest {
         actual: u64,
         precomputed: Option<(f64, u64)>,
     ) -> QueryOutcome {
-        self.record_query_admission(at);
+        self.record_query_admission();
         let seq = self.queries_seen;
         self.queries_seen += 1;
         let profile = QueryProfile::of(query, &self.config.estimator_config.domain);
@@ -1541,6 +1493,7 @@ impl Latest {
         };
         // One round measures (and feeds back to) every pool estimator.
         let samples = pool.measure(query, actual);
+        Self::record_round(&self.metrics, pool, &samples);
         for s in &samples {
             self.scaler.observe_latency(s.latency_ms);
         }
@@ -1609,15 +1562,11 @@ impl Latest {
             }
             // Otherwise dropped: wiped out to keep one live structure.
         }
-        // Pool rebuilds must not orphan the registry: re-attach the same
-        // `Arc` so shadow rounds keep feeding the run-wide cells.
-        let mut shadow = EstimatorPool::new(shadow);
-        shadow.set_metrics(Arc::clone(&self.metrics));
         self.phase = Phase::Incremental {
             // LINT-ALLOW(no-panic): the loop above inserted every kind, including the default, into the pool
             active: active.expect("default estimator was in the pool"),
             prefill: PrefillSlot::Idle,
-            shadow,
+            shadow: EstimatorPool::new(shadow),
         };
         self.monitor.reset();
         self.queries_since_switch = 0;
@@ -1695,7 +1644,9 @@ impl Latest {
                 latency_ms,
                 accuracy,
             });
-            samples.extend(shadow.measure(query, actual));
+            let measured = shadow.measure(query, actual);
+            Self::record_round(&self.metrics, shadow, &measured);
+            samples.extend(measured);
         }
 
         // Feedback loop: scaler, EWMA rewards, Hoeffding training record.
@@ -1726,7 +1677,6 @@ impl Latest {
         if self.drift.observe(wrong) == DriftState::Drift {
             self.tree.reset();
             self.drift.reset();
-            self.drift_retrainings += 1;
             self.metrics.tree_retrainings.inc();
             self.metrics
                 .events
@@ -1842,7 +1792,7 @@ impl Latest {
         if matches!(prefill, PrefillSlot::Building { .. }) {
             let slot = std::mem::replace(prefill, PrefillSlot::Idle);
             if let Some(est) =
-                Self::resolve_candidate(slot, &self.window, &self.config, &self.metrics, seq)
+                Self::resolve_candidate(slot, &self.window, &self.config, &mut self.metrics, seq)
             {
                 *prefill = PrefillSlot::Ready(est);
             }
@@ -1985,7 +1935,6 @@ impl Latest {
         self.drift.persist(&mut w);
         w.put_u64(self.queries_seen);
         w.put_usize(self.queries_since_switch);
-        w.put_u64(self.drift_retrainings);
         w.put_usize(self.recent_types.len());
         for &t in &self.recent_types {
             crate::persist::persist_query_type(&mut w, t);
@@ -1993,8 +1942,6 @@ impl Latest {
         for profile in &self.type_profiles {
             profile.persist(&mut w);
         }
-        w.put_u64(self.evictions_since_event);
-        self.last_query_at.persist(&mut w);
         match &self.phase {
             Phase::WarmUp { pool } => {
                 w.put_u8(0);
@@ -2036,7 +1983,6 @@ impl Latest {
 
     fn restore_pool(
         r: &mut geostream::PersistReader<'_>,
-        metrics: &Arc<MetricsRegistry>,
     ) -> Result<EstimatorPool, geostream::PersistError> {
         let len = r.take_usize("Latest.pool.len")?;
         if len > EstimatorKind::ALL.len() {
@@ -2052,9 +1998,7 @@ impl Latest {
         for _ in 0..len {
             ests.push(estimators::restore_boxed(r)?);
         }
-        let mut pool = EstimatorPool::new(ests);
-        pool.set_metrics(Arc::clone(metrics));
-        Ok(pool)
+        Ok(EstimatorPool::new(ests))
     }
 
     /// Rebuilds an instance from [`Latest::snapshot_bytes`] output. The
@@ -2097,7 +2041,6 @@ impl Latest {
         let drift = DdmDetector::restore(&mut r)?;
         let queries_seen = r.take_u64("Latest.queries_seen")?;
         let queries_since_switch = r.take_usize("Latest.queries_since_switch")?;
-        let drift_retrainings = r.take_u64("Latest.drift_retrainings")?;
         let recent_len = r.take_usize("Latest.recent_types.len")?;
         if recent_len > config.accuracy_window {
             return Err(geostream::PersistError::Corrupt {
@@ -2116,18 +2059,12 @@ impl Latest {
         for slot in &mut type_profiles {
             *slot = Option::<QueryProfile>::restore(&mut r)?;
         }
-        let evictions_since_event = r.take_u64("Latest.evictions_since_event")?;
-        let last_query_at = Option::<Timestamp>::restore(&mut r)?;
-
-        // Metrics restart at zero: the registry is process-local
-        // observability, not answer-shaping state.
-        let metrics = Arc::new(MetricsRegistry::new());
         let phase = match r.take_u8("Latest.phase")? {
             0 => Phase::WarmUp {
-                pool: Self::restore_pool(&mut r, &metrics)?,
+                pool: Self::restore_pool(&mut r)?,
             },
             1 => Phase::PreTraining {
-                pool: Self::restore_pool(&mut r, &metrics)?,
+                pool: Self::restore_pool(&mut r)?,
             },
             2 => {
                 let active = estimators::restore_boxed(&mut r)?;
@@ -2144,7 +2081,7 @@ impl Latest {
                 Phase::Incremental {
                     active,
                     prefill,
-                    shadow: Self::restore_pool(&mut r, &metrics)?,
+                    shadow: Self::restore_pool(&mut r)?,
                 }
             }
             d => {
@@ -2154,7 +2091,7 @@ impl Latest {
                 })
             }
         };
-        let restored = Latest {
+        let mut restored = Latest {
             window,
             executor,
             phase,
@@ -2165,14 +2102,13 @@ impl Latest {
             queries_seen,
             queries_since_switch,
             drift,
-            drift_retrainings,
             recent_types,
             type_profiles,
             evict_buf: Vec::new(),
             cache,
-            metrics,
-            evictions_since_event,
-            last_query_at,
+            // Metrics restart at zero: the registry is process-local
+            // observability, not answer-shaping state.
+            metrics: MetricsRegistry::new(),
             builder: PrefillBuilder::new(),
             config,
         };
@@ -2339,7 +2275,8 @@ mod tests {
         let acc = incremental.iter().sum::<f64>() / incremental.len() as f64;
         assert!(acc > 0.3, "incremental accuracy too low: {acc}");
         // Every query ran once through the exact executor's planner.
-        assert_eq!(latest.executor_path_mix().total(), 60);
+        let executor = latest.metrics_snapshot().executor;
+        assert_eq!(executor.spatial + executor.inverted, 60);
     }
 
     #[test]
@@ -2436,6 +2373,50 @@ mod tests {
             last_phase = out.phase;
         }
         assert_eq!(last_phase, PhaseTag::Incremental);
+    }
+
+    /// The per-kind series count every estimate the engine timed: all six
+    /// kinds once per pre-training query, then the active kind alone.
+    #[test]
+    fn per_kind_latency_counts_every_measured_estimate() {
+        let config = small_config();
+        let pretrain = config.pretrain_queries as u64;
+        let domain = config.estimator_config.domain;
+        let mut latest = Latest::new(config);
+        let mut gen = warm_up(&mut latest);
+        let mut rng = StreamRng::seed_from_u64(8);
+        let uncached = QueryOptions::new().use_cache(false);
+        let mut ask = |latest: &mut Latest, n: u64| {
+            for _ in 0..n {
+                latest.ingest(gen.next_object());
+                let _ = latest.query(&random_query(&mut rng, &domain), uncached);
+            }
+        };
+        let counts = |latest: &Latest| {
+            let snap = latest.metrics_snapshot();
+            assert_eq!(snap.estimators.len(), EstimatorKind::COUNT);
+            snap.estimators
+                .iter()
+                .map(|e| (e.kind, e.latency_us.count, e.memory_bytes))
+                .collect::<Vec<_>>()
+        };
+        ask(&mut latest, pretrain);
+        assert_eq!(latest.phase(), PhaseTag::Incremental);
+        for (kind, count, memory) in counts(&latest) {
+            assert_eq!(count, pretrain, "{kind}");
+            assert!(memory > 0, "{kind} has no memory reading");
+        }
+        const K: u64 = 7;
+        ask(&mut latest, K);
+        let active = latest.active_kind();
+        for (kind, count, _) in counts(&latest) {
+            let expected = if kind == active {
+                pretrain + K
+            } else {
+                pretrain
+            };
+            assert_eq!(count, expected, "{kind}");
+        }
     }
 
     #[test]
@@ -2750,7 +2731,6 @@ mod tests {
         // At least the two appended duplicates hit (the random 24 may
         // collide among themselves too).
         assert!(m.cache_hits >= 2);
-        assert_eq!(m.query_batch_sizes.count, 1);
     }
 
     #[test]
@@ -2786,7 +2766,6 @@ mod tests {
         assert!(latest.query_batch(&[], QueryOptions::new()).is_empty());
         let after = latest.metrics_snapshot();
         assert_eq!(after.queries_total, before.queries_total);
-        assert_eq!(after.query_batch_sizes.count, 0);
     }
 
     // The delta_log_* tests are deliberately miri-sized (no threads, no

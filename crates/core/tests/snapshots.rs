@@ -312,21 +312,28 @@ fn corrupted_snapshots_fail_typed() {
         other => panic!("wrong magic produced {:?}, wanted BadMagic", other.err()),
     }
 
-    // A file of the previous format is refused by its header and never
-    // decoded: these are the 28 bytes `golden-v4.snap` began with.
+    // A file of an earlier format is refused by its header and never
+    // decoded: these are the 28 bytes `golden-v4.snap` and `golden-v5.snap`
+    // began with.
     let v4_header: [u8; 28] = [
         0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x04, 0x00, 0x00, 0x00, 0xc0, 0xb9, 0x01,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0xbb, 0x4e, 0x00, 0xb6, 0x61, 0xd6, 0x5c,
     ];
-    std::fs::write(&path, v4_header).expect("write v4 header");
-    match Latest::load_snapshot(config.clone(), &path) {
-        Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!((found, supported), (4, 5));
+    let v5_header: [u8; 28] = [
+        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x05, 0x00, 0x00, 0x00, 0xb8, 0xb9, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x58, 0x8f, 0x7e, 0xbd, 0xec, 0x27, 0x65,
+    ];
+    for (version, header) in [(4, v4_header), (5, v5_header)] {
+        std::fs::write(&path, header).expect("write old header");
+        match Latest::load_snapshot(config.clone(), &path) {
+            Err(PersistError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (version, 6));
+            }
+            other => panic!(
+                "v{version} header produced {:?}, wanted UnsupportedVersion",
+                other.err()
+            ),
         }
-        other => panic!(
-            "v4 header produced {:?}, wanted UnsupportedVersion",
-            other.err()
-        ),
     }
 
     // A config that does not match the snapshot's fingerprint is refused —
@@ -597,7 +604,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v5.snap")
+        .join("golden-v6.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -649,7 +656,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v5.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v6.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );

@@ -56,7 +56,10 @@ use std::sync::Arc;
 /// * 5 — `estimators`' RSL, RSH, SPN and FFN sections lost their
 ///   construction seed (the live RNG state is what continues the stream),
 ///   and the fingerprint lost `drift_detection`.
-pub const FORMAT_VERSION: u32 = 5;
+/// * 6 — `latest-core`'s payload lost three observability fields: a
+///   retraining count, a coalesced-eviction tally and the previous query's
+///   stream time (the metrics registry restarts at zero on restore).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a

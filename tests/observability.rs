@@ -46,7 +46,9 @@ fn spatial_query(rng: &mut StreamRng, domain: &Rect) -> RcDvq {
 /// accounts for what the caller saw: one `EstimatorSwitched` event per
 /// outcome that reported a switch (same order, from the answering
 /// estimator to the one active afterwards), the accuracy monitor reset on
-/// each switch, and the prefill-start/discard/switch accounting identity.
+/// each switch, the prefill-start/discard/switch accounting identity, and
+/// a ring that holds decisions only — every retained event is one a
+/// counter counts, however many objects the window evicted meanwhile.
 #[test]
 fn switch_storm_events_account_for_every_switch() {
     let dataset = DatasetSpec::twitter();
@@ -164,6 +166,28 @@ fn switch_storm_events_account_for_every_switch() {
     // The event stream was sized for the run: nothing was dropped, so the
     // orderings above are complete, not a suffix.
     assert_eq!(snap.events_dropped, 0);
+
+    // Every retained event is a counted decision: the three phase entries,
+    // then one event per prefill start, discard, cancellation and finished
+    // build, per switch and per retraining. The window's evictions, which
+    // `window.evicted` counts, add none.
+    assert!(
+        snap.window.evicted >= 256,
+        "only {} evictions — too few to show the ring ignores them",
+        snap.window.evicted
+    );
+    let a = &snap.adaptor;
+    assert_eq!(
+        snap.events.len() as u64,
+        3 + a.prefill_starts
+            + a.prefill_discards
+            + a.prefill_cancelled
+            + a.prefill_build_us.count
+            + a.switches
+            + a.tree_retrainings,
+        "events: {:?}",
+        snap.events.iter().map(|e| e.name()).collect::<Vec<_>>()
+    );
 }
 
 /// Acceptance: an end-of-run snapshot is non-trivial for every subsystem
@@ -242,22 +266,16 @@ fn snapshot_covers_every_subsystem() {
         snap.window.ingested
     );
 
-    // Pool ran during pre-training.
-    assert!(snap.pool.rounds > 0);
-    assert!(snap.pool.batch_sizes.count > 0);
-
-    // Executor path mix in the snapshot equals the executor's own counters.
-    let mix = latest.executor_path_mix();
-    assert_eq!(snap.executor.spatial, mix.spatial);
-    assert_eq!(snap.executor.inverted, mix.inverted);
+    // Executor path mix: the planner routed every query once.
     assert_eq!(
         snap.executor.spatial + snap.executor.inverted,
         snap.queries_total,
         "every query takes exactly one access path"
     );
 
-    // Per-kind estimate latency histograms are all populated (shadow
-    // metrics keep every kind measured) and exactly one kind is active.
+    // Per-kind estimate latency histograms are all populated (each
+    // pre-training query measured every kind) and exactly one kind is
+    // active.
     for e in &snap.estimators {
         assert!(
             e.latency_us.count > 0,
@@ -282,7 +300,6 @@ fn snapshot_covers_every_subsystem() {
         "\"queries\"",
         "\"window\"",
         "\"adaptor\"",
-        "\"pool\"",
         "\"executor\"",
         "\"estimators\"",
         "\"events\"",
