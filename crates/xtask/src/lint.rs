@@ -403,8 +403,18 @@ enum TestSkip {
 }
 
 /// Compute, per line, whether the line belongs to a `#[cfg(test)]` item and
-/// should be exempt from all rules.
+/// should be exempt from all rules. A file that opens with the inner
+/// attribute `#![cfg(test)]` is an out-of-line test module: all of it is.
 pub(crate) fn test_region_mask(lines: &[SrcLine]) -> Vec<bool> {
+    let test_file = lines
+        .iter()
+        .map(|l| l.code.trim())
+        .filter(|c| !c.is_empty())
+        .take_while(|c| c.starts_with("#!["))
+        .any(|c| c == "#![cfg(test)]");
+    if test_file {
+        return vec![true; lines.len()];
+    }
     let mut mask = vec![false; lines.len()];
     let mut mode = TestSkip::Code;
     for (idx, line) in lines.iter().enumerate() {
@@ -820,6 +830,19 @@ fn after() { Some(1).unwrap(); }\n";
         let r = run("crates/a/src/lib.rs", src);
         assert_eq!(rules(&r), ["no-panic"]);
         assert_eq!(r.diagnostics[0].line, 12, "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn skips_files_gated_by_an_inner_cfg_test() {
+        let src = "\
+//! Tests of the parent module, declared there as `mod tests;`.\n\
+#![cfg(test)]\n\
+use super::*;\n\
+fn helper() { Some(1).unwrap(); }\n";
+        assert!(run("crates/a/src/sys/tests.rs", src).is_clean());
+        // An inner attribute only counts before the first item.
+        let late = "fn f() { Some(1).unwrap(); }\nmod m {\n#![cfg(test)]\n}\n";
+        assert_eq!(rules(&run("crates/a/src/lib.rs", late)), ["no-panic"]);
     }
 
     #[test]
