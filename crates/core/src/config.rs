@@ -27,11 +27,136 @@
 //!
 //! [`Latest::new`]: crate::Latest::new
 
-use crate::system::{AblationConfig, LatestConfig};
+use crate::shard::ShardConfig;
 use estimators::{EstimatorConfig, EstimatorKind};
 use exactdb::SpatialIndexKind;
 use geostream::Duration;
 use hoeffding::HoeffdingTreeConfig;
+
+/// Configuration of a LATEST instance. Defaults mirror the paper's §VI-A
+/// setup at laptop scale.
+#[derive(Debug, Clone)]
+pub struct LatestConfig {
+    /// The time window `T` queries are answered over.
+    pub window_span: Duration,
+    /// Length of the warm-up (data only, no queries). The paper defaults
+    /// this to `T` so the window is full when queries start.
+    pub warmup: Duration,
+    /// Number of queries in the pre-training phase.
+    pub pretrain_queries: usize,
+    /// Accuracy threshold `τ`: switching below it.
+    pub tau: f64,
+    /// Pre-filling factor `β ∈ (0, 1)`: pre-filling starts below `β·τ`.
+    pub beta: f64,
+    /// Accuracy/latency trade-off `α ∈ [0, 1]` (0 = accuracy only).
+    pub alpha: f64,
+    /// Moving-average window (queries) of the accuracy monitor.
+    pub accuracy_window: usize,
+    /// Minimum incremental queries between consecutive switches
+    /// (hysteresis so a single noisy batch cannot thrash).
+    pub min_switch_spacing: usize,
+    /// A replacement is only pre-filled when its learned reward for the
+    /// current query type beats the active estimator's by this margin —
+    /// switching between statistically indistinguishable estimators is
+    /// churn, not adaptation.
+    pub switch_margin: f64,
+    /// The default estimator employed when the incremental phase starts.
+    pub default_estimator: EstimatorKind,
+    /// Sizing of the underlying estimators.
+    pub estimator_config: EstimatorConfig,
+    /// Hoeffding tree configuration (paper: info gain + majority class).
+    pub tree_config: HoeffdingTreeConfig,
+    /// Spatial backend of the exact executor.
+    pub index_kind: SpatialIndexKind,
+    /// Keep *all* estimators maintained and measure each per query (the
+    /// paper's figures plot every estimator's latency/accuracy). Costs
+    /// memory and time; off by default.
+    pub shadow_metrics: bool,
+    /// Capacity of the selectivity cache: distinct query signatures
+    /// memoized per window generation (any window content change clears
+    /// the cache wholesale). `0` disables caching entirely.
+    pub selectivity_cache_capacity: usize,
+    /// Sharded-serving layout ([`ShardedLatest`](crate::ShardedLatest)):
+    /// how many shards partition the stream, their ingest-queue capacity,
+    /// and the routing policy. A plain [`Latest`](crate::Latest) ignores everything but
+    /// validation; the default is one shard (unsharded behavior).
+    pub shard: ShardConfig,
+    /// Objects the prefill delta log may buffer while a background build
+    /// of the §V-D replacement is in flight. Exceeding it cancels the build
+    /// and restarts from a fresh snapshot (the tail to replay must stay
+    /// short, or activation would stall the way an inline sweep of the
+    /// whole window does).
+    pub prefill_delta_cap: usize,
+    /// Ablation knobs for the design-choice experiments. All on for the
+    /// full LATEST protocol.
+    pub ablation: AblationConfig,
+}
+
+/// Switches individual LATEST design choices off for ablation studies
+/// (the `experiments ablation` harness target sweeps these).
+#[derive(Debug, Clone)]
+pub struct AblationConfig {
+    /// Pre-fill the replacement below `β·τ` before switching at `τ`
+    /// (§V-D). Off: replacements are built cold at switch time, so the new
+    /// estimator answers from whatever it can ingest after activation.
+    pub prefill: bool,
+    /// Consult the Hoeffding tree when recommending (off: EWMA rewards
+    /// only — is the learning model actually earning its keep?).
+    pub use_tree: bool,
+    /// Recommend for the recent workload *mix* (off: the single next
+    /// query's profile decides, which thrashes on interleaved workloads).
+    pub mix_recommendation: bool,
+    /// Allow switching at all (off: the default estimator serves the whole
+    /// stream — the static-baseline comparison).
+    pub switching: bool,
+}
+
+impl Default for AblationConfig {
+    fn default() -> Self {
+        AblationConfig {
+            prefill: true,
+            use_tree: true,
+            mix_recommendation: true,
+            switching: true,
+        }
+    }
+}
+
+impl Default for LatestConfig {
+    fn default() -> Self {
+        LatestConfig {
+            window_span: Duration::from_mins(10),
+            warmup: Duration::from_mins(10),
+            pretrain_queries: 300,
+            tau: 0.75,
+            beta: 0.9,
+            alpha: 0.5,
+            accuracy_window: 48,
+            min_switch_spacing: 64,
+            switch_margin: 0.03,
+            default_estimator: EstimatorKind::Rsh,
+            estimator_config: EstimatorConfig::default(),
+            tree_config: HoeffdingTreeConfig {
+                // Workload records are plentiful and several features often
+                // separate the classes equally well (best-vs-second gain
+                // gap ≈ 0), so react faster than the generic VFDT default:
+                // smaller grace period, looser δ, and a tie threshold wide
+                // enough that a clean split does not need tens of
+                // thousands of records per leaf (R = log2(6) here).
+                grace_period: 50,
+                split_confidence: 1e-4,
+                tie_threshold: 0.25,
+                ..HoeffdingTreeConfig::default()
+            },
+            index_kind: SpatialIndexKind::Grid,
+            shadow_metrics: false,
+            selectivity_cache_capacity: 4_096,
+            shard: ShardConfig::default(),
+            prefill_delta_cap: 65_536,
+            ablation: AblationConfig::default(),
+        }
+    }
+}
 
 /// Why a [`LatestConfig`] was rejected.
 #[derive(Debug, Clone, PartialEq)]

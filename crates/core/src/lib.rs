@@ -43,7 +43,7 @@ pub mod system;
 pub use adaptor::Recommender;
 pub use cache::{CachedAnswer, SelectivityCache};
 pub use concurrent::{SharedLatest, SnapshotScraper};
-pub use config::{ConfigError, LatestConfigBuilder};
+pub use config::{AblationConfig, ConfigError, LatestConfig, LatestConfigBuilder};
 pub use error::LatestError;
 pub use features::{QueryProfile, RewardScaler};
 pub use log::{PhaseTag, ShadowSample};
@@ -56,7 +56,7 @@ pub use pool::{BuiltPrefill, EstimatorPool, PrefillBuilder, PrefillTicket};
 pub use shard::{
     RouterPolicy, ServingEngine, ShardConfig, ShardRouter, ShardedLatest, Ticket, MAX_SHARDS,
 };
-pub use system::{AblationConfig, Latest, LatestConfig, QueryOptions, QueryOutcome, ServedBy};
+pub use system::{Latest, QueryOptions, QueryOutcome, ServedBy};
 
 /// The crate's lock-poisoning policy, applied to every `lock()` and condvar
 /// wait: a later caller gets the guard even if an earlier holder panicked.
