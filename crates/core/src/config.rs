@@ -171,7 +171,7 @@ pub enum ConfigError {
     ZeroWindowSpan,
     /// The accuracy monitor's moving-average window must be nonzero.
     ZeroAccuracyWindow,
-    /// The embedded [`EstimatorConfig`](estimators::EstimatorConfig)
+    /// The embedded [`EstimatorConfig`]
     /// failed its own validation (degenerate domain, zero capacities, ...).
     Estimator(estimators::EstimateError),
     /// A sharded engine needs at least one shard.

@@ -35,7 +35,7 @@
 //! estimators build off each shard's serving thread independently and
 //! the delta catch-up stays shard-local (each shard replays only its own
 //! inserts and evictions). The deep auditors reached through
-//! [`ShardedLatest::audit`] sweep every shard's prefill slot — delta-log
+//! `ShardedLatest::audit` (built with `debug-invariants`) sweep every shard's prefill slot — delta-log
 //! bounds, generation monotonicity, ready candidates — alongside the
 //! cross-shard ownership invariants.
 
@@ -80,7 +80,7 @@ impl RouterPolicy {
 }
 
 /// Sharded-serving layout, embedded in
-/// [`LatestConfig`](crate::LatestConfig) and validated by
+/// [`LatestConfig`] and validated by
 /// [`LatestConfig::validate`](crate::LatestConfig::validate): the shard
 /// count must be in `[1, MAX_SHARDS]` and the queue capacity nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -151,7 +151,7 @@ impl SelectivityEstimator for ReservoirHash {
         }
     }
 
-    /// Decide, then place once — see [`Winners`]. Each placement links its
+    /// Decide, then place once — see `Winners`. Each placement links its
     /// grid cell as `insert` does, so a cell lists its slots in ascending
     /// order rather than in arrival order; no count depends on that order.
     fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {

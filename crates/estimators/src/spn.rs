@@ -472,11 +472,11 @@ impl SelectivityEstimator for SpnEstimator {
         self.buffer.remove(obj.oid);
     }
 
-    /// Decide, then place once — see [`Winners`] — with the sequence cut at
+    /// Decide, then place once — see `Winners` — with the sequence cut at
     /// the `rebuild_every` boundaries `insert` would rebuild at. Only the
     /// last boundary's model can ever be read, so the buffer is
     /// materialised and k-means run there alone; the earlier ones spend
-    /// their seed draws ([`SpnEstimator::draw_seeds`]) and nothing else.
+    /// their seed draws (`SpnEstimator::draw_seeds`) and nothing else.
     fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
         // Which boundary is the last depends on the total, so the slice
         // list (not the objects) is taken up front.

@@ -12,7 +12,7 @@
 //! # Storage: sealed chunks + active tail
 //!
 //! Internally the FIFO is a deque of immutable **sealed chunks**
-//! (`Arc<Vec<GeoTextObject>>`, [`CHUNK`] objects each) followed by a
+//! (`Arc<Vec<GeoTextObject>>`, `CHUNK` objects each) followed by a
 //! mutable **active tail** receiving inserts. The split exists for one
 //! reason: [`SlidingWindow::snapshot`] — an O(#chunks) structurally
 //! shared copy of the live contents, taken on the serving thread in

@@ -10,7 +10,7 @@
 //! claims: every item is received exactly once, and every receiver returns
 //! once the queue is drained and disconnected.
 //!
-//! Model: one producer pushing [`ITEMS`] values through a capacity-1 queue
+//! Model: one producer pushing `ITEMS` values through a capacity-1 queue
 //! and then dropping its handle, two consumers looping on `recv` until
 //! `Disconnected`. One step is one critical section. Seeded bug:
 //!

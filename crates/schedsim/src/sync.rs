@@ -3,7 +3,7 @@
 //!
 //! Every type here is `Clone + Hash` so a whole protocol state snapshots
 //! into the explorer's visited set. Operations take the acting thread's
-//! [`Ctx`](crate::sim::Ctx) and move vector clocks exactly where the real
+//! [`Ctx`] and move vector clocks exactly where the real
 //! memory model would: release edges publish, acquire edges join.
 
 use crate::clock::VClock;
