@@ -90,7 +90,7 @@ impl Latest {
     /// surfaces the same checks as a `Result`.
     pub fn new(config: LatestConfig) -> Self {
         if let Err(e) = config.validate() {
-            // LINT-ALLOW(no-panic): `new` documents this panic; `try_new` is the fallible path for recoverable callers
+            // LINT-ALLOW(no-panic): `new` documents this panic; `LatestConfig::builder().build()` and `LatestConfig::validate` are the fallible paths for recoverable callers
             panic!("{e}");
         }
         let mut metrics = MetricsRegistry::new();
