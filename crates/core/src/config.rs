@@ -1,6 +1,7 @@
-//! Validated construction of [`LatestConfig`]: the builder API.
+//! The configuration of a LATEST instance: [`LatestConfig`] and
+//! [`AblationConfig`], their defaults, and their validated construction.
 //!
-//! [`LatestConfig`] remains a plain struct with public fields (and a
+//! [`LatestConfig`] is a plain struct with public fields (and a
 //! working `Default`), but the supported way to assemble one is the
 //! fluent [`LatestConfigBuilder`], which checks the paper's parameter
 //! domains (`τ ∈ (0,1]`, `β ∈ (0,1)`, `α ∈ [0,1]`, nonzero windows) and

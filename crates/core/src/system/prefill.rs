@@ -347,7 +347,7 @@ impl Latest {
     }
 
     /// Settles an in-flight prefill build into a `Ready` candidate so the
-    /// phase is serializable (see the impl-level docs).
+    /// phase is serializable (see the impl-level docs in `system::snapshot`).
     pub(super) fn settle_prefill_for_snapshot(&mut self) {
         let seq = self.queries_seen;
         let Phase::Incremental { prefill, .. } = &mut self.phase else {

@@ -1,7 +1,7 @@
 //! The `PrefillBuilder` cancel/promotion handoff (`prefill-handoff` in
 //! `conc.toml`).
 //!
-//! Real shape (`crates/core/src/pool.rs` + `system.rs`): the serving side
+//! Real shape (`crates/core/src/pool.rs` + `system/prefill.rs`): the serving side
 //! submits a background build, may later *cancel* it (the estimator kind
 //! changed again before the build finished) and submit a replacement. The
 //! cancel flag is an advisory **relaxed** `AtomicBool` — the builder polls

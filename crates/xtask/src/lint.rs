@@ -25,7 +25,8 @@
 //! The scanner strips string literals and comments with a small state
 //! machine (line comments, nested block comments, escaped strings, raw
 //! strings, char literals vs. lifetimes) and skips `#[cfg(test)]` items by
-//! brace matching — no external parser, by design.
+//! brace matching, and whole files that open with `#![cfg(test)]` — no
+//! external parser, by design.
 
 use std::collections::BTreeMap;
 use std::fmt;
