@@ -1,9 +1,14 @@
-//! The recommendation side of the Estimator Adaptor (§V-D).
+//! The Estimator Adaptor (§V-D): what is learned from an answer, and when
+//! to pre-fill or switch. `Latest` hands the [`Adaptor`] one
+//! [`Observation`] per incremental answer and executes the [`Decision`] it
+//! returns; the adaptor reads no clock, window or estimator.
 //!
-//! The adaptor combines two signals to pick a replacement estimator:
+//! Its [`Recommender`] ranks replacements by two signals:
 //!
-//! * the **Hoeffding tree**, consulted with the profile of the next query
-//!   in the queue — its class scores rank the estimators;
+//! * the **Hoeffding tree**, consulted with a representative profile per
+//!   query type of the recent mix (the answered query's profile alone under
+//!   the `mix_recommendation` ablation) — its class scores rank the
+//!   estimators;
 //! * per-`(query type, estimator)` **EWMA rewards** accumulated since the
 //!   pre-training phase — the fallback ranking while the tree is young,
 //!   and the tie-breaker among classes the tree has never predicted.
@@ -11,15 +16,249 @@
 //! The recommendation always excludes the estimator currently in use
 //! (switching to itself would be a no-op the paper's protocol never does).
 
-use crate::features::QueryProfile;
+use crate::config::LatestConfig;
+use crate::features::{model_schema, QueryProfile, RewardScaler};
+use crate::log::ShadowSample;
+use crate::monitor::AccuracyMonitor;
 use estimators::EstimatorKind;
 use geostream::{Persist, PersistError, PersistReader, PersistWriter, QueryType};
-use hoeffding::HoeffdingTree;
+use hoeffding::{DdmDetector, DriftState, HoeffdingTree};
+use std::collections::VecDeque;
 
 /// EWMA smoothing factor for per-cell rewards.
 const EWMA_LAMBDA: f64 = 0.15;
 /// Optimistic initial reward so unobserved estimators get explored.
 const INITIAL_REWARD: f64 = 0.6;
+
+/// One answered incremental query: the active estimator's answer, every
+/// maintained estimator's under `shadow_metrics` (the active one's
+/// included; empty otherwise), and the pending replacement, if any.
+#[derive(Debug, Clone, Copy)]
+pub struct Observation<'a> {
+    pub seq: u64,
+    pub profile: QueryProfile,
+    pub active: ShadowSample,
+    pub shadow: &'a [ShadowSample],
+    pub prefilling: Option<EstimatorKind>,
+}
+
+/// What the adaptor concluded from one [`Observation`]: the transitions
+/// `Latest` makes, in field order. The default is "stay".
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Decision {
+    /// DDM flagged drift: the tree was reset before this query trained it.
+    pub retrained: bool,
+    /// Accuracy recovered to `β·τ` or above: drop the pending pre-fill.
+    pub discard: bool,
+    /// Below `β·τ`, nothing pending: start pre-filling this kind.
+    pub start: Option<EstimatorKind>,
+    /// Below `τ` with a pre-fill pending or just started: activate it,
+    /// triggered by this monitor average.
+    pub activate: Option<f64>,
+}
+
+/// The Estimator Adaptor's learned state and thresholds. The snapshot
+/// persists the learned fields one by one, with other state between them
+/// (`system::snapshot`), so they are crate-visible.
+pub struct Adaptor {
+    pub(crate) tree: HoeffdingTree,
+    pub(crate) recommender: Recommender,
+    pub(crate) scaler: RewardScaler,
+    pub(crate) monitor: AccuracyMonitor,
+    /// DDM detector over the tree's own prediction errors.
+    pub(crate) drift: DdmDetector,
+    pub(crate) queries_since_switch: usize,
+    /// Query types of the most recent incremental queries (the workload
+    /// mix the adaptor optimizes for).
+    pub(crate) recent_types: VecDeque<QueryType>,
+    /// EWMA representative profile per query type, for consulting the tree
+    /// about a *mix* rather than a single query.
+    pub(crate) type_profiles: [Option<QueryProfile>; 3],
+    tau: f64,
+    beta: f64,
+    accuracy_window: usize,
+    min_switch_spacing: usize,
+    switch_margin: f64,
+    switching: bool,
+    use_tree: bool,
+    mix_recommendation: bool,
+}
+
+impl Adaptor {
+    /// An adaptor that has learned nothing, with the settings it reads
+    /// copied from `config`.
+    pub fn new(config: &LatestConfig) -> Self {
+        Adaptor {
+            tree: HoeffdingTree::new(model_schema(), config.tree_config.clone()),
+            recommender: Recommender::new(),
+            scaler: RewardScaler::new(config.alpha),
+            monitor: AccuracyMonitor::new(config.accuracy_window),
+            drift: DdmDetector::default(),
+            queries_since_switch: 0,
+            recent_types: VecDeque::new(),
+            type_profiles: [None; 3],
+            tau: config.tau,
+            beta: config.beta,
+            accuracy_window: config.accuracy_window,
+            min_switch_spacing: config.min_switch_spacing,
+            switch_margin: config.switch_margin,
+            switching: config.ablation.switching,
+            use_tree: config.ablation.use_tree,
+            mix_recommendation: config.ablation.mix_recommendation,
+        }
+    }
+
+    /// Learns from a pre-training round, in which every pool estimator
+    /// answered while `active` served: each sample's reward feeds its EWMA
+    /// cell, and the tree is taught the best of them.
+    pub fn observe_pretraining(
+        &mut self,
+        profile: &QueryProfile,
+        active: EstimatorKind,
+        samples: &[ShadowSample],
+    ) {
+        for s in samples {
+            self.scaler.observe_latency(s.latency_ms);
+        }
+        // Label: the estimator with the best α-weighted reward.
+        let mut best = samples[0].estimator;
+        let mut best_reward = f64::NEG_INFINITY;
+        for s in samples {
+            let r = self.scaler.reward(s.accuracy, s.latency_ms);
+            self.recommender.observe(profile.query_type, s.estimator, r);
+            if r > best_reward {
+                best_reward = r;
+                best = s.estimator;
+            }
+        }
+        self.tree.train(&profile.instance(active), best.index());
+    }
+
+    /// Learns from one incremental answer, then applies the thresholds.
+    pub fn observe(&mut self, obs: &Observation<'_>) -> Decision {
+        let profile = &obs.profile;
+        let active = obs.active.estimator;
+        self.record_mix(profile);
+        // Feedback loop: scaler, EWMA rewards, Hoeffding training record.
+        self.scaler.observe_latency(obs.active.latency_ms);
+        let reward = self
+            .scaler
+            .reward(obs.active.accuracy, obs.active.latency_ms);
+        self.recommender.observe(profile.query_type, active, reward);
+        for s in obs.shadow.iter().filter(|s| s.estimator != active) {
+            self.scaler.observe_latency(s.latency_ms);
+            let r = self.scaler.reward(s.accuracy, s.latency_ms);
+            self.recommender.observe(profile.query_type, s.estimator, r);
+        }
+        // Train with the active estimator when it is doing well; otherwise
+        // teach the tree the best-known alternative for this query type.
+        let label = if reward >= self.tau {
+            active
+        } else {
+            self.recommender.best_by_reward(profile.query_type, active)
+        };
+        let instance = profile.instance(active);
+        // §V-D retraining trigger: score the tree's own prediction before
+        // training on the record; sustained error growth (DDM drift) means
+        // the learned concept is stale — reset and regrow.
+        let wrong = self.tree.predict(&instance) != label.index();
+        let retrained = self.drift.observe(wrong) == DriftState::Drift;
+        if retrained {
+            self.tree.reset();
+            self.drift.reset();
+        }
+        self.tree.train(&instance, label.index());
+
+        self.monitor.push(obs.active.accuracy);
+        self.queries_since_switch += 1;
+        let mut decision = match self.monitor.average() {
+            Some(avg) if self.switching && self.monitor.warmed_up() => self.decide(avg, obs),
+            _ => Decision::default(),
+        };
+        decision.retrained = retrained;
+        decision
+    }
+
+    /// A new estimator took over (a switch, or the start of the incremental
+    /// phase): it is judged on its own record from here on.
+    pub fn reset_monitor(&mut self) {
+        self.monitor.reset();
+        self.queries_since_switch = 0;
+    }
+
+    fn record_mix(&mut self, profile: &QueryProfile) {
+        if self.recent_types.len() >= self.accuracy_window {
+            self.recent_types.pop_front();
+        }
+        self.recent_types.push_back(profile.query_type);
+        let slot = &mut self.type_profiles[profile.query_type.index() as usize];
+        *slot = Some(match slot {
+            None => *profile,
+            Some(prev) => QueryProfile {
+                query_type: profile.query_type,
+                keyword_count: ((prev.keyword_count as f64) * 0.9
+                    + (profile.keyword_count as f64) * 0.1)
+                    .round() as usize,
+                area_fraction: prev.area_fraction * 0.9 + profile.area_fraction * 0.1,
+            },
+        });
+    }
+
+    /// The thresholds, given the warmed-up monitor's average `avg`.
+    fn decide(&self, avg: f64, obs: &Observation<'_>) -> Decision {
+        let mut decision = Decision::default();
+        if avg >= self.beta * self.tau {
+            // Accuracy recovered: discard any pre-filling candidate.
+            decision.discard = obs.prefilling.is_some();
+        } else if self.queries_since_switch >= self.min_switch_spacing {
+            if obs.prefilling.is_none() {
+                // Entering the danger zone: consult the model about the
+                // recent workload *mix* and pre-fill its recommendation —
+                // but only if the model actually expects the candidate to
+                // do better than what we have (switch margin).
+                let active = obs.active.estimator;
+                let mut mix = [0.0f64; 3];
+                for t in &self.recent_types {
+                    mix[t.index() as usize] += 1.0;
+                }
+                let (profiles, weights) = if self.mix_recommendation {
+                    (self.type_profiles, mix)
+                } else {
+                    one_hot(&obs.profile)
+                };
+                let rec = self.recommender.recommend_with(
+                    &self.tree,
+                    &profiles,
+                    &weights,
+                    active,
+                    self.use_tree,
+                );
+                let advantage = self.recommender.expected_reward(&mix, rec)
+                    - self.recommender.expected_reward(&mix, active);
+                decision.start = (advantage > self.switch_margin).then_some(rec);
+            }
+            // Below τ with a prefill pending: activate it. (No prefill
+            // means the model sees no better option — stay on the current
+            // estimator rather than churn.) With β < 1 a start is always
+            // below τ, so it is activated in the query that starts it.
+            if avg < self.tau && (obs.prefilling.is_some() || decision.start.is_some()) {
+                decision.activate = Some(avg);
+            }
+        }
+        decision
+    }
+}
+
+/// The `mix_recommendation` ablation's mix: weight 1 on the query's own
+/// type, with its own profile in that slot.
+fn one_hot(profile: &QueryProfile) -> ([Option<QueryProfile>; 3], [f64; 3]) {
+    let t = profile.query_type.index() as usize;
+    let mut profiles = [None; 3];
+    let mut weights = [0.0; 3];
+    profiles[t] = Some(*profile);
+    weights[t] = 1.0;
+    (profiles, weights)
+}
 
 /// Ranks estimators for a query profile from the learning model plus
 /// reward history.
@@ -66,71 +305,18 @@ impl Recommender {
 
     /// The estimator with the best EWMA reward for `query_type`, excluding
     /// `exclude`.
-    pub fn best_by_reward(
-        &self,
-        query_type: QueryType,
-        exclude: Option<EstimatorKind>,
-    ) -> EstimatorKind {
+    pub fn best_by_reward(&self, query_type: QueryType, exclude: EstimatorKind) -> EstimatorKind {
         EstimatorKind::ALL
             .into_iter()
-            .filter(|&k| Some(k) != exclude)
+            .filter(|&k| k != exclude)
             .max_by(|a, b| {
                 self.reward(query_type, *a)
                     .partial_cmp(&self.reward(query_type, *b))
-                    // LINT-ALLOW(no-panic): rewards are mean accuracies in [0, 1], always finite, so partial_cmp succeeds
+                    // LINT-ALLOW(no-panic): the cells hold EWMAs of α-weighted rewards in [0, 1], always finite, so partial_cmp succeeds
                     .expect("rewards are finite")
             })
-            // LINT-ALLOW(no-panic): the candidate pool always holds all six kinds, so the top-five slice is non-empty
+            // LINT-ALLOW(no-panic): five of the six kinds remain after excluding one, so the maximum exists
             .expect("at least five candidates remain")
-    }
-
-    /// Recommends a replacement for `active` given the next query's
-    /// profile: consult the tree's class scores, blend with EWMA rewards,
-    /// and return the best non-active estimator.
-    ///
-    /// The tree's scores are normalized to a distribution so young trees
-    /// (all mass on one class) and mature trees compare on the same scale.
-    /// Normalization runs over the **non-active** classes only: the active
-    /// estimator is never a candidate, so mass the tree puts on it must not
-    /// dilute the scores of the classes actually competing — otherwise a
-    /// tree that (correctly) favors the active estimator would flatten the
-    /// candidates' tree votes toward zero and hand the decision to reward
-    /// noise.
-    pub fn recommend(
-        &self,
-        tree: &HoeffdingTree,
-        profile: &QueryProfile,
-        active: EstimatorKind,
-    ) -> EstimatorKind {
-        let weights = tree.predict_weights(&profile.instance(active));
-        let total: f64 = weights
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != active.index() as usize)
-            .map(|(_, w)| w)
-            .sum();
-        let mut best = None;
-        let mut best_score = f64::NEG_INFINITY;
-        for kind in EstimatorKind::ALL {
-            if kind == active {
-                continue;
-            }
-            let tree_score = if total > 0.0 {
-                weights[kind.index() as usize] / total
-            } else {
-                0.0
-            };
-            // The tree vote is damped so that measured EWMA rewards decide
-            // near-ties; the tree's job is to break genuine workload-shape
-            // distinctions, not to override fresh performance evidence.
-            let score = 0.5 * tree_score + self.reward(profile.query_type, kind);
-            if score > best_score {
-                best_score = score;
-                best = Some(kind);
-            }
-        }
-        // LINT-ALLOW(no-panic): the pool holds six kinds and exactly one is active, so a non-active candidate exists
-        best.expect("non-active candidates exist")
     }
 
     /// Expected EWMA reward of `kind` under a query-type distribution
@@ -185,9 +371,11 @@ impl Recommender {
         } else {
             (&uniform, 3.0)
         };
-        // Per-type tree votes, computed once. Like `recommend`, each vote
-        // is normalized over the non-active classes only, so tree mass on
-        // the (ineligible) active estimator cannot dilute the candidates.
+        // Per-type tree votes, computed once. Each is normalized to a
+        // distribution so young trees (all mass on one class) and mature
+        // trees compare on the same scale, over the **non-active** classes
+        // only: tree mass on the (ineligible) active estimator must not
+        // dilute the candidates and hand the decision to reward noise.
         let mut tree_scores = [[0.0f64; 6]; 3];
         if use_tree {
             for (t, profile) in profiles.iter().enumerate() {
@@ -213,6 +401,9 @@ impl Recommender {
                 continue;
             }
             let k = kind.index() as usize;
+            // The tree vote is damped so that measured EWMA rewards decide
+            // near-ties; the tree's job is to break genuine workload-shape
+            // distinctions, not to override fresh performance evidence.
             let score: f64 = (0..3)
                 .map(|t| weights[t] / total * (0.5 * tree_scores[t][k] + self.rewards[t][k]))
                 .sum();
@@ -282,9 +473,10 @@ impl Persist for Recommender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::model_schema;
     use geostream::{RcDvq, Rect};
-    use hoeffding::{HoeffdingTree, HoeffdingTreeConfig};
+    use hoeffding::HoeffdingTreeConfig;
+
+    const TYPES: [QueryType; 3] = [QueryType::Spatial, QueryType::Keyword, QueryType::Hybrid];
 
     fn profile(qt: QueryType) -> QueryProfile {
         QueryProfile {
@@ -292,6 +484,53 @@ mod tests {
             keyword_count: if qt == QueryType::Spatial { 0 } else { 2 },
             area_fraction: if qt == QueryType::Keyword { 0.0 } else { 0.01 },
         }
+    }
+
+    /// The `mix_recommendation = false` path: the one-hot mix of a single
+    /// query, with the tree consulted.
+    fn recommend_single(
+        r: &Recommender,
+        tree: &HoeffdingTree,
+        p: &QueryProfile,
+        active: EstimatorKind,
+    ) -> EstimatorKind {
+        let (profiles, weights) = one_hot(p);
+        r.recommend_with(tree, &profiles, &weights, active, true)
+    }
+
+    /// The single-query recommendation as it was written before the
+    /// one-hot mix replaced it: the oracle for `recommend_single`.
+    fn reference_recommend(
+        r: &Recommender,
+        tree: &HoeffdingTree,
+        profile: &QueryProfile,
+        active: EstimatorKind,
+    ) -> EstimatorKind {
+        let weights = tree.predict_weights(&profile.instance(active));
+        let total: f64 = weights
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != active.index() as usize)
+            .map(|(_, w)| w)
+            .sum();
+        let mut best = None;
+        let mut best_score = f64::NEG_INFINITY;
+        for kind in EstimatorKind::ALL {
+            if kind == active {
+                continue;
+            }
+            let tree_score = if total > 0.0 {
+                weights[kind.index() as usize] / total
+            } else {
+                0.0
+            };
+            let score = 0.5 * tree_score + r.reward(profile.query_type, kind);
+            if score > best_score {
+                best_score = score;
+                best = Some(kind);
+            }
+        }
+        best.expect("non-active candidates exist")
     }
 
     #[test]
@@ -314,11 +553,11 @@ mod tests {
             r.observe(QueryType::Keyword, EstimatorKind::Rsl, 0.9);
         }
         assert_eq!(
-            r.best_by_reward(QueryType::Keyword, None),
+            r.best_by_reward(QueryType::Keyword, EstimatorKind::Aasp),
             EstimatorKind::Rsh
         );
         assert_eq!(
-            r.best_by_reward(QueryType::Keyword, Some(EstimatorKind::Rsh)),
+            r.best_by_reward(QueryType::Keyword, EstimatorKind::Rsh),
             EstimatorKind::Rsl
         );
     }
@@ -329,7 +568,7 @@ mod tests {
         let tree = HoeffdingTree::new(model_schema(), HoeffdingTreeConfig::default());
         for qt in [QueryType::Spatial, QueryType::Keyword, QueryType::Hybrid] {
             for active in EstimatorKind::ALL {
-                let rec = r.recommend(&tree, &profile(qt), active);
+                let rec = recommend_single(&r, &tree, &profile(qt), active);
                 assert_ne!(rec, active);
             }
         }
@@ -370,10 +609,11 @@ mod tests {
                 EstimatorKind::Rsh.index(),
             );
         }
-        let spatial_rec = r.recommend(&tree, &profile(QueryType::Spatial), EstimatorKind::Rsl);
+        let spatial_rec =
+            recommend_single(&r, &tree, &profile(QueryType::Spatial), EstimatorKind::Rsl);
         assert_eq!(spatial_rec, EstimatorKind::H4096);
         // For keyword queries the tree prefers RSH.
-        let kw_rec = r.recommend(&tree, &profile(QueryType::Keyword), EstimatorKind::Aasp);
+        let kw_rec = recommend_single(&r, &tree, &profile(QueryType::Keyword), EstimatorKind::Aasp);
         assert_eq!(kw_rec, EstimatorKind::Rsh);
     }
 
@@ -410,7 +650,7 @@ mod tests {
         for _ in 0..40 {
             tree.train(&inst, EstimatorKind::Rsl.index());
         }
-        let rec = r.recommend(&tree, &profile(QueryType::Spatial), EstimatorKind::Spn);
+        let rec = recommend_single(&r, &tree, &profile(QueryType::Spatial), EstimatorKind::Spn);
         assert_eq!(rec, EstimatorKind::H4096);
     }
 
@@ -451,7 +691,226 @@ mod tests {
         };
         // Untrained tree: uniform scores; reward history should decide.
         let tree = HoeffdingTree::new(model_schema(), HoeffdingTreeConfig::default());
-        let rec = r.recommend(&tree, &profile(QueryType::Hybrid), EstimatorKind::Rsh);
+        let rec = recommend_single(&r, &tree, &profile(QueryType::Hybrid), EstimatorKind::Rsh);
         assert_eq!(rec, EstimatorKind::Rsl);
+    }
+
+    /// The one-hot mix scores each candidate `1.0 × score + 0.0 + 0.0`,
+    /// so it picks what the single-query formulation picked, ties
+    /// included, over random rewards and trees.
+    #[test]
+    fn one_hot_mix_matches_the_single_query_recommendation() {
+        use testkit::{check, coin, f64_in, usize_in};
+        check("one_hot_mix_matches_single_query", 64, |rng| {
+            let mut r = Recommender::new();
+            for _ in 0..usize_in(rng, 0..200) {
+                let qt = TYPES[usize_in(rng, 0..3)];
+                let kind = EstimatorKind::ALL[usize_in(rng, 0..6)];
+                // Coarse rewards make exact score ties common.
+                let reward = if coin(rng) {
+                    usize_in(rng, 0..3) as f64 / 2.0
+                } else {
+                    f64_in(rng, 0.0..1.0)
+                };
+                r.observe(qt, kind, reward);
+            }
+            let config = HoeffdingTreeConfig {
+                grace_period: 20,
+                tie_threshold: 0.3,
+                ..HoeffdingTreeConfig::default()
+            };
+            let mut tree = HoeffdingTree::new(model_schema(), config);
+            let random_profile = |rng: &mut geostream::StreamRng| QueryProfile {
+                query_type: TYPES[usize_in(rng, 0..3)],
+                keyword_count: usize_in(rng, 0..6),
+                area_fraction: f64_in(rng, 0.0..1.0),
+            };
+            for _ in 0..usize_in(rng, 0..400) {
+                let p = random_profile(rng);
+                let active = EstimatorKind::ALL[usize_in(rng, 0..6)];
+                tree.train(&p.instance(active), usize_in(rng, 0..6) as u32);
+            }
+            for _ in 0..8 {
+                let p = random_profile(rng);
+                let active = EstimatorKind::ALL[usize_in(rng, 0..6)];
+                assert_eq!(
+                    recommend_single(&r, &tree, &p, active),
+                    reference_recommend(&r, &tree, &p, active),
+                    "profile {p:?}, active {active:?}"
+                );
+            }
+        });
+    }
+
+    // ---- Adaptor: one hand-built observation sequence per transition ----
+
+    /// Accuracy-only rewards (α = 0), τ = 0.75, β·τ = 0.675, a monitor warm
+    /// after two queries, and switches spaced four queries apart.
+    fn adaptor_config() -> LatestConfig {
+        LatestConfig {
+            alpha: 0.0,
+            accuracy_window: 4,
+            min_switch_spacing: 4,
+            ..LatestConfig::default()
+        }
+    }
+
+    /// An adaptor whose rewards already rank H4096 far above RSH on
+    /// spatial queries.
+    fn primed(config: &LatestConfig) -> Adaptor {
+        let mut a = Adaptor::new(config);
+        for _ in 0..20 {
+            a.recommender
+                .observe(QueryType::Spatial, EstimatorKind::H4096, 1.0);
+        }
+        a
+    }
+
+    /// Feeds `n` spatial answers from RSH at `accuracy` and returns the
+    /// decision on the last one.
+    fn feed(a: &mut Adaptor, n: u64, accuracy: f64, prefilling: Option<EstimatorKind>) -> Decision {
+        let mut last = None;
+        for seq in 0..n {
+            last = Some(a.observe(&Observation {
+                seq,
+                profile: profile(QueryType::Spatial),
+                active: ShadowSample {
+                    estimator: EstimatorKind::Rsh,
+                    estimate: 0.0,
+                    latency_ms: 0.1,
+                    accuracy,
+                },
+                shadow: &[],
+                prefilling,
+            }));
+        }
+        last.expect("n > 0")
+    }
+
+    const STAY: Decision = Decision {
+        retrained: false,
+        discard: false,
+        start: None,
+        activate: None,
+    };
+
+    #[test]
+    fn adaptor_stays_until_the_monitor_is_warm() {
+        let mut a = primed(&adaptor_config());
+        // One answer of four: the average exists but is not trusted yet.
+        assert_eq!(feed(&mut a, 1, 0.0, None), STAY);
+        assert_eq!(a.monitor.len(), 1);
+    }
+
+    #[test]
+    fn adaptor_starts_a_prefill_between_tau_and_beta_tau() {
+        // A start alone needs β·τ above τ: validation holds β below 1, so
+        // the adaptor is built directly from an unvalidated config.
+        let config = LatestConfig {
+            beta: 1.2,
+            ..adaptor_config()
+        };
+        let mut a = primed(&config);
+        let d = feed(&mut a, 4, 0.875, None);
+        let start = Some(EstimatorKind::H4096);
+        assert_eq!(d, Decision { start, ..STAY });
+    }
+
+    #[test]
+    fn adaptor_stays_when_the_margin_is_not_beaten() {
+        let config = LatestConfig {
+            switch_margin: 1.0,
+            ..adaptor_config()
+        };
+        let mut a = primed(&config);
+        assert_eq!(feed(&mut a, 4, 0.5, None), STAY);
+    }
+
+    #[test]
+    fn adaptor_activates_a_pending_prefill_below_tau() {
+        let mut a = primed(&adaptor_config());
+        let d = feed(&mut a, 4, 0.5, Some(EstimatorKind::H4096));
+        let activate = Some(0.5);
+        assert_eq!(d, Decision { activate, ..STAY });
+    }
+
+    /// Today's behaviour: with β < 1 every average below β·τ is below τ
+    /// too, so the query that starts a pre-fill also activates it. Ordered
+    /// thresholds (a pre-fill that starts above τ) invert this test.
+    #[test]
+    fn adaptor_starts_and_activates_in_the_same_query() {
+        let mut a = primed(&adaptor_config());
+        let d = feed(&mut a, 4, 0.5, None);
+        let (start, activate) = (Some(EstimatorKind::H4096), Some(0.5));
+        assert_eq!(
+            d,
+            Decision {
+                start,
+                activate,
+                ..STAY
+            }
+        );
+    }
+
+    #[test]
+    fn adaptor_discards_a_prefill_once_accuracy_recovers() {
+        let mut a = primed(&adaptor_config());
+        let d = feed(&mut a, 4, 1.0, Some(EstimatorKind::H4096));
+        assert_eq!(
+            d,
+            Decision {
+                discard: true,
+                ..STAY
+            }
+        );
+        // Nothing pending: nothing to discard.
+        assert_eq!(feed(&mut a, 1, 1.0, None), STAY);
+    }
+
+    #[test]
+    fn adaptor_waits_for_the_switch_spacing() {
+        let config = LatestConfig {
+            min_switch_spacing: 6,
+            ..adaptor_config()
+        };
+        let mut a = primed(&config);
+        assert_eq!(feed(&mut a, 5, 0.5, None), STAY);
+        assert_eq!(feed(&mut a, 1, 0.5, None).start, Some(EstimatorKind::H4096));
+        // A switch restarts the count.
+        a.reset_monitor();
+        assert_eq!(feed(&mut a, 5, 0.5, None), STAY);
+    }
+
+    #[test]
+    fn adaptor_resets_the_tree_on_drift_and_reports_it() {
+        let mut config = adaptor_config();
+        config.ablation.switching = false;
+        let mut a = Adaptor::new(&config);
+        // A long run in which RSH earns its label teaches the tree to
+        // predict RSH...
+        assert_eq!(feed(&mut a, 200, 1.0, None), STAY);
+        assert!(a.tree.stats().instances_seen >= 200);
+        // ...then RSH fails and the label moves away from it: the tree's
+        // errors climb until DDM declares drift.
+        let mut drifted = false;
+        for _ in 0..200 {
+            let d = feed(&mut a, 1, 0.0, None);
+            if d.retrained {
+                assert_eq!(
+                    d,
+                    Decision {
+                        retrained: true,
+                        ..STAY
+                    }
+                );
+                drifted = true;
+                break;
+            }
+            assert_eq!(d, STAY);
+        }
+        assert!(drifted, "no drift in 200 failures");
+        // Reset, then trained on the one record that tripped it.
+        assert_eq!(a.tree.stats().instances_seen, 1);
+        assert_eq!(a.drift.observations(), 0);
     }
 }

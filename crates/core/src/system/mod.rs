@@ -1,10 +1,11 @@
-//! The LATEST system module: phase orchestration and the Estimator Adaptor.
+//! The LATEST system module: the phase machine around the Estimator
+//! Adaptor.
 //!
 //! `Latest` and its ingest path live here. Each decision has one owning
-//! submodule: `query` answers a query and runs the adaptor's thresholds,
-//! `phase` makes every phase and estimator transition, `prefill` builds
-//! the §V-D replacement in the background, and `snapshot` persists the
-//! whole engine.
+//! submodule: `query` answers a query and hands the answer to the
+//! [`Adaptor`], `phase` makes every phase and estimator transition (the
+//! adaptor's decisions among them), `prefill` builds the §V-D replacement
+//! in the background, and `snapshot` persists the whole engine.
 
 mod phase;
 mod prefill;
@@ -14,11 +15,9 @@ mod snapshot;
 pub use crate::config::{AblationConfig, LatestConfig};
 pub use query::{QueryOptions, QueryOutcome, ServedBy};
 
-use crate::adaptor::Recommender;
+use crate::adaptor::Adaptor;
 use crate::cache::SelectivityCache;
-use crate::features::{model_schema, QueryProfile, RewardScaler};
 use crate::log::PhaseTag;
-use crate::monitor::AccuracyMonitor;
 use crate::obsv::{
     AdaptorMetrics, EstimatorMetrics, EstimatorRole, ExecutorMetrics, LifecycleEvent,
     MetricsRegistry, MetricsSnapshot, WindowMetrics,
@@ -26,9 +25,8 @@ use crate::obsv::{
 use crate::pool::{EstimatorPool, PrefillBuilder};
 use estimators::{BoxedEstimator, EstimatorKind};
 use exactdb::ExactExecutor;
-use geostream::QueryType;
 use geostream::{GeoTextObject, SlidingWindow, Timestamp};
-use hoeffding::{DdmDetector, HoeffdingTree, TreeStats};
+use hoeffding::TreeStats;
 use prefill::PrefillSlot;
 
 enum Phase {
@@ -55,21 +53,9 @@ pub struct Latest {
     window: SlidingWindow,
     executor: ExactExecutor,
     phase: Phase,
-    tree: HoeffdingTree,
-    recommender: Recommender,
-    scaler: RewardScaler,
-    monitor: AccuracyMonitor,
+    adaptor: Adaptor,
     /// Estimation-path queries answered so far (the next one's `seq`).
     queries_seen: u64,
-    queries_since_switch: usize,
-    /// DDM detector over the tree's own prediction errors.
-    drift: DdmDetector,
-    /// Query types of the most recent incremental queries (the workload
-    /// mix the adaptor optimizes for).
-    recent_types: std::collections::VecDeque<QueryType>,
-    /// EWMA representative profile per query type, for consulting the tree
-    /// about a *mix* rather than a single query.
-    type_profiles: [Option<QueryProfile>; 3],
     evict_buf: Vec<GeoTextObject>,
     /// Memoized answers for repeated queries over an unchanged window,
     /// keyed on `(QuerySignature, window generation)`.
@@ -104,15 +90,8 @@ impl Latest {
             phase: Phase::WarmUp {
                 pool: EstimatorPool::full(&config.estimator_config, 1),
             },
-            tree: HoeffdingTree::new(model_schema(), config.tree_config.clone()),
-            recommender: Recommender::new(),
-            scaler: RewardScaler::new(config.alpha),
-            monitor: AccuracyMonitor::new(config.accuracy_window),
+            adaptor: Adaptor::new(&config),
             queries_seen: 0,
-            queries_since_switch: 0,
-            drift: DdmDetector::default(),
-            recent_types: std::collections::VecDeque::new(),
-            type_profiles: [None, None, None],
             evict_buf: Vec::new(),
             cache: SelectivityCache::new(config.selectivity_cache_capacity),
             metrics,
@@ -155,7 +134,7 @@ impl Latest {
 
     /// Shape statistics of the learning model.
     pub fn tree_stats(&self) -> TreeStats {
-        self.tree.stats()
+        self.adaptor.tree.stats()
     }
 
     /// Live window size.
@@ -255,9 +234,9 @@ impl Latest {
                 prefill_cancelled: m.prefill_cancelled.get(),
                 prefill_build_us: m.prefill_build_us.snapshot(),
                 switch_stall_us: m.switch_stall_us.snapshot(),
-                monitor_len: self.monitor.len() as u64,
-                monitor_average: self.monitor.average(),
-                queries_since_switch: self.queries_since_switch as u64,
+                monitor_len: self.adaptor.monitor.len() as u64,
+                monitor_average: self.adaptor.monitor.average(),
+                queries_since_switch: self.adaptor.queries_since_switch as u64,
             },
             executor: ExecutorMetrics {
                 spatial: mix.spatial,
@@ -382,7 +361,7 @@ impl Latest {
     #[doc(hidden)]
     pub fn debug_activate_prefill(&mut self) -> bool {
         let at = self.window.now();
-        let avg = self.monitor.average().unwrap_or(0.0);
+        let avg = self.adaptor.monitor.average().unwrap_or(0.0);
         self.activate_prefill(self.queries_seen, at, avg)
     }
 

@@ -1,9 +1,10 @@
 //! The phase machine's transitions (warm-up → pre-training → incremental,
 //! §V-C) and the adaptor's three estimator transitions (§V-D): start,
-//! discard and activate a prefill.
+//! discard and activate a prefill, each made when a [`Decision`] asks.
 
 use super::prefill::PrefillSlot;
 use super::{Latest, Phase};
+use crate::adaptor::Decision;
 use crate::log::PhaseTag;
 use crate::obsv::LifecycleEvent;
 use crate::pool::EstimatorPool;
@@ -65,8 +66,7 @@ impl Latest {
             prefill: PrefillSlot::Idle,
             shadow: EstimatorPool::new(shadow),
         };
-        self.monitor.reset();
-        self.queries_since_switch = 0;
+        self.adaptor.reset_monitor();
         self.metrics.events.record(LifecycleEvent::PhaseEntered {
             phase: PhaseTag::Incremental,
             at: self.window.now(),
@@ -171,8 +171,27 @@ impl Latest {
                 to,
                 trigger_average,
             });
-        self.monitor.reset();
-        self.queries_since_switch = 0;
+        self.adaptor.reset_monitor();
         true
+    }
+
+    /// Executes the adaptor's decision on query `seq`. Returns whether
+    /// the active estimator changed.
+    pub(super) fn execute(&mut self, decision: Decision, seq: u64, at: Timestamp) -> bool {
+        if decision.retrained {
+            self.metrics.tree_retrainings.inc();
+            self.metrics
+                .events
+                .record(LifecycleEvent::TreeRetrained { seq });
+        }
+        if decision.discard {
+            self.discard_prefill(seq);
+        }
+        if let Some(kind) = decision.start {
+            self.start_prefill(kind, seq);
+        }
+        decision
+            .activate
+            .is_some_and(|average| self.activate_prefill(seq, at, average))
     }
 }

@@ -1,16 +1,16 @@
-//! The per-query path: cache probe, exact or estimated answer, the
-//! feedback loop, and the Estimator Adaptor's thresholds (§V-D).
+//! The per-query path: cache probe, exact or estimated answer, and the
+//! hand-off of every estimated answer to the Estimator Adaptor (§V-D).
 
 use super::{Latest, Phase};
+use crate::adaptor::Observation;
 use crate::cache::CachedAnswer;
 use crate::estimation_accuracy;
 use crate::features::QueryProfile;
 use crate::log::{PhaseTag, ShadowSample};
-use crate::obsv::{phase_index, LifecycleEvent, MetricsRegistry, WallTimer};
+use crate::obsv::{phase_index, MetricsRegistry, WallTimer};
 use crate::pool::EstimatorPool;
 use estimators::EstimatorKind;
 use geostream::{IdSet, QuerySignature, RcDvq, Timestamp};
-use hoeffding::DriftState;
 
 /// Per-request knobs of the unified query API ([`Latest::query`],
 /// [`Latest::query_batch`], and the [`SharedLatest`] counterparts).
@@ -439,22 +439,8 @@ impl Latest {
         // One round measures (and feeds back to) every pool estimator.
         let samples = pool.measure(query, actual);
         Self::record_round(&self.metrics, pool, &samples);
-        for s in &samples {
-            self.scaler.observe_latency(s.latency_ms);
-        }
-        // Label: the estimator with the best α-weighted reward.
-        let mut best = samples[0].estimator;
-        let mut best_reward = f64::NEG_INFINITY;
-        for s in &samples {
-            let r = self.scaler.reward(s.accuracy, s.latency_ms);
-            self.recommender.observe(profile.query_type, s.estimator, r);
-            if r > best_reward {
-                best_reward = r;
-                best = s.estimator;
-            }
-        }
-        self.tree
-            .train(&profile.instance(default_kind), best.index());
+        self.adaptor
+            .observe_pretraining(profile, default_kind, &samples);
 
         let answer = samples
             .iter()
@@ -479,8 +465,8 @@ impl Latest {
         }
     }
 
-    /// Incremental phase: answer with the active estimator, feed the
-    /// feedback loop, and run the adaptor's threshold logic.
+    /// Incremental phase: answer with the active estimator, hand the answer
+    /// to the adaptor, and execute its decision.
     fn incremental_query(
         &mut self,
         query: &RcDvq,
@@ -490,28 +476,6 @@ impl Latest {
         profile: &QueryProfile,
         precomputed: Option<(f64, u64)>,
     ) -> QueryOutcome {
-        let tau = self.config.tau;
-        let prefill_threshold = self.config.beta * tau;
-        // Update the recent workload mix before destructuring the phase.
-        if self.recent_types.len() >= self.config.accuracy_window {
-            self.recent_types.pop_front();
-        }
-        self.recent_types.push_back(profile.query_type);
-        let slot = &mut self.type_profiles[profile.query_type.index() as usize];
-        *slot = Some(match slot {
-            None => *profile,
-            Some(prev) => QueryProfile {
-                query_type: profile.query_type,
-                keyword_count: ((prev.keyword_count as f64) * 0.9
-                    + (profile.keyword_count as f64) * 0.1)
-                    .round() as usize,
-                area_fraction: prev.area_fraction * 0.9 + profile.area_fraction * 0.1,
-            },
-        });
-        let mut type_weights = [0.0f64; 3];
-        for t in &self.recent_types {
-            type_weights[t.index() as usize] += 1.0;
-        }
         let Phase::Incremental { active, shadow, .. } = &mut self.phase else {
             unreachable!("phase checked by caller")
         };
@@ -529,8 +493,12 @@ impl Latest {
                 (estimate, timer.elapsed_us())
             }
         };
-        let latency_ms = latency_us as f64 / 1_000.0;
-        let accuracy = estimation_accuracy(estimate, actual);
+        let answer = ShadowSample {
+            estimator: active_kind,
+            estimate,
+            latency_ms: latency_us as f64 / 1_000.0,
+            accuracy: estimation_accuracy(estimate, actual),
+        };
         active.observe_query(query, actual);
         self.metrics
             .record_estimate_latency(active_kind, latency_us);
@@ -541,109 +509,26 @@ impl Latest {
         // over the shadow pool.
         let mut samples = Vec::new();
         if self.config.shadow_metrics {
-            samples.push(ShadowSample {
-                estimator: active_kind,
-                estimate,
-                latency_ms,
-                accuracy,
-            });
+            samples.push(answer);
             let measured = shadow.measure(query, actual);
             Self::record_round(&self.metrics, shadow, &measured);
             samples.extend(measured);
         }
 
-        // Feedback loop: scaler, EWMA rewards, Hoeffding training record.
-        self.scaler.observe_latency(latency_ms);
-        let reward = self.scaler.reward(accuracy, latency_ms);
-        self.recommender
-            .observe(profile.query_type, active_kind, reward);
-        if self.config.shadow_metrics {
-            for s in samples.iter().filter(|s| s.estimator != active_kind) {
-                self.scaler.observe_latency(s.latency_ms);
-                let r = self.scaler.reward(s.accuracy, s.latency_ms);
-                self.recommender.observe(profile.query_type, s.estimator, r);
-            }
-        }
-        // Train with the active estimator when it is doing well; otherwise
-        // teach the tree the best-known alternative for this query type.
-        let label = if reward >= tau {
-            active_kind
-        } else {
-            self.recommender
-                .best_by_reward(profile.query_type, Some(active_kind))
-        };
-        let instance = profile.instance(active_kind);
-        // §V-D retraining trigger: score the tree's own prediction before
-        // training on the record; sustained error growth (DDM drift) means
-        // the learned concept is stale — reset and regrow.
-        let wrong = self.tree.predict(&instance) != label.index();
-        if self.drift.observe(wrong) == DriftState::Drift {
-            self.tree.reset();
-            self.drift.reset();
-            self.metrics.tree_retrainings.inc();
-            self.metrics
-                .events
-                .record(LifecycleEvent::TreeRetrained { seq });
-        }
-        self.tree.train(&instance, label.index());
-
-        self.monitor.push(accuracy);
-        self.queries_since_switch += 1;
-        let monitor_average = self.monitor.warmed_up().then(|| {
-            self.monitor
-                .average()
-                // LINT-ALLOW(no-panic): warmed_up() requires at least one observation, so the window mean exists
-                .expect("warmed_up implies observations")
+        let decision = self.adaptor.observe(&Observation {
+            seq,
+            profile: *profile,
+            active: answer,
+            shadow: &samples,
+            prefilling: self.prefilling(),
         });
-
-        // ---- Estimator Adaptor (§V-D) ----
-        // The phase borrow above has ended: each transition is a method
-        // that takes it again, shared with the `debug_*` hooks.
-        let mut switched = false;
-        if let Some(avg) = monitor_average.filter(|_| self.config.ablation.switching) {
-            let spaced = self.queries_since_switch >= self.config.min_switch_spacing;
-            if avg >= prefill_threshold {
-                // Accuracy recovered: discard any pre-filling candidate.
-                self.discard_prefill(seq);
-            } else if spaced {
-                if self.prefilling().is_none() {
-                    // Entering the danger zone: consult the model about the
-                    // recent workload *mix* and start pre-filling its
-                    // recommendation from the live window — but only if the
-                    // model actually expects the candidate to do better
-                    // than what we have (switch margin).
-                    let rec = if self.config.ablation.mix_recommendation {
-                        self.recommender.recommend_with(
-                            &self.tree,
-                            &self.type_profiles,
-                            &type_weights,
-                            active_kind,
-                            self.config.ablation.use_tree,
-                        )
-                    } else {
-                        // Ablation: the single next query's profile decides.
-                        self.recommender.recommend(&self.tree, profile, active_kind)
-                    };
-                    let advantage = self.recommender.expected_reward(&type_weights, rec)
-                        - self.recommender.expected_reward(&type_weights, active_kind);
-                    if advantage > self.config.switch_margin {
-                        self.start_prefill(rec, seq);
-                    }
-                }
-                // Below τ with a prefill pending: activate it. (No prefill
-                // means the model sees no better option — stay on the
-                // current estimator rather than churn.)
-                if avg < tau {
-                    switched = self.activate_prefill(seq, at, avg);
-                }
-            }
-        }
+        let switched = self.execute(decision, seq, at);
 
         QueryOutcome {
             estimate,
             actual,
-            latency_ms,
-            accuracy,
+            latency_ms: answer.latency_ms,
+            accuracy: answer.accuracy,
             estimator: active_kind,
             phase: PhaseTag::Incremental,
             switched,

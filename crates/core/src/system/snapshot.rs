@@ -3,7 +3,7 @@
 
 use super::prefill::PrefillSlot;
 use super::{Latest, Phase};
-use crate::adaptor::Recommender;
+use crate::adaptor::{Adaptor, Recommender};
 use crate::cache::SelectivityCache;
 use crate::config::{AblationConfig, LatestConfig};
 use crate::features::{QueryProfile, RewardScaler};
@@ -19,8 +19,9 @@ use hoeffding::{DdmDetector, HoeffdingTree, HoeffdingTreeConfig};
 /// Snapshot/restore: the crash-consistent persistence path.
 ///
 /// A snapshot is the window plus what was learned: the window, every live
-/// estimator (with its sampler RNG state), the learning model, the
-/// adaptor's monitor/recommender/scaler state, and the selectivity cache.
+/// estimator (with its sampler RNG state), the adaptor's state (the
+/// learning model, recommender, scaler, monitor, drift detector and
+/// workload mix), and the selectivity cache.
 /// A restored instance therefore produces exact counts equal to the
 /// uninterrupted run's, and bit-identical estimates as long as the
 /// window's live object ids are distinct (the sampling estimators key on
@@ -176,19 +177,22 @@ impl Latest {
         let mut w = geostream::PersistWriter::new();
         w.put_u64(Self::config_fingerprint(&self.config));
         self.window.persist(&mut w);
-        self.tree.persist(&mut w);
-        self.recommender.persist(&mut w);
-        self.scaler.persist(&mut w);
-        self.monitor.persist(&mut w);
+        // The adaptor's fields with the cache and `queries_seen` among
+        // them: format v6's order.
+        let adaptor = &self.adaptor;
+        adaptor.tree.persist(&mut w);
+        adaptor.recommender.persist(&mut w);
+        adaptor.scaler.persist(&mut w);
+        adaptor.monitor.persist(&mut w);
         self.cache.persist(&mut w);
-        self.drift.persist(&mut w);
+        adaptor.drift.persist(&mut w);
         w.put_u64(self.queries_seen);
-        w.put_usize(self.queries_since_switch);
-        w.put_usize(self.recent_types.len());
-        for &t in &self.recent_types {
+        w.put_usize(adaptor.queries_since_switch);
+        w.put_usize(adaptor.recent_types.len());
+        for &t in &adaptor.recent_types {
             crate::persist::persist_query_type(&mut w, t);
         }
-        for profile in &self.type_profiles {
+        for profile in &adaptor.type_profiles {
             profile.persist(&mut w);
         }
         match &self.phase {
@@ -282,14 +286,15 @@ impl Latest {
         for chunk in window.chunk_slices() {
             executor.insert_batch(chunk);
         }
-        let tree = HoeffdingTree::restore(&mut r)?;
-        let recommender = Recommender::restore(&mut r)?;
-        let scaler = RewardScaler::restore(&mut r)?;
-        let monitor = AccuracyMonitor::restore(&mut r)?;
+        let mut adaptor = Adaptor::new(&config);
+        adaptor.tree = HoeffdingTree::restore(&mut r)?;
+        adaptor.recommender = Recommender::restore(&mut r)?;
+        adaptor.scaler = RewardScaler::restore(&mut r)?;
+        adaptor.monitor = AccuracyMonitor::restore(&mut r)?;
         let cache = SelectivityCache::restore(&mut r)?;
-        let drift = DdmDetector::restore(&mut r)?;
+        adaptor.drift = DdmDetector::restore(&mut r)?;
         let queries_seen = r.take_u64("Latest.queries_seen")?;
-        let queries_since_switch = r.take_usize("Latest.queries_since_switch")?;
+        adaptor.queries_since_switch = r.take_usize("Latest.queries_since_switch")?;
         let recent_len = r.take_usize("Latest.recent_types.len")?;
         if recent_len > config.accuracy_window {
             return Err(geostream::PersistError::Corrupt {
@@ -300,12 +305,12 @@ impl Latest {
                 ),
             });
         }
-        let mut recent_types = std::collections::VecDeque::with_capacity(recent_len);
         for _ in 0..recent_len {
-            recent_types.push_back(crate::persist::restore_query_type(&mut r)?);
+            adaptor
+                .recent_types
+                .push_back(crate::persist::restore_query_type(&mut r)?);
         }
-        let mut type_profiles = [None, None, None];
-        for slot in &mut type_profiles {
+        for slot in &mut adaptor.type_profiles {
             *slot = Option::<QueryProfile>::restore(&mut r)?;
         }
         let phase = match r.take_u8("Latest.phase")? {
@@ -344,15 +349,8 @@ impl Latest {
             window,
             executor,
             phase,
-            tree,
-            recommender,
-            scaler,
-            monitor,
+            adaptor,
             queries_seen,
-            queries_since_switch,
-            drift,
-            recent_types,
-            type_profiles,
             evict_buf: Vec::new(),
             cache,
             // Metrics restart at zero: the registry is process-local
