@@ -25,6 +25,9 @@ use geostream::{Persist, PersistError, PersistReader, PersistWriter, QueryType};
 use hoeffding::{DdmDetector, DriftState, HoeffdingTree};
 use std::collections::VecDeque;
 
+/// Section tag for the adaptor's snapshot frame.
+const ADAPTOR_TAG: u32 = 0xada9_7010;
+
 /// EWMA smoothing factor for per-cell rewards.
 const EWMA_LAMBDA: f64 = 0.15;
 /// Optimistic initial reward so unobserved estimators get explored.
@@ -57,23 +60,23 @@ pub struct Decision {
     pub activate: Option<f64>,
 }
 
-/// The Estimator Adaptor's learned state and thresholds. The snapshot
-/// persists the learned fields one by one, with other state between them
-/// (`system::snapshot`), so they are crate-visible.
+/// The Estimator Adaptor's learned state and thresholds. `Latest` reads
+/// the model, the monitor and the switch spacing for its metrics, so those
+/// are crate-visible.
 pub struct Adaptor {
     pub(crate) tree: HoeffdingTree,
-    pub(crate) recommender: Recommender,
-    pub(crate) scaler: RewardScaler,
+    recommender: Recommender,
+    scaler: RewardScaler,
     pub(crate) monitor: AccuracyMonitor,
     /// DDM detector over the tree's own prediction errors.
-    pub(crate) drift: DdmDetector,
+    drift: DdmDetector,
     pub(crate) queries_since_switch: usize,
     /// Query types of the most recent incremental queries (the workload
     /// mix the adaptor optimizes for).
-    pub(crate) recent_types: VecDeque<QueryType>,
+    recent_types: VecDeque<QueryType>,
     /// EWMA representative profile per query type, for consulting the tree
     /// about a *mix* rather than a single query.
-    pub(crate) type_profiles: [Option<QueryProfile>; 3],
+    type_profiles: [Option<QueryProfile>; 3],
     tau: f64,
     beta: f64,
     accuracy_window: usize,
@@ -106,6 +109,62 @@ impl Adaptor {
             use_tree: config.ablation.use_tree,
             mix_recommendation: config.ablation.mix_recommendation,
         }
+    }
+
+    /// Writes what the adaptor learned and counted, as one section: the
+    /// model, the EWMA rewards, the latency range, the monitor, the drift
+    /// detector, the switch spacing and the workload mix. Its thresholds,
+    /// the monitor's capacity, α and the model's schema and tuning are
+    /// the configuration's.
+    pub fn persist(&self, w: &mut PersistWriter) {
+        w.section(ADAPTOR_TAG, |w| {
+            self.tree.persist(w);
+            self.recommender.persist(w);
+            self.scaler.persist_state(w);
+            self.monitor.persist_state(w);
+            self.drift.persist_state(w);
+            w.put_usize(self.queries_since_switch);
+            w.put_usize(self.recent_types.len());
+            for &t in &self.recent_types {
+                crate::persist::persist_query_type(w, t);
+            }
+            for profile in &self.type_profiles {
+                profile.persist(w);
+            }
+        });
+    }
+
+    /// Reads what [`Adaptor::persist`] wrote into a new adaptor under
+    /// `config`, which must be the writer's.
+    pub fn restore(r: &mut PersistReader<'_>, config: &LatestConfig) -> Result<Self, PersistError> {
+        const CTX: &str = "Adaptor";
+        let section = r.begin_section(ADAPTOR_TAG, CTX)?;
+        let mut a = Adaptor::new(config);
+        a.tree = HoeffdingTree::restore(r, model_schema(), config.tree_config.clone())?;
+        a.recommender = Recommender::restore(r)?;
+        a.scaler.restore_state(r)?;
+        a.monitor.restore_state(r)?;
+        a.drift.restore_state(r)?;
+        a.queries_since_switch = r.take_usize("Adaptor.queries_since_switch")?;
+        let recent = r.take_len("Adaptor.recent_types")?;
+        if recent > a.accuracy_window {
+            return Err(PersistError::Corrupt {
+                context: "Adaptor.recent_types",
+                detail: format!(
+                    "{recent} recent types exceed the accuracy window {}",
+                    a.accuracy_window
+                ),
+            });
+        }
+        for _ in 0..recent {
+            a.recent_types
+                .push_back(crate::persist::restore_query_type(r)?);
+        }
+        for slot in &mut a.type_profiles {
+            *slot = Option::<QueryProfile>::restore(r)?;
+        }
+        r.finish_section(section, CTX)?;
+        Ok(a)
     }
 
     /// Learns from a pre-training round, in which every pool estimator
@@ -418,11 +477,8 @@ impl Recommender {
 }
 
 impl Persist for Recommender {
+    /// The 3 × 6 reward and observation cells, row by row.
     fn persist(&self, w: &mut PersistWriter) {
-        // Dimensions first, so a future estimator-set change is caught as
-        // corruption rather than silently misaligned cells.
-        w.put_u32(3);
-        w.put_u32(6);
         for row in &self.rewards {
             for &cell in row {
                 w.put_f64(cell);
@@ -436,16 +492,8 @@ impl Persist for Recommender {
     }
 
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let types = r.take_u32("Recommender.types")?;
-        let kinds = r.take_u32("Recommender.kinds")?;
-        if types != 3 || kinds != 6 {
-            return Err(PersistError::Corrupt {
-                context: "Recommender",
-                detail: format!("grid {types}x{kinds}, expected 3x6"),
-            });
-        }
-        let mut rewards = [[0.0f64; 6]; 3];
-        for row in &mut rewards {
+        let mut rec = Recommender::new();
+        for row in &mut rec.rewards {
             for cell in row.iter_mut() {
                 let v = r.take_f64("Recommender.reward")?;
                 if !v.is_finite() {
@@ -457,16 +505,12 @@ impl Persist for Recommender {
                 *cell = v;
             }
         }
-        let mut observations = [[0u64; 6]; 3];
-        for row in &mut observations {
+        for row in &mut rec.observations {
             for cell in row.iter_mut() {
                 *cell = r.take_u64("Recommender.observations")?;
             }
         }
-        Ok(Recommender {
-            rewards,
-            observations,
-        })
+        Ok(rec)
     }
 }
 

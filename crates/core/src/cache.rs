@@ -140,10 +140,11 @@ impl Persist for CachedAnswer {
     }
 }
 
-impl Persist for SelectivityCache {
-    fn persist(&self, w: &mut PersistWriter) {
+impl SelectivityCache {
+    /// Writes the generation, the invalidation count and the entries; the
+    /// capacity is the configuration's.
+    pub fn persist(&self, w: &mut PersistWriter) {
         w.put_u64(self.generation);
-        w.put_usize(self.capacity);
         w.put_u64(self.invalidations);
         // HashMap iteration order is nondeterministic; emit entries sorted
         // by signature so identical caches serialize to identical bytes.
@@ -156,10 +157,12 @@ impl Persist for SelectivityCache {
         }
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let generation = r.take_u64("SelectivityCache.generation")?;
-        let capacity = r.take_usize("SelectivityCache.capacity")?;
-        let invalidations = r.take_u64("SelectivityCache.invalidations")?;
+    /// Reads what [`SelectivityCache::persist`] wrote into a new cache of
+    /// `capacity`, which must be the writer's.
+    pub fn restore(r: &mut PersistReader<'_>, capacity: usize) -> Result<Self, PersistError> {
+        let mut cache = SelectivityCache::new(capacity);
+        cache.generation = r.take_u64("SelectivityCache.generation")?;
+        cache.invalidations = r.take_u64("SelectivityCache.invalidations")?;
         let len = r.take_usize("SelectivityCache.len")?;
         if len > capacity {
             return Err(PersistError::Corrupt {
@@ -167,23 +170,17 @@ impl Persist for SelectivityCache {
                 detail: format!("{len} entries exceed capacity {capacity}"),
             });
         }
-        let mut map = IdMap::with_capacity_and_hasher(len, Default::default());
         for _ in 0..len {
             let sig = QuerySignature(r.take_u64("SelectivityCache.signature")?);
             let answer = CachedAnswer::restore(r)?;
-            if map.insert(sig, answer).is_some() {
+            if cache.map.insert(sig, answer).is_some() {
                 return Err(PersistError::Corrupt {
                     context: "SelectivityCache",
                     detail: format!("duplicate signature {:#x}", sig.0),
                 });
             }
         }
-        Ok(SelectivityCache {
-            generation,
-            map,
-            capacity,
-            invalidations,
-        })
+        Ok(cache)
     }
 }
 

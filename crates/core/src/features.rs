@@ -158,30 +158,27 @@ impl Persist for QueryProfile {
     }
 }
 
-impl Persist for RewardScaler {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_f64(self.alpha);
+impl RewardScaler {
+    /// Writes the observed latency range; α is the configuration's.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
         // lat_min/lat_max legitimately start at ±∞ before the first
         // observation; ship the raw bits rather than a sentinel.
         w.put_f64(self.lat_min);
         w.put_f64(self.lat_max);
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let alpha = r.take_f64("RewardScaler.alpha")?;
+    /// Reads [`RewardScaler::persist_state`]'s range into this scaler.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
         let lat_min = r.take_f64("RewardScaler.lat_min")?;
         let lat_max = r.take_f64("RewardScaler.lat_max")?;
-        if !(0.0..=1.0).contains(&alpha) || lat_min.is_nan() || lat_max.is_nan() {
+        if lat_min.is_nan() || lat_max.is_nan() {
             return Err(PersistError::Corrupt {
                 context: "RewardScaler",
-                detail: format!("alpha {alpha}, lat_min {lat_min}, lat_max {lat_max}"),
+                detail: format!("lat_min {lat_min}, lat_max {lat_max}"),
             });
         }
-        Ok(RewardScaler {
-            alpha,
-            lat_min,
-            lat_max,
-        })
+        (self.lat_min, self.lat_max) = (lat_min, lat_max);
+        Ok(())
     }
 }
 

@@ -64,7 +64,7 @@ pub use system::{Latest, QueryOptions, QueryOutcome, ServedBy};
 /// measured against. The queue and done-map critical sections are single
 /// pushes, pops and inserts that cannot leave torn state; a panic
 /// inside a `Latest` call under [`SharedLatest`]'s mutex can, exactly as it
-/// could before — turning that into a typed error is ROADMAP item 7(c).
+/// could before — a typed error for that case is not built yet.
 pub(crate) fn unpoisoned<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }

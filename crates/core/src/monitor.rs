@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use geostream::{Persist, PersistError, PersistReader, PersistWriter};
+use geostream::{PersistError, PersistReader, PersistWriter};
 
 /// Rebuild the compensated sum from scratch every this many pushes.
 /// Kahan summation already bounds the error independently of stream
@@ -126,35 +126,36 @@ impl AccuracyMonitor {
     }
 }
 
-impl Persist for AccuracyMonitor {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_usize(self.capacity);
+impl AccuracyMonitor {
+    /// Writes the running-sum state and the windowed accuracies, oldest
+    /// first; the window's capacity is the configuration's.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
         // The raw running-sum state ships bit-for-bit: recomputing it on
         // restore would produce a different rounding residue than the
         // uninterrupted run and break bit-identical estimates.
         w.put_f64(self.sum);
         w.put_f64(self.compensation);
         w.put_u64(self.pushes_since_recompute);
-        let (a, b) = self.window.as_slices();
         w.put_usize(self.window.len());
-        for &v in a.iter().chain(b) {
+        for &v in &self.window {
             w.put_f64(v);
         }
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let capacity = r.take_usize("AccuracyMonitor.capacity")?;
+    /// Reads [`AccuracyMonitor::persist_state`]'s state into this empty
+    /// monitor, whose capacity must be the writer's.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
         let sum = r.take_f64("AccuracyMonitor.sum")?;
         let compensation = r.take_f64("AccuracyMonitor.compensation")?;
-        let pushes_since_recompute = r.take_u64("AccuracyMonitor.pushes")?;
-        let len = r.take_usize("AccuracyMonitor.window.len")?;
-        if capacity < 1 || len > capacity || !sum.is_finite() || !compensation.is_finite() {
+        self.pushes_since_recompute = r.take_u64("AccuracyMonitor.pushes")?;
+        let len = r.take_len("AccuracyMonitor.window.len")?;
+        if len > self.capacity || !sum.is_finite() || !compensation.is_finite() {
             return Err(PersistError::Corrupt {
                 context: "AccuracyMonitor",
-                detail: format!("capacity {capacity}, len {len}, sum {sum}"),
+                detail: format!("capacity {}, len {len}, sum {sum}", self.capacity),
             });
         }
-        let mut window = VecDeque::with_capacity(capacity);
+        (self.sum, self.compensation) = (sum, compensation);
         for i in 0..len {
             let v = r.take_f64("AccuracyMonitor.window[]")?;
             if !(0.0..=1.0).contains(&v) {
@@ -163,15 +164,9 @@ impl Persist for AccuracyMonitor {
                     detail: format!("value {v} at {i} outside [0, 1]"),
                 });
             }
-            window.push_back(v);
+            self.window.push_back(v);
         }
-        Ok(AccuracyMonitor {
-            window,
-            capacity,
-            sum,
-            compensation,
-            pushes_since_recompute,
-        })
+        Ok(())
     }
 }
 

@@ -1,5 +1,5 @@
 //! Sharded multi-core serving: scatter-gather query routing over a
-//! partitioned stream (ROADMAP item 1: "serve millions of users").
+//! partitioned stream, so serving scales past one core.
 //!
 //! A single [`Latest`] behind a mutex caps the serving path at one core.
 //! This module partitions the stream across `N` independent shards — each

@@ -3,25 +3,27 @@
 
 use super::prefill::PrefillSlot;
 use super::{Latest, Phase};
-use crate::adaptor::{Adaptor, Recommender};
+use crate::adaptor::Adaptor;
 use crate::cache::SelectivityCache;
 use crate::config::{AblationConfig, LatestConfig};
-use crate::features::{QueryProfile, RewardScaler};
-use crate::monitor::AccuracyMonitor;
 use crate::obsv::{LifecycleEvent, MetricsRegistry};
 use crate::pool::{EstimatorPool, PrefillBuilder};
 use crate::shard::{RouterPolicy, ShardConfig};
 use estimators::{EstimatorConfig, EstimatorKind};
 use exactdb::ExactExecutor;
 use geostream::{Persist, SlidingWindow};
-use hoeffding::{DdmDetector, HoeffdingTree, HoeffdingTreeConfig};
+use hoeffding::HoeffdingTreeConfig;
 
 /// Snapshot/restore: the crash-consistent persistence path.
 ///
-/// A snapshot is the window plus what was learned: the window, every live
-/// estimator (with its sampler RNG state), the adaptor's state (the
-/// learning model, recommender, scaler, monitor, drift detector and
-/// workload mix), and the selectivity cache.
+/// A snapshot is the window plus what was learned: the window's objects,
+/// every live estimator's samples, model and counters (with its sampler RNG
+/// state), the adaptor's state (the learning model, recommender, scaler,
+/// monitor, drift detector and workload mix), and the selectivity cache.
+/// It says each thing once. The configuration is stored as a fingerprint
+/// that restore checks, and restore builds every structure from that
+/// configuration before reading back only what was sampled, learned or
+/// counted.
 /// A restored instance therefore produces exact counts equal to the
 /// uninterrupted run's, and bit-identical estimates as long as the
 /// window's live object ids are distinct (the sampling estimators key on
@@ -31,12 +33,22 @@ use hoeffding::{DdmDetector, HoeffdingTree, HoeffdingTreeConfig};
 ///
 /// Deliberately *not* persisted:
 ///
+/// * anything the configuration fixes — the window's span, each
+///   estimator's domain, grid, capacity, cluster and bin counts, the
+///   network's widths and learning rates, the model's schema and tuning,
+///   the monitor's and the cache's capacities, α and the adaptor's
+///   thresholds;
 /// * the exact executor — the paper's "system logs" source, a function of
 ///   the window alone. Restore rebuilds it from the restored window on the
 ///   configured backend, so its ring numbering restarts at zero and the
 ///   quadtree comes back in fresh node shape; neither reaches an answer
 ///   (the hybrid planner may pick the other access path, which changes
 ///   latency only);
+/// * what restore rebuilds from the samples and the model: each sample's
+///   posting index, slot generations and keyword-pool garbage (a restored
+///   sample has the compact layout a bulk build leaves), RSH's grid cells,
+///   the AASP tree's node rectangles, the Hoeffding tree's leaf depths and
+///   the window's chunk layout. None of them reaches an answer;
 /// * the [`MetricsRegistry`] — observability counters, the executor's
 ///   path-mix counters among them, restart at zero (a restart is an
 ///   observable event; hiding it would be lying);
@@ -177,24 +189,9 @@ impl Latest {
         let mut w = geostream::PersistWriter::new();
         w.put_u64(Self::config_fingerprint(&self.config));
         self.window.persist(&mut w);
-        // The adaptor's fields with the cache and `queries_seen` among
-        // them: format v6's order.
-        let adaptor = &self.adaptor;
-        adaptor.tree.persist(&mut w);
-        adaptor.recommender.persist(&mut w);
-        adaptor.scaler.persist(&mut w);
-        adaptor.monitor.persist(&mut w);
+        self.adaptor.persist(&mut w);
         self.cache.persist(&mut w);
-        adaptor.drift.persist(&mut w);
         w.put_u64(self.queries_seen);
-        w.put_usize(adaptor.queries_since_switch);
-        w.put_usize(adaptor.recent_types.len());
-        for &t in &adaptor.recent_types {
-            crate::persist::persist_query_type(&mut w, t);
-        }
-        for profile in &adaptor.type_profiles {
-            profile.persist(&mut w);
-        }
         match &self.phase {
             Phase::WarmUp { pool } => {
                 w.put_u8(0);
@@ -236,6 +233,7 @@ impl Latest {
 
     fn restore_pool(
         r: &mut geostream::PersistReader<'_>,
+        config: &EstimatorConfig,
     ) -> Result<EstimatorPool, geostream::PersistError> {
         let len = r.take_usize("Latest.pool.len")?;
         if len > EstimatorKind::ALL.len() {
@@ -249,18 +247,19 @@ impl Latest {
         }
         let mut ests = Vec::with_capacity(len);
         for _ in 0..len {
-            ests.push(estimators::restore_boxed(r)?);
+            ests.push(estimators::restore_boxed(r, config)?);
         }
         Ok(EstimatorPool::new(ests))
     }
 
     /// Rebuilds an instance from [`Latest::snapshot_bytes`] output. The
-    /// caller supplies the configuration (it contains closures-adjacent
-    /// runtime sizing and is cheap to keep alongside the snapshot); a
-    /// fingerprint check refuses payloads produced under one that differs
-    /// in a state- or answer-shaping setting. The three latency-only
-    /// settings, `shard.queue_capacity`, `prefill_delta_cap` and
-    /// `index_kind`, may differ.
+    /// caller supplies the configuration, and it is the one source of every
+    /// size and setting on restore: each structure is built from it, and
+    /// only what was sampled, learned or counted is read back. A
+    /// fingerprint check refuses payloads produced under a configuration
+    /// that differs in a state- or answer-shaping setting. The three
+    /// latency-only settings, `shard.queue_capacity`, `prefill_delta_cap`
+    /// and `index_kind`, may differ.
     ///
     /// Restore is all-or-nothing: any decode failure returns the typed
     /// error and no instance.
@@ -279,52 +278,29 @@ impl Latest {
                 detail: "snapshot was taken under a different configuration".to_string(),
             });
         }
-        let window = SlidingWindow::restore(&mut r)?;
+        let window = SlidingWindow::restore(&mut r, config.window_span)?;
         // The executor is a function of the window: rebuild it through the
         // calls `ingest_batch` makes.
         let mut executor = ExactExecutor::new(config.estimator_config.domain, config.index_kind);
         for chunk in window.chunk_slices() {
             executor.insert_batch(chunk);
         }
-        let mut adaptor = Adaptor::new(&config);
-        adaptor.tree = HoeffdingTree::restore(&mut r)?;
-        adaptor.recommender = Recommender::restore(&mut r)?;
-        adaptor.scaler = RewardScaler::restore(&mut r)?;
-        adaptor.monitor = AccuracyMonitor::restore(&mut r)?;
-        let cache = SelectivityCache::restore(&mut r)?;
-        adaptor.drift = DdmDetector::restore(&mut r)?;
+        let adaptor = Adaptor::restore(&mut r, &config)?;
+        let cache = SelectivityCache::restore(&mut r, config.selectivity_cache_capacity)?;
         let queries_seen = r.take_u64("Latest.queries_seen")?;
-        adaptor.queries_since_switch = r.take_usize("Latest.queries_since_switch")?;
-        let recent_len = r.take_usize("Latest.recent_types.len")?;
-        if recent_len > config.accuracy_window {
-            return Err(geostream::PersistError::Corrupt {
-                context: "Latest.recent_types",
-                detail: format!(
-                    "{recent_len} recent types exceed the accuracy window {}",
-                    config.accuracy_window
-                ),
-            });
-        }
-        for _ in 0..recent_len {
-            adaptor
-                .recent_types
-                .push_back(crate::persist::restore_query_type(&mut r)?);
-        }
-        for slot in &mut adaptor.type_profiles {
-            *slot = Option::<QueryProfile>::restore(&mut r)?;
-        }
+        let ec = &config.estimator_config;
         let phase = match r.take_u8("Latest.phase")? {
             0 => Phase::WarmUp {
-                pool: Self::restore_pool(&mut r)?,
+                pool: Self::restore_pool(&mut r, ec)?,
             },
             1 => Phase::PreTraining {
-                pool: Self::restore_pool(&mut r)?,
+                pool: Self::restore_pool(&mut r, ec)?,
             },
             2 => {
-                let active = estimators::restore_boxed(&mut r)?;
+                let active = estimators::restore_boxed(&mut r, ec)?;
                 let prefill = match r.take_u8("Latest.prefill")? {
                     0 => PrefillSlot::Idle,
-                    1 => PrefillSlot::Ready(estimators::restore_boxed(&mut r)?),
+                    1 => PrefillSlot::Ready(estimators::restore_boxed(&mut r, ec)?),
                     d => {
                         return Err(geostream::PersistError::Corrupt {
                             context: "Latest.prefill",
@@ -335,7 +311,7 @@ impl Latest {
                 Phase::Incremental {
                     active,
                     prefill,
-                    shadow: Self::restore_pool(&mut r)?,
+                    shadow: Self::restore_pool(&mut r, ec)?,
                 }
             }
             d => {

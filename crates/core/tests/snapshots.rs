@@ -313,8 +313,8 @@ fn corrupted_snapshots_fail_typed() {
     }
 
     // A file of an earlier format is refused by its header and never
-    // decoded: these are the 28 bytes `golden-v4.snap` and `golden-v5.snap`
-    // began with.
+    // decoded: these are the 28 bytes `golden-v4.snap`, `golden-v5.snap`
+    // and `golden-v6.snap` began with.
     let v4_header: [u8; 28] = [
         0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x04, 0x00, 0x00, 0x00, 0xc0, 0xb9, 0x01,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0xbb, 0x4e, 0x00, 0xb6, 0x61, 0xd6, 0x5c,
@@ -323,11 +323,15 @@ fn corrupted_snapshots_fail_typed() {
         0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x05, 0x00, 0x00, 0x00, 0xb8, 0xb9, 0x01,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x58, 0x8f, 0x7e, 0xbd, 0xec, 0x27, 0x65,
     ];
-    for (version, header) in [(4, v4_header), (5, v5_header)] {
+    let v6_header: [u8; 28] = [
+        0x4c, 0x41, 0x54, 0x53, 0x4e, 0x41, 0x50, 0x31, 0x06, 0x00, 0x00, 0x00, 0x9f, 0xb9, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xe7, 0xb0, 0x96, 0xc5, 0xb7, 0xc6, 0xd8, 0x27,
+    ];
+    for (version, header) in [(4, v4_header), (5, v5_header), (6, v6_header)] {
         std::fs::write(&path, header).expect("write old header");
         match Latest::load_snapshot(config.clone(), &path) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (version, 6));
+                assert_eq!((found, supported), (version, 7));
             }
             other => panic!(
                 "v{version} header produced {:?}, wanted UnsupportedVersion",
@@ -604,7 +608,7 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v6.snap")
+        .join("golden-v7.snap")
 }
 
 fn golden_instance() -> Latest {
@@ -656,7 +660,7 @@ fn golden_fixture_reserialises_to_itself() {
     let _ = std::fs::remove_file(&path);
     assert!(
         resaved == golden,
-        "re-saved fixture differs from golden-v6.snap ({} vs {} bytes)",
+        "re-saved fixture differs from golden-v7.snap ({} vs {} bytes)",
         resaved.len(),
         golden.len()
     );
@@ -712,15 +716,12 @@ fn roundtrip_survives_random_churn() {
 /// with the number of queries it has answered. The stream is fixed-shape
 /// and fixed-rate, so the window holds the same 1 201 objects throughout; a
 /// forced prefill + activation every 150 queries keeps lifecycle events
-/// flowing. Two parts of a snapshot are saw-toothed rather than flat — the
-/// window writes its front chunk's already-evicted prefix (under one chunk
-/// of objects) and a sampler carries dead slots until it compacts — and
-/// both restart at a forced switch (the window snapshot seals a chunk, the
-/// replacement is built compact), so the two marks sit right after a
-/// switch back to RSH, past the 1 024-object chunks warm-up left behind.
-/// What is then left to move between the 25 % and the 100 % mark is the
-/// model — an order of magnitude under the 96-byte record per answered
-/// query the engine used to keep and persist.
+/// flowing. The two marks sit right after a switch back to RSH. Since
+/// format v7 a snapshot writes the window's live objects and each sample's
+/// objects alone (no evicted prefix, no dead posting or pool garbage), so
+/// what is left to move between the 25 % and the 100 % mark is the sample's
+/// keyword count and the model — an order of magnitude under the 96-byte
+/// record per answered query the engine used to keep and persist.
 #[test]
 fn snapshot_size_does_not_grow_with_queries_served() {
     const QUERIES: u64 = 2_400; // 120× the 20 pre-training queries

@@ -38,7 +38,7 @@ use crate::asp_tree::{AspTree, NodeId};
 use crate::kmv::KmvSynopsis;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
-    GeoTextObject, KeywordId, Persist, PersistError, PersistReader, PersistWriter, QueryType, RcDvq,
+    GeoTextObject, KeywordId, PersistError, PersistReader, PersistWriter, QueryType, RcDvq,
 };
 
 /// Keyword hash buckets per node.
@@ -162,35 +162,6 @@ fn take_bucket_count(r: &mut PersistReader<'_>) -> Result<u32, PersistError> {
 
 /// Section tag for the AASP estimator's snapshot frame.
 const AASP_TAG: u32 = 0x4512_aa59;
-
-impl Persist for AaspTree {
-    /// Each node's counters follow its fields, one `f64` per bucket — the
-    /// layout of the per-node rows the table replaced.
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(AASP_TAG, |w| {
-            self.tree.persist_with(w, |id, w| {
-                for column in &self.table.columns {
-                    w.put_f64(f64::from(column[id as usize]));
-                }
-            });
-            self.kmv.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(AASP_TAG, "AaspTree")?;
-        let mut table = BucketTable::zeroed(0);
-        let tree = AspTree::restore_with(r, |_, r| {
-            for column in &mut table.columns {
-                column.push(take_bucket_count(r)?);
-            }
-            Ok(())
-        })?;
-        let kmv = KmvSynopsis::restore(r)?;
-        r.finish_section(section, "AaspTree")?;
-        Ok(AaspTree { tree, table, kmv })
-    }
-}
 
 /// The AASP selectivity estimator.
 pub struct AaspTree {
@@ -359,8 +330,32 @@ impl SelectivityEstimator for AaspTree {
         self.tree.memory_bytes() + self.table.memory_bytes() + self.kmv.memory_bytes()
     }
 
+    /// The tree with each node's bucket counters after its fields, one
+    /// `f64` per bucket (the layout of the per-node rows the table
+    /// replaced), then the KMV synopsis.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(AASP_TAG, |w| {
+            self.tree.persist_with(w, |id, w| {
+                for column in &self.table.columns {
+                    w.put_f64(f64::from(column[id as usize]));
+                }
+            });
+            self.kmv.persist_state(w);
+        });
+    }
+
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        let section = r.begin_section(AASP_TAG, "AaspTree")?;
+        let mut table = BucketTable::zeroed(0);
+        self.tree.restore_with(r, |_, r| {
+            for column in &mut table.columns {
+                column.push(take_bucket_count(r)?);
+            }
+            Ok(())
+        })?;
+        self.table = table;
+        self.kmv.restore_state(r)?;
+        r.finish_section(section, "AaspTree")
     }
 
     fn population(&self) -> u64 {
@@ -639,8 +634,15 @@ mod tests {
 
     fn persisted(a: &AaspTree) -> Vec<u8> {
         let mut w = PersistWriter::new();
-        a.persist(&mut w);
+        a.persist_state(&mut w);
         w.into_bytes()
+    }
+
+    /// `bytes` read back into a fresh estimator under `config()`.
+    fn restored(bytes: &[u8]) -> Result<AaspTree, PersistError> {
+        let mut a = AaspTree::new(&config());
+        a.restore_state(&mut PersistReader::new(bytes))?;
+        Ok(a)
     }
 
     #[test]
@@ -689,7 +691,7 @@ mod tests {
                     reference.assert_table_matches(&a);
                     if step == restore_at {
                         let bytes = persisted(&a);
-                        a = AaspTree::restore(&mut PersistReader::new(&bytes)).expect("restore");
+                        a = restored(&bytes).expect("restore");
                         assert_eq!(persisted(&a), bytes);
                         reference.assert_table_matches(&a);
                     }
@@ -780,12 +782,12 @@ mod tests {
         assert_eq!(a.node_count(), 1);
         let bytes = persisted(&a);
         let mut kmv = PersistWriter::new();
-        a.kmv.persist(&mut kmv);
+        a.kmv.persist_state(&mut kmv);
         let at = bytes.len() - kmv.len() - 8 * (BUCKETS - bucket_of(KeywordId(5)));
         let with = |count: f64| {
             let mut b = bytes.clone();
             b[at..at + 8].copy_from_slice(&count.to_bits().to_le_bytes());
-            AaspTree::restore(&mut PersistReader::new(&b))
+            restored(&b)
         };
         // The offset is the counter's: a valid rewrite moves the estimate.
         let q = RcDvq::keyword(vec![KeywordId(5)]);
@@ -818,12 +820,7 @@ mod tests {
         }
         assert!(orig.node_count() > 1, "tree should have split");
 
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut back = AaspTree::restore(&mut r).expect("restore");
-        assert!(r.is_exhausted());
+        let mut back = crate::traits::reload(&orig, AaspTree::new(&config()));
         assert_eq!(back.node_count(), orig.node_count());
         assert_eq!(back.population(), orig.population());
         assert_eq!(
@@ -853,10 +850,23 @@ mod tests {
             back.audit().unwrap();
         }
 
-        // A child pointer steered outside the arena must surface as a
-        // typed error, not a panic in a later tree walk.
-        let mut r = PersistReader::new(&bytes[..bytes.len() - 7]);
-        assert!(AaspTree::restore(&mut r).is_err());
+        // A truncated image, and a child pointer steered back up the
+        // arena, surface as typed errors, not a panic or a cycle in a later
+        // tree walk. The root's split is the first `true` after the
+        // population, the node count and the root's two counters.
+        let bytes = persisted(&orig);
+        assert!(restored(&bytes[..bytes.len() - 7]).is_err());
+        let mut cyclic = bytes.clone();
+        let split_at = 12 + 8 + 8 + 16;
+        assert_eq!(cyclic[split_at], 1, "the root is split");
+        cyclic[split_at + 1..split_at + 5].copy_from_slice(&0u32.to_le_bytes());
+        match restored(&cyclic) {
+            Err(PersistError::Corrupt { context, .. }) => assert_eq!(context, "AspTree.nodes"),
+            other => panic!(
+                "a root that is its own child restored as {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 
     #[test]

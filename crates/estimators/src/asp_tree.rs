@@ -25,7 +25,7 @@
 //! per-node bytes through [`AspTree::persist_with`] /
 //! [`AspTree::restore_with`].
 
-use geostream::{Persist, PersistError, PersistReader, PersistWriter, Point, Rect};
+use geostream::{PersistError, PersistReader, PersistWriter, Point, Rect};
 
 /// Index of a node in the tree arena.
 pub type NodeId = u32;
@@ -50,53 +50,6 @@ impl AspNode {
     /// Whether this node is a leaf.
     pub fn is_leaf(&self) -> bool {
         self.children.is_none()
-    }
-}
-
-impl Persist for AspNode {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.rect.persist(w);
-        w.put_f64(self.own);
-        w.put_f64(self.subtree);
-        match self.children {
-            Some(kids) => {
-                w.put_bool(true);
-                for id in kids {
-                    w.put_u32(id);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u32(self.depth as u32);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let rect = Rect::restore(r)?;
-        let own = r.take_f64("AspNode.own")?;
-        let subtree = r.take_f64("AspNode.subtree")?;
-        let children = if r.take_bool("AspNode.has_children")? {
-            let mut kids = [0 as NodeId; 4];
-            for id in &mut kids {
-                *id = r.take_u32("AspNode.child")?;
-            }
-            Some(kids)
-        } else {
-            None
-        };
-        let depth = r.take_u32("AspNode.depth")?;
-        if depth > u16::MAX as u32 {
-            return Err(PersistError::Corrupt {
-                context: "AspNode.depth",
-                detail: format!("depth {depth} exceeds u16"),
-            });
-        }
-        Ok(AspNode {
-            rect,
-            own,
-            subtree,
-            children,
-            depth: depth as u16,
-        })
     }
 }
 
@@ -363,77 +316,102 @@ impl AspTree {
         self.nodes.len() * std::mem::size_of::<AspNode>()
     }
 
-    /// Writes the tree, calling `node_tail(id, w)` right after each node's
-    /// own fields so an owner can interleave its per-node data.
+    /// Writes the population and each node's counters and split, calling
+    /// `node_tail(id, w)` right after each node's own fields so an owner
+    /// can interleave its per-node data. A split is written as its first
+    /// child's id (a split appends its four children in a row); the split
+    /// threshold, the depth cap and every node's rectangle and depth follow
+    /// from the configuration and the splits, and are not written.
     pub fn persist_with(
         &self,
         w: &mut PersistWriter,
         mut node_tail: impl FnMut(NodeId, &mut PersistWriter),
     ) {
-        w.put_f64(self.split_threshold);
-        w.put_u32(self.max_depth as u32);
         w.put_u64(self.population);
         w.put_usize(self.nodes.len());
         for (id, node) in (0..).zip(&self.nodes) {
-            node.persist(w);
+            w.put_f64(node.own);
+            w.put_f64(node.subtree);
+            match node.children {
+                Some([first, ..]) => {
+                    w.put_bool(true);
+                    w.put_u32(first);
+                }
+                None => w.put_bool(false),
+            }
             node_tail(id, w);
         }
     }
 
-    /// Reads what [`AspTree::persist_with`] wrote, handing the reader to
-    /// `node_tail(id, r)` after each node's own fields.
+    /// Reads what [`AspTree::persist_with`] wrote into this tree, which
+    /// must be freshly built ([`AspTree::new`]) under the configuration of
+    /// the one that wrote it, handing the reader to `node_tail(id, r)`
+    /// after each node's own fields. Rectangles and depths are rebuilt
+    /// from the root down: a node's children must follow it in the arena
+    /// and every node but the root must be exactly one node's child, or
+    /// the input is corrupt.
     pub fn restore_with(
+        &mut self,
         r: &mut PersistReader<'_>,
         mut node_tail: impl FnMut(NodeId, &mut PersistReader<'_>) -> Result<(), PersistError>,
-    ) -> Result<Self, PersistError> {
-        let split_threshold = r.take_f64("AspTree.split_threshold")?;
-        let max_depth = r.take_u32("AspTree.max_depth")?;
-        let population = r.take_u64("AspTree.population")?;
-        let len = r.take_len("AspTree.nodes")?;
-        let len = NodeId::try_from(len).map_err(|_| PersistError::Corrupt {
+    ) -> Result<(), PersistError> {
+        let corrupt = |detail: String| PersistError::Corrupt {
             context: "AspTree.nodes",
-            detail: format!("{len} nodes exceed the NodeId range"),
-        })?;
-        let mut nodes = Vec::with_capacity((len as usize).min(1 << 16));
+            detail,
+        };
+        let root = self.nodes[0].clone();
+        self.population = r.take_u64("AspTree.population")?;
+        let len = r.take_len("AspTree.nodes")?;
+        let len = NodeId::try_from(len)
+            .map_err(|_| corrupt(format!("{len} nodes exceed the NodeId range")))?;
+        if len == 0 {
+            return Err(corrupt("tree has no root node".into()));
+        }
+        self.nodes.clear();
         for id in 0..len {
-            nodes.push(AspNode::restore(r)?);
+            let own = r.take_f64("AspNode.own")?;
+            let subtree = r.take_f64("AspNode.subtree")?;
+            let children = if r.take_bool("AspNode.has_children")? {
+                let first = r.take_u32("AspNode.child")?;
+                let last = first
+                    .checked_add(3)
+                    .ok_or_else(|| corrupt(format!("node {id} splits past the NodeId range")))?;
+                Some([first, first + 1, first + 2, last])
+            } else {
+                None
+            };
+            self.nodes.push(AspNode {
+                own,
+                subtree,
+                children,
+                ..root
+            });
             node_tail(id, r)?;
         }
-        if nodes.is_empty() {
-            return Err(PersistError::Corrupt {
-                context: "AspTree.nodes",
-                detail: "tree has no root node".into(),
-            });
-        }
-        if max_depth > u16::MAX as u32 {
-            return Err(PersistError::Corrupt {
-                context: "AspTree.max_depth",
-                detail: format!("max depth {max_depth} exceeds u16"),
-            });
-        }
-        // Arena indices must stay inside the arena or every later walk
-        // would panic instead of reporting corruption.
-        for (id, node) in nodes.iter().enumerate() {
-            if let Some(kids) = node.children {
-                for kid in kids {
-                    if kid as usize >= nodes.len() {
-                        return Err(PersistError::Corrupt {
-                            context: "AspTree.children",
-                            detail: format!(
-                                "node {id} links child {kid} outside arena of {}",
-                                nodes.len()
-                            ),
-                        });
-                    }
+        let mut placed = vec![false; self.nodes.len()];
+        placed[0] = true;
+        for id in 0..self.nodes.len() {
+            let node = &self.nodes[id];
+            let Some(children) = node.children else {
+                continue;
+            };
+            let (quadrants, depth) = (node.rect.quadrants(), node.depth.saturating_add(1));
+            for (child, rect) in children.into_iter().zip(quadrants) {
+                let c = child as usize;
+                if c <= id || c >= placed.len() || placed[c] {
+                    return Err(corrupt(format!(
+                        "node {id} links child {child} out of order"
+                    )));
                 }
+                placed[c] = true;
+                self.nodes[c].rect = rect;
+                self.nodes[c].depth = depth;
             }
         }
-        Ok(AspTree {
-            nodes,
-            split_threshold,
-            max_depth: max_depth as u16,
-            population,
-        })
+        match placed.iter().position(|&p| !p) {
+            Some(orphan) => Err(corrupt(format!("node {orphan} is no node's child"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -478,6 +456,58 @@ mod tests {
             }
         }
         Some(victim)
+    }
+
+    /// An arena of counter-free nodes, each either a leaf (`None`) or a
+    /// split naming its first child, as `persist_with` lays it out.
+    fn arena_image(splits: &[Option<NodeId>]) -> Vec<u8> {
+        let mut w = PersistWriter::new();
+        w.put_u64(0);
+        w.put_usize(splits.len());
+        for split in splits {
+            w.put_f64(0.0);
+            w.put_f64(0.0);
+            w.put_bool(split.is_some());
+            if let Some(first) = split {
+                w.put_u32(*first);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// A split's children must follow it in the arena, and no node may be
+    /// two splits' child. Two nodes that name each other's children form a
+    /// cycle the root never reaches while every node is still some split's
+    /// child exactly once, so only the ordering rule refuses it; two splits
+    /// naming the same children leave no node orphaned, so only the
+    /// once-only rule refuses that.
+    #[test]
+    fn restore_refuses_children_out_of_order_or_shared() {
+        let restore = |splits: &[Option<NodeId>]| {
+            let bytes = arena_image(splits);
+            let mut tree = AspTree::new(DOMAIN, 4, 8);
+            tree.restore_with(&mut PersistReader::new(&bytes), |_, _| Ok(()))
+                .map(|()| tree)
+        };
+        // The root splits into 1..=4, node 1 into 5..=8, node 5 into 9..=12.
+        let mut splits = vec![None; 13];
+        (splits[0], splits[1], splits[5]) = (Some(1), Some(5), Some(9));
+        let tree = restore(&splits).expect("a valid arena restores");
+        assert_eq!(tree.node(9).rect, tree.node(5).rect.quadrants()[0]);
+        assert_eq!(tree.node(9).depth, 3);
+        let mut shared = splits.clone();
+        // Node 2 also splitting into 5..=8.
+        shared[2] = Some(5);
+        // Node 1 a leaf, and node 9 splitting into 5..=8: a 5 ↔ 9 cycle.
+        (splits[1], splits[9]) = (None, Some(5));
+        for bad in [shared, splits] {
+            match restore(&bad) {
+                Err(PersistError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("out of order"), "{detail}");
+                }
+                other => panic!("{bad:?} restored as {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

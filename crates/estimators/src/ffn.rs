@@ -113,77 +113,6 @@ impl FfnEstimator {
 /// Section tag for the FFN estimator's snapshot frame.
 const FFN_TAG: u32 = 0x4512_f0f0;
 
-impl Persist for FfnEstimator {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(FFN_TAG, |w| {
-            self.domain.persist(w);
-            w.put_u64(self.population);
-            w.put_u64(self.trained);
-            w.put_u64(self.train_budget);
-            w.put_usize(self.replay_next);
-            self.rng.persist(w);
-            self.net.persist(w);
-            w.put_usize(self.replay.len());
-            for (features, target) in &self.replay {
-                for f in features {
-                    w.put_f64(*f);
-                }
-                w.put_f64(*target);
-            }
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(FFN_TAG, "FfnEstimator")?;
-        let domain = Rect::restore(r)?;
-        let population = r.take_u64("FfnEstimator.population")?;
-        let trained = r.take_u64("FfnEstimator.trained")?;
-        let train_budget = r.take_u64("FfnEstimator.train_budget")?;
-        let replay_next = r.take_usize("FfnEstimator.replay_next")?;
-        let rng = StreamRng::restore(r)?;
-        let net = Mlp::restore(r)?;
-        let replay_len = r.take_len("FfnEstimator.replay.len")?;
-        if replay_len > REPLAY_CAPACITY {
-            return Err(PersistError::Corrupt {
-                context: "FfnEstimator.replay",
-                detail: format!("{replay_len} records over capacity {REPLAY_CAPACITY}"),
-            });
-        }
-        let mut replay = Vec::with_capacity(REPLAY_CAPACITY);
-        for _ in 0..replay_len {
-            let mut features = [0.0; FEATURES];
-            for f in &mut features {
-                *f = r.take_f64("FfnEstimator.replay.feature")?;
-            }
-            let target = r.take_f64("FfnEstimator.replay.target")?;
-            replay.push((features, target));
-        }
-        r.finish_section(section, "FfnEstimator")?;
-        if net.input_width() != FEATURES {
-            return Err(PersistError::Corrupt {
-                context: "FfnEstimator.net",
-                detail: format!("input width {} != {FEATURES}", net.input_width()),
-            });
-        }
-        if replay_next >= REPLAY_CAPACITY {
-            return Err(PersistError::Corrupt {
-                context: "FfnEstimator.replay_next",
-                detail: format!("ring cursor {replay_next} out of range"),
-            });
-        }
-        Ok(FfnEstimator {
-            net,
-            domain,
-            population,
-            replay,
-            replay_next,
-            trained,
-            train_budget,
-            rng,
-        })
-    }
-}
-
 impl SelectivityEstimator for FfnEstimator {
     fn kind(&self) -> EstimatorKind {
         EstimatorKind::Ffn
@@ -238,8 +167,52 @@ impl SelectivityEstimator for FfnEstimator {
             + std::mem::size_of::<Self>()
     }
 
+    /// The counters, the RNG, the network's parameters and the replay
+    /// ring; the domain, the training budget and the network's widths are
+    /// the configuration's.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(FFN_TAG, |w| {
+            w.put_u64(self.population);
+            w.put_u64(self.trained);
+            w.put_usize(self.replay_next);
+            self.rng.persist(w);
+            self.net.persist_state(w);
+            w.put_usize(self.replay.len());
+            for (features, target) in &self.replay {
+                for f in features {
+                    w.put_f64(*f);
+                }
+                w.put_f64(*target);
+            }
+        });
+    }
+
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        let section = r.begin_section(FFN_TAG, "FfnEstimator")?;
+        self.population = r.take_u64("FfnEstimator.population")?;
+        self.trained = r.take_u64("FfnEstimator.trained")?;
+        self.replay_next = r.take_usize("FfnEstimator.replay_next")?;
+        self.rng = StreamRng::restore(r)?;
+        self.net.restore_state(r)?;
+        let replay_len = r.take_len("FfnEstimator.replay.len")?;
+        if replay_len > REPLAY_CAPACITY || self.replay_next >= REPLAY_CAPACITY {
+            return Err(PersistError::Corrupt {
+                context: "FfnEstimator.replay",
+                detail: format!(
+                    "{replay_len} records, cursor {} over capacity {REPLAY_CAPACITY}",
+                    self.replay_next
+                ),
+            });
+        }
+        for _ in 0..replay_len {
+            let mut features = [0.0; FEATURES];
+            for f in &mut features {
+                *f = r.take_f64("FfnEstimator.replay.feature")?;
+            }
+            let target = r.take_f64("FfnEstimator.replay.target")?;
+            self.replay.push((features, target));
+        }
+        r.finish_section(section, "FfnEstimator")
     }
 
     fn population(&self) -> u64 {
@@ -392,12 +365,7 @@ mod tests {
             let actual = (q.range().unwrap().area()) as u64;
             orig.observe_query(&q, actual);
         }
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut back = FfnEstimator::restore(&mut r).expect("restore");
-        assert!(r.is_exhausted());
+        let mut back = crate::traits::reload(&orig, FfnEstimator::new(&config()));
         assert_eq!(back.trained_records(), orig.trained_records());
         let probe = range_query(50.0, 50.0, 9.0);
         assert_eq!(

@@ -14,8 +14,7 @@
 
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
-    GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, Point, QueryType, RcDvq,
-    Rect,
+    GeoTextObject, PersistError, PersistReader, PersistWriter, Point, QueryType, RcDvq, Rect,
 };
 
 /// 2D equi-width count histogram.
@@ -126,38 +125,6 @@ impl Histogram2D {
 /// Section tag for the histogram's snapshot frame.
 const H2D_TAG: u32 = 0x4512_4096;
 
-impl Persist for Histogram2D {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(H2D_TAG, |w| {
-            self.domain.persist(w);
-            w.put_usize(self.side);
-            w.put_u64(self.population);
-            self.cells.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(H2D_TAG, "Histogram2D")?;
-        let domain = Rect::restore(r)?;
-        let side = r.take_usize("Histogram2D.side")?;
-        let population = r.take_u64("Histogram2D.population")?;
-        let cells = Vec::<f64>::restore(r)?;
-        r.finish_section(section, "Histogram2D")?;
-        if side == 0 || cells.len() != side * side {
-            return Err(PersistError::Corrupt {
-                context: "Histogram2D.cells",
-                detail: format!("{} cells for side {side}", cells.len()),
-            });
-        }
-        Ok(Histogram2D {
-            domain,
-            side,
-            cells,
-            population,
-        })
-    }
-}
-
 impl SelectivityEstimator for Histogram2D {
     fn kind(&self) -> EstimatorKind {
         EstimatorKind::H4096
@@ -215,8 +182,24 @@ impl SelectivityEstimator for Histogram2D {
         self.cells.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Self>()
     }
 
+    /// The population, then every cell's count in row-major order; the
+    /// domain and side are the configuration's.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(H2D_TAG, |w| {
+            w.put_u64(self.population);
+            for &count in &self.cells {
+                w.put_f64(count);
+            }
+        });
+    }
+
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        let section = r.begin_section(H2D_TAG, "Histogram2D")?;
+        self.population = r.take_u64("Histogram2D.population")?;
+        for count in &mut self.cells {
+            *count = r.take_f64("Histogram2D.cells")?;
+        }
+        r.finish_section(section, "Histogram2D")
     }
 
     fn population(&self) -> u64 {
@@ -340,12 +323,7 @@ mod tests {
                 orig.remove(&obj(i, (i % 64) as f64 + 0.5, (i % 61) as f64 + 0.5));
             }
         }
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let back = Histogram2D::restore(&mut r).expect("restore");
-        assert!(r.is_exhausted());
+        let back = crate::traits::reload(&orig, Histogram2D::new(&config()));
         assert_eq!(back.population(), orig.population());
         assert_eq!(back.side(), orig.side());
         let q = RcDvq::spatial(Rect::new(3.3, 7.1, 41.9, 52.4));
@@ -353,8 +331,11 @@ mod tests {
         #[cfg(feature = "debug-invariants")]
         back.audit().unwrap();
         // Truncations are typed errors.
+        let mut w = PersistWriter::new();
+        orig.persist_state(&mut w);
+        let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes[..bytes.len() / 3]);
-        assert!(Histogram2D::restore(&mut r).is_err());
+        assert!(Histogram2D::new(&config()).restore_state(&mut r).is_err());
     }
 
     #[test]

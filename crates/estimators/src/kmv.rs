@@ -9,7 +9,7 @@
 //! Duplicates hash identically, so they never inflate the synopsis — that
 //! is what makes it a *distinct*-value estimator.
 
-use geostream::{KeywordId, Persist, PersistError, PersistReader, PersistWriter};
+use geostream::{KeywordId, PersistError, PersistReader, PersistWriter};
 use std::collections::BTreeSet;
 
 /// A k-minimum-values synopsis over keyword ids.
@@ -91,9 +91,10 @@ impl KmvSynopsis {
     }
 }
 
-impl Persist for KmvSynopsis {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_usize(self.k);
+impl KmvSynopsis {
+    /// Writes the observation count and the retained hashes; `k` is the
+    /// owner's configuration.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
         w.put_u64(self.observed);
         // BTreeSet iterates in ascending order, so the encoding is
         // deterministic and restore can validate sortedness for free.
@@ -103,23 +104,17 @@ impl Persist for KmvSynopsis {
         }
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let k = r.take_usize("KmvSynopsis.k")?;
-        let observed = r.take_u64("KmvSynopsis.observed")?;
+    /// Reads what [`KmvSynopsis::persist_state`] wrote into this synopsis,
+    /// which must be empty and built with the writer's `k`.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        self.observed = r.take_u64("KmvSynopsis.observed")?;
         let n = r.take_len("KmvSynopsis.mins.len")?;
-        if k < 2 {
-            return Err(PersistError::Corrupt {
-                context: "KmvSynopsis.k",
-                detail: format!("k = {k}, estimator needs k >= 2"),
-            });
-        }
-        if n > k {
+        if n > self.k {
             return Err(PersistError::Corrupt {
                 context: "KmvSynopsis.mins",
-                detail: format!("{n} retained hashes over k = {k}"),
+                detail: format!("{n} retained hashes over k = {}", self.k),
             });
         }
-        let mut mins = BTreeSet::new();
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let h = r.take_u64("KmvSynopsis.mins.entry")?;
@@ -130,9 +125,9 @@ impl Persist for KmvSynopsis {
                 });
             }
             prev = Some(h);
-            mins.insert(h);
+            self.mins.insert(h);
         }
-        Ok(KmvSynopsis { k, mins, observed })
+        Ok(())
     }
 }
 

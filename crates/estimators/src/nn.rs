@@ -5,7 +5,7 @@
 //! and SGD with momentum — the exact hyperparameter family the paper's
 //! WEKA FFN uses (learning rate 0.3, momentum 0.2, unipolar sigmoid).
 
-use geostream::{Persist, PersistError, PersistReader, PersistWriter, StreamRng};
+use geostream::{PersistError, PersistReader, PersistWriter, StreamRng};
 
 /// Unipolar (logistic) sigmoid.
 #[inline]
@@ -141,11 +141,6 @@ impl Mlp {
         }
     }
 
-    /// Input width of the network.
-    pub fn input_width(&self) -> usize {
-        self.layers[0].inputs
-    }
-
     /// Runs a forward pass, returning the output vector.
     pub fn forward(&mut self, input: &[f64]) -> &[f64] {
         self.activations[0].clear();
@@ -230,101 +225,36 @@ impl Mlp {
     }
 }
 
-impl Persist for DenseLayer {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_usize(self.inputs);
-        w.put_usize(self.outputs);
-        w.put_bool(self.linear);
-        self.weights.persist(w);
-        self.biases.persist(w);
-        self.w_vel.persist(w);
-        self.b_vel.persist(w);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let inputs = r.take_usize("DenseLayer.inputs")?;
-        let outputs = r.take_usize("DenseLayer.outputs")?;
-        let linear = r.take_bool("DenseLayer.linear")?;
-        let weights = Vec::<f64>::restore(r)?;
-        let biases = Vec::<f64>::restore(r)?;
-        let w_vel = Vec::<f64>::restore(r)?;
-        let b_vel = Vec::<f64>::restore(r)?;
-        if weights.len() != inputs * outputs
-            || w_vel.len() != weights.len()
-            || biases.len() != outputs
-            || b_vel.len() != outputs
-        {
-            return Err(PersistError::Corrupt {
-                context: "DenseLayer",
-                detail: format!(
-                    "shape mismatch: {}x{} with {} weights / {} biases",
-                    outputs,
-                    inputs,
-                    weights.len(),
-                    biases.len()
-                ),
-            });
-        }
-        Ok(DenseLayer {
-            weights,
-            biases,
-            w_vel,
-            b_vel,
-            inputs,
-            outputs,
-            linear,
-        })
-    }
-}
-
-impl Persist for Mlp {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_f64(self.lr);
-        w.put_f64(self.momentum);
-        self.layers.persist(w);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let lr = r.take_f64("Mlp.lr")?;
-        let momentum = r.take_f64("Mlp.momentum")?;
-        let layers = Vec::<DenseLayer>::restore(r)?;
-        if layers.is_empty() {
-            return Err(PersistError::Corrupt {
-                context: "Mlp.layers",
-                detail: "network has no layers".into(),
-            });
-        }
-        for pair in layers.windows(2) {
-            if pair[1].inputs != pair[0].outputs {
-                return Err(PersistError::Corrupt {
-                    context: "Mlp.layers",
-                    detail: format!(
-                        "layer widths disagree: {} outputs feed {} inputs",
-                        pair[0].outputs, pair[1].inputs
-                    ),
-                });
+impl Mlp {
+    /// Writes every layer's weights, biases and momentum buffers, in layer
+    /// order. The widths, learning rate and momentum are the constructor's
+    /// and are not written.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
+        for layer in &self.layers {
+            for v in [&layer.weights, &layer.biases, &layer.w_vel, &layer.b_vel] {
+                for &x in v.iter() {
+                    w.put_f64(x);
+                }
             }
         }
-        // Activation / delta / scratch buffers are pure scratch space —
-        // rebuilt from the restored layer widths, never serialized.
-        let widths: Vec<usize> = std::iter::once(layers[0].inputs)
-            .chain(layers.iter().map(|l| l.outputs))
-            .collect();
-        let activations = widths.iter().map(|&w| Vec::with_capacity(w)).collect();
-        // LINT-ALLOW(no-panic): widths always holds at least the input width
-        let max_width = widths.iter().copied().max().expect("non-empty widths");
-        Ok(Mlp {
-            layers,
-            lr,
-            momentum,
-            activations,
-            delta: Vec::with_capacity(max_width),
-            delta_prev: Vec::with_capacity(max_width),
-            scratch: std::cell::RefCell::new(InferScratch {
-                cur: Vec::with_capacity(max_width),
-                next: Vec::with_capacity(max_width),
-            }),
-        })
+    }
+
+    /// Reads what [`Mlp::persist_state`] wrote into this network, which
+    /// must have the writer's widths.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        for layer in &mut self.layers {
+            for v in [
+                &mut layer.weights,
+                &mut layer.biases,
+                &mut layer.w_vel,
+                &mut layer.b_vel,
+            ] {
+                for x in v.iter_mut() {
+                    *x = r.take_f64("Mlp.parameter")?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -340,10 +270,11 @@ mod tests {
             orig.train(&[t, 1.0 - t, t * t], &[t]);
         }
         let mut w = PersistWriter::new();
-        orig.persist(&mut w);
+        orig.persist_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
-        let mut back = Mlp::restore(&mut r).expect("restore");
+        let mut back = Mlp::new(&[3, 6, 1], 0.3, 0.2, 5);
+        back.restore_state(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let probe = [0.3, 0.7, 0.09];
         assert_eq!(
@@ -367,21 +298,28 @@ mod tests {
     fn restore_rejects_width_mismatch() {
         let mlp = Mlp::new(&[2, 3, 1], 0.3, 0.2, 1);
         let mut w = PersistWriter::new();
-        mlp.persist(&mut w);
-        let mut bytes = w.into_bytes();
+        mlp.persist_state(&mut w);
+        let bytes = w.into_bytes();
         // Truncations must come back as typed errors, never panics.
         for cut in [1, bytes.len() / 2, bytes.len() - 3] {
             let mut r = PersistReader::new(&bytes[..cut]);
-            assert!(Mlp::restore(&mut r).is_err(), "truncation at {cut} passed");
+            let mut back = Mlp::new(&[2, 3, 1], 0.3, 0.2, 1);
+            assert!(
+                back.restore_state(&mut r).is_err(),
+                "truncation at {cut} passed"
+            );
         }
-        // Corrupt a layer width (first usize after lr/momentum) and demand
-        // a Corrupt shape error.
-        bytes[16] ^= 0x1;
+        // A wider network needs more parameters than were written; a
+        // narrower one leaves some unread.
+        let mut wider = Mlp::new(&[2, 4, 1], 0.3, 0.2, 1);
+        assert!(matches!(
+            wider.restore_state(&mut PersistReader::new(&bytes)),
+            Err(PersistError::Truncated { .. })
+        ));
+        let mut narrower = Mlp::new(&[2, 2, 1], 0.3, 0.2, 1);
         let mut r = PersistReader::new(&bytes);
-        match Mlp::restore(&mut r) {
-            Err(_) => {}
-            Ok(_) => panic!("corrupted layer shape restored"),
-        }
+        narrower.restore_state(&mut r).expect("a prefix reads");
+        assert!(!r.is_exhausted(), "a narrower network read every parameter");
     }
 
     #[test]

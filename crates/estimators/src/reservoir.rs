@@ -236,8 +236,26 @@ impl SelectivityEstimator for ReservoirList {
         self.store.memory_bytes() + std::mem::size_of::<Self>()
     }
 
+    /// The sampler's counters and RNG, then the sample in slot order; the
+    /// capacity is the configuration's.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(RSL_TAG, |w| {
+            w.put_u64(self.seen);
+            w.put_u64(self.population);
+            self.rng.persist(w);
+            self.store.persist(w);
+        });
+    }
+
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        const CTX: &str = "reservoir list";
+        let sec = r.begin_section(RSL_TAG, CTX)?;
+        self.seen = r.take_u64("reservoir seen")?;
+        self.population = r.take_u64("reservoir population")?;
+        self.rng = StreamRng::restore(r)?;
+        self.store = SampleStore::restore(r, self.capacity)?;
+        r.finish_section(sec, CTX)?;
+        Ok(())
     }
 
     fn population(&self) -> u64 {
@@ -272,42 +290,6 @@ impl SelectivityEstimator for ReservoirList {
 
 /// Section tag for [`ReservoirList`] snapshots.
 const RSL_TAG: u32 = 0x4512_5101;
-
-impl Persist for ReservoirList {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(RSL_TAG, |w| {
-            w.put_usize(self.capacity);
-            w.put_u64(self.seen);
-            w.put_u64(self.population);
-            self.rng.persist(w);
-            self.store.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        const CTX: &str = "reservoir list";
-        let sec = r.begin_section(RSL_TAG, CTX)?;
-        let capacity = r.take_usize("reservoir capacity")?;
-        let seen = r.take_u64("reservoir seen")?;
-        let population = r.take_u64("reservoir population")?;
-        let rng = StreamRng::restore(r)?;
-        let store = SampleStore::restore(r)?;
-        r.finish_section(sec, CTX)?;
-        if store.len() > capacity {
-            return Err(PersistError::Corrupt {
-                context: CTX,
-                detail: format!("sample {} exceeds capacity {capacity}", store.len()),
-            });
-        }
-        Ok(ReservoirList {
-            capacity,
-            store,
-            seen,
-            population,
-            rng,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -534,12 +516,7 @@ mod tests {
         for i in 0..5_000u64 {
             orig.insert(&obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]));
         }
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut back = ReservoirList::restore(&mut r).expect("round trip");
-        assert!(r.is_exhausted());
+        let mut back = crate::traits::reload(&orig, ReservoirList::new(&config(64)));
         let q = RcDvq::hybrid(Rect::new(0.0, 0.0, 50.0, 50.0), vec![KeywordId(2)]);
         assert_eq!(back.estimate(&q).to_bits(), orig.estimate(&q).to_bits());
         // Continued ingest consumes the RNG: both must replace the exact

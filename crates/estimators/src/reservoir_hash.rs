@@ -21,10 +21,6 @@ use geostream::{
     Rect, StreamRng,
 };
 
-/// Largest grid side a snapshot may ask for: the grid is dense, so a
-/// restore allocates `side²` lists before reading any of them.
-const MAX_GRID_SIDE: usize = 1 << 10;
-
 /// Reservoir sample indexed by a 2D grid over the domain.
 pub struct ReservoirHash {
     capacity: usize,
@@ -46,7 +42,6 @@ impl ReservoirHash {
     pub fn new(config: &EstimatorConfig) -> Self {
         let capacity = config.scaled_reservoir();
         let side = config.scaled_grid_side();
-        assert!(side <= MAX_GRID_SIDE, "grid side {side} is not restorable");
         let layout = CellGrid::new(config.domain, side);
         ReservoirHash {
             capacity,
@@ -264,8 +259,32 @@ impl SelectivityEstimator for ReservoirHash {
             + std::mem::size_of::<Self>()
     }
 
+    /// The sampler's counters and RNG, then the sample in slot order. The
+    /// capacity and grid are the configuration's, and the cell lists are
+    /// rebuilt from the sampled coordinates.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(RSH_TAG, |w| {
+            w.put_u64(self.seen);
+            w.put_u64(self.population);
+            self.rng.persist(w);
+            self.store.persist(w);
+        });
+    }
+
+    /// Links every restored slot under its cell in slot order — the order
+    /// a bulk build leaves, which no count depends on.
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        const CTX: &str = "reservoir hash";
+        let sec = r.begin_section(RSH_TAG, CTX)?;
+        self.seen = r.take_u64("rsh seen")?;
+        self.population = r.take_u64("rsh population")?;
+        self.rng = StreamRng::restore(r)?;
+        self.store = SampleStore::restore(r, self.capacity)?;
+        r.finish_section(sec, CTX)?;
+        for slot in 0..self.store.len() as u32 {
+            self.link(self.cell_of_slot(slot), slot);
+        }
+        Ok(())
     }
 
     fn population(&self) -> u64 {
@@ -328,87 +347,6 @@ impl SelectivityEstimator for ReservoirHash {
 
 /// Section tag for [`ReservoirHash`] snapshots.
 const RSH_TAG: u32 = 0x4512_2502;
-
-impl Persist for ReservoirHash {
-    /// Grid slot lists are serialized verbatim, as `(cell, list)` pairs for
-    /// the non-empty cells in index order: list order is live state
-    /// produced by `link` / `unlink`'s swap-removes, and a restore must
-    /// leave the estimator byte-identical to the instance it snapshotted.
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(RSH_TAG, |w| {
-            w.put_usize(self.capacity);
-            self.layout.domain().persist(w);
-            w.put_usize(self.layout.side());
-            w.put_u64(self.seen);
-            w.put_u64(self.population);
-            self.rng.persist(w);
-            w.put_usize(self.occupied);
-            for (cell, slots) in self.grid.iter().enumerate() {
-                if !slots.is_empty() {
-                    // `new` and `restore` cap the side at MAX_GRID_SIDE.
-                    w.put_u32(cell as u32);
-                    slots.persist(w);
-                }
-            }
-            self.store.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        const CTX: &str = "reservoir hash";
-        let corrupt = |detail: String| PersistError::Corrupt {
-            context: CTX,
-            detail,
-        };
-        let sec = r.begin_section(RSH_TAG, CTX)?;
-        let capacity = r.take_usize("rsh capacity")?;
-        let domain = Rect::restore(r)?;
-        let side = r.take_usize("rsh grid side")?;
-        let seen = r.take_u64("rsh seen")?;
-        let population = r.take_u64("rsh population")?;
-        let rng = StreamRng::restore(r)?;
-        if side == 0 || side > MAX_GRID_SIDE {
-            return Err(corrupt(format!(
-                "grid side {side} outside 1..={MAX_GRID_SIDE}"
-            )));
-        }
-        let layout = CellGrid::new(domain, side);
-        let occupied = r.take_len("rsh grid cells")?;
-        let mut grid = vec![Vec::new(); layout.cell_count()];
-        let mut linked = 0usize;
-        for _ in 0..occupied {
-            let cell = r.take_u32("rsh grid cell")? as usize;
-            let slots = Vec::<u32>::restore(r)?;
-            linked += slots.len();
-            match grid.get_mut(cell) {
-                Some(list) if list.is_empty() && !slots.is_empty() => *list = slots,
-                _ => {
-                    return Err(corrupt(format!(
-                        "grid cell {cell} duplicate, empty or off-grid"
-                    )))
-                }
-            }
-        }
-        let store = SampleStore::restore(r)?;
-        r.finish_section(sec, CTX)?;
-        if linked != store.len() {
-            return Err(corrupt(format!(
-                "{linked} grid links for {} slots",
-                store.len()
-            )));
-        }
-        Ok(ReservoirHash {
-            capacity,
-            layout,
-            store,
-            grid,
-            occupied,
-            seen,
-            population,
-            rng,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -625,8 +563,9 @@ mod tests {
     }
 
     /// Churn (replacements, evictions, cells emptied and refilled), then
-    /// persist → restore → persist: the second image equals the first, so
-    /// the dense grid writes exactly the `(cell, list)` pairs it reads.
+    /// persist → restore → persist: the second image equals the first, and
+    /// the rebuilt grid links every slot under its cell
+    /// (`SelectivityEstimator::audit` checks the placement).
     #[test]
     fn persist_restore_persist_is_byte_identical_after_churn() {
         let mut r = ReservoirHash::new(&config(48));
@@ -643,13 +582,16 @@ mod tests {
             }
         }
         let mut first = PersistWriter::new();
-        r.persist(&mut first);
+        r.persist_state(&mut first);
         let first = first.into_bytes();
-        let back = ReservoirHash::restore(&mut PersistReader::new(&first)).expect("restore");
+        let back = crate::traits::reload(&r, ReservoirHash::new(&config(48)));
         let mut second = PersistWriter::new();
-        back.persist(&mut second);
+        back.persist_state(&mut second);
         assert!(first == second.into_bytes(), "second image differs");
-        assert_eq!(back.memory_bytes(), r.memory_bytes());
+        assert_eq!(back.occupied, r.occupied);
+        assert!(back.memory_bytes() <= r.memory_bytes());
+        #[cfg(feature = "debug-invariants")]
+        back.audit().expect("restored grid audit");
     }
 
     /// Snapshot mid-stream, restore, continue ingesting the same suffix on
@@ -669,12 +611,7 @@ mod tests {
         for i in 0..4_000u64 {
             orig.insert(&point(i));
         }
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut back = ReservoirHash::restore(&mut r).expect("round trip");
-        assert!(r.is_exhausted());
+        let mut back = crate::traits::reload(&orig, ReservoirHash::new(&config(128)));
         for i in 4_000..6_000u64 {
             let o = point(i);
             orig.insert(&o);

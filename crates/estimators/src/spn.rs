@@ -334,124 +334,27 @@ impl SpnEstimator {
     }
 }
 
-impl Persist for AxisHistogram {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_f64(self.lo);
-        w.put_f64(self.hi);
-        self.bins.persist(w);
+impl AxisHistogram {
+    fn persist_state(&self, w: &mut PersistWriter) {
+        for &count in &self.bins {
+            w.put_f64(count);
+        }
         w.put_f64(self.total);
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let lo = r.take_f64("AxisHistogram.lo")?;
-        let hi = r.take_f64("AxisHistogram.hi")?;
-        let bins = Vec::<f64>::restore(r)?;
-        let total = r.take_f64("AxisHistogram.total")?;
-        if bins.is_empty() {
-            return Err(PersistError::Corrupt {
-                context: "AxisHistogram.bins",
-                detail: "empty bin vector".into(),
-            });
+    /// Reads the bin counts and total into this (empty) histogram, whose
+    /// range and bin count are the writer's.
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        for count in &mut self.bins {
+            *count = r.take_f64("AxisHistogram.bins")?;
         }
-        Ok(AxisHistogram {
-            lo,
-            hi,
-            bins,
-            total,
-        })
-    }
-}
-
-impl Persist for Component {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_f64(self.weight);
-        self.x.persist(w);
-        self.y.persist(w);
-        self.kw_probs.persist(w);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let weight = r.take_f64("Component.weight")?;
-        let x = AxisHistogram::restore(r)?;
-        let y = AxisHistogram::restore(r)?;
-        let kw_probs = Vec::<f64>::restore(r)?;
-        if kw_probs.len() != KW_BUCKETS {
-            return Err(PersistError::Corrupt {
-                context: "Component.kw_probs",
-                detail: format!("expected {KW_BUCKETS} buckets, found {}", kw_probs.len()),
-            });
-        }
-        Ok(Component {
-            weight,
-            x,
-            y,
-            kw_probs,
-        })
+        self.total = r.take_f64("AxisHistogram.total")?;
+        Ok(())
     }
 }
 
 /// Section tag for the SPN estimator's snapshot frame.
 const SPN_TAG: u32 = 0x4512_59a9;
-
-impl Persist for SpnEstimator {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(SPN_TAG, |w| {
-            self.domain.persist(w);
-            w.put_usize(self.buffer_capacity);
-            w.put_usize(self.clusters);
-            w.put_usize(self.bins);
-            w.put_u64(self.rebuild_every);
-            w.put_u64(self.inserts_since_rebuild);
-            w.put_u64(self.rebuilds);
-            w.put_u64(self.seen);
-            w.put_u64(self.population);
-            self.rng.persist(w);
-            self.components.persist(w);
-            self.buffer.persist(w);
-        });
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let section = r.begin_section(SPN_TAG, "SpnEstimator")?;
-        let domain = Rect::restore(r)?;
-        let buffer_capacity = r.take_usize("SpnEstimator.buffer_capacity")?;
-        let clusters = r.take_usize("SpnEstimator.clusters")?;
-        let bins = r.take_usize("SpnEstimator.bins")?;
-        let rebuild_every = r.take_u64("SpnEstimator.rebuild_every")?;
-        let inserts_since_rebuild = r.take_u64("SpnEstimator.inserts_since_rebuild")?;
-        let rebuilds = r.take_u64("SpnEstimator.rebuilds")?;
-        let seen = r.take_u64("SpnEstimator.seen")?;
-        let population = r.take_u64("SpnEstimator.population")?;
-        let rng = StreamRng::restore(r)?;
-        let components = Vec::<Component>::restore(r)?;
-        let buffer = SampleStore::restore(r)?;
-        r.finish_section(section, "SpnEstimator")?;
-        if buffer.len() > buffer_capacity {
-            return Err(PersistError::Corrupt {
-                context: "SpnEstimator.buffer",
-                detail: format!(
-                    "buffer holds {} objects over capacity {}",
-                    buffer.len(),
-                    buffer_capacity
-                ),
-            });
-        }
-        Ok(SpnEstimator {
-            domain,
-            buffer,
-            buffer_capacity,
-            components,
-            clusters,
-            bins,
-            rebuild_every,
-            inserts_since_rebuild,
-            rebuilds,
-            seen,
-            population,
-            rng,
-        })
-    }
-}
 
 impl SelectivityEstimator for SpnEstimator {
     fn kind(&self) -> EstimatorKind {
@@ -545,8 +448,61 @@ impl SelectivityEstimator for SpnEstimator {
             + std::mem::size_of::<Self>()
     }
 
+    /// The counters, the RNG, the mixture's components and the buffered
+    /// sample in slot order. The domain, buffer capacity, cluster and bin
+    /// counts and rebuild period are the configuration's; so are each
+    /// leaf histogram's range and the keyword-bucket count.
     fn persist_state(&self, w: &mut PersistWriter) {
-        self.persist(w);
+        w.section(SPN_TAG, |w| {
+            w.put_u64(self.inserts_since_rebuild);
+            w.put_u64(self.rebuilds);
+            w.put_u64(self.seen);
+            w.put_u64(self.population);
+            self.rng.persist(w);
+            w.put_usize(self.components.len());
+            for c in &self.components {
+                w.put_f64(c.weight);
+                c.x.persist_state(w);
+                c.y.persist_state(w);
+                for &p in &c.kw_probs {
+                    w.put_f64(p);
+                }
+            }
+            self.buffer.persist(w);
+        });
+    }
+
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        let section = r.begin_section(SPN_TAG, "SpnEstimator")?;
+        self.inserts_since_rebuild = r.take_u64("SpnEstimator.inserts_since_rebuild")?;
+        self.rebuilds = r.take_u64("SpnEstimator.rebuilds")?;
+        self.seen = r.take_u64("SpnEstimator.seen")?;
+        self.population = r.take_u64("SpnEstimator.population")?;
+        self.rng = StreamRng::restore(r)?;
+        let components = r.take_len("SpnEstimator.components")?;
+        if components > self.clusters {
+            return Err(PersistError::Corrupt {
+                context: "SpnEstimator.components",
+                detail: format!("{components} components over {} clusters", self.clusters),
+            });
+        }
+        let d = self.domain;
+        for _ in 0..components {
+            let mut c = Component {
+                weight: r.take_f64("Component.weight")?,
+                x: AxisHistogram::build(d.min_x, d.max_x, self.bins, std::iter::empty()),
+                y: AxisHistogram::build(d.min_y, d.max_y, self.bins, std::iter::empty()),
+                kw_probs: vec![0.0; KW_BUCKETS],
+            };
+            c.x.restore_state(r)?;
+            c.y.restore_state(r)?;
+            for p in &mut c.kw_probs {
+                *p = r.take_f64("Component.kw_probs")?;
+            }
+            self.components.push(c);
+        }
+        self.buffer = SampleStore::restore(r, self.buffer_capacity)?;
+        r.finish_section(section, "SpnEstimator")
     }
 
     fn population(&self) -> u64 {
@@ -703,12 +659,7 @@ mod tests {
         }
         assert!(orig.has_model());
 
-        let mut w = PersistWriter::new();
-        orig.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut back = SpnEstimator::restore(&mut r).expect("restore");
-        assert!(r.is_exhausted());
+        let mut back = crate::traits::reload(&orig, SpnEstimator::new(&config()));
         assert_eq!(back.rebuilds(), orig.rebuilds());
         assert_eq!(back.seen, orig.seen);
         assert_eq!(back.buffer.oids(), orig.buffer.oids());

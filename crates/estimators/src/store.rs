@@ -40,7 +40,7 @@
 use geostream::object::keywords_intersect;
 use geostream::{
     GeoTextObject, IdMap, KeywordId, ObjectId, Persist, PersistError, PersistReader, PersistWriter,
-    RcDvq, Rect,
+    Point, RcDvq, Rect,
 };
 use std::collections::HashMap;
 
@@ -221,22 +221,27 @@ impl SampleStore {
 
     /// Appends `obj` at slot `len`, returning its slot.
     pub fn push(&mut self, obj: &GeoTextObject) -> u32 {
+        self.push_parts(obj.loc, obj.oid, &obj.keywords)
+    }
+
+    /// [`SampleStore::push`] of an object given by its columns.
+    fn push_parts(&mut self, loc: Point, oid: ObjectId, keywords: &[KeywordId]) -> u32 {
         // LINT-ALLOW(as-truncation): slot count is bounded by the reservoir capacity, far below u32::MAX
         let slot = self.xs.len() as u32;
-        self.xs.push(obj.loc.x);
-        self.ys.push(obj.loc.y);
-        self.oids.push(obj.oid);
+        self.xs.push(loc.x);
+        self.ys.push(loc.y);
+        self.oids.push(oid);
         // LINT-ALLOW(as-truncation): pool length is bounded by capacity x keywords-per-object, well below u32::MAX
         let off = self.kw_pool.len() as u32;
-        self.kw_pool.extend_from_slice(&obj.keywords);
+        self.kw_pool.extend_from_slice(keywords);
         // LINT-ALLOW(as-truncation): per-object keyword counts are tiny (tens at most)
-        self.kw_ranges.push((off, obj.keywords.len() as u32));
+        self.kw_ranges.push((off, keywords.len() as u32));
         if self.slot_gen.len() <= slot as usize {
             self.slot_gen.push(0);
         }
-        self.slot_of.insert(obj.oid, slot);
+        self.slot_of.insert(oid, slot);
         let gen = self.slot_gen[slot as usize];
-        for &kw in obj.keywords.iter() {
+        for &kw in keywords {
             self.postings.post(kw, slot, gen);
         }
         slot
@@ -620,165 +625,56 @@ impl SampleStore {
     }
 }
 
-impl Persist for PostingList {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.entries.persist(w);
-        w.put_u32(self.dead);
-    }
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let entries = Vec::<u64>::restore(r)?;
-        let dead = r.take_u32("posting dead count")?;
-        // Binary search (post / tombstone) depends on strict ascent.
-        if entries.windows(2).any(|p| p[0] >= p[1]) {
-            return Err(PersistError::Corrupt {
-                context: "posting entries",
-                detail: "entries not strictly ascending".to_string(),
-            });
-        }
-        if dead as usize > entries.len() {
-            return Err(PersistError::Corrupt {
-                context: "posting dead count",
-                detail: format!("dead {dead} exceeds {} entries", entries.len()),
-            });
-        }
-        Ok(PostingList { entries, dead })
-    }
-}
-
-impl Persist for PostingIndex {
-    fn persist(&self, w: &mut PersistWriter) {
-        // Deterministic encoding: lists in sorted keyword order. Entry
-        // order *within* a list is already canonical (sorted packed keys).
-        let mut kws: Vec<KeywordId> = self.map.keys().copied().collect();
-        kws.sort_unstable();
-        w.put_usize(kws.len());
-        for kw in kws {
-            kw.persist(w);
-            self.map[&kw].persist(w);
-        }
-        w.put_usize(self.total_entries);
-        w.put_u64(self.compactions);
-    }
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let len = r.take_len("posting map length")?;
-        let mut map = IdMap::with_capacity_and_hasher(len.min(1 << 16), Default::default());
-        for _ in 0..len {
-            let kw = KeywordId::restore(r)?;
-            let list = PostingList::restore(r)?;
-            if map.insert(kw, list).is_some() {
-                return Err(PersistError::Corrupt {
-                    context: "posting map",
-                    detail: format!("duplicate keyword {kw:?}"),
-                });
+impl SampleStore {
+    /// The sample in slot order (slot order is algorithm-R state), each
+    /// slot as its object alone: coordinates, id and keywords. Everything
+    /// else is derived from those and rebuilt by [`SampleStore::restore`],
+    /// which pushes the slots in order: the posting index comes back
+    /// compact, every generation at zero and the keyword pool without
+    /// garbage — the layout a bulk build leaves.
+    pub fn persist(&self, w: &mut PersistWriter) {
+        w.put_usize(self.len());
+        let columns = self.xs.iter().zip(&self.ys).zip(&self.oids);
+        for (((&x, &y), oid), &(off, len)) in columns.zip(&self.kw_ranges) {
+            w.put_f64(x);
+            w.put_f64(y);
+            oid.persist(w);
+            w.put_usize(len as usize);
+            for kw in &self.kw_pool[off as usize..(off + len) as usize] {
+                kw.persist(w);
             }
         }
-        let total_entries = r.take_usize("posting total entries")?;
-        let compactions = r.take_u64("posting compactions")?;
-        let walked: usize = map.values().map(|l: &PostingList| l.entries.len()).sum();
-        if total_entries != walked {
-            return Err(PersistError::Corrupt {
-                context: "posting total entries",
-                detail: format!("counter {total_entries} != walked {walked}"),
-            });
-        }
-        Ok(PostingIndex {
-            map,
-            total_entries,
-            compactions,
-        })
-    }
-}
-
-/// Section tag for [`SampleStore`] snapshots.
-const STORE_TAG: u32 = 0x5a3e_5701;
-
-impl Persist for SampleStore {
-    /// Columns are written verbatim — slot order is algorithm-R state, so
-    /// a restore must reproduce it exactly, including `slot_gen` at its
-    /// full high-water length (it may exceed the live length after
-    /// shrinks; stale postings are guarded by those retained generations).
-    /// `slot_of` is derived state and is rebuilt on restore.
-    fn persist(&self, w: &mut PersistWriter) {
-        w.section(STORE_TAG, |w| {
-            self.xs.persist(w);
-            self.ys.persist(w);
-            self.oids.persist(w);
-            self.kw_ranges.persist(w);
-            self.kw_pool.persist(w);
-            w.put_usize(self.kw_garbage);
-            self.slot_gen.persist(w);
-            // The byte `Option::persist` wrote when the index was optional;
-            // every store ever saved had one.
-            w.put_u8(1);
-            self.postings.persist(w);
-        });
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
+    /// Reads what [`SampleStore::persist`] wrote, refusing a sample larger
+    /// than its owner's `capacity` or one holding an id twice.
+    pub fn restore(r: &mut PersistReader<'_>, capacity: usize) -> Result<Self, PersistError> {
         const CTX: &str = "sample store";
-        let sec = r.begin_section(STORE_TAG, CTX)?;
-        let xs = Vec::<f64>::restore(r)?;
-        let ys = Vec::<f64>::restore(r)?;
-        let oids = Vec::<ObjectId>::restore(r)?;
-        let kw_ranges = Vec::<(u32, u32)>::restore(r)?;
-        let kw_pool = Vec::<KeywordId>::restore(r)?;
-        let kw_garbage = r.take_usize("kw garbage")?;
-        let slot_gen = Vec::<u32>::restore(r)?;
-        let postings =
-            Option::<PostingIndex>::restore(r)?.ok_or_else(|| PersistError::Corrupt {
-                context: CTX,
-                detail: "posting index absent".to_string(),
-            })?;
-        r.finish_section(sec, CTX)?;
-
-        let n = xs.len();
-        if ys.len() != n || oids.len() != n || kw_ranges.len() != n || slot_gen.len() < n {
+        let n = r.take_len(CTX)?;
+        if n > capacity {
             return Err(PersistError::Corrupt {
                 context: CTX,
-                detail: format!(
-                    "column lengths disagree: xs {n} ys {} oids {} kw_ranges {} slot_gen {}",
-                    ys.len(),
-                    oids.len(),
-                    kw_ranges.len(),
-                    slot_gen.len()
-                ),
+                detail: format!("sample {n} exceeds capacity {capacity}"),
             });
         }
-        for &(off, len) in &kw_ranges {
-            if (off as usize) + (len as usize) > kw_pool.len() {
-                return Err(PersistError::Corrupt {
-                    context: CTX,
-                    detail: format!(
-                        "keyword range ({off}, {len}) exceeds pool {}",
-                        kw_pool.len()
-                    ),
-                });
+        let mut store = SampleStore::with_capacity(n);
+        let mut keywords = Vec::new();
+        for _ in 0..n {
+            let loc = Point::restore(r)?;
+            let oid = ObjectId::restore(r)?;
+            keywords.clear();
+            for _ in 0..r.take_len(CTX)? {
+                keywords.push(KeywordId::restore(r)?);
             }
-        }
-        let mut slot_of = IdMap::with_capacity_and_hasher(n, Default::default());
-        for (s, &oid) in oids.iter().enumerate() {
-            let slot = u32::try_from(s).map_err(|_| PersistError::Corrupt {
-                context: CTX,
-                detail: format!("slot index {s} exceeds the u32 arena"),
-            })?;
-            if slot_of.insert(oid, slot).is_some() {
+            if store.slot_of(oid).is_some() {
                 return Err(PersistError::Corrupt {
                     context: CTX,
                     detail: format!("duplicate object id {oid:?}"),
                 });
             }
+            store.push_parts(loc, oid, &keywords);
         }
-        Ok(SampleStore {
-            xs,
-            ys,
-            oids,
-            kw_ranges,
-            kw_pool,
-            kw_garbage,
-            slot_of,
-            slot_gen,
-            postings,
-        })
+        Ok(store)
     }
 }
 
@@ -1226,15 +1122,17 @@ mod tests {
         s.persist(&mut w);
         let bytes = w.into_bytes();
         let mut r = geostream::PersistReader::new(&bytes);
-        let back = SampleStore::restore(&mut r).expect("round trip");
+        let back = SampleStore::restore(&mut r, usize::MAX).expect("round trip");
         assert!(r.is_exhausted());
 
         assert_eq!(back.len(), s.len());
         assert_eq!(back.xs(), s.xs());
         assert_eq!(back.ys(), s.ys());
         assert_eq!(back.oids(), s.oids());
-        assert_eq!(back.compactions(), s.compactions());
-        assert_eq!(back.memory_bytes(), s.memory_bytes());
+        // The index is rebuilt, not read: compact, and no larger.
+        assert!(back.written_once(), "restored store carries garbage");
+        assert_eq!(back.compactions(), 0);
+        assert!(back.memory_bytes() <= s.memory_bytes());
         for slot in 0..s.len() as u32 {
             assert_eq!(back.keywords(slot), s.keywords(slot));
             assert_eq!(back.slot_of(s.oids()[slot as usize]), Some(slot));
@@ -1260,7 +1158,7 @@ mod tests {
         original.persist(&mut w);
         let bytes = w.into_bytes();
         let mut r = geostream::PersistReader::new(&bytes);
-        let mut restored = SampleStore::restore(&mut r).expect("round trip");
+        let mut restored = SampleStore::restore(&mut r, usize::MAX).expect("round trip");
         let mut rng = 0x1234u64;
         for i in 10_000..11_000u64 {
             let roll = lcg(&mut rng);
@@ -1289,43 +1187,38 @@ mod tests {
         // Every truncation prefix fails typed, never panics.
         for cut in (0..bytes.len()).step_by(97) {
             let mut r = geostream::PersistReader::new(&bytes[..cut]);
-            assert!(SampleStore::restore(&mut r).is_err(), "cut {cut} decoded");
+            assert!(
+                SampleStore::restore(&mut r, usize::MAX).is_err(),
+                "cut {cut} decoded"
+            );
         }
-        // Duplicate oid: two pushes of the same id through the encoder.
+        // A sample larger than its owner's capacity is refused by name.
+        let mut r = geostream::PersistReader::new(&bytes);
+        match SampleStore::restore(&mut r, s.len() - 1) {
+            Err(geostream::PersistError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("exceeds capacity"), "{detail}");
+            }
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("an over-capacity sample restored"),
+        }
+        // Duplicate oid: patch the second slot's id (7, the only u64 of
+        // that value in this encoding) to collide with the first's.
         let mut dup = SampleStore::new();
         dup.push(&obj(1, 0.0, 0.0, &[]));
-        dup.push(&obj(2, 1.0, 1.0, &[]));
+        dup.push(&obj(7, 1.0, 1.0, &[]));
         let mut w = geostream::PersistWriter::new();
         dup.persist(&mut w);
         let mut bytes = w.into_bytes();
-        // A frame without a posting index — what a posting-less store used
-        // to write — is refused by name. With no keywords stored the index
-        // is the frame's last 25 bytes: presence byte, empty map, two
-        // counters; the reader skips what follows a cleared presence byte.
-        let mut absent = bytes.clone();
-        let presence = absent.len() - 25;
-        assert_eq!(absent[presence], 1, "presence byte moved");
-        absent[presence] = 0;
-        let mut r = geostream::PersistReader::new(&absent);
-        assert!(matches!(
-            SampleStore::restore(&mut r),
-            Err(geostream::PersistError::Corrupt {
-                context: "sample store",
-                ..
-            })
-        ));
-        // Patch the second oid to collide with the first: oid 1 is the
-        // only u64 value 1 in this encoding, and oid 2 sits right after
-        // it in the oids column.
-        let one = 1u64.to_le_bytes();
         let at = bytes
             .windows(8)
-            .position(|wnd| wnd == one)
-            .expect("oid 1 present");
-        bytes[at + 8..at + 16].copy_from_slice(&one);
+            .position(|wnd| wnd == 7u64.to_le_bytes())
+            .expect("oid 7 present");
+        bytes[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
         let mut r = geostream::PersistReader::new(&bytes);
-        match SampleStore::restore(&mut r) {
-            Err(geostream::PersistError::Corrupt { .. }) => {}
+        match SampleStore::restore(&mut r, usize::MAX) {
+            Err(geostream::PersistError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("duplicate"), "{detail}");
+            }
             Err(other) => panic!("expected Corrupt, got {other:?}"),
             Ok(_) => panic!("expected Corrupt, got a decoded store"),
         }

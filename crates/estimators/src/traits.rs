@@ -1,6 +1,6 @@
 //! The estimator abstraction LATEST builds on.
 
-use geostream::{GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq, Rect};
+use geostream::{GeoTextObject, PersistError, PersistReader, PersistWriter, RcDvq, Rect};
 
 /// Identity of an estimator implementation. This is the *class label* of
 /// LATEST's Hoeffding tree: the learning model's job is to predict the best
@@ -277,12 +277,23 @@ pub trait SelectivityEstimator: Send {
     /// estimator scales to).
     fn population(&self) -> u64;
 
-    /// Serializes the estimator's full state (counters, samples, model
-    /// parameters, and internal RNG) into `w`, such that
+    /// Serializes what the estimator sampled, learned or counted (samples,
+    /// model parameters, counters and internal RNG) into `w`, such that
     /// [`restore_boxed`] rebuilds a bit-identical estimator: continuing
     /// the stream on the restored instance must produce the same estimates
-    /// as never having snapshotted.
+    /// as never having snapshotted. What its [`EstimatorConfig`] fixes
+    /// (domain, grid side, capacity, cluster and bin counts, network
+    /// widths) and what can be rebuilt from the rest (posting index, grid)
+    /// is not written.
     fn persist_state(&self, w: &mut PersistWriter);
+
+    /// Reads what [`persist_state`] wrote into this estimator, which must
+    /// be freshly built under the configuration of the one that wrote it
+    /// ([`restore_boxed`] does both). On error the estimator is left
+    /// half-read and must be dropped.
+    ///
+    /// [`persist_state`]: SelectivityEstimator::persist_state
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError>;
 
     /// Deep invariant audit (the `debug-invariants` feature): a full walk
     /// that re-derives the estimator's maintained counters and checks its
@@ -337,22 +348,37 @@ pub fn persist_boxed(est: &dyn SelectivityEstimator, w: &mut PersistWriter) {
     est.persist_state(w);
 }
 
-/// Inverse of [`persist_boxed`]: reads the kind tag, then dispatches to
-/// the matching concrete `Persist::restore`.
-pub fn restore_boxed(r: &mut PersistReader<'_>) -> Result<BoxedEstimator, PersistError> {
+/// Inverse of [`persist_boxed`]: reads the kind tag, builds that kind
+/// under `config` and reads its state back
+/// ([`SelectivityEstimator::restore_state`]).
+pub fn restore_boxed(
+    r: &mut PersistReader<'_>,
+    config: &EstimatorConfig,
+) -> Result<BoxedEstimator, PersistError> {
     let idx = r.take_u32("BoxedEstimator.kind")?;
     let kind = EstimatorKind::from_index(idx).ok_or_else(|| PersistError::Corrupt {
         context: "BoxedEstimator.kind",
         detail: format!("unknown estimator kind index {idx}"),
     })?;
-    Ok(match kind {
-        EstimatorKind::H4096 => Box::new(crate::histogram2d::Histogram2D::restore(r)?),
-        EstimatorKind::Rsl => Box::new(crate::reservoir::ReservoirList::restore(r)?),
-        EstimatorKind::Rsh => Box::new(crate::reservoir_hash::ReservoirHash::restore(r)?),
-        EstimatorKind::Aasp => Box::new(crate::aasp::AaspTree::restore(r)?),
-        EstimatorKind::Ffn => Box::new(crate::ffn::FfnEstimator::restore(r)?),
-        EstimatorKind::Spn => Box::new(crate::spn::SpnEstimator::restore(r)?),
-    })
+    let mut est = try_build_estimator(kind, config).map_err(|e| PersistError::Corrupt {
+        context: "EstimatorConfig",
+        detail: e.to_string(),
+    })?;
+    est.restore_state(r)?;
+    Ok(est)
+}
+
+/// `est`'s persisted state read back into `fresh`, built under the
+/// configuration `est` was: the round trip the unit tests drive.
+#[cfg(test)]
+pub(crate) fn reload<E: SelectivityEstimator>(est: &E, mut fresh: E) -> E {
+    let mut w = PersistWriter::new();
+    est.persist_state(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = PersistReader::new(&bytes);
+    fresh.restore_state(&mut r).expect("restore");
+    assert!(r.is_exhausted(), "{} left bytes unread", est.kind());
+    fresh
 }
 
 #[cfg(test)]
@@ -386,7 +412,7 @@ mod tests {
             persist_boxed(orig.as_ref(), &mut w);
             let bytes = w.into_bytes();
             let mut r = PersistReader::new(&bytes);
-            let mut back = restore_boxed(&mut r).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let mut back = restore_boxed(&mut r, &config).unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert!(r.is_exhausted(), "{kind}: trailing bytes");
             assert_eq!(back.kind(), kind);
             assert_eq!(back.population(), orig.population());
@@ -417,7 +443,111 @@ mod tests {
         w.put_u32(99);
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
-        assert!(restore_boxed(&mut r).is_err());
+        assert!(restore_boxed(&mut r, &EstimatorConfig::default()).is_err());
+    }
+
+    /// A churned object stream: replacements and evictions enough to bump
+    /// generations, tombstone postings and leave keyword-pool garbage.
+    fn churn(est: &mut dyn SelectivityEstimator) {
+        use geostream::{KeywordId, ObjectId, Point, Timestamp};
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..3_000u64 {
+            let o = GeoTextObject::new(
+                ObjectId(i),
+                Point::new((i * 37 % 100) as f64, (i * 59 % 97) as f64),
+                (0..i % 4)
+                    .map(|k| KeywordId(((i + k) % 23) as u32))
+                    .collect(),
+                Timestamp(i),
+            );
+            est.insert(&o);
+            live.push_back(o);
+            if live.len() > 700 {
+                est.remove(&live.pop_front().expect("non-empty"));
+            }
+        }
+    }
+
+    fn small_config() -> EstimatorConfig {
+        EstimatorConfig {
+            domain: Rect::new(0.0, 0.0, 100.0, 100.0),
+            reservoir_capacity: 400,
+            ..EstimatorConfig::default()
+        }
+    }
+
+    /// Where the bytes of an RSL and an RSH section go, as a count: a fixed
+    /// header (section frame, `seen`, `population`, the RNG state, the
+    /// sample length) and, per slot, its coordinates, id and keywords —
+    /// no capacity, domain, grid, posting list or generation.
+    #[test]
+    fn sample_sections_hold_the_header_and_the_slots_alone() {
+        const FRAME: usize = 4 + 8;
+        const RNG: usize = 8 * 4 + 8 + 64 * 4 + 8;
+        const HEADER: usize = FRAME + 8 + 8 + RNG + 8;
+        let config = small_config();
+        let mut rsl = crate::reservoir::ReservoirList::new(&config);
+        let mut rsh = crate::reservoir_hash::ReservoirHash::new(&config);
+        churn(&mut rsl);
+        churn(&mut rsh);
+        for (est, store) in [
+            (&rsl as &dyn SelectivityEstimator, rsl.store()),
+            (&rsh as &dyn SelectivityEstimator, rsh.store()),
+        ] {
+            let slots = store.len();
+            let keywords: usize = (0..slots as u32).map(|i| store.keywords(i).len()).sum();
+            assert!(
+                slots > 300 && keywords > slots,
+                "{}: a thin sample",
+                est.kind()
+            );
+            let mut w = PersistWriter::new();
+            est.persist_state(&mut w);
+            let per_slot = 2 * 8 + 8 + 8;
+            assert_eq!(
+                w.len(),
+                HEADER + slots * per_slot + keywords * 4,
+                "{}: {slots} slots holding {keywords} keywords",
+                est.kind()
+            );
+        }
+    }
+
+    /// A restored sample is rebuilt, not read: no dead posting entry, every
+    /// generation zero, no keyword-pool garbage — and it audits clean.
+    #[test]
+    fn restored_samples_are_garbage_free() {
+        let config = small_config();
+        let mut rsl = crate::reservoir::ReservoirList::new(&config);
+        let mut rsh = crate::reservoir_hash::ReservoirHash::new(&config);
+        let mut spn = crate::spn::SpnEstimator::new(&config);
+        churn(&mut rsl);
+        churn(&mut rsh);
+        churn(&mut spn);
+        assert!(!rsl.store().written_once(), "the churn left no garbage");
+        let rsl = reload(&rsl, crate::reservoir::ReservoirList::new(&config));
+        let rsh = reload(&rsh, crate::reservoir_hash::ReservoirHash::new(&config));
+        let spn = reload(&spn, crate::spn::SpnEstimator::new(&config));
+        for (kind, store) in [
+            (EstimatorKind::Rsl, rsl.store()),
+            (EstimatorKind::Rsh, rsh.store()),
+            (EstimatorKind::Spn, spn.store()),
+        ] {
+            assert!(
+                store.written_once(),
+                "{kind}: restored store carries garbage"
+            );
+            assert_eq!(store.compactions(), 0, "{kind}");
+        }
+        #[cfg(feature = "debug-invariants")]
+        for est in [
+            &rsl as &dyn SelectivityEstimator,
+            &rsh as &dyn SelectivityEstimator,
+            &spn as &dyn SelectivityEstimator,
+        ] {
+            est.audit()
+                .unwrap_or_else(|e| panic!("{}: restored audit: {e}", est.kind()));
+        }
     }
 
     #[test]

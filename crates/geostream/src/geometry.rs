@@ -244,11 +244,6 @@ impl CellGrid {
         CellGrid { domain, side }
     }
 
-    /// The gridded domain.
-    pub fn domain(&self) -> &Rect {
-        &self.domain
-    }
-
     /// Cells per axis.
     pub fn side(&self) -> usize {
         self.side

@@ -1,9 +1,11 @@
 //! Hand-rolled, zero-dependency, versioned binary serialization.
 //!
-//! Every stateful structure in the workspace implements [`Persist`]:
-//! a deterministic little-endian byte encoding plus a checked decoder
-//! that returns a typed [`PersistError`] (never a panic, never a
-//! half-restored value) on truncated or corrupted input.
+//! Every stateful structure in the workspace has a deterministic
+//! little-endian byte encoding plus a checked decoder that returns a typed
+//! [`PersistError`] (never a panic, never a half-restored value) on
+//! truncated or corrupted input. Self-describing values implement
+//! [`Persist`]; a structure whose shape a configuration fixes takes that
+//! configuration on restore instead (see "Format").
 //!
 //! ## Format
 //!
@@ -16,14 +18,17 @@
 //! ```
 //!
 //! Inside the payload, composite structures frame their state in
-//! *length-prefixed sections* (`tag: u32 | len: u64 | body`). Decoders
-//! read the fields they know and then [`PersistReader::finish_section`]
-//! skips any trailing bytes a newer same-major writer may have
-//! appended, so adding fields at the end of a section is a
-//! backward-compatible change. Removing or reordering fields is not —
-//! that requires bumping the format version, which makes old readers
-//! fail with [`PersistError::UnsupportedVersion`] instead of
-//! misinterpreting bytes.
+//! *length-prefixed sections* (`tag: u32 | len: u64 | body`). A decoder
+//! must read its section exactly: [`PersistReader::finish_section`]
+//! refuses a section with bytes left unread as well as one read past its
+//! end. Every layout change — a field added, removed or reordered — bumps
+//! the format version, which makes readers of another version fail with
+//! [`PersistError::UnsupportedVersion`] instead of misinterpreting bytes.
+//!
+//! A section holds what its structure sampled, learned or counted, never
+//! what the configuration it is restored under already fixes: such a
+//! structure restores by building itself from that configuration and
+//! reading the rest back.
 //!
 //! ## Determinism
 //!
@@ -37,7 +42,6 @@ use crate::object::{GeoTextObject, ObjectId};
 use crate::rng::{RngState, StreamRng};
 use crate::time::{Duration, Timestamp};
 use crate::vocab::KeywordId;
-use std::sync::Arc;
 
 /// Current snapshot format version. Bump on any breaking layout change
 /// (see the module docs for what counts as breaking).
@@ -59,7 +63,13 @@ use std::sync::Arc;
 /// * 6 — `latest-core`'s payload lost three observability fields: a
 ///   retraining count, a coalesced-eviction tally and the previous query's
 ///   stream time (the metrics registry restarts at zero on restore).
-pub const FORMAT_VERSION: u32 = 6;
+/// * 7 — every section lost what the configuration fixes (the window's
+///   span, each estimator's shape, the model's schema and tuning, the
+///   adaptor's sizes) and what restore rebuilds (the samples' posting
+///   index, generations and keyword-pool garbage, RSH's grid, the window's
+///   chunk layout); the adaptor's state became one section; and sections
+///   are read exactly (unread trailing bytes are corruption).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Typed decode/IO failure. Restores either succeed completely or
 /// return one of these; they never panic and never hand back a
@@ -270,11 +280,6 @@ impl PersistWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Writes `tag | len | body` where `body` is whatever `f` emits.
     /// The length prefix is backfilled after `f` runs.
     pub fn section(&mut self, tag: u32, f: impl FnOnce(&mut Self)) {
@@ -285,14 +290,6 @@ impl PersistWriter {
         f(self);
         let body_len = (self.buf.len() - body_start) as u64;
         self.buf[len_at..len_at + 8].copy_from_slice(&body_len.to_le_bytes());
-    }
-
-    /// Length-prefixed sequence helper.
-    pub fn put_seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.put_usize(items.len());
-        for item in items {
-            f(self, item);
-        }
     }
 }
 
@@ -416,15 +413,6 @@ impl<'a> PersistReader<'a> {
         self.take(n, context)
     }
 
-    pub fn take_str(&mut self, context: &'static str) -> Result<String, PersistError> {
-        let len = self.take_len(context)?;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| PersistError::Corrupt {
-            context,
-            detail: format!("invalid utf-8: {e}"),
-        })
-    }
-
     /// Reads a section header, verifying the tag, and returns a handle
     /// bounding the section body.
     pub fn begin_section(
@@ -451,40 +439,26 @@ impl<'a> PersistReader<'a> {
         }
     }
 
-    /// Validates section framing. Unread trailing bytes (fields added
-    /// by a newer same-version writer) are skipped; reading *past* the
-    /// section is corruption.
+    /// Validates section framing: the decoder must have read the section
+    /// to its last byte. Stopping short and reading past it are both
+    /// corruption.
     pub fn finish_section(
         &mut self,
         section: Section,
         context: &'static str,
     ) -> Result<(), PersistError> {
-        if self.at > section.end {
+        if self.at != section.end {
+            let (how, by) = if self.at > section.end {
+                ("overran its frame", self.at - section.end)
+            } else {
+                ("left unread", section.end - self.at)
+            };
             return Err(PersistError::Corrupt {
                 context,
-                detail: format!(
-                    "section {:#x} overran its frame by {} bytes",
-                    section.tag,
-                    self.at - section.end
-                ),
+                detail: format!("section {:#x} {how} by {by} bytes", section.tag),
             });
         }
-        self.at = section.end;
         Ok(())
-    }
-
-    /// Length-prefixed sequence helper.
-    pub fn take_seq<T>(
-        &mut self,
-        context: &'static str,
-        mut f: impl FnMut(&mut Self) -> Result<T, PersistError>,
-    ) -> Result<Vec<T>, PersistError> {
-        let len = self.take_len(context)?;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            out.push(f(self)?);
-        }
-        Ok(out)
     }
 }
 
@@ -493,46 +467,6 @@ impl<'a> PersistReader<'a> {
 pub trait Persist: Sized {
     fn persist(&self, w: &mut PersistWriter);
     fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError>;
-}
-
-macro_rules! persist_prim {
-    ($($ty:ty => $put:ident, $take:ident, $ctx:literal);* $(;)?) => {$(
-        impl Persist for $ty {
-            fn persist(&self, w: &mut PersistWriter) {
-                w.$put(*self);
-            }
-            fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-                r.$take($ctx)
-            }
-        }
-    )*};
-}
-
-persist_prim! {
-    u8 => put_u8, take_u8, "u8";
-    bool => put_bool, take_bool, "bool";
-    u32 => put_u32, take_u32, "u32";
-    u64 => put_u64, take_u64, "u64";
-    i64 => put_i64, take_i64, "i64";
-    usize => put_usize, take_usize, "usize";
-    f64 => put_f64, take_f64, "f64";
-}
-
-impl<T: Persist> Persist for Vec<T> {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_usize(self.len());
-        for item in self {
-            item.persist(w);
-        }
-    }
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let len = r.take_len("vec length")?;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            out.push(T::restore(r)?);
-        }
-        Ok(out)
-    }
 }
 
 impl<T: Persist> Persist for Option<T> {
@@ -554,16 +488,6 @@ impl<T: Persist> Persist for Option<T> {
                 detail: format!("invalid byte {other}"),
             }),
         }
-    }
-}
-
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.0.persist(w);
-        self.1.persist(w);
-    }
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        Ok((A::restore(r)?, B::restore(r)?))
     }
 }
 
@@ -658,23 +582,6 @@ impl Persist for GeoTextObject {
     }
 }
 
-impl Persist for Arc<[KeywordId]> {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_usize(self.len());
-        for kw in self.iter() {
-            kw.persist(w);
-        }
-    }
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let len = r.take_len("keyword slice")?;
-        let mut keywords = Vec::with_capacity(len.min(1 << 12));
-        for _ in 0..len {
-            keywords.push(KeywordId::restore(r)?);
-        }
-        Ok(keywords.into())
-    }
-}
-
 impl Persist for RngState {
     fn persist(&self, w: &mut PersistWriter) {
         for word in self.key {
@@ -737,7 +644,6 @@ mod tests {
         w.put_f64(-0.0);
         w.put_f64(f64::INFINITY);
         w.put_f64(f64::NEG_INFINITY);
-        w.put_str("hello");
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
         assert_eq!(r.take_u8("a").unwrap(), 7);
@@ -749,7 +655,6 @@ mod tests {
         assert_eq!(r.take_f64("g").unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.take_f64("h").unwrap(), f64::INFINITY);
         assert_eq!(r.take_f64("i").unwrap(), f64::NEG_INFINITY);
-        assert_eq!(r.take_str("j").unwrap(), "hello");
         assert!(r.is_exhausted());
     }
 
@@ -815,17 +720,29 @@ mod tests {
     }
 
     #[test]
-    fn sections_skip_unknown_trailing_fields() {
+    fn sections_refuse_unread_trailing_bytes() {
         let mut w = PersistWriter::new();
         w.section(0x11, |w| {
             w.put_u64(42);
-            w.put_u64(99); // a field this reader doesn't know about
+            w.put_u64(99); // a field this reader does not read
         });
         w.put_u64(7);
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
         let sec = r.begin_section(0x11, "test section").unwrap();
         assert_eq!(r.take_u64("known field").unwrap(), 42);
+        match r.finish_section(sec, "test section") {
+            Err(PersistError::Corrupt { context, detail }) => {
+                assert_eq!(context, "test section");
+                assert!(detail.contains("left unread by 8 bytes"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // Read to its end, the same section finishes cleanly.
+        let mut r = PersistReader::new(&bytes);
+        let sec = r.begin_section(0x11, "test section").unwrap();
+        r.take_u64("first").unwrap();
+        r.take_u64("second").unwrap();
         r.finish_section(sec, "test section").unwrap();
         assert_eq!(r.take_u64("tail").unwrap(), 7);
     }

@@ -23,6 +23,7 @@
 //! at snapshot time while the window churns on.
 
 use crate::object::GeoTextObject;
+use crate::persist::Persist;
 use crate::time::{Duration, Timestamp};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -312,80 +313,47 @@ impl SlidingWindow {
     }
 }
 
-impl crate::persist::Persist for SlidingWindow {
-    /// The chunked representation is serialized as-is (chunk boundaries
-    /// and the evicted front prefix included) rather than flattened, so
-    /// a restored window is *structurally* identical — snapshot costs,
-    /// chunk seal points, and eviction sweeps behave exactly as they
-    /// would have in the uninterrupted process.
-    fn persist(&self, w: &mut crate::persist::PersistWriter) {
-        w.section(0x5711_d011, |w| {
-            self.span.persist(w);
+/// Section tag for [`SlidingWindow`] snapshots.
+const WINDOW_TAG: u32 = 0x5711_d011;
+
+impl SlidingWindow {
+    /// Writes the clock, the generation and the live objects, oldest
+    /// first. The span is the caller's configuration, and the chunk layout
+    /// (boundaries, the evicted front prefix) is representation that
+    /// [`SlidingWindow::restore`] rebuilds.
+    pub fn persist(&self, w: &mut crate::persist::PersistWriter) {
+        w.section(WINDOW_TAG, |w| {
             self.now.persist(w);
             w.put_u64(self.generation);
             w.put_usize(self.len);
-            w.put_usize(self.front_offset);
-            w.put_usize(self.sealed.len());
-            for chunk in &self.sealed {
-                w.put_seq(chunk, |w, obj| obj.persist(w));
+            for obj in self.iter() {
+                obj.persist(w);
             }
-            let tail: Vec<GeoTextObject> = self.tail.iter().cloned().collect();
-            w.put_seq(&tail, |w, obj| obj.persist(w));
         });
     }
 
-    fn restore(
+    /// Reads what [`SlidingWindow::persist`] wrote into a new window of
+    /// `span`. The objects are packed into full chunks with no evicted
+    /// prefix, the layout an uninterrupted run of inserts leaves; contents,
+    /// clock and generation are the persisted instance's.
+    pub fn restore(
         r: &mut crate::persist::PersistReader<'_>,
+        span: Duration,
     ) -> Result<Self, crate::persist::PersistError> {
         const CTX: &str = "SlidingWindow";
-        let sec = r.begin_section(0x5711_d011, CTX)?;
-        let span = Duration::restore(r)?;
-        let now = Timestamp::restore(r)?;
-        let generation = r.take_u64(CTX)?;
-        let len = r.take_usize(CTX)?;
-        let front_offset = r.take_usize(CTX)?;
-        let chunk_count = r.take_len(CTX)?;
-        let mut sealed = VecDeque::with_capacity(chunk_count.min(1 << 16));
-        for _ in 0..chunk_count {
-            let chunk = r.take_seq(CTX, GeoTextObject::restore)?;
-            if chunk.is_empty() || chunk.len() > CHUNK {
-                return Err(crate::persist::PersistError::Corrupt {
-                    context: CTX,
-                    detail: format!("sealed chunk of {} objects", chunk.len()),
-                });
+        let sec = r.begin_section(WINDOW_TAG, CTX)?;
+        let mut window = SlidingWindow::new(span);
+        window.now = Timestamp::restore(r)?;
+        window.generation = r.take_u64(CTX)?;
+        for _ in 0..r.take_len(CTX)? {
+            window.tail.push_back(GeoTextObject::restore(r)?);
+            window.len += 1;
+            if window.tail.len() >= CHUNK {
+                window.seal_tail();
             }
-            sealed.push_back(Arc::new(chunk));
         }
-        let tail: VecDeque<GeoTextObject> = r.take_seq(CTX, GeoTextObject::restore)?.into();
         r.finish_section(sec, CTX)?;
-        let live: usize = sealed
-            .iter()
-            .map(|c: &Arc<Vec<GeoTextObject>>| c.len())
-            .sum::<usize>()
-            + tail.len();
-        if front_offset > live || live - front_offset != len {
-            return Err(crate::persist::PersistError::Corrupt {
-                context: CTX,
-                detail: format!(
-                    "cached len {len} disagrees with {live} stored objects (front offset {front_offset})"
-                ),
-            });
-        }
-        if front_offset > 0 && sealed.front().is_none_or(|c| front_offset >= c.len()) {
-            return Err(crate::persist::PersistError::Corrupt {
-                context: CTX,
-                detail: format!("front offset {front_offset} outside the front chunk"),
-            });
-        }
-        Ok(SlidingWindow {
-            span,
-            sealed,
-            front_offset,
-            tail,
-            len,
-            now,
-            generation,
-        })
+        Ok(window)
     }
 }
 
@@ -657,8 +625,8 @@ mod tests {
     }
 
     #[test]
-    fn persist_round_trip_is_structural() {
-        use crate::persist::{Persist, PersistError, PersistReader, PersistWriter};
+    fn persist_round_trip_keeps_contents_and_packs_chunks() {
+        use crate::persist::{PersistError, PersistReader, PersistWriter};
         let mut w = SlidingWindow::new(Duration(5_000));
         let mut ev = Vec::new();
         // Sealed chunks with a partially evicted front prefix plus a tail.
@@ -671,16 +639,23 @@ mod tests {
         let mut pw = PersistWriter::new();
         w.persist(&mut pw);
         let bytes = pw.into_bytes();
-        let mut back = SlidingWindow::restore(&mut PersistReader::new(&bytes)).unwrap();
+        let mut back =
+            SlidingWindow::restore(&mut PersistReader::new(&bytes), Duration(5_000)).unwrap();
 
+        assert_eq!(back.span(), w.span());
         assert_eq!(back.len(), w.len());
         assert_eq!(back.now(), w.now());
         assert_eq!(back.generation(), w.generation());
-        assert_eq!(back.front_offset, w.front_offset);
-        assert_eq!(back.sealed.len(), w.sealed.len());
         let a: Vec<u64> = w.iter().map(|o| o.oid.0).collect();
         let b: Vec<u64> = back.iter().map(|o| o.oid.0).collect();
         assert_eq!(a, b);
+        // The layout is rebuilt, not read: no evicted prefix, full chunks.
+        assert_eq!(back.front_offset, 0);
+        assert!(back.sealed.iter().all(|c| c.len() == CHUNK));
+        assert_eq!(back.sealed.len(), w.len() / CHUNK);
+        let mut again = PersistWriter::new();
+        back.persist(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "re-persisted window differs");
 
         // Future churn behaves identically on both.
         let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
@@ -696,7 +671,9 @@ mod tests {
 
         // Truncations decode to typed errors, never a panic.
         for cut in [0, 4, 12, 40, bytes.len() / 2, bytes.len() - 1] {
-            let err = SlidingWindow::restore(&mut PersistReader::new(&bytes[..cut])).unwrap_err();
+            let err =
+                SlidingWindow::restore(&mut PersistReader::new(&bytes[..cut]), Duration(5_000))
+                    .unwrap_err();
             assert!(matches!(
                 err,
                 PersistError::Truncated { .. } | PersistError::Corrupt { .. }

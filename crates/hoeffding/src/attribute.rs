@@ -1,7 +1,5 @@
 //! Attribute schema and instances.
 
-use geostream::{Persist, PersistError, PersistReader, PersistWriter};
-
 /// Description of one attribute of the training instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttributeSpec {
@@ -140,67 +138,6 @@ impl Schema {
             }
         }
         Ok(())
-    }
-}
-
-impl Persist for AttributeSpec {
-    fn persist(&self, w: &mut PersistWriter) {
-        match self {
-            AttributeSpec::Categorical { name, arity } => {
-                w.put_u8(0);
-                w.put_str(name);
-                w.put_u32(*arity);
-            }
-            AttributeSpec::Numeric { name } => {
-                w.put_u8(1);
-                w.put_str(name);
-            }
-        }
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8("AttributeSpec.discriminant")? {
-            0 => {
-                let name = r.take_str("AttributeSpec.name")?;
-                let arity = r.take_u32("AttributeSpec.arity")?;
-                if arity < 2 {
-                    return Err(PersistError::Corrupt {
-                        context: "AttributeSpec.arity",
-                        detail: format!("categorical arity {arity} < 2"),
-                    });
-                }
-                Ok(AttributeSpec::Categorical { name, arity })
-            }
-            1 => Ok(AttributeSpec::Numeric {
-                name: r.take_str("AttributeSpec.name")?,
-            }),
-            d => Err(PersistError::Corrupt {
-                context: "AttributeSpec.discriminant",
-                detail: format!("unknown attribute kind {d}"),
-            }),
-        }
-    }
-}
-
-impl Persist for Schema {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.attributes.persist(w);
-        w.put_u32(self.num_classes);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let attributes = Vec::<AttributeSpec>::restore(r)?;
-        let num_classes = r.take_u32("Schema.num_classes")?;
-        if attributes.is_empty() || num_classes < 2 {
-            return Err(PersistError::Corrupt {
-                context: "Schema",
-                detail: format!("{} attributes, {num_classes} classes", attributes.len()),
-            });
-        }
-        Ok(Schema {
-            attributes,
-            num_classes,
-        })
     }
 }
 

@@ -9,7 +9,7 @@
 //! `p + s > p_min + 2·s_min` and declare *drift* when
 //! `p + s > p_min + 3·s_min`, at which point the model should be rebuilt.
 
-use geostream::{Persist, PersistError, PersistReader, PersistWriter};
+use geostream::{PersistError, PersistReader, PersistWriter};
 
 /// Detector verdict after an observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,35 +106,32 @@ impl DdmDetector {
     }
 }
 
-impl Persist for DdmDetector {
-    fn persist(&self, w: &mut PersistWriter) {
+impl DdmDetector {
+    /// Writes the error counts and the best level seen; the warm-up length
+    /// is the constructor's.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
         w.put_u64(self.n);
         w.put_u64(self.errors);
         // p_min/s_min start at +∞ (no verdict yet); ship the raw bits.
         w.put_f64(self.p_min);
         w.put_f64(self.s_min);
-        w.put_u64(self.min_observations);
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
+    /// Reads [`DdmDetector::persist_state`]'s state into this detector,
+    /// which must be built with the writer's warm-up length.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
         let n = r.take_u64("DdmDetector.n")?;
         let errors = r.take_u64("DdmDetector.errors")?;
         let p_min = r.take_f64("DdmDetector.p_min")?;
         let s_min = r.take_f64("DdmDetector.s_min")?;
-        let min_observations = r.take_u64("DdmDetector.min_observations")?;
-        if errors > n || p_min.is_nan() || s_min.is_nan() || min_observations < 2 {
+        if errors > n || p_min.is_nan() || s_min.is_nan() {
             return Err(PersistError::Corrupt {
                 context: "DdmDetector",
                 detail: format!("n {n}, errors {errors}, p_min {p_min}, s_min {s_min}"),
             });
         }
-        Ok(DdmDetector {
-            n,
-            errors,
-            p_min,
-            s_min,
-            min_observations,
-        })
+        (self.n, self.errors, self.p_min, self.s_min) = (n, errors, p_min, s_min);
+        Ok(())
     }
 }
 

@@ -94,20 +94,27 @@ impl ClassCounts {
     }
 }
 
-impl Persist for ClassCounts {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.counts.persist(w);
+impl ClassCounts {
+    /// Writes the per-class weights; the class count is the schema's.
+    pub fn persist_state(&self, w: &mut PersistWriter) {
+        for &c in &self.counts {
+            w.put_f64(c);
+        }
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let counts = Vec::<f64>::restore(r)?;
-        if counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-            return Err(PersistError::Corrupt {
-                context: "ClassCounts.counts",
-                detail: "negative or non-finite class weight".into(),
-            });
+    /// Reads [`ClassCounts::persist_state`]'s weights into these counts,
+    /// which must have the writer's class count.
+    pub fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        for c in &mut self.counts {
+            *c = r.take_f64("ClassCounts.counts")?;
+            if !c.is_finite() || *c < 0.0 {
+                return Err(PersistError::Corrupt {
+                    context: "ClassCounts.counts",
+                    detail: format!("class weight {c}"),
+                });
+            }
         }
-        Ok(ClassCounts { counts })
+        Ok(())
     }
 }
 

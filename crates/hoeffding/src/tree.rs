@@ -156,8 +156,8 @@ struct Candidate {
 pub struct HoeffdingTree {
     schema: Schema,
     config: HoeffdingTreeConfig,
+    /// Node arena; the root is node 0.
     nodes: Vec<Node>,
-    root: NodeId,
     instances_seen: u64,
     splits_performed: usize,
 }
@@ -175,7 +175,6 @@ impl HoeffdingTree {
             schema,
             config,
             nodes: vec![Node::Leaf(root_leaf)],
-            root: 0,
             instances_seen: 0,
             splits_performed: 0,
         }
@@ -271,7 +270,6 @@ impl HoeffdingTree {
     pub fn reset(&mut self) {
         let root_leaf = LeafNode::new(&self.schema, 0, None);
         self.nodes = vec![Node::Leaf(root_leaf)];
-        self.root = 0;
         self.instances_seen = 0;
         self.splits_performed = 0;
     }
@@ -288,7 +286,7 @@ impl HoeffdingTree {
     /// debugging and operator dashboards, not for parsing.
     pub fn describe(&self) -> String {
         let mut out = String::new();
-        self.describe_node(self.root, 0, &mut out);
+        self.describe_node(0, 0, &mut out);
         out
     }
 
@@ -339,7 +337,7 @@ impl HoeffdingTree {
     }
 
     fn sort_to_leaf_ref(&self, instance: &Instance) -> NodeId {
-        let mut id = self.root;
+        let mut id = 0;
         loop {
             match &self.nodes[id] {
                 Node::Leaf(_) => return id,
@@ -492,196 +490,162 @@ impl HoeffdingTree {
     }
 }
 
-impl Persist for HoeffdingTreeConfig {
-    fn persist(&self, w: &mut PersistWriter) {
-        w.put_u64(self.grace_period);
-        w.put_f64(self.split_confidence);
-        w.put_f64(self.tie_threshold);
-        w.put_usize(self.num_split_points);
-        // usize::MAX disables the depth cap; a u64 round-trips it exactly
-        // on 64-bit targets.
-        w.put_u64(self.max_depth as u64);
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        let grace_period = r.take_u64("HoeffdingTreeConfig.grace_period")?;
-        let split_confidence = r.take_f64("HoeffdingTreeConfig.split_confidence")?;
-        let tie_threshold = r.take_f64("HoeffdingTreeConfig.tie_threshold")?;
-        let num_split_points = r.take_usize("HoeffdingTreeConfig.num_split_points")?;
-        let max_depth = r.take_u64("HoeffdingTreeConfig.max_depth")? as usize;
-        if grace_period == 0 || num_split_points == 0 || !(0.0..1.0).contains(&split_confidence) {
-            return Err(PersistError::Corrupt {
-                context: "HoeffdingTreeConfig",
-                detail: format!(
-                    "grace {grace_period}, split points {num_split_points}, δ {split_confidence}"
-                ),
-            });
-        }
-        Ok(HoeffdingTreeConfig {
-            grace_period,
-            split_confidence,
-            tie_threshold,
-            num_split_points,
-            max_depth,
-        })
-    }
-}
-
-impl Persist for Observer {
-    fn persist(&self, w: &mut PersistWriter) {
-        match self {
-            Observer::Categorical(table) => {
-                w.put_u8(0);
-                table.persist(w);
-            }
-            Observer::Numeric(gaussians) => {
-                w.put_u8(1);
-                gaussians.persist(w);
+impl LeafNode {
+    /// The leaf's counters; the observers' shapes are the schema's.
+    fn persist_state(&self, w: &mut PersistWriter) {
+        self.counts.persist_state(w);
+        for obs in &self.observers {
+            match obs {
+                Observer::Categorical(table) => table.iter().for_each(|c| c.persist_state(w)),
+                Observer::Numeric(gaussians) => gaussians.iter().for_each(|g| g.persist(w)),
             }
         }
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8("Observer.discriminant")? {
-            0 => Ok(Observer::Categorical(Vec::<ClassCounts>::restore(r)?)),
-            1 => Ok(Observer::Numeric(Vec::<GaussianEstimator>::restore(r)?)),
-            d => Err(PersistError::Corrupt {
-                context: "Observer.discriminant",
-                detail: format!("unknown observer kind {d}"),
-            }),
-        }
-    }
-}
-
-impl Persist for LeafNode {
-    fn persist(&self, w: &mut PersistWriter) {
-        self.counts.persist(w);
-        self.observers.persist(w);
         w.put_f64(self.weight_at_last_eval);
-        w.put_u64(self.depth as u64);
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        Ok(LeafNode {
-            counts: ClassCounts::restore(r)?,
-            observers: Vec::<Observer>::restore(r)?,
-            weight_at_last_eval: r.take_f64("LeafNode.weight_at_last_eval")?,
-            depth: r.take_u64("LeafNode.depth")? as usize,
-        })
-    }
-}
-
-impl Persist for Node {
-    fn persist(&self, w: &mut PersistWriter) {
-        match self {
-            Node::Leaf(leaf) => {
-                w.put_u8(0);
-                leaf.persist(w);
-            }
-            Node::CatSplit { attr, children } => {
-                w.put_u8(1);
-                w.put_usize(*attr);
-                w.put_seq(children, |w, &c| w.put_u64(c as u64));
-            }
-            Node::NumSplit {
-                attr,
-                threshold,
-                left,
-                right,
-            } => {
-                w.put_u8(2);
-                w.put_usize(*attr);
-                w.put_f64(*threshold);
-                w.put_u64(*left as u64);
-                w.put_u64(*right as u64);
+    /// Reads [`LeafNode::persist_state`]'s counters into this empty leaf.
+    fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        self.counts.restore_state(r)?;
+        for obs in &mut self.observers {
+            match obs {
+                Observer::Categorical(table) => {
+                    for counts in table {
+                        counts.restore_state(r)?;
+                    }
+                }
+                Observer::Numeric(gaussians) => {
+                    for g in gaussians {
+                        *g = GaussianEstimator::restore(r)?;
+                    }
+                }
             }
         }
-    }
-
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
-        match r.take_u8("Node.discriminant")? {
-            0 => Ok(Node::Leaf(LeafNode::restore(r)?)),
-            1 => {
-                let attr = r.take_usize("Node.attr")?;
-                let children =
-                    r.take_seq("Node.children", |r| Ok(r.take_u64("Node.child")? as usize))?;
-                Ok(Node::CatSplit { attr, children })
-            }
-            2 => Ok(Node::NumSplit {
-                attr: r.take_usize("Node.attr")?,
-                threshold: r.take_f64("Node.threshold")?,
-                left: r.take_u64("Node.left")? as usize,
-                right: r.take_u64("Node.right")? as usize,
-            }),
-            d => Err(PersistError::Corrupt {
-                context: "Node.discriminant",
-                detail: format!("unknown node kind {d}"),
-            }),
-        }
+        self.weight_at_last_eval = r.take_f64("LeafNode.weight_at_last_eval")?;
+        Ok(())
     }
 }
 
 /// Section tag for the Hoeffding tree's snapshot frame.
 const TREE_TAG: u32 = 0x40ef_d7ee;
 
-impl Persist for HoeffdingTree {
-    fn persist(&self, w: &mut PersistWriter) {
+impl HoeffdingTree {
+    /// Writes what training grew: the counters and the node arena. A leaf
+    /// is its statistics, a split its attribute and then its threshold and
+    /// children; the schema and configuration are the caller's, and so are
+    /// the shapes they fix (statistics per attribute and class, one child
+    /// per categorical value, which kind of split an attribute takes).
+    /// Depths follow from the splits and are not written.
+    pub fn persist(&self, w: &mut PersistWriter) {
         w.section(TREE_TAG, |w| {
-            self.schema.persist(w);
-            self.config.persist(w);
-            w.put_u64(self.root as u64);
             w.put_u64(self.instances_seen);
-            w.put_u64(self.splits_performed as u64);
-            self.nodes.persist(w);
+            w.put_usize(self.splits_performed);
+            w.put_usize(self.nodes.len());
+            for node in &self.nodes {
+                match node {
+                    Node::Leaf(leaf) => {
+                        w.put_u8(0);
+                        leaf.persist_state(w);
+                    }
+                    Node::CatSplit { attr, children } => {
+                        w.put_u8(1);
+                        w.put_usize(*attr);
+                        children.iter().for_each(|&c| w.put_usize(c));
+                    }
+                    Node::NumSplit {
+                        attr,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        w.put_u8(1);
+                        w.put_usize(*attr);
+                        w.put_f64(*threshold);
+                        w.put_usize(*left);
+                        w.put_usize(*right);
+                    }
+                }
+            }
         });
     }
 
-    fn restore(r: &mut PersistReader<'_>) -> Result<Self, PersistError> {
+    /// Reads what [`HoeffdingTree::persist`] wrote into a new tree over
+    /// `schema` and `config`, which must be the writer's. Every split's
+    /// children must follow it in the arena, and every node but the root
+    /// must be exactly one split's child, or the input is corrupt.
+    pub fn restore(
+        r: &mut PersistReader<'_>,
+        schema: Schema,
+        config: HoeffdingTreeConfig,
+    ) -> Result<Self, PersistError> {
+        let corrupt = |detail: String| PersistError::Corrupt {
+            context: "HoeffdingTree.nodes",
+            detail,
+        };
         let section = r.begin_section(TREE_TAG, "HoeffdingTree")?;
-        let schema = Schema::restore(r)?;
-        let config = HoeffdingTreeConfig::restore(r)?;
-        let root = r.take_u64("HoeffdingTree.root")? as usize;
-        let instances_seen = r.take_u64("HoeffdingTree.instances_seen")?;
-        let splits_performed = r.take_u64("HoeffdingTree.splits_performed")? as usize;
-        let nodes = Vec::<Node>::restore(r)?;
-        r.finish_section(section, "HoeffdingTree")?;
-        if nodes.is_empty() || root >= nodes.len() {
-            return Err(PersistError::Corrupt {
-                context: "HoeffdingTree.root",
-                detail: format!("root {root} in arena of {}", nodes.len()),
-            });
+        let mut tree = HoeffdingTree::new(schema, config);
+        tree.instances_seen = r.take_u64("HoeffdingTree.instances_seen")?;
+        tree.splits_performed = r.take_usize("HoeffdingTree.splits_performed")?;
+        let len = r.take_len("HoeffdingTree.nodes")?;
+        if len == 0 {
+            return Err(corrupt("tree has no root".into()));
         }
-        let in_range = |id: usize| id < nodes.len();
-        for (id, node) in nodes.iter().enumerate() {
-            let ok = match node {
-                Node::Leaf(leaf) => {
-                    leaf.counts.num_classes() == schema.num_classes() as usize
-                        && leaf.observers.len() == schema.num_attributes()
+        tree.nodes.clear();
+        for id in 0..len {
+            let node = match r.take_u8("Node.discriminant")? {
+                0 => {
+                    let mut leaf = LeafNode::new(&tree.schema, 0, None);
+                    leaf.restore_state(r)?;
+                    Node::Leaf(leaf)
                 }
-                Node::CatSplit { attr, children } => {
-                    *attr < schema.num_attributes()
-                        && !children.is_empty()
-                        && children.iter().all(|&c| in_range(c))
+                1 => {
+                    let attr = r.take_usize("Node.attr")?;
+                    match tree.schema.attributes().get(attr) {
+                        Some(AttributeSpec::Categorical { arity, .. }) => Node::CatSplit {
+                            attr,
+                            children: (0..*arity)
+                                .map(|_| r.take_usize("Node.child"))
+                                .collect::<Result<_, _>>()?,
+                        },
+                        Some(AttributeSpec::Numeric { .. }) => Node::NumSplit {
+                            attr,
+                            threshold: r.take_f64("Node.threshold")?,
+                            left: r.take_usize("Node.left")?,
+                            right: r.take_usize("Node.right")?,
+                        },
+                        None => {
+                            return Err(corrupt(format!("node {id} splits on attribute {attr}")))
+                        }
+                    }
                 }
-                Node::NumSplit {
-                    attr, left, right, ..
-                } => *attr < schema.num_attributes() && in_range(*left) && in_range(*right),
+                d => return Err(corrupt(format!("node {id} has unknown kind {d}"))),
             };
-            if !ok {
-                return Err(PersistError::Corrupt {
-                    context: "HoeffdingTree.nodes",
-                    detail: format!("node {id} violates schema or arena bounds"),
-                });
+            tree.nodes.push(node);
+        }
+        r.finish_section(section, "HoeffdingTree")?;
+        // Depths, from the root down: a child's is its parent's plus one.
+        let mut depth: Vec<Option<usize>> = vec![None; len];
+        depth[0] = Some(0);
+        for id in 0..len {
+            let children: &[NodeId] = match &tree.nodes[id] {
+                Node::Leaf(_) => continue,
+                Node::CatSplit { children, .. } => children,
+                Node::NumSplit { left, right, .. } => &[*left, *right],
+            };
+            let child_depth = depth[id].map(|d| d + 1);
+            for &c in children {
+                if c <= id || c >= len || depth[c].is_some() {
+                    return Err(corrupt(format!("node {id} links child {c} out of order")));
+                }
+                depth[c] = child_depth;
             }
         }
-        Ok(HoeffdingTree {
-            schema,
-            config,
-            nodes,
-            root,
-            instances_seen,
-            splits_performed,
-        })
+        for (id, node) in tree.nodes.iter_mut().enumerate() {
+            let d = depth[id].ok_or_else(|| corrupt(format!("node {id} is no split's child")))?;
+            if let Node::Leaf(leaf) = node {
+                leaf.depth = d;
+            }
+        }
+        Ok(tree)
     }
 }
 
@@ -907,9 +871,15 @@ mod tests {
         let mut w = PersistWriter::new();
         tree.persist(&mut w);
         let bytes = w.into_bytes();
-        let mut r = PersistReader::new(&bytes);
-        let mut restored = HoeffdingTree::restore(&mut r).expect("restore");
-        assert!(r.is_exhausted());
+        let schema = tree.schema().clone();
+        let restore = |bytes: &[u8]| {
+            let mut r = PersistReader::new(bytes);
+            let tree =
+                HoeffdingTree::restore(&mut r, schema.clone(), HoeffdingTreeConfig::default())?;
+            assert!(r.is_exhausted());
+            Ok::<_, PersistError>(tree)
+        };
+        let mut restored = restore(&bytes).expect("restore");
         assert_eq!(restored.stats(), tree.stats());
         assert_eq!(restored.describe(), tree.describe());
         // Continued training must stay in lockstep — same split decisions
@@ -926,9 +896,20 @@ mod tests {
                 assert_eq!(restored.predict_weights(&inst), tree.predict_weights(&inst));
             }
         }
-        // Truncation is a typed error, not a panic.
-        let mut short = PersistReader::new(&bytes[..bytes.len() - 7]);
-        assert!(HoeffdingTree::restore(&mut short).is_err());
+        // Truncation is a typed error, not a panic; so is a split whose
+        // child points back at it (node 0 is the root split; its first
+        // child id follows the discriminant and the attribute).
+        assert!(restore(&bytes[..bytes.len() - 7]).is_err());
+        let mut cyclic = bytes.clone();
+        let first_child = 12 + 8 + 8 + 8 + 1 + 8;
+        assert_eq!(cyclic[first_child - 9], 1, "the root is a split");
+        cyclic[first_child..first_child + 8].copy_from_slice(&0u64.to_le_bytes());
+        match restore(&cyclic) {
+            Err(PersistError::Corrupt { context, .. }) => {
+                assert_eq!(context, "HoeffdingTree.nodes");
+            }
+            other => panic!("a cycle restored as {:?}", other.map(|_| ())),
+        }
     }
 
     /// The drift detector's thresholds (`p_min`/`s_min` and the warm-up
@@ -943,10 +924,11 @@ mod tests {
             d.observe((s >> 16) % 100 < 5);
         }
         let mut w = PersistWriter::new();
-        d.persist(&mut w);
+        d.persist_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
-        let mut restored = DdmDetector::restore(&mut r).expect("restore");
+        let mut restored = DdmDetector::new(30);
+        restored.restore_state(&mut r).expect("restore");
         assert!(r.is_exhausted());
         assert_eq!(restored.observations(), d.observations());
         assert_eq!(restored.error_rate(), d.error_rate());
@@ -963,10 +945,11 @@ mod tests {
         // A fresh detector (infinite p_min/s_min sentinels) round-trips too.
         let fresh = DdmDetector::new(50);
         let mut w = PersistWriter::new();
-        fresh.persist(&mut w);
+        fresh.persist_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = PersistReader::new(&bytes);
-        let restored = DdmDetector::restore(&mut r).expect("fresh restore");
+        let mut restored = DdmDetector::new(50);
+        restored.restore_state(&mut r).expect("fresh restore");
         assert_eq!(restored.observations(), 0);
     }
 

@@ -25,6 +25,9 @@ pub struct LintConfig {
     /// Workspace-relative directory prefixes where wall-clock reads are
     /// banned (virtual-clock discipline).
     pub virtual_clock_paths: Vec<String>,
+    /// Workspace-relative files and directories that may cite a roadmap
+    /// item by number.
+    pub roadmap_exempt: Vec<String>,
 }
 
 impl LintConfig {
@@ -55,7 +58,7 @@ impl LintConfig {
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
                 match section.as_str() {
-                    "budgets" | "scope" | "as-truncation" | "virtual-clock" => {}
+                    "budgets" | "scope" | "as-truncation" | "virtual-clock" | "roadmap-number" => {}
                     other => return Err(format!("lint.toml:{lineno}: unknown section [{other}]")),
                 }
                 continue;
@@ -81,6 +84,9 @@ impl LintConfig {
                 }
                 ("virtual-clock", "paths") => {
                     cfg.virtual_clock_paths = parse_string_array(value, lineno)?;
+                }
+                ("roadmap-number", "exempt") => {
+                    cfg.roadmap_exempt = parse_string_array(value, lineno)?;
                 }
                 (sec, key) => {
                     return Err(format!(

@@ -21,6 +21,12 @@
 //!   (`WallTimer` in `latest-core`) holds the one budgeted
 //!   `LINT-ALLOW(virtual-clock)` site — real latency must be measured
 //!   with a real clock, but every such measurement funnels through it.
+//! * `roadmap-number` — no `ROADMAP` followed by an item number in any
+//!   tracked text (code, tests, docs, CI) outside the files `lint.toml`
+//!   exempts: the roadmap renumbers its items as they close, so a cited
+//!   number rots. Say the reason in words instead. This rule reads every
+//!   `.rs`, `.md`, `.toml` and `.yml` file under the root, comments and
+//!   test code included, and has no `LINT-ALLOW`.
 //!
 //! The scanner strips string literals and comments with a small state
 //! machine (line comments, nested block comments, escaped strings, raw
@@ -106,8 +112,80 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         lint_text(&rel, &text, &cfg, &mut report);
         report.files_scanned += 1;
     }
+    let mut texts = Vec::new();
+    walk_texts(root, root, &cfg.roadmap_exempt, &mut texts)?;
+    texts.sort();
+    for (rel, file) in texts {
+        let text = fs::read_to_string(&file)
+            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        for (i, line) in text.lines().enumerate() {
+            if cites_roadmap_number(line) {
+                report.diagnostics.push(Diagnostic {
+                    file: rel.clone(),
+                    line: i + 1,
+                    rule: "roadmap-number",
+                    message: "a roadmap item number rots as items close; say the reason in words"
+                        .into(),
+                });
+            }
+        }
+    }
     enforce_budgets(&cfg, &mut report);
     Ok(report)
+}
+
+/// Collects `(relative path, path)` of every text file the
+/// `roadmap-number` rule reads under `dir`: skips build output (`target`),
+/// hidden directories other than `.github`, and the `exempt` paths.
+fn walk_texts(
+    root: &Path,
+    dir: &Path,
+    exempt: &[String],
+    out: &mut Vec<(String, PathBuf)>,
+) -> Result<(), String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("readdir error under {}: {e}", dir.display()))?;
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if exempt
+            .iter()
+            .any(|e| rel == *e || rel.starts_with(&format!("{e}/")))
+        {
+            continue;
+        }
+        if path.is_dir() {
+            if name != "target" && (!name.starts_with('.') || name == ".github") {
+                walk_texts(root, &path, exempt, out)?;
+            }
+        } else if ["rs", "md", "toml", "yml"]
+            .iter()
+            .any(|ext| path.extension().is_some_and(|e| e == *ext))
+        {
+            out.push((rel, path));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `line` cites a roadmap item by number: `ROADMAP`, optionally
+/// `.md`, then optionally `item` / `items`, then a digit.
+pub(crate) fn cites_roadmap_number(line: &str) -> bool {
+    line.match_indices("ROADMAP").any(|(at, word)| {
+        let rest = &line[at + word.len()..];
+        let rest = rest.strip_prefix(".md").unwrap_or(rest).trim_start();
+        let rest = ["items", "item"]
+            .iter()
+            .find_map(|w| rest.strip_prefix(w))
+            .unwrap_or(rest)
+            .trim_start();
+        rest.starts_with(|c: char| c.is_ascii_digit())
+    })
 }
 
 /// After all files are scanned, compare used allows against the budgets.
@@ -980,6 +1058,67 @@ fn bad(x: Option<u32>) -> u32 { x.unwrap() }\n";
         let r = run("crates/a/src/lib.rs", src);
         assert_eq!(rules(&r), ["no-panic"]);
         assert_eq!(r.diagnostics[0].line, 3);
+    }
+
+    #[test]
+    fn roadmap_numbers_are_recognised_in_every_spelling() {
+        let word = "ROADMAP";
+        for cited in [
+            " 3",
+            " item 7(c)",
+            " items 9 and 10",
+            ".md item 14(c)",
+            " 1(i)",
+        ] {
+            let line = format!("see {word}{cited} for why");
+            assert!(cites_roadmap_number(&line), "{line}");
+        }
+        for plain in [".md", ".md's north star", " item", ", not a number", "S 3"] {
+            let line = format!("see {word}{plain}");
+            assert!(!cites_roadmap_number(&line), "{line}");
+        }
+        assert!(!cites_roadmap_number("calibration item 12"));
+    }
+
+    /// The `roadmap-number` rule reads docs and tests too, and spares only
+    /// the paths `lint.toml` exempts.
+    #[test]
+    fn workspace_lint_refuses_roadmap_numbers_outside_exempt_paths() {
+        let root = std::env::temp_dir().join(format!(
+            "xtask-roadmap-selftest-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let cited = format!("{} item 3 decides this\n", "ROADMAP");
+        for dir in ["crates/demo/src", "tests", "frozen/e2e", "target", ".git"] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+        }
+        std::fs::write(root.join("crates/demo/src/lib.rs"), format!("// {cited}")).unwrap();
+        std::fs::write(root.join("tests/t.rs"), format!("/// {cited}")).unwrap();
+        std::fs::write(root.join("DESIGN.md"), format!("intro\n{cited}")).unwrap();
+        for exempt in ["PLAN.md", "frozen/e2e/main.rs", "target/x.rs", ".git/y.md"] {
+            std::fs::write(root.join(exempt), &cited).unwrap();
+        }
+        std::fs::write(
+            root.join("lint.toml"),
+            "[roadmap-number]\nexempt = [\"PLAN.md\", \"frozen/e2e\"]\n",
+        )
+        .unwrap();
+        let report = lint_workspace(&root).unwrap();
+        let found: Vec<(&str, usize, &str)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.file.as_str(), d.line, d.rule))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("DESIGN.md", 2, "roadmap-number"),
+                ("crates/demo/src/lib.rs", 1, "roadmap-number"),
+                ("tests/t.rs", 1, "roadmap-number"),
+            ]
+        );
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Acceptance-criterion self-test: an unjustified `.unwrap()` introduced

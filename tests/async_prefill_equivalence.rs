@@ -487,10 +487,11 @@ fn sharded_async_matches_unsharded_sync_through_natural_switches() {
     assert!(sharded.shutdown() > 0);
 }
 
-/// ROADMAP 1(i)–(iii) as a test: with the pre-fill threshold β·τ below τ,
-/// the query that starts a natural pre-fill also activates it, so no
-/// pre-fill outlives its query and none is ever discarded. Ordering the
-/// thresholds (ROADMAP 1(a)) must invert this test.
+/// The adaptor's current threshold order as a test: with the pre-fill
+/// threshold β·τ below τ, the query that starts a natural pre-fill also
+/// activates it, so no pre-fill outlives its query and none is ever
+/// discarded. Putting the pre-fill threshold above the switch threshold
+/// must invert this test.
 #[test]
 fn natural_prefill_never_outlives_its_query() {
     let mut latest = Latest::new(eager_config(1));

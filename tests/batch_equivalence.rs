@@ -7,7 +7,8 @@
 //!
 //! The bulk entry a prefill candidate is built through, `insert_slices`,
 //! is held to the same reference — one `insert` per object — bit for bit,
-//! at the end of the build and through churn afterwards.
+//! at the end of the build and through churn afterwards, persisted state
+//! included.
 
 use estimators::aasp::AaspTree;
 use estimators::ffn::FfnEstimator;
@@ -180,6 +181,18 @@ fn assert_bit_equal<E: SelectivityEstimator>(
     assert!(
         hidden(singles) == hidden(bulk),
         "{kind} {ctx}: RNG state, rebuild count or model presence"
+    );
+    // A snapshot holds what was sampled, learned or counted and none of
+    // the layout a bulk build leaves differently (posting generations,
+    // keyword-pool garbage, RSH's in-cell order), so both persist alike.
+    let persisted = |e: &E| {
+        let mut w = geostream::PersistWriter::new();
+        e.persist_state(&mut w);
+        w.into_bytes()
+    };
+    assert!(
+        persisted(singles) == persisted(bulk),
+        "{kind} {ctx}: persisted state"
     );
 }
 
