@@ -18,7 +18,8 @@
 //!
 //! The second half of this module is the one thread the switching path
 //! does pay for: [`PrefillBuilder`], the background worker that builds
-//! §V-D's replacement candidate off the serving thread.
+//! §V-D's replacement candidate off the serving thread, and drops there
+//! the estimators the engine lets go of.
 
 use crate::estimation_accuracy;
 use crate::log::ShadowSample;
@@ -195,9 +196,9 @@ use std::sync::mpsc;
 /// object map, SPN's `rebuilds` and components — so the candidate's
 /// estimates are bit-identical, now and after any further churn, to those
 /// of one maintained inline. What no estimate reads may differ from such a
-/// one: a bulk-built sample has every posting generation at zero, no
-/// tombstones or keyword-pool garbage, and RSH cells that list their slots
-/// in ascending order.
+/// one: a bulk-built sample is filled in one pass (each posting list
+/// written once, every generation at zero, no tombstones or keyword-pool
+/// garbage), and its RSH cells list their slots in ascending order.
 ///
 /// A caller that may abandon the build ends `slices` early and drops the
 /// result: the worker's sequence stops at the first slice boundary after
@@ -223,6 +224,9 @@ pub struct BuiltPrefill {
     /// Objects in the snapshot the candidate was built from.
     pub snapshot_len: usize,
 }
+
+/// Work queued for the builder thread.
+type Job = Box<dyn FnOnce() + Send>;
 
 /// One queued build job for the builder worker.
 struct PrefillJob {
@@ -269,14 +273,15 @@ impl PrefillTicket {
 }
 
 /// A lazily spawned background worker that builds prefill candidates off
-/// the serving thread.
+/// the serving thread, and drops the estimators handed to
+/// [`PrefillBuilder::retire`] there.
 ///
-/// Jobs queue on an mpsc channel; at most one is outstanding per engine in
-/// practice (one prefill slot), so a single worker suffices. If the thread
-/// cannot be spawned (or has died), `submit` degrades to building inline on
-/// the calling thread — the ticket API is identical either way.
+/// Jobs queue on an mpsc channel; at most one build is outstanding per
+/// engine in practice (one prefill slot), so a single worker suffices. If
+/// the thread cannot be spawned (or has died), a job runs inline on the
+/// calling thread — the ticket API is identical either way.
 pub struct PrefillBuilder {
-    tx: Option<mpsc::Sender<PrefillJob>>,
+    tx: Option<mpsc::Sender<Job>>,
     worker: Option<std::thread::JoinHandle<()>>,
     /// Cancel flag of the most recent job, poked on drop so shutdown never
     /// waits out a full build.
@@ -309,14 +314,14 @@ impl PrefillBuilder {
         }
         // CONC(prefill-handoff/prefill-jobs): job queue to the builder;
         // Drop closes it (tx = None) and then joins
-        let (tx, rx) = mpsc::channel::<PrefillJob>();
+        let (tx, rx) = mpsc::channel::<Job>();
         // CONC(prefill-handoff/prefill-builder): joined by Drop after the
         // job queue is closed
         let spawned = std::thread::Builder::new()
             .name("latest-prefill-builder".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    Self::run_job(job);
+                    job();
                 }
             });
         match spawned {
@@ -349,23 +354,31 @@ impl PrefillBuilder {
             done: done_tx,
         };
         self.ensure_worker();
-        match &self.tx {
-            Some(tx) => {
-                if let Err(mpsc::SendError(job)) = tx.send(job) {
-                    // The worker died (panic); run inline so the ticket
-                    // still resolves, and let the next submit respawn.
-                    self.tx = None;
-                    self.worker = None;
-                    Self::run_job(job);
-                }
-            }
-            // Spawn failed: degrade to a synchronous inline build.
-            None => Self::run_job(job),
-        }
+        self.dispatch(Box::new(move || Self::run_job(job)));
         self.last_cancel = Some(Arc::clone(&cancel));
         PrefillTicket {
             rx: done_rx,
             cancel,
+        }
+    }
+
+    /// Drops `est` on the worker, behind the jobs queued before it, so
+    /// freeing a sample stays off the serving thread; inline when no
+    /// worker runs. Never spawns one.
+    pub fn retire(&mut self, est: BoxedEstimator) {
+        self.dispatch(Box::new(move || drop(est)));
+    }
+
+    /// Queues `job` on the worker, or runs it here when there is none. A
+    /// failed send means the worker died (a panic): it is forgotten, so
+    /// the next `submit` respawns it.
+    fn dispatch(&mut self, job: Job) {
+        let Some(tx) = &self.tx else {
+            return job();
+        };
+        if let Err(mpsc::SendError(job)) = tx.send(job) {
+            (self.tx, self.worker) = (None, None);
+            job();
         }
     }
 

@@ -1,6 +1,7 @@
 //! The phase machine's transitions (warm-up → pre-training → incremental,
 //! §V-C) and the adaptor's three estimator transitions (§V-D): start,
 //! discard and activate a prefill, each made when a [`Decision`] asks.
+//! An estimator a transition lets go of is retired to the builder.
 
 use super::prefill::PrefillSlot;
 use super::{Latest, Phase};
@@ -57,8 +58,10 @@ impl Latest {
                 active = Some(est);
             } else if self.config.shadow_metrics {
                 shadow.push(est);
+            } else {
+                // Wiped out to keep one live structure.
+                self.builder.retire(est);
             }
-            // Otherwise dropped: wiped out to keep one live structure.
         }
         self.phase = Phase::Incremental {
             // LINT-ALLOW(no-panic): the loop above inserted every kind, including the default, into the pool
@@ -99,7 +102,7 @@ impl Latest {
     }
 
     /// The adaptor's second transition (accuracy recovered above `β·τ`):
-    /// drop the pending prefill. A built candidate is dropped with it: a
+    /// drop the pending prefill. A built candidate is retired with it: a
     /// later re-entry builds afresh from the window it then finds.
     /// `false` when there is nothing to discard.
     pub(super) fn discard_prefill(&mut self, seq: u64) -> bool {
@@ -108,7 +111,11 @@ impl Latest {
         };
         let kind = match std::mem::replace(prefill, PrefillSlot::Idle) {
             PrefillSlot::Idle => return false,
-            PrefillSlot::Ready(p) => p.kind(),
+            PrefillSlot::Ready(p) => {
+                let kind = p.kind();
+                self.builder.retire(p);
+                kind
+            }
             PrefillSlot::Building { kind, ticket, .. } => {
                 ticket.cancel();
                 self.metrics.prefill_cancelled.inc();
@@ -157,9 +164,18 @@ impl Latest {
         let to = replacement.kind();
         let old = std::mem::replace(active, replacement);
         if self.config.shadow_metrics {
-            // Keep the old estimator measurable in shadow mode.
-            shadow.retain(|e| e.kind() != to);
+            // Keep the old estimator measurable in shadow mode, in place
+            // of the new one's shadow twin.
+            for est in std::mem::replace(shadow, EstimatorPool::empty()).into_inner() {
+                if est.kind() == to {
+                    self.builder.retire(est);
+                } else {
+                    shadow.push(est);
+                }
+            }
             shadow.push(old);
+        } else {
+            self.builder.retire(old);
         }
         self.metrics.switches.inc();
         self.metrics

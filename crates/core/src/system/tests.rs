@@ -119,6 +119,102 @@ fn incremental_queries_answer_reasonably() {
     assert_eq!(executor.spatial + executor.inverted, 60);
 }
 
+/// An estimator that records, when dropped, the name of the thread that
+/// drops it; everything else is its inner estimator's.
+struct DropProbe {
+    inner: BoxedEstimator,
+    dropped_on: std::sync::Arc<std::sync::Mutex<Option<Option<String>>>>,
+}
+
+impl Drop for DropProbe {
+    fn drop(&mut self) {
+        let name = std::thread::current().name().map(str::to_owned);
+        if let Ok(mut dropped_on) = self.dropped_on.lock() {
+            *dropped_on = Some(name);
+        }
+    }
+}
+
+impl estimators::SelectivityEstimator for DropProbe {
+    fn kind(&self) -> EstimatorKind {
+        self.inner.kind()
+    }
+    fn insert(&mut self, obj: &GeoTextObject) {
+        self.inner.insert(obj);
+    }
+    fn remove(&mut self, obj: &GeoTextObject) {
+        self.inner.remove(obj);
+    }
+    fn estimate(&self, query: &RcDvq) -> f64 {
+        self.inner.estimate(query)
+    }
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+    fn population(&self) -> u64 {
+        self.inner.population()
+    }
+    fn persist_state(&self, w: &mut geostream::PersistWriter) {
+        self.inner.persist_state(w);
+    }
+    fn restore_state(
+        &mut self,
+        r: &mut geostream::PersistReader<'_>,
+    ) -> Result<(), geostream::PersistError> {
+        self.inner.restore_state(r)
+    }
+}
+
+/// Puts a [`DropProbe`] in as the active estimator of an engine in the
+/// incremental phase, switches once, ends the engine (which joins the
+/// builder) and returns the name of the thread the probe was dropped on.
+fn replaced_estimator_dropped_on(build_on_caller: bool) -> Option<String> {
+    let config = small_config();
+    let mut latest = Latest::new(config);
+    if build_on_caller {
+        latest.debug_build_prefills_on_caller();
+    }
+    let mut gen = warm_up(&mut latest);
+    let probe = RcDvq::keyword(vec![KeywordId(3)]);
+    while latest.phase() != PhaseTag::Incremental {
+        latest.ingest(gen.next_object());
+        let _ = latest.query(&probe, QueryOptions::at(gen.clock()));
+    }
+    let dropped_on = std::sync::Arc::default();
+    let Phase::Incremental { active, .. } = &mut latest.phase else {
+        unreachable!()
+    };
+    let inner = std::mem::replace(
+        active,
+        build_estimator(EstimatorKind::H4096, &small_config().estimator_config),
+    );
+    *active = Box::new(DropProbe {
+        inner,
+        dropped_on: std::sync::Arc::clone(&dropped_on),
+    });
+    assert!(latest.debug_force_prefill(EstimatorKind::Rsl));
+    latest.ingest(gen.next_object());
+    assert!(latest.debug_activate_prefill());
+    assert_eq!(latest.active_kind(), EstimatorKind::Rsl);
+    drop(latest);
+    let name = dropped_on.lock().unwrap().take();
+    name.expect("the replaced estimator was never dropped")
+}
+
+/// The replaced active estimator is freed on the builder thread; with no
+/// worker (on-caller builds) it is freed on the serving thread.
+#[test]
+fn replaced_estimator_is_dropped_on_the_builder_thread() {
+    assert_eq!(
+        replaced_estimator_dropped_on(false).as_deref(),
+        Some("latest-prefill-builder")
+    );
+    assert_eq!(
+        replaced_estimator_dropped_on(true),
+        std::thread::current().name().map(str::to_owned)
+    );
+}
+
 #[test]
 fn switches_away_from_bad_estimator() {
     // Force H4096 active, then hammer with keyword queries it cannot

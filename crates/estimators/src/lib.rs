@@ -31,6 +31,9 @@ pub mod spn;
 pub mod store;
 mod traits;
 
+#[cfg(test)]
+mod fill_oracle;
+
 pub use error::EstimateError;
 pub use traits::{
     build_estimator, persist_boxed, restore_boxed, try_build_estimator, BoxedEstimator,

@@ -193,15 +193,18 @@ impl SelectivityEstimator for ReservoirList {
 
     /// Two passes: decide every arrival (draws only), then place each
     /// surviving slot once — `n` arrivals cost `n` draws and at most
-    /// `capacity` store writes instead of `capacity · (1 + ln(n / capacity))`.
+    /// `capacity` store writes instead of `capacity · (1 + ln(n / capacity))`,
+    /// one `SampleStore::fill` into a fresh reservoir.
     fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
         let mut winners = Winners::over(self.store.len());
         for slice in slices {
             self.population += slice.len() as u64;
             winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
         }
-        for (slot, obj) in winners.drain() {
-            self.place(obj, slot);
+        if !self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+            for (slot, obj) in winners.drain() {
+                self.place(obj, slot);
+            }
         }
     }
 

@@ -91,6 +91,23 @@ impl ReservoirHash {
         v.push(slot);
     }
 
+    /// Links every slot, ascending, into an empty grid, each cell's list
+    /// sized once: the grid build of a filled or restored sample.
+    fn link_all(&mut self) {
+        let (xs, ys) = (self.store.xs(), self.store.ys());
+        let cells: Vec<usize> = (xs.iter().zip(ys))
+            .map(|(&x, &y)| self.layout.cell_of(&Point::new(x, y)))
+            .collect();
+        let mut sizes = vec![0; self.grid.len()];
+        cells.iter().for_each(|&cell| sizes[cell] += 1);
+        for (slots, size) in self.grid.iter_mut().zip(sizes) {
+            slots.reserve_exact(size);
+        }
+        for (slot, &cell) in (0u32..).zip(&cells) {
+            self.link(cell, slot);
+        }
+    }
+
     fn place(&mut self, obj: &GeoTextObject, slot: usize) {
         if slot < self.store.len() {
             let cell = self.cell_of_slot(slot as u32);
@@ -146,17 +163,21 @@ impl SelectivityEstimator for ReservoirHash {
         }
     }
 
-    /// Decide, then place once — see `Winners`. Each placement links its
-    /// grid cell as `insert` does, so a cell lists its slots in ascending
-    /// order rather than in arrival order; no count depends on that order.
+    /// Decide, then place once — see `Winners` — linking the grid in one
+    /// pass after a fill. A cell lists its slots in ascending order rather
+    /// than in arrival order; no count depends on that order.
     fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
         let mut winners = Winners::over(self.store.len());
         for slice in slices {
             self.population += slice.len() as u64;
             winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
         }
-        for (slot, obj) in winners.drain() {
-            self.place(obj, slot);
+        if self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+            self.link_all();
+        } else {
+            for (slot, obj) in winners.drain() {
+                self.place(obj, slot);
+            }
         }
     }
 
@@ -281,9 +302,7 @@ impl SelectivityEstimator for ReservoirHash {
         self.rng = StreamRng::restore(r)?;
         self.store = SampleStore::restore(r, self.capacity)?;
         r.finish_section(sec, CTX)?;
-        for slot in 0..self.store.len() as u32 {
-            self.link(self.cell_of_slot(slot), slot);
-        }
+        self.link_all();
         Ok(())
     }
 

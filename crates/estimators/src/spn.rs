@@ -161,7 +161,7 @@ impl SpnEstimator {
         let bins = 32;
         SpnEstimator {
             domain: config.domain,
-            buffer: SampleStore::new(),
+            buffer: SampleStore::with_capacity(buffer_capacity),
             buffer_capacity,
             components: Vec::new(),
             clusters,
@@ -214,6 +214,9 @@ impl SpnEstimator {
 
     /// Places a bulk build's decided winners into the buffer.
     fn place_winners(&mut self, winners: &mut Winners<'_>) {
+        if self.buffer.fill(winners.drain().map(|(_, obj)| obj)) {
+            return;
+        }
         for (slot, obj) in winners.drain() {
             if slot < self.buffer.len() {
                 self.buffer.replace(slot as u32, obj);

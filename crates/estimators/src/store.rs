@@ -32,6 +32,10 @@
 //! `slot_gen[slot]`, so stale entries can never alias the slot's new
 //! occupant. An entry is live iff `slot < len && slot_gen[slot] == gen`.
 //!
+//! A never-written store (a bulk build's, a restore's) skips all that:
+//! `SampleStore::fill` appends its slots in order and writes each posting
+//! list once, sorted by construction.
+//!
 //! [`SampleStore::count`] fuses the three kernels behind one dispatch:
 //! spatial-only → chunked coordinate scan; keyword-only → posting
 //! lengths / k-way union merge; hybrid → posting-first when the union mass
@@ -94,8 +98,18 @@ fn entry_gen(e: u64) -> u32 {
     e as u32
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`PostingIndex::post`] on this thread.
+    pub(crate) static POSTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// While set on a thread, `SampleStore::fill` declines there.
+    pub(crate) static PLACE_EACH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 impl PostingIndex {
     fn post(&mut self, kw: KeywordId, slot: u32, gen: u32) {
+        #[cfg(test)]
+        POSTS.with(|p| p.set(p.get() + 1));
         let e = pack(slot, gen);
         let list = self.map.entry(kw).or_default();
         if let Err(pos) = list.entries.binary_search(&e) {
@@ -226,6 +240,17 @@ impl SampleStore {
 
     /// [`SampleStore::push`] of an object given by its columns.
     fn push_parts(&mut self, loc: Point, oid: ObjectId, keywords: &[KeywordId]) -> u32 {
+        let (slot, _) = self.append(loc, oid, keywords);
+        let gen = self.slot_gen[slot as usize];
+        for &kw in keywords {
+            self.postings.post(kw, slot, gen);
+        }
+        slot
+    }
+
+    /// Appends an object's columns at slot `len`, posting nothing; returns
+    /// the slot and whether its id was mapped already (the new slot wins).
+    fn append(&mut self, loc: Point, oid: ObjectId, keywords: &[KeywordId]) -> (u32, bool) {
         // LINT-ALLOW(as-truncation): slot count is bounded by the reservoir capacity, far below u32::MAX
         let slot = self.xs.len() as u32;
         self.xs.push(loc.x);
@@ -239,12 +264,48 @@ impl SampleStore {
         if self.slot_gen.len() <= slot as usize {
             self.slot_gen.push(0);
         }
-        self.slot_of.insert(oid, slot);
-        let gen = self.slot_gen[slot as usize];
-        for &kw in keywords {
-            self.postings.post(kw, slot, gen);
+        let repeat = self.slot_of.insert(oid, slot).is_some();
+        (slot, repeat)
+    }
+
+    /// Fills a store that was never written (no slot, generation or
+    /// posting list: churn leaves generations behind) with `objs` in slot
+    /// order, as one `push` each would, and says whether it did; a store
+    /// that declines takes nothing from `objs`.
+    pub(crate) fn fill<'a>(&mut self, objs: impl Iterator<Item = &'a GeoTextObject>) -> bool {
+        #[cfg(test)]
+        if PLACE_EACH.with(std::cell::Cell::get) {
+            return false;
         }
-        slot
+        if !(self.slot_gen.is_empty() && self.postings.map.is_empty()) {
+            return false;
+        }
+        let objs: Vec<&GeoTextObject> = objs.collect();
+        self.slot_of.reserve(objs.len());
+        self.kw_pool
+            .reserve(objs.iter().map(|o| o.keywords.len()).sum());
+        for obj in objs {
+            self.append(obj.loc, obj.oid, &obj.keywords);
+        }
+        self.post_filled();
+        true
+    }
+
+    /// Posts every appended slot, ascending at generation 0, to the end of
+    /// its lists — sorted with no search. A keyword repeated within a slot
+    /// (a hostile snapshot's) is posted once, as `post` would.
+    fn post_filled(&mut self) {
+        let postings = &mut self.postings;
+        for (slot, &(off, len)) in (0u32..).zip(&self.kw_ranges) {
+            let e = pack(slot, 0);
+            for &kw in &self.kw_pool[off as usize..(off + len) as usize] {
+                let list = postings.map.entry(kw).or_default();
+                if list.entries.last() != Some(&e) {
+                    list.entries.push(e);
+                    postings.total_entries += 1;
+                }
+            }
+        }
     }
 
     /// Overwrites `slot` with `obj` (algorithm-R replacement).
@@ -629,9 +690,9 @@ impl SampleStore {
     /// The sample in slot order (slot order is algorithm-R state), each
     /// slot as its object alone: coordinates, id and keywords. Everything
     /// else is derived from those and rebuilt by [`SampleStore::restore`],
-    /// which pushes the slots in order: the posting index comes back
-    /// compact, every generation at zero and the keyword pool without
-    /// garbage — the layout a bulk build leaves.
+    /// which fills the slots in order as `SampleStore::fill` does: the
+    /// posting index comes back compact, every generation at zero and the
+    /// keyword pool without garbage — the layout a bulk build leaves.
     pub fn persist(&self, w: &mut PersistWriter) {
         w.put_usize(self.len());
         let columns = self.xs.iter().zip(&self.ys).zip(&self.oids);
@@ -658,6 +719,7 @@ impl SampleStore {
             });
         }
         let mut store = SampleStore::with_capacity(n);
+        store.slot_of.reserve(n);
         let mut keywords = Vec::new();
         for _ in 0..n {
             let loc = Point::restore(r)?;
@@ -666,14 +728,14 @@ impl SampleStore {
             for _ in 0..r.take_len(CTX)? {
                 keywords.push(KeywordId::restore(r)?);
             }
-            if store.slot_of(oid).is_some() {
+            if store.append(loc, oid, &keywords).1 {
                 return Err(PersistError::Corrupt {
                     context: CTX,
                     detail: format!("duplicate object id {oid:?}"),
                 });
             }
-            store.push_parts(loc, oid, &keywords);
         }
+        store.post_filled();
         Ok(store)
     }
 }
