@@ -24,7 +24,7 @@
 use crate::estimation_accuracy;
 use crate::log::ShadowSample;
 use crate::obsv::WallTimer;
-use estimators::{build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind};
+use estimators::{build_estimator, BoxedEstimator, DrawTapes, EstimatorConfig, EstimatorKind};
 use geostream::{GeoTextObject, RcDvq, WindowSnapshot};
 use std::sync::Arc;
 
@@ -190,7 +190,8 @@ use std::sync::mpsc;
 /// degradation, and the engine's worker-died fallback — so all of them
 /// persist byte for byte alike.
 ///
-/// The slices go through `SelectivityEstimator::insert_slices` in one call.
+/// The slices go through `DrawTapes::build`: the estimator
+/// `SelectivityEstimator::insert_slices` makes of a fresh one in one call.
 /// Its contract is the *observable* state of one `insert` per object in
 /// order — population, arrivals seen, RNG state, each sample's slot →
 /// object map, SPN's `rebuilds` and components — so the candidate's
@@ -198,20 +199,24 @@ use std::sync::mpsc;
 /// of one maintained inline. What no estimate reads may differ from such a
 /// one: a bulk-built sample is filled in one pass (each posting list
 /// written once, every generation at zero, no tombstones or keyword-pool
-/// garbage), and its RSH cells list their slots in ascending order.
+/// garbage), and its RSH cells list their slots in ascending order. RSL,
+/// RSH and SPN read their random draws off `tapes`, which the first build
+/// of each kind records and later ones reuse; the tapes change no byte of
+/// the result.
 ///
 /// A caller that may abandon the build ends `slices` early and drops the
 /// result: the worker's sequence stops at the first slice boundary after
 /// its cancel flag is set (a window snapshot's slices hold at most 1 024
-/// objects).
+/// objects). RSL, RSH and SPN pull the whole sequence before they start,
+/// so a cancel during their build (a few milliseconds) is seen at
+/// delivery.
 pub(crate) fn build_candidate<'a>(
     kind: EstimatorKind,
     config: &EstimatorConfig,
+    tapes: &mut DrawTapes,
     mut slices: impl Iterator<Item = &'a [GeoTextObject]>,
 ) -> BoxedEstimator {
-    let mut est = build_estimator(kind, config);
-    est.insert_slices(&mut slices);
-    est
+    tapes.build(kind, config, &mut slices)
 }
 
 /// A finished background prefill build, as delivered on a [`PrefillTicket`].
@@ -225,8 +230,9 @@ pub struct BuiltPrefill {
     pub snapshot_len: usize,
 }
 
-/// Work queued for the builder thread.
-type Job = Box<dyn FnOnce() + Send>;
+/// Work queued for the builder thread, run with the draw tapes of the
+/// thread that runs it.
+type Job = Box<dyn FnOnce(&mut DrawTapes) + Send>;
 
 /// One queued build job for the builder worker.
 struct PrefillJob {
@@ -279,7 +285,9 @@ impl PrefillTicket {
 /// Jobs queue on an mpsc channel; at most one build is outstanding per
 /// engine in practice (one prefill slot), so a single worker suffices. If
 /// the thread cannot be spawned (or has died), a job runs inline on the
-/// calling thread — the ticket API is identical either way.
+/// calling thread — the ticket API is identical either way. The worker
+/// owns the draw tapes its builds read; jobs run inline read a set of the
+/// builder's own.
 pub struct PrefillBuilder {
     tx: Option<mpsc::Sender<Job>>,
     worker: Option<std::thread::JoinHandle<()>>,
@@ -289,6 +297,9 @@ pub struct PrefillBuilder {
     /// Set once a spawn attempt failed (or by the on-caller test hook);
     /// stops re-attempting per submit.
     spawn_failed: bool,
+    /// The draw tapes of jobs run on the calling thread; the worker owns
+    /// its own set.
+    tapes: DrawTapes,
 }
 
 impl Default for PrefillBuilder {
@@ -305,6 +316,7 @@ impl PrefillBuilder {
             worker: None,
             last_cancel: None,
             spawn_failed: false,
+            tapes: DrawTapes::default(),
         }
     }
 
@@ -320,8 +332,9 @@ impl PrefillBuilder {
         let spawned = std::thread::Builder::new()
             .name("latest-prefill-builder".into())
             .spawn(move || {
+                let mut tapes = DrawTapes::default();
                 while let Ok(job) = rx.recv() {
-                    job();
+                    job(&mut tapes);
                 }
             });
         match spawned {
@@ -354,7 +367,7 @@ impl PrefillBuilder {
             done: done_tx,
         };
         self.ensure_worker();
-        self.dispatch(Box::new(move || Self::run_job(job)));
+        self.dispatch(Box::new(move |tapes| Self::run_job(job, tapes)));
         self.last_cancel = Some(Arc::clone(&cancel));
         PrefillTicket {
             rx: done_rx,
@@ -366,7 +379,7 @@ impl PrefillBuilder {
     /// freeing a sample stays off the serving thread; inline when no
     /// worker runs. Never spawns one.
     pub fn retire(&mut self, est: BoxedEstimator) {
-        self.dispatch(Box::new(move || drop(est)));
+        self.dispatch(Box::new(move |_| drop(est)));
     }
 
     /// Queues `job` on the worker, or runs it here when there is none. A
@@ -374,11 +387,11 @@ impl PrefillBuilder {
     /// the next `submit` respawns it.
     fn dispatch(&mut self, job: Job) {
         let Some(tx) = &self.tx else {
-            return job();
+            return job(&mut self.tapes);
         };
         if let Err(mpsc::SendError(job)) = tx.send(job) {
             (self.tx, self.worker) = (None, None);
-            job();
+            job(&mut self.tapes);
         }
     }
 
@@ -393,7 +406,7 @@ impl PrefillBuilder {
         self.spawn_failed = true;
     }
 
-    fn run_job(job: PrefillJob) {
+    fn run_job(job: PrefillJob, tapes: &mut DrawTapes) {
         // Relaxed ordering: the flag is advisory — it only decides how soon
         // the worker abandons a cancelled build; the result channel
         // provides the actual cross-thread handoff.
@@ -408,6 +421,7 @@ impl PrefillBuilder {
         let est = build_candidate(
             job.kind,
             &job.config,
+            tapes,
             job.snapshot.chunk_slices().take_while(|_| !cancelled()),
         );
         // A cancelled build may have seen only part of the snapshot: it is
@@ -535,11 +549,11 @@ mod tests {
 
     /// The spawn-failure degradation: `submit` runs the job on the caller,
     /// so the ticket is resolved the moment it is handed back, and the
-    /// candidate is the one a background build of the same snapshot makes.
+    /// candidate is the one a background build of the same snapshot makes
+    /// — also when each side reads draw tapes its earlier builds recorded.
     #[test]
     fn on_caller_build_resolves_at_once_and_matches_background_build() {
         let cfg = config();
-        let objs = objects(3_000);
         let persisted = |est: &BoxedEstimator| {
             let mut w = geostream::PersistWriter::new();
             estimators::persist_boxed(est.as_ref(), &mut w);
@@ -548,7 +562,11 @@ mod tests {
         let mut background = PrefillBuilder::new();
         let mut on_caller = PrefillBuilder::new();
         on_caller.build_on_caller();
-        for kind in EstimatorKind::ALL {
+        for (kind, n) in EstimatorKind::ALL
+            .into_iter()
+            .flat_map(|k| [(k, 3_000), (k, 1_700)])
+        {
+            let objs = objects(n);
             let mut ticket = on_caller.submit(kind, &cfg, objs.clone().into());
             let built = ticket
                 .try_take()
@@ -560,15 +578,15 @@ mod tests {
                 .expect("worker delivered");
             assert!(
                 persisted(&built.estimator) == persisted(&reference.estimator),
-                "{kind}: on-caller build persists differently from the background build"
+                "{kind}, {n}: on-caller build persists differently from the background build"
             );
             // The engine's worker-died fallback builds from the live window
-            // through the same function; a window slices the same sequence
-            // differently than its snapshot does.
-            let fallback = build_candidate(kind, &cfg, objs.chunks(700));
+            // through the same function, with no tape; a window slices the
+            // same sequence differently than its snapshot does.
+            let fallback = build_candidate(kind, &cfg, &mut DrawTapes::default(), objs.chunks(700));
             assert!(
                 persisted(&fallback) == persisted(&reference.estimator),
-                "{kind}: fallback build persists differently from the background build"
+                "{kind}, {n}: fallback build persists differently from the background build"
             );
         }
         assert!(

@@ -5,7 +5,7 @@ use super::{Latest, Phase};
 use crate::config::LatestConfig;
 use crate::obsv::{LifecycleEvent, MetricsRegistry, WallTimer};
 use crate::pool::{build_candidate, BuiltPrefill, PrefillBuilder, PrefillTicket};
-use estimators::{build_estimator, BoxedEstimator, EstimatorKind};
+use estimators::{build_estimator, BoxedEstimator, DrawTapes, EstimatorKind};
 use geostream::{GeoTextObject, SlidingWindow};
 
 /// One recorded window change for the async-prefill delta log, preserving
@@ -257,7 +257,12 @@ impl Latest {
                     Some(built) => Self::promote(built, &delta, kind, seq, metrics),
                     // The worker died mid-build: build inline so the switch
                     // still happens.
-                    None => build_candidate(kind, &config.estimator_config, window.chunk_slices()),
+                    None => build_candidate(
+                        kind,
+                        &config.estimator_config,
+                        &mut DrawTapes::default(),
+                        window.chunk_slices(),
+                    ),
                 };
                 metrics.switch_stall_us.record(timer.elapsed_us());
                 Some(est)

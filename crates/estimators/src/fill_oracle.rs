@@ -51,7 +51,12 @@ fn config() -> EstimatorConfig {
 /// `n` arrivals with ids from `next_id` on, each with up to four keywords
 /// of twelve; with `repeats`, about one in eight reuses an id that arrived
 /// earlier in the same run.
-fn arrivals(rng: &mut StreamRng, n: usize, next_id: &mut u64, repeats: bool) -> Vec<GeoTextObject> {
+pub(crate) fn arrivals(
+    rng: &mut StreamRng,
+    n: usize,
+    next_id: &mut u64,
+    repeats: bool,
+) -> Vec<GeoTextObject> {
     let first = *next_id;
     (0..n)
         .map(|_| {
@@ -71,7 +76,10 @@ fn arrivals(rng: &mut StreamRng, n: usize, next_id: &mut u64, repeats: bool) -> 
 }
 
 /// `objs` cut at random points, empty slices included.
-fn slices<'a>(rng: &mut StreamRng, objs: &'a [GeoTextObject]) -> Vec<&'a [GeoTextObject]> {
+pub(crate) fn slices<'a>(
+    rng: &mut StreamRng,
+    objs: &'a [GeoTextObject],
+) -> Vec<&'a [GeoTextObject]> {
     let mut out = Vec::new();
     let mut rest = objs;
     while !rest.is_empty() {
@@ -83,7 +91,7 @@ fn slices<'a>(rng: &mut StreamRng, objs: &'a [GeoTextObject]) -> Vec<&'a [GeoTex
     out
 }
 
-fn queries() -> Vec<RcDvq> {
+pub(crate) fn queries() -> Vec<RcDvq> {
     let kw = |ks: &[u32]| ks.iter().copied().map(KeywordId).collect::<Vec<_>>();
     vec![
         RcDvq::spatial(Rect::new(5.0, 5.0, 40.0, 50.0)),
@@ -94,7 +102,7 @@ fn queries() -> Vec<RcDvq> {
     ]
 }
 
-fn persisted(est: &dyn SelectivityEstimator) -> Vec<u8> {
+pub(crate) fn persisted(est: &dyn SelectivityEstimator) -> Vec<u8> {
     let mut w = PersistWriter::new();
     est.persist_state(&mut w);
     w.into_bytes()

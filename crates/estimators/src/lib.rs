@@ -33,8 +33,11 @@ mod traits;
 
 #[cfg(test)]
 mod fill_oracle;
+#[cfg(test)]
+mod tape_oracle;
 
 pub use error::EstimateError;
+pub use reservoir::DrawTapes;
 pub use traits::{
     build_estimator, persist_boxed, restore_boxed, try_build_estimator, BoxedEstimator,
     EstimatorConfig, EstimatorKind, SelectivityEstimator,

@@ -12,8 +12,12 @@
 //! and hybrid predicates take the cost-fused path — the scan the paper
 //! charges RSL for is gone from the query path.
 
+use crate::reservoir_hash::ReservoirHash;
+use crate::spn::SpnEstimator;
 use crate::store::SampleStore;
-use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
+use crate::traits::{
+    build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind, SelectivityEstimator,
+};
 use geostream::StreamRng;
 use geostream::{GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
 
@@ -78,6 +82,326 @@ impl<'a> Winners<'a> {
     }
 }
 
+/// Arrivals between two RNG checkpoints of a [`DrawTape`]: a build read
+/// off the tape replays fewer than this many arrivals' draws.
+const CHECKPOINT_EVERY: u64 = 1_024;
+
+#[cfg(test)]
+thread_local! {
+    /// Random numbers drawn through a [`DrawPlan`] on this thread, recording
+    /// a tape or replaying one (tests run one per thread).
+    pub(crate) static DRAWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// What a fresh sampler draws at each arrival from the RNG it starts with:
+/// algorithm R's slot once past `capacity` and, for SPN, the k-means seed
+/// slots of each rebuild (`rebuild = (rebuild_every, clusters)`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct DrawPlan {
+    pub(crate) capacity: usize,
+    pub(crate) rebuild: Option<(u64, usize)>,
+}
+
+impl DrawPlan {
+    /// The draws a fresh sample makes at its `k`-th arrival (1-based), in
+    /// the order `insert` makes them: the slot taken, if the draw lands in
+    /// the sample, then the seeds of a rebuild that `k` opens.
+    fn draw(self, rng: &mut StreamRng, k: u64) -> (Option<u64>, Option<Vec<usize>>) {
+        let cap = self.capacity as u64;
+        let slot = (k > cap).then(|| rng.gen_range_u64(0..k));
+        let seeds = self
+            .rebuild
+            .filter(|&(every, _)| k.is_multiple_of(every))
+            .map(|(_, clusters)| {
+                let n = self.capacity.min(k as usize);
+                (0..clusters.min(n))
+                    .map(|_| rng.gen_range_usize(0..n))
+                    .collect::<Vec<_>>()
+            });
+        #[cfg(test)]
+        DRAWS.with(|d| {
+            d.set(d.get() + u64::from(k > cap) + seeds.as_ref().map_or(0, |s| s.len() as u64));
+        });
+        (slot.filter(|&j| j < cap), seeds)
+    }
+}
+
+/// A fresh sampler's draws over its first `len` arrivals, recorded once so
+/// that later fresh builds under the same RNG and [`DrawPlan`] read them
+/// instead of drawing again.
+///
+/// A fresh sampler's decisions never read an object: which arrival wins
+/// each slot, SPN's rebuild seeds, and the RNG state after `n` arrivals
+/// depend on the starting RNG, the plan and `n` alone.
+pub(crate) struct DrawTape {
+    plan: DrawPlan,
+    /// `(k, j)`: arrival `k` (1-based) drew slot `j < capacity`, `k`
+    /// ascending. Arrivals up to the capacity fill slot `k − 1` without a
+    /// draw and have no entry.
+    hits: Vec<(u32, u32)>,
+    /// The seed slots drawn at each rebuild boundary, in order (SPN).
+    seeds: Vec<Vec<usize>>,
+    /// The RNG after arrival `i · CHECKPOINT_EVERY`, for each such arrival
+    /// up to `len`; the first is the starting RNG.
+    checkpoints: Vec<StreamRng>,
+    /// The RNG after arrival `len`.
+    rng: StreamRng,
+    len: u64,
+}
+
+impl DrawTape {
+    /// Records arrivals up to `n`; `false`, recording nothing, past the
+    /// `u32::MAX` arrivals a tape holds.
+    fn grow_to(&mut self, n: u64) -> bool {
+        if n > u64::from(u32::MAX) {
+            return false;
+        }
+        while self.len < n {
+            self.len += 1;
+            let (slot, seeds) = self.plan.draw(&mut self.rng, self.len);
+            // Both fit: `j < k = len ≤ u32::MAX`.
+            if let Some(j) = slot {
+                self.hits.push((self.len as u32, j as u32));
+            }
+            self.seeds.extend(seeds);
+            if self.len.is_multiple_of(CHECKPOINT_EVERY) {
+                self.checkpoints.push(self.rng.clone());
+            }
+        }
+        true
+    }
+
+    /// The RNG after arrival `n ≤ len`: the checkpoint at or below `n`, then
+    /// the draws of the arrivals past it.
+    fn rng_at(&self, n: u64) -> StreamRng {
+        if n == self.len {
+            return self.rng.clone();
+        }
+        let mut rng = self.checkpoints[(n / CHECKPOINT_EVERY) as usize].clone();
+        for k in n / CHECKPOINT_EVERY * CHECKPOINT_EVERY + 1..=n {
+            self.plan.draw(&mut rng, k);
+        }
+        rng
+    }
+
+    /// Bytes the recorded draws take: hits, seed slots and checkpoints.
+    #[cfg(test)]
+    fn memory_bytes(&self) -> usize {
+        self.hits.len() * std::mem::size_of::<(u32, u32)>()
+            + self.seeds.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<usize>()
+            + self.checkpoints.len() * std::mem::size_of::<StreamRng>()
+    }
+
+    /// Audits the tape against its length: hits strictly ascending in `k`,
+    /// each past the capacity, within the tape and on a slot below the
+    /// capacity; one checkpoint per `CHECKPOINT_EVERY` arrivals plus the
+    /// start; one seed list per rebuild boundary.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn audit(&self) -> Result<(), geostream::AuditError> {
+        use geostream::audit::ensure;
+        const S: &str = "DrawTape";
+        let cap = self.plan.capacity as u64;
+        ensure(
+            self.hits.windows(2).all(|w| w[0].0 < w[1].0),
+            S,
+            "hits-ascending",
+            || "two hits out of arrival order".into(),
+        )?;
+        let stray = self
+            .hits
+            .iter()
+            .find(|&&(k, j)| u64::from(k) <= cap || u64::from(k) > self.len || u64::from(j) >= cap);
+        ensure(stray.is_none(), S, "hit-bounds", || {
+            format!("{stray:?} on {} arrivals, capacity {cap}", self.len)
+        })?;
+        ensure(
+            self.checkpoints.len() as u64 == self.len / CHECKPOINT_EVERY + 1,
+            S,
+            "checkpoint-count",
+            || {
+                format!(
+                    "{} checkpoints for {} arrivals",
+                    self.checkpoints.len(),
+                    self.len
+                )
+            },
+        )?;
+        let boundaries = self.plan.rebuild.map_or(0, |(every, _)| self.len / every);
+        ensure(
+            self.seeds.len() as u64 == boundaries,
+            S,
+            "seed-lists",
+            || format!("{} seed lists for {boundaries} rebuilds", self.seeds.len()),
+        )
+    }
+}
+
+/// A fresh build reading its decisions off a [`DrawTape`] that covers it.
+pub(crate) struct Replay<'t> {
+    tape: &'t DrawTape,
+    next_hit: usize,
+    seen: u64,
+}
+
+impl<'t> Replay<'t> {
+    /// Opens the tape in `slot` for a fresh sampler that starts from `rng`
+    /// under `plan` and will see `n` arrivals — replacing a tape drawn
+    /// under another RNG or plan, and growing it to `n`. `None` past what a
+    /// tape holds.
+    pub(crate) fn open(
+        slot: &'t mut Option<DrawTape>,
+        rng: &StreamRng,
+        plan: DrawPlan,
+        n: u64,
+    ) -> Option<Self> {
+        if !slot
+            .as_ref()
+            .is_some_and(|t| t.plan == plan && t.checkpoints[0].state() == rng.state())
+        {
+            *slot = None;
+        }
+        let tape = slot.get_or_insert_with(|| DrawTape {
+            plan,
+            hits: Vec::new(),
+            seeds: Vec::new(),
+            checkpoints: vec![rng.clone()],
+            rng: rng.clone(),
+            len: 0,
+        });
+        tape.grow_to(n).then_some(Replay {
+            tape,
+            next_hit: 0,
+            seen: 0,
+        })
+    }
+
+    /// Decides `objs`, the next arrivals, as [`Winners::decide`] does for a
+    /// fresh sample: the first `capacity` fill the next free slot, and each
+    /// later one that the tape records takes its slot.
+    pub(crate) fn decide<'a>(&mut self, winners: &mut Winners<'a>, objs: &'a [GeoTextObject]) {
+        let fill = (self.tape.plan.capacity)
+            .saturating_sub(winners.sample_len())
+            .min(objs.len());
+        winners.winner.extend(objs[..fill].iter().map(Some));
+        let first = self.seen + 1;
+        self.seen += objs.len() as u64;
+        let end = self.seen;
+        for &(k, j) in self.tape.hits[self.next_hit..]
+            .iter()
+            .take_while(|&&(k, _)| u64::from(k) <= end)
+        {
+            winners.winner[j as usize] = Some(&objs[(u64::from(k) - first) as usize]);
+            self.next_hit += 1;
+        }
+    }
+
+    /// The seed slots drawn at the `i`-th rebuild boundary (0-based).
+    pub(crate) fn seeds(&self, i: u64) -> &'t [usize] {
+        &self.tape.seeds[i as usize]
+    }
+
+    /// Arrivals decided, and the RNG after them.
+    pub(crate) fn finish(self) -> (u64, StreamRng) {
+        (self.seen, self.tape.rng_at(self.seen))
+    }
+}
+
+/// A fresh reservoir's decisions over `slices`, read off the tape in
+/// `slot`: the winners, the arrivals seen and the RNG after them. `None`
+/// past what a tape holds.
+pub(crate) fn decide_taped<'a>(
+    slot: &mut Option<DrawTape>,
+    rng: &StreamRng,
+    capacity: usize,
+    slices: &[&'a [GeoTextObject]],
+) -> Option<(Winners<'a>, u64, StreamRng)> {
+    let n = slices.iter().map(|s| s.len() as u64).sum();
+    let plan = DrawPlan {
+        capacity,
+        rebuild: None,
+    };
+    let mut replay = Replay::open(slot, rng, plan, n)?;
+    let mut winners = Winners::over(0);
+    for slice in slices {
+        replay.decide(&mut winners, slice);
+    }
+    let (seen, rng) = replay.finish();
+    Some((winners, seen, rng))
+}
+
+/// A draw tape per sampling kind (RSL, RSH, SPN): the random draws of a
+/// fresh sampler of that kind, recorded by its first build so that later
+/// fresh builds read them instead of drawing. A fresh sampler's draws
+/// depend on its seed, its capacity and the number of arrivals, never on
+/// an object, so a tape is redrawn only when the seed or capacity of its
+/// builds changes. Whoever builds fresh candidates owns a set; nothing in
+/// it is shared or persisted.
+#[derive(Default)]
+pub struct DrawTapes {
+    rsl: Option<DrawTape>,
+    rsh: Option<DrawTape>,
+    spn: Option<DrawTape>,
+}
+
+impl DrawTapes {
+    /// A fresh `kind` built from `slices` (oldest first): the estimator
+    /// [`build_estimator`] and [`SelectivityEstimator::insert_slices`]
+    /// make, to its persisted bytes, with RSL, RSH and SPN reading their
+    /// draws off this set's tapes instead of drawing.
+    ///
+    /// # Panics
+    /// As [`build_estimator`], if `config` fails validation.
+    pub fn build(
+        &mut self,
+        kind: EstimatorKind,
+        config: &EstimatorConfig,
+        slices: &mut dyn Iterator<Item = &[GeoTextObject]>,
+    ) -> BoxedEstimator {
+        let taped = config.validate().is_ok();
+        match kind {
+            EstimatorKind::Rsl if taped => {
+                let mut est = ReservoirList::new(config);
+                est.build_taped(&mut self.rsl, &slices.collect::<Vec<_>>());
+                Box::new(est)
+            }
+            EstimatorKind::Rsh if taped => {
+                let mut est = ReservoirHash::new(config);
+                est.build_taped(&mut self.rsh, &slices.collect::<Vec<_>>());
+                Box::new(est)
+            }
+            EstimatorKind::Spn if taped => {
+                let mut est = SpnEstimator::new(config);
+                est.build_taped(&mut self.spn, &slices.collect::<Vec<_>>());
+                Box::new(est)
+            }
+            _ => {
+                let mut est = build_estimator(kind, config);
+                est.insert_slices(slices);
+                est
+            }
+        }
+    }
+
+    /// Bytes the tapes' recorded draws take.
+    #[cfg(test)]
+    pub(crate) fn memory_bytes(&self) -> usize {
+        [&self.rsl, &self.rsh, &self.spn]
+            .into_iter()
+            .flatten()
+            .map(DrawTape::memory_bytes)
+            .sum()
+    }
+
+    /// Audits every tape held ([`DrawTape`]'s invariants).
+    #[cfg(feature = "debug-invariants")]
+    pub fn audit(&self) -> Result<(), geostream::AuditError> {
+        [&self.rsl, &self.rsh, &self.spn]
+            .into_iter()
+            .flatten()
+            .try_for_each(DrawTape::audit)
+    }
+}
+
 /// Algorithm-R reservoir sample of the window.
 pub struct ReservoirList {
     capacity: usize,
@@ -124,6 +448,12 @@ impl ReservoirList {
         &self.rng
     }
 
+    /// Arrivals the sampler has seen.
+    #[cfg(test)]
+    pub(crate) fn seen(&self) -> u64 {
+        self.seen
+    }
+
     /// Counts sample objects matching `query` and scales to the window
     /// population.
     fn scaled_matches(&self, query: &RcDvq) -> f64 {
@@ -140,6 +470,27 @@ impl ReservoirList {
         } else {
             self.store.replace(slot as u32, obj);
         }
+    }
+
+    /// Places a bulk build's winners: one `SampleStore::fill` into a fresh
+    /// reservoir, one `place` each otherwise.
+    fn place_winners(&mut self, winners: &mut Winners<'_>) {
+        if !self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+            for (slot, obj) in winners.drain() {
+                self.place(obj, slot);
+            }
+        }
+    }
+
+    /// What `insert_slices` makes of this fresh reservoir, with the
+    /// decisions read off the tape in `slot`.
+    pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
+        let Some((mut winners, seen, rng)) = decide_taped(slot, &self.rng, self.capacity, slices)
+        else {
+            return self.insert_slices(&mut slices.iter().copied());
+        };
+        (self.population, self.seen, self.rng) = (seen, seen, rng);
+        self.place_winners(&mut winners);
     }
 }
 
@@ -201,11 +552,7 @@ impl SelectivityEstimator for ReservoirList {
             self.population += slice.len() as u64;
             winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
         }
-        if !self.store.fill(winners.drain().map(|(_, obj)| obj)) {
-            for (slot, obj) in winners.drain() {
-                self.place(obj, slot);
-            }
-        }
+        self.place_winners(&mut winners);
     }
 
     fn remove_batch(&mut self, objs: &[GeoTextObject]) {
@@ -489,6 +836,36 @@ mod tests {
         assert_eq!(bulk.seen, singles.seen);
         #[cfg(feature = "debug-invariants")]
         bulk.audit().expect("bulk-continued reservoir audit");
+    }
+
+    /// A tape recorded for a 64-slot sample that rebuilds every 1 200
+    /// arrivals with five seeds, over 3 000 arrivals.
+    #[cfg(feature = "debug-invariants")]
+    fn recorded_tape() -> DrawTape {
+        let plan = DrawPlan {
+            capacity: 64,
+            rebuild: Some((1_200, 5)),
+        };
+        let mut slot = None;
+        Replay::open(&mut slot, &StreamRng::seed_from_u64(3), plan, 3_000).expect("fits");
+        slot.expect("a tape")
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn tape_audit_flags_each_broken_invariant() {
+        recorded_tape().audit().expect("a recorded tape");
+        let broken = |corrupt: fn(&mut DrawTape)| {
+            let mut tape = recorded_tape();
+            corrupt(&mut tape);
+            tape.audit().expect_err("a corrupt tape").invariant
+        };
+        assert_eq!(broken(|t| t.hits.swap(3, 4)), "hits-ascending");
+        assert_eq!(broken(|t| t.hits[5].1 = 64), "hit-bounds");
+        assert_eq!(broken(|t| t.hits[0].0 = 64), "hit-bounds");
+        assert_eq!(broken(|t| t.len -= 1_000), "hit-bounds");
+        assert_eq!(broken(|t| t.checkpoints.truncate(1)), "checkpoint-count");
+        assert_eq!(broken(|t| t.seeds.truncate(1)), "seed-lists");
     }
 
     #[test]

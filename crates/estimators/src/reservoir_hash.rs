@@ -12,7 +12,7 @@
 //! posting index, and hybrid queries pick posting-first vs grid-gather by
 //! the store's cost cutover.
 
-use crate::reservoir::Winners;
+use crate::reservoir::{decide_taped, DrawTape, Winners};
 use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::object::keywords_intersect;
@@ -70,6 +70,12 @@ impl ReservoirHash {
         &self.rng
     }
 
+    /// Arrivals the sampler has seen.
+    #[cfg(test)]
+    pub(crate) fn seen(&self) -> u64 {
+        self.seen
+    }
+
     /// Cell of the object currently stored at `slot`.
     fn cell_of_slot(&self, slot: u32) -> usize {
         let s = slot as usize;
@@ -106,6 +112,29 @@ impl ReservoirHash {
         for (slot, &cell) in (0u32..).zip(&cells) {
             self.link(cell, slot);
         }
+    }
+
+    /// Places a bulk build's winners: one `SampleStore::fill` into a fresh
+    /// sample and one pass linking the grid, one `place` each otherwise.
+    fn place_winners(&mut self, winners: &mut Winners<'_>) {
+        if self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+            self.link_all();
+        } else {
+            for (slot, obj) in winners.drain() {
+                self.place(obj, slot);
+            }
+        }
+    }
+
+    /// What `insert_slices` makes of this fresh RSH, with the decisions
+    /// read off the tape in `slot`.
+    pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
+        let Some((mut winners, seen, rng)) = decide_taped(slot, &self.rng, self.capacity, slices)
+        else {
+            return self.insert_slices(&mut slices.iter().copied());
+        };
+        (self.population, self.seen, self.rng) = (seen, seen, rng);
+        self.place_winners(&mut winners);
     }
 
     fn place(&mut self, obj: &GeoTextObject, slot: usize) {
@@ -172,13 +201,7 @@ impl SelectivityEstimator for ReservoirHash {
             self.population += slice.len() as u64;
             winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
         }
-        if self.store.fill(winners.drain().map(|(_, obj)| obj)) {
-            self.link_all();
-        } else {
-            for (slot, obj) in winners.drain() {
-                self.place(obj, slot);
-            }
-        }
+        self.place_winners(&mut winners);
     }
 
     fn remove(&mut self, obj: &GeoTextObject) {

@@ -19,7 +19,7 @@
 //! the coordinate columns, and the pre-model estimate path (before the
 //! first rebuild) answers from the store's kernels instead of a scan.
 
-use crate::reservoir::Winners;
+use crate::reservoir::{DrawPlan, DrawTape, Replay, Winners};
 use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
@@ -37,6 +37,21 @@ fn kw_bucket(kw: KeywordId) -> usize {
     let mut z = (kw.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     (z ^ (z >> 27)) as usize % KW_BUCKETS
+}
+
+/// The parts of `slices` that hold arrivals `from..to` (0-based), in order.
+fn arrivals<'s, 'a>(
+    slices: &'s [&'a [GeoTextObject]],
+    from: u64,
+    to: u64,
+) -> impl Iterator<Item = &'a [GeoTextObject]> + 's {
+    let mut start = 0;
+    slices.iter().filter_map(move |s| {
+        let lo = start;
+        start += s.len() as u64;
+        let (a, b) = (from.clamp(lo, start) - lo, to.clamp(lo, start) - lo);
+        (a < b).then(|| &s[a as usize..b as usize])
+    })
 }
 
 /// One leaf histogram over a single axis.
@@ -200,6 +215,12 @@ impl SpnEstimator {
         &self.rng
     }
 
+    /// Arrivals the sampler has seen.
+    #[cfg(test)]
+    pub(crate) fn seen(&self) -> u64 {
+        self.seen
+    }
+
     fn buffer_insert(&mut self, obj: &GeoTextObject) {
         self.seen += 1;
         if self.buffer.len() < self.buffer_capacity {
@@ -224,6 +245,38 @@ impl SpnEstimator {
                 self.buffer.push(obj);
             }
         }
+    }
+
+    /// What `insert_slices` makes of this fresh SPN, with the reservoir
+    /// draws and every rebuild's seeds read off the tape in `slot`. As
+    /// there, only the last boundary's seeds train.
+    pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
+        let n: u64 = slices.iter().map(|s| s.len() as u64).sum();
+        let every = self.rebuild_every.max(1);
+        let plan = DrawPlan {
+            capacity: self.buffer_capacity,
+            rebuild: Some((every, self.clusters)),
+        };
+        let Some(mut replay) = Replay::open(slot, &self.rng, plan, n) else {
+            return self.insert_slices(&mut slices.iter().copied());
+        };
+        let last = n / every * every;
+        let mut winners = Winners::over(0);
+        for objs in arrivals(slices, 0, last) {
+            replay.decide(&mut winners, objs);
+        }
+        if last > 0 {
+            self.place_winners(&mut winners);
+            self.rebuilds = last / every;
+            self.train(replay.seeds(self.rebuilds - 1));
+            winners = Winners::over(self.buffer.len());
+        }
+        for objs in arrivals(slices, last, n) {
+            replay.decide(&mut winners, objs);
+        }
+        self.place_winners(&mut winners);
+        (self.population, self.inserts_since_rebuild) = (n, n - last);
+        (self.seen, self.rng) = replay.finish();
     }
 
     /// Opens a rebuild over an `n`-object buffer: counts it and draws the
