@@ -129,12 +129,40 @@ impl EstimatorPool {
         }
     }
 
-    /// Deep invariant walk over the pool (the `debug-invariants`
-    /// auditor): each estimator's own `audit`, plus **population-agreement**
-    /// — every maintained estimator has been fed the same insert/remove
-    /// stream, so all populations match.
+    /// Deep invariant walk over a pool whose members were all fed the
+    /// stream since they were built (the `debug-invariants` auditor):
+    /// [`EstimatorPool::audit_members`], plus **twin-agreement** — an RSL
+    /// and an RSH are one sampler on one seed, so their persisted states
+    /// (arrivals seen, population, RNG state and slot → object map) agree
+    /// past the section tag that names the kind.
     #[cfg(feature = "debug-invariants")]
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
+        self.audit_members()?;
+        let state = |kind| {
+            self.estimators.iter().find(|e| e.kind() == kind).map(|e| {
+                let mut w = geostream::PersistWriter::new();
+                e.persist_state(&mut w);
+                w.into_bytes()
+            })
+        };
+        match (state(EstimatorKind::Rsl), state(EstimatorKind::Rsh)) {
+            (Some(rsl), Some(rsh)) => geostream::audit::ensure(
+                rsl.get(4..) == rsh.get(4..),
+                "EstimatorPool",
+                "twin-agreement",
+                || "RSL and RSH hold different samples or sampler states".into(),
+            ),
+            _ => Ok(()),
+        }
+    }
+
+    /// Each estimator's own `audit`, plus **population-agreement** — every
+    /// maintained estimator has been fed the same insert/remove stream, so
+    /// all populations match. A shadow pool is audited by this alone: it
+    /// keeps the estimator a switch replaced, which may be a fresh build
+    /// beside a twin maintained since pre-training.
+    #[cfg(feature = "debug-invariants")]
+    pub fn audit_members(&self) -> Result<(), geostream::AuditError> {
         use geostream::audit::ensure;
         const S: &str = "EstimatorPool";
         let mut first: Option<(EstimatorKind, u64)> = None;
@@ -201,8 +229,8 @@ use std::sync::mpsc;
 /// written once, every generation at zero, no tombstones or keyword-pool
 /// garbage), and its RSH cells list their slots in ascending order. RSL,
 /// RSH and SPN read their random draws off `tapes`, which the first build
-/// of each kind records and later ones reuse; the tapes change no byte of
-/// the result.
+/// of a sampler records and later ones reuse (RSL and RSH, one sampler on
+/// one seed, share a tape); the tapes change no byte of the result.
 ///
 /// A caller that may abandon the build ends `slices` early and drops the
 /// result: the worker's sequence stops at the first slice boundary after
@@ -524,6 +552,29 @@ mod tests {
         let err = pool.audit().expect_err("stale estimator must be caught");
         assert_eq!(err.structure, "EstimatorPool");
         assert_eq!(err.invariant, "population-agreement");
+    }
+
+    /// The auditor flags an RSH that is not one sample with the pool's
+    /// RSL: same stream and population, another seed.
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn audit_checks_twin_agreement() {
+        let mut pool = EstimatorPool::full(&config(), 1);
+        let objs = objects(3_000);
+        pool.apply_batch(&objs, &objs[..1_000]);
+        pool.audit().expect("twins fed one stream");
+        pool.retain(|e| e.kind() != EstimatorKind::Rsh);
+        let reseeded = EstimatorConfig {
+            seed: config().seed + 1,
+            ..config()
+        };
+        let mut rsh = build_estimator(EstimatorKind::Rsh, &reseeded);
+        rsh.insert_batch(&objs);
+        rsh.remove_batch(&objs[..1_000]);
+        pool.push(rsh);
+        pool.audit_members().expect("populations still agree");
+        let err = pool.audit().expect_err("a reseeded twin must be caught");
+        assert_eq!(err.invariant, "twin-agreement");
     }
 
     #[test]

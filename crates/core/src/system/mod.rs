@@ -282,7 +282,7 @@ impl Latest {
                         PrefillSlot::Building { delta, .. } => delta.audit(window_generation)?,
                         PrefillSlot::Ready(p) => p.audit()?,
                     }
-                    shadow.audit()
+                    shadow.audit_members()
                 }
             });
         if let Err(e) = &result {

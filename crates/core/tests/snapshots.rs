@@ -200,6 +200,27 @@ fn ready_prefill_and_building_prefill_survive_the_roundtrip() {
     assert_lockstep(&mut original, &mut restored, at, 6);
 }
 
+/// A pending RSL prefill beside an active RSH — one sampler on one seed,
+/// so the candidate is the active sample's fresh twin — is settled into
+/// the snapshot; the restored engine activates it and answers bit for bit
+/// like the engine that never stopped.
+#[test]
+fn pending_rsl_prefill_beside_rsh_survives_the_roundtrip() {
+    let config = small_config();
+    let mut original = Latest::new(config.clone());
+    let at = drive_to(&mut original, PhaseTag::Incremental, 0);
+    assert_eq!(original.active_kind(), EstimatorKind::Rsh);
+    assert!(original.debug_force_prefill(EstimatorKind::Rsl));
+    let bytes = original.snapshot_bytes();
+    let mut restored = Latest::restore(config, &bytes).expect("restore");
+    assert_eq!(restored.prefilling(), Some(EstimatorKind::Rsl));
+    for latest in [&mut original, &mut restored] {
+        assert!(latest.debug_activate_prefill());
+        assert_eq!(latest.active_kind(), EstimatorKind::Rsl);
+    }
+    assert_lockstep(&mut original, &mut restored, at, 6);
+}
+
 #[test]
 fn save_and_load_snapshot_roundtrip_through_a_file() {
     let config = small_config();

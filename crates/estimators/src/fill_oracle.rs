@@ -6,8 +6,7 @@
 //! further churn.
 #![cfg(test)]
 
-use crate::reservoir::ReservoirList;
-use crate::reservoir_hash::ReservoirHash;
+use crate::reservoir::Reservoir;
 use crate::spn::SpnEstimator;
 use crate::store::{SampleStore, PLACE_EACH, POSTS};
 use crate::traits::{EstimatorConfig, SelectivityEstimator};
@@ -20,13 +19,7 @@ trait Sampled: SelectivityEstimator {
     fn sample(&self) -> &SampleStore;
 }
 
-impl Sampled for ReservoirList {
-    fn sample(&self) -> &SampleStore {
-        self.store()
-    }
-}
-
-impl Sampled for ReservoirHash {
+impl Sampled for Reservoir {
     fn sample(&self) -> &SampleStore {
         self.store()
     }
@@ -206,12 +199,12 @@ fn check_against_placement<E: Sampled>(make: impl Fn() -> E, sizes: &[usize], se
 
 #[test]
 fn filled_rsl_matches_per_winner_placement() {
-    check_against_placement(|| ReservoirList::new(&config()), &[1, 40, 64, 65, 900], 1);
+    check_against_placement(|| Reservoir::list(&config()), &[1, 40, 64, 65, 900], 1);
 }
 
 #[test]
 fn filled_rsh_matches_per_winner_placement() {
-    check_against_placement(|| ReservoirHash::new(&config()), &[1, 40, 64, 65, 900], 2);
+    check_against_placement(|| Reservoir::hash(&config()), &[1, 40, 64, 65, 900], 2);
 }
 
 #[test]
@@ -282,7 +275,7 @@ fn fresh_builds_post_without_a_search() {
         );
         assert!(persisted(&bulk) == persisted(&fed), "{kind}: twins differ");
     }
-    check(|| ReservoirList::new(&config()));
-    check(|| ReservoirHash::new(&config()));
+    check(|| Reservoir::list(&config()));
+    check(|| Reservoir::hash(&config()));
     check(|| SpnEstimator::new(&config()));
 }

@@ -6,8 +6,8 @@
 //! | name  | structure | paper role |
 //! |-------|-----------|------------|
 //! | `H4096` | [`histogram2d::Histogram2D`] — 2D equi-width grid of counts | fastest; spatial-only statistics |
-//! | `RSL`  | [`reservoir::ReservoirList`] — Algorithm-R reservoir sample | accurate, scan-heavy |
-//! | `RSH`  | [`reservoir_hash::ReservoirHash`] — reservoir indexed by a 2D grid | default estimator; accurate with moderate latency |
+//! | `RSL`  | [`reservoir::Reservoir`] — Algorithm-R reservoir sample, read by scan | accurate, scan-heavy |
+//! | `RSH`  | the same [`reservoir::Reservoir`] with a 2D grid over its sample ([`reservoir_hash`]) | default estimator; accurate with moderate latency |
 //! | `AASP` | [`aasp::AaspTree`] — adaptive space-partition tree + KMV keyword synopses | hierarchical; highest latency |
 //! | `FFN`  | [`ffn::FfnEstimator`] — workload-driven feed-forward network | learned baseline |
 //! | `SPN`  | [`spn::SpnEstimator`] — data-driven sum-product network | learned baseline, costly to keep current |
@@ -16,7 +16,9 @@
 //! insertions/evictions, answer [`RcDvq`](geostream::RcDvq) estimates, and
 //! report their memory footprint. [`EstimatorKind`] is the label space of
 //! LATEST's Hoeffding tree; [`build_estimator`] is the factory the
-//! estimator adaptor uses when pre-filling a replacement.
+//! estimator adaptor uses when pre-filling a replacement. RSL and RSH are
+//! one sampler on one seed read by two access paths, so built from one
+//! configuration and fed one stream they hold one sample.
 
 pub mod aasp;
 pub mod asp_tree;

@@ -1,4 +1,5 @@
-//! Reservoir sampling list (the paper's `RSL`), Vitter's *algorithm R*.
+//! Reservoir sampling (the paper's `RSL` and `RSH`), Vitter's
+//! *algorithm R*.
 //!
 //! A fixed-capacity uniform sample of the stream: the first `N` arrivals
 //! fill the list; afterwards the `i`-th arrival replaces a random slot with
@@ -11,15 +12,20 @@
 //! kernel, keyword predicates answer from the sample-local posting index,
 //! and hybrid predicates take the cost-fused path — the scan the paper
 //! charges RSL for is gone from the query path.
+//!
+//! RSL and RSH are one [`Reservoir`] with two access paths: RSH is the
+//! same sample with a grid linked over it ([`crate::reservoir_hash`]).
 
-use crate::reservoir_hash::ReservoirHash;
+use crate::reservoir_hash::Grid;
 use crate::spn::SpnEstimator;
 use crate::store::SampleStore;
 use crate::traits::{
     build_estimator, BoxedEstimator, EstimatorConfig, EstimatorKind, SelectivityEstimator,
 };
-use geostream::StreamRng;
-use geostream::{GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq};
+use geostream::{
+    CellGrid, GeoTextObject, Persist, PersistError, PersistReader, PersistWriter, RcDvq, Rect,
+    StreamRng,
+};
 
 /// Algorithm R's outcome over a run of arrivals, decided before any object
 /// is read: the first pass of a bulk build
@@ -306,40 +312,17 @@ impl<'t> Replay<'t> {
     }
 }
 
-/// A fresh reservoir's decisions over `slices`, read off the tape in
-/// `slot`: the winners, the arrivals seen and the RNG after them. `None`
-/// past what a tape holds.
-pub(crate) fn decide_taped<'a>(
-    slot: &mut Option<DrawTape>,
-    rng: &StreamRng,
-    capacity: usize,
-    slices: &[&'a [GeoTextObject]],
-) -> Option<(Winners<'a>, u64, StreamRng)> {
-    let n = slices.iter().map(|s| s.len() as u64).sum();
-    let plan = DrawPlan {
-        capacity,
-        rebuild: None,
-    };
-    let mut replay = Replay::open(slot, rng, plan, n)?;
-    let mut winners = Winners::over(0);
-    for slice in slices {
-        replay.decide(&mut winners, slice);
-    }
-    let (seen, rng) = replay.finish();
-    Some((winners, seen, rng))
-}
-
-/// A draw tape per sampling kind (RSL, RSH, SPN): the random draws of a
-/// fresh sampler of that kind, recorded by its first build so that later
-/// fresh builds read them instead of drawing. A fresh sampler's draws
-/// depend on its seed, its capacity and the number of arrivals, never on
-/// an object, so a tape is redrawn only when the seed or capacity of its
-/// builds changes. Whoever builds fresh candidates owns a set; nothing in
-/// it is shared or persisted.
+/// A draw tape per sampler (the reservoir behind RSL and RSH, and SPN's
+/// buffer): the random draws of a fresh sampler, recorded by its first
+/// build so that later fresh builds read them instead of drawing. A fresh
+/// sampler's draws depend on its seed, its capacity and the number of
+/// arrivals, never on an object, so a tape is redrawn only when the seed
+/// or capacity of its builds changes. RSL and RSH share a seed and a
+/// capacity, hence one tape. Whoever builds fresh candidates owns a set;
+/// nothing in it is shared or persisted.
 #[derive(Default)]
 pub struct DrawTapes {
-    rsl: Option<DrawTape>,
-    rsh: Option<DrawTape>,
+    reservoir: Option<DrawTape>,
     spn: Option<DrawTape>,
 }
 
@@ -359,14 +342,12 @@ impl DrawTapes {
     ) -> BoxedEstimator {
         let taped = config.validate().is_ok();
         match kind {
-            EstimatorKind::Rsl if taped => {
-                let mut est = ReservoirList::new(config);
-                est.build_taped(&mut self.rsl, &slices.collect::<Vec<_>>());
-                Box::new(est)
-            }
-            EstimatorKind::Rsh if taped => {
-                let mut est = ReservoirHash::new(config);
-                est.build_taped(&mut self.rsh, &slices.collect::<Vec<_>>());
+            EstimatorKind::Rsl | EstimatorKind::Rsh if taped => {
+                let mut est = match kind {
+                    EstimatorKind::Rsh => Reservoir::hash(config),
+                    _ => Reservoir::list(config),
+                };
+                est.build_taped(&mut self.reservoir, &slices.collect::<Vec<_>>());
                 Box::new(est)
             }
             EstimatorKind::Spn if taped => {
@@ -385,7 +366,7 @@ impl DrawTapes {
     /// Bytes the tapes' recorded draws take.
     #[cfg(test)]
     pub(crate) fn memory_bytes(&self) -> usize {
-        [&self.rsl, &self.rsh, &self.spn]
+        [&self.reservoir, &self.spn]
             .into_iter()
             .flatten()
             .map(DrawTape::memory_bytes)
@@ -395,15 +376,22 @@ impl DrawTapes {
     /// Audits every tape held ([`DrawTape`]'s invariants).
     #[cfg(feature = "debug-invariants")]
     pub fn audit(&self) -> Result<(), geostream::AuditError> {
-        [&self.rsl, &self.rsh, &self.spn]
+        [&self.reservoir, &self.spn]
             .into_iter()
             .flatten()
             .try_for_each(DrawTape::audit)
     }
 }
 
-/// Algorithm-R reservoir sample of the window.
-pub struct ReservoirList {
+/// Algorithm-R reservoir sample of the window, read by scan (RSL) or, with
+/// a grid linked over it, by grid cell (RSH).
+///
+/// The paper's RSH is "a reservoir indexed by a 2D grid": an access path
+/// over RSL's sample. Both kinds seed their sampler with
+/// `config.seed ^ 0x2525`, so an RSL and an RSH fed one stream hold one
+/// sample and answer bit for bit alike, and one draw tape serves the fresh
+/// builds of both.
+pub struct Reservoir {
     capacity: usize,
     store: SampleStore,
     /// Arrivals seen since the reservoir was last (re)started; drives the
@@ -412,20 +400,33 @@ pub struct ReservoirList {
     /// Live window population (inserts − removes).
     population: u64,
     rng: StreamRng,
+    /// RSH's grid over the sample; `None` is RSL.
+    grid: Option<Grid>,
 }
 
-impl ReservoirList {
-    /// Builds an empty reservoir per `config` (capacity scales with the
+impl Reservoir {
+    /// An empty RSL per `config` (capacity and grid side scale with the
     /// memory budget).
-    pub fn new(config: &EstimatorConfig) -> Self {
+    pub fn list(config: &EstimatorConfig) -> Self {
         let capacity = config.scaled_reservoir();
-        ReservoirList {
+        Reservoir {
             capacity,
             store: SampleStore::with_capacity(capacity.min(1 << 20)),
             seen: 0,
             population: 0,
-            rng: StreamRng::seed_from_u64(config.seed ^ 0x5151),
+            rng: StreamRng::seed_from_u64(config.seed ^ 0x2525),
+            grid: None,
         }
+    }
+
+    /// An empty RSH per `config`: [`Reservoir::list`] with an empty grid.
+    pub fn hash(config: &EstimatorConfig) -> Self {
+        let mut r = Self::list(config);
+        r.grid = Some(Grid::new(CellGrid::new(
+            config.domain,
+            config.scaled_grid_side(),
+        )));
+        r
     }
 
     /// The configured sample capacity.
@@ -454,28 +455,66 @@ impl ReservoirList {
         self.seen
     }
 
-    /// Counts sample objects matching `query` and scales to the window
-    /// population.
-    fn scaled_matches(&self, query: &RcDvq) -> f64 {
-        if self.store.is_empty() {
-            return 0.0;
+    /// The grid, if this is RSH.
+    #[cfg(test)]
+    pub(crate) fn grid(&self) -> Option<&Grid> {
+        self.grid.as_ref()
+    }
+
+    /// The grid and range that answer `query`, or `None` when the sample's
+    /// own kernels do: always for RSL; for RSH, keyword-only queries and
+    /// hybrids whose keywords are rare enough (the cost cutover) that their
+    /// posting union is cheaper than gathering the touched cells.
+    fn grid_route<'q>(&self, query: &'q RcDvq) -> Option<(&Grid, &'q Rect)> {
+        let (grid, r) = (self.grid.as_ref()?, query.range()?);
+        let kws = query.keywords();
+        let posting_first = !kws.is_empty() && self.store.posting_mass(kws) * 4 < self.store.len();
+        (!posting_first).then_some((grid, r))
+    }
+
+    /// The persisted section's tag: RSL's or RSH's, as before the two
+    /// shared a sampler, so both sections keep their layout.
+    fn section_tag(&self) -> u32 {
+        match self.grid {
+            Some(_) => 0x4512_2502,
+            None => 0x4512_5101,
         }
-        let matches = self.store.count(query);
+    }
+
+    /// `matches` sample objects scaled to the window population.
+    fn scaled(&self, matches: usize) -> f64 {
         matches as f64 / self.store.len() as f64 * self.population as f64
     }
 
     fn place(&mut self, obj: &GeoTextObject, slot: usize) {
-        if slot == self.store.len() {
-            self.store.push(obj);
-        } else {
-            self.store.replace(slot as u32, obj);
+        match &mut self.grid {
+            Some(grid) => grid.place(&mut self.store, obj, slot),
+            None if slot == self.store.len() => {
+                self.store.push(obj);
+            }
+            None => self.store.replace(slot as u32, obj),
+        }
+    }
+
+    /// Drops `oid` from the sample, if it is sampled.
+    fn unsample(&mut self, oid: geostream::ObjectId) {
+        match &mut self.grid {
+            Some(grid) => grid.remove(&mut self.store, oid),
+            None => {
+                self.store.remove(oid);
+            }
         }
     }
 
     /// Places a bulk build's winners: one `SampleStore::fill` into a fresh
-    /// reservoir, one `place` each otherwise.
+    /// reservoir (and one pass linking the grid), one `place` each
+    /// otherwise.
     fn place_winners(&mut self, winners: &mut Winners<'_>) {
-        if !self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+        if self.store.fill(winners.drain().map(|(_, obj)| obj)) {
+            if let Some(grid) = &mut self.grid {
+                grid.link_all(&self.store);
+            }
+        } else {
             for (slot, obj) in winners.drain() {
                 self.place(obj, slot);
             }
@@ -485,18 +524,30 @@ impl ReservoirList {
     /// What `insert_slices` makes of this fresh reservoir, with the
     /// decisions read off the tape in `slot`.
     pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
-        let Some((mut winners, seen, rng)) = decide_taped(slot, &self.rng, self.capacity, slices)
-        else {
+        let n = slices.iter().map(|s| s.len() as u64).sum();
+        let plan = DrawPlan {
+            capacity: self.capacity,
+            rebuild: None,
+        };
+        let Some(mut replay) = Replay::open(slot, &self.rng, plan, n) else {
             return self.insert_slices(&mut slices.iter().copied());
         };
+        let mut winners = Winners::over(0);
+        for slice in slices {
+            replay.decide(&mut winners, slice);
+        }
+        let (seen, rng) = replay.finish();
         (self.population, self.seen, self.rng) = (seen, seen, rng);
         self.place_winners(&mut winners);
     }
 }
 
-impl SelectivityEstimator for ReservoirList {
+impl SelectivityEstimator for Reservoir {
     fn kind(&self) -> EstimatorKind {
-        EstimatorKind::Rsl
+        match self.grid {
+            Some(_) => EstimatorKind::Rsh,
+            None => EstimatorKind::Rsl,
+        }
     }
 
     fn insert(&mut self, obj: &GeoTextObject) {
@@ -515,7 +566,7 @@ impl SelectivityEstimator for ReservoirList {
 
     fn remove(&mut self, obj: &GeoTextObject) {
         self.population = self.population.saturating_sub(1);
-        self.store.remove(obj.oid);
+        self.unsample(obj.oid);
     }
 
     fn insert_batch(&mut self, objs: &[GeoTextObject]) {
@@ -527,7 +578,7 @@ impl SelectivityEstimator for ReservoirList {
             let take = (self.capacity - self.store.len()).min(rest.len());
             for obj in &rest[..take] {
                 self.seen += 1;
-                self.store.push(obj);
+                self.place(obj, self.store.len());
             }
             rest = &rest[take..];
         }
@@ -545,7 +596,9 @@ impl SelectivityEstimator for ReservoirList {
     /// Two passes: decide every arrival (draws only), then place each
     /// surviving slot once — `n` arrivals cost `n` draws and at most
     /// `capacity` store writes instead of `capacity · (1 + ln(n / capacity))`,
-    /// one `SampleStore::fill` into a fresh reservoir.
+    /// one `SampleStore::fill` into a fresh reservoir. A grid linked after
+    /// a fill lists each cell's slots in ascending order rather than in
+    /// arrival order; no count depends on that order.
     fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
         let mut winners = Winners::over(self.store.len());
         for slice in slices {
@@ -558,38 +611,65 @@ impl SelectivityEstimator for ReservoirList {
     fn remove_batch(&mut self, objs: &[GeoTextObject]) {
         self.population = self.population.saturating_sub(objs.len() as u64);
         for obj in objs {
-            self.store.remove(obj.oid);
+            self.unsample(obj.oid);
         }
     }
 
     fn estimate(&self, query: &RcDvq) -> f64 {
-        self.scaled_matches(query)
+        if self.store.is_empty() {
+            return 0.0;
+        }
+        self.scaled(match self.grid_route(query) {
+            Some((grid, r)) => grid.count(&self.store, query, r),
+            None => self.store.count(query),
+        })
     }
 
-    /// Batch variant: one [`SampleStore::count_many`] call shares the
-    /// column passes and posting merges across the batch. Every kernel is
-    /// an exact count and the scaling expression is identical, so each
-    /// result is bit-equal to [`ReservoirList::estimate`] on that query.
+    /// Batch variant preserving [`Reservoir::estimate`]'s per-query
+    /// routing exactly: queries the single path answers from the sample's
+    /// own kernels share one [`SampleStore::count_many`] call — one column
+    /// pass, one union merge per common keyword set — while grid-routed
+    /// queries take the same grid gather the single path takes. Identical
+    /// routing + exact kernels ⇒ bit-equal results.
     fn estimate_batch(&self, queries: &[RcDvq]) -> Vec<f64> {
         if self.store.is_empty() {
             return vec![0.0; queries.len()];
         }
-        let n = self.store.len() as f64;
-        self.store
-            .count_many(queries)
-            .into_iter()
-            .map(|matches| matches as f64 / n * self.population as f64)
-            .collect()
+        let mut matches = vec![0usize; queries.len()];
+        let mut store_routed: Vec<usize> = Vec::new();
+        let mut store_queries: Vec<RcDvq> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            match self.grid_route(q) {
+                Some((grid, r)) => matches[i] = grid.count(&self.store, q, r),
+                None => {
+                    store_routed.push(i);
+                    store_queries.push(q.clone());
+                }
+            }
+        }
+        for (&i, c) in store_routed
+            .iter()
+            .zip(self.store.count_many(&store_queries))
+        {
+            matches[i] = c;
+        }
+        matches.into_iter().map(|m| self.scaled(m)).collect()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.store.memory_bytes() + std::mem::size_of::<Self>()
+        self.store.memory_bytes()
+            + self
+                .grid
+                .as_ref()
+                .map_or(0, |g| g.memory_bytes(self.store.len()))
+            + std::mem::size_of::<Self>()
     }
 
-    /// The sampler's counters and RNG, then the sample in slot order; the
-    /// capacity is the configuration's.
+    /// The sampler's counters and RNG, then the sample in slot order, in a
+    /// section tagged with the kind. The capacity and grid are the
+    /// configuration's.
     fn persist_state(&self, w: &mut PersistWriter) {
-        w.section(RSL_TAG, |w| {
+        w.section(self.section_tag(), |w| {
             w.put_u64(self.seen);
             w.put_u64(self.population);
             self.rng.persist(w);
@@ -597,14 +677,19 @@ impl SelectivityEstimator for ReservoirList {
         });
     }
 
+    /// An RSH links every restored slot under its cell in slot order — the
+    /// order a bulk build leaves, which no count depends on.
     fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
-        const CTX: &str = "reservoir list";
-        let sec = r.begin_section(RSL_TAG, CTX)?;
+        const CTX: &str = "reservoir";
+        let sec = r.begin_section(self.section_tag(), CTX)?;
         self.seen = r.take_u64("reservoir seen")?;
         self.population = r.take_u64("reservoir population")?;
         self.rng = StreamRng::restore(r)?;
         self.store = SampleStore::restore(r, self.capacity)?;
         r.finish_section(sec, CTX)?;
+        if let Some(grid) = &mut self.grid {
+            grid.link_all(&self.store);
+        }
         Ok(())
     }
 
@@ -612,18 +697,17 @@ impl SelectivityEstimator for ReservoirList {
         self.population
     }
 
-    /// Audits the backing store, plus the reservoir bounds: the sample
-    /// never exceeds its capacity, the live window population, or the
-    /// arrivals seen.
+    /// Audits the backing store, the reservoir bounds — the sample never
+    /// exceeds its capacity, the live window population, or the arrivals
+    /// seen — and RSH's grid over the sample.
     #[cfg(feature = "debug-invariants")]
     fn audit(&self) -> Result<(), geostream::AuditError> {
-        use geostream::audit::ensure;
         self.store.audit()?;
-        ensure(
+        geostream::audit::ensure(
             self.store.len() <= self.capacity
                 && self.store.len() as u64 <= self.population
                 && self.store.len() as u64 <= self.seen,
-            "ReservoirList",
+            "Reservoir",
             "sample-bounds",
             || {
                 format!(
@@ -634,24 +718,27 @@ impl SelectivityEstimator for ReservoirList {
                     self.seen
                 )
             },
-        )
+        )?;
+        self.grid.as_ref().map_or(Ok(()), |g| g.audit(&self.store))
     }
 }
-
-/// Section tag for [`ReservoirList`] snapshots.
-const RSL_TAG: u32 = 0x4512_5101;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geostream::{KeywordId, ObjectId, Point, Rect, Timestamp};
+    use geostream::{KeywordId, ObjectId, Point, Timestamp};
+    use std::collections::VecDeque;
 
     fn config(cap: usize) -> EstimatorConfig {
         EstimatorConfig {
             reservoir_capacity: cap,
+            domain: Rect::new(0.0, 0.0, 100.0, 100.0),
             ..EstimatorConfig::default()
         }
     }
+
+    /// RSL, then RSH: the two access paths, built alike.
+    const PATHS: [fn(&EstimatorConfig) -> Reservoir; 2] = [Reservoir::list, Reservoir::hash];
 
     fn obj(id: u64, x: f64, y: f64, kws: &[u32]) -> GeoTextObject {
         GeoTextObject::new(
@@ -662,9 +749,58 @@ mod tests {
         )
     }
 
+    /// `n` objects spread over `[0, 64)²` by an LCG from `seed`. Keyword 9
+    /// is rare (RSH answers its hybrids from the postings), 0 common (RSH
+    /// gathers its hybrids from the grid).
+    fn scattered(seed: u64, n: u64) -> Vec<GeoTextObject> {
+        let mut s = seed;
+        let mut unit = || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (s >> 11) as f64 / (1u64 << 53) as f64 * 64.0
+        };
+        (0..n)
+            .map(|i| {
+                let (x, y) = (unit(), unit());
+                let kws: &[u32] = if i % 64 == 0 {
+                    &[0, 9]
+                } else {
+                    &[0, i as u32 % 5]
+                };
+                obj(i, x, y, kws)
+            })
+            .collect()
+    }
+
+    /// Spatial, keyword and hybrid queries; the hybrids on a rare and on a
+    /// common keyword.
+    fn probes() -> Vec<RcDvq> {
+        vec![
+            RcDvq::spatial(Rect::new(0.0, 0.0, 30.0, 30.0)),
+            RcDvq::spatial(Rect::new(12.5, 3.25, 60.0, 48.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::keyword(vec![KeywordId(9)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(9)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(0)]),
+        ]
+    }
+
+    /// Each cell's slots, sorted: what a grid lists, whatever the order.
+    fn cell_sets(r: &Reservoir) -> Option<Vec<Vec<u32>>> {
+        r.grid().map(|g| {
+            g.cells()
+                .iter()
+                .map(|slots| {
+                    let mut slots = slots.clone();
+                    slots.sort_unstable();
+                    slots
+                })
+                .collect()
+        })
+    }
+
     #[test]
     fn fills_to_capacity_then_samples() {
-        let mut r = ReservoirList::new(&config(50));
+        let mut r = Reservoir::list(&config(50));
         for i in 0..200 {
             r.insert(&obj(i, 0.0, 0.0, &[]));
         }
@@ -674,7 +810,7 @@ mod tests {
 
     #[test]
     fn exact_when_sample_holds_everything() {
-        let mut r = ReservoirList::new(&config(1_000));
+        let mut r = Reservoir::list(&config(1_000));
         for i in 0..100 {
             let x = if i < 30 { 1.0 } else { 50.0 };
             r.insert(&obj(i, x, 1.0, &[i as u32 % 5]));
@@ -687,26 +823,29 @@ mod tests {
         assert!((r.estimate(&qh) - 6.0).abs() < 1e-9);
     }
 
+    /// Both access paths, on half of 10 000 objects in range.
     #[test]
     fn estimate_scales_to_population() {
-        let mut r = ReservoirList::new(&config(100));
-        // 10_000 objects, 50% in the query range.
-        for i in 0..10_000 {
-            let x = if i % 2 == 0 { 1.0 } else { 50.0 };
-            r.insert(&obj(i, x, 1.0, &[]));
+        for make in PATHS {
+            let mut r = make(&config(100));
+            for i in 0..10_000 {
+                let x = if i % 2 == 0 { 1.0 } else { 50.0 };
+                r.insert(&obj(i, x, 1.0, &[]));
+            }
+            let q = RcDvq::spatial(Rect::new(0.0, 0.0, 10.0, 10.0));
+            let est = r.estimate(&q);
+            assert!(
+                (est - 5_000.0).abs() < 1_500.0,
+                "{}: estimate too far from truth: {est}",
+                r.kind()
+            );
         }
-        let q = RcDvq::spatial(Rect::new(0.0, 0.0, 10.0, 10.0));
-        let est = r.estimate(&q);
-        assert!(
-            (est - 5_000.0).abs() < 1_500.0,
-            "estimate too far from truth: {est}"
-        );
     }
 
     #[test]
     fn sample_is_unbiased_ish() {
         // Insert 0..10_000; the sample mean of ids should be near 5_000.
-        let mut r = ReservoirList::new(&config(500));
+        let mut r = Reservoir::list(&config(500));
         for i in 0..10_000 {
             r.insert(&obj(i, 0.0, 0.0, &[]));
         }
@@ -717,7 +856,7 @@ mod tests {
 
     #[test]
     fn remove_retracts_sampled_objects() {
-        let mut r = ReservoirList::new(&config(100));
+        let mut r = Reservoir::list(&config(100));
         let kept = obj(1, 1.0, 1.0, &[]);
         let evicted = obj(2, 1.0, 1.0, &[]);
         r.insert(&kept);
@@ -731,7 +870,7 @@ mod tests {
 
     #[test]
     fn remove_of_unsampled_object_only_drops_population() {
-        let mut r = ReservoirList::new(&config(10));
+        let mut r = Reservoir::list(&config(10));
         for i in 0..1_000 {
             r.insert(&obj(i, 0.0, 0.0, &[]));
         }
@@ -747,64 +886,75 @@ mod tests {
 
     #[test]
     fn empty_reservoir_estimates_zero() {
-        let r = ReservoirList::new(&config(10));
+        let r = Reservoir::list(&config(10));
         let q = RcDvq::spatial(Rect::new(0.0, 0.0, 1.0, 1.0));
         assert_eq!(r.estimate(&q), 0.0);
     }
 
+    /// Both access paths; RSH routes the rare keyword's hybrid to the
+    /// postings and the common one's to the grid.
     #[test]
     fn estimate_batch_is_bit_equal_to_singles() {
-        let mut r = ReservoirList::new(&config(64));
-        for i in 0..2_000 {
-            r.insert(&obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]));
-        }
-        let batch = vec![
-            RcDvq::spatial(Rect::new(0.0, 0.0, 40.0, 40.0)),
-            RcDvq::spatial(Rect::new(10.0, 10.0, 90.0, 20.0)),
-            RcDvq::keyword(vec![KeywordId(2)]),
-            RcDvq::keyword(vec![KeywordId(1), KeywordId(5)]),
-            RcDvq::hybrid(
-                Rect::new(0.0, 0.0, 50.0, 80.0),
-                vec![KeywordId(1), KeywordId(5)],
-            ),
-        ];
-        let many = r.estimate_batch(&batch);
-        for (q, b) in batch.iter().zip(many) {
-            assert_eq!(b.to_bits(), r.estimate(q).to_bits(), "diverged on {q:?}");
+        for make in PATHS {
+            let mut r = make(&config(256));
+            r.insert_batch(&scattered(13, 4_000));
+            let batch = probes();
+            let many = r.estimate_batch(&batch);
+            for (q, b) in batch.iter().zip(many) {
+                let kind = r.kind();
+                assert_eq!(b.to_bits(), r.estimate(q).to_bits(), "{kind}: {q:?}");
+            }
         }
     }
 
     /// A count, not a stopwatch, pins what the bulk build saves: the same
     /// sample and RNG state as one `insert` per arrival, reached with each
     /// slot written once — where the singles side churned through
-    /// replacements, tombstones and compactions to get there.
+    /// replacements, tombstones and compactions to get there. On both
+    /// access paths; RSH's grid covers exactly the sample, its cells
+    /// listing slots in ascending order, which is the one thing that
+    /// differs.
     #[test]
     fn bulk_build_writes_each_slot_once_and_matches_singles() {
         let objs: Vec<GeoTextObject> = (0..3_000u64)
             .map(|i| obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6, 7]))
             .collect();
-        let mut singles = ReservoirList::new(&config(32));
-        for o in &objs {
-            singles.insert(o);
+        for make in PATHS {
+            let mut singles = make(&config(32));
+            for o in &objs {
+                singles.insert(o);
+            }
+            let mut bulk = make(&config(32));
+            // Slices that straddle the fill → steady edge, and an empty one.
+            let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
+            bulk.insert_slices(&mut slices.into_iter());
+
+            let kind = bulk.kind();
+            assert_eq!(bulk.store.oids(), singles.store.oids(), "{kind}");
+            assert_eq!(bulk.seen, singles.seen, "{kind}");
+            assert_eq!(bulk.population(), singles.population(), "{kind}");
+            assert_eq!(bulk.rng.state(), singles.rng.state(), "{kind}");
+            for q in probes() {
+                let (b, s) = (bulk.estimate(&q), singles.estimate(&q));
+                assert_eq!(b.to_bits(), s.to_bits(), "{kind}: {q:?}");
+            }
+            if let Some(grid) = bulk.grid() {
+                for (cell, slots) in grid.cells().iter().enumerate() {
+                    assert!(slots.is_sorted(), "cell {cell} unsorted");
+                }
+            }
+            assert_eq!(cell_sets(&bulk), cell_sets(&singles), "{kind}");
+
+            assert!(
+                bulk.store.written_once(),
+                "{kind}: a slot was written twice"
+            );
+            assert_eq!(bulk.store.compactions(), 0);
+            assert!(!singles.store.written_once(), "singles never replaced");
+            assert!(singles.store.compactions() > 0, "singles never compacted");
+            #[cfg(feature = "debug-invariants")]
+            bulk.audit().expect("bulk-built reservoir audit");
         }
-        let mut bulk = ReservoirList::new(&config(32));
-        // Slices that straddle the fill → steady edge, and an empty one.
-        let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
-        bulk.insert_slices(&mut slices.into_iter());
-
-        assert_eq!(bulk.store.oids(), singles.store.oids());
-        assert_eq!(bulk.seen, singles.seen);
-        assert_eq!(bulk.population(), singles.population());
-        assert_eq!(bulk.rng.state(), singles.rng.state());
-        let q = RcDvq::hybrid(Rect::new(0.0, 0.0, 50.0, 50.0), vec![KeywordId(2)]);
-        assert_eq!(bulk.estimate(&q).to_bits(), singles.estimate(&q).to_bits());
-
-        assert!(bulk.store.written_once(), "a slot was written twice");
-        assert_eq!(bulk.store.compactions(), 0);
-        assert!(!singles.store.written_once(), "singles never replaced");
-        assert!(singles.store.compactions() > 0, "singles never compacted");
-        #[cfg(feature = "debug-invariants")]
-        bulk.audit().expect("bulk-built reservoir audit");
     }
 
     /// On a sample that removals shrank below capacity, the bulk build
@@ -815,10 +965,7 @@ mod tests {
         let objs: Vec<GeoTextObject> = (0..1_200u64)
             .map(|i| obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]))
             .collect();
-        let (mut singles, mut bulk) = (
-            ReservoirList::new(&config(32)),
-            ReservoirList::new(&config(32)),
-        );
+        let (mut singles, mut bulk) = (Reservoir::list(&config(32)), Reservoir::list(&config(32)));
         for r in [&mut singles, &mut bulk] {
             r.insert_batch(&objs[..400]);
             let sampled: Vec<ObjectId> = r.store.oids()[..12].to_vec();
@@ -836,6 +983,103 @@ mod tests {
         assert_eq!(bulk.seen, singles.seen);
         #[cfg(feature = "debug-invariants")]
         bulk.audit().expect("bulk-continued reservoir audit");
+    }
+
+    /// RSL and RSH are one sample read two ways: built from one
+    /// configuration they hold the same sample and RNG and give bit-equal
+    /// `estimate` and `estimate_batch` answers — after fresh builds through
+    /// the draw tapes and through `insert_slices`, and through churn by
+    /// single inserts, `insert_batch`, single removes and `remove_batch`
+    /// over a window several times the sample.
+    #[test]
+    fn rsl_and_rsh_are_one_sample_read_two_ways() {
+        let cfg = config(48);
+        let queries = probes();
+        let alike = |rsl: &dyn SelectivityEstimator, rsh: &dyn SelectivityEstimator, what: &str| {
+            assert_eq!(
+                (rsl.kind(), rsh.kind()),
+                (EstimatorKind::Rsl, EstimatorKind::Rsh)
+            );
+            assert_eq!(rsl.population(), rsh.population(), "{what}");
+            for (q, (l, h)) in queries.iter().zip(
+                rsl.estimate_batch(&queries)
+                    .into_iter()
+                    .zip(rsh.estimate_batch(&queries)),
+            ) {
+                let (el, eh) = (rsl.estimate(q), rsh.estimate(q));
+                assert_eq!(el.to_bits(), eh.to_bits(), "{what}: estimate on {q:?}");
+                assert_eq!(l.to_bits(), h.to_bits(), "{what}: batch on {q:?}");
+                assert_eq!(
+                    l.to_bits(),
+                    el.to_bits(),
+                    "{what}: batch vs single on {q:?}"
+                );
+            }
+        };
+        let objs = scattered(29, 3_000);
+        let mut tapes = DrawTapes::default();
+        for n in [20, 48, 700, 3_000] {
+            let what = format!("fresh build of {n}");
+            let rsl = tapes.build(EstimatorKind::Rsl, &cfg, &mut objs[..n].chunks(100));
+            let rsh = tapes.build(EstimatorKind::Rsh, &cfg, &mut objs[..n].chunks(100));
+            alike(rsl.as_ref(), rsh.as_ref(), &format!("taped {what}"));
+            let [mut rsl, mut rsh] = PATHS.map(|make| make(&cfg));
+            rsl.insert_slices(&mut objs[..n].chunks(100));
+            rsh.insert_slices(&mut objs[..n].chunks(100));
+            alike(&rsl, &rsh, &what);
+        }
+
+        let [mut rsl, mut rsh] = PATHS.map(|make| make(&cfg));
+        let mut window = VecDeque::new();
+        for (i, chunk) in objs.chunks(37).enumerate() {
+            for r in [&mut rsl, &mut rsh] {
+                if i % 2 == 0 {
+                    chunk.iter().for_each(|o| r.insert(o));
+                } else {
+                    r.insert_batch(chunk);
+                }
+            }
+            window.extend(chunk.iter().cloned());
+            let evicted: Vec<GeoTextObject> =
+                window.drain(..window.len().saturating_sub(400)).collect();
+            for r in [&mut rsl, &mut rsh] {
+                if i % 3 == 0 {
+                    r.remove_batch(&evicted);
+                } else {
+                    evicted.iter().for_each(|o| r.remove(o));
+                }
+            }
+            assert_eq!(rsl.store.oids(), rsh.store.oids(), "chunk {i}");
+            assert_eq!(rsl.rng.state(), rsh.rng.state(), "chunk {i}");
+            alike(&rsl, &rsh, &format!("churn, chunk {i}"));
+        }
+        assert!(
+            rsl.sample_len() * 8 < window.len(),
+            "the sample holds the window"
+        );
+    }
+
+    /// The two access paths persist one layout under two tags, so a
+    /// section written by one kind is refused by the other, typed, rather
+    /// than restored as the wrong kind.
+    #[test]
+    fn a_section_restores_only_into_its_own_kind() {
+        let objs = scattered(7, 500);
+        for (from, into) in [(PATHS[0], PATHS[1]), (PATHS[1], PATHS[0])] {
+            let mut written = from(&config(64));
+            written.insert_batch(&objs);
+            let mut w = PersistWriter::new();
+            written.persist_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut wrong = into(&config(64));
+            let err = wrong.restore_state(&mut PersistReader::new(&bytes));
+            assert!(
+                err.is_err(),
+                "{} restored into {}",
+                written.kind(),
+                wrong.kind()
+            );
+        }
     }
 
     /// A tape recorded for a 64-slot sample that rebuilds every 1 200
@@ -870,7 +1114,7 @@ mod tests {
 
     #[test]
     fn slots_stay_consistent_under_churn() {
-        let mut r = ReservoirList::new(&config(50));
+        let mut r = Reservoir::list(&config(50));
         let mut live: Vec<GeoTextObject> = Vec::new();
         for i in 0..2_000u64 {
             let o = obj(i, 0.0, 0.0, &[]);
@@ -887,28 +1131,36 @@ mod tests {
         }
     }
 
-    /// The snapshot contract: restore mid-stream, keep ingesting the same
-    /// suffix on both instances, and every subsequent estimate is
-    /// bit-identical — which requires the RNG to resume mid-sequence.
+    /// The snapshot contract, on both access paths: restore mid-stream,
+    /// keep ingesting the same suffix on both instances, and every
+    /// subsequent estimate — and RSH's grid — is bit-identical, which
+    /// requires the RNG to resume mid-sequence.
     #[test]
     fn persist_round_trip_is_bit_identical_under_continued_churn() {
-        let mut orig = ReservoirList::new(&config(64));
-        for i in 0..5_000u64 {
-            orig.insert(&obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]));
+        let objs = scattered(21, 7_000);
+        for make in PATHS {
+            let mut orig = make(&config(64));
+            orig.insert_batch(&objs[..5_000]);
+            let mut back = crate::traits::reload(&orig, make(&config(64)));
+            let kind = back.kind();
+            for q in probes() {
+                let (b, o) = (back.estimate(&q), orig.estimate(&q));
+                assert_eq!(b.to_bits(), o.to_bits(), "{kind}: restored, {q:?}");
+            }
+            // Continued ingest consumes the RNG: both must replace the
+            // exact same slots with the exact same draws.
+            for o in &objs[5_000..] {
+                orig.insert(o);
+                back.insert(o);
+            }
+            assert_eq!(orig.store.oids(), back.store.oids(), "{kind}");
+            assert_eq!(cell_sets(&orig), cell_sets(&back), "{kind}");
+            for q in probes() {
+                let (b, o) = (back.estimate(&q), orig.estimate(&q));
+                assert_eq!(b.to_bits(), o.to_bits(), "{kind}: continued, {q:?}");
+            }
+            #[cfg(feature = "debug-invariants")]
+            back.audit().expect("restored reservoir audit");
         }
-        let mut back = crate::traits::reload(&orig, ReservoirList::new(&config(64)));
-        let q = RcDvq::hybrid(Rect::new(0.0, 0.0, 50.0, 50.0), vec![KeywordId(2)]);
-        assert_eq!(back.estimate(&q).to_bits(), orig.estimate(&q).to_bits());
-        // Continued ingest consumes the RNG: both must replace the exact
-        // same slots with the exact same draws.
-        for i in 5_000..7_000u64 {
-            let o = obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]);
-            orig.insert(&o);
-            back.insert(&o);
-        }
-        assert_eq!(orig.store.oids(), back.store.oids());
-        assert_eq!(back.estimate(&q).to_bits(), orig.estimate(&q).to_bits());
-        #[cfg(feature = "debug-invariants")]
-        back.audit().expect("restored reservoir audit");
     }
 }

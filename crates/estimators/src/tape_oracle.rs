@@ -8,8 +8,7 @@
 #![cfg(test)]
 
 use crate::fill_oracle::{arrivals, persisted, queries, slices};
-use crate::reservoir::{DrawTape, ReservoirList, DRAWS};
-use crate::reservoir_hash::ReservoirHash;
+use crate::reservoir::{DrawTape, Reservoir, DRAWS};
 use crate::spn::SpnEstimator;
 use crate::traits::{build_estimator, EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use crate::DrawTapes;
@@ -18,7 +17,6 @@ use std::collections::VecDeque;
 
 /// A sampler a tape can build, with the state the checks read.
 trait Taped: SelectivityEstimator + Sized {
-    fn make(config: &EstimatorConfig) -> Self;
     fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]);
     fn arrivals_seen(&self) -> u64;
     fn sampling_rng(&self) -> &StreamRng;
@@ -27,9 +25,6 @@ trait Taped: SelectivityEstimator + Sized {
 macro_rules! taped {
     ($($t:ty),*) => {$(
         impl Taped for $t {
-            fn make(config: &EstimatorConfig) -> Self {
-                <$t>::new(config)
-            }
             fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
                 self.build_taped(slot, slices);
             }
@@ -43,7 +38,7 @@ macro_rules! taped {
     )*};
 }
 
-taped!(ReservoirList, ReservoirHash, SpnEstimator);
+taped!(Reservoir, SpnEstimator);
 
 /// RSL and RSH sample `capacity` objects; SPN buffers a quarter of it.
 fn config(capacity: usize, seed: u64) -> EstimatorConfig {
@@ -122,6 +117,7 @@ fn churn<E: Taped>(
 /// Builds `cuts` from the tape in `slot` and by drawing, asserts the twins
 /// are one estimator, then again after 200 steps of churn.
 fn check_build<E: Taped>(
+    make: fn(&EstimatorConfig) -> E,
     cfg: &EstimatorConfig,
     slot: &mut Option<DrawTape>,
     cuts: &[&[GeoTextObject]],
@@ -129,9 +125,9 @@ fn check_build<E: Taped>(
     next_id: &mut u64,
     what: &str,
 ) {
-    let mut taped = E::make(cfg);
+    let mut taped = make(cfg);
     taped.taped(slot, cuts);
-    let mut drawn = E::make(cfg);
+    let mut drawn = make(cfg);
     drawn.insert_slices(&mut cuts.iter().copied());
     #[cfg(feature = "debug-invariants")]
     if let Some(tape) = slot.as_ref() {
@@ -146,7 +142,12 @@ fn check_build<E: Taped>(
 /// Each window size twice, cut at random (empty slices included): once
 /// from a fresh tape, once from one tape that every build reuses, so it
 /// serves builds that grow and builds that shrink.
-fn check_sizes<E: Taped>(cfg: &EstimatorConfig, sizes: &[usize], seed: u64) {
+fn check_sizes<E: Taped>(
+    make: fn(&EstimatorConfig) -> E,
+    cfg: &EstimatorConfig,
+    sizes: &[usize],
+    seed: u64,
+) {
     let mut rng = StreamRng::seed_from_u64(seed);
     let mut next_id = 0;
     let mut reused = None;
@@ -154,9 +155,9 @@ fn check_sizes<E: Taped>(cfg: &EstimatorConfig, sizes: &[usize], seed: u64) {
         let window = arrivals(&mut rng, n, &mut next_id, false);
         let cuts = slices(&mut rng, &window);
         let what = format!("window {n}");
-        check_build::<E>(cfg, &mut None, &cuts, &mut rng, &mut next_id, &what);
+        check_build(make, cfg, &mut None, &cuts, &mut rng, &mut next_id, &what);
         let what = format!("window {n}, reused tape");
-        check_build::<E>(cfg, &mut reused, &cuts, &mut rng, &mut next_id, &what);
+        check_build(make, cfg, &mut reused, &cuts, &mut rng, &mut next_id, &what);
     }
 }
 
@@ -168,12 +169,12 @@ const SIZES: [usize; 15] = [
 
 #[test]
 fn taped_rsl_matches_drawn_builds() {
-    check_sizes::<ReservoirList>(&config(64, 11), &SIZES, 1);
+    check_sizes(Reservoir::list, &config(64, 11), &SIZES, 1);
 }
 
 #[test]
 fn taped_rsh_matches_drawn_builds() {
-    check_sizes::<ReservoirHash>(&config(64, 12), &SIZES, 2);
+    check_sizes(Reservoir::hash, &config(64, 12), &SIZES, 2);
 }
 
 /// Below, at and above the buffer of 300, both sides of two checkpoints and
@@ -184,7 +185,7 @@ fn taped_spn_matches_drawn_builds() {
         40, 300, 301, 1_023, 1_024, 1_025, 1_199, 1_200, 1_201, 3_000, 2_047, 2_049, 2_400, 5_000,
         4_799, 4_800, 4_801, 700,
     ];
-    check_sizes::<SpnEstimator>(&spn_config(13), &sizes, 3);
+    check_sizes(SpnEstimator::new, &spn_config(13), &sizes, 3);
 }
 
 /// `kind`'s config in these tests for a given seed and RSL capacity.
@@ -314,5 +315,27 @@ fn a_repeat_build_draws_fewer_than_a_checkpoint_interval() {
             bytes,
             "{kind}: a build no longer grew the tape"
         );
+    }
+}
+
+/// RSL and RSH share a seed and a capacity, so they read one tape: after
+/// a first build of either, a build of the other draws fewer than 1 024
+/// numbers and does not grow the tape.
+#[test]
+fn rsl_and_rsh_read_one_tape() {
+    let n = 6_000;
+    let objs = arrivals(&mut StreamRng::seed_from_u64(10), n, &mut 0, false);
+    let cfg = config(256, 9);
+    for (first, then) in [
+        (EstimatorKind::Rsl, EstimatorKind::Rsh),
+        (EstimatorKind::Rsh, EstimatorKind::Rsl),
+    ] {
+        let mut tapes = DrawTapes::default();
+        let drawn = draws_during(|| drop(tapes.build(first, &cfg, &mut objs.chunks(1_024))));
+        assert_eq!(drawn, (n - 256) as u64, "{first}: first build");
+        let bytes = tapes.memory_bytes();
+        let again = draws_during(|| drop(tapes.build(then, &cfg, &mut objs.chunks(1_024))));
+        assert!(again < 1_024, "{then} after {first} drew {again}");
+        assert_eq!(tapes.memory_bytes(), bytes, "{then} grew the tape");
     }
 }

@@ -319,8 +319,8 @@ pub fn try_build_estimator(
     config.validate()?;
     Ok(match kind {
         EstimatorKind::H4096 => Box::new(crate::histogram2d::Histogram2D::new(config)),
-        EstimatorKind::Rsl => Box::new(crate::reservoir::ReservoirList::new(config)),
-        EstimatorKind::Rsh => Box::new(crate::reservoir_hash::ReservoirHash::new(config)),
+        EstimatorKind::Rsl => Box::new(crate::reservoir::Reservoir::list(config)),
+        EstimatorKind::Rsh => Box::new(crate::reservoir::Reservoir::hash(config)),
         EstimatorKind::Aasp => Box::new(crate::aasp::AaspTree::new(config)),
         EstimatorKind::Ffn => Box::new(crate::ffn::FfnEstimator::new(config)),
         EstimatorKind::Spn => Box::new(crate::spn::SpnEstimator::new(config)),
@@ -486,8 +486,8 @@ mod tests {
         const RNG: usize = 8 * 4 + 8 + 64 * 4 + 8;
         const HEADER: usize = FRAME + 8 + 8 + RNG + 8;
         let config = small_config();
-        let mut rsl = crate::reservoir::ReservoirList::new(&config);
-        let mut rsh = crate::reservoir_hash::ReservoirHash::new(&config);
+        let mut rsl = crate::reservoir::Reservoir::list(&config);
+        let mut rsh = crate::reservoir::Reservoir::hash(&config);
         churn(&mut rsl);
         churn(&mut rsh);
         for (est, store) in [
@@ -518,15 +518,15 @@ mod tests {
     #[test]
     fn restored_samples_are_garbage_free() {
         let config = small_config();
-        let mut rsl = crate::reservoir::ReservoirList::new(&config);
-        let mut rsh = crate::reservoir_hash::ReservoirHash::new(&config);
+        let mut rsl = crate::reservoir::Reservoir::list(&config);
+        let mut rsh = crate::reservoir::Reservoir::hash(&config);
         let mut spn = crate::spn::SpnEstimator::new(&config);
         churn(&mut rsl);
         churn(&mut rsh);
         churn(&mut spn);
         assert!(!rsl.store().written_once(), "the churn left no garbage");
-        let rsl = reload(&rsl, crate::reservoir::ReservoirList::new(&config));
-        let rsh = reload(&rsh, crate::reservoir_hash::ReservoirHash::new(&config));
+        let rsl = reload(&rsl, crate::reservoir::Reservoir::list(&config));
+        let rsh = reload(&rsh, crate::reservoir::Reservoir::hash(&config));
         let spn = reload(&spn, crate::spn::SpnEstimator::new(&config));
         for (kind, store) in [
             (EstimatorKind::Rsl, rsl.store()),

@@ -5,8 +5,7 @@ use estimators::aasp::AaspTree;
 use estimators::histogram2d::Histogram2D;
 use estimators::kmv::KmvSynopsis;
 use estimators::nn::Mlp;
-use estimators::reservoir::ReservoirList;
-use estimators::reservoir_hash::ReservoirHash;
+use estimators::reservoir::Reservoir;
 use estimators::{EstimatorConfig, SelectivityEstimator};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use testkit::{check, f64_in, grid_case, u32_in, u64_in, vec_of};
@@ -106,7 +105,7 @@ fn histogram_partition_is_additive() {
 fn reservoir_never_exceeds_capacity() {
     check("reservoir_never_exceeds_capacity", CASES, |rng| {
         let objects = arb_objects(rng, 900);
-        let mut r = ReservoirList::new(&EstimatorConfig {
+        let mut r = Reservoir::list(&EstimatorConfig {
             reservoir_capacity: 64,
             ..config()
         });
@@ -128,8 +127,8 @@ fn rsh_and_rsl_agree_when_exhaustive() {
             reservoir_capacity: 4_096,
             ..config()
         };
-        let mut rsl = ReservoirList::new(&big);
-        let mut rsh = ReservoirHash::new(&big);
+        let mut rsl = Reservoir::list(&big);
+        let mut rsh = Reservoir::hash(&big);
         for o in &objects {
             rsl.insert(o);
             rsh.insert(o);
@@ -154,7 +153,7 @@ fn full_capacity_rsh_is_exact_on_cell_boundaries() {
         256,
         |rng| {
             let case = grid_case(rng);
-            let mut rsh = ReservoirHash::new(&EstimatorConfig {
+            let mut rsh = Reservoir::hash(&EstimatorConfig {
                 domain: case.domain,
                 reservoir_capacity: 1_000,
                 grid_cells: case.side * case.side,

@@ -12,8 +12,7 @@
 //! compaction, asserting estimates agree to 1e-9 across spatial,
 //! keyword, and hybrid queries.
 
-use estimators::reservoir::ReservoirList;
-use estimators::reservoir_hash::ReservoirHash;
+use estimators::reservoir::Reservoir;
 use estimators::spn::SpnEstimator;
 use estimators::{EstimatorConfig, SelectivityEstimator};
 use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
@@ -208,8 +207,8 @@ fn drive<E: SelectivityEstimator>(
 #[test]
 fn rsl_is_seed_equivalent_under_churn() {
     let cfg = config(128);
-    let mut est = ReservoirList::new(&cfg);
-    let mut reference = RefReservoir::new(est.capacity(), DEFAULT_SEED ^ 0x5151);
+    let mut est = Reservoir::list(&cfg);
+    let mut reference = RefReservoir::new(est.capacity(), DEFAULT_SEED ^ 0x2525);
     drive(&mut est, |e| e.sample_len(), &mut reference, 4_000);
     // The churn above must have exercised posting compaction, otherwise
     // the tombstone path went untested.
@@ -219,7 +218,7 @@ fn rsl_is_seed_equivalent_under_churn() {
 #[test]
 fn rsh_is_seed_equivalent_under_churn() {
     let cfg = config(128);
-    let mut est = ReservoirHash::new(&cfg);
+    let mut est = Reservoir::hash(&cfg);
     let mut reference = RefReservoir::new(cfg.scaled_reservoir(), DEFAULT_SEED ^ 0x2525);
     drive(&mut est, |e| e.sample_len(), &mut reference, 4_000);
 }
@@ -240,8 +239,8 @@ fn rsl_batch_ingestion_is_seed_equivalent() {
     // Batched ingestion must consume the RNG in the same order as
     // one-at-a-time seed insertion — estimates stay bit-equal.
     let cfg = config(128);
-    let mut est = ReservoirList::new(&cfg);
-    let mut reference = RefReservoir::new(est.capacity(), DEFAULT_SEED ^ 0x5151);
+    let mut est = Reservoir::list(&cfg);
+    let mut reference = RefReservoir::new(est.capacity(), DEFAULT_SEED ^ 0x2525);
     let mut churn = Churn::new(0x0dd_ba11);
     let queries = probe_queries();
     for round in 0..40 {
@@ -272,8 +271,8 @@ fn estimator_memory_counters_match_recompute_under_churn() {
     // O(1) accounting must agree with the O(n) walk at every checkpoint,
     // for every store-backed estimator, through recycling-heavy churn.
     let cfg = config(128);
-    let mut rsl = ReservoirList::new(&cfg);
-    let mut rsh = ReservoirHash::new(&cfg);
+    let mut rsl = Reservoir::list(&cfg);
+    let mut rsh = Reservoir::hash(&cfg);
     let mut churn = Churn::new(0x5eed_5eed);
     for step in 0..2_000usize {
         let obj = churn.next_object();

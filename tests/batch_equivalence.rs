@@ -13,8 +13,7 @@
 use estimators::aasp::AaspTree;
 use estimators::ffn::FfnEstimator;
 use estimators::histogram2d::Histogram2D;
-use estimators::reservoir::ReservoirList;
-use estimators::reservoir_hash::ReservoirHash;
+use estimators::reservoir::Reservoir;
 use estimators::spn::SpnEstimator;
 use estimators::{build_estimator, EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
@@ -312,12 +311,12 @@ fn insert_slices_matches_one_at_a_time_through_churn() {
             bulk_build_matches_singles(seed, || FfnEstimator::new(&cfg), |_| None);
             bulk_build_matches_singles(
                 seed,
-                || ReservoirList::new(&cfg),
+                || Reservoir::list(&cfg),
                 |e| Some((e.rng().state(), 0, false)),
             );
             bulk_build_matches_singles(
                 seed,
-                || ReservoirHash::new(&cfg),
+                || Reservoir::hash(&cfg),
                 |e| Some((e.rng().state(), 0, false)),
             );
             bulk_build_matches_singles(
