@@ -305,6 +305,99 @@ mod tests {
         }
     }
 
+    /// The bulk build leaves the singles' sample and RNG state, every slot
+    /// written once, and a grid that covers exactly the sample — its cells
+    /// list slots in ascending order, which is the one thing that differs.
+    #[test]
+    fn bulk_build_writes_each_slot_once_and_matches_singles() {
+        let mut seed = 31u64;
+        let objs: Vec<GeoTextObject> = (0..3_000u64)
+            .map(|i| {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let x = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+                obj(i, x, 64.0 - x, &[(i % 5) as u32, 9])
+            })
+            .collect();
+        let mut singles = Reservoir::hash(&config(32));
+        for o in &objs {
+            singles.insert(o);
+        }
+        let mut bulk = Reservoir::hash(&config(32));
+        let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
+        bulk.insert_slices(&mut slices.into_iter());
+
+        assert_eq!(bulk.store().oids(), singles.store().oids());
+        assert_eq!(bulk.seen(), singles.seen());
+        assert_eq!(bulk.population(), singles.population());
+        assert_eq!(bulk.rng().state(), singles.rng().state());
+        let (bulk_grid, singles_grid) = (bulk.grid().unwrap(), singles.grid().unwrap());
+        assert_eq!(bulk_grid.occupied, singles_grid.occupied);
+        for (cell, slots) in bulk_grid.cells.iter().enumerate() {
+            assert!(
+                slots.windows(2).all(|w| w[0] < w[1]),
+                "cell {cell} unsorted"
+            );
+            let mut theirs = singles_grid.cells[cell].clone();
+            theirs.sort_unstable();
+            assert_eq!(*slots, theirs, "cell {cell} holds other slots");
+        }
+        for q in [
+            RcDvq::spatial(Rect::new(5.0, 5.0, 40.0, 60.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(9)]),
+        ] {
+            assert_eq!(bulk.estimate(&q).to_bits(), singles.estimate(&q).to_bits());
+        }
+        assert!(bulk.store().written_once(), "a slot was written twice");
+        assert_eq!(bulk.store().compactions(), 0);
+        assert!(!singles.store().written_once(), "singles never replaced");
+        #[cfg(feature = "debug-invariants")]
+        bulk.audit().expect("bulk-built rsh audit");
+    }
+
+    #[test]
+    fn estimate_batch_is_bit_equal_to_singles() {
+        let mut r = Reservoir::hash(&config(256));
+        let mut seed = 13u64;
+        for i in 0..4_000 {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let x = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let y = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+            // Keyword 9 is rare (posting-first hybrids), 0 is common
+            // (grid-routed hybrids under the cutover).
+            let kws: &[u32] = if i % 64 == 0 { &[0, 9] } else { &[0, i % 5] };
+            r.insert(&obj(i as u64, x, y, kws));
+        }
+        let batch = vec![
+            RcDvq::spatial(Rect::new(0.0, 0.0, 30.0, 30.0)),
+            RcDvq::spatial(Rect::new(12.5, 3.25, 60.0, 48.0)),
+            RcDvq::keyword(vec![KeywordId(3)]),
+            RcDvq::keyword(vec![KeywordId(9)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(9)]),
+            RcDvq::hybrid(Rect::new(0.0, 0.0, 40.0, 64.0), vec![KeywordId(0)]),
+        ];
+        let many = r.estimate_batch(&batch);
+        for (q, b) in batch.iter().zip(many) {
+            assert_eq!(b.to_bits(), r.estimate(q).to_bits(), "diverged on {q:?}");
+        }
+    }
+
+    #[test]
+    fn estimate_scales_to_population() {
+        let mut r = Reservoir::hash(&config(200));
+        for i in 0..20_000 {
+            let x = if i % 4 == 0 { 1.0 } else { 50.0 };
+            r.insert(&obj(i, x, 1.0, &[]));
+        }
+        let q = RcDvq::spatial(Rect::new(0.0, 0.0, 10.0, 10.0));
+        let est = r.estimate(&q);
+        assert!(
+            (est - 5_000.0).abs() < 2_000.0,
+            "estimate too far from truth: {est}"
+        );
+    }
+
     #[test]
     fn out_of_domain_query_is_zero() {
         let mut r = Reservoir::hash(&config(10));
@@ -344,5 +437,37 @@ mod tests {
         assert!(back.memory_bytes() <= r.memory_bytes());
         #[cfg(feature = "debug-invariants")]
         back.audit().expect("restored grid audit");
+    }
+
+    /// Snapshot mid-stream, restore, continue ingesting the same suffix on
+    /// both instances: sample slots, grid links, and estimates must stay
+    /// bit-identical (RNG included).
+    #[test]
+    fn persist_round_trip_is_bit_identical_under_continued_churn() {
+        let mut orig = Reservoir::hash(&config(128));
+        let mut seed = 21u64;
+        let mut point = |i: u64| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let x = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let y = (seed >> 11) as f64 / (1u64 << 53) as f64 * 64.0;
+            obj(i, x, y, &[(i % 7) as u32])
+        };
+        for i in 0..4_000u64 {
+            orig.insert(&point(i));
+        }
+        let mut back = crate::traits::reload(&orig, Reservoir::hash(&config(128)));
+        for i in 4_000..6_000u64 {
+            let o = point(i);
+            orig.insert(&o);
+            back.insert(&o);
+        }
+        assert_eq!(orig.store().oids(), back.store().oids());
+        let cells = |r: &Reservoir| r.grid().map(|g| g.cells.clone());
+        assert_eq!(cells(&orig), cells(&back));
+        let q = RcDvq::hybrid(Rect::new(5.0, 5.0, 40.0, 50.0), vec![KeywordId(3)]);
+        assert_eq!(back.estimate(&q).to_bits(), orig.estimate(&q).to_bits());
+        #[cfg(feature = "debug-invariants")]
+        back.audit().expect("restored rsh audit");
     }
 }
