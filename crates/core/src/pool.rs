@@ -213,40 +213,6 @@ impl EstimatorPool {
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
-/// Builds a prefill candidate of `kind` from `slices` (oldest first): the
-/// one build every candidate comes from — the worker's job, the on-caller
-/// degradation, and the engine's worker-died fallback — so all of them
-/// persist byte for byte alike.
-///
-/// The slices go through `DrawTapes::build`: the estimator
-/// `SelectivityEstimator::insert_slices` makes of a fresh one in one call.
-/// Its contract is the *observable* state of one `insert` per object in
-/// order — population, arrivals seen, RNG state, each sample's slot →
-/// object map, SPN's `rebuilds` and components — so the candidate's
-/// estimates are bit-identical, now and after any further churn, to those
-/// of one maintained inline. What no estimate reads may differ from such a
-/// one: a bulk-built sample is filled in one pass (each posting list
-/// written once, every generation at zero, no tombstones or keyword-pool
-/// garbage), and its RSH cells list their slots in ascending order. RSL,
-/// RSH and SPN read their random draws off `tapes`, which the first build
-/// of a sampler records and later ones reuse (RSL and RSH, one sampler on
-/// one seed, share a tape); the tapes change no byte of the result.
-///
-/// A caller that may abandon the build ends `slices` early and drops the
-/// result: the worker's sequence stops at the first slice boundary after
-/// its cancel flag is set (a window snapshot's slices hold at most 1 024
-/// objects). RSL, RSH and SPN pull the whole sequence before they start,
-/// so a cancel during their build (a few milliseconds) is seen at
-/// delivery.
-pub(crate) fn build_candidate<'a>(
-    kind: EstimatorKind,
-    config: &EstimatorConfig,
-    tapes: &mut DrawTapes,
-    mut slices: impl Iterator<Item = &'a [GeoTextObject]>,
-) -> BoxedEstimator {
-    tapes.build(kind, config, &mut slices)
-}
-
 /// A finished background prefill build, as delivered on a [`PrefillTicket`].
 pub struct BuiltPrefill {
     /// The candidate, fed the full snapshot. Delta catch-up (replaying the
@@ -446,11 +412,10 @@ impl PrefillBuilder {
             return;
         }
         let timer = WallTimer::start();
-        let est = build_candidate(
+        let est = tapes.build(
             job.kind,
             &job.config,
-            tapes,
-            job.snapshot.chunk_slices().take_while(|_| !cancelled()),
+            &mut job.snapshot.chunk_slices().take_while(|_| !cancelled()),
         );
         // A cancelled build may have seen only part of the snapshot: it is
         // dropped, never delivered.
@@ -634,7 +599,7 @@ mod tests {
             // The engine's worker-died fallback builds from the live window
             // through the same function, with no tape; a window slices the
             // same sequence differently than its snapshot does.
-            let fallback = build_candidate(kind, &cfg, &mut DrawTapes::default(), objs.chunks(700));
+            let fallback = DrawTapes::default().build(kind, &cfg, &mut objs.chunks(700));
             assert!(
                 persisted(&fallback) == persisted(&reference.estimator),
                 "{kind}, {n}: fallback build persists differently from the background build"

@@ -4,7 +4,7 @@
 use super::{Latest, Phase};
 use crate::config::LatestConfig;
 use crate::obsv::{LifecycleEvent, MetricsRegistry, WallTimer};
-use crate::pool::{build_candidate, BuiltPrefill, PrefillBuilder, PrefillTicket};
+use crate::pool::{BuiltPrefill, PrefillBuilder, PrefillTicket};
 use estimators::{build_estimator, BoxedEstimator, DrawTapes, EstimatorKind};
 use geostream::{GeoTextObject, SlidingWindow};
 
@@ -230,7 +230,7 @@ impl Latest {
     /// `Ready` candidate is handed over as-is; a `Building` one blocks on
     /// the worker and replays the delta tail (the only remaining stall).
     /// Falls back to an inline build from the live window if the worker
-    /// died — through the builder's own [`build_candidate`], so the
+    /// died — through the builder's own [`DrawTapes::build`], so the
     /// fallback's candidate is the one the worker would have delivered for
     /// the same window.
     pub(super) fn resolve_candidate(
@@ -257,11 +257,10 @@ impl Latest {
                     Some(built) => Self::promote(built, &delta, kind, seq, metrics),
                     // The worker died mid-build: build inline so the switch
                     // still happens.
-                    None => build_candidate(
+                    None => DrawTapes::default().build(
                         kind,
                         &config.estimator_config,
-                        &mut DrawTapes::default(),
-                        window.chunk_slices(),
+                        &mut window.chunk_slices(),
                     ),
                 };
                 metrics.switch_stall_us.record(timer.elapsed_us());

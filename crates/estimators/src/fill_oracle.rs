@@ -1,9 +1,9 @@
 //! The one-pass fill of a fresh sample (`SampleStore::fill`) checked
 //! against the per-winner placement it replaced: for RSL, RSH and SPN, a
-//! candidate built by the fill and one built with [`PLACE_EACH`] set —
-//! which sends every winner through `push` / `replace` and their searched
-//! posting inserts — must be the same sample, and stay the same through
-//! further churn.
+//! candidate built from a draw tape by the fill and one built with
+//! [`PLACE_EACH`] set — which sends every winner through `push` /
+//! `replace` and their searched posting inserts — must be the same sample,
+//! and stay the same through further churn.
 #![cfg(test)]
 
 use crate::reservoir::Reservoir;
@@ -14,20 +14,28 @@ use geostream::{
     GeoTextObject, KeywordId, ObjectId, PersistWriter, Point, RcDvq, Rect, StreamRng, Timestamp,
 };
 
-/// A sampling estimator whose sample store the checks read.
+/// A sampling estimator whose sample store the checks read, built fresh
+/// from a tape of its own.
 trait Sampled: SelectivityEstimator {
     fn sample(&self) -> &SampleStore;
+    fn build(&mut self, slices: &[&[GeoTextObject]]);
 }
 
 impl Sampled for Reservoir {
     fn sample(&self) -> &SampleStore {
         self.store()
     }
+    fn build(&mut self, slices: &[&[GeoTextObject]]) {
+        assert!(self.build_taped(&mut None, slices, None, |_, _| {}));
+    }
 }
 
 impl Sampled for SpnEstimator {
     fn sample(&self) -> &SampleStore {
         self.store()
+    }
+    fn build(&mut self, slices: &[&[GeoTextObject]]) {
+        assert!(self.build_taped(&mut None, slices));
     }
 }
 
@@ -101,11 +109,11 @@ pub(crate) fn persisted(est: &dyn SelectivityEstimator) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Bulk-builds `slices` into `est`, letting a fresh store take the fill
-/// or, with `place_each`, placing every winner one at a time.
-fn bulk(est: &mut dyn SelectivityEstimator, slices: &[&[GeoTextObject]], place_each: bool) {
+/// Builds fresh `est` from `slices`, letting its store take the fill or,
+/// with `place_each`, placing every winner one at a time.
+fn bulk(est: &mut impl Sampled, slices: &[&[GeoTextObject]], place_each: bool) {
     PLACE_EACH.with(|p| p.set(place_each));
-    est.insert_slices(&mut slices.iter().copied());
+    est.build(slices);
     PLACE_EACH.with(|p| p.set(false));
 }
 
@@ -149,8 +157,8 @@ fn assert_twins<E: Sampled>(filled: &E, placed: &E, ids: &[ObjectId], what: &str
 
 /// Fill against per-winner placement over random windows — below, at and
 /// above capacity, with and without repeated ids, cut into random slices —
-/// then both twins through the same churn: evictions, `insert_batch`, a
-/// bulk build into the written store, and one into a store churn emptied.
+/// then both twins through the same churn: evictions, then `insert_batch`
+/// per slice into the written store and into a store churn emptied.
 fn check_against_placement<E: Sampled>(make: impl Fn() -> E, sizes: &[usize], seed: u64) {
     let mut rng = StreamRng::seed_from_u64(seed);
     for &n in sizes {
@@ -174,10 +182,10 @@ fn check_against_placement<E: Sampled>(make: impl Fn() -> E, sizes: &[usize], se
             let more = arrivals(&mut rng, n / 2 + 40, &mut next_id, repeats);
             let later = arrivals(&mut rng, n + 100, &mut next_id, repeats);
             let later_cuts = slices(&mut rng, &later);
-            for (est, place_each) in [(&mut filled, false), (&mut placed, true)] {
+            for est in [&mut filled, &mut placed] {
                 est.remove_batch(evicted);
                 est.insert_batch(&more);
-                bulk(est, &later_cuts, place_each);
+                later_cuts.iter().for_each(|cut| est.insert_batch(cut));
             }
             let mut all = ids.clone();
             all.extend(more.iter().chain(&later).map(|o| o.oid));
@@ -185,11 +193,11 @@ fn check_against_placement<E: Sampled>(make: impl Fn() -> E, sizes: &[usize], se
 
             let refill = arrivals(&mut rng, n, &mut next_id, repeats);
             let refill_cuts = slices(&mut rng, &refill);
-            for (est, place_each) in [(&mut filled, false), (&mut placed, true)] {
+            for est in [&mut filled, &mut placed] {
                 est.remove_batch(&window[n / 3..]);
                 est.remove_batch(&more);
                 est.remove_batch(&later);
-                bulk(est, &refill_cuts, place_each);
+                refill_cuts.iter().for_each(|cut| est.insert_batch(cut));
             }
             all.extend(refill.iter().map(|o| o.oid));
             assert_twins(&filled, &placed, &all, &format!("{what}, emptied"));
@@ -263,7 +271,8 @@ fn fresh_builds_post_without_a_search() {
         let mut next_id = 0;
         let objs = arrivals(&mut StreamRng::seed_from_u64(9), 3_072, &mut next_id, false);
         let mut bulk = make();
-        let bulk_posts = posts_during(|| bulk.insert_slices(&mut objs.chunks(1_024)));
+        let cuts: Vec<&[GeoTextObject]> = objs.chunks(1_024).collect();
+        let bulk_posts = posts_during(|| bulk.build(&cuts));
         let mut fed = make();
         let fed_posts = posts_during(|| fed.insert_batch(&objs));
         let kind = bulk.kind();

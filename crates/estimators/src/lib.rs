@@ -10,15 +10,17 @@
 //! | `RSH`  | the same [`reservoir::Reservoir`] with a 2D grid over its sample ([`reservoir_hash`]) | default estimator; accurate with moderate latency |
 //! | `AASP` | [`aasp::AaspTree`] — adaptive space-partition tree + KMV keyword synopses | hierarchical; highest latency |
 //! | `FFN`  | [`ffn::FfnEstimator`] — workload-driven feed-forward network | learned baseline |
-//! | `SPN`  | [`spn::SpnEstimator`] — data-driven sum-product network | learned baseline, costly to keep current |
+//! | `SPN`  | [`spn::SpnEstimator`] — data-driven sum-product network trained on its own scan-read [`reservoir::Reservoir`] | learned baseline, costly to keep current |
 //!
 //! All estimators implement [`SelectivityEstimator`]: they ingest window
 //! insertions/evictions, answer [`RcDvq`](geostream::RcDvq) estimates, and
 //! report their memory footprint. [`EstimatorKind`] is the label space of
 //! LATEST's Hoeffding tree; [`build_estimator`] is the factory the
-//! estimator adaptor uses when pre-filling a replacement. RSL and RSH are
-//! one sampler on one seed read by two access paths, so built from one
-//! configuration and fed one stream they hold one sample.
+//! estimator adaptor uses, and [`DrawTapes::build`] the one bulk build of
+//! a fresh estimator that a pre-filled replacement comes from. RSL and RSH
+//! are one sampler on one seed read by two access paths, so built from one
+//! configuration and fed one stream they hold one sample; SPN trains on the
+//! same sampler, on its own capacity and seed.
 
 pub mod aasp;
 pub mod asp_tree;

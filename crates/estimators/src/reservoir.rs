@@ -14,7 +14,11 @@
 //! charges RSL for is gone from the query path.
 //!
 //! RSL and RSH are one [`Reservoir`] with two access paths: RSH is the
-//! same sample with a grid linked over it ([`crate::reservoir_hash`]).
+//! same sample with a grid linked over it ([`crate::reservoir_hash`]). SPN
+//! trains on a scan-read `Reservoir` of its own ([`crate::spn`]), so the
+//! crate keeps one sampler: one insert path, one persist layout for its
+//! counters, and one fresh bulk build, [`DrawTapes::build`], which reads
+//! the sampler's random draws off a recorded tape (`Reservoir::build_taped`).
 
 use crate::reservoir_hash::Grid;
 use crate::spn::SpnEstimator;
@@ -28,14 +32,13 @@ use geostream::{
 };
 
 /// Algorithm R's outcome over a run of arrivals, decided before any object
-/// is read: the first pass of a bulk build
-/// ([`SelectivityEstimator::insert_slices`]).
+/// is read: the first pass of a fresh build ([`Reservoir::build_taped`]).
 ///
 /// `winner[slot]` is the last arrival algorithm R wrote to `slot` (`None`:
-/// the slot keeps the object it held on entry), and `winner.len()` is the
-/// sample length after the run. An arrival that a later one overwrites is
-/// never placed, so the second pass ([`Winners::drain`]) writes each slot
-/// at most once.
+/// the slot keeps the object it held), and `winner.len()` is the sample
+/// length after the run. An arrival that a later one overwrites is never
+/// placed, so the second pass ([`Winners::drain`]) writes each slot at
+/// most once.
 pub(crate) struct Winners<'a> {
     winner: Vec<Option<&'a GeoTextObject>>,
 }
@@ -45,35 +48,6 @@ impl<'a> Winners<'a> {
     pub(crate) fn over(sample_len: usize) -> Self {
         Winners {
             winner: vec![None; sample_len],
-        }
-    }
-
-    /// Sample length once every decision so far is placed.
-    pub(crate) fn sample_len(&self) -> usize {
-        self.winner.len()
-    }
-
-    /// Decides `objs` in order exactly as one `insert` each would: every
-    /// arrival bumps `seen`; below `capacity` it takes the next free slot
-    /// and draws nothing, at capacity it draws `0..seen` from `rng` and
-    /// takes slot `j` iff `j < capacity`.
-    pub(crate) fn decide(
-        &mut self,
-        objs: &'a [GeoTextObject],
-        capacity: usize,
-        seen: &mut u64,
-        rng: &mut StreamRng,
-    ) {
-        let fill = capacity.saturating_sub(self.winner.len()).min(objs.len());
-        let (filling, steady) = objs.split_at(fill);
-        *seen += fill as u64;
-        self.winner.extend(filling.iter().map(Some));
-        for obj in steady {
-            *seen += 1;
-            let j = rng.gen_range_u64(0..*seen);
-            if (j as usize) < capacity {
-                self.winner[j as usize] = Some(obj);
-            }
         }
     }
 
@@ -281,12 +255,12 @@ impl<'t> Replay<'t> {
         })
     }
 
-    /// Decides `objs`, the next arrivals, as [`Winners::decide`] does for a
+    /// Decides `objs`, the next arrivals, as one `insert` each would for a
     /// fresh sample: the first `capacity` fill the next free slot, and each
     /// later one that the tape records takes its slot.
     pub(crate) fn decide<'a>(&mut self, winners: &mut Winners<'a>, objs: &'a [GeoTextObject]) {
         let fill = (self.tape.plan.capacity)
-            .saturating_sub(winners.sample_len())
+            .saturating_sub(winners.winner.len())
             .min(objs.len());
         winners.winner.extend(objs[..fill].iter().map(Some));
         let first = self.seen + 1;
@@ -312,6 +286,32 @@ impl<'t> Replay<'t> {
     }
 }
 
+/// `est` fed `slices` by one `insert_batch` each.
+fn fed(
+    mut est: BoxedEstimator,
+    slices: &mut dyn Iterator<Item = &[GeoTextObject]>,
+) -> BoxedEstimator {
+    for slice in slices {
+        est.insert_batch(slice);
+    }
+    est
+}
+
+/// The parts of `slices` that hold arrivals `from..to` (0-based), in order.
+fn arrivals<'s, 'a>(
+    slices: &'s [&'a [GeoTextObject]],
+    from: u64,
+    to: u64,
+) -> impl Iterator<Item = &'a [GeoTextObject]> + 's {
+    let mut start = 0;
+    slices.iter().filter_map(move |s| {
+        let lo = start;
+        start += s.len() as u64;
+        let (a, b) = (from.clamp(lo, start) - lo, to.clamp(lo, start) - lo);
+        (a < b).then(|| &s[a as usize..b as usize])
+    })
+}
+
 /// A draw tape per sampler (the reservoir behind RSL and RSH, and SPN's
 /// buffer): the random draws of a fresh sampler, recorded by its first
 /// build so that later fresh builds read them instead of drawing. A fresh
@@ -327,10 +327,30 @@ pub struct DrawTapes {
 }
 
 impl DrawTapes {
-    /// A fresh `kind` built from `slices` (oldest first): the estimator
-    /// [`build_estimator`] and [`SelectivityEstimator::insert_slices`]
-    /// make, to its persisted bytes, with RSL, RSH and SPN reading their
-    /// draws off this set's tapes instead of drawing.
+    /// A fresh `kind` built from `slices` (oldest first): the one bulk
+    /// build every prefill candidate comes from — the builder's job, its
+    /// on-caller degradation and the engine's worker-died fallback — so all
+    /// of them persist byte for byte alike.
+    ///
+    /// The result's *observable* state is that of one `insert` per object
+    /// in order — population, arrivals seen, RNG state, each sample's slot →
+    /// object map, SPN's `rebuilds` and components — so its estimates are
+    /// bit-identical, now and after any further churn, to those of one
+    /// maintained inline, and so are its persisted bytes. What no estimate
+    /// reads may differ from such a one. RSL, RSH and SPN decide every
+    /// arrival before reading any object, with algorithm R's draws (and
+    /// SPN's seed draws) read off this set's tapes, then fill their sample
+    /// in one pass: each posting list written once, every generation at
+    /// zero, no tombstones or keyword-pool garbage, RSH's cells listing
+    /// their slots in ascending order. SPN trains only the last rebuild's
+    /// model, the one an estimate can read. H4096, AASP and FFN, and a
+    /// sampler past the `u32::MAX` arrivals a tape holds, take one
+    /// [`SelectivityEstimator::insert_batch`] per slice.
+    ///
+    /// A caller that may abandon the build ends `slices` early and drops
+    /// the result: they are pulled one at a time. RSL, RSH and SPN pull the
+    /// whole sequence before they start, so a cancel during their build (a
+    /// few milliseconds) is seen at delivery.
     ///
     /// # Panics
     /// As [`build_estimator`], if `config` fails validation.
@@ -340,27 +360,29 @@ impl DrawTapes {
         config: &EstimatorConfig,
         slices: &mut dyn Iterator<Item = &[GeoTextObject]>,
     ) -> BoxedEstimator {
-        let taped = config.validate().is_ok();
-        match kind {
-            EstimatorKind::Rsl | EstimatorKind::Rsh if taped => {
+        let slot = match kind {
+            EstimatorKind::Rsl | EstimatorKind::Rsh => &mut self.reservoir,
+            EstimatorKind::Spn => &mut self.spn,
+            _ => return fed(build_estimator(kind, config), slices),
+        };
+        let slices: Vec<&[GeoTextObject]> = slices.collect();
+        if config.validate().is_ok() {
+            if kind == EstimatorKind::Spn {
+                let mut est = SpnEstimator::new(config);
+                if est.build_taped(slot, &slices) {
+                    return Box::new(est);
+                }
+            } else {
                 let mut est = match kind {
                     EstimatorKind::Rsh => Reservoir::hash(config),
                     _ => Reservoir::list(config),
                 };
-                est.build_taped(&mut self.reservoir, &slices.collect::<Vec<_>>());
-                Box::new(est)
-            }
-            EstimatorKind::Spn if taped => {
-                let mut est = SpnEstimator::new(config);
-                est.build_taped(&mut self.spn, &slices.collect::<Vec<_>>());
-                Box::new(est)
-            }
-            _ => {
-                let mut est = build_estimator(kind, config);
-                est.insert_slices(slices);
-                est
+                if est.build_taped(slot, &slices, None, |_, _| {}) {
+                    return Box::new(est);
+                }
             }
         }
+        fed(build_estimator(kind, config), &mut slices.into_iter())
     }
 
     /// Bytes the tapes' recorded draws take.
@@ -390,7 +412,8 @@ impl DrawTapes {
 /// over RSL's sample. Both kinds seed their sampler with
 /// `config.seed ^ 0x2525`, so an RSL and an RSH fed one stream hold one
 /// sample and answer bit for bit alike, and one draw tape serves the fresh
-/// builds of both.
+/// builds of both. SPN's training buffer is a scan-read reservoir too, on
+/// its own capacity and seed (`Reservoir::sampler`).
 pub struct Reservoir {
     capacity: usize,
     store: SampleStore,
@@ -405,18 +428,23 @@ pub struct Reservoir {
 }
 
 impl Reservoir {
-    /// An empty RSL per `config` (capacity and grid side scale with the
-    /// memory budget).
-    pub fn list(config: &EstimatorConfig) -> Self {
-        let capacity = config.scaled_reservoir();
+    /// An empty scan-read sampler of `capacity` objects whose RNG is
+    /// seeded with `seed`: RSL's, and SPN's training buffer.
+    pub(crate) fn sampler(capacity: usize, seed: u64) -> Self {
         Reservoir {
             capacity,
             store: SampleStore::with_capacity(capacity.min(1 << 20)),
             seen: 0,
             population: 0,
-            rng: StreamRng::seed_from_u64(config.seed ^ 0x2525),
+            rng: StreamRng::seed_from_u64(seed),
             grid: None,
         }
+    }
+
+    /// An empty RSL per `config` (capacity and grid side scale with the
+    /// memory budget).
+    pub fn list(config: &EstimatorConfig) -> Self {
+        Self::sampler(config.scaled_reservoir(), config.seed ^ 0x2525)
     }
 
     /// An empty RSH per `config`: [`Reservoir::list`] with an empty grid.
@@ -453,6 +481,59 @@ impl Reservoir {
     #[cfg(test)]
     pub(crate) fn seen(&self) -> u64 {
         self.seen
+    }
+
+    /// `k` slots of the sample (fewer if it holds fewer objects), each
+    /// drawn uniformly off the sampler's RNG: SPN's k-means seeds, drawn in
+    /// step with algorithm R's.
+    pub(crate) fn draw_slots(&mut self, k: usize) -> Vec<usize> {
+        let n = self.store.len();
+        (0..k.min(n))
+            .map(|_| self.rng.gen_range_usize(0..n))
+            .collect()
+    }
+
+    /// Writes the sampler's counters and RNG: arrivals seen, population,
+    /// RNG state.
+    pub(crate) fn persist_counters(&self, w: &mut PersistWriter) {
+        w.put_u64(self.seen);
+        w.put_u64(self.population);
+        self.rng.persist(w);
+    }
+
+    /// Reads what [`Reservoir::persist_counters`] wrote.
+    pub(crate) fn restore_counters(
+        &mut self,
+        r: &mut PersistReader<'_>,
+    ) -> Result<(), PersistError> {
+        self.seen = r.take_u64("reservoir seen")?;
+        self.population = r.take_u64("reservoir population")?;
+        self.rng = StreamRng::restore(r)?;
+        Ok(())
+    }
+
+    /// Reads the sample its store persisted, after the counters:
+    /// a sample over its capacity, or larger than the arrivals seen or the
+    /// population restored, is corrupt. An RSH links every restored slot
+    /// under its cell in slot order — the order a bulk build leaves, which
+    /// no count depends on.
+    pub(crate) fn restore_sample(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
+        let store = SampleStore::restore(r, self.capacity)?;
+        let len = store.len() as u64;
+        if len > self.seen || len > self.population {
+            return Err(PersistError::Corrupt {
+                context: "reservoir sample",
+                detail: format!(
+                    "sample {len} over {} seen, population {}",
+                    self.seen, self.population
+                ),
+            });
+        }
+        self.store = store;
+        if let Some(grid) = &mut self.grid {
+            grid.link_all(&self.store);
+        }
+        Ok(())
     }
 
     /// The grid, if this is RSH.
@@ -521,24 +602,46 @@ impl Reservoir {
         }
     }
 
-    /// What `insert_slices` makes of this fresh reservoir, with the
-    /// decisions read off the tape in `slot`.
-    pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
+    /// What one `insert` per arrival makes of this fresh sampler over
+    /// `slices`, with algorithm R's decisions read off the tape in `slot`
+    /// and each surviving slot written once. Under `rebuild = Some((every,
+    /// clusters))`, SPN's plan, the tape also holds each rebuild's seed
+    /// slots, and `train` gets the sample as it stands at the last rebuild
+    /// boundary with that boundary's seeds: the one rebuild whose model an
+    /// estimate can read. `false`, building nothing, past the arrivals a
+    /// tape holds.
+    pub(crate) fn build_taped(
+        &mut self,
+        slot: &mut Option<DrawTape>,
+        slices: &[&[GeoTextObject]],
+        rebuild: Option<(u64, usize)>,
+        mut train: impl FnMut(&SampleStore, &[usize]),
+    ) -> bool {
         let n = slices.iter().map(|s| s.len() as u64).sum();
         let plan = DrawPlan {
             capacity: self.capacity,
-            rebuild: None,
+            rebuild,
         };
         let Some(mut replay) = Replay::open(slot, &self.rng, plan, n) else {
-            return self.insert_slices(&mut slices.iter().copied());
+            return false;
         };
+        let last = rebuild.map_or(0, |(every, _)| n / every * every);
         let mut winners = Winners::over(0);
-        for slice in slices {
-            replay.decide(&mut winners, slice);
+        for objs in arrivals(slices, 0, last) {
+            replay.decide(&mut winners, objs);
         }
+        if let Some((every, _)) = rebuild.filter(|_| last > 0) {
+            self.place_winners(&mut winners);
+            train(&self.store, replay.seeds(last / every - 1));
+            winners = Winners::over(self.store.len());
+        }
+        for objs in arrivals(slices, last, n) {
+            replay.decide(&mut winners, objs);
+        }
+        self.place_winners(&mut winners);
         let (seen, rng) = replay.finish();
         (self.population, self.seen, self.rng) = (seen, seen, rng);
-        self.place_winners(&mut winners);
+        true
     }
 }
 
@@ -591,21 +694,6 @@ impl SelectivityEstimator for Reservoir {
                 self.place(obj, j as usize);
             }
         }
-    }
-
-    /// Two passes: decide every arrival (draws only), then place each
-    /// surviving slot once — `n` arrivals cost `n` draws and at most
-    /// `capacity` store writes instead of `capacity · (1 + ln(n / capacity))`,
-    /// one `SampleStore::fill` into a fresh reservoir. A grid linked after
-    /// a fill lists each cell's slots in ascending order rather than in
-    /// arrival order; no count depends on that order.
-    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
-        let mut winners = Winners::over(self.store.len());
-        for slice in slices {
-            self.population += slice.len() as u64;
-            winners.decide(slice, self.capacity, &mut self.seen, &mut self.rng);
-        }
-        self.place_winners(&mut winners);
     }
 
     fn remove_batch(&mut self, objs: &[GeoTextObject]) {
@@ -670,27 +758,17 @@ impl SelectivityEstimator for Reservoir {
     /// configuration's.
     fn persist_state(&self, w: &mut PersistWriter) {
         w.section(self.section_tag(), |w| {
-            w.put_u64(self.seen);
-            w.put_u64(self.population);
-            self.rng.persist(w);
+            self.persist_counters(w);
             self.store.persist(w);
         });
     }
 
-    /// An RSH links every restored slot under its cell in slot order — the
-    /// order a bulk build leaves, which no count depends on.
     fn restore_state(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
         const CTX: &str = "reservoir";
         let sec = r.begin_section(self.section_tag(), CTX)?;
-        self.seen = r.take_u64("reservoir seen")?;
-        self.population = r.take_u64("reservoir population")?;
-        self.rng = StreamRng::restore(r)?;
-        self.store = SampleStore::restore(r, self.capacity)?;
-        r.finish_section(sec, CTX)?;
-        if let Some(grid) = &mut self.grid {
-            grid.link_all(&self.store);
-        }
-        Ok(())
+        self.restore_counters(r)?;
+        self.restore_sample(r)?;
+        r.finish_section(sec, CTX)
     }
 
     fn population(&self) -> u64 {
@@ -927,7 +1005,7 @@ mod tests {
             let mut bulk = make(&config(32));
             // Slices that straddle the fill → steady edge, and an empty one.
             let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
-            bulk.insert_slices(&mut slices.into_iter());
+            assert!(bulk.build_taped(&mut None, &slices, None, |_, _| {}));
 
             let kind = bulk.kind();
             assert_eq!(bulk.store.oids(), singles.store.oids(), "{kind}");
@@ -957,40 +1035,12 @@ mod tests {
         }
     }
 
-    /// On a sample that removals shrank below capacity, the bulk build
-    /// refills the free slots without drawing — as `insert` does — and
-    /// replaces in place below the entry length.
-    #[test]
-    fn bulk_build_continues_a_shrunk_sample_like_singles() {
-        let objs: Vec<GeoTextObject> = (0..1_200u64)
-            .map(|i| obj(i, (i % 97) as f64, (i % 89) as f64, &[i as u32 % 6]))
-            .collect();
-        let (mut singles, mut bulk) = (Reservoir::list(&config(32)), Reservoir::list(&config(32)));
-        for r in [&mut singles, &mut bulk] {
-            r.insert_batch(&objs[..400]);
-            let sampled: Vec<ObjectId> = r.store.oids()[..12].to_vec();
-            for oid in sampled {
-                r.remove(&objs[oid.0 as usize]);
-            }
-            assert_eq!(r.sample_len(), 20);
-        }
-        for o in &objs[400..] {
-            singles.insert(o);
-        }
-        bulk.insert_slices(&mut objs[400..].chunks(150));
-        assert_eq!(bulk.store.oids(), singles.store.oids());
-        assert_eq!(bulk.rng.state(), singles.rng.state());
-        assert_eq!(bulk.seen, singles.seen);
-        #[cfg(feature = "debug-invariants")]
-        bulk.audit().expect("bulk-continued reservoir audit");
-    }
-
     /// RSL and RSH are one sample read two ways: built from one
     /// configuration they hold the same sample and RNG and give bit-equal
     /// `estimate` and `estimate_batch` answers — after fresh builds through
-    /// the draw tapes and through `insert_slices`, and through churn by
-    /// single inserts, `insert_batch`, single removes and `remove_batch`
-    /// over a window several times the sample.
+    /// one set of draw tapes and through a fresh tape each, and through
+    /// churn by single inserts, `insert_batch`, single removes and
+    /// `remove_batch` over a window several times the sample.
     #[test]
     fn rsl_and_rsh_are_one_sample_read_two_ways() {
         let cfg = config(48);
@@ -1023,9 +1073,12 @@ mod tests {
             let rsl = tapes.build(EstimatorKind::Rsl, &cfg, &mut objs[..n].chunks(100));
             let rsh = tapes.build(EstimatorKind::Rsh, &cfg, &mut objs[..n].chunks(100));
             alike(rsl.as_ref(), rsh.as_ref(), &format!("taped {what}"));
-            let [mut rsl, mut rsh] = PATHS.map(|make| make(&cfg));
-            rsl.insert_slices(&mut objs[..n].chunks(100));
-            rsh.insert_slices(&mut objs[..n].chunks(100));
+            let cuts: Vec<&[GeoTextObject]> = objs[..n].chunks(100).collect();
+            let [rsl, rsh] = PATHS.map(|make| {
+                let mut r = make(&cfg);
+                assert!(r.build_taped(&mut None, &cuts, None, |_, _| {}));
+                r
+            });
             alike(&rsl, &rsh, &what);
         }
 
@@ -1079,6 +1132,111 @@ mod tests {
                 written.kind(),
                 wrong.kind()
             );
+        }
+    }
+
+    /// A section whose sample outgrows its own counters cannot come from a
+    /// real stream: restore refuses it, typed, for both access paths —
+    /// more sampled objects than arrivals seen, or than the population —
+    /// while the honest section restores.
+    #[test]
+    fn restore_refuses_a_sample_larger_than_its_counters() {
+        let objs = scattered(5, 40);
+        for make in PATHS {
+            let mut written = make(&config(64));
+            written.insert_batch(&objs);
+            let section = |seen: u64, population: u64| {
+                let mut w = PersistWriter::new();
+                w.section(written.section_tag(), |w| {
+                    w.put_u64(seen);
+                    w.put_u64(population);
+                    written.rng.persist(w);
+                    written.store.persist(w);
+                });
+                w.into_bytes()
+            };
+            let restore =
+                |bytes: &[u8]| make(&config(64)).restore_state(&mut PersistReader::new(bytes));
+            let kind = written.kind();
+            restore(&section(40, 40)).unwrap_or_else(|e| panic!("{kind}: honest section: {e}"));
+            for (seen, population) in [(39, 40), (40, 39), (0, 0)] {
+                let err = restore(&section(seen, population));
+                assert!(
+                    matches!(err, Err(PersistError::Corrupt { .. })),
+                    "{kind}: 40 sampled, {seen} seen, population {population}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// Pearson's chi-square of `counts` against a uniform spread over them.
+    fn chi_square(counts: &[u64]) -> f64 {
+        let expected = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+        counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    /// The chi-square critical value at significance 0.001 for 7 degrees
+    /// of freedom (8 bins).
+    const CHI2_7_P001: f64 = 24.32;
+
+    /// Objects per ingest batch, and the window: 32 batches.
+    const BATCH: u64 = 256;
+    const WINDOW: u64 = 32 * BATCH;
+
+    /// Sampled ids binned in 8 by position within their `BATCH`-object
+    /// batch, and in 8 by age within the window `[first, first + WINDOW)`.
+    fn position_and_age_bins(ids: &[ObjectId], first: u64) -> ([u64; 8], [u64; 8]) {
+        let (mut position, mut age) = ([0u64; 8], [0u64; 8]);
+        for id in ids {
+            position[(id.0 % BATCH * 8 / BATCH) as usize] += 1;
+            age[((id.0 - first) * 8 / WINDOW) as usize] += 1;
+        }
+        (position, age)
+    }
+
+    /// A fresh build is a uniform sample of the window, whatever the batch
+    /// cuts: over 16 seeds, RSL (a 256-object sample) and SPN (a 256-object
+    /// buffer) built through `build_taped` from a window ingested in
+    /// 256-object batches take their objects evenly by position within the
+    /// batch and by age. Each chi-square stays below the 0.001 critical
+    /// value. The stream's first window has slid out, so ids start mid-way.
+    #[test]
+    fn fresh_builds_are_uniform_over_the_window() {
+        let stream = scattered(41, 2 * WINDOW);
+        let window = &stream[WINDOW as usize..];
+        let cuts: Vec<&[GeoTextObject]> = window.chunks(BATCH as usize).collect();
+        let (mut rsl, mut spn) = (([0u64; 8], [0u64; 8]), ([0u64; 8], [0u64; 8]));
+        for seed in 1..=16 {
+            let cfg = |capacity| EstimatorConfig {
+                seed,
+                ..config(capacity)
+            };
+            let mut list = Reservoir::list(&cfg(256));
+            assert!(list.build_taped(&mut None, &cuts, None, |_, _| {}));
+            let mut model = SpnEstimator::new(&cfg(1_024));
+            assert!(model.build_taped(&mut None, &cuts));
+            for (ids, bins) in [
+                (list.store.oids(), &mut rsl),
+                (model.store().oids(), &mut spn),
+            ] {
+                assert_eq!(ids.len(), 256);
+                let (position, age) = position_and_age_bins(ids, WINDOW);
+                for b in 0..8 {
+                    bins.0[b] += position[b];
+                    bins.1[b] += age[b];
+                }
+            }
+        }
+        for (kind, (position, age)) in [("RSL", rsl), ("SPN", spn)] {
+            let (p, a) = (chi_square(&position), chi_square(&age));
+            assert!(
+                p < CHI2_7_P001,
+                "{kind}: by position in batch {p:.2}: {position:?}"
+            );
+            assert!(a < CHI2_7_P001, "{kind}: by age {a:.2}: {age:?}");
         }
     }
 

@@ -15,16 +15,17 @@
 //! update" the paper cites as the SPN's weakness in streams, and the reason
 //! its latency grows linearly with the memory budget (Figure 13).
 //!
-//! The training buffer lives in a shared [`SampleStore`]: rebuilds stream
-//! the coordinate columns, and the pre-model estimate path (before the
-//! first rebuild) answers from the store's kernels instead of a scan.
+//! The training buffer is a scan-read [`Reservoir`] — RSL's sampler on
+//! SPN's own capacity and seed — whose RNG also draws each rebuild's
+//! k-means seeds. Rebuilds stream its store's coordinate columns, and
+//! before the first rebuild the reservoir answers estimates itself.
 
-use crate::reservoir::{DrawPlan, DrawTape, Replay, Winners};
+use crate::reservoir::{DrawTape, Reservoir};
 use crate::store::SampleStore;
 use crate::traits::{EstimatorConfig, EstimatorKind, SelectivityEstimator};
 use geostream::{
-    GeoTextObject, KeywordId, Persist, PersistError, PersistReader, PersistWriter, Point, RcDvq,
-    Rect, StreamRng,
+    GeoTextObject, KeywordId, PersistError, PersistReader, PersistWriter, Point, RcDvq, Rect,
+    StreamRng,
 };
 
 /// Keyword-bucket count (hashed vocabulary dimension).
@@ -37,21 +38,6 @@ fn kw_bucket(kw: KeywordId) -> usize {
     let mut z = (kw.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     (z ^ (z >> 27)) as usize % KW_BUCKETS
-}
-
-/// The parts of `slices` that hold arrivals `from..to` (0-based), in order.
-fn arrivals<'s, 'a>(
-    slices: &'s [&'a [GeoTextObject]],
-    from: u64,
-    to: u64,
-) -> impl Iterator<Item = &'a [GeoTextObject]> + 's {
-    let mut start = 0;
-    slices.iter().filter_map(move |s| {
-        let lo = start;
-        start += s.len() as u64;
-        let (a, b) = (from.clamp(lo, start) - lo, to.clamp(lo, start) - lo);
-        (a < b).then(|| &s[a as usize..b as usize])
-    })
 }
 
 /// One leaf histogram over a single axis.
@@ -147,9 +133,8 @@ thread_local! {
 /// The sum-product network estimator.
 pub struct SpnEstimator {
     domain: Rect,
-    /// Buffered sample of the live window the model is (re)built from.
-    buffer: SampleStore,
-    buffer_capacity: usize,
+    /// Sample of the live window the model is (re)built from.
+    buffer: Reservoir,
     /// Built mixture model, if a rebuild has happened.
     components: Vec<Component>,
     clusters: usize,
@@ -158,9 +143,6 @@ pub struct SpnEstimator {
     inserts_since_rebuild: u64,
     /// Total rebuilds performed (diagnostics; the paper's "update cost").
     rebuilds: u64,
-    seen: u64,
-    population: u64,
-    rng: StreamRng,
 }
 
 impl SpnEstimator {
@@ -176,8 +158,7 @@ impl SpnEstimator {
         let bins = 32;
         SpnEstimator {
             domain: config.domain,
-            buffer: SampleStore::with_capacity(buffer_capacity),
-            buffer_capacity,
+            buffer: Reservoir::sampler(buffer_capacity, config.seed ^ 0x59a9),
             components: Vec::new(),
             clusters,
             bins,
@@ -189,9 +170,6 @@ impl SpnEstimator {
             rebuild_every: (buffer_capacity as u64 * 4).max(1_024),
             inserts_since_rebuild: 0,
             rebuilds: 0,
-            seen: 0,
-            population: 0,
-            rng: StreamRng::seed_from_u64(config.seed ^ 0x59a9),
         }
     }
 
@@ -207,187 +185,144 @@ impl SpnEstimator {
 
     /// The backing sample buffer (read access for diagnostics and tests).
     pub fn store(&self) -> &SampleStore {
-        &self.buffer
+        self.buffer.store()
     }
 
     /// The sampling RNG (read access for tests: equal states draw alike).
     pub fn rng(&self) -> &StreamRng {
-        &self.rng
+        self.buffer.rng()
     }
 
     /// Arrivals the sampler has seen.
     #[cfg(test)]
     pub(crate) fn seen(&self) -> u64 {
-        self.seen
+        self.buffer.seen()
     }
 
-    fn buffer_insert(&mut self, obj: &GeoTextObject) {
-        self.seen += 1;
-        if self.buffer.len() < self.buffer_capacity {
-            self.buffer.push(obj);
-        } else {
-            let j = self.rng.gen_range_u64(0..self.seen);
-            if (j as usize) < self.buffer_capacity {
-                self.buffer.replace(j as u32, obj);
-            }
-        }
-    }
-
-    /// Places a bulk build's decided winners into the buffer.
-    fn place_winners(&mut self, winners: &mut Winners<'_>) {
-        if self.buffer.fill(winners.drain().map(|(_, obj)| obj)) {
-            return;
-        }
-        for (slot, obj) in winners.drain() {
-            if slot < self.buffer.len() {
-                self.buffer.replace(slot as u32, obj);
-            } else {
-                self.buffer.push(obj);
-            }
-        }
-    }
-
-    /// What `insert_slices` makes of this fresh SPN, with the reservoir
-    /// draws and every rebuild's seeds read off the tape in `slot`. As
-    /// there, only the last boundary's seeds train.
-    pub(crate) fn build_taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
-        let n: u64 = slices.iter().map(|s| s.len() as u64).sum();
+    /// What one `insert` per arrival makes of this fresh SPN over `slices`,
+    /// with the reservoir's draws and every rebuild's seeds read off the
+    /// tape in `slot`. Only the last rebuild's model can ever be read, so
+    /// k-means runs there alone. `false`, building nothing, past the
+    /// arrivals a tape holds.
+    pub(crate) fn build_taped(
+        &mut self,
+        slot: &mut Option<DrawTape>,
+        slices: &[&[GeoTextObject]],
+    ) -> bool {
         let every = self.rebuild_every.max(1);
-        let plan = DrawPlan {
-            capacity: self.buffer_capacity,
-            rebuild: Some((every, self.clusters)),
-        };
-        let Some(mut replay) = Replay::open(slot, &self.rng, plan, n) else {
-            return self.insert_slices(&mut slices.iter().copied());
-        };
-        let last = n / every * every;
-        let mut winners = Winners::over(0);
-        for objs in arrivals(slices, 0, last) {
-            replay.decide(&mut winners, objs);
-        }
-        if last > 0 {
-            self.place_winners(&mut winners);
-            self.rebuilds = last / every;
-            self.train(replay.seeds(self.rebuilds - 1));
-            winners = Winners::over(self.buffer.len());
-        }
-        for objs in arrivals(slices, last, n) {
-            replay.decide(&mut winners, objs);
-        }
-        self.place_winners(&mut winners);
-        (self.population, self.inserts_since_rebuild) = (n, n - last);
-        (self.seen, self.rng) = replay.finish();
+        let rebuild = Some((every, self.clusters));
+        let built = self
+            .buffer
+            .build_taped(slot, slices, rebuild, |sample, seeds| {
+                self.components = train(sample, seeds, self.domain, self.bins);
+            });
+        let n = self.buffer.population();
+        (self.rebuilds, self.inserts_since_rebuild) = (n / every, n % every);
+        built
     }
 
-    /// Opens a rebuild over an `n`-object buffer: counts it and draws the
-    /// k-means seed slots, which is all the randomness a rebuild consumes.
-    /// A bulk build calls this alone for a rebuild whose model the next
-    /// rebuild of the same call replaces before any estimate can read it.
-    fn draw_seeds(&mut self, n: usize) -> Vec<usize> {
+    /// Rebuilds the mixture from the current buffer: draws the k-means seed
+    /// slots, which is all the randomness a rebuild consumes, then trains.
+    fn rebuild(&mut self) {
         self.rebuilds += 1;
         self.inserts_since_rebuild = 0;
-        (0..self.clusters.min(n))
-            .map(|_| self.rng.gen_range_usize(0..n))
-            .collect()
+        let seeds = self.buffer.draw_slots(self.clusters);
+        self.components = train(self.buffer.store(), &seeds, self.domain, self.bins);
     }
+}
 
-    /// Rebuilds the mixture from the current buffer: k-means over
-    /// locations, then per-cluster leaf distributions.
-    fn rebuild(&mut self) {
-        let seeds = self.draw_seeds(self.buffer.len());
-        self.train(&seeds);
+/// Trains the mixture on `sample` from the given seed slots: k-means over
+/// locations, then per-cluster leaf distributions over `domain` with
+/// `bins` bins an axis.
+fn train(sample: &SampleStore, seeds: &[usize], domain: Rect, bins: usize) -> Vec<Component> {
+    #[cfg(test)]
+    TRAININGS.with(|t| t.set(t.get() + 1));
+    let mut components = Vec::new();
+    if seeds.is_empty() {
+        return components;
     }
-
-    /// Trains the mixture on the current buffer from the given seed slots.
-    fn train(&mut self, seeds: &[usize]) {
-        #[cfg(test)]
-        TRAININGS.with(|t| t.set(t.get() + 1));
-        self.components.clear();
-        if seeds.is_empty() {
-            return;
+    let (xs, ys) = (sample.xs(), sample.ys());
+    let n = xs.len();
+    let k = seeds.len();
+    // Init centroids from distinct-ish sample positions.
+    let mut centroids: Vec<Point> = seeds
+        .iter()
+        .map(|&idx| Point::new(xs[idx], ys[idx]))
+        .collect();
+    let mut assignment = vec![0usize; n];
+    for _ in 0..KMEANS_ITERS {
+        // Assign.
+        for i in 0..n {
+            let loc = Point::new(xs[i], ys[i]);
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for (c, centroid) in centroids.iter().enumerate() {
+                let d = loc.dist_sq(centroid);
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            assignment[i] = best;
         }
-        let (xs, ys) = (self.buffer.xs(), self.buffer.ys());
-        let n = xs.len();
-        let k = seeds.len();
-        // Init centroids from distinct-ish sample positions.
-        let mut centroids: Vec<Point> = seeds
-            .iter()
-            .map(|&idx| Point::new(xs[idx], ys[idx]))
+        // Update.
+        let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
+        for i in 0..n {
+            let s = &mut sums[assignment[i]];
+            s.0 += xs[i];
+            s.1 += ys[i];
+            s.2 += 1;
+        }
+        for (c, s) in sums.iter().enumerate() {
+            if s.2 > 0 {
+                centroids[c] = Point::new(s.0 / s.2 as f64, s.1 / s.2 as f64);
+            }
+        }
+    }
+    // Build components.
+    for c in 0..k {
+        let members: Vec<u32> = (0..n as u32)
+            .filter(|&i| assignment[i as usize] == c)
             .collect();
-        let mut assignment = vec![0usize; n];
-        for _ in 0..KMEANS_ITERS {
-            // Assign.
-            for i in 0..n {
-                let loc = Point::new(xs[i], ys[i]);
-                let mut best = 0;
-                let mut best_d = f64::INFINITY;
-                for (c, centroid) in centroids.iter().enumerate() {
-                    let d = loc.dist_sq(centroid);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                assignment[i] = best;
+        if members.is_empty() {
+            continue;
+        }
+        let x = AxisHistogram::build(
+            domain.min_x,
+            domain.max_x,
+            bins,
+            members.iter().map(|&i| xs[i as usize]),
+        );
+        let y = AxisHistogram::build(
+            domain.min_y,
+            domain.max_y,
+            bins,
+            members.iter().map(|&i| ys[i as usize]),
+        );
+        let mut kw_probs = vec![0.0; KW_BUCKETS];
+        for &i in &members {
+            let mut hit = [false; KW_BUCKETS];
+            for &kw in sample.keywords(i) {
+                hit[kw_bucket(kw)] = true;
             }
-            // Update.
-            let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
-            for i in 0..n {
-                let s = &mut sums[assignment[i]];
-                s.0 += xs[i];
-                s.1 += ys[i];
-                s.2 += 1;
-            }
-            for (c, s) in sums.iter().enumerate() {
-                if s.2 > 0 {
-                    centroids[c] = Point::new(s.0 / s.2 as f64, s.1 / s.2 as f64);
+            for (b, &h) in hit.iter().enumerate() {
+                if h {
+                    kw_probs[b] += 1.0;
                 }
             }
         }
-        // Build components.
-        for c in 0..k {
-            let members: Vec<u32> = (0..n as u32)
-                .filter(|&i| assignment[i as usize] == c)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let x = AxisHistogram::build(
-                self.domain.min_x,
-                self.domain.max_x,
-                self.bins,
-                members.iter().map(|&i| xs[i as usize]),
-            );
-            let y = AxisHistogram::build(
-                self.domain.min_y,
-                self.domain.max_y,
-                self.bins,
-                members.iter().map(|&i| ys[i as usize]),
-            );
-            let mut kw_probs = vec![0.0; KW_BUCKETS];
-            for &i in &members {
-                let mut hit = [false; KW_BUCKETS];
-                for &kw in self.buffer.keywords(i) {
-                    hit[kw_bucket(kw)] = true;
-                }
-                for (b, &h) in hit.iter().enumerate() {
-                    if h {
-                        kw_probs[b] += 1.0;
-                    }
-                }
-            }
-            let m = members.len() as f64;
-            for p in &mut kw_probs {
-                *p /= m;
-            }
-            self.components.push(Component {
-                weight: m,
-                x,
-                y,
-                kw_probs,
-            });
+        let m = members.len() as f64;
+        for p in &mut kw_probs {
+            *p /= m;
         }
+        components.push(Component {
+            weight: m,
+            x,
+            y,
+            kw_probs,
+        });
     }
+    components
 }
 
 impl AxisHistogram {
@@ -418,8 +353,7 @@ impl SelectivityEstimator for SpnEstimator {
     }
 
     fn insert(&mut self, obj: &GeoTextObject) {
-        self.population += 1;
-        self.buffer_insert(obj);
+        self.buffer.insert(obj);
         self.inserts_since_rebuild += 1;
         if self.inserts_since_rebuild >= self.rebuild_every {
             self.rebuild();
@@ -427,57 +361,13 @@ impl SelectivityEstimator for SpnEstimator {
     }
 
     fn remove(&mut self, obj: &GeoTextObject) {
-        self.population = self.population.saturating_sub(1);
-        self.buffer.remove(obj.oid);
-    }
-
-    /// Decide, then place once — see `Winners` — with the sequence cut at
-    /// the `rebuild_every` boundaries `insert` would rebuild at. Only the
-    /// last boundary's model can ever be read, so the buffer is
-    /// materialised and k-means run there alone; the earlier ones spend
-    /// their seed draws (`SpnEstimator::draw_seeds`) and nothing else.
-    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
-        // Which boundary is the last depends on the total, so the slice
-        // list (not the objects) is taken up front.
-        let slices: Vec<&[GeoTextObject]> = slices.collect();
-        let mut left: u64 = slices.iter().map(|s| s.len() as u64).sum();
-        self.population += left;
-        let every = self.rebuild_every.max(1);
-        let mut until_rebuild = every.saturating_sub(self.inserts_since_rebuild).max(1);
-        let mut winners = Winners::over(self.buffer.len());
-        for mut slice in slices {
-            while !slice.is_empty() {
-                let take =
-                    usize::try_from(until_rebuild).map_or(slice.len(), |u| u.min(slice.len()));
-                let (head, rest) = slice.split_at(take);
-                winners.decide(head, self.buffer_capacity, &mut self.seen, &mut self.rng);
-                slice = rest;
-                left -= take as u64;
-                until_rebuild -= take as u64;
-                self.inserts_since_rebuild += take as u64;
-                if until_rebuild > 0 {
-                    continue;
-                }
-                until_rebuild = every;
-                if left >= every {
-                    self.draw_seeds(winners.sample_len());
-                } else {
-                    self.place_winners(&mut winners);
-                    self.rebuild();
-                }
-            }
-        }
-        self.place_winners(&mut winners);
+        self.buffer.remove(obj);
     }
 
     fn estimate(&self, query: &RcDvq) -> f64 {
         if self.components.is_empty() {
-            // No model yet: answer directly from the buffered sample.
-            if self.buffer.is_empty() {
-                return 0.0;
-            }
-            let matches = self.buffer.count(query);
-            return matches as f64 / self.buffer.len() as f64 * self.population as f64;
+            // No model yet: the sample answers, as RSL would.
+            return self.buffer.estimate(query);
         }
         let total_weight: f64 = self.components.iter().map(|c| c.weight).sum();
         if total_weight <= 0.0 {
@@ -488,11 +378,11 @@ impl SelectivityEstimator for SpnEstimator {
             .iter()
             .map(|c| c.weight / total_weight * c.match_prob(query))
             .sum();
-        p.clamp(0.0, 1.0) * self.population as f64
+        p.clamp(0.0, 1.0) * self.buffer.population() as f64
     }
 
     fn memory_bytes(&self) -> usize {
-        self.buffer.memory_bytes()
+        self.buffer.store().memory_bytes()
             + self
                 .components
                 .iter()
@@ -512,9 +402,7 @@ impl SelectivityEstimator for SpnEstimator {
         w.section(SPN_TAG, |w| {
             w.put_u64(self.inserts_since_rebuild);
             w.put_u64(self.rebuilds);
-            w.put_u64(self.seen);
-            w.put_u64(self.population);
-            self.rng.persist(w);
+            self.buffer.persist_counters(w);
             w.put_usize(self.components.len());
             for c in &self.components {
                 w.put_f64(c.weight);
@@ -524,7 +412,7 @@ impl SelectivityEstimator for SpnEstimator {
                     w.put_f64(p);
                 }
             }
-            self.buffer.persist(w);
+            self.store().persist(w);
         });
     }
 
@@ -532,9 +420,7 @@ impl SelectivityEstimator for SpnEstimator {
         let section = r.begin_section(SPN_TAG, "SpnEstimator")?;
         self.inserts_since_rebuild = r.take_u64("SpnEstimator.inserts_since_rebuild")?;
         self.rebuilds = r.take_u64("SpnEstimator.rebuilds")?;
-        self.seen = r.take_u64("SpnEstimator.seen")?;
-        self.population = r.take_u64("SpnEstimator.population")?;
-        self.rng = StreamRng::restore(r)?;
+        self.buffer.restore_counters(r)?;
         let components = r.take_len("SpnEstimator.components")?;
         if components > self.clusters {
             return Err(PersistError::Corrupt {
@@ -557,32 +443,25 @@ impl SelectivityEstimator for SpnEstimator {
             }
             self.components.push(c);
         }
-        self.buffer = SampleStore::restore(r, self.buffer_capacity)?;
+        self.buffer.restore_sample(r)?;
         r.finish_section(section, "SpnEstimator")
     }
 
     fn population(&self) -> u64 {
-        self.population
+        self.buffer.population()
     }
 
-    /// Audits the training buffer, plus its capacity bound.
+    /// Audits the training buffer ([`Reservoir`]'s audit).
     #[cfg(feature = "debug-invariants")]
     fn audit(&self) -> Result<(), geostream::AuditError> {
-        use geostream::audit::ensure;
-        self.buffer.audit()?;
-        ensure(
-            self.buffer.len() <= self.buffer_capacity,
-            "SpnEstimator",
-            "buffer-capacity",
-            || format!("buffer {} over {}", self.buffer.len(), self.buffer_capacity),
-        )
+        self.buffer.audit()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geostream::{ObjectId, Timestamp};
+    use geostream::{ObjectId, Persist, Timestamp};
 
     fn config() -> EstimatorConfig {
         EstimatorConfig {
@@ -716,9 +595,11 @@ mod tests {
         assert!(orig.has_model());
 
         let mut back = crate::traits::reload(&orig, SpnEstimator::new(&config()));
-        assert_eq!(back.rebuilds(), orig.rebuilds());
-        assert_eq!(back.seen, orig.seen);
-        assert_eq!(back.buffer.oids(), orig.buffer.oids());
+        let restored_at = orig.rebuilds();
+        assert_eq!(restored_at, 2, "5 000 inserts cross two boundaries");
+        assert_eq!(back.rebuilds(), restored_at);
+        assert_eq!(back.seen(), orig.seen());
+        assert_eq!(back.store().oids(), orig.store().oids());
 
         // Continue churning both mirrors across the next rebuild boundary
         // (rebuild_every = 2000 under the test config): reservoir draws and
@@ -730,9 +611,9 @@ mod tests {
             orig.insert(&o);
             back.insert(&o);
         }
-        assert!(orig.rebuilds() > back.rebuilds().min(orig.rebuilds()) - 1);
+        assert_eq!(orig.rebuilds(), 4, "the churn crossed two more boundaries");
         assert_eq!(back.rebuilds(), orig.rebuilds());
-        assert_eq!(back.buffer.oids(), orig.buffer.oids());
+        assert_eq!(back.store().oids(), orig.store().oids());
         let queries = [
             RcDvq::spatial(Rect::new(10.0, 10.0, 40.0, 40.0)),
             RcDvq::keyword(vec![KeywordId(7)]),
@@ -745,6 +626,42 @@ mod tests {
         {
             orig.audit().unwrap();
             back.audit().unwrap();
+        }
+    }
+
+    /// SPN's section carries its buffer's counters and sample, so restore
+    /// refuses a crafted one whose 40-object sample outgrows the arrivals
+    /// seen or the population, typed, as RSL's and RSH's do.
+    #[test]
+    fn restore_refuses_a_buffer_larger_than_its_counters() {
+        let mut written = SpnEstimator::new(&config());
+        for i in 0..40 {
+            written.insert(&obj(i, i as f64, 5.0, &[1]));
+        }
+        let section = |seen: u64, population: u64| {
+            let mut w = PersistWriter::new();
+            w.section(SPN_TAG, |w| {
+                w.put_u64(40);
+                w.put_u64(0);
+                w.put_u64(seen);
+                w.put_u64(population);
+                written.rng().persist(w);
+                w.put_usize(0);
+                written.store().persist(w);
+            });
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8]| {
+            SpnEstimator::new(&config()).restore_state(&mut PersistReader::new(bytes))
+        };
+        assert!(section(40, 40) == crate::fill_oracle::persisted(&written));
+        restore(&section(40, 40)).expect("the honest section");
+        for (seen, population) in [(39, 40), (40, 39), (0, 0)] {
+            let err = restore(&section(seen, population));
+            assert!(
+                matches!(err, Err(PersistError::Corrupt { .. })),
+                "40 sampled, {seen} seen, population {population}: {err:?}"
+            );
         }
     }
 
@@ -769,7 +686,8 @@ mod tests {
 
         let before = trainings();
         let mut bulk = SpnEstimator::new(&cfg);
-        bulk.insert_slices(&mut objs.chunks(1_024));
+        let cuts: Vec<&[GeoTextObject]> = objs.chunks(1_024).collect();
+        assert!(bulk.build_taped(&mut None, &cuts));
         assert_eq!(bulk.rebuilds(), 12);
         assert_eq!(trainings() - before, 1, "k-means runs in one bulk build");
 
@@ -781,9 +699,9 @@ mod tests {
         assert_eq!(singles.rebuilds(), 12);
         assert_eq!(trainings() - before, 12);
 
-        assert_eq!(bulk.buffer.oids(), singles.buffer.oids());
-        assert_eq!(bulk.rng.state(), singles.rng.state());
-        assert_eq!(bulk.seen, singles.seen);
+        assert_eq!(bulk.store().oids(), singles.store().oids());
+        assert_eq!(bulk.rng().state(), singles.rng().state());
+        assert_eq!(bulk.seen(), singles.seen());
         assert_eq!(bulk.inserts_since_rebuild, singles.inserts_since_rebuild);
         for q in [
             RcDvq::spatial(Rect::new(10.0, 10.0, 40.0, 40.0)),
@@ -811,8 +729,8 @@ mod tests {
                 s.remove(&live.remove(0));
             }
         }
-        for (slot, oid) in s.buffer.oids().iter().enumerate() {
-            assert_eq!(s.buffer.slot_of(*oid), Some(slot as u32));
+        for (slot, oid) in s.store().oids().iter().enumerate() {
+            assert_eq!(s.store().slot_of(*oid), Some(slot as u32));
         }
         assert_eq!(s.population(), 150);
     }

@@ -1,10 +1,10 @@
 //! Fresh builds read off a draw tape ([`DrawTapes`]) checked against the
-//! builds that draw: for RSL, RSH and SPN, an estimator built from a tape
-//! and a twin built by `insert_slices` — `Winners::decide`'s live draws,
-//! then the same placement — must be the same estimator, and stay the same
-//! through further churn. A tape serves many builds, as the prefill
-//! builder's do: its builds grow and shrink, are cut short, and a changed
-//! seed or capacity replaces it.
+//! maintained path that draws: for RSL, RSH and SPN, an estimator built
+//! from a tape and a fresh twin fed one `insert_batch` per cut — algorithm
+//! R's live draws, one arrival at a time — must be the same estimator, and
+//! stay the same through further churn. A tape serves many builds, as the
+//! prefill builder's do: its builds grow and shrink, are cut short, and a
+//! changed seed or capacity replaces it.
 #![cfg(test)]
 
 use crate::fill_oracle::{arrivals, persisted, queries, slices};
@@ -17,28 +17,34 @@ use std::collections::VecDeque;
 
 /// A sampler a tape can build, with the state the checks read.
 trait Taped: SelectivityEstimator + Sized {
-    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]);
+    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool;
     fn arrivals_seen(&self) -> u64;
     fn sampling_rng(&self) -> &StreamRng;
 }
 
-macro_rules! taped {
-    ($($t:ty),*) => {$(
-        impl Taped for $t {
-            fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) {
-                self.build_taped(slot, slices);
-            }
-            fn arrivals_seen(&self) -> u64 {
-                self.seen()
-            }
-            fn sampling_rng(&self) -> &StreamRng {
-                self.rng()
-            }
-        }
-    )*};
+impl Taped for Reservoir {
+    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool {
+        self.build_taped(slot, slices, None, |_, _| {})
+    }
+    fn arrivals_seen(&self) -> u64 {
+        self.seen()
+    }
+    fn sampling_rng(&self) -> &StreamRng {
+        self.rng()
+    }
 }
 
-taped!(Reservoir, SpnEstimator);
+impl Taped for SpnEstimator {
+    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool {
+        self.build_taped(slot, slices)
+    }
+    fn arrivals_seen(&self) -> u64 {
+        self.seen()
+    }
+    fn sampling_rng(&self) -> &StreamRng {
+        self.rng()
+    }
+}
 
 /// RSL and RSH sample `capacity` objects; SPN buffers a quarter of it.
 fn config(capacity: usize, seed: u64) -> EstimatorConfig {
@@ -114,8 +120,9 @@ fn churn<E: Taped>(
     }
 }
 
-/// Builds `cuts` from the tape in `slot` and by drawing, asserts the twins
-/// are one estimator, then again after 200 steps of churn.
+/// Builds `cuts` from the tape in `slot` and by one `insert_batch` per cut,
+/// asserts the twins are one estimator, then again after 200 steps of
+/// churn.
 fn check_build<E: Taped>(
     make: fn(&EstimatorConfig) -> E,
     cfg: &EstimatorConfig,
@@ -126,9 +133,9 @@ fn check_build<E: Taped>(
     what: &str,
 ) {
     let mut taped = make(cfg);
-    taped.taped(slot, cuts);
+    assert!(taped.taped(slot, cuts), "{what}: the tape refused");
     let mut drawn = make(cfg);
-    drawn.insert_slices(&mut cuts.iter().copied());
+    cuts.iter().for_each(|cut| drawn.insert_batch(cut));
     #[cfg(feature = "debug-invariants")]
     if let Some(tape) = slot.as_ref() {
         tape.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -196,9 +203,9 @@ fn kind_config(kind: EstimatorKind, capacity: usize, seed: u64) -> EstimatorConf
     }
 }
 
-/// `DrawTapes::build` against `build_estimator` + `insert_slices`: the
-/// same persisted bytes (arrivals seen, population and RNG among them) and
-/// estimates.
+/// `DrawTapes::build` against `build_estimator` + one `insert_batch` per
+/// cut: the same persisted bytes (arrivals seen, population and RNG among
+/// them) and estimates.
 fn assert_built_alike(
     tapes: &mut DrawTapes,
     kind: EstimatorKind,
@@ -208,7 +215,7 @@ fn assert_built_alike(
 ) {
     let taped = tapes.build(kind, cfg, &mut cuts.iter().copied());
     let mut drawn = build_estimator(kind, cfg);
-    drawn.insert_slices(&mut cuts.iter().copied());
+    cuts.iter().for_each(|cut| drawn.insert_batch(cut));
     assert!(
         persisted(taped.as_ref()) == persisted(drawn.as_ref()),
         "{kind} {what}: persisted bytes differ"

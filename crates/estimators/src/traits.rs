@@ -205,37 +205,6 @@ pub trait SelectivityEstimator: Send {
         }
     }
 
-    /// Ingests an ordered sequence of object slices — the shape
-    /// `WindowSnapshot::chunk_slices()` yields — as one bulk build. This is
-    /// the entry a prefill candidate is built through (`latest_core::pool`).
-    ///
-    /// Must leave the same *observable state* as calling [`insert`] once
-    /// per object in sequence order: the same `population`, arrivals-seen
-    /// counter and RNG state, the same slot → object map in every sample,
-    /// and for SPN the same `rebuilds` count and mixture components — hence
-    /// bit-identical estimates now and after any further churn. Internals
-    /// that no estimate or later decision reads may differ: posting
-    /// generations and tombstones, keyword-pool layout, RSH's in-cell slot
-    /// order (so `memory_bytes` and the persisted bytes may differ too; a
-    /// bulk-built sample carries none of the garbage).
-    ///
-    /// The producer may cut the sequence short (a cancelled build, whose
-    /// partial result is dropped), so it is pulled as far as it goes —
-    /// lazily or collected up front — and taken as it came.
-    ///
-    /// Default: [`insert_batch`] per slice, which H4096, AASP and FFN keep.
-    /// The reservoir family (RSL, RSH, SPN) overrides it with a decision
-    /// pass that replays algorithm R's draws without touching an object and
-    /// a materialise pass that writes each surviving slot once.
-    ///
-    /// [`insert`]: SelectivityEstimator::insert
-    /// [`insert_batch`]: SelectivityEstimator::insert_batch
-    fn insert_slices(&mut self, slices: &mut dyn Iterator<Item = &[GeoTextObject]>) {
-        for slice in slices {
-            self.insert_batch(slice);
-        }
-    }
-
     /// Retracts a batch of evicted objects, in order. Same equivalence
     /// contract as [`insert_batch`].
     ///

@@ -5,20 +5,15 @@
 //! rely on; it must hold for arbitrary batch partitionings, including the
 //! RNG-consumption order of the randomized sketches.
 //!
-//! The bulk entry a prefill candidate is built through, `insert_slices`,
-//! is held to the same reference — one `insert` per object — bit for bit,
-//! at the end of the build and through churn afterwards, persisted state
+//! The bulk build a prefill candidate comes from, `DrawTapes::build`, is
+//! held to the same reference — one `insert` per object — bit for bit, at
+//! the end of the build and through churn afterwards, persisted state
 //! included.
 
-use estimators::aasp::AaspTree;
-use estimators::ffn::FfnEstimator;
-use estimators::histogram2d::Histogram2D;
-use estimators::reservoir::Reservoir;
-use estimators::spn::SpnEstimator;
-use estimators::{build_estimator, EstimatorConfig, EstimatorKind, SelectivityEstimator};
-use geostream::{
-    GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, RngState, StreamRng, Timestamp,
+use estimators::{
+    build_estimator, DrawTapes, EstimatorConfig, EstimatorKind, SelectivityEstimator,
 };
+use geostream::{GeoTextObject, KeywordId, ObjectId, Point, RcDvq, Rect, StreamRng, Timestamp};
 use testkit::{check, coin, f64_in, u32_in, u64_in, usize_in, vec_of};
 
 const DOMAIN: Rect = Rect {
@@ -146,11 +141,6 @@ fn remove_batch_matches_one_at_a_time() {
     });
 }
 
-/// What `insert_slices` promises that no estimate shows yet: the sampling
-/// RNG's state, and for SPN the rebuild count and whether a model stands.
-/// `None` for the kinds that keep the per-slice default.
-type Hidden = Option<(RngState, u64, bool)>;
-
 fn arb_object(rng: &mut StreamRng, next_id: &mut u64) -> GeoTextObject {
     *next_id += 1;
     let loc = Point::new(f64_in(rng, 0.0..100.0), f64_in(rng, 0.0..100.0));
@@ -158,10 +148,12 @@ fn arb_object(rng: &mut StreamRng, next_id: &mut u64) -> GeoTextObject {
     GeoTextObject::new(ObjectId(*next_id), loc, kws, Timestamp(*next_id))
 }
 
-fn assert_bit_equal<E: SelectivityEstimator>(
-    singles: &E,
-    bulk: &E,
-    hidden: &impl Fn(&E) -> Hidden,
+/// The same population, estimates and persisted bytes; what no estimate
+/// shows yet — the sampling RNG, arrivals seen, SPN's rebuild count and
+/// whether its model stands — is persisted, so the bytes compare it too.
+fn assert_bit_equal(
+    singles: &dyn SelectivityEstimator,
+    bulk: &dyn SelectivityEstimator,
     ctx: &str,
 ) {
     let kind = singles.kind();
@@ -177,14 +169,10 @@ fn assert_bit_equal<E: SelectivityEstimator>(
             "{kind} {ctx}: estimate of {q:?}"
         );
     }
-    assert!(
-        hidden(singles) == hidden(bulk),
-        "{kind} {ctx}: RNG state, rebuild count or model presence"
-    );
     // A snapshot holds what was sampled, learned or counted and none of
     // the layout a bulk build leaves differently (posting generations,
     // keyword-pool garbage, RSH's in-cell order), so both persist alike.
-    let persisted = |e: &E| {
+    let persisted = |e: &dyn SelectivityEstimator| {
         let mut w = geostream::PersistWriter::new();
         e.persist_state(&mut w);
         w.into_bytes()
@@ -195,44 +183,14 @@ fn assert_bit_equal<E: SelectivityEstimator>(
     );
 }
 
-/// One scenario, expanded from `seed` so every kind sees the same one: an
-/// entry state (empty / part-filled / filled and then shrunk by removals)
-/// reached one object at a time on both sides, then one run of arrivals
-/// fed singly to one side and as one `insert_slices` call under a random
-/// slicing to the other, then 200 steps of random `insert` / `remove` /
-/// `insert_batch` applied to both — compared after the build and at every
-/// step.
-fn bulk_build_matches_singles<E: SelectivityEstimator>(
-    seed: u64,
-    make: impl Fn() -> E,
-    hidden: impl Fn(&E) -> Hidden,
-) {
+/// One scenario, expanded from `seed` so every kind sees the same one: a
+/// run of arrivals fed singly to a fresh estimator and, under a random
+/// slicing, to `tapes.build`, then 200 steps of random `insert` / `remove`
+/// / `insert_batch` applied to both — compared after the build and at
+/// every step.
+fn bulk_build_matches_singles(seed: u64, kind: EstimatorKind, tapes: &mut DrawTapes) {
     let rng = &mut StreamRng::seed_from_u64(seed);
-    let (mut singles, mut bulk) = (make(), make());
     let mut next_id = 0u64;
-    let mut live: Vec<GeoTextObject> = Vec::new();
-
-    let entry = match usize_in(rng, 0..3) {
-        0 => 0,
-        // Below every sample capacity (48; SPN's buffer 64).
-        1 => usize_in(rng, 1..40),
-        // Past capacity, so the samplers are drawing; the removals below
-        // then open free slots while `seen` stays high.
-        _ => usize_in(rng, 150..300),
-    };
-    for _ in 0..entry {
-        let o = arb_object(rng, &mut next_id);
-        singles.insert(&o);
-        bulk.insert(&o);
-        live.push(o);
-    }
-    if entry >= 150 {
-        for _ in 0..usize_in(rng, 100..entry) {
-            let gone = live.swap_remove(usize_in(rng, 0..live.len()));
-            singles.remove(&gone);
-            bulk.remove(&gone);
-        }
-    }
 
     // Mostly long enough to cross SPN's 1 024-insert rebuild boundary once,
     // twice or three times in one call; sometimes all fill phase.
@@ -257,15 +215,16 @@ fn bulk_build_matches_singles<E: SelectivityEstimator>(
         slices.push(head);
         rest = tail;
     }
+    let mut singles = build_estimator(kind, &config());
     for o in &arrivals {
         singles.insert(o);
     }
-    bulk.insert_slices(&mut slices.iter().copied());
-    live.extend(arrivals.iter().cloned());
-    assert_bit_equal(&singles, &bulk, &hidden, "after the build");
+    let mut bulk = tapes.build(kind, &config(), &mut slices.iter().copied());
+    let mut live = arrivals;
+    assert_bit_equal(singles.as_ref(), bulk.as_ref(), "after the build");
     #[cfg(feature = "debug-invariants")]
     bulk.audit()
-        .unwrap_or_else(|e| panic!("{} after the build: {e}", bulk.kind()));
+        .unwrap_or_else(|e| panic!("{kind} after the build: {e}"));
 
     for step in 0..200 {
         match usize_in(rng, 0..3) {
@@ -289,41 +248,31 @@ fn bulk_build_matches_singles<E: SelectivityEstimator>(
                 live.extend(batch);
             }
         }
-        assert_bit_equal(&singles, &bulk, &hidden, &format!("churn step {step}"));
+        assert_bit_equal(
+            singles.as_ref(),
+            bulk.as_ref(),
+            &format!("churn step {step}"),
+        );
     }
     #[cfg(feature = "debug-invariants")]
     bulk.audit()
-        .unwrap_or_else(|e| panic!("{} after churn: {e}", bulk.kind()));
+        .unwrap_or_else(|e| panic!("{kind} after churn: {e}"));
 }
 
-/// The oracle for the decision-replay bulk build: all six kinds, against
-/// one-at-a-time insertion.
+/// The oracle for the fresh bulk build: all six kinds, against
+/// one-at-a-time insertion, through one set of draw tapes per case (RSL
+/// and RSH read one tape).
 #[test]
-fn insert_slices_matches_one_at_a_time_through_churn() {
+fn fresh_builds_match_one_at_a_time_through_churn() {
     check(
-        "insert_slices_matches_one_at_a_time_through_churn",
+        "fresh_builds_match_one_at_a_time_through_churn",
         CASES,
         |rng| {
             let seed = u64_in(rng, 0..u64::MAX);
-            let cfg = config();
-            bulk_build_matches_singles(seed, || Histogram2D::new(&cfg), |_| None);
-            bulk_build_matches_singles(seed, || AaspTree::new(&cfg), |_| None);
-            bulk_build_matches_singles(seed, || FfnEstimator::new(&cfg), |_| None);
-            bulk_build_matches_singles(
-                seed,
-                || Reservoir::list(&cfg),
-                |e| Some((e.rng().state(), 0, false)),
-            );
-            bulk_build_matches_singles(
-                seed,
-                || Reservoir::hash(&cfg),
-                |e| Some((e.rng().state(), 0, false)),
-            );
-            bulk_build_matches_singles(
-                seed,
-                || SpnEstimator::new(&cfg),
-                |e| Some((e.rng().state(), e.rebuilds(), e.has_model())),
-            );
+            let mut tapes = DrawTapes::default();
+            for kind in EstimatorKind::ALL {
+                bulk_build_matches_singles(seed, kind, &mut tapes);
+            }
         },
     );
 }
