@@ -221,6 +221,42 @@ fn pending_rsl_prefill_beside_rsh_survives_the_roundtrip() {
     assert_lockstep(&mut original, &mut restored, at, 6);
 }
 
+/// With prefilling ablated, a switch starts its replacement empty beside a
+/// full window: each batch hands it evictions it never saw, so its
+/// population falls to zero under a sample of new arrivals. The engine
+/// writes that state — a cold active estimator and a cold `Ready` one, for
+/// RSL, RSH and SPN — and restores it to an engine that answers bit for bit
+/// like the one that never stopped.
+#[test]
+fn cold_switched_samplers_survive_the_roundtrip() {
+    let mut config = small_config();
+    config.ablation.prefill = false;
+    for (active, ready) in [
+        (EstimatorKind::Rsl, EstimatorKind::Spn),
+        (EstimatorKind::Spn, EstimatorKind::Rsh),
+    ] {
+        let mut original = Latest::new(config.clone());
+        let mut at = drive_to(&mut original, PhaseTag::Incremental, 0);
+        for (kind, activate) in [(active, true), (ready, false)] {
+            assert!(original.debug_force_prefill(kind), "{kind} prefill");
+            for _ in 0..3 {
+                original.ingest_batch(&objects(at, 24));
+                at += 24;
+            }
+            if activate {
+                assert!(original.debug_activate_prefill());
+            }
+        }
+        assert_eq!(original.active_kind(), active);
+        assert_eq!(original.prefilling(), Some(ready));
+        let bytes = original.snapshot_bytes();
+        let mut restored = Latest::restore(config.clone(), &bytes)
+            .unwrap_or_else(|e| panic!("{active} active, {ready} ready: {e}"));
+        assert_eq!(restored.prefilling(), Some(ready));
+        assert_lockstep(&mut original, &mut restored, at, 6);
+    }
+}
+
 #[test]
 fn save_and_load_snapshot_roundtrip_through_a_file() {
     let config = small_config();

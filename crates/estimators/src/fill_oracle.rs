@@ -6,7 +6,7 @@
 //! and stay the same through further churn.
 #![cfg(test)]
 
-use crate::reservoir::Reservoir;
+use crate::reservoir::{DrawTape, Reservoir};
 use crate::spn::SpnEstimator;
 use crate::store::{SampleStore, PLACE_EACH, POSTS};
 use crate::traits::{EstimatorConfig, SelectivityEstimator};
@@ -14,30 +14,34 @@ use geostream::{
     GeoTextObject, KeywordId, ObjectId, PersistWriter, Point, RcDvq, Rect, StreamRng, Timestamp,
 };
 
-/// A sampling estimator whose sample store the checks read, built fresh
-/// from a tape of its own.
-trait Sampled: SelectivityEstimator {
+/// A sampler a draw tape can build fresh, with the state the oracles read.
+pub(crate) trait Taped: SelectivityEstimator + Sized {
+    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool;
     fn sample(&self) -> &SampleStore;
-    fn build(&mut self, slices: &[&[GeoTextObject]]);
+    fn arrivals_seen(&self) -> u64;
+    fn sampling_rng(&self) -> &StreamRng;
 }
 
-impl Sampled for Reservoir {
-    fn sample(&self) -> &SampleStore {
-        self.store()
-    }
-    fn build(&mut self, slices: &[&[GeoTextObject]]) {
-        assert!(self.build_taped(&mut None, slices, None, |_, _| {}));
-    }
+macro_rules! taped {
+    ($($t:ty),*) => {$(
+        impl Taped for $t {
+            fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool {
+                self.build_taped(slot, slices)
+            }
+            fn sample(&self) -> &SampleStore {
+                self.store()
+            }
+            fn arrivals_seen(&self) -> u64 {
+                self.seen()
+            }
+            fn sampling_rng(&self) -> &StreamRng {
+                self.rng()
+            }
+        }
+    )*};
 }
 
-impl Sampled for SpnEstimator {
-    fn sample(&self) -> &SampleStore {
-        self.store()
-    }
-    fn build(&mut self, slices: &[&[GeoTextObject]]) {
-        assert!(self.build_taped(&mut None, slices));
-    }
-}
+taped!(Reservoir, SpnEstimator);
 
 /// Reservoir capacity 64: RSL and RSH sample 64 objects; SPN buffers 64
 /// and rebuilds every 1 024 arrivals.
@@ -111,16 +115,16 @@ pub(crate) fn persisted(est: &dyn SelectivityEstimator) -> Vec<u8> {
 
 /// Builds fresh `est` from `slices`, letting its store take the fill or,
 /// with `place_each`, placing every winner one at a time.
-fn bulk(est: &mut impl Sampled, slices: &[&[GeoTextObject]], place_each: bool) {
+fn bulk(est: &mut impl Taped, slices: &[&[GeoTextObject]], place_each: bool) {
     PLACE_EACH.with(|p| p.set(place_each));
-    est.build(slices);
+    assert!(est.taped(&mut None, slices));
     PLACE_EACH.with(|p| p.set(false));
 }
 
 /// Asserts the twins hold the same sample: persisted bytes, estimates to
 /// the bit, the id → slot map over `ids`, the memory account, and a clean
 /// audit when no id repeats.
-fn assert_twins<E: Sampled>(filled: &E, placed: &E, ids: &[ObjectId], what: &str) {
+fn assert_twins<E: Taped>(filled: &E, placed: &E, ids: &[ObjectId], what: &str) {
     assert!(
         persisted(filled) == persisted(placed),
         "{what}: persisted bytes differ"
@@ -159,7 +163,7 @@ fn assert_twins<E: Sampled>(filled: &E, placed: &E, ids: &[ObjectId], what: &str
 /// above capacity, with and without repeated ids, cut into random slices —
 /// then both twins through the same churn: evictions, then `insert_batch`
 /// per slice into the written store and into a store churn emptied.
-fn check_against_placement<E: Sampled>(make: impl Fn() -> E, sizes: &[usize], seed: u64) {
+fn check_against_placement<E: Taped>(make: impl Fn() -> E, sizes: &[usize], seed: u64) {
     let mut rng = StreamRng::seed_from_u64(seed);
     for &n in sizes {
         for repeats in [false, true] {
@@ -267,12 +271,12 @@ fn posts_during(f: impl FnOnce()) -> u64 {
 /// at least one per sampled slot.
 #[test]
 fn fresh_builds_post_without_a_search() {
-    fn check<E: Sampled>(make: impl Fn() -> E) {
+    fn check<E: Taped>(make: impl Fn() -> E) {
         let mut next_id = 0;
         let objs = arrivals(&mut StreamRng::seed_from_u64(9), 3_072, &mut next_id, false);
         let mut bulk = make();
         let cuts: Vec<&[GeoTextObject]> = objs.chunks(1_024).collect();
-        let bulk_posts = posts_during(|| bulk.build(&cuts));
+        let bulk_posts = posts_during(|| assert!(bulk.taped(&mut None, &cuts)));
         let mut fed = make();
         let fed_posts = posts_during(|| fed.insert_batch(&objs));
         let kind = bulk.kind();

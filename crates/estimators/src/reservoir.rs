@@ -32,7 +32,7 @@ use geostream::{
 };
 
 /// Algorithm R's outcome over a run of arrivals, decided before any object
-/// is read: the first pass of a fresh build ([`Reservoir::build_taped`]).
+/// is read: the first pass of a fresh build ([`Reservoir::build_taped_with`]).
 ///
 /// `winner[slot]` is the last arrival algorithm R wrote to `slot` (`None`:
 /// the slot keeps the object it held), and `winner.len()` is the sample
@@ -377,7 +377,7 @@ impl DrawTapes {
                     EstimatorKind::Rsh => Reservoir::hash(config),
                     _ => Reservoir::list(config),
                 };
-                if est.build_taped(slot, &slices, None, |_, _| {}) {
+                if est.build_taped(slot, &slices) {
                     return Box::new(est);
                 }
             }
@@ -512,21 +512,18 @@ impl Reservoir {
         Ok(())
     }
 
-    /// Reads the sample its store persisted, after the counters:
-    /// a sample over its capacity, or larger than the arrivals seen or the
-    /// population restored, is corrupt. An RSH links every restored slot
-    /// under its cell in slot order — the order a bulk build leaves, which
-    /// no count depends on.
+    /// Reads the sample its store persisted, after the counters. A sample
+    /// over its capacity or its arrivals seen is corrupt; one over its
+    /// population is not: the engine hands a sampler it started cold
+    /// evictions it never saw. An RSH links every restored slot under its
+    /// cell in slot order — the order a bulk build leaves.
     pub(crate) fn restore_sample(&mut self, r: &mut PersistReader<'_>) -> Result<(), PersistError> {
         let store = SampleStore::restore(r, self.capacity)?;
         let len = store.len() as u64;
-        if len > self.seen || len > self.population {
+        if len > self.seen {
             return Err(PersistError::Corrupt {
                 context: "reservoir sample",
-                detail: format!(
-                    "sample {len} over {} seen, population {}",
-                    self.seen, self.population
-                ),
+                detail: format!("sample {len} over {} seen", self.seen),
             });
         }
         self.store = store;
@@ -602,15 +599,24 @@ impl Reservoir {
         }
     }
 
-    /// What one `insert` per arrival makes of this fresh sampler over
+    /// What one `insert` per arrival makes of this fresh RSL or RSH over
     /// `slices`, with algorithm R's decisions read off the tape in `slot`
-    /// and each surviving slot written once. Under `rebuild = Some((every,
-    /// clusters))`, SPN's plan, the tape also holds each rebuild's seed
-    /// slots, and `train` gets the sample as it stands at the last rebuild
-    /// boundary with that boundary's seeds: the one rebuild whose model an
-    /// estimate can read. `false`, building nothing, past the arrivals a
-    /// tape holds.
+    /// and each surviving slot written once. `false`, building nothing,
+    /// past the arrivals a tape holds.
     pub(crate) fn build_taped(
+        &mut self,
+        slot: &mut Option<DrawTape>,
+        slices: &[&[GeoTextObject]],
+    ) -> bool {
+        self.build_taped_with(slot, slices, None, |_, _| {})
+    }
+
+    /// [`Reservoir::build_taped`] for any sampler. Under `rebuild =
+    /// Some((every, clusters))`, SPN's plan, the tape also holds each
+    /// rebuild's seed slots, and `train` gets the sample as it stands at the
+    /// last rebuild boundary with that boundary's seeds: the one rebuild
+    /// whose model an estimate can read.
+    pub(crate) fn build_taped_with(
         &mut self,
         slot: &mut Option<DrawTape>,
         slices: &[&[GeoTextObject]],
@@ -1005,7 +1011,7 @@ mod tests {
             let mut bulk = make(&config(32));
             // Slices that straddle the fill → steady edge, and an empty one.
             let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
-            assert!(bulk.build_taped(&mut None, &slices, None, |_, _| {}));
+            assert!(bulk.build_taped(&mut None, &slices));
 
             let kind = bulk.kind();
             assert_eq!(bulk.store.oids(), singles.store.oids(), "{kind}");
@@ -1076,7 +1082,7 @@ mod tests {
             let cuts: Vec<&[GeoTextObject]> = objs[..n].chunks(100).collect();
             let [rsl, rsh] = PATHS.map(|make| {
                 let mut r = make(&cfg);
-                assert!(r.build_taped(&mut None, &cuts, None, |_, _| {}));
+                assert!(r.build_taped(&mut None, &cuts));
                 r
             });
             alike(&rsl, &rsh, &what);
@@ -1135,10 +1141,10 @@ mod tests {
         }
     }
 
-    /// A section whose sample outgrows its own counters cannot come from a
-    /// real stream: restore refuses it, typed, for both access paths —
-    /// more sampled objects than arrivals seen, or than the population —
-    /// while the honest section restores.
+    /// A section whose sample holds more objects than arrivals seen cannot
+    /// come from a real stream: restore refuses it, typed, for both access
+    /// paths, while the honest section restores, and so does one whose
+    /// population fell below the sample (a cold-started sampler's).
     #[test]
     fn restore_refuses_a_sample_larger_than_its_counters() {
         let objs = scattered(5, 40);
@@ -1158,8 +1164,12 @@ mod tests {
             let restore =
                 |bytes: &[u8]| make(&config(64)).restore_state(&mut PersistReader::new(bytes));
             let kind = written.kind();
-            restore(&section(40, 40)).unwrap_or_else(|e| panic!("{kind}: honest section: {e}"));
-            for (seen, population) in [(39, 40), (40, 39), (0, 0)] {
+            for (seen, population) in [(40, 40), (40, 39), (40, 0)] {
+                restore(&section(seen, population)).unwrap_or_else(|e| {
+                    panic!("{kind}: {seen} seen, population {population}: {e}")
+                });
+            }
+            for (seen, population) in [(39, 40), (39, 39), (0, 0)] {
                 let err = restore(&section(seen, population));
                 assert!(
                     matches!(err, Err(PersistError::Corrupt { .. })),
@@ -1215,7 +1225,7 @@ mod tests {
                 ..config(capacity)
             };
             let mut list = Reservoir::list(&cfg(256));
-            assert!(list.build_taped(&mut None, &cuts, None, |_, _| {}));
+            assert!(list.build_taped(&mut None, &cuts));
             let mut model = SpnEstimator::new(&cfg(1_024));
             assert!(model.build_taped(&mut None, &cuts));
             for (ids, bins) in [

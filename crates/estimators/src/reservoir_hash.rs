@@ -324,7 +324,7 @@ mod tests {
         }
         let mut bulk = Reservoir::hash(&config(32));
         let slices = [&objs[..20], &objs[20..20], &objs[20..700], &objs[700..]];
-        assert!(bulk.build_taped(&mut None, &slices, None, |_, _| {}));
+        assert!(bulk.build_taped(&mut None, &slices));
 
         assert_eq!(bulk.store().oids(), singles.store().oids());
         assert_eq!(bulk.seen(), singles.seen());

@@ -213,7 +213,7 @@ impl SpnEstimator {
         let rebuild = Some((every, self.clusters));
         let built = self
             .buffer
-            .build_taped(slot, slices, rebuild, |sample, seeds| {
+            .build_taped_with(slot, slices, rebuild, |sample, seeds| {
                 self.components = train(sample, seeds, self.domain, self.bins);
             });
         let n = self.buffer.population();
@@ -631,7 +631,8 @@ mod tests {
 
     /// SPN's section carries its buffer's counters and sample, so restore
     /// refuses a crafted one whose 40-object sample outgrows the arrivals
-    /// seen or the population, typed, as RSL's and RSH's do.
+    /// seen, typed, and takes one whose population fell below the sample,
+    /// as RSL's and RSH's do.
     #[test]
     fn restore_refuses_a_buffer_larger_than_its_counters() {
         let mut written = SpnEstimator::new(&config());
@@ -655,8 +656,11 @@ mod tests {
             SpnEstimator::new(&config()).restore_state(&mut PersistReader::new(bytes))
         };
         assert!(section(40, 40) == crate::fill_oracle::persisted(&written));
-        restore(&section(40, 40)).expect("the honest section");
-        for (seen, population) in [(39, 40), (40, 39), (0, 0)] {
+        for (seen, population) in [(40, 40), (40, 39), (40, 0)] {
+            restore(&section(seen, population))
+                .unwrap_or_else(|e| panic!("{seen} seen, population {population}: {e}"));
+        }
+        for (seen, population) in [(39, 40), (39, 39), (0, 0)] {
             let err = restore(&section(seen, population));
             assert!(
                 matches!(err, Err(PersistError::Corrupt { .. })),

@@ -7,44 +7,13 @@
 //! changed seed or capacity replaces it.
 #![cfg(test)]
 
-use crate::fill_oracle::{arrivals, persisted, queries, slices};
+use crate::fill_oracle::{arrivals, persisted, queries, slices, Taped};
 use crate::reservoir::{DrawTape, Reservoir, DRAWS};
 use crate::spn::SpnEstimator;
-use crate::traits::{build_estimator, EstimatorConfig, EstimatorKind, SelectivityEstimator};
+use crate::traits::{build_estimator, EstimatorConfig, EstimatorKind};
 use crate::DrawTapes;
 use geostream::{GeoTextObject, Rect, StreamRng};
 use std::collections::VecDeque;
-
-/// A sampler a tape can build, with the state the checks read.
-trait Taped: SelectivityEstimator + Sized {
-    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool;
-    fn arrivals_seen(&self) -> u64;
-    fn sampling_rng(&self) -> &StreamRng;
-}
-
-impl Taped for Reservoir {
-    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool {
-        self.build_taped(slot, slices, None, |_, _| {})
-    }
-    fn arrivals_seen(&self) -> u64 {
-        self.seen()
-    }
-    fn sampling_rng(&self) -> &StreamRng {
-        self.rng()
-    }
-}
-
-impl Taped for SpnEstimator {
-    fn taped(&mut self, slot: &mut Option<DrawTape>, slices: &[&[GeoTextObject]]) -> bool {
-        self.build_taped(slot, slices)
-    }
-    fn arrivals_seen(&self) -> u64 {
-        self.seen()
-    }
-    fn sampling_rng(&self) -> &StreamRng {
-        self.rng()
-    }
-}
 
 /// RSL and RSH sample `capacity` objects; SPN buffers a quarter of it.
 fn config(capacity: usize, seed: u64) -> EstimatorConfig {
